@@ -199,7 +199,7 @@ def main(argv=None):
     parser.add_argument("--machines", type=int, default=4)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--executors", nargs="+",
-                        default=("serial", "thread", "process"))
+                        default=("serial", "process"))
     parser.add_argument("--root", type=int, default=-1,
                         help="BFS/SSSP root (-1: highest-degree vertex)")
     parser.add_argument("--pr-tolerance", type=float, default=1e-6)
@@ -210,7 +210,7 @@ def main(argv=None):
 
     if args.smoke:
         args.scale = min(args.scale, 10)
-        args.executors = ("serial", "thread")
+        args.executors = ("serial", "process")
 
     side = (1.0 - args.skew) / 3.0
     graph = rmat(

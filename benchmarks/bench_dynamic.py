@@ -325,7 +325,7 @@ def main(argv=None):
                         help="add a vertex every N batches (0 disables)")
     parser.add_argument("--machines", type=int, default=4)
     parser.add_argument("--executor", default="serial",
-                        choices=("serial", "thread", "process"))
+                        choices=("serial", "process"))
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--root", type=int, default=-1,
                         help="BFS root vertex (-1: highest-degree vertex)")

@@ -14,7 +14,7 @@ small graph and exits nonzero if the kernel path is slower than the
 interpreter or any equivalence check fails (the CI perf gate).
 
 ``--executors`` sweeps the executor backends instead: the same run
-under serial, thread, and process, verifying bit-identical results and
+under serial and process, verifying bit-identical results and
 reporting the wall-clock ratio against serial.  Each backend reuses
 ONE executor instance: the first run is reported as *cold* (pool
 spawn + topology publish included) and the median of the ``--repeats``
@@ -120,7 +120,7 @@ def bench_one(partition, algorithm: str, repeats: int) -> dict:
     }
 
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def true_cores() -> int:
@@ -173,19 +173,16 @@ def bench_executors(partition, algorithm: str, repeats: int,
         "speedup_vs_serial": {"serial": 1.0},
         "identical": {},
     }
-    for backend in ("thread", "process"):
-        cold, warm, eng, res, stats = timed(backend)
-        checks = _identical(eng_s, res_s, eng, res)
-        row["seconds_cold"][backend] = cold
-        row["seconds_warm"][backend] = warm
-        row["speedup_vs_serial"][backend] = (
-            w_serial / warm if warm > 0 else float("inf")
-        )
-        row["identical"][backend] = checks
-        if backend == "process":
-            # arena traffic: publish bytes are cumulative over all
-            # 1 + repeats runs; spawns > 1 would mean the pool died
-            row["process_stats"] = stats
+    cold, warm, eng, res, stats = timed("process")
+    row["seconds_cold"]["process"] = cold
+    row["seconds_warm"]["process"] = warm
+    row["speedup_vs_serial"]["process"] = (
+        w_serial / warm if warm > 0 else float("inf")
+    )
+    row["identical"]["process"] = _identical(eng_s, res_s, eng, res)
+    # arena traffic: publish bytes are cumulative over all
+    # 1 + repeats runs; spawns > 1 would mean the pool died
+    row["process_stats"] = stats
     return row
 
 
@@ -206,12 +203,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--executors", action="store_true",
-        help="sweep executor backends (serial/thread/process) instead "
+        help="sweep executor backends (serial/process) instead "
         "of the kernel on/off comparison",
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="worker count for the thread/process backends (default: 4)",
+        help="worker count for the process backend (default: 4)",
     )
     args = parser.parse_args(argv)
 

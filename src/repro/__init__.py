@@ -70,7 +70,6 @@ from repro.exec import (
     EXECUTOR_KINDS,
     Executor,
     SerialExecutor,
-    ThreadPoolExecutor,
     make_executor,
 )
 from repro.fault import (
@@ -156,7 +155,6 @@ __all__ = [
     # executors
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
     "make_executor",
     "EXECUTOR_KINDS",
     # engines

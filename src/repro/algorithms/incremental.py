@@ -18,7 +18,7 @@ Both algorithms are monotone min-folds with canonical fixpoints
 state is **bit-identical** to a from-scratch run on the equivalent
 static graph — the metamorphic gate the dynamic-graph test suite and
 ``bench_dynamic.py --smoke`` enforce on every batch, across the
-serial, thread, and process executors.
+serial and process executors.
 
 The relaxation phases run through the ordinary engine pull protocol
 (via :meth:`Session.engine_context`), so dependency accounting, the

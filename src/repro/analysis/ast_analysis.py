@@ -28,8 +28,7 @@ accepts shapes the seed's syntactic matcher rejected — conditional
 initialization, tuple unpacking, multiple pre-loop writes — while
 still refusing the constructs that defeat the source-level transform
 (nested loops and ``return`` inside the neighbor loop), now with
-CFG-located error messages.  The seed heuristic survives behind
-``analyze_signal(fn, legacy=True)`` for one release.
+CFG-located error messages.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import ast
 import inspect
 import textwrap
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import ReachingDefinitions, loop_carried_vars
@@ -192,22 +191,13 @@ def _check_loop_body(sig: SignalAst) -> bool:
     return has_break
 
 
-def analyze_signal(fn: Callable, legacy: bool = False) -> DependencyInfo:
-    """Analyze a signal UDF for loop-carried dependency (first pass).
-
-    ``legacy=True`` selects the seed's syntactic heuristic (single
-    pre-loop assignment, stored-and-loaded detection) instead of the
-    CFG/dataflow backend; it is kept for one release as an escape
-    hatch and for differential testing.
-    """
-    sig = parse_signal(fn)
-    return analyze_parsed(sig, legacy=legacy)
+def analyze_signal(fn: Callable) -> DependencyInfo:
+    """Analyze a signal UDF for loop-carried dependency (first pass)."""
+    return analyze_parsed(parse_signal(fn))
 
 
-def analyze_parsed(sig: SignalAst, legacy: bool = False) -> DependencyInfo:
+def analyze_parsed(sig: SignalAst) -> DependencyInfo:
     """Analyze an already-parsed signal."""
-    if legacy:
-        return _legacy_analyze(sig)
     if sig.loop is None:
         return DependencyInfo(has_neighbor_loop=False, has_break=False)
     has_break = _check_loop_body(sig)
@@ -227,88 +217,3 @@ def analyze_parsed(sig: SignalAst, legacy: bool = False) -> DependencyInfo:
         nbrs_param=sig.params[1],
     )
 
-
-# -- legacy (seed) backend ---------------------------------------------
-
-
-def _legacy_analyze(sig: SignalAst) -> DependencyInfo:
-    """The seed's syntactic analysis, verbatim."""
-    if sig.loop is None:
-        return DependencyInfo(has_neighbor_loop=False, has_break=False)
-    _check_no_return_in_loop(sig.loop)
-    has_break = _contains_break(sig.loop)
-
-    pre_loop = sig.func.body[: sig.loop_index]
-    candidates = _names_assigned(pre_loop)
-    carried = tuple(
-        sorted(name for name in candidates if _is_carried(sig.loop, name))
-    )
-    return DependencyInfo(
-        has_neighbor_loop=True,
-        has_break=has_break,
-        carried_vars=carried,
-        loop_var=sig.loop.target.id,
-        nbrs_param=sig.params[1],
-    )
-
-
-def _contains_break(loop: ast.For) -> bool:
-    """Does the loop body contain a break belonging to this loop?"""
-    for node in ast.walk(loop):
-        if isinstance(node, ast.Break):
-            return True
-        if node is not loop and isinstance(node, (ast.For, ast.While)):
-            raise AnalysisError(
-                "nested loops inside the neighbor loop are not supported "
-                "by the analyzer (restructure the UDF or use fold_while)"
-            )
-    return False
-
-
-def _names_assigned(stmts) -> FrozenSet[str]:
-    """Top-level simple-Name assignment targets in a statement list."""
-    names = set()
-    for stmt in stmts:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            if isinstance(stmt.target, ast.Name):
-                names.add(stmt.target.id)
-    return frozenset(names)
-
-
-def _is_carried(loop: ast.For, name: str) -> bool:
-    """Does ``name``'s value flow across iterations of the loop?
-
-    Carried means the loop *modifies* the variable and the new value is
-    observable by later iterations: either an augmented assignment
-    (read-modify-write) or both a plain store and a load inside the
-    loop body.  A variable that is only read (loop-invariant) or only
-    written (post-loop flag) is not dependency state that must travel
-    between machines.
-    """
-    stored = loaded = False
-    for node in ast.walk(loop):
-        if isinstance(node, ast.Name) and node.id == name:
-            if isinstance(node.ctx, ast.Load):
-                loaded = True
-            elif isinstance(node.ctx, ast.Store):
-                stored = True
-        if (
-            isinstance(node, ast.AugAssign)
-            and isinstance(node.target, ast.Name)
-            and node.target.id == name
-        ):
-            return True
-    return stored and loaded
-
-
-def _check_no_return_in_loop(loop: ast.For) -> None:
-    for node in ast.walk(loop):
-        if isinstance(node, ast.Return):
-            raise AnalysisError(
-                "return inside the neighbor loop defeats instrumentation; "
-                "use break"
-            )

@@ -1,6 +1,6 @@
 """Executor-safety rules: determinism hazards under parallel backends.
 
-The thread/process executors (:mod:`repro.exec`) promise bit-identical
+The process executor (:mod:`repro.exec`) promises bit-identical
 results with the serial reference order.  That promise holds because
 the parent merges per-machine results in item order — but only if each
 task function itself computes a machine-independent answer.  Two
@@ -9,8 +9,8 @@ hazard classes slip past the purity checker because they are not
 
 * **mutable capture** — a UDF closing over a module-level list, dict,
   set, bytearray, or ndarray reads (and often mutates) an object that
-  is shared under threads but *copied* under fork, so the two backends
-  silently diverge;
+  is live in-process under the serial backend but *copied* under fork,
+  so the two backends silently diverge;
 * **unordered iteration** — iterating a ``set`` literal, a set
   comprehension, or a ``set()``/``frozenset()`` call inside the UDF
   makes the scan order hash-dependent, which is exactly the order the
@@ -40,7 +40,7 @@ def _is_mutable(value: object) -> bool:
     """Is a captured global a shared-mutable object worth flagging?
 
     Modules, callables, and immutable scalars are fine; containers and
-    ndarrays are the shared-under-threads / copied-under-fork hazard.
+    ndarrays are the live-in-process / copied-under-fork hazard.
     """
     if isinstance(value, _MUTABLE_TYPES):
         return True
@@ -66,9 +66,9 @@ def _free_names(ctx: LintContext) -> Iterator[Tuple[str, ast.Name]]:
 def mutable_capture(ctx: LintContext) -> Iterator[Finding]:
     """A signal UDF closing over a module-level mutable object (list,
     dict, set, bytearray, ndarray) reads shared state the executors
-    cannot isolate: threads see every concurrent mutation, forked
-    processes see a stale copy, so the backends diverge from the serial
-    reference.  Pass the object through the state parameter instead —
+    cannot isolate: inline tasks see every earlier mutation, forked
+    processes see a stale copy, so the process backend diverges from
+    the serial reference.  Pass the object through the state parameter instead —
     state is what the engines replicate and synchronize."""
     for name, node in _free_names(ctx):
         if name not in ctx.sig.globals:
@@ -78,8 +78,8 @@ def mutable_capture(ctx: LintContext) -> Iterator[Finding]:
             continue
         yield (
             f"captures module-level {type(value).__name__} {name!r}; "
-            "shared under the thread backend, copied under the process "
-            "backend — thread it through the state parameter instead",
+            "live under the serial backend, copied under the process "
+            "backend — pass it through the state parameter instead",
             node,
         )
 

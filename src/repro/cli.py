@@ -298,19 +298,14 @@ def _add_run_args(cmd: argparse.ArgumentParser) -> None:
         "--schedule", default="circulant", choices=("circulant", "naive")
     )
     cmd.add_argument(
-        "--no-kernels", action="store_true",
-        help="force the per-vertex UDF interpreter (disable the "
-        "batched NumPy kernel fast path; results are identical)",
-    )
-    cmd.add_argument(
         "--executor", default="serial",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         help="backend the per-machine work units run on (results are "
         "bit-identical across backends; default: serial)",
     )
     cmd.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker count for the thread/process executor "
+        help="worker count for the process executor "
         "(default: cpu count)",
     )
 
@@ -320,7 +315,6 @@ def _options(args) -> SympleOptions:
         double_buffering=not args.no_double_buffering,
         differentiated=not args.no_differentiated,
         schedule=args.schedule,
-        use_kernels=not args.no_kernels,
     )
 
 

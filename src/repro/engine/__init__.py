@@ -57,7 +57,7 @@ def make_engine(
     observability hub (an :class:`~repro.obs.hooks.ObsHub`, a
     :class:`~repro.obs.tracer.Tracer`, or a trace-file path);
     ``executor`` selects the backend per-machine work runs on
-    (``"serial"``/``"thread"``/``"process"`` or an
+    (``"serial"``/``"process"`` or an
     :class:`~repro.exec.Executor` instance) with ``workers`` bounding
     its concurrency.  ``verify`` gates the batched kernel fast path on
     static certification of each classification

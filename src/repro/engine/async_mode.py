@@ -8,7 +8,7 @@ vertices whose priority falls inside the current bucket.  Each
 *activation wave* is one engine pull/push phase — so every wave is one
 :class:`~repro.runtime.counters.IterationRecord`, the cost model
 charges per wave, the executor's deterministic ascending-machine merge
-makes each wave bit-identical across serial/thread/process backends,
+makes each wave bit-identical across the serial and process backends,
 and the SympleGraph engine rebuilds its circulant dependency bitmaps
 per pull — i.e. dependency notifications are evaluated *at activation
 time against the freshest remote state*, per bucket rather than per

@@ -21,6 +21,7 @@ Definition 2.2 semantics so all engines compute identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -29,6 +30,7 @@ import numpy as np
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
 from repro.engine.state import StateStore
 from repro.exec import work
+from repro.exec.work import CountingNeighbors
 from repro.errors import EngineError
 from repro.kernels import get_kernel
 from repro.obs.hooks import ObsHub
@@ -39,6 +41,7 @@ from repro.runtime.network import SimulatedNetwork
 
 __all__ = [
     "CountingNeighbors",
+    "PhaseResult",
     "PullResult",
     "PushResult",
     "BaseEngine",
@@ -48,32 +51,9 @@ __all__ = [
 SignalLike = Union[Callable, AnalyzedSignal]
 
 
-class CountingNeighbors:
-    """Iterable over a neighbor array that counts examined elements.
-
-    The count includes every neighbor the UDF's loop touched, including
-    the one that triggered the break — the paper's "edges traversed"
-    metric (Table 5).
-    """
-
-    __slots__ = ("_array", "count")
-
-    def __init__(self, array: np.ndarray) -> None:
-        self._array = array
-        self.count = 0
-
-    def __iter__(self):
-        for value in self._array:
-            self.count += 1
-            yield int(value)
-
-    def __len__(self) -> int:
-        return int(self._array.size)
-
-
 @dataclass
-class PullResult:
-    """Outcome of one dense pull phase."""
+class PhaseResult:
+    """Outcome of one dense pull or sparse push phase."""
 
     changed: np.ndarray
     updates_applied: int
@@ -84,17 +64,7 @@ class PullResult:
         return self.changed.size > 0
 
 
-@dataclass
-class PushResult:
-    """Outcome of one sparse push phase."""
-
-    changed: np.ndarray
-    updates_applied: int
-    edges_traversed: int
-
-    @property
-    def any_changed(self) -> bool:
-        return self.changed.size > 0
+PullResult = PushResult = PhaseResult
 
 
 @dataclass
@@ -157,7 +127,7 @@ class BaseEngine:
         """Install the executor that runs per-machine work units.
 
         Accepts an :class:`~repro.exec.base.Executor` instance, a kind
-        string (``"serial"``/``"thread"``/``"process"``), or ``None``
+        string (``"serial"``/``"process"``), or ``None``
         for the default serial backend.  The executor is (re)bound to
         this engine's partition; every backend produces bit-identical
         results — see :mod:`repro.exec`.
@@ -235,20 +205,6 @@ class BaseEngine:
                                  self.num_machines)
         return phase
 
-    def _obs_commit(self, record: IterationRecord) -> None:
-        """Emit step + phase-end events for a committed one-shot record.
-
-        The circulant engine emits step spans live at real step
-        boundaries; single-step phases (parallel pull, push) report
-        theirs here, right after the record is committed.
-        """
-        if self.obs is None:
-            return
-        for s, step in enumerate(record.steps):
-            self.obs.step_begin(s)
-            self.obs.step_end(s, step)
-        self.obs.phase_end(record)
-
     def _make_step(self, phase: int) -> StepRecord:
         """New step record, with straggler slowdowns applied."""
         step = StepRecord(self.num_machines)
@@ -291,12 +247,20 @@ class BaseEngine:
     ) -> PullResult:
         """Dense pull phase over active destination vertices.
 
-        ``allow_differentiated=False`` forces dependency propagation for
-        every vertex regardless of degree: required when the UDF is not
-        Gemini-correct on its own (e.g. sampling's prefix sum, which has
-        no meaning when machines scan independently).
+        The default is the BSP schedule (Gemini, D-Galois, the
+        single-thread oracle): the dependency parameters are accepted
+        for interface compatibility and ignored.  On the SympleGraph
+        engine ``allow_differentiated=False`` forces dependency
+        propagation for every vertex regardless of degree: required
+        when the UDF is not Gemini-correct on its own (e.g. sampling's
+        prefix sum, which has no meaning when machines scan
+        independently).
         """
-        raise NotImplementedError
+        active_idx = self._check_active(active)
+        analyzed = self.ensure_analyzed(signal)
+        return self._pull_parallel(
+            analyzed, slot, state, active_idx, update_bytes, sync_bytes
+        )
 
     def push(
         self,
@@ -348,20 +312,17 @@ class BaseEngine:
         for (src, dst), nbytes in push_msg.items():
             self.network.send(src, dst, "push", nbytes)
 
-        changed, applied = buffer.apply(slot, state)
         record.push_bytes = sum(push_msg.values())
-        record.steps = [step]
-        self._count_sync(changed, sync_bytes, record)
-        self.counters.add_iteration(record)
-        self._obs_commit(record)
-        self.counters.add_edges(int(step.high_edges.sum()))
-        self.counters.add_vertices(int(step.high_vertices.sum()))
-        return PushResult(changed, applied, int(step.high_edges.sum()))
+        return self._commit_phase(
+            record, [step], buffer, slot, state, sync_bytes
+        )
 
     # -- batched kernel fast path ---------------------------------------------
 
-    def _kernel_plan(self, analyzed: AnalyzedSignal, state: StateStore):
-        """``(spec, kernel)`` when the batched fast path applies, else None.
+    def _kernel_plan(
+        self, analyzed: AnalyzedSignal, state: StateStore
+    ) -> bool:
+        """Does the batched kernel fast path apply to this signal?
 
         Requires the engine opt-in (``use_kernels``), a classification
         from the analyzer, a registered kernel for its kind, and a
@@ -369,17 +330,12 @@ class BaseEngine:
         Any miss means the per-vertex interpreter runs — the fallback
         contract documented in ``docs/API.md``.
         """
-        if not self.use_kernels:
-            return None
         spec = analyzed.kernel
-        if spec is None:
-            return None
+        if not self.use_kernels or spec is None:
+            return False
         if self.verify != "off" and not self._certify_kernel(analyzed, spec):
-            return None
-        kernel = get_kernel(spec.kind)
-        if kernel is None or not spec.compatible(state):
-            return None
-        return spec, kernel
+            return False
+        return get_kernel(spec.kind) is not None and spec.compatible(state)
 
     def _certify_kernel(self, analyzed: AnalyzedSignal, spec) -> bool:
         """Cross-check a classification before dispatching its kernel.
@@ -418,33 +374,6 @@ class BaseEngine:
         self._certified[key] = True
         return True
 
-    def _run_kernel(
-        self,
-        m: int,
-        kernel,
-        spec,
-        state: StateStore,
-        local,
-        vertices: np.ndarray,
-        carried_in=None,
-    ):
-        """Invoke one batched kernel, wall-clock profiled when observed.
-
-        The timing call is skipped entirely with no hub attached so the
-        fast path's hot loop stays unperturbed (the <2% overhead
-        contract of the perf-smoke gate).
-        """
-        if self.obs is None:
-            return kernel(spec, state, local, vertices,
-                          carried_in=carried_in)
-        t0 = perf_counter()
-        batch = kernel(spec, state, local, vertices, carried_in=carried_in)
-        self.obs.kernel_batch(
-            m, spec.kind, int(vertices.size), int(batch.edges.sum()),
-            perf_counter() - t0,
-        )
-        return batch
-
     def _grouped_sends_ok(self) -> bool:
         """May per-vertex update messages be coalesced into one send?
 
@@ -455,43 +384,151 @@ class BaseEngine:
         """
         return self.network.delivery_hook is None and not self.network.trace
 
-    def _emit_kernel_batch(
+    def _pull_step(
         self,
-        m: int,
-        vertices: np.ndarray,
-        values: np.ndarray,
-        update_bytes: int,
+        analyzed: AnalyzedSignal,
+        use_kernel: bool,
+        state: StateStore,
+        items: List[Dict],
         step: StepRecord,
-        buffer: "_UpdateBuffer",
+        buffer: _UpdateBuffer,
+        update_bytes: int,
+        plain_column: str,
+        active: Optional[np.ndarray] = None,
+        dep_store=None,
+        handoffs: Optional[Sequence[int]] = None,
+        is_last: bool = False,
     ) -> None:
-        """Meter and buffer a batch of emitting vertices on machine ``m``.
+        """Run one pull step's units on the executor and merge them.
 
-        Send order matches the interpreter (ascending vertex within the
-        batch); when grouping is allowed, each destination master gets
-        one coalesced send carrying the same bytes and message count.
+        ``items`` are :func:`repro.exec.work.pull_task` units, one per
+        machine; the workers only scan.  Everything observable happens
+        here, unit by unit in item order: lane metering (the dependency
+        lane always books under ``high_*``; ``plain_column`` names the
+        ``StepRecord`` column pair — ``"high"`` or ``"low"`` — the plain
+        lane books under, which the cost model prices separately),
+        dependency-store write-back, update sends (coalesced per
+        destination when :meth:`_grouped_sends_ok`, else one per
+        emitting vertex in ascending order), update buffering, and —
+        where ``handoffs`` gives a unit a nonzero byte count — the
+        dependency hand-off of that many bytes to the machine on the
+        left.
         """
-        if vertices.size == 0:
-            return
-        masters = self.partition.master_of[vertices]
-        remote = masters != m
-        n_remote = int(remote.sum())
-        if n_remote:
-            if self._grouped_sends_ok():
-                dsts, counts = np.unique(masters[remote], return_counts=True)
-                for dst, cnt in zip(dsts, counts):
-                    self.network.send(
-                        m,
-                        int(dst),
-                        "update",
-                        update_bytes * int(cnt),
-                        messages=int(cnt),
+        results = self._map_machines(
+            work.pull_task,
+            {
+                "signal": analyzed,
+                "use_kernel": use_kernel,
+                "timed": self.obs is not None,
+                "active": active,
+                "is_last": is_last,
+            },
+            items,
+            state,
+            step=step,
+        )
+        master_of = self.partition.master_of
+        grouped = self._grouped_sends_ok()
+        plain_edges = getattr(step, plain_column + "_edges")
+        plain_vertices = getattr(step, plain_column + "_vertices")
+        for item, res, handoff in zip(items, results, handoffs or repeat(0)):
+            m = res["m"]
+            traced = self.obs is not None and res["kind"] is not None
+            dep = item.get("dep")
+            if dep is not None:
+                if traced:
+                    self.obs.kernel_batch(
+                        m, res["kind"], int(dep.size), res["dep_edges"],
+                        res["dep_seconds"],
                     )
-            else:
-                for dst in masters[remote]:
-                    self.network.send(m, int(dst), "update", update_bytes)
-            step.update_bytes[m] += update_bytes * n_remote
-        for v, value in zip(vertices.tolist(), values):
-            buffer.add(v, value)
+                step.high_edges[m] += res["dep_edges"]
+                step.high_vertices[m] += int(dep.size)
+                if res["broke"] is not None:
+                    dep_store.skip[dep[res["broke"]]] = True
+                for name, (present, values) in res["carried"].items():
+                    dep_store.present[name][dep] = present
+                    dep_store.data[name][dep] = values
+            if traced:
+                self.obs.kernel_batch(
+                    m, res["kind"], res["plain_vertices"],
+                    res["plain_edges"], res["plain_seconds"],
+                )
+            plain_edges[m] += res["plain_edges"]
+            plain_vertices[m] += res["plain_vertices"]
+
+            emit_v, counts = res["emit_v"], res["emit_counts"]
+            if emit_v.size:
+                dst = master_of[emit_v]
+                remote = dst != m
+                dst = dst[remote]
+                if dst.size:
+                    sent = counts[remote]  # values per remote vertex
+                    if grouped:
+                        # same bytes and message count as one send per
+                        # emitting vertex
+                        messages = np.bincount(dst)
+                        payload = np.bincount(dst, weights=sent)
+                        for d in np.flatnonzero(messages).tolist():
+                            self.network.send(
+                                m, d, "update",
+                                update_bytes * int(payload[d]),
+                                messages=int(messages[d]),
+                            )
+                    else:
+                        for d, k in zip(dst.tolist(), sent.tolist()):
+                            self.network.send(
+                                m, d, "update", update_bytes * k
+                            )
+                    step.update_bytes[m] += update_bytes * int(sent.sum())
+                for v, value in zip(
+                    np.repeat(emit_v, counts).tolist(), res["emit_values"]
+                ):
+                    buffer.add(v, value)
+
+            if handoff:
+                left = (m - 1) % self.num_machines
+                self.network.send(m, left, "dep", handoff)
+                step.dep_bytes[m] += handoff
+                if self.obs is not None:
+                    self.obs.dep_transfer(m, left, handoff)
+
+    def _commit_phase(
+        self,
+        record: IterationRecord,
+        steps: List[StepRecord],
+        buffer: _UpdateBuffer,
+        slot: Callable,
+        state: StateStore,
+        sync_bytes: int,
+        steps_traced: bool = False,
+    ) -> PhaseResult:
+        """Apply the buffered updates and book the finished phase.
+
+        ``steps_traced`` says the step spans were already emitted live
+        at real step boundaries (the circulant schedule); single-step
+        phases report theirs here.
+        """
+        changed, applied = buffer.apply(slot, state)
+        record.steps = steps
+        self._count_sync(changed, sync_bytes, record)
+        self.counters.add_iteration(record)
+        if self.obs is not None:
+            if not steps_traced:
+                for s, step in enumerate(steps):
+                    self.obs.step_begin(s)
+                    self.obs.step_end(s, step)
+            self.obs.phase_end(record)
+        edges = record.total_edges()
+        self.counters.add_edges(edges)
+        self.counters.add_vertices(
+            int(
+                sum(
+                    st.high_vertices.sum() + st.low_vertices.sum()
+                    for st in steps
+                )
+            )
+        )
+        return PhaseResult(changed, applied, edges)
 
     def _pull_parallel(
         self,
@@ -502,64 +539,28 @@ class BaseEngine:
         update_bytes: int,
         sync_bytes: int,
     ) -> PullResult:
-        """BSP parallel pull: every machine scans its local in-edges
-        of every active vertex with the original (un-instrumented)
-        signal — Gemini's schedule, shared by all engines when there is
-        no dependency to enforce.  Dispatches whole per-machine batches
-        to a classified kernel when one applies."""
+        """BSP parallel pull: one step in which every machine scans its
+        local in-edges of every active vertex on the plain lane —
+        Gemini's schedule, and SympleGraph's when there is no dependency
+        to enforce (Section 5.1's special case)."""
         phase = self._phase_begin("pull")
-        master_of = self.partition.master_of
-        record = IterationRecord(mode="pull")
         step = self._make_step(phase)
         buffer = _UpdateBuffer()
-        plan = self._kernel_plan(analyzed, state)
-        results = self._map_machines(
-            work.parallel_pull_task,
-            {
-                "signal": analyzed,
-                "active": active_idx,
-                "use_kernel": plan is not None,
-                "timed": self.obs is not None,
-            },
-            [{"m": m} for m in range(self.num_machines)],
+        self._pull_step(
+            analyzed,
+            self._kernel_plan(analyzed, state),
             state,
-            step=step,
+            [{"m": m} for m in range(self.num_machines)],
+            step,
+            buffer,
+            update_bytes,
+            "high",
+            active=active_idx,
         )
-        for res in results:
-            m = res["m"]
-            step.high_edges[m] += res["edges"]
-            step.high_vertices[m] += res["vertices"]
-            if res["kernel"] is not None:
-                if self.obs is not None:
-                    self.obs.kernel_batch(
-                        m, res["kernel"], res["vertices"], res["edges"],
-                        res["seconds"],
-                    )
-                self._emit_kernel_batch(
-                    m,
-                    res["emit_v"],
-                    res["emit_values"],
-                    update_bytes,
-                    step,
-                    buffer,
-                )
-                continue
-            for v, values in zip(res["emit_v"], res["emit_values"]):
-                master = int(master_of[v])
-                if master != m:
-                    nbytes = update_bytes * len(values)
-                    self.network.send(m, master, "update", nbytes)
-                    step.update_bytes[m] += nbytes
-                for value in values:
-                    buffer.add(v, value)
-        changed, applied = buffer.apply(slot, state)
-        record.steps = [step]
-        self._count_sync(changed, sync_bytes, record)
-        self.counters.add_iteration(record)
-        self._obs_commit(record)
-        self.counters.add_edges(int(step.high_edges.sum()))
-        self.counters.add_vertices(int(step.high_vertices.sum()))
-        return PullResult(changed, applied, int(step.high_edges.sum()))
+        return self._commit_phase(
+            IterationRecord(mode="pull"), [step], buffer, slot, state,
+            sync_bytes,
+        )
 
     # -- protocol helpers -------------------------------------------------------
 

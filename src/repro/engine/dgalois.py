@@ -11,12 +11,7 @@ dependency propagation; local breaks are again only local.
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
-from repro.engine.base import BaseEngine, PullResult, SignalLike
-from repro.engine.state import StateStore
+from repro.engine.base import BaseEngine
 from repro.partition.base import Partition
 from repro.runtime.cost_model import DGALOIS_COST, CostModel
 
@@ -43,24 +38,4 @@ class DGaloisEngine(BaseEngine):
         super().__init__(
             partition, cost_model, use_kernels=use_kernels, obs=obs,
             executor=executor, verify=verify,
-        )
-
-    def pull(
-        self,
-        signal: SignalLike,
-        slot: Callable,
-        state: StateStore,
-        active: np.ndarray,
-        update_bytes: int = 8,
-        sync_bytes: int = 8,
-        dep_data_bytes: int = 4,
-        allow_differentiated: bool = True,
-        share_dep_data: bool = True,
-    ) -> PullResult:
-        """Dense pull on the shared BSP schedule (kernel fast path
-        included); only the sync scope differs from Gemini."""
-        active_idx = self._check_active(active)
-        analyzed = self.ensure_analyzed(signal)
-        return self._pull_parallel(
-            analyzed, slot, state, active_idx, update_bytes, sync_bytes
         )

@@ -1,27 +1,24 @@
 """Pluggable executors: where per-machine work units run.
 
-``SerialExecutor`` (default) runs tasks inline; ``ThreadPoolExecutor``
-and ``ProcessPoolExecutor`` run them concurrently with a deterministic
-merge, so every backend produces bit-identical results, counters, and
-traffic.  The process backend is a *persistent* pool over a
-shared-memory arena — workers stay warm across runs and graph rebinds
-(see :mod:`repro.exec.process` and :mod:`repro.exec.shm`).  See
-:mod:`repro.exec.base` for the contract and :mod:`repro.exec.work` for
-the task functions.
+``SerialExecutor`` (default) runs tasks inline; ``ProcessPoolExecutor``
+runs them concurrently with a deterministic merge, so both backends
+produce bit-identical results, counters, and traffic.  The process
+backend is a *persistent* pool over a shared-memory arena — workers
+stay warm across runs and graph rebinds (see :mod:`repro.exec.process`
+and :mod:`repro.exec.shm`).  See :mod:`repro.exec.base` for the
+contract and :mod:`repro.exec.work` for the task functions.
 """
 
 from repro.exec.base import (
     EXECUTOR_KINDS,
     Executor,
     SerialExecutor,
-    ThreadPoolExecutor,
     make_executor,
 )
 
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
     "ProcessPoolExecutor",
     "make_executor",
     "EXECUTOR_KINDS",

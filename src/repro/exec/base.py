@@ -3,9 +3,8 @@
 Engines route every per-(machine, step) work unit through
 ``executor.map_machines(task_fn, shared, items, state, stalls)``; the
 executor decides *where* the task functions run — inline
-(:class:`SerialExecutor`), on a thread pool
-(:class:`ThreadPoolExecutor`), or on forked worker processes mapping
-the CSR topology and vertex state zero-copy out of shared memory
+(:class:`SerialExecutor`) or on forked worker processes mapping the CSR
+topology and vertex state zero-copy out of shared memory
 (:class:`~repro.exec.process.ProcessPoolExecutor`).  Results always
 come back in item order and the parent merges them deterministically,
 so counters, traffic, and results are bit-identical across backends —
@@ -13,15 +12,13 @@ the backend is purely a wall-clock knob, exactly like ``use_kernels``.
 
 ``stalls`` carries the fault controller's per-machine straggler
 factors: the simulated cost model already charges them, and the
-concurrent backends additionally turn them into real wall-clock stalls
+process backend additionally turns them into real wall-clock stalls
 (a machine slowed by factor f sleeps (f-1) x its compute time).
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from concurrent import futures
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError
@@ -30,21 +27,11 @@ from repro.exec.work import WorkerContext
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
     "make_executor",
     "EXECUTOR_KINDS",
 ]
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
-
-
-def _run_with_stall(fn, ctx, shared, item, factor: float):
-    """Run one task, then sleep out its straggler delay for real."""
-    t0 = time.perf_counter()
-    result = fn(ctx, shared, item)
-    if factor > 1.0:
-        time.sleep((factor - 1.0) * (time.perf_counter() - t0))
-    return result
+EXECUTOR_KINDS = ("serial", "process")
 
 
 class Executor:
@@ -131,51 +118,6 @@ class SerialExecutor(Executor):
         return [fn(ctx, shared, item) for item in items]
 
 
-class ThreadPoolExecutor(Executor):
-    """Run tasks on a thread pool.
-
-    Python bytecode serializes on the GIL, but the batched NumPy
-    kernels release it, so kernel-classified workloads overlap; the
-    backend also exercises the full concurrent merge path with zero
-    serialization cost, making it the cheap determinism check.
-    """
-
-    kind = "thread"
-    parallel = True
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        import os
-
-        super().__init__(workers or os.cpu_count() or 1)
-        self._pool: Optional[futures.ThreadPoolExecutor] = None
-
-    def map_machines(self, fn, shared, items, state, stalls=None):
-        if self._pool is None:
-            self._pool = futures.ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-exec",
-            )
-        ctx = self._ctx
-        ctx.state = state
-        pending = [
-            self._pool.submit(
-                _run_with_stall,
-                fn,
-                ctx,
-                shared,
-                item,
-                float(stalls[int(item["m"])]) if stalls is not None else 1.0,
-            )
-            for item in items
-        ]
-        return [f.result() for f in pending]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 def make_executor(spec=None, workers: Optional[int] = None) -> Executor:
     """Build an executor from a kind string, an instance, or ``None``.
 
@@ -192,8 +134,6 @@ def make_executor(spec=None, workers: Optional[int] = None) -> Executor:
         return spec
     if spec is None or spec == "serial":
         return SerialExecutor(workers)
-    if spec == "thread":
-        return ThreadPoolExecutor(workers)
     if spec == "process":
         from repro.exec.process import ProcessPoolExecutor
 

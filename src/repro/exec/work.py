@@ -1,14 +1,15 @@
 """Pure per-machine work units shared by every executor backend.
 
 Each task function here computes what one simulated machine does in one
-(phase, step) — a neighbor scan, a batched kernel invocation, or a push
-sweep — against a read-only view of the graph and vertex state, and
-returns a plain, picklable result.  All side effects (network sends,
-counter increments, update buffering, dependency-store writes, obs
-events) happen in the *parent*, which merges results in ascending
-machine order; that merge replays exactly the sequence of effects the
-old in-engine loops produced, which is what keeps counters, traffic,
-and results bit-identical across serial, thread, and process backends.
+(phase, step) — :func:`pull_task` for every pull schedule,
+:func:`push_task` for the sparse push — against a read-only view of the
+graph and vertex state, and returns a plain, picklable result.  All
+side effects (network sends, counter increments, update buffering,
+dependency-store writes, fault draws, obs events) happen in the
+*parent*, which merges results in ascending machine order
+(``BaseEngine._pull_step``); that fixed order is what keeps counters,
+traffic, and results bit-identical across the serial and process
+backends.
 
 Task functions receive a :class:`WorkerContext` (graph topology + state
 + an analyzed-signal cache), a ``shared`` dict broadcast to every task
@@ -25,7 +26,7 @@ crash-retry (respawn the pool, rerun the map's chunks) safe.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -35,9 +36,8 @@ from repro.kernels import get_kernel
 
 __all__ = [
     "WorkerContext",
-    "parallel_pull_task",
-    "circulant_kernel_task",
-    "circulant_interp_task",
+    "CountingNeighbors",
+    "pull_task",
     "push_task",
 ]
 
@@ -84,8 +84,13 @@ class WorkerContext:
         return cached
 
 
-class _CountingNeighbors:
-    """Neighbor iterable counting examined elements (edges traversed)."""
+class CountingNeighbors:
+    """Iterable over a neighbor array that counts examined elements.
+
+    The count includes every neighbor the UDF's loop touched, including
+    the one that triggered the break — the paper's "edges traversed"
+    metric (Table 5).
+    """
 
     __slots__ = ("_array", "count")
 
@@ -102,171 +107,153 @@ class _CountingNeighbors:
         return int(self._array.size)
 
 
-def _interp_scan(
-    fn: Callable, local, cand: np.ndarray, state
-) -> Dict[str, Any]:
-    """Original-signal scan over ``cand``; per-vertex emissions kept."""
-    emit_v: List[int] = []
-    emit_values: List[list] = []
-    edges = 0
-    for v in cand:
-        v = int(v)
-        nbrs = _CountingNeighbors(local.neighbors(v))
-        emitted: list = []
-        fn(v, nbrs, state, emitted.append)
-        edges += nbrs.count
-        if emitted:
-            emit_v.append(v)
-            emit_values.append(emitted)
-    return {"edges": edges, "emit_v": emit_v, "emit_values": emit_values}
-
-
-def parallel_pull_task(
-    ctx: WorkerContext, shared: Dict[str, Any], item: Dict[str, Any]
-) -> Dict[str, Any]:
-    """One machine of the BSP parallel pull (Gemini schedule).
-
-    ``shared['use_kernel']`` selects the batched fast path; the parent
-    already verified the kernel plan applies, so the worker only has to
-    resolve spec and kernel from the analyzed signal.
-    """
-    m = int(item["m"])
-    analyzed = ctx.analyzed(shared["signal"])
-    local = ctx.local_in(m)
-    degs = local.degrees()
-    active = shared["active"]
-    cand = active[degs[active] > 0]
-    if shared["use_kernel"]:
-        spec = analyzed.kernel
-        kernel = get_kernel(spec.kind)
-        t0 = perf_counter() if shared["timed"] else 0.0
-        batch = kernel(spec, ctx.state, local, cand, carried_in=None)
-        seconds = perf_counter() - t0 if shared["timed"] else 0.0
-        return {
-            "m": m,
-            "kernel": spec.kind,
-            "edges": int(batch.edges.sum()),
-            "vertices": int(cand.size),
-            "emit_v": cand[batch.emit_mask],
-            "emit_values": batch.values[batch.emit_mask],
-            "seconds": seconds,
-        }
-    out = _interp_scan(analyzed.original, local, cand, ctx.state)
-    out.update({"m": m, "kernel": None, "vertices": int(cand.size)})
-    return out
-
-
-def circulant_kernel_task(
-    ctx: WorkerContext, shared: Dict[str, Any], item: Dict[str, Any]
-) -> Dict[str, Any]:
-    """One (step, machine) circulant batch on the kernel fast path.
-
-    The parent resolves the dependency store: ``item['run']`` is the
-    not-yet-broken high-degree slice, ``item['carried']`` its restored
-    carried data (or None), ``item['low']`` the Gemini-scheduled rest.
-    The worker only invokes the two kernel batches; break bits and
-    carried values come back for the parent to write.
-    """
-    m = int(item["m"])
-    analyzed = ctx.analyzed(shared["signal"])
+def _kernel_lanes(analyzed, state, local, dep, carried, plain, timed):
+    """Each lane as one batched kernel call."""
     spec = analyzed.kernel
     kernel = get_kernel(spec.kind)
-    local = ctx.local_in(m)
-    timed = shared["timed"]
 
-    t0 = perf_counter() if timed else 0.0
-    batch = kernel(
-        spec, ctx.state, local, item["run"], carried_in=item["carried"]
-    )
-    high_seconds = perf_counter() - t0 if timed else 0.0
-    t0 = perf_counter() if timed else 0.0
-    low_batch = kernel(spec, ctx.state, local, item["low"])
-    low_seconds = perf_counter() - t0 if timed else 0.0
+    def scan(vertices, carried_in=None):
+        t0 = perf_counter() if timed else 0.0
+        batch = kernel(spec, state, local, vertices, carried_in=carried_in)
+        return batch, perf_counter() - t0 if timed else 0.0
 
+    batch, plain_seconds = scan(plain)
+    plain_edges = int(batch.edges.sum())
+    emit_v = plain[batch.emit_mask]
+    values = batch.values[batch.emit_mask]
+    dep_edges, dep_seconds, broke, carried_out = 0, 0.0, None, {}
+    if dep is not None:
+        name = spec.carried_vars[0] if carried else None
+        batch, dep_seconds = scan(dep, carried[name] if carried else None)
+        dep_edges = int(batch.edges.sum())
+        broke = batch.broke
+        if carried:
+            carried_out = {
+                name: (np.ones(dep.size, dtype=bool), batch.carried)
+            }
+        dep_v = dep[batch.emit_mask]
+        if dep_v.size and emit_v.size:
+            emit_v = np.concatenate([dep_v, emit_v])
+            values = np.concatenate([batch.values[batch.emit_mask], values])
+            order = np.argsort(emit_v)
+            emit_v, values = emit_v[order], values[order]
+        elif dep_v.size:
+            emit_v, values = dep_v, batch.values[batch.emit_mask]
     return {
-        "m": m,
         "kind": spec.kind,
-        "high_edges": int(batch.edges.sum()),
-        "high_emit_mask": batch.emit_mask,
-        "high_values": batch.values,
-        "broke": batch.broke,
-        "carried": batch.carried,
-        "high_seconds": high_seconds,
-        "low_edges": int(low_batch.edges.sum()),
-        "low_emit_mask": low_batch.emit_mask,
-        "low_values": low_batch.values,
-        "low_seconds": low_seconds,
+        "plain_edges": plain_edges,
+        "plain_seconds": plain_seconds,
+        "dep_edges": dep_edges,
+        "dep_seconds": dep_seconds,
+        "emit_v": emit_v,
+        "emit_counts": np.ones(emit_v.size, dtype=np.int64),
+        "emit_values": values,
+        "broke": broke,
+        "carried": carried_out,
     }
 
 
-def circulant_interp_task(
+def _interp_lanes(analyzed, state, local, dep, carried, plain, is_last):
+    """Both lanes on the per-vertex interpreter, in one ascending pass:
+    the instrumented UDF with a dependency handle for dependency-lane
+    vertices, the original UDF for the rest."""
+    n_dep = 0 if dep is None else dep.size
+    # Lane-local dependency state, indexed by position in ``dep``: a
+    # vertex the parent let through starts from exactly what it was
+    # sent — nothing at all when its dependency message was lost.
+    store = DepStore(n_dep, carried or (), share_data=carried is not None)
+    for name, (present, values) in (carried or {}).items():
+        store.present[name][:] = present
+        store.data[name][:] = values
+    vertices = plain if dep is None else np.concatenate([dep, plain])
+    dep_edges = plain_edges = 0
+    emit_v: List[int] = []
+    emit_counts: List[int] = []
+    emit_values: list = []
+    for i in np.argsort(vertices, kind="stable").tolist():
+        v = int(vertices[i])
+        nbrs = CountingNeighbors(local.neighbors(v))
+        emitted: list = []
+        if i < n_dep:
+            analyzed.instrumented(
+                v, nbrs, state, emitted.append,
+                store.handle(i, is_last=is_last),
+            )
+            dep_edges += nbrs.count
+        else:
+            analyzed.original(v, nbrs, state, emitted.append)
+            plain_edges += nbrs.count
+        if emitted:
+            emit_v.append(v)
+            emit_counts.append(len(emitted))
+            emit_values.extend(emitted)
+    return {
+        "kind": None,
+        "plain_edges": plain_edges,
+        "plain_seconds": 0.0,
+        "dep_edges": dep_edges,
+        "dep_seconds": 0.0,
+        "emit_v": np.array(emit_v, dtype=np.int64),
+        "emit_counts": np.array(emit_counts, dtype=np.int64),
+        "emit_values": emit_values,
+        "broke": store.skip,
+        "carried": {
+            name: (store.present[name], store.data[name])
+            for name in store.data
+        },
+    }
+
+
+def pull_task(
     ctx: WorkerContext, shared: Dict[str, Any], item: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """One (step, machine) circulant scan on the per-vertex interpreter.
+    """One machine's share of one pull step — the only pull work unit.
 
-    Rebuilds a machine-local :class:`DepStore` seeded with the incoming
-    dependency slices for this machine's candidates, runs the exact
-    per-vertex loop the serial engine runs (skip-bit filtering,
-    instrumented UDF for high-degree vertices, original UDF for the
-    rest), and returns emissions plus the outgoing dependency slices.
+    Two lanes over machine ``item['m']``'s local in-edges:
+
+    * the **dependency lane** ``item['dep']`` (absent on the BSP
+      schedule): vertices taking part in dependency propagation, which
+      the parent has already cut down to those this machine must scan
+      (skip bit clear, or dependency message lost), with
+      ``item['carried']`` — ``{name: (present, values)}`` aligned with
+      ``dep``, or None when no data circulates — the carried state the
+      previous machine handed over;
+    * the **plain lane** ``item['plain']``: vertices scanned with the
+      original UDF and no dependency state.  When absent it is every
+      vertex of ``shared['active']`` with a local in-edge, so the BSP
+      schedule ships the active set once, not once per machine.
+
+    ``shared['use_kernel']`` picks the batched kernel or the per-vertex
+    interpreter for both lanes; the result has one shape either way:
+    per-lane ``*_edges`` (and, for kernels, ``*_seconds``),
+    ``plain_vertices``, the emitting vertices in ascending order
+    (``emit_v``) with how many values each emitted (``emit_counts``) and
+    the values flattened in that order (``emit_values``), and the
+    dependency lane's outgoing state for the parent to write back —
+    ``broke`` (mask over ``dep``, or None for a kernel that never
+    breaks) and ``carried`` (same layout as the input).
     """
     m = int(item["m"])
     analyzed = ctx.analyzed(shared["signal"])
-    instrumented = analyzed.instrumented
-    original = analyzed.original
-    cand = item["cand"]
-    high_sel = item["high_sel"]
-    is_last = shared["is_last"]
-
-    store = DepStore(
-        ctx.num_vertices,
-        shared["carried_vars"],
-        share_data=shared["share_dep_data"],
-    )
-    store.skip[cand] = item["skip"]
-    for name in store.data:
-        store.data[name][cand] = item["data"][name]
-        store.present[name][cand] = item["present"][name]
-
     local = ctx.local_in(m)
-    state = ctx.state
-    high_edges = low_edges = high_vertices = low_vertices = 0
-    emit_v: List[int] = []
-    emit_values: List[list] = []
-    for i, v in enumerate(cand.tolist()):
-        emitted: list = []
-        if high_sel[i]:
-            if store.skip[v]:
-                continue
-            handle = store.handle(v, is_last=is_last)
-            nbrs = _CountingNeighbors(local.neighbors(v))
-            instrumented(v, nbrs, state, emitted.append, handle)
-            high_edges += nbrs.count
-            high_vertices += 1
-        else:
-            nbrs = _CountingNeighbors(local.neighbors(v))
-            original(v, nbrs, state, emitted.append)
-            low_edges += nbrs.count
-            low_vertices += 1
-        if emitted:
-            emit_v.append(v)
-            emit_values.append(emitted)
-
-    high = cand[high_sel]
-    return {
-        "m": m,
-        "high_edges": high_edges,
-        "low_edges": low_edges,
-        "high_vertices": high_vertices,
-        "low_vertices": low_vertices,
-        "emit_v": emit_v,
-        "emit_values": emit_values,
-        "skip_out": store.skip[high],
-        "data_out": {name: store.data[name][high] for name in store.data},
-        "present_out": {
-            name: store.present[name][high] for name in store.present
-        },
-    }
+    dep = item.get("dep")
+    plain = item.get("plain")
+    if plain is None:
+        active = shared["active"]
+        plain = active[local.degrees()[active] > 0]
+    if shared["use_kernel"]:
+        out = _kernel_lanes(
+            analyzed, ctx.state, local, dep, item.get("carried"), plain,
+            shared["timed"],
+        )
+    else:
+        out = _interp_lanes(
+            analyzed, ctx.state, local, dep, item.get("carried"), plain,
+            shared["is_last"],
+        )
+    out["m"] = m
+    out["plain_vertices"] = int(plain.size)
+    return out
 
 
 def push_task(

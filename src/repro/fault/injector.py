@@ -129,29 +129,14 @@ class FaultController:
     def dep_loss_rate(self) -> float:
         return self._dep_loss_rate
 
-    def dep_lost(self) -> bool:
-        """One control-bit read misses its dependency message."""
-        if self._dep_loss_rate <= 0.0:
-            return False
-        lost = bool(self.rng.random() < self._dep_loss_rate)
-        if lost:
-            self.stats["dep_losses"] += 1
+    def dep_lost(self, count: int) -> np.ndarray:
+        """Which of ``count`` control-bit reads miss their dependency
+        message — one draw each, in order."""
+        lost = self.rng.random(count) < self._dep_loss_rate
+        self.stats["dep_losses"] += int(lost.sum())
         return lost
 
     # -- message delivery --------------------------------------------------
-
-    @property
-    def delivery_faults_active(self) -> bool:
-        """Does :meth:`deliver` make probabilistic draws on this plan?
-
-        True when any message fault is applied by the delivery hook
-        (dep drops are handled semantically in the engine and excluded).
-        The SympleGraph engine consults this to decide whether batched
-        kernels may run under a dep-loss plan: when the hook also draws
-        from the shared generator, only the per-vertex interpreter
-        preserves the draw order.
-        """
-        return bool(self._delivery_faults)
 
     def deliver(
         self, src: int, dst: int, tag: str, nbytes: int

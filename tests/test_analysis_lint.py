@@ -4,7 +4,7 @@ from repro.algorithms.bfs import bottom_up_signal
 from repro.algorithms.kcore import kcore_signal
 from repro.algorithms.pagerank import pagerank_signal
 from repro.algorithms.sampling import sampling_signal
-from repro.analysis.lint import lint_signal
+from repro.analysis.rules import lint_signal
 
 
 def codes(messages):

@@ -136,9 +136,8 @@ class TestNewlyAccepted:
 
 class TestPrecision:
     def test_overwritten_temp_not_carried(self):
-        """The legacy heuristic calls this carried (stored+loaded); the
-        dataflow backend sees every read follows the same-iteration
-        write and keeps it local."""
+        """Stored and loaded in the loop, but every read follows the
+        same-iteration write: the dataflow backend keeps it local."""
 
         def signal(v, nbrs, s, emit):
             t = 0
@@ -148,28 +147,6 @@ class TestPrecision:
                     emit(t)
 
         assert analyze_signal(signal).carried_vars == ()
-        assert analyze_signal(signal, legacy=True).carried_vars == ("t",)
-
-    def test_legacy_and_dataflow_agree_on_corpus(self):
-        from repro.algorithms.bfs import bottom_up_signal
-        from repro.algorithms.cc import cc_signal
-        from repro.algorithms.kcore import kcore_signal
-        from repro.algorithms.pagerank import pagerank_signal
-        from repro.algorithms.sampling import sampling_signal
-        from repro.algorithms.sssp import sssp_signal
-
-        for fn in (
-            bottom_up_signal,
-            cc_signal,
-            kcore_signal,
-            pagerank_signal,
-            sampling_signal,
-            sssp_signal,
-        ):
-            new = analyze_signal(fn)
-            old = analyze_signal(fn, legacy=True)
-            assert new.carried_vars == old.carried_vars, fn.__name__
-            assert new.has_break == old.has_break, fn.__name__
 
 
 class TestStillInvalid:

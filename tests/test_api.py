@@ -12,7 +12,7 @@ import pytest
 from repro.api import Checkpointing, RunConfig, Session
 from repro.engine import SympleOptions, make_engine
 from repro.errors import EngineError, UnsupportedAlgorithmError
-from repro.exec import SerialExecutor, ThreadPoolExecutor
+from repro.exec import ProcessPoolExecutor, SerialExecutor
 from repro.fault import FaultPlan
 from repro.graph import erdos_renyi, to_undirected
 from repro.partition import OutgoingEdgeCut
@@ -94,7 +94,7 @@ class TestRunConfig:
             options=SympleOptions(degree_threshold=4),
             faults=FaultPlan.dep_loss(0.25, seed=3),
             checkpointing=Checkpointing(interval=2, retention=3),
-            executor="thread",
+            executor="process",
             workers=2,
             kcore_k=3,
         )
@@ -127,10 +127,10 @@ class TestRunConfig:
         assert restored.async_bucket_width is None
 
     def test_to_dict_serializes_executor_instance_as_kind(self):
-        ex = ThreadPoolExecutor(2)
+        ex = ProcessPoolExecutor(2)
         try:
             config = RunConfig(executor=ex)
-            assert config.to_dict()["executor"] == "thread"
+            assert config.to_dict()["executor"] == "process"
         finally:
             ex.close()
 
@@ -227,7 +227,7 @@ class TestSessionLifecycle:
     def test_close_releases_executors(self, graph):
         session = Session(graph)
         session.run(
-            RunConfig(machines=4, bfs_roots=1, executor="thread", workers=2)
+            RunConfig(machines=4, bfs_roots=1, executor="process", workers=2)
         )
         assert session._executors
         session.close()
@@ -238,7 +238,7 @@ class TestSessionLifecycle:
 
         closes = []
         session = Session(graph)
-        ex = session._executor(RunConfig(machines=4, executor="thread",
+        ex = session._executor(RunConfig(machines=4, executor="process",
                                          workers=2))
         original_close = ex.close
         ex.close = lambda: (closes.append(True), original_close())

@@ -2,8 +2,8 @@
 
 The hard invariant (ISSUE 9): after **every** mutation batch, the
 incremental result must equal a from-scratch run on the equivalent
-static graph — bit-identical, and identical across the serial, thread,
-and process executors.  Hypothesis drives randomized mutation
+static graph — bit-identical, and identical across the serial and
+process executors.  Hypothesis drives randomized mutation
 schedules (symmetric inserts, deletes of live edges, vertex growth)
 and checks the gate on every prefix, not just the final state.
 """
@@ -159,12 +159,12 @@ class TestEveryPrefixEqualsScratch:
 
 class TestCrossExecutor:
     def test_digests_identical_across_executors(self):
-        """One fixed schedule, three executors: every prefix's
+        """One fixed schedule, both executors: every prefix's
         incremental digests must agree bit for bit."""
         graph = base_graph(seed=2)
         batches = random_schedule(graph, seed=99, steps=3)
         trails = {}
-        for kind in ("serial", "thread", "process"):
+        for kind in ("serial", "process"):
             config = RunConfig(machines=4, executor=kind, workers=2,
                                bfs_roots=1)
             trail = []
@@ -178,7 +178,7 @@ class TestCrossExecutor:
                     trail.append((bfs.refresh().digest(),
                                   cc.refresh().digest()))
             trails[kind] = trail
-        assert trails["serial"] == trails["thread"] == trails["process"]
+        assert trails["serial"] == trails["process"]
 
 
 class TestIncrementalKCore:

@@ -262,7 +262,8 @@ class TestKernelEquivalenceUnderFaults:
     @pytest.mark.parametrize("algorithm", ["bfs", "kcore"])
     def test_combined_dep_loss_and_duplicates(self, algorithm):
         # dep drops + a delivery-hook fault share one generator; the
-        # circulant kernel path self-disables to preserve draw order
+        # parent draws both (dep coins per step, then per-message), so
+        # the kernel path stays on and must match the interpreter
         plan = FaultPlan(
             seed=23,
             messages=(

@@ -1,14 +1,15 @@
 """Cross-executor bit-identity.
 
 The executor backend decides *where* per-(machine, step) work runs —
-inline, on threads, or in forked workers over shared memory — and is
+inline or in forked workers over shared memory — and is
 required to be invisible in every observable: results, per-iteration
 counters, network traffic, and therefore the canonical
 :meth:`RunResult.digest`.  This suite runs the full engine x algorithm
 matrix under every backend and diffs the digests, plus a direct
-engine-level comparison of result arrays and counter summaries, and a
-seeded fault-injection config (dep loss keeps the engine on its serial
-in-engine path, but the digests must still agree across backends).
+engine-level comparison of result arrays and counter summaries, and
+seeded fault-injection configs (the parent draws every fault coin, so a
+faulted phase fans out to the workers like any other and the digests
+must still agree across backends).
 """
 
 import numpy as np
@@ -18,7 +19,8 @@ from repro.api import Checkpointing, RunConfig, Session
 from repro.engine import SympleGraphEngine, SympleOptions
 from repro.errors import UnsupportedAlgorithmError
 from repro.exec import EXECUTOR_KINDS, make_executor
-from repro.fault import CrashFault, FaultPlan
+from repro.fault import CrashFault, FaultPlan, MessageFault
+from repro.obs import Tracer
 from repro.graph import erdos_renyi, to_undirected
 from repro.partition import OutgoingEdgeCut
 
@@ -66,7 +68,6 @@ class TestMatrixDigests:
     def test_backends_agree(self, digests, engine, algorithm):
         key = (engine, algorithm)
         serial = digests["serial"][key]
-        assert digests["thread"][key] == serial
         assert digests["process"][key] == serial
         if serial is None:
             pytest.skip(f"{algorithm} unsupported on {engine}")
@@ -74,9 +75,7 @@ class TestMatrixDigests:
     def test_backend_count(self, digests):
         # the matrix above only proves equivalence if every registered
         # backend actually appears in the table
-        assert set(digests) == set(EXECUTOR_KINDS) == {
-            "serial", "thread", "process",
-        }
+        assert set(digests) == set(EXECUTOR_KINDS) == {"serial", "process"}
 
 
 class TestEngineLevelIdentity:
@@ -104,7 +103,7 @@ class TestEngineLevelIdentity:
                 ex.close()
             runs[backend] = (engine, result)
         eng_s, res_s = runs["serial"]
-        for backend in ("thread", "process"):
+        for backend in ("process",):
             eng, res = runs[backend]
             assert np.array_equal(res.depth, res_s.depth), backend
             assert eng.counters.summary() == eng_s.counters.summary(), backend
@@ -118,6 +117,67 @@ class TestEngineLevelIdentity:
                 ), (backend, tag)
 
 
+def twice_signal(v, nbrs, s, emit):
+    """Two emissions per emitting vertex: no kernel shape fits it, so
+    every backend interprets it."""
+    for u in nbrs:
+        if s.flag[u] > 0:
+            emit(u)
+            emit(-u)
+            break
+
+
+def tally_slot(v, value, s):
+    s.hits[v] += 1
+    return True
+
+
+class TestMultiEmission:
+    """One message per emitting vertex, ``update_bytes`` per value: the
+    pull unit's result must keep the per-vertex value count."""
+
+    def test_circulant_messages_by_tag(self, graph):
+        partition = OutgoingEdgeCut().partition(graph, 4)
+        runs = {}
+        for backend in EXECUTOR_KINDS:
+            ex = make_executor(
+                backend, workers=None if backend == "serial" else WORKERS
+            )
+            try:
+                engine = SympleGraphEngine(
+                    partition, SympleOptions(degree_threshold=0), executor=ex
+                )
+                state = engine.new_state()
+                state.add_array("flag", "float64")[::3] = 1.0
+                state.add_array("hits", "int64")
+                active = np.ones(graph.num_vertices, dtype=bool)
+                result = engine.pull(
+                    twice_signal, tally_slot, state, active, update_bytes=8
+                )
+                assert ex.last_fallback is None
+                # copy out before close: the process backend's adopted
+                # state pages go away with its arena
+                runs[backend] = (engine, result, np.array(state.hits))
+            finally:
+                ex.close()
+        engine, result, hits = runs["serial"]
+        assert engine.ensure_analyzed(twice_signal).kernel is None
+        assert len(engine.counters.iterations[-1].steps) == 4  # circulant
+        emitters = int(np.count_nonzero(hits))
+        # the dependency makes each vertex emit on exactly one machine
+        assert set(hits.tolist()) <= {0, 2} and emitters > 0
+        assert result.updates_applied == 2 * emitters
+        messages = engine.counters.messages_by_tag["update"]
+        assert 0 < messages <= emitters
+        assert engine.counters.bytes_by_tag["update"] == 16 * messages
+        eng_p, res_p, hits_p = runs["process"]
+        assert np.array_equal(hits_p, hits)
+        assert eng_p.counters.summary() == engine.counters.summary()
+        assert dict(eng_p.counters.bytes_by_tag) == dict(
+            engine.counters.bytes_by_tag
+        )
+
+
 class TestFaultedRuns:
     """Seeded fault plans must replay identically on every backend."""
 
@@ -126,12 +186,21 @@ class TestFaultedRuns:
         [
             FaultPlan.dep_loss(0.3, seed=5),
             FaultPlan(seed=7, crashes=(CrashFault(machine=1, iteration=1),)),
+            FaultPlan(
+                seed=23,
+                messages=(
+                    MessageFault("drop", 0.2, tag="dep"),
+                    MessageFault("duplicate", 0.15, tag="update"),
+                ),
+            ),
         ],
-        ids=["dep-loss", "crash"],
+        ids=["dep-loss", "crash", "dep-loss+duplicates"],
     )
     def test_faulted_kcore_digest(self, graph, plan):
         results = {}
+        tracers = {}
         for backend in EXECUTOR_KINDS:
+            tracers[backend] = Tracer()
             config = RunConfig(
                 engine="symple",
                 algorithm="kcore",
@@ -142,8 +211,12 @@ class TestFaultedRuns:
                 checkpointing=Checkpointing(interval=1),
                 executor=backend,
                 workers=None if backend == "serial" else WORKERS,
+                obs=tracers[backend],
             )
             with Session(graph, config) as session:
                 results[backend] = session.run().digest()
-        assert results["thread"] == results["serial"]
         assert results["process"] == results["serial"]
+        # no plan pushes a phase off the kernel path or off the executor
+        for backend, tracer in tracers.items():
+            kinds = {event["kind"] for event in tracer.events}
+            assert {"kernel_batch", "exec_map_end"} <= kinds, backend

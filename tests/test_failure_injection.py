@@ -110,6 +110,64 @@ class TestSavingsDegrade:
         assert lossy.counters.edges_traversed == gemini.counters.edges_traversed
 
 
+class TestDrawOrderPinned:
+    """The dep-loss coins are drawn by the parent while it builds each
+    circulant step's pull units, machine-ascending then
+    vertex-ascending.  These values were recorded at the last commit
+    that still drew them inside an in-engine per-vertex loop: the draw
+    order — hence every digest and every controller statistic — is the
+    one that loop made, with kernels on and off."""
+
+    # algorithm -> (Session digest, engine-level dep_losses)
+    PINNED = {
+        "kcore": (
+            "27273e5c2c75d69466d9fa8b614058d182e4fe045cf72ecae4772205fbda544a",
+            41,
+        ),
+        "bfs": (
+            "adaf51b89894df6b2f1f1823c3c2ecf949c6b987e8f5ff7d11a99e7d7bb2dca5",
+            33,
+        ),
+        "mis": (
+            "e80cfdc5758b0e6e30beae8cf3a9e6428c27c02c70729f9847a86a33e83e2cc7",
+            40,
+        ),
+    }
+
+    @pytest.mark.parametrize("use_kernels", [True, False])
+    @pytest.mark.parametrize("algorithm", sorted(PINNED))
+    def test_digest_and_controller_stats(self, algorithm, use_kernels):
+        from repro.api import RunConfig, Session
+
+        graph = to_undirected(erdos_renyi(64, 300, seed=11))
+        plan = FaultPlan.dep_loss(0.3, seed=5)
+        options = SympleOptions(use_kernels=use_kernels)
+        digest, dep_losses = self.PINNED[algorithm]
+
+        config = RunConfig(
+            engine="symple", algorithm=algorithm, machines=4, seed=3,
+            kcore_k=2, bfs_roots=2, faults=plan, options=options,
+        )
+        with Session(graph, config) as session:
+            assert session.run().digest() == digest
+
+        engine = SympleGraphEngine(
+            OutgoingEdgeCut().partition(graph, 4), options
+        )
+        controller = FaultController(plan, 4)
+        engine.attach_faults(controller)
+        if algorithm == "kcore":
+            kcore(engine, k=2)
+        elif algorithm == "bfs":
+            root = int(np.argmax(graph.out_degrees()))
+            bfs(engine, root, mode="bottomup")
+        else:
+            mis(engine, seed=3)
+        expected = dict.fromkeys(controller.stats, 0)
+        expected["dep_losses"] = dep_losses
+        assert controller.stats == expected
+
+
 class TestOptionValidation:
     def test_removed_options_point_at_fault_plan(self):
         with pytest.raises(EngineError, match="FaultPlan.dep_loss"):

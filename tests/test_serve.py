@@ -411,7 +411,7 @@ class TestHttp:
         assert isinstance(executors, dict) and executors
         for per_graph in executors.values():
             for stats in per_graph.values():
-                assert stats["kind"] in ("serial", "thread", "process")
+                assert stats["kind"] in ("serial", "process")
                 assert stats["workers"] >= 1
 
     def test_404_lists_routes(self, server):

@@ -475,7 +475,8 @@ class TestExecutionGates:
         from repro.exec import make_executor
 
         assert make_executor("serial").parallel is False
-        assert make_executor("thread").parallel is True
+        with make_executor("process") as ex:
+            assert ex.parallel is True
 
 
 # -- CLI ------------------------------------------------------------------
