@@ -11,7 +11,7 @@ execution modes and reports what the redesign promises:
   the matching ``stop_mass``) must spend *fewer* vertex activations
   than the power iteration, and its L1 distance to a high-precision
   reference must stay within the documented
-  :attr:`~repro.engine.async_mode.AsyncPageRankResult.epsilon` bound;
+  :attr:`~repro.algorithms.pagerank.AsyncPageRankResult.epsilon` bound;
 * **determinism** — one seeded async run per executor kind, digests
   compared bit for bit.
 
@@ -33,8 +33,9 @@ import numpy as np
 
 from repro.api import RunConfig, Session
 from repro.algorithms import pagerank
+from repro.algorithms.pagerank import AsyncPageRankProgram
 from repro.engine import make_engine
-from repro.engine.async_mode import async_pagerank
+from repro.fault import run_program
 from repro.graph.generators import random_weights, rmat
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -104,8 +105,9 @@ def bench_pagerank(graph, args):
 
     engine = make_engine(args.engine, graph, args.machines)
     t0 = time.perf_counter()
-    awr = async_pagerank(
-        engine, seed=args.seed, stop_mass=args.pr_tolerance
+    awr = run_program(
+        AsyncPageRankProgram(seed=args.seed, stop_mass=args.pr_tolerance),
+        engine,
     )
     async_wall = time.perf_counter() - t0
     async_l1 = float(np.abs(awr.rank - reference.rank).sum())

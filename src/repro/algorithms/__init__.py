@@ -15,7 +15,6 @@ from repro.algorithms.bfs import (
     BFSProgram,
     BFSResult,
     bfs,
-    bfs_multi,
     bottom_up_signal,
 )
 from repro.algorithms.cc import CCResult, cc_signal, connected_components
@@ -44,7 +43,7 @@ from repro.algorithms.sampling import (
     sampling_signal,
 )
 from repro.algorithms.scc import SCCResult, scc, scc_reach_signal
-from repro.algorithms.sssp import SSSPResult, sssp, sssp_multi, sssp_signal
+from repro.algorithms.sssp import SSSPResult, sssp, sssp_signal
 from repro.algorithms.registry import (
     ALGORITHMS,
     AlgorithmSpec,
@@ -68,7 +67,6 @@ __all__ = [
     "register",
     "signal_udfs",
     "bfs",
-    "bfs_multi",
     "bottom_up_signal",
     "BFSResult",
     "BFSProgram",
@@ -104,7 +102,6 @@ __all__ = [
     "scc_reach_signal",
     "SCCResult",
     "sssp",
-    "sssp_multi",
     "sssp_signal",
     "SSSPResult",
     "AliasTable",

@@ -14,12 +14,19 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.algorithms.relax import RelaxProgram, Relaxation, schedule_stats
 from repro.engine.base import BaseEngine
 from repro.engine.state import StateStore
 from repro.errors import ConvergenceError
 from repro.fault.program import VertexProgram, run_program
 
-__all__ = ["bfs", "bfs_multi", "bottom_up_signal", "BFSResult", "BFSProgram"]
+__all__ = [
+    "bfs",
+    "bottom_up_signal",
+    "AsyncBFSProgram",
+    "BFSResult",
+    "BFSProgram",
+]
 
 
 def bottom_up_signal(v, nbrs, s, emit):
@@ -50,17 +57,32 @@ def _push_signal(u, v, s):
 
 @dataclass
 class BFSResult:
-    """Output of a BFS run."""
+    """Output of a BFS run (the tallies are the bucket scheduler's)."""
 
     parent: np.ndarray
     depth: np.ndarray
     visited: np.ndarray
     iterations: int
     directions: List[str] = field(default_factory=list)
+    buckets: int = 0
+    waves: int = 0
+    activations: int = 0
 
     @property
     def reached(self) -> int:
         return int(self.visited.sum())
+
+
+def _root_state(engine: BaseEngine, s: StateStore, root: int) -> None:
+    """Declare the traversal arrays with ``root`` visited at depth 0."""
+    s.add_array("visited", bool, False)
+    s.add_array("frontier", bool, False)
+    s.add_array("parent", np.int64, -1)
+    s.add_array("depth", np.int64, -1)
+    s.visited[root] = True
+    s.parent[root] = root
+    s.depth[root] = 0
+    engine.sync_state(np.asarray([root]), sync_bytes=4)
 
 
 class BFSProgram(VertexProgram):
@@ -103,18 +125,10 @@ class BFSProgram(VertexProgram):
         ctx["running_pull"] = False
 
         s = engine.new_state()
-        s.add_array("visited", bool, False)
-        s.add_array("frontier", bool, False)
+        _root_state(engine, s, self.root)
         s.add_array("next_frontier", bool, False)
-        s.add_array("parent", np.int64, -1)
-        s.add_array("depth", np.int64, -1)
         s.add_scalar("level", 0)
-
-        s.visited[self.root] = True
         s.frontier[self.root] = True
-        s.parent[self.root] = self.root
-        s.depth[self.root] = 0
-        engine.sync_state(np.asarray([self.root]), sync_bytes=4)
         return s
 
     def step(
@@ -192,29 +206,62 @@ def bfs(
     )
 
 
-def bfs_multi(
-    engine: BaseEngine,
-    roots: List[int],
-    mode: str = "adaptive",
-    alpha: float = 15.0,
-    beta: float = 18.0,
-    max_iterations: Optional[int] = None,
-) -> List[BFSResult]:
-    """Run BFS from many roots on one prepared engine, in order.
+def _async_visit_slot(v, parent, s):
+    """Master-side visit under the bucket schedule: first update wins.
 
-    The multi-source batch entry: every root reuses the engine's
-    partition, executor bind, and compiled kernels, so a batch pays the
-    per-run setup once.  Each traversal is a fresh program on a fresh
-    state store, which keeps every per-root result bit-identical to a
-    standalone :func:`bfs` of that root — counters accumulate across
-    the batch exactly as the harness's multi-root protocol expects.
+    Unlike the BSP slot there is no global ``level`` scalar — the depth
+    is derived from the discovered parent, which the frontier invariant
+    (every wave's frontier is a single depth) keeps exact.
     """
-    return [
-        run_program(
-            BFSProgram(int(root), mode, alpha, beta, max_iterations), engine
+    if s.visited[v]:
+        return False
+    s.visited[v] = True
+    s.parent[v] = parent
+    s.depth[v] = s.depth[parent] + 1
+    return True
+
+
+def _publish_frontier(s, frontier):
+    s.frontier[:] = False
+    s.frontier[frontier] = True
+
+
+class AsyncBFSProgram(RelaxProgram):
+    """Bucketed BFS: drain pending vertices in depth order.
+
+    A bucket of integer width ``W`` covers depths ``[lo, lo + W)``.
+    Within a bucket, waves proceed one depth at a time (a discovered
+    vertex at depth ``d+1 < hi`` activates in the next wave of the
+    *same* epoch), which keeps depths exact for any width and makes the
+    visited/depth fixpoint equal to the synchronous run's.
+    """
+
+    def __init__(self, root: int, width: float = 1.0, seed: int = 0) -> None:
+        root = int(root)
+
+        def init(engine: BaseEngine, s):
+            _root_state(engine, s, root)
+            return [root]
+
+        def pack(s, iterations, ctx) -> BFSResult:
+            return BFSResult(
+                parent=s.parent.copy(),
+                depth=s.depth.copy(),
+                visited=s.visited.copy(),
+                iterations=iterations,
+                directions=["async"] * iterations,
+                **schedule_stats(ctx),
+            )
+
+        super().__init__(
+            Relaxation(
+                "bfs", init, "depth", bottom_up_signal, _async_visit_slot,
+                pack, sync_bytes=4, eligible=lambda s: ~s.visited,
+                prepare=_publish_frontier,
+            ),
+            width,
+            seed,
         )
-        for root in roots
-    ]
 
 
 def _pick_direction(

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms.relax import RelaxProgram, Relaxation, schedule_stats
 from repro.engine.base import BaseEngine
-from repro.errors import ConvergenceError
+from repro.fault.program import run_program
 
-__all__ = ["connected_components", "cc_signal", "CCResult"]
+__all__ = ["connected_components", "cc_program", "cc_signal", "CCResult"]
 
 
 def cc_signal(v, nbrs, s, emit):
@@ -41,42 +42,52 @@ def _min_slot(v, value, s):
 
 @dataclass
 class CCResult:
-    """Output of a connected-components run."""
+    """Output of a connected-components run (the tallies are the
+    bucket scheduler's)."""
 
     label: np.ndarray
     iterations: int
+    buckets: int = 0
+    waves: int = 0
+    activations: int = 0
 
     @property
     def num_components(self) -> int:
         return int(np.unique(self.label).size)
 
 
+def cc_program(
+    width: float | None = None,
+    seed: int = 0,
+    max_iterations: int | None = None,
+) -> RelaxProgram:
+    """Label propagation as a :class:`RelaxProgram`.
+
+    Under a bucket ``width`` the priority is the vertex's current
+    label: small labels propagate first, which front-loads the labels
+    that win anyway.  Every label a drained bucket can ever produce is
+    at least the bucket's lower edge, so drained buckets stay drained.
+    """
+
+    def init(engine: BaseEngine, s):
+        s.set("label", np.arange(engine.graph.num_vertices, dtype=np.int64))
+        return slice(None)  # every vertex starts pending
+
+    def pack(s, iterations, ctx) -> CCResult:
+        return CCResult(s.label.copy(), iterations, **schedule_stats(ctx))
+
+    return RelaxProgram(
+        Relaxation(
+            "cc", init, "label", cc_signal, _min_slot, pack,
+            max_waves=max_iterations,
+        ),
+        width,
+        seed,
+    )
+
+
 def connected_components(
     engine: BaseEngine, max_iterations: int | None = None
 ) -> CCResult:
     """Label propagation to fixpoint on a symmetric graph."""
-    graph = engine.graph
-    n = graph.num_vertices
-    limit = max_iterations if max_iterations is not None else n + 1
-
-    s = engine.new_state()
-    s.set("label", np.arange(n, dtype=np.int64))
-
-    active = graph.in_degrees() > 0
-    iterations = 0
-    while active.any():
-        if iterations >= limit:
-            raise ConvergenceError("CC exceeded its iteration budget")
-        result = engine.pull(
-            cc_signal, _min_slot, s, active, update_bytes=8, sync_bytes=8
-        )
-        iterations += 1
-        if not result.any_changed:
-            break
-        # Only vertices adjacent to a changed label can improve next round.
-        active = np.zeros(n, dtype=bool)
-        for v in result.changed:
-            active[graph.out_neighbors(int(v))] = True
-        active &= graph.in_degrees() > 0
-
-    return CCResult(label=s.label.copy(), iterations=iterations)
+    return run_program(cc_program(max_iterations=max_iterations), engine)

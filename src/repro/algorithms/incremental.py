@@ -38,7 +38,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConvergenceError, GraphError
+from repro.algorithms.cc import _min_slot, cc_signal, connected_components
+from repro.algorithms.relax import RelaxProgram, Relaxation
+from repro.errors import GraphError
+from repro.fault.program import run_program
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import MutationBatch
 
@@ -104,33 +107,25 @@ class IncrementalResult:
         return _array_digest(f"{self.algorithm}:", self.values)
 
 
-def _frontier(graph: CSRGraph, changed: np.ndarray, pullable: np.ndarray):
-    active = np.zeros(graph.num_vertices, dtype=bool)
-    for v in changed:
-        active[graph.out_neighbors(int(v))] = True
-    return active & pullable
+def _relax(engine, field, values, signal, slot, seeds=None, first=None):
+    """Relax the ``field`` array ``values`` to fixpoint on the BSP
+    schedule, from the pending ``seeds`` or — for a repair — from the
+    explicit ``first`` wave of candidates; returns (values, pulls)."""
 
+    def init(engine, s):
+        s.set(field, values)
+        return first if seeds is None else seeds
 
-def _relax_to_fixpoint(engine, signal, slot, state, active) -> int:
-    """Drive pull phases until no value changes; returns iterations."""
-    graph = engine.graph
-    pullable = graph.in_degrees() > 0
-    active = active & pullable
-    limit = graph.num_vertices + 1
-    iterations = 0
-    while active.any():
-        if iterations >= limit:
-            raise ConvergenceError(
-                "incremental relaxation exceeded its iteration budget"
-            )
-        result = engine.pull(
-            signal, slot, state, active, update_bytes=8, sync_bytes=8
-        )
-        iterations += 1
-        if not result.any_changed:
-            break
-        active = _frontier(graph, result.changed, pullable)
-    return iterations
+    def pack(s, iterations, ctx):
+        return s.array(field).copy(), iterations
+
+    return run_program(
+        RelaxProgram(Relaxation(
+            "incremental relaxation", init, field, signal, slot, pack,
+            first=first,
+        )),
+        engine,
+    )
 
 
 def _bfs_affected(
@@ -315,17 +310,12 @@ class IncrementalBFS(_IncrementalBase):
         return out
 
     def _scratch(self, engine, graph: CSRGraph) -> int:
-        n = graph.num_vertices
-        depth = np.full(n, _INF, dtype=np.int64)
+        depth = np.full(graph.num_vertices, _INF, dtype=np.int64)
         depth[self.root] = 0
-        s = engine.new_state()
-        s.set("depth", depth)
-        pullable = graph.in_degrees() > 0
-        active = _frontier(graph, np.asarray([self.root]), pullable)
-        iterations = _relax_to_fixpoint(
-            engine, relax_depth_signal, _depth_slot, s, active
+        self._values, iterations = _relax(
+            engine, "depth", depth, relax_depth_signal, _depth_slot,
+            seeds=[self.root],
         )
-        self._values = s.depth.copy()
         return iterations
 
     def _incremental(self, engine, graph: CSRGraph, batches) -> int:
@@ -337,14 +327,11 @@ class IncrementalBFS(_IncrementalBase):
         ins_dst, del_dst, _ = _collect_mutations(batches, n)
         affected = _bfs_affected(graph, depth, del_dst, self.root)
         depth[affected] = _INF
-        active = affected.copy()
-        active[ins_dst] = True
-        s = engine.new_state()
-        s.set("depth", depth)
-        iterations = _relax_to_fixpoint(
-            engine, relax_depth_signal, _depth_slot, s, active
+        affected[ins_dst] = True
+        self._values, iterations = _relax(
+            engine, "depth", depth, relax_depth_signal, _depth_slot,
+            first=affected,
         )
-        self._values = s.depth.copy()
         return iterations
 
 
@@ -354,23 +341,11 @@ class IncrementalCC(_IncrementalBase):
     algorithm = "cc"
 
     def _scratch(self, engine, graph: CSRGraph) -> int:
-        # imported here to keep the module importable without pulling
-        # the full algorithm corpus at package-init time
-        from repro.algorithms.cc import _min_slot, cc_signal
-
-        n = graph.num_vertices
-        s = engine.new_state()
-        s.set("label", np.arange(n, dtype=np.int64))
-        active = graph.in_degrees() > 0
-        iterations = _relax_to_fixpoint(
-            engine, cc_signal, _min_slot, s, active
-        )
-        self._values = s.label.copy()
-        return iterations
+        result = connected_components(engine)
+        self._values = result.label
+        return result.iterations
 
     def _incremental(self, engine, graph: CSRGraph, batches) -> int:
-        from repro.algorithms.cc import _min_slot, cc_signal
-
         n = graph.num_vertices
         old = self._values
         label = np.concatenate([
@@ -380,14 +355,10 @@ class IncrementalCC(_IncrementalBase):
         affected = _affected_closure(graph, label, del_dst, delta=0)
         reset = np.flatnonzero(affected)
         label[reset] = reset  # back to identity, re-derive from boundary
-        active = affected.copy()
-        active[ins_dst] = True
-        s = engine.new_state()
-        s.set("label", label)
-        iterations = _relax_to_fixpoint(
-            engine, cc_signal, _min_slot, s, active
+        affected[ins_dst] = True
+        self._values, iterations = _relax(
+            engine, "label", label, cc_signal, _min_slot, first=affected,
         )
-        self._values = s.label.copy()
         return iterations
 
 

@@ -11,14 +11,16 @@ center, a deterministic 1-median stand-in documented in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.engine.base import BaseEngine
+from repro.engine.state import StateStore
 from repro.errors import ConvergenceError
+from repro.fault.program import VertexProgram, run_program
 
-__all__ = ["kmeans", "kmeans_signal", "KMeansResult"]
+__all__ = ["kmeans", "kmeans_signal", "KMeansProgram", "KMeansResult"]
 
 
 def kmeans_signal(v, nbrs, s, emit):
@@ -53,37 +55,47 @@ class KMeansResult:
         return int((self.cluster >= 0).sum())
 
 
-def kmeans(
-    engine: BaseEngine,
-    num_clusters: int | None = None,
-    rounds: int = 4,
-    seed: int = 0,
-) -> KMeansResult:
-    """Run graph K-means for a fixed number of rounds.
+class KMeansProgram(VertexProgram):
+    """Graph K-means; one :meth:`step` is one round (assign layers to
+    fixpoint, score, re-center).  The centers and the cost history are
+    loop-carried, so they live in ``ctx``; randomness is drawn only in
+    :meth:`setup`."""
 
-    ``num_clusters`` defaults to ``sqrt(|V|)`` as in the evaluation
-    (Section 7.1).
-    """
-    graph = engine.graph
-    n = graph.num_vertices
-    if n == 0:
-        raise ValueError("cannot cluster an empty graph")
-    c = num_clusters if num_clusters is not None else max(1, int(np.sqrt(n)))
-    if not 1 <= c <= n:
-        raise ValueError("num_clusters must be in [1, num_vertices]")
+    def __init__(self, num_clusters: int | None = None, rounds: int = 4,
+                 seed: int = 0) -> None:
+        self.num_clusters = num_clusters
+        self.rounds = rounds
+        self.seed = int(seed)
+        self._degrees: Optional[np.ndarray] = None
 
-    rng = np.random.default_rng(seed)
-    centers = rng.choice(n, size=c, replace=False)
-    degrees = graph.in_degrees()
+    def setup(self, engine: BaseEngine, ctx: Dict[str, Any]) -> StateStore:
+        graph = engine.graph
+        n = graph.num_vertices
+        if n == 0:
+            raise ValueError("cannot cluster an empty graph")
+        c = self.num_clusters
+        if c is None:
+            c = max(1, int(np.sqrt(n)))
+        if not 1 <= c <= n:
+            raise ValueError("num_clusters must be in [1, num_vertices]")
+        rng = np.random.default_rng(self.seed)
+        ctx["centers"] = rng.choice(n, size=c, replace=False)
+        ctx["cost_history"] = []
+        self._degrees = graph.in_degrees()
 
-    s = engine.new_state()
-    s.add_array("assigned", bool, False)
-    s.add_array("cluster", np.int64, -1)
-    s.add_array("dist", np.int64, -1)
-    s.add_scalar("level", 0)
+        s = engine.new_state()
+        s.add_array("assigned", bool, False)
+        s.add_array("cluster", np.int64, -1)
+        s.add_array("dist", np.int64, -1)
+        s.add_scalar("level", 0)
+        return s
 
-    cost_history: List[float] = []
-    for _ in range(rounds):
+    def step(self, engine: BaseEngine, s: StateStore,
+             ctx: Dict[str, Any]) -> bool:
+        if len(ctx["cost_history"]) >= self.rounds:
+            return False
+        centers = ctx["centers"]
+        c = centers.size
         s.assigned[:] = False
         s.cluster[:] = -1
         s.dist[:] = -1
@@ -94,7 +106,7 @@ def kmeans(
         engine.sync_state(centers, sync_bytes=8)
 
         # Assignment: multi-source BFS layers until no vertex adopts.
-        for _layer in range(n + 1):
+        for _layer in range(s.num_vertices + 1):
             s.level = s.level + 1
             active = ~s.assigned
             if not active.any():
@@ -112,7 +124,7 @@ def kmeans(
         else:  # pragma: no cover - defensive
             raise ConvergenceError("K-means assignment failed to converge")
 
-        cost_history.append(float(s.dist[s.dist >= 0].sum()))
+        ctx["cost_history"].append(float(s.dist[s.dist >= 0].sum()))
 
         # Re-center: highest-degree member (deterministic 1-median proxy).
         new_centers = centers.copy()
@@ -120,16 +132,32 @@ def kmeans(
             members = np.flatnonzero(s.cluster == cid)
             if members.size == 0:
                 continue
-            best = members[np.argmax(degrees[members])]
-            new_centers[cid] = best
+            new_centers[cid] = members[np.argmax(self._degrees[members])]
         # Small all-reduce to agree on the new centers.
         engine.sync_state(new_centers, sync_bytes=8)
-        centers = new_centers
+        ctx["centers"] = new_centers
+        return len(ctx["cost_history"]) < self.rounds
 
-    return KMeansResult(
-        cluster=s.cluster.copy(),
-        distance=s.dist.copy(),
-        centers=centers,
-        rounds=rounds,
-        cost_history=cost_history,
-    )
+    def result(self, engine: BaseEngine, s: StateStore,
+               ctx: Dict[str, Any]) -> KMeansResult:
+        return KMeansResult(
+            cluster=s.cluster.copy(),
+            distance=s.dist.copy(),
+            centers=ctx["centers"],
+            rounds=self.rounds,
+            cost_history=list(ctx["cost_history"]),
+        )
+
+
+def kmeans(
+    engine: BaseEngine,
+    num_clusters: int | None = None,
+    rounds: int = 4,
+    seed: int = 0,
+) -> KMeansResult:
+    """Run graph K-means for a fixed number of rounds.
+
+    ``num_clusters`` defaults to ``sqrt(|V|)`` as in the evaluation
+    (Section 7.1).
+    """
+    return run_program(KMeansProgram(num_clusters, rounds, seed), engine)

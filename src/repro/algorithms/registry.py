@@ -1,31 +1,27 @@
 """The algorithm registry: one spec per algorithm, everything derives.
 
-Before this module existed, the entry point kept three hand-maintained
-tuples (``_ALGORITHMS``, ``_RESUMABLE``, ``SOURCED_ALGORITHMS``) plus a
-per-algorithm ``if`` ladder in the bench harness, and the CLI and the
-serving layer each re-declared their own lists.  An
-:class:`AlgorithmSpec` now carries every fact the framework needs about
+An :class:`AlgorithmSpec` carries every fact the framework needs about
 one algorithm:
 
 * ``runner`` — the measurement-protocol driver the harness dispatches
   to (``None`` for signal-only entries like the incremental handles);
 * ``signals`` — the signal UDF(s) a run would execute, for the
   ``repro verify`` corpus and the Session pre-flight gate;
-* ``resumable`` — whether fault injection / checkpointing apply;
 * ``sourced`` — whether ``RunConfig.sources`` selects explicit roots
   (the hook the serving layer's batch coalescer keys on);
 * ``modes`` — which execution modes the algorithm supports
   (``"sync"`` and/or ``"async"``);
-* ``async_resumable`` — whether the async driver is a
-  :class:`~repro.fault.program.VertexProgram` that the recoverable
-  driver can checkpoint (at bucket-epoch boundaries);
 * ``extras`` — the :class:`~repro.api.RunConfig` knobs the runner
   reads, for documentation and introspection.
 
 ``RunConfig.__post_init__`` validation, the CLI ``--algorithm``
 choices, ``repro.algorithms.SIGNAL_UDFS``, and the serve batch planner
 all derive from this table; registering a spec here is the single step
-that makes an algorithm a first-class ``Session.run`` citizen.
+that makes an algorithm a first-class ``Session.run`` citizen.  Fault
+plans and checkpointing need no declaration: every runner drives
+:class:`~repro.fault.program.VertexProgram` instances (``scc`` excepted
+— its private transpose engine is out of a plan's reach, and
+``RunConfig`` says so).
 """
 
 from __future__ import annotations
@@ -36,6 +32,21 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.algorithms.bfs import AsyncBFSProgram, BFSProgram, bottom_up_signal
+from repro.algorithms.cc import cc_program, cc_signal
+from repro.algorithms.incremental import relax_depth_signal
+from repro.algorithms.kcore import KCoreProgram, kcore_signal
+from repro.algorithms.kmeans import KMeansProgram, kmeans_signal
+from repro.algorithms.mis import MISProgram, mis_signal
+from repro.algorithms.pagerank import (
+    AsyncPageRankProgram,
+    PageRankProgram,
+    pagerank_signal,
+)
+from repro.algorithms.relax import bucket_width
+from repro.algorithms.sampling import SamplingProgram, sampling_signal
+from repro.algorithms.scc import scc, scc_reach_signal
+from repro.algorithms.sssp import sssp_program, sssp_signal
 from repro.errors import EngineError
 
 __all__ = [
@@ -48,7 +59,6 @@ __all__ = [
     "fixpoint_digest",
     "get_spec",
     "register",
-    "resumable_algorithms",
     "run_sources",
     "signal_udfs",
     "sourced_algorithms",
@@ -79,10 +89,8 @@ class AlgorithmSpec:
     name: str
     runner: Optional[Callable] = None
     signals: Tuple[Callable, ...] = ()
-    resumable: bool = False
     sourced: bool = False
     modes: Tuple[str, ...] = ("sync",)
-    async_resumable: bool = False
     extras: Tuple[str, ...] = ()
     description: str = ""
 
@@ -93,11 +101,6 @@ class AlgorithmSpec:
                     f"algorithm {self.name!r} declares unknown mode "
                     f"{mode!r}; expected one of {MODES}"
                 )
-        if self.async_resumable and "async" not in self.modes:
-            raise EngineError(
-                f"algorithm {self.name!r} is async_resumable but does "
-                "not declare the 'async' mode"
-            )
 
     @property
     def runnable(self) -> bool:
@@ -141,13 +144,6 @@ def algorithm_names() -> Tuple[str, ...]:
     """Names of every runnable algorithm, sorted."""
     return tuple(
         name for name in sorted(_REGISTRY) if _REGISTRY[name].runnable
-    )
-
-
-def resumable_algorithms() -> Tuple[str, ...]:
-    """Algorithms fault injection and checkpointing support."""
-    return tuple(
-        name for name in sorted(_REGISTRY) if _REGISTRY[name].resumable
     )
 
 
@@ -225,6 +221,13 @@ def run_sources(graph, config, default_count: int) -> np.ndarray:
     return sources
 
 
+def _bucket_width(engine, config, algorithm: str) -> Optional[float]:
+    """The run's bucket width; ``None`` selects the BSP schedule."""
+    if config.mode != "async":
+        return None
+    return bucket_width(engine, algorithm, config.async_bucket_width)
+
+
 def _async_stats(extra: Dict[str, float], results) -> None:
     """Accumulate bucket-scheduler stats into a run's extras."""
     extra["async_buckets"] = float(sum(r.buckets for r in results))
@@ -238,43 +241,36 @@ def _async_stats(extra: Dict[str, float], results) -> None:
 #
 #     runner(engine, graph, config, drive, extra) -> RunOutcome
 #
-# ``drive(program)`` executes a VertexProgram through the plain or the
-# recoverable driver depending on ``config.faulted`` (the harness owns
-# that closure so RecoveryReports land in ``extra`` uniformly); the
-# runner fills ``extra`` with its per-algorithm metrics in place.
+# It builds the algorithm's VertexProgram(s) — the schedule a
+# ``mode="async"`` config selects is a constructor argument, not
+# another code path — hands each to ``drive(program)``, which executes
+# it through the plain or the recoverable driver depending on
+# ``config.faulted`` (the harness owns that closure so RecoveryReports
+# land in ``extra`` uniformly), and fills ``extra`` with its
+# per-algorithm metrics in place.
 
 
-def _run_bfs(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.bfs import BFSProgram, bfs_multi
-
-    roots = [int(r) for r in run_sources(graph, config, config.bfs_roots)]
-    if config.mode == "async":
-        from repro.engine.async_mode import AsyncBFSProgram
-
-        results = [
-            drive(
-                AsyncBFSProgram(
-                    root,
-                    width=config.async_bucket_width,
-                    seed=config.seed,
-                )
-            )
-            for root in roots
-        ]
-        _async_stats(extra, results)
-    elif config.faulted:
-        results = [drive(BFSProgram(root)) for root in roots]
-    else:
-        # the multi-source batch entry: identical program sequence,
-        # one engine serving the whole batch
-        results = bfs_multi(engine, roots)
-    reached = sum(result.reached for result in results)
-    extra["avg_reached"] = reached / len(roots)
+def _sourced_extras(extra, config, roots, results) -> None:
+    extra["avg_reached"] = sum(r.reached for r in results) / len(roots)
     if config.sources is not None:
         # explicit sources get per-source answers in the result so
         # a coalesced serving batch can answer every request
         for root, result in zip(roots, results):
             extra[f"reached[{root}]"] = float(result.reached)
+
+
+def _run_bfs(engine, graph, config, drive, extra) -> RunOutcome:
+    roots = [int(r) for r in run_sources(graph, config, config.bfs_roots)]
+    width = _bucket_width(engine, config, "bfs")
+    if width is None:
+        results = [drive(BFSProgram(root)) for root in roots]
+    else:
+        results = [
+            drive(AsyncBFSProgram(root, width, config.seed))
+            for root in roots
+        ]
+        _async_stats(extra, results)
+    _sourced_extras(extra, config, roots, results)
     fixpoint = fixpoint_digest(
         *[a for r in results for a in (r.visited, r.depth)]
     )
@@ -282,62 +278,36 @@ def _run_bfs(engine, graph, config, drive, extra) -> RunOutcome:
 
 
 def _run_sssp(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.sssp import sssp_multi
-
     roots = [int(r) for r in run_sources(graph, config, 1)]
-    if config.mode == "async":
-        from repro.engine.async_mode import async_sssp
-
-        results = [
-            async_sssp(
-                engine,
-                root,
-                width=config.async_bucket_width,
-                seed=config.seed,
-            )
-            for root in roots
-        ]
+    width = _bucket_width(engine, config, "sssp")
+    results = [
+        drive(sssp_program(root, width, config.seed)) for root in roots
+    ]
+    if width is not None:
         _async_stats(extra, results)
-    else:
-        results = sssp_multi(engine, roots)
-    reached = sum(result.reached for result in results)
-    extra["avg_reached"] = reached / len(roots)
-    if config.sources is not None:
-        for root, result in zip(roots, results):
-            extra[f"reached[{root}]"] = float(result.reached)
+    _sourced_extras(extra, config, roots, results)
     fixpoint = fixpoint_digest(*[r.dist for r in results])
     return RunOutcome(scale=1.0 / len(roots), fixpoint=fixpoint)
 
 
 def _run_cc(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.cc import connected_components
-
-    if config.mode == "async":
-        from repro.engine.async_mode import async_cc
-
-        result = async_cc(
-            engine, width=config.async_bucket_width, seed=config.seed
-        )
+    width = _bucket_width(engine, config, "cc")
+    result = drive(cc_program(width, config.seed))
+    if width is not None:
         _async_stats(extra, [result])
-    else:
-        result = connected_components(engine)
     extra["components"] = float(result.num_components)
     extra["iterations"] = float(result.iterations)
     return RunOutcome(fixpoint=fixpoint_digest(result.label))
 
 
 def _run_pagerank(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.pagerank import pagerank
-
     if config.mode == "async":
-        from repro.engine.async_mode import async_pagerank
-
-        result = async_pagerank(
-            engine, width=config.async_bucket_width, seed=config.seed
-        )
+        result = drive(AsyncPageRankProgram(
+            width=config.async_bucket_width, seed=config.seed
+        ))
         _async_stats(extra, [result])
     else:
-        result = pagerank(engine)
+        result = drive(PageRankProgram())
         # one activation per active vertex per power iteration — the
         # baseline the async scheduler's selective activation beats
         n_active = int((graph.in_degrees() > 0).sum())
@@ -350,8 +320,6 @@ def _run_pagerank(engine, graph, config, drive, extra) -> RunOutcome:
 
 
 def _run_kcore(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.kcore import KCoreProgram
-
     result = drive(KCoreProgram(config.kcore_k))
     extra["core_size"] = result.size
     extra["rounds"] = result.rounds
@@ -359,8 +327,6 @@ def _run_kcore(engine, graph, config, drive, extra) -> RunOutcome:
 
 
 def _run_mis(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.mis import MISProgram
-
     result = drive(MISProgram(seed=config.seed))
     extra["mis_size"] = result.size
     extra["rounds"] = result.rounds
@@ -368,24 +334,20 @@ def _run_mis(engine, graph, config, drive, extra) -> RunOutcome:
 
 
 def _run_kmeans(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.kmeans import kmeans
-
-    result = kmeans(engine, rounds=config.kmeans_rounds, seed=config.seed)
+    result = drive(
+        KMeansProgram(rounds=config.kmeans_rounds, seed=config.seed)
+    )
     extra["assigned"] = result.assigned_count
     return RunOutcome()
 
 
 def _run_sampling(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.sampling import sample_neighbors
-
-    result = sample_neighbors(engine, seed=config.seed)
+    result = drive(SamplingProgram(seed=config.seed))
     extra["sampled"] = result.sampled_count
     return RunOutcome()
 
 
 def _run_scc(engine, graph, config, drive, extra) -> RunOutcome:
-    from repro.algorithms.scc import scc
-
     # FW-BW-Trim drives its own forward/backward engines (serial, so the
     # result is executor-independent); their counters merge into the
     # session engine so the metered run stays complete
@@ -404,104 +366,86 @@ def _run_scc(engine, graph, config, drive, extra) -> RunOutcome:
 # -- registration ------------------------------------------------------------
 
 
-def _register_builtins() -> None:
-    from repro.algorithms.bfs import bottom_up_signal
-    from repro.algorithms.cc import cc_signal
-    from repro.algorithms.incremental import relax_depth_signal
-    from repro.algorithms.kcore import kcore_signal
-    from repro.algorithms.kmeans import kmeans_signal
-    from repro.algorithms.mis import mis_signal
-    from repro.algorithms.pagerank import pagerank_signal
-    from repro.algorithms.sampling import sampling_signal
-    from repro.algorithms.scc import scc_reach_signal
-    from repro.algorithms.sssp import sssp_signal
+register(AlgorithmSpec(
+    name="bfs",
+    runner=_run_bfs,
+    signals=(bottom_up_signal,),
+    sourced=True,
+    modes=("sync", "async"),
+    extras=("bfs_roots", "sources", "async_bucket_width"),
+    description="direction-optimizing BFS, multi-root averaged",
+))
+register(AlgorithmSpec(
+    name="cc",
+    runner=_run_cc,
+    signals=(cc_signal,),
+    modes=("sync", "async"),
+    extras=("async_bucket_width",),
+    description="connected components by min-label propagation",
+))
+register(AlgorithmSpec(
+    name="kcore",
+    runner=_run_kcore,
+    signals=(kcore_signal,),
+    extras=("kcore_k",),
+    description="k-core decomposition by iterative peeling",
+))
+register(AlgorithmSpec(
+    name="kmeans",
+    runner=_run_kmeans,
+    signals=(kmeans_signal,),
+    extras=("kmeans_rounds",),
+    description="graph k-means label assignment",
+))
+register(AlgorithmSpec(
+    name="mis",
+    runner=_run_mis,
+    signals=(mis_signal,),
+    description="maximal independent set (Luby's algorithm)",
+))
+register(AlgorithmSpec(
+    name="pagerank",
+    runner=_run_pagerank,
+    signals=(pagerank_signal,),
+    modes=("sync", "async"),
+    extras=("async_bucket_width",),
+    description="PageRank: power iteration / async residual push",
+))
+register(AlgorithmSpec(
+    name="sampling",
+    runner=_run_sampling,
+    signals=(sampling_signal,),
+    description="weighted neighbor sampling (prefix sums)",
+))
+register(AlgorithmSpec(
+    name="scc",
+    runner=_run_scc,
+    signals=(scc_reach_signal,),
+    description="strongly connected components (FW-BW-Trim)",
+))
+register(AlgorithmSpec(
+    name="sssp",
+    runner=_run_sssp,
+    signals=(sssp_signal,),
+    sourced=True,
+    modes=("sync", "async"),
+    extras=("sources", "async_bucket_width"),
+    description="shortest paths: Bellman-Ford / delta-stepping",
+))
+# signal-only entries: driven through Session.mutate +
+# IncrementalBFS/IncrementalCC handles, not Session.run, but their
+# UDFs still go through the verification corpus
+register(AlgorithmSpec(
+    name="incremental-bfs",
+    signals=(relax_depth_signal,),
+    description="incremental BFS repair (Ramalingam-Reps)",
+))
+register(AlgorithmSpec(
+    name="incremental-cc",
+    signals=(cc_signal,),
+    description="incremental CC repair (affected closure)",
+))
 
-    register(AlgorithmSpec(
-        name="bfs",
-        runner=_run_bfs,
-        signals=(bottom_up_signal,),
-        resumable=True,
-        sourced=True,
-        modes=("sync", "async"),
-        async_resumable=True,
-        extras=("bfs_roots", "sources", "async_bucket_width"),
-        description="direction-optimizing BFS, multi-root averaged",
-    ))
-    register(AlgorithmSpec(
-        name="cc",
-        runner=_run_cc,
-        signals=(cc_signal,),
-        modes=("sync", "async"),
-        extras=("async_bucket_width",),
-        description="connected components by min-label propagation",
-    ))
-    register(AlgorithmSpec(
-        name="kcore",
-        runner=_run_kcore,
-        signals=(kcore_signal,),
-        resumable=True,
-        extras=("kcore_k",),
-        description="k-core decomposition by iterative peeling",
-    ))
-    register(AlgorithmSpec(
-        name="kmeans",
-        runner=_run_kmeans,
-        signals=(kmeans_signal,),
-        extras=("kmeans_rounds",),
-        description="graph k-means label assignment",
-    ))
-    register(AlgorithmSpec(
-        name="mis",
-        runner=_run_mis,
-        signals=(mis_signal,),
-        resumable=True,
-        description="maximal independent set (Luby's algorithm)",
-    ))
-    register(AlgorithmSpec(
-        name="pagerank",
-        runner=_run_pagerank,
-        signals=(pagerank_signal,),
-        modes=("sync", "async"),
-        extras=("async_bucket_width",),
-        description="PageRank: power iteration / async residual push",
-    ))
-    register(AlgorithmSpec(
-        name="sampling",
-        runner=_run_sampling,
-        signals=(sampling_signal,),
-        description="weighted neighbor sampling (prefix sums)",
-    ))
-    register(AlgorithmSpec(
-        name="scc",
-        runner=_run_scc,
-        signals=(scc_reach_signal,),
-        description="strongly connected components (FW-BW-Trim)",
-    ))
-    register(AlgorithmSpec(
-        name="sssp",
-        runner=_run_sssp,
-        signals=(sssp_signal,),
-        sourced=True,
-        modes=("sync", "async"),
-        extras=("sources", "async_bucket_width"),
-        description="shortest paths: Bellman-Ford / delta-stepping",
-    ))
-    # signal-only entries: driven through Session.mutate +
-    # IncrementalBFS/IncrementalCC handles, not Session.run, but their
-    # UDFs still go through the verification corpus
-    register(AlgorithmSpec(
-        name="incremental-bfs",
-        signals=(relax_depth_signal,),
-        description="incremental BFS repair (Ramalingam-Reps)",
-    ))
-    register(AlgorithmSpec(
-        name="incremental-cc",
-        signals=(cc_signal,),
-        description="incremental CC repair (affected closure)",
-    ))
-
-
-_register_builtins()
 
 #: runnable algorithm names — the tuple the CLI and docs iterate
 ALGORITHMS = algorithm_names()

@@ -18,16 +18,24 @@ reference implementation (Table 4 reports N/A).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.engine.base import BaseEngine
 from repro.engine.single_thread import SingleThreadEngine
+from repro.engine.state import StateStore
 from repro.errors import UnsupportedAlgorithmError
+from repro.fault.program import VertexProgram, run_program
 from repro.graph.transform import with_vertex_weights
 from repro.runtime.counters import IterationRecord, StepRecord
 
-__all__ = ["sample_neighbors", "sampling_signal", "SamplingResult"]
+__all__ = [
+    "sample_neighbors",
+    "sampling_signal",
+    "SamplingProgram",
+    "SamplingResult",
+]
 
 
 def sampling_signal(v, nbrs, s, emit):
@@ -72,59 +80,79 @@ class SamplingResult:
         return int((self.select >= 0).sum())
 
 
+class SamplingProgram(VertexProgram):
+    """One sampling pass; the single :meth:`step` is the whole pass
+    (one dependency pull, or the Gemini two-phase scan)."""
+
+    def __init__(self, vertex_weights: np.ndarray | None = None,
+                 seed: int = 0) -> None:
+        self.vertex_weights = vertex_weights
+        self.seed = int(seed)
+        self._has_in: Optional[np.ndarray] = None
+
+    def setup(self, engine: BaseEngine, ctx: Dict[str, Any]) -> StateStore:
+        if engine.kind == "dgalois":
+            raise UnsupportedAlgorithmError(
+                "graph sampling has no D-Galois reference implementation"
+            )
+        graph = engine.graph
+        n = graph.num_vertices
+        weights = (
+            self.vertex_weights
+            if self.vertex_weights is not None
+            else with_vertex_weights(n, seed=self.seed)
+        )
+        if np.any(weights <= 0):
+            raise ValueError("vertex weights must be strictly positive")
+
+        # Total in-weight per vertex and the per-vertex uniform threshold.
+        totals = np.zeros(n, dtype=np.float64)
+        has_in = graph.in_degrees() > 0
+        if graph.num_edges:
+            sums = np.add.reduceat(weights[graph.in_indices], graph.in_indptr[:-1][has_in])
+            totals[has_in] = sums
+        rng = np.random.default_rng(self.seed + 1)
+        # Keep strictly below the total so the crossing always exists even
+        # under floating-point reassociation across machines.
+        r = rng.uniform(0.0, 1.0, size=n) * totals * (1.0 - 1e-12)
+        self._has_in = has_in
+
+        s = engine.new_state()
+        s.set("weight", np.asarray(weights, dtype=np.float64))
+        s.set("r", r)
+        s.add_array("select", np.int64, -1)
+        return s
+
+    def step(self, engine: BaseEngine, s: StateStore,
+             ctx: Dict[str, Any]) -> bool:
+        active = self._has_in.copy()
+        if engine.supports_dependency or isinstance(engine, SingleThreadEngine) or engine.num_machines == 1:
+            engine.pull(
+                sampling_signal,
+                _select_slot,
+                s,
+                active,
+                update_bytes=8,
+                sync_bytes=0,
+                dep_data_bytes=4,
+                allow_differentiated=False,
+            )
+        else:
+            _gemini_two_phase(engine, s, active)
+        return False
+
+    def result(self, engine: BaseEngine, s: StateStore,
+               ctx: Dict[str, Any]) -> SamplingResult:
+        return SamplingResult(select=s.select.copy(), thresholds=s.r.copy())
+
+
 def sample_neighbors(
     engine: BaseEngine,
     vertex_weights: np.ndarray | None = None,
     seed: int = 0,
 ) -> SamplingResult:
     """Sample one weighted in-neighbor for every vertex with in-edges."""
-    if engine.kind == "dgalois":
-        raise UnsupportedAlgorithmError(
-            "graph sampling has no D-Galois reference implementation"
-        )
-    graph = engine.graph
-    n = graph.num_vertices
-    weights = (
-        vertex_weights
-        if vertex_weights is not None
-        else with_vertex_weights(n, seed=seed)
-    )
-    if np.any(weights <= 0):
-        raise ValueError("vertex weights must be strictly positive")
-
-    # Total in-weight per vertex and the per-vertex uniform threshold.
-    in_deg = graph.in_degrees()
-    totals = np.zeros(n, dtype=np.float64)
-    has_in = in_deg > 0
-    if graph.num_edges:
-        sums = np.add.reduceat(weights[graph.in_indices], graph.in_indptr[:-1][has_in])
-        totals[has_in] = sums
-    rng = np.random.default_rng(seed + 1)
-    # Keep strictly below the total so the crossing always exists even
-    # under floating-point reassociation across machines.
-    r = rng.uniform(0.0, 1.0, size=n) * totals * (1.0 - 1e-12)
-
-    s = engine.new_state()
-    s.set("weight", np.asarray(weights, dtype=np.float64))
-    s.set("r", r)
-    s.add_array("select", np.int64, -1)
-
-    active = has_in.copy()
-    if engine.supports_dependency or isinstance(engine, SingleThreadEngine) or engine.num_machines == 1:
-        engine.pull(
-            sampling_signal,
-            _select_slot,
-            s,
-            active,
-            update_bytes=8,
-            sync_bytes=0,
-            dep_data_bytes=4,
-            allow_differentiated=False,
-        )
-    else:
-        _gemini_two_phase(engine, s, active)
-
-    return SamplingResult(select=s.select.copy(), thresholds=r)
+    return run_program(SamplingProgram(vertex_weights, seed), engine)
 
 
 def _gemini_two_phase(engine: BaseEngine, s, active: np.ndarray) -> None:

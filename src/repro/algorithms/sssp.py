@@ -1,4 +1,4 @@
-"""Single-source shortest paths on weighted graphs (Bellman-Ford).
+"""Single-source shortest paths on weighted graphs.
 
 A no-loop-dependency workload exercising the *weighted* graph substrate
 (edge weights in the local CSR views).  The pull signal folds all
@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms.relax import RelaxProgram, Relaxation, schedule_stats
 from repro.engine.base import BaseEngine
-from repro.errors import ConvergenceError, GraphError
+from repro.errors import GraphError
+from repro.fault.program import run_program
 
-__all__ = ["sssp", "sssp_multi", "sssp_signal", "SSSPResult"]
+__all__ = ["sssp", "sssp_program", "sssp_signal", "SSSPResult"]
 
 INF = np.inf
 
@@ -48,14 +50,57 @@ def _relax_slot(v, value, s):
 
 @dataclass
 class SSSPResult:
-    """Output of an SSSP run."""
+    """Output of an SSSP run (the tallies are the bucket scheduler's)."""
 
     dist: np.ndarray
     iterations: int
+    buckets: int = 0
+    waves: int = 0
+    activations: int = 0
 
     @property
     def reached(self) -> int:
         return int(np.isfinite(self.dist).sum())
+
+
+def sssp_program(
+    source: int,
+    width: float | None = None,
+    seed: int = 0,
+    max_iterations: int | None = None,
+) -> RelaxProgram:
+    """SSSP from ``source`` as a :class:`RelaxProgram`.
+
+    ``width=None`` is Bellman-Ford; a width is delta-stepping, draining
+    distance buckets in order.  Non-negative weights make the drain
+    monotone: once a bucket empties, no later relaxation can produce a
+    distance below its upper edge.
+    """
+    source = int(source)
+
+    def init(engine: BaseEngine, s):
+        graph = engine.graph
+        if not graph.is_weighted:
+            raise GraphError("SSSP needs a weighted graph")
+        if graph.num_edges and graph.in_weights.min() < 0:
+            raise GraphError("SSSP requires non-negative edge weights")
+        s.set("dist", np.full(graph.num_vertices, INF))
+        s.dist[source] = 0.0
+        s.set("wview", _WeightView(graph))
+        engine.sync_state(np.asarray([source]), sync_bytes=8)
+        return [source]
+
+    def pack(s, iterations, ctx) -> SSSPResult:
+        return SSSPResult(s.dist.copy(), iterations, **schedule_stats(ctx))
+
+    return RelaxProgram(
+        Relaxation(
+            "sssp", init, "dist", sssp_signal, _relax_slot, pack,
+            update_bytes=12, sync_bytes=8, max_waves=max_iterations,
+        ),
+        width,
+        seed,
+    )
 
 
 def sssp(
@@ -64,68 +109,9 @@ def sssp(
     max_iterations: int | None = None,
 ) -> SSSPResult:
     """Bellman-Ford from ``source``; requires non-negative edge weights."""
-    graph = engine.graph
-    if not graph.is_weighted:
-        raise GraphError("SSSP needs a weighted graph")
-    if graph.num_edges and graph.in_weights.min() < 0:
-        raise GraphError("SSSP requires non-negative edge weights")
-    n = graph.num_vertices
-    limit = max_iterations if max_iterations is not None else n + 1
-
-    s = engine.new_state()
-    s.set("dist", np.full(n, INF))
-    s.dist[source] = 0.0
-    s.set("wview", _weight_lookup(graph))
-
-    active = graph.in_degrees() > 0
-    iterations = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    engine.sync_state(np.asarray([source]), sync_bytes=8)
-
-    while True:
-        if iterations >= limit:
-            raise ConvergenceError("SSSP exceeded its iteration budget")
-        # only vertices adjacent to a changed distance can improve
-        candidates = np.zeros(n, dtype=bool)
-        for u in np.flatnonzero(frontier):
-            candidates[graph.out_neighbors(int(u))] = True
-        candidates &= active
-        if not candidates.any():
-            break
-        result = engine.pull(
-            sssp_signal,
-            _relax_slot,
-            s,
-            candidates,
-            update_bytes=12,
-            sync_bytes=8,
-        )
-        iterations += 1
-        frontier[:] = False
-        if not result.any_changed:
-            break
-        frontier[result.changed] = True
-
-    return SSSPResult(dist=s.dist.copy(), iterations=iterations)
-
-
-def sssp_multi(
-    engine: BaseEngine,
-    sources: "list[int]",
-    max_iterations: int | None = None,
-) -> "list[SSSPResult]":
-    """Run SSSP from many sources on one prepared engine, in order.
-
-    The multi-source batch entry mirroring
-    :func:`repro.algorithms.bfs.bfs_multi`: one engine (partition,
-    executor bind, weight tables warmed per vertex) serves the whole
-    batch, while each source still relaxes on a fresh distance array so
-    its result is bit-identical to a standalone :func:`sssp` run.
-    """
-    return [
-        sssp(engine, int(source), max_iterations) for source in sources
-    ]
+    return run_program(
+        sssp_program(source, max_iterations=max_iterations), engine
+    )
 
 
 class _WeightView:
@@ -162,7 +148,3 @@ class _DestWeights:
 
     def weight_to(self, u: int) -> float:
         return self._index[u]
-
-
-def _weight_lookup(graph) -> "_WeightView":
-    return _WeightView(graph)

@@ -20,8 +20,8 @@ measurement protocol:
 configs against the same cached artifacts.  Algorithm dispatch and
 validation derive from :mod:`repro.algorithms.registry` — one
 :class:`~repro.algorithms.registry.AlgorithmSpec` per algorithm is the
-single source of truth for what runs, resumes, takes sources, and
-supports the async mode.  (The pre-registry legacy free functions are
+single source of truth for what runs, takes sources, and supports the
+async mode.  (The pre-registry legacy free functions are
 gone; see the migration stanza in ``docs/API.md``.)
 """
 
@@ -40,11 +40,9 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 from repro.algorithms.registry import (
     MODES,
     get_spec,
-    resumable_algorithms,
     sourced_algorithms,
 )
-from repro.engine import SympleOptions, make_engine
-from repro.engine.async_mode import ASYNC_ENGINES
+from repro.engine import ASYNC_ENGINES, SympleOptions, make_engine
 from repro.errors import (
     EngineError,
     PartitionError,
@@ -211,19 +209,13 @@ class RunConfig:
                     f"got {normalized}"
                 )
             object.__setattr__(self, "sources", normalized)
-        if self.faulted:
-            if not spec.resumable:
-                raise UnsupportedAlgorithmError(
-                    f"{self.algorithm} is not a resumable program; "
-                    "fault injection and checkpointing support "
-                    f"{resumable_algorithms()}"
-                )
-            if self.mode == "async" and not spec.async_resumable:
-                raise UnsupportedAlgorithmError(
-                    f"{self.algorithm} has no recoverable async "
-                    "driver; drop faults/checkpointing or run "
-                    "mode='sync'"
-                )
+        if self.faulted and self.algorithm == "scc":
+            raise UnsupportedAlgorithmError(
+                "scc runs its backward sweeps on a private transpose "
+                "engine that a fault plan or checkpoint store attached "
+                "to the session engine cannot reach; drop "
+                "faults/checkpointing"
+            )
 
     @property
     def faulted(self) -> bool:

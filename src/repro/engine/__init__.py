@@ -2,7 +2,7 @@
 
 from typing import Optional, Union
 
-from repro.engine.base import BaseEngine, PullResult, PushResult
+from repro.engine.base import BaseEngine, PhaseResult
 from repro.engine.dgalois import DGaloisEngine
 from repro.engine.gemini import GeminiEngine
 from repro.engine.single_thread import SingleThreadEngine
@@ -20,9 +20,9 @@ from repro.partition.edge_cut import OutgoingEdgeCut
 from repro.partition.vertex_cut import CartesianVertexCut
 
 __all__ = [
+    "ASYNC_ENGINES",
     "BaseEngine",
-    "PullResult",
-    "PushResult",
+    "PhaseResult",
     "GeminiEngine",
     "SympleGraphEngine",
     "SympleOptions",
@@ -34,7 +34,17 @@ __all__ = [
     "circulant_machine_order",
 ]
 
-_ENGINE_KINDS = ("gemini", "symple", "dgalois", "single")
+_ENGINES = {
+    "gemini": GeminiEngine,
+    "symple": SympleGraphEngine,
+    "dgalois": DGaloisEngine,
+    "single": SingleThreadEngine,
+}
+_ENGINE_KINDS = tuple(_ENGINES)
+#: engine kinds whose phase protocol supports per-bucket activation
+ASYNC_ENGINES = tuple(
+    kind for kind, cls in _ENGINES.items() if cls.supports_async
+)
 
 
 def make_engine(
@@ -89,34 +99,17 @@ def make_engine(
 
     if kind == "single":
         if isinstance(graph_or_partition, Partition):
-            graph = graph_or_partition.graph
-        else:
-            graph = graph_or_partition
+            graph_or_partition = graph_or_partition.graph
         return SingleThreadEngine(
-            graph, obs=obs, executor=executor, verify=verify
+            graph_or_partition, obs=obs, executor=executor, verify=verify
         )
 
     if isinstance(graph_or_partition, Partition):
         partition = graph_or_partition
     else:
-        if kind == "dgalois":
-            partition = CartesianVertexCut().partition(
-                graph_or_partition, num_machines
-            )
-        else:
-            partition = OutgoingEdgeCut().partition(
-                graph_or_partition, num_machines
-            )
-
-    if kind == "gemini":
-        return GeminiEngine(
-            partition, obs=obs, executor=executor, verify=verify
-        )
-    if kind == "dgalois":
-        return DGaloisEngine(
-            partition, obs=obs, executor=executor, verify=verify
-        )
-    return SympleGraphEngine(
-        partition, options=options, obs=obs, executor=executor,
-        verify=verify,
+        cut = CartesianVertexCut() if kind == "dgalois" else OutgoingEdgeCut()
+        partition = cut.partition(graph_or_partition, num_machines)
+    extra = {} if options is None else {"options": options}
+    return _ENGINES[kind](
+        partition, obs=obs, executor=executor, verify=verify, **extra
     )

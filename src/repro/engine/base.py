@@ -30,7 +30,6 @@ import numpy as np
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
 from repro.engine.state import StateStore
 from repro.exec import work
-from repro.exec.work import CountingNeighbors
 from repro.errors import EngineError
 from repro.kernels import get_kernel
 from repro.obs.hooks import ObsHub
@@ -40,10 +39,7 @@ from repro.runtime.counters import Counters, IterationRecord, StepRecord
 from repro.runtime.network import SimulatedNetwork
 
 __all__ = [
-    "CountingNeighbors",
     "PhaseResult",
-    "PullResult",
-    "PushResult",
     "BaseEngine",
     "SignalLike",
 ]
@@ -62,9 +58,6 @@ class PhaseResult:
     @property
     def any_changed(self) -> bool:
         return self.changed.size > 0
-
-
-PullResult = PushResult = PhaseResult
 
 
 @dataclass
@@ -92,7 +85,7 @@ class BaseEngine:
     kind = "abstract"
     cost_kind = "gemini"  # which CostModel pricing function applies
     supports_dependency = False
-    supports_async = False  # per-bucket activation (engine.async_mode)
+    supports_async = False  # per-bucket activation (algorithms.relax)
     sync_scope = "in"  # which replica holders receive state broadcasts
 
     def __init__(
@@ -244,7 +237,7 @@ class BaseEngine:
         dep_data_bytes: int = 4,
         allow_differentiated: bool = True,
         share_dep_data: bool = True,
-    ) -> PullResult:
+    ) -> PhaseResult:
         """Dense pull phase over active destination vertices.
 
         The default is the BSP schedule (Gemini, D-Galois, the
@@ -270,7 +263,7 @@ class BaseEngine:
         frontier: np.ndarray,
         update_bytes: int = 8,
         sync_bytes: int = 8,
-    ) -> PushResult:
+    ) -> PhaseResult:
         """Sparse push phase from the frontier along out-edges.
 
         ``push_signal(u, v, state)`` returns an update value or None.
@@ -538,7 +531,7 @@ class BaseEngine:
         active_idx: np.ndarray,
         update_bytes: int,
         sync_bytes: int,
-    ) -> PullResult:
+    ) -> PhaseResult:
         """BSP parallel pull: one step in which every machine scans its
         local in-edges of every active vertex on the plain lane —
         Gemini's schedule, and SympleGraph's when there is no dependency

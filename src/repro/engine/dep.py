@@ -20,7 +20,7 @@ from typing import Any, Dict, Sequence
 
 import numpy as np
 
-__all__ = ["DepStore", "DepHandle", "BlindDepHandle"]
+__all__ = ["DepStore", "DepHandle"]
 
 
 class DepStore:
@@ -61,12 +61,6 @@ class DepStore:
     def handle(self, v: int, is_last: bool = False) -> "DepHandle":
         return DepHandle(self, v, is_last)
 
-    def blind_handle(self, v: int, is_last: bool = False) -> "BlindDepHandle":
-        """Handle for a machine that missed the dependency message:
-        sees no skip bit and no carried data, but its own break still
-        registers for machines further down the schedule."""
-        return BlindDepHandle(self, v, is_last)
-
     def live_mask(self, vertices: np.ndarray) -> np.ndarray:
         """Which of ``vertices`` have not yet hit their break."""
         return ~self.skip[vertices]
@@ -105,17 +99,3 @@ class DepHandle:
             return
         self._store.data[name][self._v] = value
         self._store.present[name][self._v] = True
-
-
-class BlindDepHandle(DepHandle):
-    """A handle whose incoming state was lost in transit (Section 5.1's
-    incomplete-information case).  Outgoing state still propagates."""
-
-    __slots__ = ()
-
-    @property
-    def skip(self) -> bool:
-        return False
-
-    def load(self, name: str, default: Any) -> Any:
-        return default

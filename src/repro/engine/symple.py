@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.engine.base import (
     BaseEngine,
-    PullResult,
+    PhaseResult,
     SignalLike,
     _UpdateBuffer,
 )
@@ -166,7 +166,7 @@ class SympleGraphEngine(BaseEngine):
         dep_data_bytes: int = 4,
         allow_differentiated: bool = True,
         share_dep_data: bool = True,
-    ) -> PullResult:
+    ) -> PhaseResult:
         """Dense pull: circulant scheduling with dependency propagation
         when the signal carries one, Gemini-style parallel otherwise."""
         active_idx = self._check_active(active)
@@ -200,7 +200,7 @@ class SympleGraphEngine(BaseEngine):
         dep_data_bytes: int,
         allow_differentiated: bool,
         share_dep_data: bool,
-    ) -> PullResult:
+    ) -> PhaseResult:
         """``p`` steps; in step ``s`` machine ``m`` gets the pull unit
         for partition ``(m + s + 1) % p``: its circulated vertices whose
         skip bit is still clear on the dependency lane, the low-degree

@@ -422,5 +422,14 @@ class ProcessPoolExecutor(Executor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        # a store that outlives the executor keeps its values: a view
+        # built with ndarray(buffer=...) holds no buffer export, so
+        # nothing else would stop the unmap below from pulling the
+        # pages out from under the store's fields
+        for state, rec in list(self._states.items()):
+            for name, view in rec.views.items():
+                if name in state and getattr(state, name) is view:
+                    state.set(name, view.copy())
+        self._states.clear()
         self._delta.close()
         self._arena.close()

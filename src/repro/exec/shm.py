@@ -28,9 +28,11 @@ round-trip beats a segment attach for anything under a page).
 Lifecycle rules: the parent is the sole owner of every segment and
 unlinks each one exactly once (at retire or close), so ``/dev/shm``
 never accumulates orphans; unmapping is best-effort — a segment whose
-pages are still exported by a live NumPy view (a result array handed
-to the caller) stays mapped until that view dies (``BufferError`` is
-tolerated, never fatal), which is what makes state adoption safe.
+pages are still exported through the buffer protocol stays mapped until
+the export dies (``BufferError`` is tolerated, never fatal).  A NumPy
+view built with ``ndarray(buffer=...)`` holds *no* such export, so that
+guard does not cover adopted state: the process executor rebinds every
+still-bound adopted field to a private copy before it closes the arena.
 
 Python 3.11's ``SharedMemory`` registers every *attach* with the
 resource tracker, which would double-unlink the parent's segments (and,

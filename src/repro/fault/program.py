@@ -18,7 +18,7 @@ needs to touch them.
 
 :func:`run_program` is the plain driver: it produces byte-for-byte the
 same execution as the hand-written loops it replaced (the public
-``bfs``/``kcore``/``mis`` functions are now thin wrappers over it).
+algorithm functions are thin wrappers over it).
 :func:`~repro.fault.recovery.run_recoverable` is the fault-tolerant
 driver sharing the same protocol.
 """

@@ -19,10 +19,12 @@ the last consistent checkpoint and re-executes from that superstep:
 * without any checkpoint (interval 0, or a crash before the first
   snapshot), recovery degrades to restart-from-scratch.
 
-Replay is deterministic — algorithms draw no randomness after
-``setup`` and injector randomness never feeds algorithm state — so the
-recovered result is bit-identical to the fault-free run (asserted by
-``tests/test_fault_recovery.py`` for BFS, K-core, and MIS).
+Replay is deterministic — algorithms draw randomness only in
+``setup`` or from a generator kept in the checkpointed ``ctx``, and
+injector randomness never feeds algorithm state — so the recovered
+result is bit-identical to the fault-free run (asserted by
+``tests/test_fault_recovery.py`` and ``tests/test_async_mode.py`` for
+every algorithm but ``scc``, in every mode it has).
 """
 
 from __future__ import annotations

@@ -68,10 +68,10 @@ class TestRunConfig:
 
     def test_faulted_requires_resumable_algorithm(self):
         with pytest.raises(UnsupportedAlgorithmError):
-            RunConfig(algorithm="kmeans", faults=FaultPlan.dep_loss(0.1))
+            RunConfig(algorithm="scc", faults=FaultPlan.dep_loss(0.1))
         with pytest.raises(UnsupportedAlgorithmError):
             RunConfig(
-                algorithm="sampling", checkpointing=Checkpointing(interval=1)
+                algorithm="scc", checkpointing=Checkpointing(interval=1)
             )
 
     def test_faulted_property(self):

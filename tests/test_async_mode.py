@@ -12,7 +12,7 @@ Contracts under test:
   across the serial and process executors;
 * **observability** — bucket epochs land on the trace as closed-schema
   ``bucket_begin``/``bucket_end`` events and survive validation;
-* **recoverability** — the async BFS driver is a VertexProgram, so
+* **recoverability** — every async driver is a VertexProgram, so
   ``run_recoverable`` checkpoints at bucket-epoch boundaries and
   crash-recovery stays bit-identical.
 """
@@ -20,17 +20,14 @@ Contracts under test:
 import numpy as np
 import pytest
 
+from repro.algorithms.bfs import AsyncBFSProgram
+from repro.algorithms.cc import cc_program
+from repro.algorithms.pagerank import AsyncPageRankProgram
+from repro.algorithms.relax import default_bucket_width
+from repro.algorithms.sssp import sssp_program
 from repro.api import Checkpointing, RunConfig, Session
-from repro.engine import make_engine
-from repro.engine.async_mode import (
-    ASYNC_ENGINES,
-    AsyncBFSProgram,
-    async_cc,
-    async_pagerank,
-    async_sssp,
-    default_bucket_width,
-)
-from repro.errors import EngineError, UnsupportedAlgorithmError
+from repro.engine import ASYNC_ENGINES, make_engine
+from repro.errors import EngineError
 from repro.fault import CrashFault, FaultPlan, run_program, run_recoverable
 from repro.graph import random_weights, rmat, to_undirected
 from repro.obs import ObsHub, Tracer, validate_events
@@ -77,15 +74,7 @@ class TestValidation:
     def test_engine_gate_on_direct_drivers(self, skewed_graph):
         engine = make_engine("dgalois", skewed_graph, MACHINES)
         with pytest.raises(EngineError):
-            async_cc(engine)
-
-    def test_faulted_async_needs_async_resumable(self):
-        # cc has an async driver but no recoverable VertexProgram form
-        with pytest.raises(UnsupportedAlgorithmError):
-            RunConfig(
-                algorithm="cc", mode="async",
-                checkpointing=Checkpointing(interval=1),
-            )
+            run_program(cc_program(width=8.0), engine)
 
     def test_default_widths_positive(self, weighted_graph):
         for algo in ("bfs", "sssp", "cc", "pagerank"):
@@ -154,7 +143,9 @@ class TestAsyncPageRank:
         engine = make_engine("symple", skewed_graph, MACHINES)
         exact = pagerank(engine, iterations=500, tolerance=1e-14)
         engine = make_engine("symple", skewed_graph, MACHINES)
-        awr = async_pagerank(engine, seed=2, stop_mass=1e-6)
+        awr = run_program(
+            AsyncPageRankProgram(seed=2, stop_mass=1e-6), engine
+        )
         l1 = float(np.abs(awr.rank - exact.rank).sum())
         assert l1 <= awr.epsilon
         assert np.isclose(awr.rank.sum(), 1.0)
@@ -176,14 +167,16 @@ class TestAsyncPageRank:
         sync_activations = sync.iterations * n_active
 
         engine = make_engine("symple", graph, MACHINES)
-        awr = async_pagerank(engine, seed=2, stop_mass=1e-6)
+        awr = run_program(
+            AsyncPageRankProgram(seed=2, stop_mass=1e-6), engine
+        )
         assert awr.activations < sync_activations
 
     def test_tighter_stop_mass_means_smaller_epsilon(self, skewed_graph):
         def eps(stop_mass):
             engine = make_engine("symple", skewed_graph, MACHINES)
-            return async_pagerank(
-                engine, seed=1, stop_mass=stop_mass
+            return run_program(
+                AsyncPageRankProgram(seed=1, stop_mass=stop_mass), engine
             ).epsilon
 
         assert eps(1e-7) < eps(1e-4)
@@ -212,7 +205,8 @@ class TestBucketObservability:
         engine = make_engine(
             "symple", weighted_graph, MACHINES, obs=hub
         )
-        result = async_sssp(engine, 0, seed=4)
+        width = default_bucket_width("sssp", weighted_graph)
+        result = run_program(sssp_program(0, width, seed=4), engine)
         hub.run_end(engine)
         events = hub.tracer.events
         assert validate_events(events) == []
@@ -238,7 +232,8 @@ class TestBucketObservability:
         rightly cost nothing), so iterations is bounded by waves.
         """
         engine = make_engine("symple", skewed_graph, MACHINES)
-        result = async_cc(engine, seed=1)
+        width = default_bucket_width("cc", skewed_graph)
+        result = run_program(cc_program(width, seed=1), engine)
         assert 0 < len(engine.counters.iterations) <= result.waves
         assert engine.execution_time() > 0
 
@@ -273,3 +268,36 @@ class TestAsyncRecovery:
         )
         assert faulted.fixpoint == clean.fixpoint
         assert faulted.extra["fault_crashes"] == 1
+
+    @pytest.mark.parametrize("algo", ["sssp", "cc", "pagerank"])
+    def test_session_recovers_every_async_algorithm(
+        self, weighted_graph, algo
+    ):
+        """One mid-run crash, a checkpoint per bucket epoch: the answer
+        and every non-fault metric equal the clean twin's."""
+        clean = run_one(weighted_graph, algorithm=algo, mode="async", seed=3)
+        faulted = run_one(
+            weighted_graph, algorithm=algo, mode="async", seed=3,
+            faults=FaultPlan.single_crash(machine=1, iteration=2),
+            checkpointing=Checkpointing(interval=1),
+        )
+        assert faulted.fixpoint == clean.fixpoint
+        assert faulted.extra["fault_crashes"] == 1
+        assert faulted.extra["fault_recoveries"] == 1
+        assert faulted.extra["fault_restores"] == 1
+        for key, value in clean.extra.items():
+            assert faulted.extra[key] == value, key
+
+    def test_recovered_run_digest_identical_across_executors(
+        self, weighted_graph
+    ):
+        digests = {
+            executor: run_one(
+                weighted_graph, algorithm="cc", mode="async", seed=3,
+                executor=executor, workers=2,
+                faults=FaultPlan.single_crash(machine=1, iteration=2),
+                checkpointing=Checkpointing(interval=1),
+            ).digest()
+            for executor in ("serial", "process")
+        }
+        assert digests["serial"] == digests["process"]

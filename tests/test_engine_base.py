@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import GeminiEngine, make_engine
-from repro.engine.base import CountingNeighbors
+from repro.exec.work import CountingNeighbors
 from repro.errors import EngineError
 from repro.graph import CSRGraph, cycle_graph, rmat, star_graph, to_undirected
 from repro.partition import OutgoingEdgeCut

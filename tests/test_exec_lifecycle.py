@@ -12,6 +12,8 @@ killing its workers raises, and the executor stays usable afterwards.
 
 import gc
 import os
+import subprocess
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -79,6 +81,25 @@ def _crash_once_task(ctx, shared, item):
     return item["m"]
 
 
+_USE_AFTER_CLOSE = """
+import numpy as np
+from repro.algorithms.cc import _min_slot, cc_signal
+from repro.engine import make_engine
+from repro.exec import make_executor
+from repro.graph import erdos_renyi, to_undirected
+
+g = to_undirected(erdos_renyi(64, 300, seed=7))
+ex = make_executor("process", workers=2)
+engine = make_engine("symple", g, 4, executor=ex)
+s = engine.new_state()
+s.set("label", np.arange(g.num_vertices, dtype=np.int64))
+engine.pull(cc_signal, _min_slot, s, g.in_degrees() > 0)
+live = s.label.copy()
+ex.close()
+print("same" if (s.label == live).all() else "differs", s.label[:4].tolist())
+"""
+
+
 class TestSegmentLifecycle:
     def test_no_orphans_after_session_close(self, graph):
         before = shm_entries()
@@ -114,6 +135,20 @@ class TestSegmentLifecycle:
         ex.close()
         del state
         gc.collect()
+        assert shm_entries() - before == set()
+
+    def test_adopted_state_survives_executor_close(self):
+        """Reading a store after ``executor.close()`` used to segfault
+        (the arena unmapped pages still backing the store's fields), so
+        the repro runs in a child: exit 0 and the right values."""
+        before = shm_entries()
+        proc = subprocess.run(
+            [sys.executable, "-c", _USE_AFTER_CLOSE],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "same [0, 0, 2, 2]"
         assert shm_entries() - before == set()
 
     def test_state_adoption_zero_republish(self, bound_executor, graph):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms import bfs, kcore, mis
 from repro.engine import SympleGraphEngine, SympleOptions
-from repro.engine.dep import DepStore
 from repro.errors import EngineError
 from repro.fault import FaultController, FaultPlan
 from repro.graph import erdos_renyi, rmat, to_undirected
@@ -35,23 +34,6 @@ def engine_with_loss(graph, rate, seed=0, machines=4):
 @pytest.fixture(scope="module")
 def graph():
     return to_undirected(rmat(scale=8, edge_factor=8, seed=95))
-
-
-class TestBlindHandle:
-    def test_reports_no_skip(self):
-        store = DepStore(2)
-        store.skip[0] = True
-        assert store.blind_handle(0).skip is False
-
-    def test_reads_no_data(self):
-        store = DepStore(2, ("cnt",))
-        store.handle(0).store("cnt", 9)
-        assert store.blind_handle(0).load("cnt", -1) == -1
-
-    def test_own_break_still_propagates(self):
-        store = DepStore(2)
-        store.blind_handle(1).mark_break()
-        assert store.skip[1]
 
 
 class TestCorrectnessUnderLoss:

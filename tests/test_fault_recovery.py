@@ -1,9 +1,9 @@
 """Crash-recovery metamorphic tests.
 
-The contract under test: for BFS, K-core, and MIS, the final vertex
-state under ANY injected fault schedule is bit-identical to the
-fault-free run — crashes and checkpoints change the cost of a run,
-never its answer.  This is the fault-tolerance analogue of the paper's
+The contract under test: for every algorithm (each is a
+``VertexProgram``), the final vertex state under ANY injected fault
+schedule is bit-identical to the fault-free run — crashes and
+checkpoints change the cost of a run, never its answer.  This is the fault-tolerance analogue of the paper's
 Section 5.1 guarantee, and it holds for both the circulant engine
 (where a mid-step crash severs the dependency circulation) and the BSP
 baseline.
@@ -19,6 +19,10 @@ from hypothesis import strategies as st
 from repro.engine import SympleOptions, make_engine
 from repro.errors import FaultError, UnsupportedAlgorithmError
 from repro.algorithms import BFSProgram, KCoreProgram, MISProgram
+from repro.algorithms.cc import cc_program
+from repro.algorithms.kmeans import KMeansProgram
+from repro.algorithms.pagerank import PageRankProgram
+from repro.algorithms.sssp import sssp_program
 from repro.fault import (
     CrashFault,
     FaultPlan,
@@ -27,6 +31,7 @@ from repro.fault import (
     run_program,
     run_recoverable,
 )
+from repro.graph import random_weights
 
 MACHINES = 4
 
@@ -34,21 +39,34 @@ PROGRAMS = {
     "bfs": lambda root: BFSProgram(root),
     "kcore": lambda root: KCoreProgram(3),
     "mis": lambda root: MISProgram(seed=2),
+    "sssp": lambda root: sssp_program(root),
+    "cc": lambda root: cc_program(),
+    "pagerank": lambda root: PageRankProgram(iterations=6),
+    "kmeans": lambda root: KMeansProgram(rounds=2, seed=2),
+}
+
+#: the arrays of each program's result that must survive recovery
+RESULT_ARRAYS = {
+    "bfs": ("parent", "depth", "visited"),
+    "kcore": ("in_core",),
+    "mis": ("in_mis",),
+    "sssp": ("dist",),
+    "cc": ("label",),
+    "pagerank": ("rank",),
+    "kmeans": ("cluster", "distance", "centers"),
 }
 
 
 def result_arrays(algorithm: str, result):
-    if algorithm == "bfs":
-        return (result.parent, result.depth, result.visited)
-    if algorithm == "kcore":
-        return (result.in_core,)
-    return (result.in_mis,)
+    return tuple(getattr(result, name) for name in RESULT_ARRAYS[algorithm])
 
 
 def fresh_engine(kind: str, graph):
     options = (
         SympleOptions(degree_threshold=8) if kind == "symple" else None
     )
+    # SSSP needs weights; nobody else reads them
+    graph = random_weights(graph, seed=3)
     return make_engine(kind, graph, MACHINES, options=options)
 
 
@@ -284,15 +302,45 @@ def test_harness_faulted_run(small_graph):
     assert faulted.total_bytes > plain.total_bytes
 
 
-@pytest.mark.parametrize("algorithm", ["kmeans", "sampling"])
-def test_harness_rejects_non_programs(small_graph, algorithm):
+@pytest.mark.parametrize("engine_kind", ["symple", "gemini"])
+@pytest.mark.parametrize(
+    "algorithm",
+    ["bfs", "cc", "kcore", "kmeans", "mis", "pagerank", "sampling", "sssp"],
+)
+def test_harness_recovers_every_algorithm(
+    small_graph, engine_kind, algorithm
+):
+    """One mid-run crash with a checkpoint per superstep: the fixpoint
+    and every non-fault metric equal the clean twin's."""
+    from repro.api import Checkpointing, RunConfig, Session
+
+    # sampling is a single phase, so its only crash point is phase 0
+    iteration = 0 if algorithm == "sampling" else 2
+    config = RunConfig(
+        engine=engine_kind, algorithm=algorithm, machines=MACHINES,
+        seed=3, kcore_k=3, bfs_roots=1,
+    )
+    with Session(random_weights(small_graph, seed=3), config) as session:
+        clean = session.run()
+        faulted = session.run(
+            faults=FaultPlan.single_crash(machine=1, iteration=iteration),
+            checkpointing=Checkpointing(interval=1),
+        )
+    assert faulted.fixpoint == clean.fixpoint
+    assert faulted.extra["fault_crashes"] == 1
+    assert faulted.extra["fault_recoveries"] == 1
+    assert faulted.extra["fault_restores"] == 1
+    for key, value in clean.extra.items():
+        assert faulted.extra[key] == value, key
+
+
+def test_harness_rejects_scc():
+    """scc's private transpose engine is out of a fault plan's reach."""
     from repro.api import RunConfig
 
     with pytest.raises(UnsupportedAlgorithmError):
         RunConfig(
-            engine="symple",
-            algorithm=algorithm,
-            machines=MACHINES,
+            algorithm="scc",
             faults=FaultPlan.single_crash(machine=0, iteration=1),
         )
 

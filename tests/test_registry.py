@@ -19,7 +19,6 @@ from repro.algorithms.registry import (
     fixpoint_digest,
     get_spec,
     register,
-    resumable_algorithms,
     signal_udfs,
     sourced_algorithms,
 )
@@ -43,7 +42,6 @@ class TestRegistryContents:
         assert "incremental-bfs" not in ALGORITHMS
 
     def test_derived_views(self):
-        assert resumable_algorithms() == ("bfs", "kcore", "mis")
         assert sourced_algorithms() == ("bfs", "sssp")
         assert async_algorithms() == ("bfs", "cc", "pagerank", "sssp")
 
@@ -65,8 +63,6 @@ class TestRegistryContents:
     def test_spec_mode_validation(self):
         with pytest.raises(EngineError, match="unknown mode"):
             AlgorithmSpec(name="x", modes=("eventual",))
-        with pytest.raises(EngineError, match="async_resumable"):
-            AlgorithmSpec(name="x", async_resumable=True, modes=("sync",))
 
 
 class TestFixpointDigest:

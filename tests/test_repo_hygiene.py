@@ -33,3 +33,28 @@ def test_no_result_artifacts_inside_src():
         f"result artifacts committed inside src/: {stray}; "
         "benchmark outputs belong in benchmarks/results/"
     )
+
+
+def test_engine_layer_does_not_import_algorithms():
+    """Layering: algorithms drive engines, never the reverse."""
+    import ast
+
+    offenders = []
+    engine_dir = os.path.join(SRC, "repro", "engine")
+    for name in sorted(os.listdir(engine_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(engine_dir, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.startswith("repro.algorithms") for m in modules):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == [], (
+        f"repro.engine imports repro.algorithms at {offenders}"
+    )
