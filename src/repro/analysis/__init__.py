@@ -8,6 +8,8 @@ dependency from them, :func:`instrument_signal` generates the
 dependency-aware variant, and the lint engine
 (:func:`lint_signal`/:func:`lint_slot`, extensible via :func:`rule`)
 reports hazards the analyzer tolerates but distribution does not.
+:func:`classify_kernel` and :func:`classify_slot` match the two halves
+of a signal-slot pair against the shapes the batched fast paths run.
 """
 
 from repro.analysis.ast_analysis import (
@@ -56,6 +58,7 @@ from repro.analysis.rules import (
     lint_slot,
     rule,
 )
+from repro.analysis.slotspec import SlotSpec, classify_slot
 
 __all__ = [
     "CheckResult",
@@ -94,6 +97,8 @@ __all__ = [
     "analyze_and_instrument",
     "KernelSpec",
     "classify_kernel",
+    "SlotSpec",
+    "classify_slot",
     "fold_while",
     "explain_signal",
     "render_text",

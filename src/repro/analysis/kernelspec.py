@@ -47,6 +47,7 @@ from repro.analysis.purity import signal_effects
 __all__ = [
     "KernelSpec",
     "classify_kernel",
+    "layout_matches",
     "FIRST_MATCH_BREAK",
     "COUNT_TO_K_BREAK",
     "FULL_SCAN_SUM",
@@ -92,26 +93,32 @@ class KernelSpec:
     def compatible(self, state) -> bool:
         """Can this spec run against ``state``'s current field layout?
 
-        Checked once per pull before dispatching batches: every array
-        the expressions read must exist as a 1-D per-vertex ndarray and
-        every scalar must not be an array (a field rebound to something
-        else silently falls back to the interpreter).
+        Checked once per pull before dispatching batches (a field
+        rebound to something else silently falls back to the
+        interpreter).
         """
-        for name in self.arrays:
-            if name not in state:
-                return False
-            value = getattr(state, name)
-            if not isinstance(value, np.ndarray):
-                return False
-            if value.ndim != 1 or value.shape[0] != state.num_vertices:
-                return False
-        for name in self.scalars:
-            if name not in state:
-                return False
-            value = getattr(state, name)
-            if isinstance(value, np.ndarray) and value.ndim != 0:
-                return False
-        return True
+        return layout_matches(state, self.arrays, self.scalars)
+
+
+def layout_matches(state, arrays, scalars) -> bool:
+    """Does ``state`` hold ``arrays`` as 1-D per-vertex ndarrays and
+    ``scalars`` as non-arrays — the layout compiled expressions (signal
+    kernels and slot scatters alike) index into?"""
+    for name in arrays:
+        if name not in state:
+            return False
+        value = getattr(state, name)
+        if not isinstance(value, np.ndarray):
+            return False
+        if value.ndim != 1 or value.shape[0] != state.num_vertices:
+            return False
+    for name in scalars:
+        if name not in state:
+            return False
+        value = getattr(state, name)
+        if isinstance(value, np.ndarray) and value.ndim != 0:
+            return False
+    return True
 
 
 # -- expression compilation ------------------------------------------------

@@ -108,22 +108,24 @@ def discover_udfs(module) -> Iterator[Tuple[str, Callable, str]]:
     """Yield ``(name, fn, kind)`` for the UDFs a module defines.
 
     Public functions named like signals (``signal`` or ``*signal``)
-    are linted with the signal rules; public ``*slot`` functions with
-    the slot rule.  Functions merely re-exported from elsewhere are
+    are linted with the signal rules; ``*slot`` functions with the slot
+    rule — private ones too, which is how the bundled algorithms spell
+    theirs (a private ``_*signal`` is a push signal, with another
+    signature).  Functions merely re-exported from elsewhere are
     skipped so package ``__init__`` files do not duplicate findings.
     """
     for name in sorted(vars(module)):
-        if name.startswith("_"):
+        if name.startswith("__"):
             continue
         fn = getattr(module, name)
         if not callable(fn) or not hasattr(fn, "__code__"):
             continue
         if getattr(fn, "__module__", None) != module.__name__:
             continue  # re-export; its home module reports it
-        if name == "signal" or name.endswith("signal"):
-            yield name, fn, "signal"
-        elif name == "slot" or name.endswith("slot"):
+        if name.endswith("slot"):
             yield name, fn, "slot"
+        elif name.endswith("signal") and not name.startswith("_"):
+            yield name, fn, "signal"
 
 
 def run_lint(

@@ -32,6 +32,7 @@ from typing import Callable, List, Optional
 from repro.analysis.ast_analysis import analyze_parsed, parse_signal
 from repro.analysis.kernelspec import classify_kernel
 from repro.analysis.rules import LintConfig, LintMessage, lint_signal, lint_slot
+from repro.analysis.slotspec import SlotMismatch, match_slot
 from repro.analysis.verify.contracts import (
     CONTRACTS,
     certify_spec,
@@ -47,6 +48,7 @@ __all__ = [
     "VerifyReport",
     "verify_signal",
     "verify_slot",
+    "slot_shape_note",
     "verify_targets",
     "summarize",
     "UdfSummary",
@@ -246,6 +248,32 @@ def verify_slot(
     return verdict
 
 
+def slot_shape_note(fn: Callable, name: Optional[str] = None) -> LintMessage:
+    """Which ordered-scatter shape a slot classifies into
+    (``slot-classified``, naming shape and written fields), or why it
+    stays on the scalar slot loop (``slot-unclassified``, with every
+    matcher's reason).  Purely informational: the classification is
+    certified at run time, by translation validation under
+    ``RunConfig(verify=...)``."""
+    qualname = name or getattr(fn, "__name__", str(fn))
+    try:
+        spec = match_slot(fn)
+    except SlotMismatch as exc:
+        code, text = "slot-unclassified", f"the scalar slot loop runs ({exc})"
+    else:
+        code = "slot-classified"
+        text = f"{spec.describe()} (one ordered scatter applies a phase)"
+    location = getattr(fn, "__code__", None)
+    return LintMessage(
+        code,
+        "note",
+        f"{qualname}: {text}",
+        lineno=location.co_firstlineno if location else 0,
+        func=qualname,
+        path=location.co_filename if location else "",
+    )
+
+
 def verify_targets(
     targets: List[str],
     strict: bool = False,
@@ -292,9 +320,9 @@ def verify_targets(
             for name, fn, kind in discover_udfs(module):
                 qualname = f"{module.__name__}.{name}"
                 if kind == "slot":
-                    report.verdicts.append(
-                        verify_slot(fn, strict, config, name=qualname)
-                    )
+                    verdict = verify_slot(fn, strict, config, name=qualname)
+                    verdict.messages.append(slot_shape_note(fn, qualname))
+                    report.verdicts.append(verdict)
                 else:
                     report.verdicts.append(
                         verify_signal(fn, strict, config, name=qualname)

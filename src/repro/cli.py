@@ -19,8 +19,10 @@ SympleGraph side by side; ``analyze`` prints the analyzer report for
 one of the built-in UDFs; ``lint`` runs the rule engine over
 signal/slot UDFs and exits 1 on warnings, 2 on errors (notes are
 informational); ``verify`` additionally certifies every kernel
-classification against its shape contract and flags executor
-determinism hazards, with the same exit-code semantics; ``metrics``
+classification against its shape contract, flags executor
+determinism hazards, and notes for every slot which ordered-scatter
+shape it classified into (or why none), with the same exit-code
+semantics; ``metrics``
 runs one experiment and exports its metric
 registry as JSON or Prometheus text; ``trace`` validates a recorded
 trace against the event schema (exit 1 on violations) and summarizes

@@ -20,6 +20,7 @@ Definition 2.2 semantics so all engines compute identical results.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from time import perf_counter
@@ -28,10 +29,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
+from repro.analysis.slotspec import SlotSpec, classify_slot
 from repro.engine.state import StateStore
 from repro.exec import work
-from repro.errors import EngineError
+from repro.errors import EngineError, KernelSoundnessError
 from repro.kernels import get_kernel
+from repro.kernels.slots import apply_slot
 from repro.obs.hooks import ObsHub
 from repro.partition.base import Partition
 from repro.runtime.cost_model import CostModel
@@ -62,21 +65,36 @@ class PhaseResult:
 
 @dataclass
 class _UpdateBuffer:
-    """Updates collected during a phase, applied bulk-synchronously."""
+    """Updates collected during a phase, applied bulk-synchronously.
 
-    items: List[Tuple[int, object]] = field(default_factory=list)
+    One ``(v, values)`` bin per merged work unit, in merge order: ``v``
+    the destination vertices (int64) and ``values`` the update values
+    aligned with it — the numeric array the unit returned, or a list
+    when its values were not numbers of one type.  A classified slot
+    takes the bins through :func:`repro.kernels.slots.apply_slot`;
+    :meth:`apply` is the scalar loop every other slot takes.
+    """
 
-    def add(self, v: int, value: object) -> None:
-        self.items.append((v, value))
+    bins: List[Tuple[np.ndarray, object]] = field(default_factory=list)
+
+    def append(self, v: np.ndarray, values) -> None:
+        if v.size:
+            self.bins.append((v, values))
+
+    @property
+    def total(self) -> int:
+        return sum(v.size for v, _ in self.bins)
 
     def apply(
         self, slot: Callable, state: StateStore
     ) -> Tuple[np.ndarray, int]:
+        """One ``slot`` call per update, in bin order."""
         changed: Dict[int, None] = {}
-        for v, value in self.items:
-            if slot(v, value, state):
-                changed[v] = None
-        return np.fromiter(changed.keys(), dtype=np.int64), len(self.items)
+        for bin_v, values in self.bins:
+            for v, value in zip(bin_v.tolist(), values):
+                if slot(v, value, state):
+                    changed[v] = None
+        return np.fromiter(changed.keys(), dtype=np.int64), self.total
 
 
 class BaseEngine:
@@ -106,6 +124,11 @@ class BaseEngine:
         self.use_kernels = use_kernels
         self.verify = verify
         self._analyzed: Dict[int, AnalyzedSignal] = {}
+        # id(slot) -> (slot, spec): holding the slot keeps its id from
+        # being reused, here and for its _certified verdict
+        self._slot_specs: Dict[
+            int, Tuple[Callable, Optional[SlotSpec]]
+        ] = {}
         self._certified: Dict[int, bool] = {}
         self._fault_controller = None
         self.executor = None
@@ -270,8 +293,8 @@ class BaseEngine:
         The paper's optimization targets pull mode; push is identical
         across the distributed engines.
         """
-        phase = self._phase_begin("push")
         frontier_idx = self._as_indices(frontier)
+        phase = self._phase_begin("push")
         record = IterationRecord(mode="push")
         step = self._make_step(phase)
         buffer = _UpdateBuffer()
@@ -284,23 +307,32 @@ class BaseEngine:
             state,
             step=step,
         )
+        master_of = self.partition.master_of
         for res in results:
             m = res["m"]
             step.high_edges[m] += res["edges"]
             step.high_vertices[m] += res["vertices"]
-            for op in res["ops"]:
-                if op[0] == "u":
-                    # frontier state of u must reach this machine's
-                    # out-edge replicas (free under outgoing edge-cut).
-                    self.network.send(op[1], m, "push", 8)
-                    step.update_bytes[op[1]] += 8
-                else:
-                    _, v, value, dst_master = op
-                    if dst_master != m:
-                        key = (m, dst_master)
-                        push_msg[key] = push_msg.get(key, 0) + update_bytes
-                        step.update_bytes[m] += update_bytes
-                    buffer.add(v, value)
+            for owner in res["owners"].tolist():
+                # frontier state of u must reach this machine's
+                # out-edge replicas (free under outgoing edge-cut).
+                self.network.send(owner, m, "push", 8)
+                step.update_bytes[owner] += 8
+            emit_v = res["emit_v"]
+            dst = master_of[emit_v]
+            dst = dst[dst != m]
+            if dst.size:
+                # one coalesced message per destination, keyed in the
+                # order this unit first emitted to it
+                masters, first, counts = np.unique(
+                    dst, return_index=True, return_counts=True
+                )
+                order = np.argsort(first)
+                for d, k in zip(
+                    masters[order].tolist(), counts[order].tolist()
+                ):
+                    push_msg[(m, d)] = update_bytes * k
+                step.update_bytes[m] += update_bytes * int(dst.size)
+            buffer.append(emit_v, res["emit_values"])
 
         for (src, dst), nbytes in push_msg.items():
             self.network.send(src, dst, "push", nbytes)
@@ -346,7 +378,6 @@ class BaseEngine:
         # lazy: certification is a verify-mode-only dependency
         from repro.analysis.ast_analysis import analyze_parsed, parse_signal
         from repro.analysis.verify import certify_spec
-        from repro.errors import KernelSoundnessError
 
         try:
             sig = parse_signal(analyzed.original)
@@ -354,8 +385,6 @@ class BaseEngine:
         except KernelSoundnessError as exc:
             if self.verify == "strict":
                 raise
-            import warnings
-
             warnings.warn(
                 "kernel fast path disabled for "
                 f"{getattr(analyzed.original, '__name__', '?')}: {exc}",
@@ -366,6 +395,104 @@ class BaseEngine:
             return False
         self._certified[key] = True
         return True
+
+    # -- slot scatter fast path -----------------------------------------------
+
+    def _slot_plan(
+        self, slot: Callable, state: StateStore
+    ) -> Optional[SlotSpec]:
+        """The scatter classification ``slot`` may be applied through.
+
+        The slot side of :meth:`_kernel_plan`, under the same switch:
+        ``use_kernels``, a classification (cached per slot function), no
+        refuted certification, and a state layout the spec's
+        expressions can index.  Any miss means the scalar slot loop.
+        """
+        if not self.use_kernels:
+            return None
+        cached = self._slot_specs.get(id(slot))
+        if cached is None:
+            cached = self._slot_specs[id(slot)] = slot, classify_slot(slot)
+        spec = cached[1]
+        if (
+            spec is None
+            or self._certified.get(id(slot)) is False
+            or not spec.compatible(state)
+        ):
+            return None
+        return spec
+
+    def _apply_updates(
+        self, buffer: _UpdateBuffer, slot: Callable, state: StateStore
+    ) -> Tuple[np.ndarray, int]:
+        """Apply a phase's bins: one ordered scatter when the slot is
+        classified and the values are arrays it reproduces exactly,
+        the scalar loop otherwise.
+
+        With ``verify != "off"`` a classification is certified by
+        translation validation: the first batch per (engine, slot) also
+        runs through the scalar slot on a private copy of the state and
+        must leave the same arrays, ``changed`` and count.
+        """
+        spec = self._slot_plan(slot, state) if buffer.bins else None
+        if spec is None:
+            return buffer.apply(slot, state)
+        certifying = self.verify != "off" and id(slot) not in self._certified
+        if certifying:
+            shadow = StateStore(state.num_vertices)
+            shadow.restore(state.snapshot())
+            expected = buffer.apply(slot, shadow)
+        changed = apply_slot(spec, state, buffer.bins)
+        if changed is None:
+            return buffer.apply(slot, state)
+        result = changed, buffer.total
+        if certifying and not self._certify_slot(
+            slot, spec, state, result, shadow, expected
+        ):
+            return expected
+        return result
+
+    def _certify_slot(
+        self, slot, spec, state, result, shadow, expected
+    ) -> bool:
+        """Did the scatter (``state``, ``result``) match the scalar
+        replay (``shadow``, ``expected``)?  The verdict is cached.
+
+        On a mismatch ``verify="strict"`` raises
+        :class:`~repro.errors.KernelSoundnessError`; ``"warn"`` warns,
+        puts the replay's arrays into ``state`` (in place — they may be
+        shared-memory views) and leaves the slot on the scalar loop for
+        the engine's lifetime.
+        """
+        differing = [
+            name for name in state
+            if isinstance(getattr(state, name), np.ndarray)
+            and getattr(state, name).tobytes()
+            != getattr(shadow, name).tobytes()
+        ]
+        if not np.array_equal(result[0], expected[0]):
+            differing.append("changed")
+        if result[1] != expected[1]:
+            differing.append("applied")
+        self._certified[id(slot)] = not differing
+        if not differing:
+            return True
+        name = getattr(slot, "__name__", "?")
+        message = (
+            f"the {spec.shape} scatter of {name} and the scalar slot loop "
+            f"differ on {differing}"
+        )
+        if self.verify == "strict":
+            raise KernelSoundnessError(message, obligation="slot-equivalence")
+        warnings.warn(
+            f"slot fast path disabled for {name}: {message}",
+            RuntimeWarning,
+            stacklevel=5,
+        )
+        for name in state:
+            if isinstance(getattr(state, name), np.ndarray):
+                getattr(state, name)[...] = getattr(shadow, name)
+        return False
 
     def _grouped_sends_ok(self) -> bool:
         """May per-vertex update messages be coalesced into one send?
@@ -402,7 +529,8 @@ class BaseEngine:
         lane books under, which the cost model prices separately),
         dependency-store write-back, update sends (coalesced per
         destination when :meth:`_grouped_sends_ok`, else one per
-        emitting vertex in ascending order), update buffering, and —
+        emitting vertex in ascending order), update buffering (the
+        unit's arrays become one bin as they are), and —
         where ``handoffs`` gives a unit a nonzero byte count — the
         dependency hand-off of that many bytes to the machine on the
         left.
@@ -449,18 +577,23 @@ class BaseEngine:
             plain_edges[m] += res["plain_edges"]
             plain_vertices[m] += res["plain_vertices"]
 
+            # counts is None when every vertex emitted exactly once
             emit_v, counts = res["emit_v"], res["emit_counts"]
             if emit_v.size:
                 dst = master_of[emit_v]
                 remote = dst != m
                 dst = dst[remote]
                 if dst.size:
-                    sent = counts[remote]  # values per remote vertex
+                    # values per remote vertex
+                    sent = None if counts is None else counts[remote]
                     if grouped:
                         # same bytes and message count as one send per
                         # emitting vertex
                         messages = np.bincount(dst)
-                        payload = np.bincount(dst, weights=sent)
+                        payload = (
+                            messages if sent is None
+                            else np.bincount(dst, weights=sent)
+                        )
                         for d in np.flatnonzero(messages).tolist():
                             self.network.send(
                                 m, d, "update",
@@ -468,15 +601,20 @@ class BaseEngine:
                                 messages=int(messages[d]),
                             )
                     else:
-                        for d, k in zip(dst.tolist(), sent.tolist()):
+                        for d, k in zip(
+                            dst.tolist(),
+                            repeat(1) if sent is None else sent.tolist(),
+                        ):
                             self.network.send(
                                 m, d, "update", update_bytes * k
                             )
-                    step.update_bytes[m] += update_bytes * int(sent.sum())
-                for v, value in zip(
-                    np.repeat(emit_v, counts).tolist(), res["emit_values"]
-                ):
-                    buffer.add(v, value)
+                    step.update_bytes[m] += update_bytes * (
+                        dst.size if sent is None else int(sent.sum())
+                    )
+                buffer.append(
+                    emit_v if counts is None else np.repeat(emit_v, counts),
+                    res["emit_values"],
+                )
 
             if handoff:
                 left = (m - 1) % self.num_machines
@@ -501,7 +639,7 @@ class BaseEngine:
         at real step boundaries (the circulant schedule); single-step
         phases report theirs here.
         """
-        changed, applied = buffer.apply(slot, state)
+        changed, applied = self._apply_updates(buffer, slot, state)
         record.steps = steps
         self._count_sync(changed, sync_bytes, record)
         self.counters.add_iteration(record)
@@ -557,12 +695,32 @@ class BaseEngine:
 
     # -- protocol helpers -------------------------------------------------------
 
-    @staticmethod
-    def _as_indices(vertices: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
+    def _as_indices(
+        self, vertices: Union[np.ndarray, Sequence[int]]
+    ) -> np.ndarray:
+        """A vertex set as ascending distinct indices: a bool mask over
+        all vertices, or integers within ``[0, n)``."""
+        n = self.graph.num_vertices
         arr = np.asarray(vertices)
         if arr.dtype == bool:
+            if arr.shape != (n,):
+                raise EngineError(
+                    "a vertex mask must cover all vertices: expected "
+                    f"shape ({n},), got {arr.shape}"
+                )
             return np.flatnonzero(arr)
-        return np.sort(arr.astype(np.int64))
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise EngineError(
+                "vertices must be a bool mask or a 1-D integer array, "
+                f"got dtype {arr.dtype} with shape {arr.shape}"
+            )
+        arr = np.unique(arr.astype(np.int64))
+        if arr.size and (arr[0] < 0 or arr[-1] >= n):
+            raise EngineError(
+                f"vertex ids must lie in [0, {n}), got "
+                f"{int(arr[0])}..{int(arr[-1])}"
+            )
+        return arr
 
     def _count_sync(
         self, changed: np.ndarray, sync_bytes: int, record: IterationRecord

@@ -62,13 +62,14 @@ DEFAULT_DEGREE_THRESHOLD = 4
 class SympleOptions:
     """Feature switches for the SympleGraph runtime.
 
-    ``use_kernels`` enables the batched NumPy fast path
+    ``use_kernels`` enables the batched NumPy fast paths
     (:mod:`repro.kernels`) for UDFs the analyzer classified into a
-    vectorizable shape; results, counters, and traffic are bit-identical
-    either way, so this is purely a wall-clock switch.  Off, every pull
-    unit runs the per-vertex interpreter — the fallback unclassified
-    UDFs take anyway, and the reference the equivalence tests compare
-    the kernels against.
+    vectorizable shape — signal kernels and slot scatters alike;
+    results, counters, and traffic are bit-identical either way, so
+    this is purely a wall-clock switch.  Off, every pull unit runs the
+    per-vertex interpreter and every update the scalar slot loop — the
+    fallbacks unclassified UDFs take anyway, and the reference the
+    equivalence tests compare the fast paths against.
 
     ``trace`` streams a structured JSONL event trace of every phase,
     circulant step, dependency hand-off, and kernel batch to the given

@@ -107,6 +107,30 @@ class CountingNeighbors:
         return int(self._array.size)
 
 
+_NUMBERS = (bool, int, float, np.bool_, np.integer, np.floating)
+
+
+def _as_values(values: list):
+    """A unit's emitted values as one 1-D numeric array when they are
+    numbers of a single type, else the list as it is.
+
+    Updates stay arrays from the unit to the state (the slot scatters
+    of :mod:`repro.kernels.slots` take arrays only), and an array
+    pickles smaller than a list of scalars.  Tuples, objects, mixed
+    types and Python ints no fixed-width dtype holds stay a list, which
+    the parent applies with the scalar slot loop.
+    """
+    if not values or len(set(map(type, values))) != 1:
+        return values
+    if not isinstance(values[0], _NUMBERS):
+        return values
+    try:
+        array = np.array(values)
+    except OverflowError:
+        return values
+    return array if array.dtype.kind in "biuf" else values
+
+
 def _kernel_lanes(analyzed, state, local, dep, carried, plain, timed):
     """Each lane as one batched kernel call."""
     spec = analyzed.kernel
@@ -146,7 +170,7 @@ def _kernel_lanes(analyzed, state, local, dep, carried, plain, timed):
         "dep_edges": dep_edges,
         "dep_seconds": dep_seconds,
         "emit_v": emit_v,
-        "emit_counts": np.ones(emit_v.size, dtype=np.int64),
+        "emit_counts": None,  # a kernel emits at most once per vertex
         "emit_values": values,
         "broke": broke,
         "carried": carried_out,
@@ -194,8 +218,11 @@ def _interp_lanes(analyzed, state, local, dep, carried, plain, is_last):
         "dep_edges": dep_edges,
         "dep_seconds": 0.0,
         "emit_v": np.array(emit_v, dtype=np.int64),
-        "emit_counts": np.array(emit_counts, dtype=np.int64),
-        "emit_values": emit_values,
+        "emit_counts": (
+            None if len(emit_values) == len(emit_v)
+            else np.array(emit_counts, dtype=np.int64)
+        ),
+        "emit_values": _as_values(emit_values),
         "broke": store.skip,
         "carried": {
             name: (store.present[name], store.data[name])
@@ -227,8 +254,10 @@ def pull_task(
     interpreter for both lanes; the result has one shape either way:
     per-lane ``*_edges`` (and, for kernels, ``*_seconds``),
     ``plain_vertices``, the emitting vertices in ascending order
-    (``emit_v``) with how many values each emitted (``emit_counts``) and
-    the values flattened in that order (``emit_values``), and the
+    (``emit_v``) with how many values each emitted (``emit_counts``, or
+    None for "one each", which is all a kernel can emit) and the values
+    flattened in that order (``emit_values``: a 1-D numeric array, or a
+    list when the interpreter emitted anything else), and the
     dependency lane's outgoing state for the parent to write back —
     ``broke`` (mask over ``dep``, or None for a kernel that never
     breaks) and ``carried`` (same layout as the input).
@@ -261,32 +290,38 @@ def push_task(
 ) -> Dict[str, Any]:
     """One machine of the sparse push phase.
 
-    Returns the ordered effect log (``ops``) the parent replays:
-    ``("u", owner)`` for a remote frontier-state transfer, and
-    ``("e", v, value, dst_master)`` for each emitted update — the exact
-    interleaving the serial loop produced, so coalesced push messages
-    accumulate in the same dict order.
+    Scans the out-edges of the frontier vertices that have any here, in
+    ascending order, and returns ``owners`` — the master of each
+    *remote* scanned vertex, in scan order: one frontier-state transfer
+    each — with the updates as parallel arrays in emit order:
+    ``emit_v`` (destinations) and ``emit_values`` (a numeric array, or
+    a list, as in :func:`pull_task`).  The parent derives every send
+    from these and the master map.
     """
     m = int(item["m"])
     local = ctx.local_out(m)
     degs = local.degrees()
     frontier = shared["frontier"]
     cand = frontier[degs[frontier] > 0]
-    master_of = ctx.master_of
+    owners = ctx.master_of[cand]
     push_signal = shared["signal"]
     state = ctx.state
-    ops: List[tuple] = []
+    emit_v: List[int] = []
+    emit_values: list = []
     edges = 0
-    for u in cand:
-        u = int(u)
-        owner = int(master_of[u])
-        if owner != m:
-            ops.append(("u", owner))
-        for v in local.neighbors(u):
-            v = int(v)
-            edges += 1
+    for u in cand.tolist():
+        nbrs = local.neighbors(u).tolist()
+        edges += len(nbrs)
+        for v in nbrs:
             value = push_signal(u, v, state)
-            if value is None:
-                continue
-            ops.append(("e", v, value, int(master_of[v])))
-    return {"m": m, "edges": edges, "vertices": int(cand.size), "ops": ops}
+            if value is not None:
+                emit_v.append(v)
+                emit_values.append(value)
+    return {
+        "m": m,
+        "edges": edges,
+        "vertices": int(cand.size),
+        "owners": owners[owners != m],
+        "emit_v": np.array(emit_v, dtype=np.int64),
+        "emit_values": _as_values(emit_values),
+    }

@@ -11,7 +11,10 @@ anything unclassified falls back to the per-vertex path, and
 baseline engines) turns the fast path off entirely.
 
 Importing the package registers the built-in kernels; see
-:func:`repro.kernels.registry.register_kernel` to add more.
+:func:`repro.kernels.registry.register_kernel` to add more.  The slot
+side — the updates those kernels emit, applied to the state with one
+ordered scatter per phase — is :mod:`repro.kernels.slots`, under the
+same switch and the same fallback contract.
 """
 
 from repro.kernels import csr  # noqa: F401 - registers built-in kernels

@@ -6,11 +6,11 @@ CSR neighbor segments.  Two invariants are load-bearing:
 
 * **Bit-identical results.** Emit masks, emitted values, and carried
   values must equal the interpreter's, including float semantics: the
-  ``full_scan_sum`` kernel therefore accumulates round-by-round in
-  segment order (left-to-right, exactly the interpreter's ``+=``
-  sequence) instead of using ``np.add.reduceat``, whose pairwise
-  summation would round differently.  Min folds and boolean predicates
-  are order-independent, so those use ``reduceat`` directly.
+  ``full_scan_sum`` kernel therefore accumulates with ``np.add.at``
+  (unbuffered, in index order: left-to-right per segment, exactly the
+  interpreter's ``+=`` sequence) instead of ``np.add.reduceat``, whose
+  pairwise summation would round differently.  Min folds and boolean
+  predicates are order-independent, so those use ``reduceat`` directly.
 * **Bit-identical counters.** ``KernelBatch.edges`` reports how many
   neighbors the interpreter would have *scanned* — up to and including
   the breaking neighbor — so the engines' edge/byte accounting does not
@@ -194,14 +194,14 @@ def full_scan_sum_kernel(
 ) -> KernelBatch:
     """Full-scan sum fold, accumulated in the interpreter's add order.
 
-    Segments are sorted by length (descending, stable) so each round
-    adds the r-th term of every still-active segment with one slice —
-    left-to-right sequential addition per segment, hence bit-identical
-    float rounding versus the interpreter, unlike pairwise ``reduceat``.
+    One ``np.add.at`` over the flattened terms: unbuffered and in index
+    order, so every segment is summed left to right — the interpreter's
+    ``+=`` sequence, hence bit-identical float rounding, unlike
+    pairwise ``reduceat``.
     """
     if vertices.size == 0:
         return _empty_batch()
-    lens, seg_start, flat, _ = _segments(local, vertices)
+    lens, _, flat, _ = _segments(local, vertices)
     v_rep = np.repeat(vertices, lens)
     term = _flat_eval(spec.exprs["term"], state, flat, v_rep, flat.shape)
     init = _per_vertex_eval(spec.exprs["init"], state, vertices)
@@ -212,22 +212,10 @@ def full_scan_sum_kernel(
     else:
         start = np.array(init, copy=True)
 
-    order = np.argsort(-lens, kind="stable")
-    lens_sorted = lens[order]
-    seg_sorted = seg_start[order]
-    totals_sorted = start[order].astype(
-        np.result_type(start.dtype, term.dtype), copy=True
+    totals = start.astype(np.result_type(start.dtype, term.dtype))
+    np.add.at(
+        totals, np.repeat(np.arange(vertices.size, dtype=np.int64), lens), term
     )
-    lens_ascending = lens_sorted[::-1]
-    for r in range(int(lens_sorted[0])):
-        active = lens_sorted.size - int(
-            np.searchsorted(lens_ascending, r, side="right")
-        )
-        totals_sorted[:active] = (
-            totals_sorted[:active] + term[seg_sorted[:active] + r]
-        )
-    totals = np.empty_like(totals_sorted)
-    totals[order] = totals_sorted
 
     emit_mask = totals > start
     values = totals - start

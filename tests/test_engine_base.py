@@ -183,3 +183,76 @@ class TestSyncAccounting:
         engine.reset_metrics()
         assert engine.counters.total_bytes == 0
         assert engine.counters.edges_traversed == 0
+
+
+class TestVertexIndexValidation:
+    """``push`` and ``sync_state`` take a vertex *set*: a bool mask over
+    all vertices or integers within ``[0, n)``; duplicates collapse and
+    anything else is a typed error (``pull`` already insists on a mask)."""
+
+    @pytest.fixture
+    def engine(self):
+        g = to_undirected(rmat(scale=6, edge_factor=6, seed=3))
+        return make_engine("gemini", g, 4)
+
+    @staticmethod
+    def call(engine, how, vertices):
+        if how == "sync_state":
+            return engine.sync_state(vertices, sync_bytes=4)
+        s = engine.new_state()
+        return engine.push(
+            lambda u, v, s: u, lambda v, x, s: True, s, vertices
+        )
+
+    @staticmethod
+    def books(engine):
+        return engine.counters.summary(), engine.execution_time()
+
+    @pytest.mark.parametrize("how", ["push", "sync_state"])
+    def test_duplicates_book_once(self, engine, how):
+        g = engine.graph
+        u = int(np.argmax(g.out_degrees()))
+        twin = make_engine("gemini", g, 4)
+        self.call(engine, how, np.array([u, u, 3, u]))
+        self.call(twin, how, np.array([3, u]))
+        assert self.books(engine) == self.books(twin)
+        assert engine.counters.total_bytes > 0
+
+    @pytest.mark.parametrize("how", ["push", "sync_state"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda n: np.array([-1]),  # would wrap to the last vertex
+            lambda n: np.array([n]),  # a raw IndexError before
+            lambda n: np.array([1.5]),  # would truncate to 1
+            lambda n: np.array([[0, 1]]),  # not 1-D
+            lambda n: np.ones(n - 1, dtype=bool),  # mask of the wrong length
+        ],
+        ids=["negative", "past-the-end", "float", "2-d", "short-mask"],
+    )
+    def test_invalid_sets_raise_engine_error(self, engine, how, bad):
+        with pytest.raises(EngineError):
+            self.call(engine, how, bad(engine.graph.num_vertices))
+        # rejected before the phase began: nothing was booked
+        assert not engine.counters.iterations
+
+    @pytest.mark.parametrize("how", ["push", "sync_state"])
+    def test_valid_spellings_agree(self, engine, how):
+        g = engine.graph
+        n = g.num_vertices
+        mask = np.zeros(n, dtype=bool)
+        mask[[5, 2, 9]] = True
+        books = []
+        for vertices in (mask, np.array([9, 2, 5]), [5, 2, 9],
+                         np.array([2, 5, 9], dtype=np.uint32)):
+            fresh = make_engine("gemini", g, 4)
+            self.call(fresh, how, vertices)
+            books.append(self.books(fresh))
+        assert all(b == books[0] for b in books)
+
+    def test_empty_sets_are_free(self, engine):
+        for empty in ([], np.array([], dtype=np.int64),
+                      np.zeros(engine.graph.num_vertices, dtype=bool)):
+            engine.sync_state(empty)
+            assert self.call(engine, "push", empty).edges_traversed == 0
+        assert engine.counters.total_bytes == 0

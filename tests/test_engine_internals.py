@@ -31,9 +31,12 @@ class TestUpdateBuffer:
             log.append((v, value))
             return False
 
-        buffer.add(3, "a")
-        buffer.add(1, "b")
-        buffer.add(3, "c")
+        # list-valued bins (values that are no numeric array) take the
+        # scalar loop, bin after bin
+        buffer.append(np.array([3, 1]), ["a", "b"])
+        buffer.append(np.array([], dtype=np.int64), [])
+        buffer.append(np.array([3]), ["c"])
+        assert len(buffer.bins) == 2  # an empty unit leaves no bin
         changed, applied = buffer.apply(slot, None)
         assert log == [(3, "a"), (1, "b"), (3, "c")]
         assert applied == 3
@@ -41,10 +44,9 @@ class TestUpdateBuffer:
 
     def test_changed_deduplicates(self):
         buffer = _UpdateBuffer()
-        buffer.add(5, 1)
-        buffer.add(5, 2)
+        buffer.append(np.array([5, 2, 5]), np.array([1, 2, 3]))
         changed, _ = buffer.apply(lambda v, x, s: True, None)
-        assert changed.tolist() == [5]
+        assert changed.tolist() == [5, 2]  # first-success order
 
 
 class TestSamplingTwoPhase:

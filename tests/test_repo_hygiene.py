@@ -58,3 +58,25 @@ def test_engine_layer_does_not_import_algorithms():
     assert offenders == [], (
         f"repro.engine imports repro.algorithms at {offenders}"
     )
+
+
+def test_kernel_registry_holds_signal_kernels_only():
+    """The registry's contract is the signal-kernel signature
+    ``(spec, state, local, vertices, carried_in)`` — tools that wrap
+    every registered kernel (the benchmark spine's recorder reads
+    ``args[3].size`` and ``batch.edges``) rely on it.  Slot scatters
+    have another signature and live in ``repro.kernels.slots``'s own
+    table."""
+    from repro.analysis.kernelspec import (
+        COUNT_TO_K_BREAK,
+        FIRST_MATCH_BREAK,
+        FULL_SCAN_MIN,
+        FULL_SCAN_SUM,
+    )
+    from repro.kernels import available_kernels
+    from repro.kernels.slots import SLOT_APPLIES
+
+    assert set(available_kernels()) == {
+        FIRST_MATCH_BREAK, COUNT_TO_K_BREAK, FULL_SCAN_SUM, FULL_SCAN_MIN,
+    }
+    assert not set(SLOT_APPLIES) & set(available_kernels())
