@@ -8,8 +8,9 @@ dependency from them, :func:`instrument_signal` generates the
 dependency-aware variant, and the lint engine
 (:func:`lint_signal`/:func:`lint_slot`, extensible via :func:`rule`)
 reports hazards the analyzer tolerates but distribution does not.
-:func:`classify_kernel` and :func:`classify_slot` match the two halves
-of a signal-slot pair against the shapes the batched fast paths run.
+:func:`classify_kernel`, :func:`classify_slot` and
+:func:`classify_push` match a program's three UDFs — pull signal, slot,
+push signal — against the shapes the batched fast paths run.
 """
 
 from repro.analysis.ast_analysis import (
@@ -43,6 +44,7 @@ from repro.analysis.properties import (
     check_slot_commutative,
 )
 from repro.analysis.purity import Effect, signal_effects
+from repro.analysis.pushspec import PushSpec, classify_push
 from repro.analysis.report import (
     explain_signal,
     render_json,
@@ -99,6 +101,8 @@ __all__ = [
     "classify_kernel",
     "SlotSpec",
     "classify_slot",
+    "PushSpec",
+    "classify_push",
     "fold_while",
     "explain_signal",
     "render_text",

@@ -29,20 +29,29 @@ loop variable or the destination vertex (``s.frontier[u]``,
 ``s.color[v]``), state scalars (``s.k``), constants, arithmetic,
 comparisons, and boolean connectives.  They are recompiled into
 vectorized evaluators over NumPy index arrays (``and``/``or``/``not``
-become ``&``/``|``/``~``).
+become ``&``/``|``/``~``).  The bitwise forms agree with the
+connectives on booleans only, so an operand of a connective must be a
+comparison, another connective, or a state array or scalar that is
+``bool`` at run time (:func:`layout_matches` checks; a miss means the
+interpreter); a chained comparison (``a < b < c``), which NumPy cannot
+evaluate elementwise, is outside the grammar.  Signal kernels, slot
+scatters (:mod:`repro.analysis.slotspec`) and the push scan
+(:mod:`repro.analysis.pushspec`) all compile through this one place.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ast_analysis import DependencyInfo, SignalAst
+from repro.analysis.ast_analysis import DependencyInfo, SignalAst, parse_signal
 from repro.analysis.purity import signal_effects
+from repro.errors import AnalysisError
 
 __all__ = [
     "KernelSpec",
@@ -80,7 +89,9 @@ class KernelSpec:
 
     ``sources`` holds the unparse of each compiled expression so users
     can inspect what the classifier extracted, mirroring
-    ``AnalyzedSignal.instrumented_source``.
+    ``AnalyzedSignal.instrumented_source``.  ``bool_arrays`` and
+    ``bool_scalars`` name the reads that are operands of
+    ``and``/``or``/``not``.
     """
 
     kind: str
@@ -89,6 +100,8 @@ class KernelSpec:
     carried_vars: Tuple[str, ...]
     sources: Dict[str, str]
     exprs: Dict[str, Callable] = field(repr=False, default_factory=dict)
+    bool_arrays: Tuple[str, ...] = ()
+    bool_scalars: Tuple[str, ...] = ()
 
     def compatible(self, state) -> bool:
         """Can this spec run against ``state``'s current field layout?
@@ -97,13 +110,20 @@ class KernelSpec:
         rebound to something else silently falls back to the
         interpreter).
         """
-        return layout_matches(state, self.arrays, self.scalars)
+        return layout_matches(
+            state, self.arrays, self.scalars,
+            self.bool_arrays, self.bool_scalars,
+        )
 
 
-def layout_matches(state, arrays, scalars) -> bool:
+def layout_matches(
+    state, arrays, scalars, bool_arrays=(), bool_scalars=()
+) -> bool:
     """Does ``state`` hold ``arrays`` as 1-D per-vertex ndarrays and
     ``scalars`` as non-arrays — the layout compiled expressions (signal
-    kernels and slot scatters alike) index into?"""
+    kernels, slot scatters and the push scan alike) index into — with
+    ``bool_arrays`` and ``bool_scalars``, the subsets read under a
+    connective (compiled to a bitwise operator), boolean?"""
     for name in arrays:
         if name not in state:
             return False
@@ -118,7 +138,12 @@ def layout_matches(state, arrays, scalars) -> bool:
         value = getattr(state, name)
         if isinstance(value, np.ndarray) and value.ndim != 0:
             return False
-    return True
+    return all(
+        getattr(state, name).dtype == bool for name in bool_arrays
+    ) and all(
+        isinstance(getattr(state, name), (bool, np.bool_))
+        for name in bool_scalars
+    )
 
 
 # -- expression compilation ------------------------------------------------
@@ -135,6 +160,36 @@ _ALLOWED_BINOPS = (
 _ALLOWED_CMPOPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 
+@dataclass
+class _Reads:
+    """The state fields compiled expressions read, by how they are
+    read: every array and scalar, and the subsets that are operands of
+    ``and``/``or``/``not`` — the spec fields :func:`layout_matches`
+    checks."""
+
+    arrays: List[str] = field(default_factory=list)
+    scalars: List[str] = field(default_factory=list)
+    bool_arrays: List[str] = field(default_factory=list)
+    bool_scalars: List[str] = field(default_factory=list)
+
+    def extend(self, other: "_Reads") -> None:
+        for name, names in vars(other).items():
+            getattr(self, name).extend(names)
+
+    def fields(self) -> Dict[str, Tuple[str, ...]]:
+        """Distinct names in first-read order, as spec keyword fields."""
+        return {
+            name: tuple(dict.fromkeys(names))
+            for name, names in vars(self).items()
+        }
+
+
+def _is_connective(node: ast.expr) -> bool:
+    return isinstance(node, ast.BoolOp) or (
+        isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+    )
+
+
 class _ExprRewriter:
     """Rewrite a UDF expression into its vectorized counterpart.
 
@@ -144,13 +199,17 @@ class _ExprRewriter:
     """
 
     def __init__(
-        self, state_name: str, v_name: str, u_name: Optional[str]
+        self,
+        state_name: str,
+        v_name: str,
+        u_name: Optional[str],
+        connectives: bool = True,
     ) -> None:
         self.state_name = state_name
         self.v_name = v_name
         self.u_name = u_name
-        self.arrays: List[str] = []
-        self.scalars: List[str] = []
+        self.connectives = connectives
+        self.reads = _Reads()
 
     def rewrite(self, node: ast.expr) -> ast.expr:
         if isinstance(node, ast.Constant):
@@ -164,27 +223,35 @@ class _ExprRewriter:
                 return ast.Name(id="__v", ctx=ast.Load())
             raise _NoMatch(f"free variable {node.id!r}")
         if isinstance(node, ast.Attribute):
-            return self._state_attr(node, as_scalar=True)
+            return self._state_attr(node, self.reads.scalars)
         if isinstance(node, ast.Subscript):
             if not isinstance(node.value, ast.Attribute):
                 raise _NoMatch("subscript of non-state value")
-            target = self._state_attr(node.value, as_scalar=False)
+            target = self._state_attr(node.value, self.reads.arrays)
             index = node.slice
             if not isinstance(index, ast.Name):
                 raise _NoMatch("array index must be the loop or vertex var")
             return ast.Subscript(
                 value=target, slice=self.rewrite(index), ctx=ast.Load()
             )
+        if _is_connective(node) and not self.connectives:
+            raise _NoMatch("boolean connective in a value")
         if isinstance(node, ast.BoolOp):
             op = ast.BitAnd() if isinstance(node.op, ast.And) else ast.BitOr()
-            out = self.rewrite(node.values[0])
+            out = self._operand(node.values[0])
             for value in node.values[1:]:
-                out = ast.BinOp(left=out, op=op, right=self.rewrite(value))
+                out = ast.BinOp(left=out, op=op, right=self._operand(value))
             return out
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.Not):
+                if isinstance(node.operand, ast.Attribute):
+                    # a lone scalar takes Python's own `not`, whatever
+                    # its type (`~True` is -2)
+                    return ast.UnaryOp(
+                        op=ast.Not(), operand=self.rewrite(node.operand)
+                    )
                 return ast.UnaryOp(
-                    op=ast.Invert(), operand=self.rewrite(node.operand)
+                    op=ast.Invert(), operand=self._operand(node.operand)
                 )
             if isinstance(node.op, (ast.USub, ast.UAdd)):
                 return ast.UnaryOp(
@@ -200,25 +267,43 @@ class _ExprRewriter:
                 right=self.rewrite(node.right),
             )
         if isinstance(node, ast.Compare):
-            if not all(isinstance(op, _ALLOWED_CMPOPS) for op in node.ops):
+            if len(node.ops) > 1:
+                # NumPy cannot evaluate `a < b < c` elementwise
+                raise _NoMatch("chained comparison")
+            if not isinstance(node.ops[0], _ALLOWED_CMPOPS):
                 raise _NoMatch("unsupported comparison")
             return ast.Compare(
                 left=self.rewrite(node.left),
-                ops=[copy.copy(op) for op in node.ops],
-                comparators=[self.rewrite(c) for c in node.comparators],
+                ops=[copy.copy(node.ops[0])],
+                comparators=[self.rewrite(node.comparators[0])],
             )
         raise _NoMatch(f"unsupported expression node {type(node).__name__}")
 
-    def _state_attr(self, node: ast.Attribute, as_scalar: bool) -> ast.expr:
+    def _operand(self, node: ast.expr) -> ast.expr:
+        """One operand of ``and``/``or``/``not``, which compile to
+        ``&``/``|``/``~`` and equal them on booleans only: a comparison,
+        another connective, or a state read — recorded as one that must
+        be ``bool`` at run time."""
+        if isinstance(node, ast.Subscript) and isinstance(
+            node.value, ast.Attribute
+        ):
+            self.reads.bool_arrays.append(node.value.attr)
+        elif isinstance(node, ast.Attribute):
+            self.reads.bool_scalars.append(node.attr)
+        elif not (isinstance(node, ast.Compare) or _is_connective(node)):
+            raise _NoMatch(
+                f"`{ast.unparse(node)}` under and/or/not is a number, "
+                "not a truth value"
+            )
+        return self.rewrite(node)
+
+    def _state_attr(self, node: ast.Attribute, reads: List[str]) -> ast.expr:
         if not (
             isinstance(node.value, ast.Name)
             and node.value.id == self.state_name
         ):
             raise _NoMatch("attribute access on non-state object")
-        if as_scalar:
-            self.scalars.append(node.attr)
-        else:
-            self.arrays.append(node.attr)
+        reads.append(node.attr)
         return ast.Attribute(
             value=ast.Name(id="__state", ctx=ast.Load()),
             attr=node.attr,
@@ -231,13 +316,17 @@ def _compile_expr(
     state_name: str,
     v_name: str,
     u_name: Optional[str],
-) -> Tuple[Callable, str, List[str], List[str]]:
+    connectives: bool = True,
+) -> Tuple[Callable, str, _Reads]:
     """Compile a UDF expression into ``fn(state, u, v)``.
 
     ``u_name=None`` forbids the loop variable (thresholds and initial
-    values are evaluated outside the neighbor loop).
+    values are evaluated outside the neighbor loop) and
+    ``connectives=False`` forbids ``and``/``or``/``not`` (a value, where
+    they would return an operand, not a truth).  Returns the evaluator,
+    its source and the state it reads.
     """
-    rewriter = _ExprRewriter(state_name, v_name, u_name)
+    rewriter = _ExprRewriter(state_name, v_name, u_name, connectives)
     body = rewriter.rewrite(expr)
     func = ast.FunctionDef(
         name="__kernel_expr",
@@ -260,12 +349,7 @@ def _compile_expr(
     exec(  # noqa: S102 - compiling our own restricted rewrite
         compile(module, filename="<kernel-expr>", mode="exec"), namespace
     )
-    return (
-        namespace["__kernel_expr"],
-        ast.unparse(body),
-        rewriter.arrays,
-        rewriter.scalars,
-    )
+    return namespace["__kernel_expr"], ast.unparse(body), rewriter.reads
 
 
 # -- shape matching --------------------------------------------------------
@@ -277,6 +361,34 @@ def _is_docstring(stmt: ast.stmt) -> bool:
         and isinstance(stmt.value, ast.Constant)
         and isinstance(stmt.value.value, str)
     )
+
+
+def _straight_line_udf(
+    fn: Callable, signature: str
+) -> Tuple[SignalAst, List[ast.stmt]]:
+    """Parse a three-parameter straight-line UDF — a slot or a push
+    signal, named by ``signature`` in the reason — into its AST and its
+    body without the docstring.  Only a plain undecorated function with
+    no closure, defaults or variadics has a body the whole-body matchers
+    can read; anything else raises :class:`_NoMatch`."""
+    if not isinstance(fn, types.FunctionType):
+        raise _NoMatch("not a plain Python function")
+    if fn.__closure__:
+        # a captured variable is a free name, outside the grammar
+        raise _NoMatch(f"closes over {', '.join(fn.__code__.co_freevars)}")
+    try:
+        sig = parse_signal(fn)
+    except AnalysisError as exc:
+        raise _NoMatch(str(exc)) from None
+    args = sig.func.args
+    if (
+        len(sig.params) != 3
+        or args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg
+        or args.defaults
+        or sig.func.decorator_list
+    ):
+        raise _NoMatch(f"not a plain undecorated {signature}")
+    return sig, [stmt for stmt in sig.func.body if not _is_docstring(stmt)]
 
 
 def _single_target(stmt: ast.stmt) -> Optional[str]:
@@ -336,26 +448,21 @@ def _build_spec(kind: str, shape: _Shape, roles: Dict[str, Tuple[ast.expr, bool]
     """
     exprs: Dict[str, Callable] = {}
     sources: Dict[str, str] = {}
-    arrays: List[str] = []
-    scalars: List[str] = []
+    reads = _Reads()
     for role, (expr, allow_u) in roles.items():
-        fn, source, arrs, scs = _compile_expr(
+        exprs[role], sources[role], expr_reads = _compile_expr(
             expr,
             shape.state_name,
             shape.v_name,
             shape.u_name if allow_u else None,
         )
-        exprs[role] = fn
-        sources[role] = source
-        arrays.extend(arrs)
-        scalars.extend(scs)
+        reads.extend(expr_reads)
     return KernelSpec(
         kind=kind,
-        arrays=tuple(dict.fromkeys(arrays)),
-        scalars=tuple(dict.fromkeys(scalars)),
         carried_vars=shape.info.carried_vars,
         sources=sources,
         exprs=exprs,
+        **reads.fields(),
     )
 
 

@@ -110,9 +110,10 @@ def discover_udfs(module) -> Iterator[Tuple[str, Callable, str]]:
     Public functions named like signals (``signal`` or ``*signal``)
     are linted with the signal rules; ``*slot`` functions with the slot
     rule — private ones too, which is how the bundled algorithms spell
-    theirs (a private ``_*signal`` is a push signal, with another
-    signature).  Functions merely re-exported from elsewhere are
-    skipped so package ``__init__`` files do not duplicate findings.
+    theirs; a three-parameter ``*signal``, private or not, is a push
+    signal ``(u, v, state)`` and comes back as kind ``"push"``.
+    Functions merely re-exported from elsewhere are skipped so package
+    ``__init__`` files do not duplicate findings.
     """
     for name in sorted(vars(module)):
         if name.startswith("__"):
@@ -124,8 +125,11 @@ def discover_udfs(module) -> Iterator[Tuple[str, Callable, str]]:
             continue  # re-export; its home module reports it
         if name.endswith("slot"):
             yield name, fn, "slot"
-        elif name.endswith("signal") and not name.startswith("_"):
-            yield name, fn, "signal"
+        elif name.endswith("signal"):
+            if fn.__code__.co_argcount == 3:
+                yield name, fn, "push"
+            elif not name.startswith("_"):
+                yield name, fn, "signal"
 
 
 def run_lint(

@@ -50,14 +50,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ast_analysis import parse_signal
 from repro.analysis.kernelspec import (
     _compile_expr,
-    _is_docstring,
     _NoMatch,
+    _straight_line_udf,
     layout_matches,
 )
-from repro.errors import AnalysisError
 
 __all__ = [
     "SlotSpec",
@@ -111,25 +109,23 @@ class SlotSpec:
     returns: bool
     casts: Dict[str, Optional[str]]
     exprs: Dict[str, Callable] = field(repr=False, default_factory=dict)
-    #: arrays the guard combines with ``not``/``and``/``or``, which
-    #: compile to ``~``/``&``/``|`` and so need a bool dtype
+    #: the reads the guard combines with ``not``/``and``/``or``, which
+    #: compile to ``~``/``&``/``|`` and so need to be bool
     bool_arrays: Tuple[str, ...] = ()
+    bool_scalars: Tuple[str, ...] = ()
 
     def compatible(self, state) -> bool:
         """Can the scatter run against ``state``'s current layout?
 
-        On top of the signal side's array/scalar layout check, every
-        written field must have a dtype in :data:`WRITABLE_DTYPES`.
+        On top of the signal side's layout check, every written field
+        must have a dtype in :data:`WRITABLE_DTYPES`.
         """
-        if not layout_matches(state, self.arrays, self.scalars):
-            return False
-        if any(
-            getattr(state, name).dtype not in WRITABLE_DTYPES
+        return layout_matches(
+            state, self.arrays, self.scalars,
+            self.bool_arrays, self.bool_scalars,
+        ) and all(
+            getattr(state, name).dtype in WRITABLE_DTYPES
             for name in self.fields
-        ):
-            return False
-        return all(
-            getattr(state, name).dtype == bool for name in self.bool_arrays
         )
 
     def describe(self) -> str:
@@ -214,13 +210,12 @@ class _ValueCasts(ast.NodeTransformer):
 def _compile(expr: ast.expr, slot: _Slot, allow_value: bool):
     """Compile one slot expression to ``fn(state, value, v)``.
 
-    Returns ``(fn, arrays, scalars, casts)`` where ``casts`` is empty
-    when the expression does not read the value and else holds the one
+    Returns ``(fn, reads, casts)`` where ``casts`` is empty when the
+    expression does not read the value and else holds the one
     conversion it reads it under.  On top of the signal grammar: every
-    subscript must be ``s.<field>[v]`` (the index-domain rule),
-    comparisons may not chain (NumPy cannot evaluate a chained
-    comparison elementwise), and the value may appear under one
-    conversion only.
+    subscript must be ``s.<field>[v]`` (the index-domain rule), the
+    value may appear under one conversion only, and only the guard
+    (``allow_value=False``) may use a connective.
     """
     for node in ast.walk(expr):
         if isinstance(node, ast.Subscript) and _state_cell(node, slot) is None:
@@ -228,8 +223,6 @@ def _compile(expr: ast.expr, slot: _Slot, allow_value: bool):
                 f"`{ast.unparse(node)}` is not indexed by {slot.v_name!r}: "
                 "another update of the phase may write that cell"
             )
-        if isinstance(node, ast.Compare) and len(node.ops) > 1:
-            raise SlotMismatch("chained comparison")
     casts = _ValueCasts(slot.value_name)
     stripped = casts.visit(copy.deepcopy(expr))
     if len(casts.kinds) > 1:
@@ -237,23 +230,16 @@ def _compile(expr: ast.expr, slot: _Slot, allow_value: bool):
     if casts.kinds and not allow_value:
         raise SlotMismatch("the guard reads the value")
     try:
-        fn, _, arrays, scalars = _compile_expr(
+        fn, _, reads = _compile_expr(
             stripped,
             slot.state_name,
             slot.v_name,
             slot.value_name if allow_value else None,
+            connectives=not allow_value,
         )
     except _NoMatch as exc:
         raise SlotMismatch(str(exc)) from None
-    return fn, arrays, scalars, casts.kinds
-
-
-def _has_connective(expr: ast.expr) -> bool:
-    return any(
-        isinstance(node, ast.BoolOp)
-        or (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not))
-        for node in ast.walk(expr)
-    )
+    return fn, reads, casts.kinds
 
 
 def _guard_folds(
@@ -316,11 +302,10 @@ def _match_first_wins(slot: _Slot) -> SlotSpec:
             "expected `if <guard>: return False`, writes, a constant return"
         )
 
-    guard_fn, guard_arrays, guard_scalars, _ = _compile(guard, slot, False)
+    guard_fn, reads, _ = _compile(guard, slot, False)
     exprs: Dict[str, Callable] = {"guard": guard_fn}
     fields: List[str] = []
     casts: Dict[str, Optional[str]] = {}
-    arrays, scalars = list(guard_arrays), list(guard_scalars)
     constants: Dict[str, ast.Constant] = {}
     for stmt in writes:
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
@@ -330,10 +315,8 @@ def _match_first_wins(slot: _Slot) -> SlotSpec:
         name = _written_cell(stmt.targets[0], slot)
         if name in fields:
             raise SlotMismatch(f"s.{name}[{slot.v_name}] is written twice")
-        if _has_connective(stmt.value):
-            raise SlotMismatch("boolean connective in a written expression")
-        fn, reads, reads_scalars, kinds = _compile(stmt.value, slot, True)
-        stale = sorted(set(reads) & set(fields))
+        fn, expr_reads, kinds = _compile(stmt.value, slot, True)
+        stale = sorted(set(expr_reads.arrays) & set(fields))
         if stale:
             # every expression is evaluated on the pre-state, which is
             # the scalar order only while no read follows its write
@@ -341,8 +324,7 @@ def _match_first_wins(slot: _Slot) -> SlotSpec:
         fields.append(name)
         exprs[name] = fn
         casts.update({name: kind for kind in kinds})
-        arrays.extend(reads)
-        scalars.extend(reads_scalars)
+        reads.extend(expr_reads)
         if isinstance(stmt.value, ast.Constant):
             constants[name] = stmt.value
     if not _guard_folds(guard, constants, slot):
@@ -350,18 +332,14 @@ def _match_first_wins(slot: _Slot) -> SlotSpec:
             f"no write constant-folds the guard `{ast.unparse(guard)}` to "
             "taken, so a later update of the same vertex could still apply"
         )
+    reads.arrays.extend(fields)
     return SlotSpec(
         shape=FIRST_WINS,
         fields=tuple(fields),
-        arrays=tuple(dict.fromkeys([*arrays, *fields])),
-        scalars=tuple(dict.fromkeys(scalars)),
         returns=returns,
         casts=casts,
         exprs=exprs,
-        bool_arrays=(
-            tuple(dict.fromkeys(guard_arrays))
-            if _has_connective(guard) else ()
-        ),
+        **reads.fields(),
     )
 
 
@@ -453,29 +431,11 @@ def match_slot(fn: Callable) -> SlotSpec:
     """Classify ``fn`` or raise :class:`SlotMismatch` with each
     matcher's reason (what ``repro verify`` prints for an unclassified
     slot)."""
-    if not isinstance(fn, types.FunctionType):
-        raise SlotMismatch("not a plain Python function")
-    if fn.__closure__:
-        # a captured variable is a free name, outside the grammar
-        raise SlotMismatch(
-            f"closes over {', '.join(fn.__code__.co_freevars)}"
-        )
     try:
-        sig = parse_signal(fn)
-    except AnalysisError as exc:
+        sig, body = _straight_line_udf(fn, "slot(v, value, state)")
+    except _NoMatch as exc:
         raise SlotMismatch(str(exc)) from None
-    args = sig.func.args
-    if (
-        len(sig.params) != 3
-        or args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg
-        or args.defaults
-        or sig.func.decorator_list
-    ):
-        raise SlotMismatch("not a plain undecorated slot(v, value, state)")
-    slot = _Slot(
-        *sig.params,
-        body=[stmt for stmt in sig.func.body if not _is_docstring(stmt)],
-    )
+    slot = _Slot(*sig.params, body=body)
     reasons = []
     for shape, matcher in _MATCHERS:
         try:

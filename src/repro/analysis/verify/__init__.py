@@ -31,6 +31,7 @@ from typing import Callable, List, Optional
 
 from repro.analysis.ast_analysis import analyze_parsed, parse_signal
 from repro.analysis.kernelspec import classify_kernel
+from repro.analysis.pushspec import PushMismatch, match_push
 from repro.analysis.rules import LintConfig, LintMessage, lint_signal, lint_slot
 from repro.analysis.slotspec import SlotMismatch, match_slot
 from repro.analysis.verify.contracts import (
@@ -49,6 +50,7 @@ __all__ = [
     "verify_signal",
     "verify_slot",
     "slot_shape_note",
+    "push_shape_note",
     "verify_targets",
     "summarize",
     "UdfSummary",
@@ -255,7 +257,6 @@ def slot_shape_note(fn: Callable, name: Optional[str] = None) -> LintMessage:
     matcher's reason).  Purely informational: the classification is
     certified at run time, by translation validation under
     ``RunConfig(verify=...)``."""
-    qualname = name or getattr(fn, "__name__", str(fn))
     try:
         spec = match_slot(fn)
     except SlotMismatch as exc:
@@ -263,6 +264,28 @@ def slot_shape_note(fn: Callable, name: Optional[str] = None) -> LintMessage:
     else:
         code = "slot-classified"
         text = f"{spec.describe()} (one ordered scatter applies a phase)"
+    return _shape_note(fn, name, code, text)
+
+
+def push_shape_note(fn: Callable, name: Optional[str] = None) -> LintMessage:
+    """The push side of :func:`slot_shape_note`: the guard and value a
+    push signal compiled to (``push-classified``), or why it stays on
+    the per-edge loop (``push-unclassified``, with the matcher's
+    reason).  Certified at run time the same way."""
+    try:
+        spec = match_push(fn)
+    except PushMismatch as exc:
+        code, text = "push-unclassified", f"the per-edge loop runs ({exc})"
+    else:
+        code = "push-classified"
+        text = f"{spec.describe()} (one flat scan per machine runs a phase)"
+    return _shape_note(fn, name, code, text)
+
+
+def _shape_note(
+    fn: Callable, name: Optional[str], code: str, text: str
+) -> LintMessage:
+    qualname = name or getattr(fn, "__name__", str(fn))
     location = getattr(fn, "__code__", None)
     return LintMessage(
         code,
@@ -324,9 +347,10 @@ def verify_targets(
                     verdict.messages.append(slot_shape_note(fn, qualname))
                     report.verdicts.append(verdict)
                 else:
-                    report.verdicts.append(
-                        verify_signal(fn, strict, config, name=qualname)
-                    )
+                    verdict = verify_signal(fn, strict, config, name=qualname)
+                    if kind == "push":
+                        verdict.messages.append(push_shape_note(fn, qualname))
+                    report.verdicts.append(verdict)
     uncovered = uncontracted_kernels()
     if uncovered:
         report.verdicts.append(

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
+from repro.analysis.pushspec import PushSpec, classify_push
 from repro.analysis.slotspec import SlotSpec, classify_slot
 from repro.engine.state import StateStore
 from repro.exec import work
@@ -124,10 +125,14 @@ class BaseEngine:
         self.use_kernels = use_kernels
         self.verify = verify
         self._analyzed: Dict[int, AnalyzedSignal] = {}
-        # id(slot) -> (slot, spec): holding the slot keeps its id from
-        # being reused, here and for its _certified verdict
+        # id(fn) -> (fn, spec) for slots and push signals: holding the
+        # function keeps its id from being reused, here and for its
+        # _certified verdict
         self._slot_specs: Dict[
             int, Tuple[Callable, Optional[SlotSpec]]
+        ] = {}
+        self._push_specs: Dict[
+            int, Tuple[Callable, Optional[PushSpec]]
         ] = {}
         self._certified: Dict[int, bool] = {}
         self._fault_controller = None
@@ -291,7 +296,10 @@ class BaseEngine:
 
         ``push_signal(u, v, state)`` returns an update value or None.
         The paper's optimization targets pull mode; push is identical
-        across the distributed engines.
+        across the distributed engines.  A signal classified as a
+        guarded emit is scanned as one array pass per machine
+        (:meth:`_push_plan`), any other by one call per edge; the units
+        return the same either way.
         """
         frontier_idx = self._as_indices(frontier)
         phase = self._phase_begin("push")
@@ -300,13 +308,24 @@ class BaseEngine:
         buffer = _UpdateBuffer()
         push_msg: Dict[Tuple[int, int], int] = {}
 
+        shared = {
+            "signal": push_signal,
+            "frontier": frontier_idx,
+            "use_kernel": self._push_plan(push_signal, state),
+        }
+        items = [{"m": m} for m in range(self.num_machines)]
         results = self._map_machines(
-            work.push_task,
-            {"signal": push_signal, "frontier": frontier_idx},
-            [{"m": m} for m in range(self.num_machines)],
-            state,
-            step=step,
+            work.push_task, shared, items, state, step=step
         )
+        if (
+            shared["use_kernel"]
+            and self.verify != "off"
+            and id(push_signal) not in self._certified
+            and any(res["edges"] for res in results)
+        ):
+            results = self._certify_push(
+                push_signal, shared, items, state, results
+            )
         master_of = self.partition.master_of
         for res in results:
             m = res["m"]
@@ -396,31 +415,93 @@ class BaseEngine:
         self._certified[key] = True
         return True
 
-    # -- slot scatter fast path -----------------------------------------------
+    # -- slot scatter and push scan fast paths -------------------------------
 
-    def _slot_plan(
-        self, slot: Callable, state: StateStore
-    ) -> Optional[SlotSpec]:
-        """The scatter classification ``slot`` may be applied through.
+    def _shape_plan(self, cache, classify, fn: Callable, state: StateStore):
+        """The classification a slot or push signal may run through.
 
-        The slot side of :meth:`_kernel_plan`, under the same switch:
-        ``use_kernels``, a classification (cached per slot function), no
-        refuted certification, and a state layout the spec's
-        expressions can index.  Any miss means the scalar slot loop.
+        Their side of :meth:`_kernel_plan`, under the same switch:
+        ``use_kernels``, a classification (cached per function in
+        ``cache``), no refuted certification, and a state layout the
+        spec's expressions can index.  Any miss is None: the scalar
+        loop.
         """
         if not self.use_kernels:
             return None
-        cached = self._slot_specs.get(id(slot))
+        cached = cache.get(id(fn))
         if cached is None:
-            cached = self._slot_specs[id(slot)] = slot, classify_slot(slot)
+            cached = cache[id(fn)] = fn, classify(fn)
         spec = cached[1]
         if (
             spec is None
-            or self._certified.get(id(slot)) is False
+            or self._certified.get(id(fn)) is False
             or not spec.compatible(state)
         ):
             return None
         return spec
+
+    def _slot_plan(
+        self, slot: Callable, state: StateStore
+    ) -> Optional[SlotSpec]:
+        """The scatter classification ``slot`` may be applied through,
+        or None for the scalar slot loop."""
+        return self._shape_plan(self._slot_specs, classify_slot, slot, state)
+
+    def _push_plan(self, push_signal: Callable, state: StateStore) -> bool:
+        """May the push units scan ``push_signal`` as one array pass?
+
+        Only the verdict ships: a worker re-derives the spec from the
+        function (compiled evaluators do not pickle).
+        """
+        return self._shape_plan(
+            self._push_specs, classify_push, push_signal, state
+        ) is not None
+
+    def _certify_push(
+        self, push_signal, shared, items, state, results
+    ) -> List[Dict]:
+        """Translation validation of a push classification: map the
+        phase's units a second time through the per-edge loop (units
+        are pure, so this is safe on either backend) and compare them
+        key for key, arrays by dtype and bytes.  Returns the results to
+        merge; the verdict is cached.
+
+        On a mismatch ``verify="strict"`` raises
+        :class:`~repro.errors.KernelSoundnessError`; ``"warn"`` warns,
+        answers with the loop's results and leaves the signal on the
+        loop for the engine's lifetime.
+        """
+        oracle = self._map_machines(
+            work.push_task, {**shared, "use_kernel": False}, items, state
+        )
+
+        def same(a, b) -> bool:
+            if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+                return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            return type(a) is type(b) and a == b
+
+        differing = sorted({
+            key
+            for res, ref in zip(results, oracle)
+            for key in ref
+            if not same(res[key], ref[key])
+        })
+        self._certified[id(push_signal)] = not differing
+        if not differing:
+            return results
+        name = getattr(push_signal, "__name__", "?")
+        message = (
+            f"the flat scan of {name} and the per-edge loop differ on "
+            f"{differing}"
+        )
+        if self.verify == "strict":
+            raise KernelSoundnessError(message, obligation="push-equivalence")
+        warnings.warn(
+            f"push fast path disabled for {name}: {message}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return oracle
 
     def _apply_updates(
         self, buffer: _UpdateBuffer, slot: Callable, state: StateStore

@@ -31,8 +31,10 @@ from typing import Any, Dict, List
 import numpy as np
 
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
+from repro.analysis.pushspec import classify_push
 from repro.engine.dep import DepStore
 from repro.kernels import get_kernel
+from repro.kernels.csr import guarded_emit_scan
 
 __all__ = [
     "WorkerContext",
@@ -285,6 +287,48 @@ def pull_task(
     return out
 
 
+def _push_scan(ctx: WorkerContext, push_signal, local, cand: np.ndarray):
+    """``(edges, emit_v, emit_values)`` of one push unit by the flat
+    scan, or None when only the per-edge loop gives the loop's answer.
+
+    The spec is re-derived from the function through
+    :func:`classify_push`'s memo (compiled evaluators do not pickle —
+    the reason :meth:`WorkerContext.analyzed` exists).  ``emit_values``
+    must be the array :func:`_as_values` builds from the loop's scalar
+    results, dtype included, and the two can disagree on it: a vertex id
+    is a weak Python int in the loop and an int64 array in the scan, so
+    ``u + s.i32[v]`` is int32 there and int64 here.  One scalar call on
+    the first emitting edge learns the loop's dtype; an integer result
+    that survives the round trip (with every id in the narrower type's
+    range, as the loop's conversion needs) is cast, and any other
+    mismatch — or a result that is no number at all — is a miss.
+    """
+    spec = classify_push(push_signal)
+    if spec is None:
+        return None
+    edges, emit_u, emit_v, values = guarded_emit_scan(
+        spec, ctx.state, local, cand
+    )
+    if not emit_v.size:
+        return edges, emit_v, []
+    want = _as_values(
+        [push_signal(int(emit_u[0]), int(emit_v[0]), ctx.state)]
+    )
+    if not isinstance(want, np.ndarray):
+        return None
+    if want.dtype != values.dtype:
+        if not (
+            want.dtype.kind in "iu"
+            and values.dtype.kind in "iu"
+            and ctx.num_vertices - 1 <= np.iinfo(want.dtype).max
+        ):
+            return None
+        exact, values = values, values.astype(want.dtype)
+        if not np.array_equal(values.astype(exact.dtype), exact):
+            return None
+    return edges, emit_v, values
+
+
 def push_task(
     ctx: WorkerContext, shared: Dict[str, Any], item: Dict[str, Any]
 ) -> Dict[str, Any]:
@@ -297,6 +341,11 @@ def push_task(
     ``emit_v`` (destinations) and ``emit_values`` (a numeric array, or
     a list, as in :func:`pull_task`).  The parent derives every send
     from these and the master map.
+
+    ``shared['use_kernel']`` asks for the scan as one array pass
+    (:func:`_push_scan`); the per-edge loop below is the fallback and
+    the oracle, and both return the same result, key for key and byte
+    for byte.
     """
     m = int(item["m"])
     local = ctx.local_out(m)
@@ -305,23 +354,31 @@ def push_task(
     cand = frontier[degs[frontier] > 0]
     owners = ctx.master_of[cand]
     push_signal = shared["signal"]
-    state = ctx.state
-    emit_v: List[int] = []
-    emit_values: list = []
-    edges = 0
-    for u in cand.tolist():
-        nbrs = local.neighbors(u).tolist()
-        edges += len(nbrs)
-        for v in nbrs:
-            value = push_signal(u, v, state)
-            if value is not None:
-                emit_v.append(v)
-                emit_values.append(value)
+    scanned = None
+    if shared["use_kernel"] and cand.size:
+        scanned = _push_scan(ctx, push_signal, local, cand)
+    if scanned is None:
+        state = ctx.state
+        emit_v: List[int] = []
+        emit_values: list = []
+        edges = 0
+        for u in cand.tolist():
+            nbrs = local.neighbors(u).tolist()
+            edges += len(nbrs)
+            for v in nbrs:
+                value = push_signal(u, v, state)
+                if value is not None:
+                    emit_v.append(v)
+                    emit_values.append(value)
+        scanned = (
+            edges, np.array(emit_v, dtype=np.int64), _as_values(emit_values)
+        )
+    edges, emit_v, emit_values = scanned
     return {
         "m": m,
         "edges": edges,
         "vertices": int(cand.size),
         "owners": owners[owners != m],
-        "emit_v": np.array(emit_v, dtype=np.int64),
-        "emit_values": _as_values(emit_values),
+        "emit_v": emit_v,
+        "emit_values": emit_values,
     }

@@ -13,8 +13,11 @@ baseline engines) turns the fast path off entirely.
 Importing the package registers the built-in kernels; see
 :func:`repro.kernels.registry.register_kernel` to add more.  The slot
 side — the updates those kernels emit, applied to the state with one
-ordered scatter per phase — is :mod:`repro.kernels.slots`, under the
-same switch and the same fallback contract.
+ordered scatter per phase — is :mod:`repro.kernels.slots`, and the
+sparse push's flat scan of the frontier's out-edges is
+:func:`repro.kernels.csr.guarded_emit_scan` (called directly, not
+registered: it returns per-edge emits, not a per-vertex batch); both
+sit under the same switch and the same fallback contract.
 """
 
 from repro.kernels import csr  # noqa: F401 - registers built-in kernels

@@ -48,6 +48,7 @@ from repro.analysis.kernelspec import (
 from repro.kernels.registry import KernelBatch, register_kernel
 
 __all__ = [
+    "guarded_emit_scan",
     "first_match_break_kernel",
     "count_to_k_break_kernel",
     "full_scan_sum_kernel",
@@ -89,6 +90,38 @@ def _flat_eval(fn, state, u, v, shape, as_bool: bool = False) -> np.ndarray:
     if as_bool:
         out = out.astype(bool, copy=False)
     return np.broadcast_to(out, shape)
+
+
+def guarded_emit_scan(spec, state, local, vertices: np.ndarray):
+    """The push phase's unit: one flat pass over the out-edges of
+    ``vertices`` for a :class:`~repro.analysis.pushspec.PushSpec`.
+
+    Returns ``(edges, emit_u, emit_v, values)``: how many edges were
+    scanned, and for each edge the guard let through its source, its
+    destination and the value it emits, as parallel arrays.  The
+    flattened order is the per-edge loop's scan order — ascending
+    vertex, neighbor order within a vertex — so the emits come back in
+    the order the loop appends them.
+
+    Called directly by :func:`repro.exec.work.push_task`, not through
+    the kernel registry: it returns per-edge emits, not a per-vertex
+    :class:`KernelBatch`, and one shape needs no table.
+    """
+    lens, _, emit_v, _ = _segments(local, vertices)
+    edges = emit_v.size
+    emit_u = np.repeat(vertices, lens)
+    guard = spec.exprs.get("guard")
+    if guard is not None:
+        keep = ~_flat_eval(
+            guard, state, emit_u, emit_v, emit_v.shape, as_bool=True
+        )
+        emit_u, emit_v = emit_u[keep], emit_v[keep]
+    # like the loop, the value is evaluated where the guard let the
+    # edge through and nowhere else
+    values = np.array(
+        _flat_eval(spec.exprs["value"], state, emit_u, emit_v, emit_v.shape)
+    )
+    return edges, emit_u, emit_v, values
 
 
 def _per_vertex_eval(fn, state, vertices: np.ndarray) -> np.ndarray:

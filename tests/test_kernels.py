@@ -383,3 +383,164 @@ class TestEscapeHatch:
         r_off = bfs_mod.bfs(off, 0, mode="bottomup")
         assert np.array_equal(r_on.depth, r_off.depth)
         assert on.counters.summary() == off.counters.summary()
+
+
+# -- connectives and chained comparisons -------------------------------------
+#
+# `and`/`or`/`not` compile to `&`/`|`/`~`, which agree with them on
+# booleans only, and NumPy cannot evaluate `a < b < c` elementwise.
+# Each signal below answered wrongly (or raised) on the kernel path,
+# also under verify="strict", while the interpreter was right.
+
+
+def int_and_signal(v, nbrs, s, emit):
+    for u in nbrs:
+        if s.weight[u] and s.flag[u]:  # weight in {0, 2, 4}: 2 & True == 0
+            emit(u)
+            break
+
+
+def int_not_signal(v, nbrs, s, emit):
+    for u in nbrs:
+        if not s.weight[u]:  # ~2 == -3, which is true
+            emit(u)
+            break
+
+
+def scalar_and_signal(v, nbrs, s, emit):
+    for u in nbrs:
+        if s.flag[u] and s.k:  # True & 2 == 0
+            emit(u)
+            break
+
+
+def chained_signal(v, nbrs, s, emit):
+    for u in nbrs:
+        if 0 < s.weight[u] < 3:
+            emit(u)
+            break
+
+
+def python_not_signal(v, nbrs, s, emit):
+    for u in nbrs:
+        if not s.off and s.flag[u]:  # ~False == -1 and ~True == -2: both true
+            emit(u)
+            break
+
+
+def first_seen_slot(v, value, s):
+    if s.seen[v]:
+        return False
+    s.seen[v] = True
+    return True
+
+
+class TestConnectivesAndChains:
+    def one_pull(self, signal, use_kernels, verify, off=False):
+        from repro.engine import GeminiEngine
+        from repro.graph import rmat
+
+        graph = rmat(scale=7, edge_factor=8, seed=3)
+        engine = GeminiEngine(
+            OutgoingEdgeCut().partition(graph, 4),
+            use_kernels=use_kernels, verify=verify,
+        )
+        n = graph.num_vertices
+        state = engine.new_state()
+        state.set("weight", np.arange(n, dtype=np.int64) % 3 * 2)
+        state.set("flag", np.arange(n) % 2 == 0)
+        state.add_scalar("k", 2)
+        state.add_scalar("off", off)
+        state.add_array("seen", bool, False)
+        result = engine.pull(
+            signal, first_seen_slot, state, np.ones(n, dtype=bool)
+        )
+        return (
+            result.edges_traversed,
+            result.updates_applied,
+            result.changed.tolist(),
+            state.seen.tobytes(),
+            engine.counters.summary(),
+        )
+
+    @pytest.mark.parametrize("verify", ["off", "strict"])
+    @pytest.mark.parametrize(
+        "signal",
+        [int_and_signal, int_not_signal, scalar_and_signal, chained_signal],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_kernel_path_equals_interpreter(self, signal, verify):
+        fast = self.one_pull(signal, True, verify)
+        assert fast == self.one_pull(signal, False, verify)
+        assert 0 < fast[1] < fast[0] < 1024  # it matched, and it broke
+
+    def test_connective_operands_must_be_bool_at_run_time(self):
+        spec = instrument_signal(int_and_signal).kernel
+        assert spec.kind == FIRST_MATCH_BREAK  # the dtype is a run-time fact
+        assert spec.bool_arrays == ("weight", "flag")
+        state = StateStore(4)
+        state.add_array("weight", np.int64, 2)
+        state.add_array("flag", bool, True)
+        assert not spec.compatible(state)
+        state.add_array("weight", bool, True)
+        assert spec.compatible(state)
+        spec = instrument_signal(scalar_and_signal).kernel
+        assert spec.bool_scalars == ("k",)
+        state.add_scalar("k", 2)
+        assert not spec.compatible(state)
+        state.add_scalar("k", np.True_)
+        assert spec.compatible(state)
+
+    def test_number_under_a_connective_is_not_classified(self):
+        def arithmetic_and_signal(v, nbrs, s, emit):
+            for u in nbrs:
+                if s.weight[u] + 1 and s.flag[u]:
+                    emit(u)
+                    break
+
+        assert instrument_signal(arithmetic_and_signal).kernel is None
+        assert instrument_signal(chained_signal).kernel is None
+
+    @pytest.mark.parametrize("off", [False, True, 0, 3])
+    def test_a_lone_scalar_takes_pythons_not(self, off):
+        # `not s.off` stays Python's `not` (no dtype to require), so the
+        # kernel runs and agrees whatever the scalar is
+        spec = instrument_signal(python_not_signal).kernel
+        assert "not __state.off" in spec.sources["predicate"]
+        assert spec.bool_scalars == () and spec.bool_arrays == ("flag",)
+        assert self.one_pull(python_not_signal, True, "off", off) == (
+            self.one_pull(python_not_signal, False, "off", off)
+        )
+
+    def test_bundled_classifications_survive(self):
+        # mis_signal reads a bool `active` under `and`
+        spec = instrument_signal(mis_mod.mis_signal).kernel
+        assert spec.kind == FIRST_MATCH_BREAK
+        assert spec.bool_arrays == ("active",)
+
+    def test_slots_check_through_the_same_rule(self):
+        from repro.analysis.slotspec import classify_slot
+
+        def unseen_slot(v, value, s):
+            if not s.fresh[v] or s.seen[v]:
+                return False
+            s.fresh[v] = False
+            s.seen[v] = True
+            return True
+
+        spec = classify_slot(unseen_slot)
+        assert spec.bool_arrays == ("fresh", "seen")
+        state = StateStore(4)
+        state.add_array("seen", bool, False)
+        state.add_array("fresh", np.int64, 2)  # `~2` is no truth value
+        assert not spec.compatible(state)
+        state.add_array("fresh", bool, True)
+        assert spec.compatible(state)
+
+        def chained_slot(v, value, s):
+            if 0 < s.seen[v] <= 1:
+                return False
+            s.seen[v] = True
+            return True
+
+        assert classify_slot(chained_slot) is None

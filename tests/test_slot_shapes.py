@@ -667,12 +667,13 @@ class TestVerifyReport:
         assert "accumulate over count" in note["message"]["text"]
 
     def test_private_slots_are_discovered(self):
-        # the bundled slots are all `_*slot`; a private `_*signal` is a
-        # push signal (another signature) and stays out
+        # the bundled slots are all `_*slot`; a three-parameter
+        # `*signal` is a push signal (tests/test_push_kernel.py)
         from repro.analysis.linter import discover_udfs
 
         assert [(name, kind) for name, _, kind in discover_udfs(bfs_mod)] == [
             ("_async_visit_slot", "slot"),
+            ("_push_signal", "push"),
             ("_visit_slot", "slot"),
             ("bottom_up_signal", "signal"),
         ]
