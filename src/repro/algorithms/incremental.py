@@ -6,12 +6,13 @@ re-running the whole algorithm:
 
 * **inserts** seed the relaxation at the inserted edges' destinations
   (a new edge can only improve a monotone quantity downstream of it);
-* **deletes** conservatively invalidate every vertex whose current
-  value could have been *derived through* a deleted edge: a reverse
-  of the value-derivation chains (``depth[w] == depth[x] + 1`` for
-  BFS, ``label[w] == label[x]`` for CC), walked forward from the
-  deleted edges' destinations; invalidated vertices reset to their
-  identity value and re-relax against the untouched boundary.
+* **deletes** invalidate exactly the vertices that lost their last
+  *support*: every value sits at a ``level`` (the BFS depth itself; for
+  CC the hop count from the label's own vertex, kept beside the label),
+  and a vertex keeps its value while some surviving in-neighbour one
+  level up, in the same ``group`` (same label; BFS has one group),
+  keeps its own.  The unsupported reset to their identity value and
+  re-relax against the untouched boundary.
 
 Both algorithms are monotone min-folds with canonical fixpoints
 (shortest hop count; minimum reaching vertex id), so the repaired
@@ -31,7 +32,6 @@ when a batch inserts edges.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.cc import _min_slot, cc_signal, connected_components
-from repro.algorithms.relax import RelaxProgram, Relaxation
+from repro.algorithms.relax import RelaxProgram, Relaxation, flat_neighbors
 from repro.errors import GraphError
 from repro.fault.program import run_program
 from repro.graph.csr import CSRGraph
@@ -62,9 +62,8 @@ def relax_depth_signal(v, nbrs, s, emit):
     """Emit the best in-neighbor depth + 1 if it beats the current one."""
     best = s.depth[v]
     for u in nbrs:
-        d = s.depth[u] + 1
-        if d < best:
-            best = d
+        if s.depth[u] + 1 < best:
+            best = s.depth[u] + 1
     if best < s.depth[v]:
         # min-fold into an idempotent min-slot: re-delivering the same
         # depth is harmless, so the double-count hazard does not apply.
@@ -128,87 +127,75 @@ def _relax(engine, field, values, signal, slot, seeds=None, first=None):
     )
 
 
-def _bfs_affected(
+def _unsupported(
     graph: CSRGraph,
-    depth: np.ndarray,
+    group: Optional[np.ndarray],
+    level: np.ndarray,
     seeds: np.ndarray,
-    root: int,
 ) -> np.ndarray:
-    """Deletion-invalidated vertices under min-hop depths.
+    """Deletion-invalidated vertices, given every value's ``level``.
 
-    Ramalingam–Reps style support pruning: a candidate ``w`` keeps its
-    depth if some *surviving* in-neighbor one level up is itself
-    unaffected; only unsupported vertices are invalidated, and their
-    equality-chain children (``depth == depth[w] + 1`` over surviving
-    out-edges) become candidates.  Candidates are processed in
-    increasing old-depth order, so every depth ``d-1`` verdict is final
-    before any depth ``d`` candidate is judged — which makes the
-    support check exact, not heuristic.  The root's depth is axiomatic
-    and never invalidated.
+    Ramalingam–Reps support pruning in array passes: a candidate at
+    level ``d`` keeps its value if some *surviving* in-neighbour at
+    level ``d - 1`` of the same ``group`` (``None``: one group) is
+    itself unaffected; only the unsupported are invalidated, and their
+    same-group out-neighbours one level down become candidates, once.
+    Levels are judged in ascending order, so every ``d - 1`` verdict is
+    final before level ``d`` is — the support check is exact, not a
+    heuristic.  Level-0 values (the BFS root, a component's own
+    minimum) are axiomatic; ``seeds`` are the deleted edges'
+    destinations.
     """
     affected = np.zeros(graph.num_vertices, dtype=bool)
     enqueued = np.zeros(graph.num_vertices, dtype=bool)
-    heap: list = []
-    for v in seeds:
-        v = int(v)
-        if v == root or depth[v] >= _INF or enqueued[v]:
-            continue
-        enqueued[v] = True
-        heapq.heappush(heap, (int(depth[v]), v))
-    while heap:
-        d, w = heapq.heappop(heap)
-        supported = False
-        for u in graph.in_neighbors(w):
-            u = int(u)
-            if depth[u] == d - 1 and not affected[u]:
-                supported = True
-                break
-        if supported:
-            continue
-        affected[w] = True
-        for v in graph.out_neighbors(w):
-            v = int(v)
-            if v == root or enqueued[v] or depth[v] != d + 1:
-                continue
-            enqueued[v] = True
-            heapq.heappush(heap, (d + 1, v))
+    at = level[seeds]
+    pending = np.unique(seeds[(at > 0) & (at < _INF)])
+    enqueued[pending] = True
+    while pending.size:
+        at = level[pending]
+        d = at.min()
+        now, pending = pending[at == d], pending[at != d]
+        lengths, u = flat_neighbors(graph.in_indptr, graph.in_indices, now)
+        owner = np.repeat(np.arange(now.size), lengths)
+        holds = (level[u] == d - 1) & ~affected[u]
+        if group is not None:
+            holds &= group[u] == group[now[owner]]
+        supported = np.zeros(now.size, dtype=bool)
+        supported[owner[holds]] = True
+        lost = now[~supported]
+        affected[lost] = True
+        lengths, w = flat_neighbors(graph.out_indptr, graph.out_indices, lost)
+        below = (level[w] == d + 1) & ~enqueued[w]
+        if group is not None:
+            below &= group[w] == np.repeat(group[lost], lengths)
+        children = np.unique(w[below])
+        enqueued[children] = True
+        pending = np.concatenate([pending, children])
     return affected
 
 
-def _affected_closure(
-    graph: CSRGraph,
-    values: np.ndarray,
-    seeds: np.ndarray,
-    delta: int,
-) -> np.ndarray:
-    """Vertices whose value may derive through a deleted edge.
+def _levels(graph: CSRGraph, label: np.ndarray) -> np.ndarray:
+    """Hops from vertex ``label[v]`` to ``v`` inside its label class.
 
-    Walks derivation chains forward from ``seeds`` (deleted-edge
-    destinations) over the *surviving* out-edges: ``w`` extends the
-    closure from ``x`` when ``values[w] == values[x] + delta``.  Any
-    derivation path of an invalid value either crosses a deleted edge
-    (its destination is a seed) or runs along surviving equality-chain
-    edges — both are covered, so the closure is conservative-sound.
+    Every path from a label's own vertex stays inside the class (what
+    it reaches is labelled no higher, what reaches ``v`` no lower), so
+    this is one multi-source BFS from ``{v : label[v] == v}`` over the
+    out-edges whose endpoints share a label.
     """
-    affected = np.zeros(graph.num_vertices, dtype=bool)
-    queue: deque = deque()
-    for v in seeds:
-        v = int(v)
-        if not affected[v]:
-            affected[v] = True
-            queue.append(v)
-    while queue:
-        x = queue.popleft()
-        vx = values[x]
-        if vx >= _INF:
-            continue  # nothing derives from an unreached value
-        want = vx + delta
-        for w in graph.out_neighbors(x):
-            w = int(w)
-            if not affected[w] and values[w] == want:
-                affected[w] = True
-                queue.append(w)
-    return affected
+    level = np.full(graph.num_vertices, _INF, dtype=np.int64)
+    frontier = np.flatnonzero(label == np.arange(graph.num_vertices))
+    d = 0
+    while frontier.size:
+        level[frontier] = d
+        d += 1
+        lengths, w = flat_neighbors(
+            graph.out_indptr, graph.out_indices, frontier
+        )
+        fresh = (level[w] == _INF) & (label[w] == np.repeat(
+            label[frontier], lengths
+        ))
+        frontier = np.unique(w[fresh])
+    return level
 
 
 def _collect_mutations(
@@ -224,8 +211,6 @@ def _collect_mutations(
             ins.append(batch.insert_dst)
         if batch.num_deletes:
             dels.append(batch.delete_dst)
-        if batch.add_vertices:
-            any_inserts = any_inserts or False
     empty = np.empty(0, dtype=np.int64)
     ins_dst = np.unique(np.concatenate(ins)) if ins else empty
     del_dst = np.unique(np.concatenate(dels)) if dels else empty
@@ -325,7 +310,7 @@ class IncrementalBFS(_IncrementalBase):
             old, np.full(n - old.size, _INF, dtype=np.int64),
         ]) if n > old.size else old.copy()
         ins_dst, del_dst, _ = _collect_mutations(batches, n)
-        affected = _bfs_affected(graph, depth, del_dst, self.root)
+        affected = _unsupported(graph, None, depth, del_dst)
         depth[affected] = _INF
         affected[ins_dst] = True
         self._values, iterations = _relax(
@@ -336,29 +321,34 @@ class IncrementalBFS(_IncrementalBase):
 
 
 class IncrementalCC(_IncrementalBase):
-    """Incremental label propagation (min reaching vertex id)."""
+    """Incremental label propagation (min reaching vertex id), with
+    each vertex's hop count from its label's own vertex kept beside
+    the label (:func:`_levels`) so a delete invalidates by support."""
 
     algorithm = "cc"
 
     def _scratch(self, engine, graph: CSRGraph) -> int:
         result = connected_components(engine)
         self._values = result.label
+        self._level = _levels(graph, result.label)
         return result.iterations
 
     def _incremental(self, engine, graph: CSRGraph, batches) -> int:
         n = graph.num_vertices
         old = self._values
-        label = np.concatenate([
-            old, np.arange(old.size, n, dtype=np.int64),
-        ]) if n > old.size else old.copy()
+        grown = np.arange(old.size, n, dtype=np.int64)
+        # a vertex added since enters as its own level-0 component
+        label = np.concatenate([old, grown])
+        level = np.concatenate([self._level, np.zeros_like(grown)])
         ins_dst, del_dst, _ = _collect_mutations(batches, n)
-        affected = _affected_closure(graph, label, del_dst, delta=0)
+        affected = _unsupported(graph, label, level, del_dst)
         reset = np.flatnonzero(affected)
         label[reset] = reset  # back to identity, re-derive from boundary
         affected[ins_dst] = True
         self._values, iterations = _relax(
             engine, "label", label, cc_signal, _min_slot, first=affected,
         )
+        self._level = _levels(graph, self._values)
         return iterations
 
 
@@ -423,11 +413,9 @@ class IncrementalKCore(_IncrementalBase):
         # degree within the candidate set, on the post-deletion graph
         degree = np.zeros(n, dtype=np.int64)
         members = np.flatnonzero(in_core)
-        for v in members:
-            degree[v] = int(
-                np.count_nonzero(in_core[graph.in_neighbors(int(v))])
-            )
-        queue = deque(int(v) for v in members if degree[v] < self.k)
+        lengths, u = flat_neighbors(graph.in_indptr, graph.in_indices, members)
+        np.add.at(degree, np.repeat(members, lengths)[in_core[u]], 1)
+        queue = deque(members[degree[members] < self.k].tolist())
         while queue:
             v = queue.popleft()
             if not in_core[v]:

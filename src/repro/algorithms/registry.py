@@ -438,12 +438,12 @@ register(AlgorithmSpec(
 register(AlgorithmSpec(
     name="incremental-bfs",
     signals=(relax_depth_signal,),
-    description="incremental BFS repair (Ramalingam-Reps)",
+    description="incremental BFS repair (support pruning over depth)",
 ))
 register(AlgorithmSpec(
     name="incremental-cc",
     signals=(cc_signal,),
-    description="incremental CC repair (affected closure)",
+    description="incremental CC repair (support pruning over label, level)",
 ))
 
 

@@ -50,21 +50,31 @@ __all__ = [
     "bucket_epoch",
     "bucket_width",
     "default_bucket_width",
+    "flat_neighbors",
     "out_neighbor_mask",
     "schedule_stats",
 ]
 
 
+def flat_neighbors(indptr, indices, vertices: np.ndarray):
+    """The CSR neighbour segments of ``vertices``, concatenated.
+
+    Returns ``(lengths, flat)``: each listed vertex's segment length
+    and the neighbour ids back to back in listing order, so
+    ``np.repeat(vertices, lengths)`` names every flat entry's owner.
+    """
+    starts = indptr[vertices]
+    lengths = indptr[vertices + 1] - starts
+    # position of every edge of every listed vertex, flattened
+    skip = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return lengths, indices[np.arange(int(lengths.sum())) + skip]
+
+
 def out_neighbor_mask(graph, vertices: np.ndarray) -> np.ndarray:
     """Boolean mask over all vertices: the out-neighbours of ``vertices``."""
     mask = np.zeros(graph.num_vertices, dtype=bool)
-    starts = graph.out_indptr[vertices]
-    lengths = graph.out_indptr[vertices + 1] - starts
-    total = int(lengths.sum())
-    if total:
-        # position of every out-edge of every listed vertex, flattened
-        skip = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        mask[graph.out_indices[np.arange(total) + skip]] = True
+    _, flat = flat_neighbors(graph.out_indptr, graph.out_indices, vertices)
+    mask[flat] = True
     return mask
 
 

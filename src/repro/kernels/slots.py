@@ -26,8 +26,9 @@ Exactness is gated, not assumed: value arrays are converted bin by bin
 to the dtype the scalar operation would have converted each value to,
 and anything outside the gates — a value dtype that would promote the
 field, a non-finite float under ``int(value)``, mixed-sign zeros under
-a float fold — makes :func:`apply_slot` return ``None`` *before*
-anything is written, and the caller runs the scalar loop.
+a float fold, a NaN under ``accumulate`` — makes :func:`apply_slot`
+return ``None`` *before* anything is written, and the caller runs the
+scalar loop.
 
 These live in their own table rather than the kernel registry: a
 registered kernel has the signal-kernel signature ``(spec, state,
@@ -219,6 +220,11 @@ def _apply_accumulate(
     array = getattr(state, name)
     values = _flatten(bins, spec.casts[name], array.dtype)
     if values is None:
+        return None
+    if values.dtype.kind == "f" and np.isnan(values).any():
+        # where two NaNs meet in one vertex's sum, ``add.at`` keeps the
+        # first one's sign bit and the loop's ``+=`` the last one's; a
+        # NaN cell alone keeps its own under both, so the values decide
         return None
     np.add.at(array, v, values)
     return _first_seen(v)[0] if spec.returns else _NONE

@@ -20,6 +20,7 @@ import importlib
 import numpy as np
 import pytest
 
+from repro.algorithms import SIGNAL_UDFS
 from repro.analysis import fold_while
 from repro.analysis.instrument import instrument_signal
 from repro.analysis.kernelspec import (
@@ -38,6 +39,7 @@ from repro.partition.base import LocalAdjacency
 
 bfs_mod = importlib.import_module("repro.algorithms.bfs")
 cc_mod = importlib.import_module("repro.algorithms.cc")
+inc_mod = importlib.import_module("repro.algorithms.incremental")
 kcore_mod = importlib.import_module("repro.algorithms.kcore")
 mis_mod = importlib.import_module("repro.algorithms.mis")
 pr_mod = importlib.import_module("repro.algorithms.pagerank")
@@ -45,8 +47,35 @@ pr_mod = importlib.import_module("repro.algorithms.pagerank")
 
 # -- classification --------------------------------------------------------
 
+#: every registered signal UDF -> its kernel shape.  The two ``None``
+#: rows are outside the grammar on purpose (a prefix sum that breaks on
+#: its running value; a fold whose term looks a weight up by method
+#: call); any other signal landing there runs the per-vertex
+#: interpreter, which CI's ``verify-corpus`` job fails on by the same
+#: two names.
+CORPUS = {
+    "bottom_up_signal": FIRST_MATCH_BREAK,
+    "cc_signal": FULL_SCAN_MIN,
+    "kcore_signal": COUNT_TO_K_BREAK,
+    "kmeans_signal": FIRST_MATCH_BREAK,
+    "mis_signal": FIRST_MATCH_BREAK,
+    "pagerank_signal": FULL_SCAN_SUM,
+    "relax_depth_signal": FULL_SCAN_MIN,
+    "sampling_signal": None,
+    "scc_reach_signal": FIRST_MATCH_BREAK,
+    "sssp_signal": None,
+}
+
 
 class TestClassification:
+    def test_corpus_table_pinned_by_name(self):
+        table = {
+            fn.__name__: getattr(instrument_signal(fn).kernel, "kind", None)
+            for fns in SIGNAL_UDFS.values()
+            for fn in fns
+        }
+        assert table == CORPUS
+
     @pytest.mark.parametrize(
         "signal,kind",
         [
@@ -356,6 +385,40 @@ class TestKernelsMatchInterpreter:
             )
             assert batch.carried[i] == best
             assert batch.emit_mask[i] == (best < state.label[v])
+
+    def test_full_scan_min_keeps_the_unreached_sentinel(self):
+        # incremental BFS folds `depth[u] + 1` over an int64 sentinel of
+        # 2**62; once carried state arrives the fold runs in float64,
+        # where 2**62 + 1 rounds back to 2**62: equal to the start, so
+        # no emit, and real depths stay exact
+        signal, inf = inc_mod.relax_depth_signal, int(inc_mod._INF)
+        spec = instrument_signal(signal).kernel
+        assert spec.kind == FULL_SCAN_MIN
+        assert spec.sources["term"] == "__state.depth[__u] + 1"
+        local = toy_adjacency(self.N, self.EDGES)
+        state = StateStore(self.N)
+        state.add_array("depth", np.int64, inf)
+        state.depth[3] = 0  # reaches 0 and 5; 1, 2 and 4 see only `inf`
+        want_values, want_emit = [1, inf, inf, inf, 1], [1, 0, 0, 0, 1]
+        plain = get_kernel(spec.kind)(spec, state, local, self.VERTICES)
+        carried = get_kernel(spec.kind)(
+            spec, state, local, self.VERTICES,
+            carried_in=(
+                np.ones(self.VERTICES.size, dtype=bool),
+                state.depth[self.VERTICES].astype(np.float64),
+            ),
+        )
+        assert plain.values.dtype.kind == "i"
+        assert carried.values.dtype.kind == "f"
+        for batch in (plain, carried):
+            assert batch.emit_mask.tolist() == want_emit
+            assert batch.values.tolist() == want_values
+        edges, emits, values, _ = self.run_interpreter(
+            signal, state, local, self.VERTICES
+        )
+        assert emits.tolist() == want_emit
+        assert values[emits].tolist() == [1, 1]
+        assert np.array_equal(plain.edges, edges)
 
     def test_empty_batch(self):
         spec = instrument_signal(bfs_mod.bottom_up_signal).kernel

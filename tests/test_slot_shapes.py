@@ -350,6 +350,31 @@ class TestScattersMatchScalarLoop:
         assert apply_slot(spec, state, [(v, np.array([-0.0, 0.0]))]) is None
         assert apply_slot(spec, state, [(v, np.array([0.0, 0.0]))]) is not None
 
+    def test_nans_of_both_signs_fall_back(self):
+        # where two NaNs meet in one sum, add.at keeps the first one's
+        # sign bit and the loop's += the last one's: not tried
+        spec = classify_slot(pr_mod._accumulate_slot)
+        v = np.array([0, 0])
+        for cell, values in (
+            (0.0, [np.nan, -np.nan]),
+            (0.0, [-np.nan, np.nan]),
+            (-np.nan, [1.0, np.nan]),
+            (np.inf, [-np.inf, np.nan]),  # the sum makes its own NaN
+        ):
+            state = StateStore(1)
+            state.set("incoming", np.array([cell]))
+            before = arrays_of(state)
+            assert apply_slot(spec, state, [(v, np.array(values))]) is None
+            assert arrays_of(state) == before
+        # a NaN cell under finite values keeps its sign either way
+        state = StateStore(1)
+        state.set("incoming", np.array([-np.nan]))
+        scattered = twin(state)
+        bins = [(v, np.array([1.0, 2.0]))]
+        assert apply_slot(spec, scattered, bins) is not None
+        scalar_loop(pr_mod._accumulate_slot, state, bins)
+        assert arrays_of(scattered) == arrays_of(state)
+
     def test_scatter_writes_in_place(self):
         # the arrays may be shared-memory views: never rebind a field
         for slot in LAYOUTS:
@@ -463,6 +488,13 @@ def offer_signal(v, nbrs, s, emit):
             break
 
 
+def spill_signal(v, nbrs, s, emit):
+    for u in nbrs:
+        if s.source[u]:
+            emit(s.spill[u])
+            break
+
+
 NEAR_MISSES = {
     "trailing statement": (extra_statement_slot, "expected"),
     "non-constant return": (computed_return_slot, "constant return"),
@@ -481,9 +513,10 @@ def graph():
     return to_undirected(rmat(scale=7, edge_factor=8, seed=21))
 
 
-def one_pull(graph, slot, use_kernels, verify="off", tamper=None):
-    """One Gemini pull of ``offer_signal`` into ``slot``; everything
-    the phase can be observed by."""
+def one_pull(graph, slot, use_kernels, verify="off", tamper=None,
+             signal=offer_signal):
+    """One Gemini pull of ``signal`` into ``slot``; everything the
+    phase can be observed by."""
     engine = GeminiEngine(
         OutgoingEdgeCut().partition(graph, 4), use_kernels=use_kernels,
         verify=verify,
@@ -497,8 +530,11 @@ def one_pull(graph, slot, use_kernels, verify="off", tamper=None):
     state.set("total", np.full(n, 1000, dtype=np.int64))
     state.set("owner", np.where(np.arange(n) % 5 == 0, 7, -1))
     state.add_array("seen", bool, False)
+    # NaNs of either sign, by the parity of the vertex that emits them
+    state.set("spill", np.where(np.arange(n) % 2 == 0, np.nan, -np.nan))
+    state.add_array("incoming", np.float64, 0.0)
     with np.errstate(all="ignore"):
-        result = engine.pull(offer_signal, slot, state, np.ones(n, dtype=bool))
+        result = engine.pull(signal, slot, state, np.ones(n, dtype=bool))
     return (
         arrays_of(state),
         result.changed.tolist(),
@@ -580,6 +616,26 @@ class TestRejections:
         assert engine._slot_specs[id(cc_mod._min_slot)][1].shape == MIN_FOLD
         assert not twin_engine._slot_specs  # the switch skips classifying
         assert fast == oracle and fast[1]
+
+
+class TestNaNAccumulate:
+    """``accumulate`` meets NaNs of both signs in one vertex's sum: the
+    gate hands the phase to the scalar loop, so the bytes are the
+    oracle's with or without certification."""
+
+    @pytest.mark.parametrize("verify", ["off", "strict"])
+    def test_run_matches_oracle_twin(self, graph, verify):
+        slot = pr_mod._accumulate_slot
+        fast, engine = one_pull(
+            graph, slot, True, verify=verify, signal=spill_signal
+        )
+        oracle, _ = one_pull(graph, slot, False, signal=spill_signal)
+        # still classified: the gate is per phase, on the values
+        assert engine._slot_specs[id(slot)][1].shape == ACCUMULATE
+        assert fast == oracle
+        incoming = np.frombuffer(fast[0]["incoming"][1])
+        signs = np.signbit(incoming[np.isnan(incoming)])
+        assert signs.any() and not signs.all()
 
 
 # -- (c) translation validation ------------------------------------------------
