@@ -25,7 +25,9 @@ helpers keep working.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.analysis.ast_analysis import (
@@ -169,16 +171,35 @@ def _stored_names(stmt: ast.stmt) -> set[str]:
     }
 
 
-def instrument_signal(fn: Callable) -> AnalyzedSignal:
-    """Run both analyzer passes and compile the instrumented UDF."""
+def _analyze(fn: Callable) -> AnalyzedSignal:
     sig = parse_signal(fn)
     info = analyze_parsed(sig)
     kernel = classify_kernel(sig, info)
     if not info.has_dependency:
         return AnalyzedSignal(original=fn, info=info, kernel=kernel)
-    analyzed = _transform(fn, sig, info)
-    analyzed.kernel = kernel
-    return analyzed
+    return replace(_transform(fn, sig, info), kernel=kernel)
+
+
+_analyze_once = lru_cache(maxsize=256)(_analyze)
+
+
+def instrument_signal(fn: Callable) -> AnalyzedSignal:
+    """Run both analyzer passes and compile the instrumented UDF.
+
+    Memoized per function object, like the slot and push
+    classifications: an engine is built per run (per ``/query``), and
+    source retrieval, two analyzer passes, the kernel classification
+    and a compile cost about what a whole serve-sized run does.  What
+    is shared is the compiled parts — the instrumented function, the
+    :class:`KernelSpec`, the dependency info — and it is never handed
+    out: every call returns its own :class:`AnalyzedSignal` shell over
+    them, so a caller that rebinds a field of its copy reaches no one
+    else's.  Closures are analyzed fresh each time and never enter the
+    cache, which would otherwise pin whatever they captured.
+    """
+    if not isinstance(fn, types.FunctionType) or fn.__closure__:
+        return _analyze(fn)
+    return replace(_analyze_once(fn))
 
 
 # Back-compat friendly alias used throughout the engines.

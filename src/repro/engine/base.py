@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,6 +49,26 @@ __all__ = [
 ]
 
 SignalLike = Union[Callable, AnalyzedSignal]
+
+# One serial per engine (a Session builds an engine per run): the scope
+# scan plans are kept in.  Not ``id()``, which a later engine can reuse.
+_RUN_SERIAL = count(1)
+
+
+def _same_result(a, b) -> bool:
+    """Are two values of a work unit's result the same — arrays by
+    dtype and bytes, containers element by element?"""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            _same_result(a[key], b[key]) for key in a
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same_result, a, b))
+    return a == b
 
 
 @dataclass
@@ -135,6 +155,9 @@ class BaseEngine:
             int, Tuple[Callable, Optional[PushSpec]]
         ] = {}
         self._certified: Dict[int, bool] = {}
+        # id(signal fn) -> do its block scans equal its per-unit scans?
+        self._block_certified: Dict[int, bool] = {}
+        self._run_serial = next(_RUN_SERIAL)
         self._fault_controller = None
         self.executor = None
         self.attach_executor(executor)
@@ -475,16 +498,11 @@ class BaseEngine:
             work.push_task, {**shared, "use_kernel": False}, items, state
         )
 
-        def same(a, b) -> bool:
-            if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-                return a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            return type(a) is type(b) and a == b
-
         differing = sorted({
             key
             for res, ref in zip(results, oracle)
             for key in ref
-            if not same(res[key], ref[key])
+            if not _same_result(res[key], ref[key])
         })
         self._certified[id(push_signal)] = not differing
         if not differing:
@@ -500,6 +518,49 @@ class BaseEngine:
             f"push fast path disabled for {name}: {message}",
             RuntimeWarning,
             stacklevel=3,
+        )
+        return oracle
+
+    def _certify_blocks(
+        self, analyzed: AnalyzedSignal, shared, items, state, results
+    ) -> List[Dict]:
+        """Translation validation of the block scan: map the step's
+        units a second time, every unit in a kernel call of its own, and
+        compare key for key (the seconds aside), arrays by dtype and
+        bytes.  Returns the results to merge; the verdict is cached per
+        signal.
+
+        On a mismatch ``verify="strict"`` raises
+        :class:`~repro.errors.KernelSoundnessError`; ``"warn"`` warns,
+        answers with the per-unit results and scans the signal unit by
+        unit for the engine's lifetime.
+        """
+        oracle = self._map_machines(
+            work.pull_task, {**shared, "solo": True}, items, state
+        )
+        differing = sorted({
+            key
+            for res, ref in zip(results, oracle)
+            for key in ref
+            if not key.endswith("_seconds")
+            and not _same_result(res[key], ref[key])
+        })
+        self._block_certified[id(analyzed.original)] = not differing
+        if not differing:
+            return results
+        name = getattr(analyzed.original, "__name__", "?")
+        message = (
+            f"the block scan of {name} and its per-unit scan differ on "
+            f"{differing}"
+        )
+        if self.verify == "strict":
+            raise KernelSoundnessError(
+                message, obligation="block-equivalence"
+            )
+        warnings.warn(
+            f"block scan disabled for {name}: {message}",
+            RuntimeWarning,
+            stacklevel=5,
         )
         return oracle
 
@@ -599,11 +660,16 @@ class BaseEngine:
         dep_store=None,
         handoffs: Optional[Sequence[int]] = None,
         is_last: bool = False,
+        at: Tuple[int, int] = (0, 0),
     ) -> None:
         """Run one pull step's units on the executor and merge them.
 
         ``items`` are :func:`repro.exec.work.pull_task` units, one per
-        machine; the workers only scan.  Everything observable happens
+        machine; the workers only scan — a chunk of consecutive units at
+        a time, in blocks (:func:`repro.exec.work.pull_units`), with
+        ``at`` — ``(phase, step)`` — saying where in the run this step
+        sits, so a block that recurs in the next pull phase can be
+        recognized.  Everything observable happens
         here, unit by unit in item order: lane metering (the dependency
         lane always books under ``high_*``; ``plain_column`` names the
         ``StepRecord`` column pair — ``"high"`` or ``"low"`` — the plain
@@ -616,19 +682,31 @@ class BaseEngine:
         dependency hand-off of that many bytes to the machine on the
         left.
         """
-        results = self._map_machines(
-            work.pull_task,
-            {
-                "signal": analyzed,
-                "use_kernel": use_kernel,
-                "timed": self.obs is not None,
-                "active": active,
-                "is_last": is_last,
-            },
-            items,
-            state,
-            step=step,
+        fn_id = id(analyzed.original)
+        shared = {
+            "signal": analyzed,
+            "use_kernel": use_kernel,
+            "timed": self.obs is not None,
+            "active": active,
+            "is_last": is_last,
+            "scan": (self._run_serial, *at),
+            "solo": self._block_certified.get(fn_id) is False,
+        }
+        certifying = (
+            use_kernel
+            and self.verify != "off"
+            and fn_id not in self._block_certified
         )
+        scan = self.executor.scan
+        sharing = scan["units"] - scan["blocks"]
+        results = self._map_machines(
+            work.pull_task, shared, items, state, step=step
+        )
+        if certifying and scan["units"] - scan["blocks"] > sharing:
+            # the first step in which units shared a kernel call
+            results = self._certify_blocks(
+                analyzed, shared, items, state, results
+            )
         master_of = self.partition.master_of
         grouped = self._grouped_sends_ok()
         plain_edges = getattr(step, plain_column + "_edges")
@@ -768,6 +846,7 @@ class BaseEngine:
             update_bytes,
             "high",
             active=active_idx,
+            at=(phase, 0),
         )
         return self._commit_phase(
             IterationRecord(mode="pull"), [step], buffer, slot, state,

@@ -301,7 +301,7 @@ class SympleGraphEngine(BaseEngine):
             self._pull_step(
                 analyzed, use_kernel, state, items, step, buffer,
                 update_bytes, "low", dep_store=dep_store,
-                handoffs=handoffs, is_last=is_last,
+                handoffs=handoffs, is_last=is_last, at=(phase, s),
             )
             steps.append(step)
             if self.obs is not None:

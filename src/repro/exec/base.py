@@ -10,10 +10,21 @@ come back in item order and the parent merges them deterministically,
 so counters, traffic, and results are bit-identical across backends —
 the backend is purely a wall-clock knob, exactly like ``use_kernels``.
 
+Every backend runs a chunk of items through the same loop,
+:meth:`repro.exec.work.WorkerContext.run`: a task that has a chunk
+form (``pull_task.chunk`` is ``pull_units``, which scans consecutive
+units together in blocks) gets its whole chunk in one call — the step
+under the serial backend, a worker's contiguous machines under the
+process backend — and any other task is called item by item.  What the
+scans counted (blocks, units, plans built and reused, bytes the kept
+plans hold) comes back with each chunk and sums into
+``Executor.stats()["scan"]``.
+
 ``stalls`` carries the fault controller's per-machine straggler
 factors: the simulated cost model already charges them, and the
 process backend additionally turns them into real wall-clock stalls
-(a machine slowed by factor f sleeps (f-1) x its compute time).
+(a chunk sleeps, for each of its units slowed by factor f, (f-1) x
+that unit's edge share of the chunk's compute time).
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError
-from repro.exec.work import WorkerContext
+from repro.exec.work import PlanStore, WorkerContext
 
 __all__ = [
     "Executor",
@@ -52,6 +63,8 @@ class Executor:
         #: last drain — pool spawns, arena growths; engines drain these
         #: into the observability stream after each map call
         self.events: "deque[Tuple[str, Dict[str, Any]]]" = deque(maxlen=256)
+        #: what the block scans of every map so far counted
+        self.scan: Dict[str, int] = dict.fromkeys(PlanStore.COUNTERS, 0)
 
     def drain_events(self) -> List[Tuple[str, Dict[str, Any]]]:
         """Pop and return all pending lifecycle events, oldest first."""
@@ -61,8 +74,39 @@ class Executor:
         return out
 
     def stats(self) -> Dict[str, Any]:
-        """Backend introspection snapshot (pool/arena numbers)."""
-        return {"kind": self.kind, "workers": int(self.workers)}
+        """Backend introspection snapshot (scan/pool/arena numbers)."""
+        return {
+            "kind": self.kind,
+            "workers": int(self.workers),
+            "scan": {**self.scan, "plan_bytes": int(self._plan_bytes())},
+        }
+
+    def _plan_bytes(self) -> int:
+        """Bytes held by the scan plans of every context that scans."""
+        return 0 if self._ctx is None else self._ctx.plans.nbytes
+
+    def _context(self, state) -> WorkerContext:
+        """The bound context, pointed at ``state``."""
+        ctx = self._ctx
+        if ctx is None:
+            raise EngineError(
+                f"the {self.kind} executor is not bound to a partition; "
+                "install it with engine.attach_executor(executor) (or "
+                "RunConfig(executor=...)) before mapping work onto it"
+            )
+        ctx.state = state
+        return ctx
+
+    def _run_inline(self, fn, shared, items, state) -> List[Any]:
+        """Run a map's items in this process, against the bound context."""
+        ctx = self._context(state)
+        results = ctx.run(fn, shared, items)
+        self._tally(ctx.plans.take())
+        return results
+
+    def _tally(self, counts: Dict[str, int]) -> None:
+        for name, count in counts.items():
+            self.scan[name] += count
 
     def bind(self, engine) -> None:
         """Target this executor at an engine's partition.
@@ -94,7 +138,8 @@ class Executor:
         state,
         stalls=None,
     ) -> List[Any]:
-        """Run ``fn(ctx, shared, item)`` for every item; results in order."""
+        """Run ``fn`` (its chunk form, when it has one) over the items;
+        one result per item, in item order."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -113,9 +158,7 @@ class SerialExecutor(Executor):
     kind = "serial"
 
     def map_machines(self, fn, shared, items, state, stalls=None):
-        ctx = self._ctx
-        ctx.state = state
-        return [fn(ctx, shared, item) for item in items]
+        return self._run_inline(fn, shared, items, state)
 
 
 def make_executor(spec=None, workers: Optional[int] = None) -> Executor:

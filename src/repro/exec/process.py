@@ -26,7 +26,11 @@ and across graph rebinds:
   are split into at most ``workers`` contiguous chunks — one IPC
   round-trip per worker per superstep instead of one per machine —
   and the flattened results come back in item order, so the parent's
-  deterministic ascending-machine merge is unchanged.
+  deterministic ascending-machine merge is unchanged.  A worker runs
+  its chunk through the same loop as the serial backend
+  (:meth:`~repro.exec.work.WorkerContext.run`), so a task's chunk form
+  scans a worker's contiguous machines in blocks; each worker keeps its
+  own scan plans, and what its scans counted comes back with the chunk.
 
 Compiled artifacts never cross the process boundary: the parent strips
 an :class:`AnalyzedSignal` down to its original function (which pickles
@@ -49,9 +53,7 @@ import atexit
 import multiprocessing
 import os
 import pickle
-import time
 import weakref
-from collections import deque
 from concurrent import futures
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -132,22 +134,19 @@ def _worker_state(gen: int, state_spec):
     return state
 
 
-def _run_chunk(payload: bytes) -> List[Any]:
-    """Execute one contiguous chunk of a map call's items."""
+def _run_chunk(payload: bytes) -> Tuple[List[Any], Dict[str, int], int, int]:
+    """Execute one contiguous chunk of a map call's items.
+
+    Returns the results with what the chunk's scans counted, and this
+    worker's pid with the bytes its kept plans now hold.
+    """
     gen, manifest, fn, shared, items, state_spec, stalls = pickle.loads(
         payload
     )
     ctx = _worker_context(gen, manifest)
     ctx.state = _worker_state(gen, state_spec)
-    shared = unship(shared)
-    out: List[Any] = []
-    for item, stall in zip(items, stalls):
-        item = unship(item)
-        t0 = time.perf_counter()
-        out.append(fn(ctx, shared, item))
-        if stall > 1.0:
-            time.sleep((stall - 1.0) * (time.perf_counter() - t0))
-    return out
+    out = ctx.run(fn, unship(shared), unship(items), stalls)
+    return out, ctx.plans.take(), os.getpid(), ctx.plans.nbytes
 
 
 # -- parent side -----------------------------------------------------------
@@ -194,6 +193,8 @@ class ProcessPoolExecutor(Executor):
         self._state_seq = 0
         self._spec_seq = 0
         self.spawns = 0
+        # pid -> bytes its kept scan plans held when it last reported
+        self._worker_plan_bytes: Dict[int, int] = {}
 
     # -- dataset publication ----------------------------------------------
 
@@ -237,6 +238,8 @@ class ProcessPoolExecutor(Executor):
         }
         self._arena.retire_many(self._topo_keys)
         self._topo_keys = new_keys
+        # a worker drops its plans with its context, on its next chunk
+        self._worker_plan_bytes.clear()
 
     def _ensure_pool(self) -> futures.ProcessPoolExecutor:
         if self._pool is None:
@@ -264,6 +267,7 @@ class ProcessPoolExecutor(Executor):
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        self._worker_plan_bytes.clear()
 
     # -- per-call state sync ----------------------------------------------
 
@@ -336,6 +340,7 @@ class ProcessPoolExecutor(Executor):
 
     def map_machines(self, fn, shared, items, state, stalls=None):
         self.last_fallback = None
+        self._context(state)  # raises when never bound
         if not items:
             return []
         state_spec = self._state_spec(state)
@@ -370,9 +375,7 @@ class ProcessPoolExecutor(Executor):
         except Exception as exc:
             # closure UDFs / exotic state objects: run inline instead
             self.last_fallback = f"{type(exc).__name__}: {exc}"
-            ctx = self._ctx
-            ctx.state = state
-            return [fn(ctx, shared, item) for item in items]
+            return self._run_inline(fn, shared, items, state)
         return self._dispatch(payloads)
 
     def _dispatch(self, payloads: List[bytes]) -> List[Any]:
@@ -396,16 +399,23 @@ class ProcessPoolExecutor(Executor):
         pending = [pool.submit(_run_chunk, blob) for blob in payloads]
         out: List[Any] = []
         for fut in pending:
-            out.extend(fut.result())
+            results, counts, pid, plan_bytes = fut.result()
+            out.extend(results)
+            self._tally(counts)
+            self._worker_plan_bytes[pid] = plan_bytes
         return out
 
     # -- introspection -----------------------------------------------------
 
+    def _plan_bytes(self) -> int:
+        # the workers' plans, and the parent's own from inline fallbacks
+        return super()._plan_bytes() + sum(self._worker_plan_bytes.values())
+
     def stats(self) -> Dict[str, Any]:
-        """Warm-pool / arena numbers for benchmarks and ``/stats``."""
+        """Scan / warm-pool / arena numbers for benchmarks and
+        ``/stats``."""
         return {
-            "kind": self.kind,
-            "workers": int(self.workers),
+            **super().stats(),
             "spawns": int(self.spawns),
             "generation": int(self._generation),
             "pool_live": self._pool is not None,

@@ -21,6 +21,24 @@ loop-carried state forwarded by the circulant schedule; ``values``
 arrive as float64 (the :class:`~repro.engine.dep.DepStore` wire type),
 matching the interpreter's restored-value dtype behavior.
 
+**One call, several machines.**  The ``local`` a kernel scans is one
+:class:`~repro.partition.base.LocalAdjacency` or a :class:`ScanBlock`:
+the ``(adjacency, vertex)`` rows of consecutive work units of one pull
+step, concatenated in unit order (:func:`repro.exec.work.pull_units`
+builds them, up to a fixed edge budget).  A block flattens its rows
+once — one offset pass over all of them, one gather per machine out of
+that machine's own ``indices``, no copy of the topology — and what it
+flattens depends on the topology and the vertex sets only, never on the
+state, so the executing context keeps a block whose sets recur between
+consecutive pull phases and the next call pays for arithmetic alone.
+The parts only some kernels read (the per-edge segment id, the per-edge
+destination) are built on first use and kept with the block.  A kernel
+decides nothing per *call* that a unit could tell from its own call:
+every row of a call shares one carried-in class (restored or not — the
+caller splits blocks on it) and the results are per vertex, so slicing
+a block's arrays at the unit offsets gives each unit the arrays of its
+solo call, dtype and bytes.
+
 Aliasing contract with the process executor: under the process backend
 the :class:`~repro.engine.state.StateStore` arrays a kernel reads are
 *adopted* shared-memory views aliased between the parent and every
@@ -48,6 +66,8 @@ from repro.analysis.kernelspec import (
 from repro.kernels.registry import KernelBatch, register_kernel
 
 __all__ = [
+    "ScanBlock",
+    "empty_batch",
     "guarded_emit_scan",
     "first_match_break_kernel",
     "count_to_k_break_kernel",
@@ -58,26 +78,109 @@ __all__ = [
 CarriedIn = Optional[Tuple[np.ndarray, np.ndarray]]
 
 
-def _segments(local, vertices: np.ndarray):
-    """Flatten the CSR neighbor segments of ``vertices``.
+class ScanBlock:
+    """The rows of one kernel call and their scan plan.
 
-    Returns ``(lens, seg_start, flat, pos)``: per-vertex segment
-    lengths, each segment's offset into the flat arrays, the
-    concatenated neighbor ids, and each flat element's position within
-    its segment.  Callers guarantee every vertex has nonzero degree.
+    ``rows`` is one ``(local, starts, lens, edges)`` per work unit in
+    the call, in unit order: the unit's adjacency, for each of its
+    vertices where the neighbor segment starts in ``local.indices`` and
+    how long it is (callers guarantee nonzero), and the lengths' sum.
+    The plan is ``lens`` / ``seg_start`` (each segment's length and its
+    offset into the flat arrays) and ``flat`` (the concatenated
+    neighbor ids, in scan order); :attr:`seg_ids` and :meth:`dest` are
+    the per-edge arrays only some kernels read, built on first use.
+    Everything here is a function of the topology and the vertex sets
+    alone, which is what lets a context keep a block across phases.
     """
-    indptr = local.indptr
-    starts = indptr[vertices].astype(np.int64)
-    lens = (indptr[vertices + 1] - indptr[vertices]).astype(np.int64)
-    total = int(lens.sum())
-    seg_start = np.zeros(vertices.shape[0], dtype=np.int64)
-    np.cumsum(lens[:-1], out=seg_start[1:])
-    flat_index = np.repeat(starts - seg_start, lens) + np.arange(
-        total, dtype=np.int64
+
+    __slots__ = ("lens", "seg_start", "flat", "_seg_ids", "_dest")
+
+    def __init__(self, rows) -> None:
+        starts = np.concatenate([row[1] for row in rows])
+        lens = np.concatenate([row[2] for row in rows])
+        self.lens = lens = lens.astype(np.int64, copy=False)
+        self.seg_start = seg_start = np.zeros(lens.size, dtype=np.int64)
+        np.cumsum(lens[:-1], out=seg_start[1:])
+        total = int(seg_start[-1] + lens[-1])
+        # each flat element's index into its own machine's ``indices``
+        index = np.repeat(starts - seg_start, lens)
+        index += np.arange(total, dtype=np.int64)
+        # one gather per machine, out of that machine's array into its
+        # slice of the block: no stacked copy of the topology
+        flat = np.empty(total, dtype=rows[0][0].indices.dtype)
+        lo = 0
+        for local, _, _, edges in rows:
+            hi = lo + edges
+            np.take(local.indices, index[lo:hi], out=flat[lo:hi], mode="clip")
+            lo = hi
+        self.flat = flat.astype(np.int64, copy=False)
+        self._seg_ids: Optional[np.ndarray] = None
+        self._dest: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, local, vertices: np.ndarray) -> "ScanBlock":
+        """The block of one unit: ``vertices``' segments in ``local``."""
+        starts = local.indptr[vertices]
+        lens = local.indptr[vertices + 1] - starts
+        return cls([(local, starts, lens, int(lens.sum()))])
+
+    @property
+    def seg_ids(self) -> np.ndarray:
+        """Each flat element's segment (its row in the call)."""
+        if self._seg_ids is None:
+            self._seg_ids = np.repeat(
+                np.arange(self.lens.size, dtype=np.int64), self.lens
+            )
+        return self._seg_ids
+
+    def dest(self, vertices: np.ndarray) -> np.ndarray:
+        """Each flat element's destination vertex."""
+        if self._dest is None:
+            self._dest = np.repeat(vertices, self.lens)
+        return self._dest
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            array.nbytes
+            for array in (self.lens, self.seg_start, self.flat,
+                          self._seg_ids, self._dest)
+            if array is not None
+        )
+
+
+def _segments(local, vertices: np.ndarray) -> ScanBlock:
+    """The flattened neighbor segments of ``vertices``: ``local`` itself
+    when it is already a block, the one-unit block over it otherwise."""
+    if isinstance(local, ScanBlock):
+        return local
+    return ScanBlock.of(local, vertices)
+
+
+def _edge_eval(
+    spec, role: str, state, plan: ScanBlock, vertices, as_bool: bool = False
+) -> np.ndarray:
+    """Evaluate a per-edge expression over the flat neighbor ids; the
+    per-edge destination is built only for an expression that reads
+    it."""
+    reads_dest = "__v" in spec.sources[role]
+    return _flat_eval(
+        spec.exprs[role], state, plan.flat,
+        plan.dest(vertices) if reads_dest else None,
+        plan.flat.shape, as_bool=as_bool,
     )
-    flat = local.indices[flat_index].astype(np.int64, copy=False)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(seg_start, lens)
-    return lens, seg_start, flat, pos
+
+
+def _first_hit(plan: ScanBlock, hits: np.ndarray):
+    """``(matched, first)`` per segment: does it hold a set element of
+    the per-edge mask ``hits``, and at which flat index is the first —
+    a binary search of each segment's start among the set positions,
+    so nothing edge-sized is built beyond the mask itself."""
+    where = np.flatnonzero(hits)
+    first = np.append(where, hits.size)[
+        np.searchsorted(where, plan.seg_start)
+    ]
+    return first < plan.seg_start + plan.lens, first
 
 
 def _flat_eval(fn, state, u, v, shape, as_bool: bool = False) -> np.ndarray:
@@ -107,9 +210,10 @@ def guarded_emit_scan(spec, state, local, vertices: np.ndarray):
     the kernel registry: it returns per-edge emits, not a per-vertex
     :class:`KernelBatch`, and one shape needs no table.
     """
-    lens, _, emit_v, _ = _segments(local, vertices)
+    plan = _segments(local, vertices)
+    emit_v = plan.flat
     edges = emit_v.size
-    emit_u = np.repeat(vertices, lens)
+    emit_u = plan.dest(vertices)
     guard = spec.exprs.get("guard")
     if guard is not None:
         keep = ~_flat_eval(
@@ -130,7 +234,28 @@ def _per_vertex_eval(fn, state, vertices: np.ndarray) -> np.ndarray:
     return np.broadcast_to(out, vertices.shape)
 
 
-def _empty_batch() -> KernelBatch:
+def _fold_start(spec, state, vertices: np.ndarray, carried_in: CarriedIn):
+    """``(init, start)`` of a carried fold: the UDF's initial value per
+    vertex, and what each vertex resumes from.
+
+    With a restored value anywhere in the call the fold runs in float64
+    (the wire type), otherwise in the init's own dtype — decided once
+    per *call*, which is why a call's rows must share one carried-in
+    class: :func:`repro.exec.work.pull_units` never blocks a unit that
+    restores values with one that does not.
+    """
+    init = _per_vertex_eval(spec.exprs["init"], state, vertices)
+    if carried_in is not None and bool(carried_in[0].any()):
+        present, restored = carried_in
+        start = init.astype(np.float64).copy()
+        start[present] = restored[present]
+    else:
+        start = np.array(init, copy=True)
+    return init, start
+
+
+def empty_batch() -> KernelBatch:
+    """What every kernel returns for no vertices."""
     zero = np.zeros(0, dtype=np.int64)
     return KernelBatch(
         edges=zero,
@@ -147,28 +272,26 @@ def first_match_break_kernel(
 ) -> KernelBatch:
     """Per-segment first match: emit once at the first predicate hit.
 
-    The first hit is a masked minimum over within-segment positions
-    (``np.minimum.reduceat`` with the segment length as the no-match
-    sentinel) — the "masked argmax over ``in_indices`` slices" plan.
-    No loop-carried data: the only dependency is the break bit itself.
+    The first hit is each segment's first set element of the flat
+    predicate mask (:func:`_first_hit`); a vertex with none scans its
+    whole segment.  No loop-carried data: the only dependency is the
+    break bit itself.
     """
     if vertices.size == 0:
-        return _empty_batch()
-    lens, seg_start, flat, pos = _segments(local, vertices)
-    v_rep = np.repeat(vertices, lens)
-    pred = _flat_eval(
-        spec.exprs["predicate"], state, flat, v_rep, flat.shape, as_bool=True
-    )
-    sentinel = np.repeat(lens, lens)
-    first = np.minimum.reduceat(np.where(pred, pos, sentinel), seg_start)
-    matched = first < lens
-    edges = np.where(matched, first + 1, lens)
-    hit = flat[seg_start + np.minimum(first, lens - 1)]
-    values = np.array(
-        _flat_eval(spec.exprs["emit"], state, hit, vertices, vertices.shape)
-    )
+        return empty_batch()
+    plan = _segments(local, vertices)
+    pred = _edge_eval(spec, "predicate", state, plan, vertices, as_bool=True)
+    matched, first = _first_hit(plan, pred)
+    # where the scan stopped: the first match, else the last neighbor
+    last = np.where(matched, first, plan.seg_start + plan.lens - 1)
+    values = np.array(_flat_eval(
+        spec.exprs["emit"], state, plan.flat[last], vertices, vertices.shape
+    ))
     return KernelBatch(
-        edges=edges, emit_mask=matched.copy(), values=values, broke=matched
+        edges=last - plan.seg_start + 1,
+        emit_mask=matched.copy(),
+        values=values,
+        broke=matched,
     )
 
 
@@ -183,20 +306,18 @@ def count_to_k_break_kernel(
     scanned and the final count follow from that position.
     """
     if vertices.size == 0:
-        return _empty_batch()
-    lens, seg_start, flat, pos = _segments(local, vertices)
-    v_rep = np.repeat(vertices, lens)
-    pred = _flat_eval(
-        spec.exprs["predicate"], state, flat, v_rep, flat.shape, as_bool=True
-    )
-    init = _per_vertex_eval(spec.exprs["init"], state, vertices)
-    if carried_in is not None and bool(carried_in[0].any()):
-        present, restored = carried_in
-        start = init.astype(np.float64).copy()
-        start[present] = restored[present]
-    else:
-        start = np.array(init, copy=True)
+        return empty_batch()
+    plan = _segments(local, vertices)
+    lens, seg_start = plan.lens, plan.seg_start
+    pred = _edge_eval(spec, "predicate", state, plan, vertices, as_bool=True)
+    _, start = _fold_start(spec, state, vertices, carried_in)
 
+    # One running sum over the whole call, rebased per segment: exact
+    # only while the call's hit total stays inside the integer range of
+    # ``inc``'s dtype (2**24 for a float32 init, 2**53 for float64).
+    # One unit's call always had that limit; a block adds nothing to
+    # it, because ``work._BLOCK_EDGES`` keeps a multi-unit call far
+    # below 2**24 edges.
     inc = pred.astype(start.dtype if start.dtype.kind == "f" else np.int64)
     running = np.cumsum(inc)
     running -= np.repeat(running[seg_start] - inc[seg_start], lens)
@@ -204,11 +325,9 @@ def count_to_k_break_kernel(
 
     threshold = _per_vertex_eval(spec.exprs["threshold"], state, vertices)
     sat = pred & (running >= np.repeat(threshold, lens))
-    sentinel = np.repeat(lens, lens)
-    first = np.minimum.reduceat(np.where(sat, pos, sentinel), seg_start)
-    broke = first < lens
-    edges = np.where(broke, first + 1, lens)
-    last = seg_start + np.where(broke, np.minimum(first, lens - 1), lens - 1)
+    broke, first = _first_hit(plan, sat)
+    last = np.where(broke, first, seg_start + lens - 1)
+    edges = last - seg_start + 1
     final = running[last]
     emit_mask = final > start
     values = final - start
@@ -233,27 +352,18 @@ def full_scan_sum_kernel(
     pairwise ``reduceat``.
     """
     if vertices.size == 0:
-        return _empty_batch()
-    lens, _, flat, _ = _segments(local, vertices)
-    v_rep = np.repeat(vertices, lens)
-    term = _flat_eval(spec.exprs["term"], state, flat, v_rep, flat.shape)
-    init = _per_vertex_eval(spec.exprs["init"], state, vertices)
-    if carried_in is not None and bool(carried_in[0].any()):
-        present, restored = carried_in
-        start = init.astype(np.float64).copy()
-        start[present] = restored[present]
-    else:
-        start = np.array(init, copy=True)
+        return empty_batch()
+    plan = _segments(local, vertices)
+    term = _edge_eval(spec, "term", state, plan, vertices)
+    _, start = _fold_start(spec, state, vertices, carried_in)
 
     totals = start.astype(np.result_type(start.dtype, term.dtype))
-    np.add.at(
-        totals, np.repeat(np.arange(vertices.size, dtype=np.int64), lens), term
-    )
+    np.add.at(totals, plan.seg_ids, term)
 
     emit_mask = totals > start
     values = totals - start
     return KernelBatch(
-        edges=lens,
+        edges=plan.lens,
         emit_mask=emit_mask,
         values=values,
         broke=None,
@@ -267,21 +377,14 @@ def full_scan_min_kernel(
 ) -> KernelBatch:
     """Full-scan minimum fold (order-independent, so ``reduceat`` is safe)."""
     if vertices.size == 0:
-        return _empty_batch()
-    lens, seg_start, flat, _ = _segments(local, vertices)
-    v_rep = np.repeat(vertices, lens)
-    term = _flat_eval(spec.exprs["term"], state, flat, v_rep, flat.shape)
-    init = _per_vertex_eval(spec.exprs["init"], state, vertices)
-    if carried_in is not None and bool(carried_in[0].any()):
-        present, restored = carried_in
-        start = init.astype(np.float64).copy()
-        start[present] = restored[present]
-    else:
-        start = np.array(init, copy=True)
-    best = np.minimum(start, np.minimum.reduceat(term, seg_start))
+        return empty_batch()
+    plan = _segments(local, vertices)
+    term = _edge_eval(spec, "term", state, plan, vertices)
+    init, start = _fold_start(spec, state, vertices, carried_in)
+    best = np.minimum(start, np.minimum.reduceat(term, plan.seg_start))
     emit_mask = best < init
     return KernelBatch(
-        edges=lens.copy(),
+        edges=plan.lens,
         emit_mask=emit_mask,
         values=best,
         broke=None,

@@ -11,12 +11,17 @@ A kernel is a callable::
     kernel(spec, state, local, vertices, carried_in=None) -> KernelBatch
 
 where ``spec`` is the :class:`~repro.analysis.kernelspec.KernelSpec`,
-``state`` the :class:`~repro.engine.state.StateStore`, ``local`` the
-:class:`~repro.partition.base.LocalAdjacency` whose CSR slices are
-scanned, and ``vertices`` an int64 array of destination vertices (all
-with nonzero local degree).  ``carried_in`` optionally supplies
-restored loop-carried values as ``(present_mask, values)`` arrays
-aligned with ``vertices`` (the circulant dependency hand-off).
+``state`` the :class:`~repro.engine.state.StateStore`, ``local`` what
+is scanned — one :class:`~repro.partition.base.LocalAdjacency`, or a
+:class:`~repro.kernels.csr.ScanBlock` of rows from several machines'
+adjacencies (consecutive pull units sharing the call) — and
+``vertices``, always the fourth positional argument, an int64 array of
+the rows' destination vertices (all with nonzero local degree; under a
+block, the units' sets concatenated in unit order).  ``carried_in``
+optionally supplies restored loop-carried values as ``(present_mask,
+values)`` arrays aligned with ``vertices`` (the circulant dependency
+hand-off).  Every array of the returned batch is per vertex, which is
+what lets a caller cut a block's batch back into its units.
 """
 
 from __future__ import annotations
