@@ -43,6 +43,7 @@ from repro.engine.base import BaseEngine
 from repro.engine.state import StateStore
 from repro.errors import ConvergenceError, EngineError
 from repro.fault.program import VertexProgram
+from repro.graph.csr import row_positions
 
 __all__ = [
     "RelaxProgram",
@@ -63,11 +64,8 @@ def flat_neighbors(indptr, indices, vertices: np.ndarray):
     and the neighbour ids back to back in listing order, so
     ``np.repeat(vertices, lengths)`` names every flat entry's owner.
     """
-    starts = indptr[vertices]
-    lengths = indptr[vertices + 1] - starts
-    # position of every edge of every listed vertex, flattened
-    skip = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return lengths, indices[np.arange(int(lengths.sum())) + skip]
+    lengths, positions = row_positions(indptr, vertices)
+    return lengths, indices[positions]
 
 
 def out_neighbor_mask(graph, vertices: np.ndarray) -> np.ndarray:

@@ -9,17 +9,149 @@ Struct-of-Arrays organization the paper uses (Section 6).
 Vertices are dense integers ``0 .. num_vertices-1``.  Edges may carry a
 float weight (used by the graph-sampling algorithm); unweighted graphs
 store no weight array.
+
+Row order.  A graph built from an edge list lists each row in list
+order, in both directions (two stable sorts of one list), so the copies
+of a parallel pair ``(u, v)`` appear in the same relative order in
+out-row ``u`` and in in-row ``v``.  :func:`patch_rows` keeps that
+invariant: it removes every copy of a pair at once and appends inserts
+in batch order, so a patched graph's rows are exactly those of a build
+from "the old list, copies deleted, inserts appended".
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["CSRGraph"]
+__all__ = [
+    "CSRGraph", "find_pairs", "match_pairs", "patch_rows", "row_positions",
+    "rows_sorted",
+]
+
+
+def row_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lengths, positions)``: each listed row's length and the index
+    of every entry of those rows, back to back in listing order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    skip = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return lengths, np.arange(int(lengths.sum())) + skip
+
+
+def match_pairs(
+    cand_rows: np.ndarray,
+    cand_vals: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Which candidate pairs are among the ``(rows[i], values[i])``.
+
+    Returns ``(hits, pair)``: the ascending indices of the matching
+    candidates and, for each, the first ``i`` naming its pair.  A table
+    over the values culls the candidates no pair names; the rest are
+    binary-searched among the batch's sorted keys.
+    """
+    if not rows.size:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    width = max(int(values.max()), int(cand_vals.max(initial=0))) + 1
+    named = np.zeros(width, dtype=bool)
+    named[values] = True
+    maybe = np.flatnonzero(named[cand_vals])
+    cand_rows, cand_vals = cand_rows[maybe], cand_vals[maybe]
+    uniq_rows, row_id = np.unique(rows, return_inverse=True)
+    at_row = np.minimum(
+        np.searchsorted(uniq_rows, cand_rows), uniq_rows.size - 1
+    )
+    # keys over the *compressed* row id stay below batch x width, far
+    # from int64's range whatever the vertex count
+    keys, first = np.unique(row_id * width + values, return_index=True)
+    cand_keys = at_row * width + cand_vals
+    at = np.minimum(np.searchsorted(keys, cand_keys), keys.size - 1)
+    ok = (uniq_rows[at_row] == cand_rows) & (keys[at] == cand_keys)
+    return maybe[ok], first[at[ok]]
+
+
+def find_pairs(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every CSR position holding one of the ``(rows[i], values[i])``
+    pairs, as ``(positions, pair)`` (see :func:`match_pairs`).
+
+    Each distinct named row is read once; rows past the CSR's last row
+    hold nothing.
+    """
+    named = np.unique(rows[rows < indptr.size - 1])
+    lens, pos = row_positions(indptr, named)
+    hits, pair = match_pairs(
+        np.repeat(named, lens), indices[pos], rows, values
+    )
+    return pos[hits], pair
+
+
+def patch_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: Optional[np.ndarray],
+    num_rows: int,
+    deletes: Tuple[np.ndarray, np.ndarray],
+    inserts: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Patch one CSR direction; returns new ``(indptr, indices, weights)``.
+
+    ``deletes = (rows, values)``: every copy of each pair leaves its
+    row, the rest keep their order.  ``inserts = (rows, values,
+    weights)``: appended at the ends of their rows in batch order.
+    ``indptr`` grows to ``num_rows`` rows (appended rows start empty).
+    The inputs are not written.  Cost: a copy of the arrays for the
+    deletes and one for the inserts, plus the deleted rows' lengths —
+    no sort over the edges.
+    """
+    del_rows, del_vals = deletes
+    ins_rows, ins_vals, ins_w = inserts
+    grown = np.bincount(ins_rows, minlength=num_rows)
+    if del_rows.size:
+        kill, pair = find_pairs(indptr, indices, del_rows, del_vals)
+        grown -= np.bincount(del_rows[pair], minlength=num_rows)
+        indices = np.delete(indices, kill)
+        if weights is not None:
+            weights = np.delete(weights, kill)
+    out_indptr = np.empty(num_rows + 1, dtype=np.int64)
+    out_indptr[: indptr.size] = indptr
+    out_indptr[indptr.size:] = indptr[-1]
+    out_indptr[1:] += np.cumsum(grown)
+    if ins_rows.size:
+        # rows that end at one position (empty rows between them) take
+        # their inserts in row order, and np.insert keeps the given
+        # order among equal positions: hand it row-major batch order.
+        # A row's end before its inserts = its new end minus the
+        # inserts in rows up to it.
+        order = np.argsort(ins_rows, kind="stable")
+        rows = ins_rows[order]
+        ends = out_indptr[rows + 1] - np.searchsorted(rows, rows, "right")
+        indices = np.insert(indices, ends, ins_vals[order])
+        if weights is not None:
+            weights = np.insert(weights, ends, ins_w[order])
+    return out_indptr, indices, weights
+
+
+def rows_sorted(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """True when every row lists its values in non-decreasing order."""
+    if indices.size < 2:
+        return True
+    starts = np.zeros(indices.size, dtype=bool)
+    starts[indptr[:-1][indptr[:-1] < indices.size]] = True
+    drops = indices[1:] < indices[:-1]
+    return not bool((drops & ~starts[1:]).any())
 
 
 def _build_csr(
@@ -83,8 +215,64 @@ class CSRGraph:
         self.in_indptr, self.in_indices, self.in_weights = _build_csr(
             num_vertices, dst, src, weights
         )
+        self._patched_from: Optional[weakref.ref] = None
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def from_csr(
+        cls,
+        num_vertices: int,
+        out_csr: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+        in_csr: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+    ) -> "CSRGraph":
+        """Trusted constructor: adopt prebuilt ``(indptr, indices,
+        weights)`` arrays for both directions as they are — no
+        validation, no sort.  The caller guarantees they describe one
+        edge multiset."""
+        graph = cls.__new__(cls)
+        graph._num_vertices = int(num_vertices)
+        graph._num_edges = int(out_csr[1].size)
+        graph.out_indptr, graph.out_indices, graph.out_weights = out_csr
+        graph.in_indptr, graph.in_indices, graph.in_weights = in_csr
+        graph._patched_from = None
+        return graph
+
+    def patch(
+        self,
+        num_vertices: int,
+        deletes: Tuple[np.ndarray, np.ndarray],
+        inserts: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+    ) -> "CSRGraph":
+        """A new graph with every copy of each deleted ``(src, dst)``
+        pair removed and the ``(src, dst, weights)`` inserts appended,
+        grown to ``num_vertices`` — :func:`patch_rows` on both
+        directions.  The result remembers this graph as
+        :attr:`patched_from`."""
+        (del_src, del_dst), (ins_src, ins_dst, ins_w) = deletes, inserts
+        graph = CSRGraph.from_csr(
+            num_vertices,
+            patch_rows(
+                self.out_indptr, self.out_indices, self.out_weights,
+                num_vertices, (del_src, del_dst), (ins_src, ins_dst, ins_w),
+            ),
+            patch_rows(
+                self.in_indptr, self.in_indices, self.in_weights,
+                num_vertices, (del_dst, del_src), (ins_dst, ins_src, ins_w),
+            ),
+        )
+        graph._patched_from = weakref.ref(self)
+        return graph
+
+    @property
+    def patched_from(self) -> Optional["CSRGraph"]:
+        """The graph :meth:`patch` made this one from, while it is alive
+        (None for a built graph)."""
+        return None if self._patched_from is None else self._patched_from()
+
+    def __getstate__(self):
+        # a weak reference does not pickle; the copy has no patch parent
+        return {**self.__dict__, "_patched_from": None}
 
     @classmethod
     def from_edges(

@@ -5,11 +5,11 @@ and shared-memory publication assumes the adjacency it was built from
 never moves.  Mutation therefore happens *around* the CSR, BLADYG
 style: a :class:`DynamicGraph` keeps an immutable base
 :class:`~repro.graph.csr.CSRGraph` plus a delta overlay (an insert log
-and per-edge tombstones) and periodically *compacts* the overlay into a
-fresh base.  Every applied :class:`MutationBatch` bumps a monotone
-``version`` — the tag the :class:`~repro.api.Session` keys its
-partition cache on, so a mutated graph can never be served a stale
-topology.
+and per-edge tombstones) that deletes are resolved against, and
+periodically *compacts* the overlay into a fresh base.  Every applied
+:class:`MutationBatch` bumps a monotone ``version`` — the tag the
+:class:`~repro.api.Session` keys its partition cache on, so a mutated
+graph can never be served a stale topology.
 
 Semantics
 ---------
@@ -21,14 +21,18 @@ Semantics
 * Within one batch the order is: grow vertices, then deletes (against
   the pre-batch edge set), then inserts.  A batch is atomic — it
   either applies fully or raises without changing the graph.
-* ``snapshot()`` materializes the current edge set as a canonical
-  :class:`CSRGraph`: surviving base edges in base order followed by
-  surviving inserts in insertion order (the CSR build then sorts
-  stably by source).  Two dynamic graphs that went through different
-  batch sequences to the same edge multiset produce snapshots with
-  identical adjacency iff their surviving-edge orders agree; the
-  per-vertex neighbor *sets* always agree, which is what the
-  incremental-vs-scratch metamorphic gate compares on.
+* ``snapshot()`` materializes the current edge set as the
+  :class:`CSRGraph` built from the **live edge list**: the version-0
+  base's edges in out-CSR order, from which each batch removed every
+  copy of its deleted pairs and to whose end it appended its inserts.
+  It is computed by patching rows (:meth:`CSRGraph.patch`), never by
+  re-sorting: the previous snapshot's rows, copies deleted, inserts
+  appended, one batch at a time.  A base built from an unsorted list
+  lists its in-rows in that list's order, not out order; its first
+  snapshot is therefore built in full from the out-order list, and
+  patches follow from there.  Compaction only resets the overlay: it
+  does not reorder the list, so snapshots are the same with or
+  without it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, find_pairs, match_pairs, rows_sorted
 
 __all__ = ["MutationBatch", "MutationStats", "DynamicGraph"]
 
@@ -262,10 +266,11 @@ class DynamicGraph:
 
     ``compact_ratio`` / ``compact_min`` tune auto-compaction: after a
     batch, when the overlay (live inserts + base tombstones) exceeds
-    ``max(compact_min, compact_ratio * base_edges)`` the overlay is
-    folded into a fresh base CSR.  ``compact_ratio=0`` compacts after
-    every batch; a very large ``compact_min`` disables auto-compaction
-    (call :meth:`compact` manually).
+    ``max(compact_min, compact_ratio * base_edges)`` the current
+    snapshot becomes the base and the overlay starts empty.
+    ``compact_ratio=0`` compacts after every batch; a very large
+    ``compact_min`` disables auto-compaction (call :meth:`compact`
+    manually).
     """
 
     def __init__(
@@ -289,16 +294,9 @@ class DynamicGraph:
 
     def _rebase(self, base: CSRGraph) -> None:
         self._base = base
-        src, dst = base.edge_array()
-        self._base_src = src
-        self._base_dst = dst
-        self._base_w = base.out_weights
         self._base_live = np.ones(base.num_edges, dtype=bool)
         self._ins_src = np.empty(0, dtype=np.int64)
         self._ins_dst = np.empty(0, dtype=np.int64)
-        self._ins_w = (
-            np.empty(0, dtype=np.float64) if base.is_weighted else None
-        )
         self._ins_live = np.empty(0, dtype=bool)
         self._num_vertices = base.num_vertices
 
@@ -379,10 +377,6 @@ class DynamicGraph:
             self._ins_live = np.concatenate([
                 self._ins_live, np.ones(batch.num_inserts, dtype=bool),
             ])
-            if self._ins_w is not None:
-                self._ins_w = np.concatenate(
-                    [self._ins_w, batch.insert_weights]
-                )
         self.version += 1
         self._history.append((self.version, batch))
 
@@ -407,71 +401,76 @@ class DynamicGraph:
         )
 
     def _resolve_deletes(self, batch: MutationBatch):
-        """Find every live copy of each deleted pair (or raise)."""
-        base_kill: List[int] = []
-        ins_kill: List[int] = []
-        base_dead = np.zeros(self._base_live.size, dtype=bool)
-        ins_dead = np.zeros(self._ins_live.size, dtype=bool)
-        indptr = self._base.out_indptr
-        old_n = indptr.size - 1
-        for u, v in zip(batch.delete_src, batch.delete_dst):
-            u, v = int(u), int(v)
-            found = 0
-            if u < old_n:
-                lo, hi = int(indptr[u]), int(indptr[u + 1])
-                hits = lo + np.flatnonzero(
-                    (self._base_dst[lo:hi] == v)
-                    & self._base_live[lo:hi]
-                    & ~base_dead[lo:hi]
-                )
-                base_kill.extend(int(e) for e in hits)
-                base_dead[hits] = True
-                found += hits.size
-            if self._ins_live.size:
-                hits = np.flatnonzero(
-                    (self._ins_src == u) & (self._ins_dst == v)
-                    & self._ins_live & ~ins_dead
-                )
-                ins_kill.extend(int(e) for e in hits)
-                ins_dead[hits] = True
-                found += hits.size
-            if not found:
-                raise GraphError(
-                    f"cannot delete absent edge ({u}, {v}); deletes "
-                    "apply to the pre-batch edge set"
-                )
-        removed = len(base_kill) + len(ins_kill)
-        return (
-            np.asarray(base_kill, dtype=np.int64),
-            np.asarray(ins_kill, dtype=np.int64),
-            removed,
+        """Find every live copy of each deleted pair (or raise).
+
+        One read of the base's deleted rows and one match against the
+        insert log.  The error names the first pair, in batch order,
+        with no live copy — a pair named a second time counts, since
+        its first naming already removed every copy.
+        """
+        du, dv = batch.delete_src, batch.delete_dst
+        if not du.size:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, 0
+        base = self._base
+        pos, base_pair = find_pairs(base.out_indptr, base.out_indices, du, dv)
+        live = self._base_live[pos]
+        base_kill, base_pair = pos[live], base_pair[live]
+        log = np.flatnonzero(self._ins_live)
+        hit, ins_pair = match_pairs(
+            self._ins_src[log], self._ins_dst[log], du, dv
         )
+        ins_kill = log[hit]
+        found = np.zeros(du.size, dtype=bool)
+        found[base_pair] = True
+        found[ins_pair] = True
+        _, first = match_pairs(du, dv, du, dv)
+        bad = np.flatnonzero(~found | (first != np.arange(du.size)))
+        if bad.size:
+            u, v = int(du[bad[0]]), int(dv[bad[0]])
+            raise GraphError(
+                f"cannot delete absent edge ({u}, {v}); deletes "
+                "apply to the pre-batch edge set"
+            )
+        return base_kill, ins_kill, int(base_kill.size + ins_kill.size)
 
     # -- materialization ---------------------------------------------------
 
     def snapshot(self) -> CSRGraph:
-        """The current edge multiset as a canonical immutable CSR.
+        """The current edge multiset as an immutable CSR (see the module
+        docstring for its row order).
 
         Cached per version: repeated calls between mutations return the
-        same object (identity matters — executors rebind on it).
+        same object (identity matters — executors rebind on it).  Each
+        batch since the last call costs one :meth:`CSRGraph.patch`.
         """
         if self._snapshot_version == self.version:
             return self._snapshot
-        live_b = self._base_live
-        live_i = self._ins_live
-        src = np.concatenate([self._base_src[live_b], self._ins_src[live_i]])
-        dst = np.concatenate([self._base_dst[live_b], self._ins_dst[live_i]])
-        weights = None
-        if self._base_w is not None:
-            weights = np.concatenate(
-                [self._base_w[live_b], self._ins_w[live_i]]
+        graph = self._snapshot
+        if self._snapshot_version == 0 and not rows_sorted(
+            graph.in_indptr, graph.in_indices
+        ):
+            # in-rows out of source order: the base was built from an
+            # unsorted list, not its out-order one, so build from that
+            # once (sorted in-rows suffice: see csr's row-order note)
+            src, dst = graph.edge_array()
+            graph = CSRGraph(graph.num_vertices, src, dst, graph.out_weights)
+        # _history[i] holds version i + 1, so this slice is every batch
+        # applied after the cached snapshot
+        for _, batch in self._history[self._snapshot_version:]:
+            graph = graph.patch(
+                graph.num_vertices + batch.add_vertices,
+                (batch.delete_src, batch.delete_dst),
+                (batch.insert_src, batch.insert_dst, batch.insert_weights),
             )
-        self._snapshot = CSRGraph(self._num_vertices, src, dst, weights)
+        self._snapshot = graph
         self._snapshot_version = self.version
-        return self._snapshot
+        return graph
 
     def compact(self) -> CSRGraph:
-        """Fold the overlay into a fresh base CSR; returns the new base."""
+        """Fold the overlay into the bookkeeping: the current snapshot
+        becomes the base and the insert log and tombstones start empty.
+        Snapshots are unaffected.  Returns the new base."""
         base = self.snapshot()
         self._rebase(base)
         self.compactions += 1

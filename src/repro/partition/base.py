@@ -18,7 +18,7 @@ ids) so engines can iterate ``local_in_neighbors(m, v)`` cheaply.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +85,27 @@ def _restrict_csr(
     return LocalAdjacency(local_indptr, local_indices, local_weights)
 
 
+def edge_cut_owners(
+    graph: CSRGraph, master_of: np.ndarray, kind: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(in_edge_owner, out_edge_owner) of an edge cut: an edge lives on
+    the master of its source (outgoing) or destination (incoming)."""
+    if kind == "outgoing-edge-cut":
+        in_key = graph.in_indices  # src, in dst-sorted order
+        out_key = np.repeat(
+            np.arange(graph.num_vertices), graph.out_degrees()
+        )
+    else:  # incoming-edge-cut
+        in_key = np.repeat(
+            np.arange(graph.num_vertices), graph.in_degrees()
+        )
+        out_key = graph.out_indices  # dst, in src-sorted order
+    empty = np.empty(0, dtype=np.int64)
+    in_owner = master_of[in_key] if in_key.size else empty
+    out_owner = master_of[out_key] if out_key.size else empty
+    return in_owner, out_owner
+
+
 class Partition:
     """A placement of a graph onto ``num_machines`` simulated machines.
 
@@ -114,8 +135,8 @@ class Partition:
     ) -> None:
         self.graph = graph
         self.master_of = np.asarray(master_of, dtype=np.int64)
-        self.in_edge_owner = np.asarray(in_edge_owner, dtype=np.int64)
-        self.out_edge_owner = np.asarray(out_edge_owner, dtype=np.int64)
+        self._in_edge_owner = np.asarray(in_edge_owner, dtype=np.int64)
+        self._out_edge_owner = np.asarray(out_edge_owner, dtype=np.int64)
         self.kind = kind
 
         if self.master_of.shape != (graph.num_vertices,):
@@ -165,6 +186,27 @@ class Partition:
         self._has_out = np.stack(
             [adj.degrees() > 0 for adj in self._local_out]
         ) if self.num_machines else np.zeros((0, n), dtype=bool)
+
+    # -- edge placement ---------------------------------------------------
+
+    def _owners(self) -> Tuple[np.ndarray, np.ndarray]:
+        # a refreshed edge-cut partition derives both arrays on first
+        # read, from the frozen masters; nothing on the run path reads them
+        if self._in_edge_owner is None:
+            self._in_edge_owner, self._out_edge_owner = edge_cut_owners(
+                self.graph, self.master_of, self.kind
+            )
+        return self._in_edge_owner, self._out_edge_owner
+
+    @property
+    def in_edge_owner(self) -> np.ndarray:
+        """Storage machine of each edge, aligned with ``graph.in_indices``."""
+        return self._owners()[0]
+
+    @property
+    def out_edge_owner(self) -> np.ndarray:
+        """Storage machine of each edge, aligned with ``graph.out_indices``."""
+        return self._owners()[1]
 
     # -- vertex placement ------------------------------------------------
 

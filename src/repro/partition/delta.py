@@ -4,8 +4,10 @@ When a :class:`~repro.graph.dynamic.DynamicGraph` applies a batch, the
 session does not re-partition from scratch.  The master assignment is
 *frozen* at the partition's original chunking (re-sharding on every
 batch would defeat the warm shared-memory topology), and only the
-machines that own a mutated edge rebuild their local adjacency — every
-other machine keeps its exact :class:`~repro.partition.base.LocalAdjacency`
+machines that own a mutated edge patch their local adjacency — the
+same row patch (:func:`~repro.graph.csr.patch_rows`) the snapshot
+took, restricted to the batch edges the machine owns.  Every other
+machine keeps its exact :class:`~repro.partition.base.LocalAdjacency`
 objects, and its rows of the dependency bitmaps (``_has_in`` /
 ``_has_out``, the structures that gate mirror placement and dependency
 sync) are carried over untouched.
@@ -32,9 +34,9 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, patch_rows
 from repro.graph.dynamic import MutationBatch
-from repro.partition.base import LocalAdjacency, Partition, _restrict_csr
+from repro.partition.base import LocalAdjacency, Partition, edge_cut_owners
 
 __all__ = [
     "RefreshStats",
@@ -54,7 +56,7 @@ class RefreshStats:
 
     kind: str
     num_machines: int
-    #: machines whose local adjacency was rebuilt
+    #: machines whose local adjacency was patched (or rebuilt)
     touched_machines: List[int]
     #: machines whose LocalAdjacency objects were reused as-is
     reused_machines: int
@@ -91,26 +93,6 @@ def circulant_cells(
     return [(int(m), int(s)) for m, s in cells]
 
 
-def _edge_owners(
-    graph: CSRGraph, master_of: np.ndarray, kind: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(in_edge_owner, out_edge_owner) under a frozen master map."""
-    if kind == "outgoing-edge-cut":
-        in_key = graph.in_indices  # src, in dst-sorted order
-        out_key = np.repeat(
-            np.arange(graph.num_vertices), graph.out_degrees()
-        )
-    else:  # incoming-edge-cut
-        in_key = np.repeat(
-            np.arange(graph.num_vertices), graph.in_degrees()
-        )
-        out_key = graph.out_indices  # dst, in src-sorted order
-    empty = np.empty(0, dtype=np.int64)
-    in_owner = master_of[in_key] if in_key.size else empty
-    out_owner = master_of[out_key] if out_key.size else empty
-    return in_owner, out_owner
-
-
 def partition_with_masters(
     graph: CSRGraph,
     master_of: np.ndarray,
@@ -128,7 +110,7 @@ def partition_with_masters(
             f"partition kind {kind!r} has no master-preserving rebuild; "
             f"supported: {_REFRESHABLE}"
         )
-    in_owner, out_owner = _edge_owners(graph, master_of, kind)
+    in_owner, out_owner = edge_cut_owners(graph, master_of, kind)
     return Partition(
         graph, master_of, in_owner, out_owner, kind,
         num_machines=num_machines,
@@ -145,6 +127,64 @@ def _extend_adjacency(adj: LocalAdjacency, added: int) -> LocalAdjacency:
     return LocalAdjacency(indptr, adj.indices, adj.weights)
 
 
+def _patch_machines(
+    old: Partition,
+    graph: CSRGraph,
+    master_of: np.ndarray,
+    batch: MutationBatch,
+    ins_owner: np.ndarray,
+    del_owner: np.ndarray,
+    touched: np.ndarray,
+) -> Partition:
+    """``old`` with each touched machine's rows patched by the batch
+    edges it owns; the rest kept by identity."""
+    n, p, added = graph.num_vertices, old.num_machines, batch.add_vertices
+    ins_src, ins_dst, ins_w = (
+        batch.insert_src, batch.insert_dst, batch.insert_weights
+    )
+    del_src, del_dst = batch.delete_src, batch.delete_dst
+    part = Partition.__new__(Partition)
+    part.graph = graph
+    part.master_of = master_of
+    part._in_edge_owner = part._out_edge_owner = None
+    part.kind = old.kind
+    part.num_machines = p
+    part._local_in = []
+    part._local_out = []
+    for m in range(p):
+        local_in, local_out = old._local_in[m], old._local_out[m]
+        if m in touched:
+            i = ins_owner == m
+            d = del_owner == m
+            w = None if ins_w is None else ins_w[i]
+            local_in = LocalAdjacency(*patch_rows(
+                local_in.indptr, local_in.indices, local_in.weights, n,
+                (del_dst[d], del_src[d]), (ins_dst[i], ins_src[i], w),
+            ))
+            local_out = LocalAdjacency(*patch_rows(
+                local_out.indptr, local_out.indices, local_out.weights, n,
+                (del_src[d], del_dst[d]), (ins_src[i], ins_dst[i], w),
+            ))
+        else:
+            local_in = _extend_adjacency(local_in, added)
+            local_out = _extend_adjacency(local_out, added)
+        part._local_in.append(local_in)
+        part._local_out.append(local_out)
+    # dependency bitmaps: carry every row over, recompute only the rows
+    # of touched machines (column-extended for appended vertices)
+    if added:
+        pad = np.zeros((p, added), dtype=bool)
+        part._has_in = np.concatenate([old._has_in, pad], axis=1)
+        part._has_out = np.concatenate([old._has_out, pad], axis=1)
+    else:
+        part._has_in = old._has_in.copy()
+        part._has_out = old._has_out.copy()
+    for m in touched:
+        part._has_in[m] = part._local_in[m].degrees() > 0
+        part._has_out[m] = part._local_out[m].degrees() > 0
+    return part
+
+
 def refresh_partition(
     old: Partition, graph: CSRGraph, batch: MutationBatch
 ) -> Tuple[Partition, RefreshStats]:
@@ -153,9 +193,15 @@ def refresh_partition(
     ``graph`` must be the post-batch snapshot of the graph ``old`` was
     built from.  Masters are frozen (appended vertices land on the last
     machine, matching ``chunk_of`` for out-of-range ids); only machines
-    owning a mutated edge rebuild their local adjacency and dependency
-    bitmap rows.  The result is bit-identical to
+    owning a mutated edge patch their local adjacency and recompute
+    their dependency bitmap rows.  The result is bit-identical to
     :func:`partition_with_masters` on the same inputs.
+
+    Patching needs ``graph``'s rows to be ``old.graph``'s plus the
+    batch, which :meth:`~repro.graph.csr.CSRGraph.patch` records
+    (``graph.patched_from``).  Any other graph — the first snapshot of
+    a base built from an unsorted edge list is a full build — has every
+    machine rebuilt.
     """
     if old.kind not in _REFRESHABLE:
         raise PartitionError(
@@ -169,69 +215,38 @@ def refresh_partition(
             f"{added} != batch.add_vertices {batch.add_vertices}"
         )
     p = old.num_machines
-    n = graph.num_vertices
     master_of = old.master_of
     if added:
         master_of = np.concatenate([
             master_of, np.full(added, p - 1, dtype=np.int64),
         ])
 
-    # which machines own a mutated edge, under this strategy's rule
-    mut_src = np.concatenate([batch.insert_src, batch.delete_src])
-    mut_dst = np.concatenate([batch.insert_dst, batch.delete_dst])
+    # which machine owns each mutated edge, under this strategy's rule
     if old.kind == "outgoing-edge-cut":
-        owners = master_of[mut_src] if mut_src.size else mut_src
+        ins_owner = master_of[batch.insert_src]
+        del_owner = master_of[batch.delete_src]
     else:
-        owners = master_of[mut_dst] if mut_dst.size else mut_dst
-    dst_masters = master_of[mut_dst] if mut_dst.size else mut_dst
-    touched = np.unique(owners)
+        ins_owner = master_of[batch.insert_dst]
+        del_owner = master_of[batch.delete_dst]
+    owners = np.concatenate([ins_owner, del_owner])
+    dst_masters = master_of[
+        np.concatenate([batch.insert_dst, batch.delete_dst])
+    ]
     cells = circulant_cells(owners, dst_masters, p)
-
-    in_owner, out_owner = _edge_owners(graph, master_of, old.kind)
-
-    part = Partition.__new__(Partition)
-    part.graph = graph
-    part.master_of = master_of
-    part.in_edge_owner = in_owner
-    part.out_edge_owner = out_owner
-    part.kind = old.kind
-    part.num_machines = p
-    touched_set = set(int(m) for m in touched)
-    part._local_in = []
-    part._local_out = []
-    for m in range(p):
-        if m in touched_set:
-            part._local_in.append(_restrict_csr(
-                n, graph.in_indptr, graph.in_indices, graph.in_weights,
-                in_owner, m,
-            ))
-            part._local_out.append(_restrict_csr(
-                n, graph.out_indptr, graph.out_indices, graph.out_weights,
-                out_owner, m,
-            ))
-        else:
-            part._local_in.append(_extend_adjacency(old._local_in[m], added))
-            part._local_out.append(
-                _extend_adjacency(old._local_out[m], added)
-            )
-    # dependency bitmaps: carry every row over, recompute only the rows
-    # of touched machines (column-extended for appended vertices)
-    if added:
-        pad = np.zeros((p, added), dtype=bool)
-        part._has_in = np.concatenate([old._has_in, pad], axis=1)
-        part._has_out = np.concatenate([old._has_out, pad], axis=1)
+    if graph.patched_from is old.graph:
+        touched = np.unique(owners)
+        part = _patch_machines(
+            old, graph, master_of, batch, ins_owner, del_owner, touched
+        )
     else:
-        part._has_in = old._has_in.copy()
-        part._has_out = old._has_out.copy()
-    for m in touched_set:
-        part._has_in[m] = part._local_in[m].degrees() > 0
-        part._has_out[m] = part._local_out[m].degrees() > 0
+        touched = np.arange(p)
+        part = partition_with_masters(graph, master_of, old.kind, p)
 
     stats = RefreshStats(
         kind=old.kind,
         num_machines=p,
         touched_machines=[int(m) for m in touched],
-        reused_machines=p - len(touched_set),
+        reused_machines=p - touched.size,
         cells=cells,
         added_vertices=added,
     )

@@ -8,8 +8,12 @@ the same (graph, frozen masters) — local adjacency, ownership arrays,
 and dependency bitmaps included.
 """
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError, PartitionError
 from repro.graph import (
@@ -362,3 +366,283 @@ class TestMutationObservability:
         kinds = [e["kind"] for e in hub.tracer.events]
         assert "mutation_compact" in kinds
         assert validate_events(hub.tracer.events) == []
+
+
+# -- the write path patches rows ----------------------------------------------
+
+CUTS = {
+    "outgoing-edge-cut": OutgoingEdgeCut(),
+    "incoming-edge-cut": IncomingEdgeCut(),
+}
+WEIGHTS = (0.25, 0.5, 1.0, 2.0)
+
+
+class LiveEdges:
+    """Reference model: the live edge list a snapshot is built from —
+    the base's edges in out order, each batch deleting every copy of
+    its pairs and appending its inserts."""
+
+    def __init__(self, graph):
+        self.n = graph.num_vertices
+        self.src, self.dst = graph.edge_array()
+        self.w = graph.out_weights
+
+    def apply(self, batch):
+        self.n += batch.add_vertices
+        dead = set(zip(batch.delete_src.tolist(), batch.delete_dst.tolist()))
+        keep = np.array(
+            [pair not in dead
+             for pair in zip(self.src.tolist(), self.dst.tolist())],
+            dtype=bool,
+        )
+        self.src = np.concatenate([self.src[keep], batch.insert_src])
+        self.dst = np.concatenate([self.dst[keep], batch.insert_dst])
+        if self.w is not None:
+            self.w = np.concatenate([self.w[keep], batch.insert_weights])
+
+    def pairs(self):
+        return sorted(set(zip(self.src.tolist(), self.dst.tolist())))
+
+    def graph(self):
+        return CSRGraph(self.n, self.src, self.dst, self.w)
+
+
+def assert_same_array(got, want, what):
+    if want is None:
+        assert got is None, what
+        return
+    assert got.dtype == want.dtype, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def assert_same_graph(got, want):
+    assert (got.num_vertices, got.num_edges) == \
+        (want.num_vertices, want.num_edges)
+    for name in ("out_indptr", "out_indices", "out_weights",
+                 "in_indptr", "in_indices", "in_weights"):
+        assert_same_array(getattr(got, name), getattr(want, name), name)
+
+
+def assert_same_partition(got, want):
+    for name in ("master_of", "in_edge_owner", "out_edge_owner",
+                 "_has_in", "_has_out"):
+        assert_same_array(getattr(got, name), getattr(want, name), name)
+    for m in range(want.num_machines):
+        for side in ("_local_in", "_local_out"):
+            a, b = getattr(got, side)[m], getattr(want, side)[m]
+            for name in ("indptr", "indices", "weights"):
+                assert_same_array(getattr(a, name), getattr(b, name),
+                                  (m, side, name))
+
+
+def draw_batch(data, model, weighted):
+    grow = data.draw(st.integers(0, 2), label="add_vertices")
+    n = model.n + grow
+    live = model.pairs()
+    dels = data.draw(
+        st.lists(st.sampled_from(live), unique=True, max_size=4)
+        if live else st.just([]),
+        label="deletes",
+    )
+    ins = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5,
+    ), label="inserts")
+    if dels and data.draw(st.booleans(), label="re-insert a deleted pair"):
+        ins.append(dels[0])
+    weights = None
+    if weighted:
+        weights = [data.draw(st.sampled_from(WEIGHTS)) for _ in ins]
+    return MutationBatch(
+        insert_src=[u for u, _ in ins], insert_dst=[v for _, v in ins],
+        insert_weights=weights,
+        delete_src=[u for u, _ in dels], delete_dst=[v for _, v in dels],
+        add_vertices=grow,
+    )
+
+
+def random_base(rng, n, m, weighted):
+    """Unsorted, with parallel weighted edges and self-loops."""
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    weights = rng.choice(WEIGHTS, m) if weighted else None
+    return CSRGraph(n, src, dst, weights)
+
+
+class TestPatchEqualsBuild:
+    """Every snapshot and every refreshed partition is byte-identical to
+    a full build — patched, never re-sorted."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_schedules(self, data):
+        n = data.draw(st.integers(1, 7), label="n")
+        weighted = data.draw(st.booleans(), label="weighted")
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from(WEIGHTS)),
+            max_size=24,
+        ), label="base edges")
+        if data.draw(st.booleans(), label="base list sorted"):
+            edges.sort(key=lambda e: e[0])
+        base = CSRGraph(
+            n,
+            np.array([u for u, _, _ in edges], dtype=np.int64),
+            np.array([v for _, v, _ in edges], dtype=np.int64),
+            [w for _, _, w in edges] if weighted else None,
+        )
+        p = data.draw(st.integers(1, 3), label="machines")
+        model = LiveEdges(base)
+        eager = DynamicGraph(base, compact_min=10**9)
+        lazy = DynamicGraph(base, compact_min=10**9)
+        parts = {kind: cut.partition(base, p) for kind, cut in CUTS.items()}
+        for _ in range(data.draw(st.integers(1, 6), label="batches")):
+            batch = draw_batch(data, model, weighted)
+            model.apply(batch)
+            want = model.graph()
+            eager.apply(batch)
+            snap = eager.snapshot()
+            assert_same_graph(snap, want)
+            for kind, part in parts.items():
+                part, _ = refresh_partition(part, snap, batch)
+                assert_same_partition(part, partition_with_masters(
+                    snap, part.master_of, kind, p
+                ))
+                parts[kind] = part
+            lazy.apply(batch)
+            # several batches between snapshot() calls otherwise
+            if data.draw(st.booleans(), label="lazy snapshot"):
+                assert_same_graph(lazy.snapshot(), want)
+            if data.draw(st.booleans(), label="compact"):
+                eager.compact()
+                lazy.compact()
+            assert eager.num_edges == lazy.num_edges == want.num_edges
+        assert_same_graph(lazy.snapshot(), model.graph())
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_unsorted_base_first_snapshot(self, weighted):
+        """A base built from an unsorted list lists its in-rows in list
+        order; the first snapshot must still be the build from the
+        out-order list, and so must the refreshed partition."""
+        rng = np.random.default_rng(3)
+        base = random_base(rng, 50, 400, weighted)
+        model = LiveEdges(base)
+        dyn = DynamicGraph(base)
+        parts = {kind: cut.partition(base, 4) for kind, cut in CUTS.items()}
+        src, dst = base.edge_array()
+        batch = MutationBatch(
+            insert_src=[3, 49, 7], insert_dst=[11, 0, 7],
+            insert_weights=[0.5, 2.0, 1.0] if weighted else None,
+            delete_src=[int(src[9])], delete_dst=[int(dst[9])],
+        )
+        model.apply(batch)
+        dyn.apply(batch)
+        snap = dyn.snapshot()
+        assert_same_graph(snap, model.graph())
+        for kind, part in parts.items():
+            new_part, stats = refresh_partition(part, snap, batch)
+            assert_same_partition(new_part, partition_with_masters(
+                snap, new_part.master_of, kind, 4
+            ))
+            assert stats.reused_machines == 0  # every machine rebuilt
+
+    def test_compaction_leaves_snapshots_alone(self, graph):
+        """Compaction is overlay bookkeeping: the snapshot after it is
+        the same patch a never-compacting graph takes."""
+        eager = DynamicGraph(graph, compact_ratio=0.0, compact_min=0)
+        lazy = DynamicGraph(graph, compact_min=10**9)
+        model = LiveEdges(graph)
+        part = OutgoingEdgeCut().partition(graph, 4)
+        for batch in (
+            MutationBatch.inserts([(47, 5), (0, 5), (3, 5)]),
+            MutationBatch.inserts([(20, 30)]),
+            MutationBatch(delete_src=[0], delete_dst=[5],
+                          insert_src=[1], insert_dst=[5]),
+        ):
+            model.apply(batch)
+            assert eager.apply(batch).compacted
+            lazy.apply(batch)
+            snap = eager.snapshot()
+            assert_same_graph(snap, model.graph())
+            assert_same_graph(lazy.snapshot(), snap)
+            part, _ = refresh_partition(part, snap, batch)
+            assert_same_partition(part, partition_with_masters(
+                snap, part.master_of, "outgoing-edge-cut", 4
+            ))
+
+    def test_canonical_base_is_patched(self, graph):
+        dyn = DynamicGraph(graph)
+        dyn.apply(MutationBatch.inserts([(0, 1)]))
+        snap = dyn.snapshot()
+        assert snap.patched_from is graph
+        # the weak patch parent does not travel through pickle
+        copy = pickle.loads(pickle.dumps(snap))
+        assert copy.patched_from is None
+        assert_same_graph(copy, snap)
+
+    def test_no_rebuild_on_the_write_path(self, graph, monkeypatch):
+        """A canonical base and a cached partition: three mutations
+        sort no CSR and restrict no machine adjacency."""
+        import repro.graph.csr as csr_mod
+        import repro.partition.base as base_mod
+        from repro.api import Session
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the write path rebuilt a CSR")
+
+        batches = [
+            MutationBatch.inserts([(0, 40), (40, 0)]),
+            MutationBatch(delete_src=[0, 40], delete_dst=[40, 0],
+                          insert_src=[48], insert_dst=[2], add_vertices=1),
+            MutationBatch.deletes([(int(u), 1) for u in graph.in_neighbors(1)]),
+        ]
+        with Session(graph) as session:
+            session.run(algorithm="bfs", machines=4, bfs_roots=1)
+            monkeypatch.setattr(csr_mod, "_build_csr", refuse)
+            monkeypatch.setattr(base_mod, "_restrict_csr", refuse)
+            for batch in batches:
+                session.mutate(batch)
+            (part,) = session._partitions.values()
+            monkeypatch.undo()
+            snap = session.graph
+            assert_same_partition(part, partition_with_masters(
+                snap, part.master_of, part.kind, 4
+            ))
+        model = LiveEdges(graph)
+        for batch in batches:
+            model.apply(batch)
+        assert_same_graph(snap, model.graph())
+
+
+class TestResolveDeletes:
+    """Deletes resolve in one vectorised pass, with the loop's semantics."""
+
+    def test_error_names_first_absent_pair(self):
+        g = CSRGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        dyn = DynamicGraph(g)
+        with pytest.raises(GraphError, match=r"absent edge \(3, 0\)"):
+            dyn.apply(MutationBatch.deletes([(0, 1), (3, 0), (2, 1)]))
+
+    def test_repeated_pair_raises_at_its_second_naming(self):
+        g = CSRGraph.from_edges(4, [(0, 1), (0, 1), (1, 2)])
+        dyn = DynamicGraph(g)
+        with pytest.raises(GraphError, match=r"absent edge \(0, 1\)"):
+            dyn.apply(MutationBatch.deletes([(0, 1), (1, 2), (0, 1), (3, 3)]))
+
+    def test_failed_batch_commits_nothing(self):
+        g = CSRGraph.from_edges(4, [(0, 1), (1, 2)])
+        dyn = DynamicGraph(g, compact_min=10**9)
+        dyn.apply(MutationBatch.inserts([(2, 3), (2, 3)]))
+        snap = dyn.snapshot()
+        before = (dyn.version, dyn.num_vertices, dyn.num_edges,
+                  dyn.overlay_edges)
+        with pytest.raises(GraphError, match=r"absent edge \(3, 2\)"):
+            dyn.apply(MutationBatch(
+                delete_src=[2, 0, 3], delete_dst=[3, 1, 2],
+                insert_src=[0], insert_dst=[3], add_vertices=1,
+            ))
+        assert (dyn.version, dyn.num_vertices, dyn.num_edges,
+                dyn.overlay_edges) == before
+        assert dyn.snapshot() is snap
+        stats = dyn.apply(MutationBatch.deletes([(2, 3), (0, 1)]))
+        assert stats.removed_copies == 3
+        assert edge_multiset(dyn.snapshot()) == {(1, 2): 1}
