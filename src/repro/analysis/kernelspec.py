@@ -45,17 +45,27 @@ import ast
 import copy
 import types
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ast_analysis import DependencyInfo, SignalAst, parse_signal
+from repro.analysis.ast_analysis import (
+    DependencyInfo,
+    SignalAst,
+    analyze_parsed,
+    parse_signal,
+)
 from repro.analysis.purity import signal_effects
 from repro.errors import AnalysisError
 
 __all__ = [
+    "ShapeSpec",
+    "ShapeMismatch",
     "KernelSpec",
+    "classifier",
     "classify_kernel",
+    "match_kernel",
     "layout_matches",
     "FIRST_MATCH_BREAK",
     "COUNT_TO_K_BREAK",
@@ -69,12 +79,46 @@ FULL_SCAN_SUM = "full_scan_sum"
 FULL_SCAN_MIN = "full_scan_min"
 
 
-class _NoMatch(Exception):
-    """Internal control flow: the UDF is not an instance of this shape."""
+class ShapeMismatch(Exception):
+    """The UDF is no instance of a shape; ``str()`` says why."""
 
 
-@dataclass
-class KernelSpec:
+@dataclass(frozen=True, kw_only=True)
+class ShapeSpec:
+    """What every classification shares: the state layout its compiled
+    expressions index into and the evaluators themselves.
+
+    ``bool_arrays`` and ``bool_scalars`` name the reads that are
+    operands of ``and``/``or``/``not``.  :class:`KernelSpec`,
+    :class:`~repro.analysis.slotspec.SlotSpec` and
+    :class:`~repro.analysis.pushspec.PushSpec` add their shape's own
+    fields.
+    """
+
+    arrays: Tuple[str, ...] = ()
+    scalars: Tuple[str, ...] = ()
+    bool_arrays: Tuple[str, ...] = ()
+    bool_scalars: Tuple[str, ...] = ()
+    exprs: Dict[str, Callable] = field(repr=False, default_factory=dict)
+
+    def compatible(self, state) -> bool:
+        """Can the fast path run against ``state``'s current layout?
+
+        Checked once per phase before dispatching (a field rebound to
+        something else silently falls back to the oracle).
+        """
+        return layout_matches(
+            state, self.arrays, self.scalars,
+            self.bool_arrays, self.bool_scalars,
+        )
+
+    def describe(self) -> str:
+        """The verify report's wording for the classification."""
+        return self.shape
+
+
+@dataclass(frozen=True)
+class KernelSpec(ShapeSpec):
     """A signal UDF's compiled-to-kernel classification.
 
     ``exprs`` maps expression roles to vectorized evaluators with the
@@ -89,31 +133,47 @@ class KernelSpec:
 
     ``sources`` holds the unparse of each compiled expression so users
     can inspect what the classifier extracted, mirroring
-    ``AnalyzedSignal.instrumented_source``.  ``bool_arrays`` and
-    ``bool_scalars`` name the reads that are operands of
-    ``and``/``or``/``not``.
+    ``AnalyzedSignal.instrumented_source``.
     """
 
     kind: str
-    arrays: Tuple[str, ...]
-    scalars: Tuple[str, ...]
     carried_vars: Tuple[str, ...]
     sources: Dict[str, str]
-    exprs: Dict[str, Callable] = field(repr=False, default_factory=dict)
-    bool_arrays: Tuple[str, ...] = ()
-    bool_scalars: Tuple[str, ...] = ()
 
-    def compatible(self, state) -> bool:
-        """Can this spec run against ``state``'s current field layout?
+    @property
+    def shape(self) -> str:
+        return self.kind
 
-        Checked once per pull before dispatching batches (a field
-        rebound to something else silently falls back to the
-        interpreter).
-        """
-        return layout_matches(
-            state, self.arrays, self.scalars,
-            self.bool_arrays, self.bool_scalars,
-        )
+
+def classifier(
+    match: Callable[[Callable], ShapeSpec], doc: str
+) -> Callable[[Callable], Optional[ShapeSpec]]:
+    """The classifier of a whole-body matcher, documented by ``doc``:
+    ``match(fn)``, or None where it raises :class:`ShapeMismatch` — an
+    optimization hint, never an error.
+
+    Memoized per function object: an engine is built per run, and a
+    classification (source retrieval, parse, compiles) costs about what
+    a whole phase of a small query does; a worker process classifies
+    once, not once per unit.  Closures never classify and are turned
+    away before the cache, which would otherwise pin whatever they
+    captured.
+    """
+
+    @lru_cache(maxsize=256)
+    def cached(fn: types.FunctionType) -> Optional[ShapeSpec]:
+        try:
+            return match(fn)
+        except ShapeMismatch:
+            return None
+
+    def classify(fn: Callable) -> Optional[ShapeSpec]:
+        if not isinstance(fn, types.FunctionType) or fn.__closure__:
+            return None
+        return cached(fn)
+
+    classify.__doc__ = doc
+    return classify
 
 
 def layout_matches(
@@ -194,7 +254,7 @@ class _ExprRewriter:
     """Rewrite a UDF expression into its vectorized counterpart.
 
     Collects the state arrays/scalars it reads along the way and
-    rejects (via :class:`_NoMatch`) anything outside the pure-read
+    rejects (via :class:`ShapeMismatch`) anything outside the pure-read
     expression grammar documented in the module docstring.
     """
 
@@ -214,28 +274,30 @@ class _ExprRewriter:
     def rewrite(self, node: ast.expr) -> ast.expr:
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float, bool)):
-                raise _NoMatch("non-numeric constant")
+                raise ShapeMismatch("non-numeric constant")
             return ast.Constant(value=node.value)
         if isinstance(node, ast.Name):
             if node.id == self.u_name:
                 return ast.Name(id="__u", ctx=ast.Load())
             if node.id == self.v_name:
                 return ast.Name(id="__v", ctx=ast.Load())
-            raise _NoMatch(f"free variable {node.id!r}")
+            raise ShapeMismatch(f"free variable {node.id!r}")
         if isinstance(node, ast.Attribute):
             return self._state_attr(node, self.reads.scalars)
         if isinstance(node, ast.Subscript):
             if not isinstance(node.value, ast.Attribute):
-                raise _NoMatch("subscript of non-state value")
+                raise ShapeMismatch("subscript of non-state value")
             target = self._state_attr(node.value, self.reads.arrays)
             index = node.slice
             if not isinstance(index, ast.Name):
-                raise _NoMatch("array index must be the loop or vertex var")
+                raise ShapeMismatch(
+                    "array index must be the loop or vertex var"
+                )
             return ast.Subscript(
                 value=target, slice=self.rewrite(index), ctx=ast.Load()
             )
         if _is_connective(node) and not self.connectives:
-            raise _NoMatch("boolean connective in a value")
+            raise ShapeMismatch("boolean connective in a value")
         if isinstance(node, ast.BoolOp):
             op = ast.BitAnd() if isinstance(node.op, ast.And) else ast.BitOr()
             out = self._operand(node.values[0])
@@ -257,10 +319,10 @@ class _ExprRewriter:
                 return ast.UnaryOp(
                     op=copy.copy(node.op), operand=self.rewrite(node.operand)
                 )
-            raise _NoMatch("unsupported unary operator")
+            raise ShapeMismatch("unsupported unary operator")
         if isinstance(node, ast.BinOp):
             if not isinstance(node.op, _ALLOWED_BINOPS):
-                raise _NoMatch("unsupported binary operator")
+                raise ShapeMismatch("unsupported binary operator")
             return ast.BinOp(
                 left=self.rewrite(node.left),
                 op=copy.copy(node.op),
@@ -269,15 +331,17 @@ class _ExprRewriter:
         if isinstance(node, ast.Compare):
             if len(node.ops) > 1:
                 # NumPy cannot evaluate `a < b < c` elementwise
-                raise _NoMatch("chained comparison")
+                raise ShapeMismatch("chained comparison")
             if not isinstance(node.ops[0], _ALLOWED_CMPOPS):
-                raise _NoMatch("unsupported comparison")
+                raise ShapeMismatch("unsupported comparison")
             return ast.Compare(
                 left=self.rewrite(node.left),
                 ops=[copy.copy(node.ops[0])],
                 comparators=[self.rewrite(node.comparators[0])],
             )
-        raise _NoMatch(f"unsupported expression node {type(node).__name__}")
+        raise ShapeMismatch(
+            f"unsupported expression node {type(node).__name__}"
+        )
 
     def _operand(self, node: ast.expr) -> ast.expr:
         """One operand of ``and``/``or``/``not``, which compile to
@@ -291,7 +355,7 @@ class _ExprRewriter:
         elif isinstance(node, ast.Attribute):
             self.reads.bool_scalars.append(node.attr)
         elif not (isinstance(node, ast.Compare) or _is_connective(node)):
-            raise _NoMatch(
+            raise ShapeMismatch(
                 f"`{ast.unparse(node)}` under and/or/not is a number, "
                 "not a truth value"
             )
@@ -302,7 +366,7 @@ class _ExprRewriter:
             isinstance(node.value, ast.Name)
             and node.value.id == self.state_name
         ):
-            raise _NoMatch("attribute access on non-state object")
+            raise ShapeMismatch("attribute access on non-state object")
         reads.append(node.attr)
         return ast.Attribute(
             value=ast.Name(id="__state", ctx=ast.Load()),
@@ -370,16 +434,18 @@ def _straight_line_udf(
     signal, named by ``signature`` in the reason — into its AST and its
     body without the docstring.  Only a plain undecorated function with
     no closure, defaults or variadics has a body the whole-body matchers
-    can read; anything else raises :class:`_NoMatch`."""
+    can read; anything else raises :class:`ShapeMismatch`."""
     if not isinstance(fn, types.FunctionType):
-        raise _NoMatch("not a plain Python function")
+        raise ShapeMismatch("not a plain Python function")
     if fn.__closure__:
         # a captured variable is a free name, outside the grammar
-        raise _NoMatch(f"closes over {', '.join(fn.__code__.co_freevars)}")
+        raise ShapeMismatch(
+            f"closes over {', '.join(fn.__code__.co_freevars)}"
+        )
     try:
         sig = parse_signal(fn)
     except AnalysisError as exc:
-        raise _NoMatch(str(exc)) from None
+        raise ShapeMismatch(str(exc)) from None
     args = sig.func.args
     if (
         len(sig.params) != 3
@@ -387,7 +453,7 @@ def _straight_line_udf(
         or args.defaults
         or sig.func.decorator_list
     ):
-        raise _NoMatch(f"not a plain undecorated {signature}")
+        raise ShapeMismatch(f"not a plain undecorated {signature}")
     return sig, [stmt for stmt in sig.func.body if not _is_docstring(stmt)]
 
 
@@ -413,13 +479,13 @@ def _emit_arg(stmt: ast.stmt, emit_name: str) -> ast.expr:
         and not stmt.value.keywords
     ):
         return stmt.value.args[0]
-    raise _NoMatch("expected a single emit(<expr>) call")
+    raise ShapeMismatch("expected a single emit(<expr>) call")
 
 
 def _plain_if(stmt: ast.stmt) -> ast.If:
     if isinstance(stmt, ast.If) and not stmt.orelse:
         return stmt
-    raise _NoMatch("expected an if without else")
+    raise ShapeMismatch("expected an if without else")
 
 
 def _same_expr(a: ast.expr, b: ast.expr) -> bool:
@@ -441,7 +507,9 @@ class _Shape:
     post: List[ast.stmt]
 
 
-def _build_spec(kind: str, shape: _Shape, roles: Dict[str, Tuple[ast.expr, bool]]) -> KernelSpec:
+def _build_spec(
+    kind: str, shape: _Shape, roles: Dict[str, Tuple[ast.expr, bool]]
+) -> KernelSpec:
     """Compile every role expression and assemble the spec.
 
     ``roles`` maps role name to ``(expr, allow_loop_var)``.
@@ -469,12 +537,12 @@ def _build_spec(kind: str, shape: _Shape, roles: Dict[str, Tuple[ast.expr, bool]
 def _match_first_match(shape: _Shape) -> KernelSpec:
     """``for u in nbrs: if pred(u, v): emit(value); break``"""
     if shape.pre or shape.post or shape.info.carried_vars:
-        raise _NoMatch("first-match shape has no pre/post statements")
+        raise ShapeMismatch("first-match shape has no pre/post statements")
     if len(shape.body) != 1:
-        raise _NoMatch("loop body must be a single if")
+        raise ShapeMismatch("loop body must be a single if")
     iff = _plain_if(shape.body[0])
     if len(iff.body) != 2 or not isinstance(iff.body[1], ast.Break):
-        raise _NoMatch("if body must be emit-then-break")
+        raise ShapeMismatch("if body must be emit-then-break")
     emit_expr = _emit_arg(iff.body[0], shape.emit_name)
     return _build_spec(
         FIRST_MATCH_BREAK,
@@ -483,33 +551,63 @@ def _match_first_match(shape: _Shape) -> KernelSpec:
     )
 
 
+def _is_name(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _delta_fold(shape: _Shape, what: str) -> str:
+    """The fold variable of the count and sum shapes' shared frame,
+    ``x = <init>; start = x; <loop>; if x > start: emit(x - start)``,
+    with ``x`` the only carried variable."""
+    if len(shape.pre) != 2 or len(shape.post) != 1 or len(shape.body) != 1:
+        raise ShapeMismatch(
+            f"{what} shape is init/snapshot + loop + emit-delta"
+        )
+    var, start = (_single_target(stmt) for stmt in shape.pre)
+    if not (var and start and var != start
+            and _is_name(shape.pre[1].value, var)):
+        raise ShapeMismatch(f"expected {what} and snapshot assignments")
+    if shape.info.carried_vars != (var,):
+        raise ShapeMismatch(f"only the {what} may be carried")
+    tail = _plain_if(shape.post[0])
+    test = tail.test
+    if not (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Gt)
+        and _is_name(test.left, var)
+        and _is_name(test.comparators[0], start)
+        and len(tail.body) == 1
+    ):
+        raise ShapeMismatch(f"tail must be `if {var} > {start}: emit(...)`")
+    delta = _emit_arg(tail.body[0], shape.emit_name)
+    if not (
+        isinstance(delta, ast.BinOp)
+        and isinstance(delta.op, ast.Sub)
+        and _is_name(delta.left, var)
+        and _is_name(delta.right, start)
+    ):
+        raise ShapeMismatch(f"emitted value must be the {what} delta")
+    return var
+
+
 def _match_count_to_k(shape: _Shape) -> KernelSpec:
     """Running count with saturation break (K-core's Figure 3b shape)."""
-    if len(shape.pre) != 2 or len(shape.post) != 1 or len(shape.body) != 1:
-        raise _NoMatch("count shape is init/snapshot + loop + emit-delta")
-    cnt = _single_target(shape.pre[0])
-    start = _single_target(shape.pre[1])
-    if cnt is None or start is None or cnt == start:
-        raise _NoMatch("expected counter and snapshot assignments")
-    snapshot = shape.pre[1].value
-    if not (isinstance(snapshot, ast.Name) and snapshot.id == cnt):
-        raise _NoMatch("snapshot must copy the counter")
-    if shape.info.carried_vars != (cnt,):
-        raise _NoMatch("only the counter may be carried")
-
+    cnt = _delta_fold(shape, "counter")
     iff = _plain_if(shape.body[0])
     if len(iff.body) != 2:
-        raise _NoMatch("predicate body must be increment + saturation test")
+        raise ShapeMismatch(
+            "predicate body must be increment + saturation test"
+        )
     inc, sat = iff.body
     if not (
         isinstance(inc, ast.AugAssign)
         and isinstance(inc.op, ast.Add)
-        and isinstance(inc.target, ast.Name)
-        and inc.target.id == cnt
+        and _is_name(inc.target, cnt)
         and isinstance(inc.value, ast.Constant)
         and inc.value.value == 1
     ):
-        raise _NoMatch("increment must be cnt += 1")
+        raise ShapeMismatch("increment must be cnt += 1")
     sat_if = _plain_if(sat)
     if not (
         len(sat_if.body) == 1
@@ -517,40 +615,15 @@ def _match_count_to_k(shape: _Shape) -> KernelSpec:
         and isinstance(sat_if.test, ast.Compare)
         and len(sat_if.test.ops) == 1
         and isinstance(sat_if.test.ops[0], ast.GtE)
-        and isinstance(sat_if.test.left, ast.Name)
-        and sat_if.test.left.id == cnt
+        and _is_name(sat_if.test.left, cnt)
     ):
-        raise _NoMatch("saturation must be `if cnt >= k: break`")
-    threshold = sat_if.test.comparators[0]
-
-    post_if = _plain_if(shape.post[0])
-    if not (
-        isinstance(post_if.test, ast.Compare)
-        and len(post_if.test.ops) == 1
-        and isinstance(post_if.test.ops[0], ast.Gt)
-        and isinstance(post_if.test.left, ast.Name)
-        and post_if.test.left.id == cnt
-        and isinstance(post_if.test.comparators[0], ast.Name)
-        and post_if.test.comparators[0].id == start
-        and len(post_if.body) == 1
-    ):
-        raise _NoMatch("tail must be `if cnt > start: emit(cnt - start)`")
-    delta = _emit_arg(post_if.body[0], shape.emit_name)
-    if not (
-        isinstance(delta, ast.BinOp)
-        and isinstance(delta.op, ast.Sub)
-        and isinstance(delta.left, ast.Name)
-        and delta.left.id == cnt
-        and isinstance(delta.right, ast.Name)
-        and delta.right.id == start
-    ):
-        raise _NoMatch("emitted value must be the count delta")
+        raise ShapeMismatch("saturation must be `if cnt >= k: break`")
     return _build_spec(
         COUNT_TO_K_BREAK,
         shape,
         {
             "predicate": (iff.test, True),
-            "threshold": (threshold, False),
+            "threshold": (sat_if.test.comparators[0], False),
             "init": (shape.pre[0].value, False),
         },
     )
@@ -558,47 +631,14 @@ def _match_count_to_k(shape: _Shape) -> KernelSpec:
 
 def _match_full_scan_sum(shape: _Shape) -> KernelSpec:
     """Unconditional sum fold with delta emit (PageRank's shape)."""
-    if len(shape.pre) != 2 or len(shape.post) != 1 or len(shape.body) != 1:
-        raise _NoMatch("sum shape is init/snapshot + fold + emit-delta")
-    total = _single_target(shape.pre[0])
-    start = _single_target(shape.pre[1])
-    if total is None or start is None or total == start:
-        raise _NoMatch("expected accumulator and snapshot assignments")
-    snapshot = shape.pre[1].value
-    if not (isinstance(snapshot, ast.Name) and snapshot.id == total):
-        raise _NoMatch("snapshot must copy the accumulator")
-    if shape.info.carried_vars != (total,):
-        raise _NoMatch("only the accumulator may be carried")
+    total = _delta_fold(shape, "accumulator")
     fold = shape.body[0]
     if not (
         isinstance(fold, ast.AugAssign)
         and isinstance(fold.op, ast.Add)
-        and isinstance(fold.target, ast.Name)
-        and fold.target.id == total
+        and _is_name(fold.target, total)
     ):
-        raise _NoMatch("fold must be `total += term`")
-    post_if = _plain_if(shape.post[0])
-    if not (
-        isinstance(post_if.test, ast.Compare)
-        and len(post_if.test.ops) == 1
-        and isinstance(post_if.test.ops[0], ast.Gt)
-        and isinstance(post_if.test.left, ast.Name)
-        and post_if.test.left.id == total
-        and isinstance(post_if.test.comparators[0], ast.Name)
-        and post_if.test.comparators[0].id == start
-        and len(post_if.body) == 1
-    ):
-        raise _NoMatch("tail must be `if total > start: emit(total - start)`")
-    delta = _emit_arg(post_if.body[0], shape.emit_name)
-    if not (
-        isinstance(delta, ast.BinOp)
-        and isinstance(delta.op, ast.Sub)
-        and isinstance(delta.left, ast.Name)
-        and delta.left.id == total
-        and isinstance(delta.right, ast.Name)
-        and delta.right.id == start
-    ):
-        raise _NoMatch("emitted value must be the sum delta")
+        raise ShapeMismatch("fold must be `total += term`")
     return _build_spec(
         FULL_SCAN_SUM,
         shape,
@@ -609,12 +649,12 @@ def _match_full_scan_sum(shape: _Shape) -> KernelSpec:
 def _match_full_scan_min(shape: _Shape) -> KernelSpec:
     """Minimum fold with improvement emit (label-propagation CC)."""
     if len(shape.pre) != 1 or len(shape.post) != 1 or len(shape.body) != 1:
-        raise _NoMatch("min shape is init + fold + emit-if-improved")
+        raise ShapeMismatch("min shape is init + fold + emit-if-improved")
     best = _single_target(shape.pre[0])
     if best is None:
-        raise _NoMatch("expected a fold-variable assignment")
+        raise ShapeMismatch("expected a fold-variable assignment")
     if shape.info.carried_vars != (best,):
-        raise _NoMatch("only the fold variable may be carried")
+        raise ShapeMismatch("only the fold variable may be carried")
     init_expr = shape.pre[0].value
     iff = _plain_if(shape.body[0])
     if not (
@@ -625,13 +665,13 @@ def _match_full_scan_min(shape: _Shape) -> KernelSpec:
         and iff.test.comparators[0].id == best
         and len(iff.body) == 1
     ):
-        raise _NoMatch("fold must be `if key < best: best = key`")
+        raise ShapeMismatch("fold must be `if key < best: best = key`")
     assign = iff.body[0]
     if not (
         _single_target(assign) == best
         and _same_expr(assign.value, iff.test.left)
     ):
-        raise _NoMatch("fold must assign the compared key")
+        raise ShapeMismatch("fold must assign the compared key")
     post_if = _plain_if(shape.post[0])
     if not (
         isinstance(post_if.test, ast.Compare)
@@ -642,10 +682,10 @@ def _match_full_scan_min(shape: _Shape) -> KernelSpec:
         and _same_expr(post_if.test.comparators[0], init_expr)
         and len(post_if.body) == 1
     ):
-        raise _NoMatch("tail must be `if best < init: emit(best)`")
+        raise ShapeMismatch("tail must be `if best < init: emit(best)`")
     emitted = _emit_arg(post_if.body[0], shape.emit_name)
     if not (isinstance(emitted, ast.Name) and emitted.id == best):
-        raise _NoMatch("emitted value must be the fold result")
+        raise ShapeMismatch("emitted value must be the fold result")
     return _build_spec(
         FULL_SCAN_MIN,
         shape,
@@ -697,8 +737,22 @@ def classify_kernel(
         for matcher in _MATCHERS:
             try:
                 return matcher(shape)
-            except _NoMatch:
+            except ShapeMismatch:
                 continue
         return None
     except Exception:  # pragma: no cover - defensive: never break analysis
         return None
+
+
+def match_kernel(fn: Callable) -> KernelSpec:
+    """Classify ``fn`` from its source or raise :class:`ShapeMismatch`
+    (what ``repro verify`` reports for a signal the per-vertex
+    interpreter runs)."""
+    try:
+        sig = parse_signal(fn)
+    except AnalysisError as exc:
+        raise ShapeMismatch(str(exc)) from None
+    spec = classify_kernel(sig, analyze_parsed(sig))
+    if spec is None:
+        raise ShapeMismatch("no kernel classification")
+    return spec

@@ -42,17 +42,16 @@ just their truth — those of the loop:
 from __future__ import annotations
 
 import ast
-import types
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.kernelspec import (
+    ShapeMismatch,
+    ShapeSpec,
     _compile_expr,
-    _NoMatch,
     _Reads,
     _straight_line_udf,
-    layout_matches,
+    classifier,
 )
 
 __all__ = [
@@ -66,12 +65,12 @@ __all__ = [
 GUARDED_EMIT = "guarded_emit"
 
 
-class PushMismatch(Exception):
-    """The push signal is no guarded emit; ``str()`` says why."""
+#: the one mismatch exception, under the name this module exported
+PushMismatch = ShapeMismatch
 
 
 @dataclass(frozen=True)
-class PushSpec:
+class PushSpec(ShapeSpec):
     """A push signal's classification as a guarded emit.
 
     ``exprs`` holds vectorized evaluators ``fn(state, u, v)`` over the
@@ -82,20 +81,8 @@ class PushSpec:
     each, as :class:`~repro.analysis.kernelspec.KernelSpec` does.
     """
 
-    arrays: Tuple[str, ...]
-    scalars: Tuple[str, ...]
-    bool_arrays: Tuple[str, ...]
-    bool_scalars: Tuple[str, ...]
     sources: Dict[str, str]
-    exprs: Dict[str, Callable] = field(repr=False, default_factory=dict)
     shape: str = GUARDED_EMIT  # the one there is
-
-    def compatible(self, state) -> bool:
-        """Can the scan run against ``state``'s current layout?"""
-        return layout_matches(
-            state, self.arrays, self.scalars,
-            self.bool_arrays, self.bool_scalars,
-        )
 
     def describe(self) -> str:
         """``guarded_emit of <value> unless <guard>`` — the verify
@@ -116,7 +103,7 @@ def _split(body: List[ast.stmt]) -> Tuple[Optional[ast.expr], ast.expr]:
     """The ``(guard, value)`` expressions of a guarded-emit body."""
     *guards, last = body or [None]
     if not (isinstance(last, ast.Return) and not _is_none(last.value)):
-        raise _NoMatch("the body does not end with `return <expr>`")
+        raise ShapeMismatch("the body does not end with `return <expr>`")
     for stmt in guards:
         if not (
             isinstance(stmt, ast.If)
@@ -125,14 +112,14 @@ def _split(body: List[ast.stmt]) -> Tuple[Optional[ast.expr], ast.expr]:
             and isinstance(stmt.body[0], ast.Return)
             and _is_none(stmt.body[0].value)
         ):
-            raise _NoMatch(
+            raise ShapeMismatch(
                 f"`{ast.unparse(stmt).splitlines()[0]}` where only "
                 "`if <guard>: return None` may precede the return"
             )
     value = last.value
     if isinstance(value, ast.IfExp):
         if guards or not _is_none(value.orelse):
-            raise _NoMatch(
+            raise ShapeMismatch(
                 "a conditional value must be the whole body, as "
                 "`return <expr> if <cond> else None`"
             )
@@ -179,7 +166,7 @@ def _check_ids(expr: ast.expr, ids: Tuple[str, str], is_value: bool) -> None:
                 )
             ):
                 return
-            raise _NoMatch(
+            raise ShapeMismatch(
                 f"vertex id {node.id!r} is used as a number in "
                 f"`{ast.unparse(parent or node)}`"
             )
@@ -190,48 +177,30 @@ def _check_ids(expr: ast.expr, ids: Tuple[str, str], is_value: bool) -> None:
 
 
 def match_push(fn: Callable) -> PushSpec:
-    """Classify ``fn`` or raise :class:`PushMismatch` with the reason
+    """Classify ``fn`` or raise :class:`ShapeMismatch` with the reason
     (what ``repro verify`` prints for an unclassified push signal)."""
-    try:
-        sig, body = _straight_line_udf(fn, "push_signal(u, v, state)")
-        u_name, v_name, state_name = sig.params
-        guard, value = _split(body)
-        roles = {"guard": guard, "value": value}
-        exprs: Dict[str, Callable] = {}
-        sources: Dict[str, str] = {}
-        reads = _Reads()
-        for role, expr in roles.items():
-            if expr is None:
-                continue
-            exprs[role], sources[role], expr_reads = _compile_expr(
-                expr, state_name, v_name, u_name,
-                connectives=role == "guard",
-            )
-            _check_ids(expr, (u_name, v_name), is_value=role == "value")
-            reads.extend(expr_reads)
-    except _NoMatch as exc:
-        raise PushMismatch(str(exc)) from None
+    sig, body = _straight_line_udf(fn, "push_signal(u, v, state)")
+    u_name, v_name, state_name = sig.params
+    guard, value = _split(body)
+    roles = {"guard": guard, "value": value}
+    exprs: Dict[str, Callable] = {}
+    sources: Dict[str, str] = {}
+    reads = _Reads()
+    for role, expr in roles.items():
+        if expr is None:
+            continue
+        exprs[role], sources[role], expr_reads = _compile_expr(
+            expr, state_name, v_name, u_name,
+            connectives=role == "guard",
+        )
+        _check_ids(expr, (u_name, v_name), is_value=role == "value")
+        reads.extend(expr_reads)
     return PushSpec(sources=sources, exprs=exprs, **reads.fields())
 
 
-@lru_cache(maxsize=256)
-def _classify(fn: types.FunctionType) -> Optional[PushSpec]:
-    try:
-        return match_push(fn)
-    except PushMismatch:
-        return None
-
-
-def classify_push(fn: Callable) -> Optional[PushSpec]:
+classify_push = classifier(
+    match_push,
     """The push signal's :class:`PushSpec`, or ``None`` when it is no
-    guarded emit — an optimization hint, never an error.
-
-    Memoized per function object, as
-    :func:`~repro.analysis.slotspec.classify_slot` is and for the same
-    reason (an engine is built per run; a worker process classifies
-    once, not once per unit).  Closures never classify and are turned
-    away before the cache.
-    """
-    if not isinstance(fn, types.FunctionType) or fn.__closure__:
-        return None
-    return _classify(fn)
+    guarded emit (memoized; see
+    :func:`~repro.analysis.kernelspec.classifier`).""",
+)

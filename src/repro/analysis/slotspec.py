@@ -43,18 +43,17 @@ from __future__ import annotations
 
 import ast
 import copy
-import types
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.kernelspec import (
+    ShapeMismatch,
+    ShapeSpec,
     _compile_expr,
-    _NoMatch,
     _straight_line_udf,
-    layout_matches,
+    classifier,
 )
 
 __all__ = [
@@ -80,12 +79,12 @@ ACCUMULATE = "accumulate"
 WRITABLE_DTYPES = (np.dtype(bool), np.dtype(np.int64), np.dtype(np.float64))
 
 
-class SlotMismatch(Exception):
-    """The slot is no instance of a scatter shape; ``str()`` says why."""
+#: the one mismatch exception, under the name this module exported
+SlotMismatch = ShapeMismatch
 
 
 @dataclass(frozen=True)
-class SlotSpec:
+class SlotSpec(ShapeSpec):
     """A slot UDF's classification into an ordered-scatter shape.
 
     ``fields`` are the state arrays the slot writes, in statement
@@ -99,31 +98,19 @@ class SlotSpec:
     a field written from state and constants alone has no entry, and a
     slot with no entry at all never looks at the values.  ``returns``
     is what a successful application returns — whether the vertex
-    counts as changed.
+    counts as changed.  The guard's ``bool_arrays`` / ``bool_scalars``
+    are the reads it combines with ``not``/``and``/``or``.
     """
 
     shape: str
     fields: Tuple[str, ...]
-    arrays: Tuple[str, ...]
-    scalars: Tuple[str, ...]
     returns: bool
     casts: Dict[str, Optional[str]]
-    exprs: Dict[str, Callable] = field(repr=False, default_factory=dict)
-    #: the reads the guard combines with ``not``/``and``/``or``, which
-    #: compile to ``~``/``&``/``|`` and so need to be bool
-    bool_arrays: Tuple[str, ...] = ()
-    bool_scalars: Tuple[str, ...] = ()
 
     def compatible(self, state) -> bool:
-        """Can the scatter run against ``state``'s current layout?
-
-        On top of the signal side's layout check, every written field
-        must have a dtype in :data:`WRITABLE_DTYPES`.
-        """
-        return layout_matches(
-            state, self.arrays, self.scalars,
-            self.bool_arrays, self.bool_scalars,
-        ) and all(
+        """On top of the shared layout check, every written field must
+        have a dtype in :data:`WRITABLE_DTYPES`."""
+        return super().compatible(state) and all(
             getattr(state, name).dtype in WRITABLE_DTYPES
             for name in self.fields
         )
@@ -160,7 +147,7 @@ def _state_cell(node: ast.AST, slot: _Slot) -> Optional[str]:
 def _written_cell(target: ast.expr, slot: _Slot) -> str:
     name = _state_cell(target, slot)
     if name is None:
-        raise SlotMismatch(
+        raise ShapeMismatch(
             f"`{ast.unparse(target)}` is written; a write must target "
             f"s.<field>[{slot.v_name}]"
         )
@@ -174,7 +161,7 @@ def _constant_return(stmt: ast.stmt) -> bool:
             return False
         if isinstance(stmt.value, ast.Constant):
             return bool(stmt.value.value)
-    raise SlotMismatch(
+    raise ShapeMismatch(
         f"`{ast.unparse(stmt)}` where a constant return was expected"
     )
 
@@ -219,26 +206,23 @@ def _compile(expr: ast.expr, slot: _Slot, allow_value: bool):
     """
     for node in ast.walk(expr):
         if isinstance(node, ast.Subscript) and _state_cell(node, slot) is None:
-            raise SlotMismatch(
+            raise ShapeMismatch(
                 f"`{ast.unparse(node)}` is not indexed by {slot.v_name!r}: "
                 "another update of the phase may write that cell"
             )
     casts = _ValueCasts(slot.value_name)
     stripped = casts.visit(copy.deepcopy(expr))
     if len(casts.kinds) > 1:
-        raise SlotMismatch("the value is read under more than one conversion")
+        raise ShapeMismatch("the value is read under more than one conversion")
     if casts.kinds and not allow_value:
-        raise SlotMismatch("the guard reads the value")
-    try:
-        fn, _, reads = _compile_expr(
-            stripped,
-            slot.state_name,
-            slot.v_name,
-            slot.value_name if allow_value else None,
-            connectives=not allow_value,
-        )
-    except _NoMatch as exc:
-        raise SlotMismatch(str(exc)) from None
+        raise ShapeMismatch("the guard reads the value")
+    fn, _, reads = _compile_expr(
+        stripped,
+        slot.state_name,
+        slot.v_name,
+        slot.value_name if allow_value else None,
+        connectives=not allow_value,
+    )
     return fn, reads, casts.kinds
 
 
@@ -279,14 +263,14 @@ def _match_first_wins(slot: _Slot) -> SlotSpec:
     body = slot.body
     head = body[0] if body else None
     if not (isinstance(head, ast.If) and not head.orelse):
-        raise SlotMismatch("the body does not open with an `if` without else")
+        raise ShapeMismatch("the body does not open with an `if` without else")
     if (
         len(body) >= 3
         and len(head.body) == 1
         and isinstance(head.body[0], ast.Return)
     ):
         if _constant_return(head.body[0]):
-            raise SlotMismatch("the guarded early return must be False")
+            raise ShapeMismatch("the guarded early return must be False")
         guard, writes = head.test, body[1:-1]
         returns = _constant_return(body[-1])
     elif len(body) == 2:
@@ -296,9 +280,9 @@ def _match_first_wins(slot: _Slot) -> SlotSpec:
         writes = head.body
         returns = _constant_return(body[1])
         if returns:
-            raise SlotMismatch("the skipped path must return False")
+            raise ShapeMismatch("the skipped path must return False")
     else:
-        raise SlotMismatch(
+        raise ShapeMismatch(
             "expected `if <guard>: return False`, writes, a constant return"
         )
 
@@ -309,18 +293,18 @@ def _match_first_wins(slot: _Slot) -> SlotSpec:
     constants: Dict[str, ast.Constant] = {}
     for stmt in writes:
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-            raise SlotMismatch(
+            raise ShapeMismatch(
                 f"`{ast.unparse(stmt)}` is not a plain s.<field>[v] = <expr>"
             )
         name = _written_cell(stmt.targets[0], slot)
         if name in fields:
-            raise SlotMismatch(f"s.{name}[{slot.v_name}] is written twice")
+            raise ShapeMismatch(f"s.{name}[{slot.v_name}] is written twice")
         fn, expr_reads, kinds = _compile(stmt.value, slot, True)
         stale = sorted(set(expr_reads.arrays) & set(fields))
         if stale:
             # every expression is evaluated on the pre-state, which is
             # the scalar order only while no read follows its write
-            raise SlotMismatch(f"reads {stale} after writing it")
+            raise ShapeMismatch(f"reads {stale} after writing it")
         fields.append(name)
         exprs[name] = fn
         casts.update({name: kind for kind in kinds})
@@ -328,7 +312,7 @@ def _match_first_wins(slot: _Slot) -> SlotSpec:
         if isinstance(stmt.value, ast.Constant):
             constants[name] = stmt.value
     if not _guard_folds(guard, constants, slot):
-        raise SlotMismatch(
+        raise ShapeMismatch(
             f"no write constant-folds the guard `{ast.unparse(guard)}` to "
             "taken, so a later update of the same vertex could still apply"
         )
@@ -353,7 +337,7 @@ def _match_fold(slot: _Slot) -> SlotSpec:
         and not body[0].orelse
         and len(body[0].body) == 2
     ):
-        raise SlotMismatch(
+        raise ShapeMismatch(
             "expected `if value < s.<field>[v]:` store-and-return-True, "
             "then `return False`"
         )
@@ -365,12 +349,12 @@ def _match_fold(slot: _Slot) -> SlotSpec:
         and isinstance(test.left, ast.Name)
         and test.left.id == slot.value_name
     ):
-        raise SlotMismatch(
+        raise ShapeMismatch(
             "the test must be `value < s.<field>[v]` or `value > ...`"
         )
     name = _state_cell(test.comparators[0], slot)
     if name is None:
-        raise SlotMismatch("the value must be compared with s.<field>[v]")
+        raise ShapeMismatch("the value must be compared with s.<field>[v]")
     if not (
         isinstance(store, ast.Assign)
         and len(store.targets) == 1
@@ -378,9 +362,11 @@ def _match_fold(slot: _Slot) -> SlotSpec:
         and isinstance(store.value, ast.Name)
         and store.value.id == slot.value_name
     ):
-        raise SlotMismatch("the compared value must be stored in the same cell")
+        raise ShapeMismatch(
+            "the compared value must be stored in the same cell"
+        )
     if not _constant_return(improved) or _constant_return(body[1]):
-        raise SlotMismatch("an improvement returns True and a miss False")
+        raise ShapeMismatch("an improvement returns True and a miss False")
     return SlotSpec(
         shape=MIN_FOLD if isinstance(test.ops[0], ast.Lt) else MAX_FOLD,
         fields=(name,),
@@ -395,19 +381,19 @@ def _match_accumulate(slot: _Slot) -> SlotSpec:
     """``s.A[v] += value | int(value) | float(value)`` + constant return."""
     body = slot.body
     if not (len(body) == 2 and isinstance(body[0], ast.AugAssign)):
-        raise SlotMismatch(
+        raise ShapeMismatch(
             "expected `s.<field>[v] += value` and a constant return"
         )
     fold = body[0]
     if not isinstance(fold.op, ast.Add):
-        raise SlotMismatch(
+        raise ShapeMismatch(
             f"`{ast.unparse(fold)}`: only `+=` is an ordered-sum fold"
         )
     name = _written_cell(fold.target, slot)
     casts = _ValueCasts(slot.value_name)
     term = casts.visit(copy.deepcopy(fold.value))
     if not (isinstance(term, ast.Name) and len(casts.kinds) == 1):
-        raise SlotMismatch(
+        raise ShapeMismatch(
             "the summand must be value, int(value) or float(value)"
         )
     return SlotSpec(
@@ -428,41 +414,23 @@ _MATCHERS = (
 
 
 def match_slot(fn: Callable) -> SlotSpec:
-    """Classify ``fn`` or raise :class:`SlotMismatch` with each
+    """Classify ``fn`` or raise :class:`ShapeMismatch` with each
     matcher's reason (what ``repro verify`` prints for an unclassified
     slot)."""
-    try:
-        sig, body = _straight_line_udf(fn, "slot(v, value, state)")
-    except _NoMatch as exc:
-        raise SlotMismatch(str(exc)) from None
+    sig, body = _straight_line_udf(fn, "slot(v, value, state)")
     slot = _Slot(*sig.params, body=body)
     reasons = []
     for shape, matcher in _MATCHERS:
         try:
             return matcher(slot)
-        except SlotMismatch as exc:
+        except ShapeMismatch as exc:
             reasons.append(f"{shape}: {exc}")
-    raise SlotMismatch("; ".join(reasons))
+    raise ShapeMismatch("; ".join(reasons))
 
 
-@lru_cache(maxsize=256)
-def _classify(fn: types.FunctionType) -> Optional[SlotSpec]:
-    try:
-        return match_slot(fn)
-    except SlotMismatch:
-        return None
-
-
-def classify_slot(fn: Callable) -> Optional[SlotSpec]:
+classify_slot = classifier(
+    match_slot,
     """The slot's :class:`SlotSpec`, or ``None`` when it falls outside
-    the three shapes — an optimization hint, never an error.
-
-    Memoized per function object: an engine is built per run, and a
-    classification (source retrieval, parse, five compiles) costs about
-    what a whole phase of a small query does.  Closures never classify
-    and are turned away before the cache, which would otherwise pin
-    whatever they captured.
-    """
-    if not isinstance(fn, types.FunctionType) or fn.__closure__:
-        return None
-    return _classify(fn)
+    the three shapes (memoized; see
+    :func:`~repro.analysis.kernelspec.classifier`).""",
+)

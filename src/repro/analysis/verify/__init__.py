@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.analysis.ast_analysis import analyze_parsed, parse_signal
-from repro.analysis.kernelspec import classify_kernel
-from repro.analysis.pushspec import PushMismatch, match_push
+from repro.analysis.kernelspec import ShapeMismatch, classify_kernel
 from repro.analysis.rules import LintConfig, LintMessage, lint_signal, lint_slot
-from repro.analysis.slotspec import SlotMismatch, match_slot
 from repro.analysis.verify.contracts import (
     CONTRACTS,
     certify_spec,
@@ -49,7 +47,7 @@ __all__ = [
     "VerifyReport",
     "verify_signal",
     "verify_slot",
-    "slot_shape_note",
+    "shape_note",
     "push_shape_note",
     "verify_targets",
     "summarize",
@@ -181,18 +179,10 @@ def verify_signal(
         return verdict
     spec = classify_kernel(sig, info)
     if spec is None:
+        from repro.engine.fastpath import KERNEL
+
         verdict.status = UNCLASSIFIED
-        verdict.messages.append(
-            LintMessage(
-                "kernel-unclassified",
-                "note",
-                f"{qualname} has no kernel classification; the "
-                "per-vertex interpreter runs it (nothing to certify)",
-                lineno=sig.func.lineno + sig.line_offset,
-                func=qualname,
-                path=sig.filename,
-            )
-        )
+        verdict.messages.append(shape_note(KERNEL, fn, qualname))
         return verdict
     verdict.spec_kind = spec.kind
     try:
@@ -250,51 +240,37 @@ def verify_slot(
     return verdict
 
 
-def slot_shape_note(fn: Callable, name: Optional[str] = None) -> LintMessage:
-    """Which ordered-scatter shape a slot classifies into
-    (``slot-classified``, naming shape and written fields), or why it
-    stays on the scalar slot loop (``slot-unclassified``, with every
-    matcher's reason).  Purely informational: the classification is
-    certified at run time, by translation validation under
+def shape_note(path, fn: Callable, name: Optional[str] = None) -> LintMessage:
+    """``<path>-classified``, naming what ``fn`` compiled to, or
+    ``<path>-unclassified``, with why the oracle runs it — worded by
+    ``path``'s row of :data:`repro.engine.fastpath.PATHS`.  Purely
+    informational: a classification is certified at run time, under
     ``RunConfig(verify=...)``."""
-    try:
-        spec = match_slot(fn)
-    except SlotMismatch as exc:
-        code, text = "slot-unclassified", f"the scalar slot loop runs ({exc})"
-    else:
-        code = "slot-classified"
-        text = f"{spec.describe()} (one ordered scatter applies a phase)"
-    return _shape_note(fn, name, code, text)
-
-
-def push_shape_note(fn: Callable, name: Optional[str] = None) -> LintMessage:
-    """The push side of :func:`slot_shape_note`: the guard and value a
-    push signal compiled to (``push-classified``), or why it stays on
-    the per-edge loop (``push-unclassified``, with the matcher's
-    reason).  Certified at run time the same way."""
-    try:
-        spec = match_push(fn)
-    except PushMismatch as exc:
-        code, text = "push-unclassified", f"the per-edge loop runs ({exc})"
-    else:
-        code = "push-classified"
-        text = f"{spec.describe()} (one flat scan per machine runs a phase)"
-    return _shape_note(fn, name, code, text)
-
-
-def _shape_note(
-    fn: Callable, name: Optional[str], code: str, text: str
-) -> LintMessage:
     qualname = name or getattr(fn, "__name__", str(fn))
+    try:
+        spec = path.match(fn)
+    except ShapeMismatch as exc:
+        code = f"{path.name}-unclassified"
+        text = path.unclassified.format(name=qualname, reason=exc)
+    else:
+        code = f"{path.name}-classified"
+        text = path.classified.format(name=qualname, spec=spec.describe())
     location = getattr(fn, "__code__", None)
     return LintMessage(
         code,
         "note",
-        f"{qualname}: {text}",
+        text,
         lineno=location.co_firstlineno if location else 0,
         func=qualname,
         path=location.co_filename if location else "",
     )
+
+
+def push_shape_note(fn: Callable, name: Optional[str] = None) -> LintMessage:
+    """:func:`shape_note` on the ``push`` row."""
+    from repro.engine.fastpath import PUSH
+
+    return shape_note(PUSH, fn, name)
 
 
 def verify_targets(
@@ -313,6 +289,7 @@ def verify_targets(
     # deferred: repro.analysis.linter imports the rules module, whose
     # import in turn registers this package's determinism rules
     from repro.analysis.linter import _load_module, discover_udfs
+    from repro.engine.fastpath import PUSH, SLOT
 
     report = VerifyReport()
     named_signals = named_signals or {}
@@ -344,13 +321,12 @@ def verify_targets(
                 qualname = f"{module.__name__}.{name}"
                 if kind == "slot":
                     verdict = verify_slot(fn, strict, config, name=qualname)
-                    verdict.messages.append(slot_shape_note(fn, qualname))
-                    report.verdicts.append(verdict)
+                    verdict.messages.append(shape_note(SLOT, fn, qualname))
                 else:
                     verdict = verify_signal(fn, strict, config, name=qualname)
                     if kind == "push":
-                        verdict.messages.append(push_shape_note(fn, qualname))
-                    report.verdicts.append(verdict)
+                        verdict.messages.append(shape_note(PUSH, fn, qualname))
+                report.verdicts.append(verdict)
     uncovered = uncontracted_kernels()
     if uncovered:
         report.verdicts.append(

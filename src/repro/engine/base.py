@@ -20,7 +20,6 @@ Definition 2.2 semantics so all engines compute identical results.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from time import perf_counter
@@ -29,12 +28,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
-from repro.analysis.pushspec import PushSpec, classify_push
-from repro.analysis.slotspec import SlotSpec, classify_slot
+from repro.engine.fastpath import BLOCK, KERNEL, PUSH, SLOT, FastPaths
 from repro.engine.state import StateStore
 from repro.exec import work
-from repro.errors import EngineError, KernelSoundnessError
-from repro.kernels import get_kernel
+from repro.errors import EngineError
 from repro.kernels.slots import apply_slot
 from repro.obs.hooks import ObsHub
 from repro.partition.base import Partition
@@ -53,22 +50,6 @@ SignalLike = Union[Callable, AnalyzedSignal]
 # One serial per engine (a Session builds an engine per run): the scope
 # scan plans are kept in.  Not ``id()``, which a later engine can reuse.
 _RUN_SERIAL = count(1)
-
-
-def _same_result(a, b) -> bool:
-    """Are two values of a work unit's result the same — arrays by
-    dtype and bytes, containers element by element?"""
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(
-            _same_result(a[key], b[key]) for key in a
-        )
-    if isinstance(a, (tuple, list)):
-        return len(a) == len(b) and all(map(_same_result, a, b))
-    return a == b
 
 
 @dataclass
@@ -144,19 +125,8 @@ class BaseEngine:
         self.default_cost = default_cost
         self.use_kernels = use_kernels
         self.verify = verify
+        self.fastpaths = FastPaths(use_kernels, verify)
         self._analyzed: Dict[int, AnalyzedSignal] = {}
-        # id(fn) -> (fn, spec) for slots and push signals: holding the
-        # function keeps its id from being reused, here and for its
-        # _certified verdict
-        self._slot_specs: Dict[
-            int, Tuple[Callable, Optional[SlotSpec]]
-        ] = {}
-        self._push_specs: Dict[
-            int, Tuple[Callable, Optional[PushSpec]]
-        ] = {}
-        self._certified: Dict[int, bool] = {}
-        # id(signal fn) -> do its block scans equal its per-unit scans?
-        self._block_certified: Dict[int, bool] = {}
         self._run_serial = next(_RUN_SERIAL)
         self._fault_controller = None
         self.executor = None
@@ -320,9 +290,9 @@ class BaseEngine:
         ``push_signal(u, v, state)`` returns an update value or None.
         The paper's optimization targets pull mode; push is identical
         across the distributed engines.  A signal classified as a
-        guarded emit is scanned as one array pass per machine
-        (:meth:`_push_plan`), any other by one call per edge; the units
-        return the same either way.
+        guarded emit is scanned as one array pass per machine (the
+        ``push`` row of :mod:`repro.engine.fastpath`), any other by one
+        call per edge; the units return the same either way.
         """
         frontier_idx = self._as_indices(frontier)
         phase = self._phase_begin("push")
@@ -331,10 +301,11 @@ class BaseEngine:
         buffer = _UpdateBuffer()
         push_msg: Dict[Tuple[int, int], int] = {}
 
+        fast = self.fastpaths
         shared = {
             "signal": push_signal,
             "frontier": frontier_idx,
-            "use_kernel": self._push_plan(push_signal, state),
+            "use_kernel": fast.plan(PUSH, push_signal, state) is not None,
         }
         items = [{"m": m} for m in range(self.num_machines)]
         results = self._map_machines(
@@ -342,12 +313,16 @@ class BaseEngine:
         )
         if (
             shared["use_kernel"]
-            and self.verify != "off"
-            and id(push_signal) not in self._certified
+            and fast.checking(PUSH, push_signal)
             and any(res["edges"] for res in results)
         ):
-            results = self._certify_push(
-                push_signal, shared, items, state, results
+            # units are pure: mapping them again on the per-edge loop
+            # is safe on either backend
+            results = fast.certified(
+                PUSH, push_signal, results, self._map_machines(
+                    work.push_task, {**shared, "use_kernel": False},
+                    items, state,
+                ),
             )
         master_of = self.partition.master_of
         for res in results:
@@ -384,257 +359,31 @@ class BaseEngine:
             record, [step], buffer, slot, state, sync_bytes
         )
 
-    # -- batched kernel fast path ---------------------------------------------
-
-    def _kernel_plan(
-        self, analyzed: AnalyzedSignal, state: StateStore
-    ) -> bool:
-        """Does the batched kernel fast path apply to this signal?
-
-        Requires the engine opt-in (``use_kernels``), a classification
-        from the analyzer, a registered kernel for its kind, and a
-        state layout matching the arrays the compiled expressions read.
-        Any miss means the per-vertex interpreter runs — the fallback
-        contract documented in ``docs/API.md``.
-        """
-        spec = analyzed.kernel
-        if not self.use_kernels or spec is None:
-            return False
-        if self.verify != "off" and not self._certify_kernel(analyzed, spec):
-            return False
-        return get_kernel(spec.kind) is not None and spec.compatible(state)
-
-    def _certify_kernel(self, analyzed: AnalyzedSignal, spec) -> bool:
-        """Cross-check a classification before dispatching its kernel.
-
-        With ``verify="warn"`` a refuted contract drops the fast path
-        (the per-vertex interpreter is always correct) and emits a
-        ``RuntimeWarning``; ``verify="strict"`` re-raises the
-        :class:`~repro.errors.KernelSoundnessError`.  Verdicts cache
-        per signal function for the engine's lifetime.
-        """
-        key = id(analyzed.original)
-        cached = self._certified.get(key)
-        if cached is not None:
-            return cached
-        # lazy: certification is a verify-mode-only dependency
-        from repro.analysis.ast_analysis import analyze_parsed, parse_signal
-        from repro.analysis.verify import certify_spec
-
-        try:
-            sig = parse_signal(analyzed.original)
-            certify_spec(sig, analyze_parsed(sig), spec)
-        except KernelSoundnessError as exc:
-            if self.verify == "strict":
-                raise
-            warnings.warn(
-                "kernel fast path disabled for "
-                f"{getattr(analyzed.original, '__name__', '?')}: {exc}",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            self._certified[key] = False
-            return False
-        self._certified[key] = True
-        return True
-
-    # -- slot scatter and push scan fast paths -------------------------------
-
-    def _shape_plan(self, cache, classify, fn: Callable, state: StateStore):
-        """The classification a slot or push signal may run through.
-
-        Their side of :meth:`_kernel_plan`, under the same switch:
-        ``use_kernels``, a classification (cached per function in
-        ``cache``), no refuted certification, and a state layout the
-        spec's expressions can index.  Any miss is None: the scalar
-        loop.
-        """
-        if not self.use_kernels:
-            return None
-        cached = cache.get(id(fn))
-        if cached is None:
-            cached = cache[id(fn)] = fn, classify(fn)
-        spec = cached[1]
-        if (
-            spec is None
-            or self._certified.get(id(fn)) is False
-            or not spec.compatible(state)
-        ):
-            return None
-        return spec
-
-    def _slot_plan(
-        self, slot: Callable, state: StateStore
-    ) -> Optional[SlotSpec]:
-        """The scatter classification ``slot`` may be applied through,
-        or None for the scalar slot loop."""
-        return self._shape_plan(self._slot_specs, classify_slot, slot, state)
-
-    def _push_plan(self, push_signal: Callable, state: StateStore) -> bool:
-        """May the push units scan ``push_signal`` as one array pass?
-
-        Only the verdict ships: a worker re-derives the spec from the
-        function (compiled evaluators do not pickle).
-        """
-        return self._shape_plan(
-            self._push_specs, classify_push, push_signal, state
-        ) is not None
-
-    def _certify_push(
-        self, push_signal, shared, items, state, results
-    ) -> List[Dict]:
-        """Translation validation of a push classification: map the
-        phase's units a second time through the per-edge loop (units
-        are pure, so this is safe on either backend) and compare them
-        key for key, arrays by dtype and bytes.  Returns the results to
-        merge; the verdict is cached.
-
-        On a mismatch ``verify="strict"`` raises
-        :class:`~repro.errors.KernelSoundnessError`; ``"warn"`` warns,
-        answers with the loop's results and leaves the signal on the
-        loop for the engine's lifetime.
-        """
-        oracle = self._map_machines(
-            work.push_task, {**shared, "use_kernel": False}, items, state
-        )
-
-        differing = sorted({
-            key
-            for res, ref in zip(results, oracle)
-            for key in ref
-            if not _same_result(res[key], ref[key])
-        })
-        self._certified[id(push_signal)] = not differing
-        if not differing:
-            return results
-        name = getattr(push_signal, "__name__", "?")
-        message = (
-            f"the flat scan of {name} and the per-edge loop differ on "
-            f"{differing}"
-        )
-        if self.verify == "strict":
-            raise KernelSoundnessError(message, obligation="push-equivalence")
-        warnings.warn(
-            f"push fast path disabled for {name}: {message}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return oracle
-
-    def _certify_blocks(
-        self, analyzed: AnalyzedSignal, shared, items, state, results
-    ) -> List[Dict]:
-        """Translation validation of the block scan: map the step's
-        units a second time, every unit in a kernel call of its own, and
-        compare key for key (the seconds aside), arrays by dtype and
-        bytes.  Returns the results to merge; the verdict is cached per
-        signal.
-
-        On a mismatch ``verify="strict"`` raises
-        :class:`~repro.errors.KernelSoundnessError`; ``"warn"`` warns,
-        answers with the per-unit results and scans the signal unit by
-        unit for the engine's lifetime.
-        """
-        oracle = self._map_machines(
-            work.pull_task, {**shared, "solo": True}, items, state
-        )
-        differing = sorted({
-            key
-            for res, ref in zip(results, oracle)
-            for key in ref
-            if not key.endswith("_seconds")
-            and not _same_result(res[key], ref[key])
-        })
-        self._block_certified[id(analyzed.original)] = not differing
-        if not differing:
-            return results
-        name = getattr(analyzed.original, "__name__", "?")
-        message = (
-            f"the block scan of {name} and its per-unit scan differ on "
-            f"{differing}"
-        )
-        if self.verify == "strict":
-            raise KernelSoundnessError(
-                message, obligation="block-equivalence"
-            )
-        warnings.warn(
-            f"block scan disabled for {name}: {message}",
-            RuntimeWarning,
-            stacklevel=5,
-        )
-        return oracle
-
     def _apply_updates(
         self, buffer: _UpdateBuffer, slot: Callable, state: StateStore
     ) -> Tuple[np.ndarray, int]:
         """Apply a phase's bins: one ordered scatter when the slot is
         classified and the values are arrays it reproduces exactly,
-        the scalar loop otherwise.
-
-        With ``verify != "off"`` a classification is certified by
-        translation validation: the first batch per (engine, slot) also
-        runs through the scalar slot on a private copy of the state and
-        must leave the same arrays, ``changed`` and count.
-        """
-        spec = self._slot_plan(slot, state) if buffer.bins else None
+        the scalar loop otherwise.  A scatter still to be certified is
+        compared with the scalar loop run on a copy of the state."""
+        fast = self.fastpaths
+        spec = fast.plan(SLOT, slot, state) if buffer.bins else None
         if spec is None:
             return buffer.apply(slot, state)
-        certifying = self.verify != "off" and id(slot) not in self._certified
-        if certifying:
+        shadow = None
+        if fast.checking(SLOT, slot):
             shadow = StateStore(state.num_vertices)
             shadow.restore(state.snapshot())
-            expected = buffer.apply(slot, shadow)
         changed = apply_slot(spec, state, buffer.bins)
         if changed is None:
             return buffer.apply(slot, state)
         result = changed, buffer.total
-        if certifying and not self._certify_slot(
-            slot, spec, state, result, shadow, expected
-        ):
-            return expected
+        if shadow is not None:
+            result = fast.certified(
+                SLOT, slot, (state, result),
+                (shadow, buffer.apply(slot, shadow)),
+            )[1]
         return result
-
-    def _certify_slot(
-        self, slot, spec, state, result, shadow, expected
-    ) -> bool:
-        """Did the scatter (``state``, ``result``) match the scalar
-        replay (``shadow``, ``expected``)?  The verdict is cached.
-
-        On a mismatch ``verify="strict"`` raises
-        :class:`~repro.errors.KernelSoundnessError`; ``"warn"`` warns,
-        puts the replay's arrays into ``state`` (in place — they may be
-        shared-memory views) and leaves the slot on the scalar loop for
-        the engine's lifetime.
-        """
-        differing = [
-            name for name in state
-            if isinstance(getattr(state, name), np.ndarray)
-            and getattr(state, name).tobytes()
-            != getattr(shadow, name).tobytes()
-        ]
-        if not np.array_equal(result[0], expected[0]):
-            differing.append("changed")
-        if result[1] != expected[1]:
-            differing.append("applied")
-        self._certified[id(slot)] = not differing
-        if not differing:
-            return True
-        name = getattr(slot, "__name__", "?")
-        message = (
-            f"the {spec.shape} scatter of {name} and the scalar slot loop "
-            f"differ on {differing}"
-        )
-        if self.verify == "strict":
-            raise KernelSoundnessError(message, obligation="slot-equivalence")
-        warnings.warn(
-            f"slot fast path disabled for {name}: {message}",
-            RuntimeWarning,
-            stacklevel=5,
-        )
-        for name in state:
-            if isinstance(getattr(state, name), np.ndarray):
-                getattr(state, name)[...] = getattr(shadow, name)
-        return False
 
     def _grouped_sends_ok(self) -> bool:
         """May per-vertex update messages be coalesced into one send?
@@ -682,7 +431,7 @@ class BaseEngine:
         dependency hand-off of that many bytes to the machine on the
         left.
         """
-        fn_id = id(analyzed.original)
+        fast, fn = self.fastpaths, analyzed.original
         shared = {
             "signal": analyzed,
             "use_kernel": use_kernel,
@@ -690,22 +439,21 @@ class BaseEngine:
             "active": active,
             "is_last": is_last,
             "scan": (self._run_serial, *at),
-            "solo": self._block_certified.get(fn_id) is False,
+            "solo": fast.refuted(BLOCK, fn),
         }
-        certifying = (
-            use_kernel
-            and self.verify != "off"
-            and fn_id not in self._block_certified
-        )
+        certifying = use_kernel and fast.checking(BLOCK, fn)
         scan = self.executor.scan
         sharing = scan["units"] - scan["blocks"]
         results = self._map_machines(
             work.pull_task, shared, items, state, step=step
         )
         if certifying and scan["units"] - scan["blocks"] > sharing:
-            # the first step in which units shared a kernel call
-            results = self._certify_blocks(
-                analyzed, shared, items, state, results
+            # the first step in which units shared a kernel call: map
+            # it again with every unit in a kernel call of its own
+            results = fast.certified(
+                BLOCK, fn, results, self._map_machines(
+                    work.pull_task, {**shared, "solo": True}, items, state
+                ),
             )
         master_of = self.partition.master_of
         grouped = self._grouped_sends_ok()
@@ -838,7 +586,8 @@ class BaseEngine:
         buffer = _UpdateBuffer()
         self._pull_step(
             analyzed,
-            self._kernel_plan(analyzed, state),
+            self.fastpaths.plan(KERNEL, analyzed.original, state, analyzed)
+            is not None,
             state,
             [{"m": m} for m in range(self.num_machines)],
             step,
@@ -941,13 +690,6 @@ class BaseEngine:
                 len(self.counters.iterations) - 1,
                 target.sync_bytes - before,
             )
-
-    def _active_candidates(
-        self, active_idx: np.ndarray, machine: int
-    ) -> np.ndarray:
-        """Active vertices with local in-edges on ``machine``."""
-        degs = self.partition.local_in(machine).degrees()
-        return active_idx[degs[active_idx] > 0]
 
     # -- results --------------------------------------------------------------
 

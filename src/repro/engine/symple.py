@@ -42,6 +42,7 @@ from repro.engine.base import (
     _UpdateBuffer,
 )
 from repro.engine.dep import DepStore
+from repro.engine.fastpath import KERNEL
 from repro.engine.state import StateStore
 from repro.errors import EngineError
 from repro.partition.base import Partition
@@ -233,7 +234,9 @@ class SympleGraphEngine(BaseEngine):
             and controller.dep_loss_rate > 0.0
             and not has_data
         )
-        use_kernel = self._kernel_plan(analyzed, state)
+        use_kernel = self.fastpaths.plan(
+            KERNEL, analyzed.original, state, analyzed
+        ) is not None
 
         # Loop-invariant hoisting: local degree arrays, the
         # per-partition candidate split, and each partition's hand-off

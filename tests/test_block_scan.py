@@ -35,6 +35,7 @@ from repro.algorithms.pagerank import pagerank_signal
 from repro.analysis.instrument import instrument_signal
 from repro.api import RunConfig, Session
 from repro.engine import GeminiEngine, SympleGraphEngine
+from repro.engine.fastpath import BLOCK
 from repro.engine.symple import circulant_partition
 from repro.errors import EngineError, KernelSoundnessError
 from repro.exec import make_executor, work
@@ -687,7 +688,7 @@ class TestCertification:
         active = run_graph.in_degrees() > 0
         calls = engine.executor.scan
         engine.pull(cc_signal, _min_slot, state, active)
-        assert engine._block_certified == {id(cc_signal): True}
+        assert engine.fastpaths.entry(BLOCK, cc_signal).verdict is True
         units = calls["units"]
         engine.pull(cc_signal, _min_slot, state, active)
         # the second pull replays nothing

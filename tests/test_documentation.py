@@ -62,3 +62,18 @@ def test_readme_and_design_exist():
         path = root / doc
         assert path.exists(), doc
         assert len(path.read_text()) > 500, f"{doc} too thin"
+
+
+def test_fallback_rules_name_every_fast_path():
+    """docs/API.md's *Fallback rules* has a row for every row of
+    ``repro.engine.fastpath.PATHS``, with its obligation."""
+    import pathlib
+
+    from repro.engine.fastpath import PATHS
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    api = (root / "docs" / "API.md").read_text()
+    section = api.split("### Fallback rules", 1)[1].split("\n## ", 1)[0]
+    for path in PATHS:
+        assert f"| `{path.name}` |" in section, path.name
+        assert f"`{path.obligation}`" in section, path.obligation

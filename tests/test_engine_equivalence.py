@@ -197,10 +197,6 @@ class TestKernelInterpreterEquivalence:
         # satellite: zero-degree vertices never enter a pull batch
         graph = to_undirected(erdos_renyi(50, 90, seed=3))
         part = OutgoingEdgeCut().partition(graph, 3)
-        for m in range(3):
-            eng = SympleGraphEngine(part)
-            cand = eng._active_candidates(np.arange(50), m)
-            assert np.all(part.local_in(m).degrees()[cand] > 0)
         run = ALGORITHMS[algorithm]
         eng_on = SympleGraphEngine(part, SympleOptions(use_kernels=True))
         eng_off = SympleGraphEngine(part, SympleOptions(use_kernels=False))

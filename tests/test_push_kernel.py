@@ -41,6 +41,7 @@ from repro.analysis.pushspec import (
 )
 from repro.api import RunConfig, Session
 from repro.engine import GeminiEngine, SympleOptions
+from repro.engine.fastpath import PUSH
 from repro.errors import KernelSoundnessError
 from repro.exec import make_executor, work
 from repro.graph import CSRGraph, rmat, to_undirected
@@ -352,7 +353,7 @@ class TestScanMatchesLoop:
         graph = random_graph(np.random.default_rng(seed))
         fast, engine = one_push(graph, machines, signal, seed, True)
         oracle, _ = one_push(graph, machines, signal, seed, False)
-        assert engine._push_specs[id(signal)][1] is not None
+        assert engine.fastpaths.entry(PUSH, signal).spec is not None
         assert fast == oracle
 
     @pytest.mark.parametrize(
@@ -537,14 +538,14 @@ class TestRejections:
     def test_run_matches_oracle_twin(self, case):
         signal, _ = NEAR_MISSES[case]
         fast, oracle, engine = self.twins(signal)
-        assert engine._push_specs[id(signal)][1] is None
+        assert engine.fastpaths.entry(PUSH, signal).spec is None
         assert fast == oracle
         assert fast[2] > 0  # the phase did scan edges
 
     def test_lambda_runs_on_the_loop(self):
         signal = lambda u, v, s: None if s.visited[v] else u  # noqa: E731
         fast, oracle, engine = self.twins(signal)
-        assert engine._push_specs[id(signal)][1] is None
+        assert engine.fastpaths.entry(PUSH, signal).spec is None
         assert fast == oracle and fast[1] > 0
 
     def test_non_bool_under_a_connective_is_a_layout_miss(self):
@@ -561,16 +562,16 @@ class TestRejections:
         for seed in range(8):  # w draws bool / int64 / float64 / float32
             fast, oracle, engine = self.twins(weighted_signal, seed)
             assert fast == oracle
-            ran.add(engine._push_plan(
-                weighted_signal, _state_of(engine, seed)
-            ))
+            ran.add(engine.fastpaths.plan(
+                PUSH, weighted_signal, _state_of(engine, seed)
+            ) is not None)
         assert ran == {True, False}
 
     def test_use_kernels_false_never_classifies(self):
         _, engine = one_push(
             self.graph, 3, bfs_mod._push_signal, 4, False, everyone=True
         )
-        assert not engine._push_specs
+        assert not engine.fastpaths.cache
 
 
 def _state_of(engine, seed):
@@ -609,7 +610,7 @@ class TestPushCertification:
 
     def test_pristine_signal_certifies_once(self):
         outcome, engine = self.push(True, "strict")
-        assert engine._certified[id(self.signal)] is True
+        assert engine.fastpaths.entry(PUSH, self.signal).verdict is True
         assert outcome == self.push(False)[0]
 
     def test_strict_refuses_a_tampered_spec(self, tampered):
@@ -630,8 +631,8 @@ class TestPushCertification:
                 np.arange(self.graph.num_vertices),
             )
         assert len(w) == 1
-        assert engine._certified[id(self.signal)] is False
-        assert not engine._push_plan(self.signal, state)
+        assert engine.fastpaths.entry(PUSH, self.signal).verdict is False
+        assert engine.fastpaths.plan(PUSH, self.signal, state) is None
         assert outcome == self.push(False)[0]
 
     def test_warned_run_digests_like_the_oracle(self, tampered):
@@ -649,7 +650,7 @@ class TestPushCertification:
 
     def test_off_never_replays(self):
         _, engine = self.push(True)
-        assert id(self.signal) not in engine._certified
+        assert engine.fastpaths.entry(PUSH, self.signal).verdict is None
 
 
 # -- the verify report and the linter --------------------------------------------------

@@ -42,6 +42,7 @@ from repro.analysis.slotspec import (
 )
 from repro.engine import GeminiEngine, SympleGraphEngine, SympleOptions
 from repro.engine.base import _UpdateBuffer
+from repro.engine.fastpath import SLOT, Entry
 from repro.engine.state import StateStore
 from repro.errors import KernelSoundnessError
 from repro.fault.program import run_program
@@ -522,7 +523,7 @@ def one_pull(graph, slot, use_kernels, verify="off", tamper=None,
         verify=verify,
     )
     if tamper is not None:
-        engine._slot_specs[id(slot)] = (slot, tamper)
+        engine.fastpaths.cache[id(slot), "slot"] = Entry(slot, tamper)
     n = graph.num_vertices
     state = engine.new_state()
     state.set("source", np.arange(n) % 3 == 0)
@@ -577,7 +578,7 @@ class TestRejections:
         slot, _ = NEAR_MISSES[case]
         fast, engine = one_pull(graph, slot, use_kernels=True)
         oracle, _ = one_pull(graph, slot, use_kernels=False)
-        assert engine._slot_specs[id(slot)][1] is None
+        assert engine.fastpaths.entry(SLOT, slot).spec is None
         assert fast == oracle
         assert fast[2] > 0  # the phase did apply updates
 
@@ -613,8 +614,8 @@ class TestRejections:
         # passing because nothing in it ever leaves the scalar loop
         fast, engine = one_pull(graph, cc_mod._min_slot, use_kernels=True)
         oracle, twin_engine = one_pull(graph, cc_mod._min_slot, False)
-        assert engine._slot_specs[id(cc_mod._min_slot)][1].shape == MIN_FOLD
-        assert not twin_engine._slot_specs  # the switch skips classifying
+        assert engine.fastpaths.entry(SLOT, cc_mod._min_slot).spec.shape == MIN_FOLD
+        assert not twin_engine.fastpaths.cache  # the switch skips classifying
         assert fast == oracle and fast[1]
 
 
@@ -631,7 +632,7 @@ class TestNaNAccumulate:
         )
         oracle, _ = one_pull(graph, slot, False, signal=spill_signal)
         # still classified: the gate is per phase, on the values
-        assert engine._slot_specs[id(slot)][1].shape == ACCUMULATE
+        assert engine.fastpaths.entry(SLOT, slot).spec.shape == ACCUMULATE
         assert fast == oracle
         incoming = np.frombuffer(fast[0]["incoming"][1])
         signs = np.signbit(incoming[np.isnan(incoming)])
@@ -651,7 +652,7 @@ class TestSlotCertification:
     def test_pristine_slot_certifies_once(self, graph):
         slot = cc_mod._min_slot
         outcome, engine = one_pull(graph, slot, True, verify="strict")
-        assert engine._certified[id(slot)] is True
+        assert engine.fastpaths.entry(SLOT, slot).verdict is True
         assert outcome == one_pull(graph, slot, False)[0]
 
     def test_strict_refuses_a_tampered_spec(self, graph):
@@ -677,13 +678,13 @@ class TestSlotCertification:
             state.set("label", np.full(n, n, dtype=np.int64))
             engine.pull(offer_signal, slot, state, np.ones(n, dtype=bool))
         assert len(w) == 1
-        assert engine._certified[id(slot)] is False
+        assert engine.fastpaths.entry(SLOT, slot).verdict is False
         assert outcome == one_pull(graph, slot, False)[0]
         assert (state.label < n).any()
 
     def test_off_never_replays(self, graph):
         _, engine = one_pull(graph, cc_mod._min_slot, True)
-        assert id(cc_mod._min_slot) not in engine._certified
+        assert engine.fastpaths.entry(SLOT, cc_mod._min_slot).verdict is None
 
 
 # -- the verify report -------------------------------------------------------------

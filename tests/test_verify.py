@@ -453,6 +453,7 @@ class TestExecutionGates:
 
     def test_engine_gate_drops_uncertified_kernel(self):
         from repro.engine import make_engine
+        from repro.engine.fastpath import KERNEL
         from repro.graph.generators import rmat
 
         graph = rmat(scale=7, edge_factor=8, seed=3)
@@ -461,15 +462,15 @@ class TestExecutionGates:
         state = engine.new_state()
         state.add_array("active", "float64")
         state.add_scalar("k", 8)
-        engine._kernel_plan(analyzed, state)
+        engine.fastpaths.plan(KERNEL, analyzed.original, state, analyzed)
         # pristine UDF: certification passes, the plan survives the gate
-        assert engine._certified[id(analyzed.original)] is True
+        assert engine.fastpaths.entry(KERNEL, analyzed.original).verdict is True
         # a tampered spec must be refused outright under strict
         _, _, wrong_spec = spec_of(pagerank_signal)
         analyzed.kernel = wrong_spec
-        engine._certified.clear()
+        engine.fastpaths.cache.clear()
         with pytest.raises(KernelSoundnessError):
-            engine._kernel_plan(analyzed, state)
+            engine.fastpaths.plan(KERNEL, analyzed.original, state, analyzed)
 
     def test_executor_parallel_attribute(self):
         from repro.exec import make_executor
