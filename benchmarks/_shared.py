@@ -82,7 +82,7 @@ def export_metrics(name: str, registry) -> str:
     """Persist a metric registry as JSON next to the bench tables.
 
     Returns the path written, so CI can pick the file up as an
-    artifact alongside ``BENCH_wallclock.json``.
+    artifact.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}_metrics.json")

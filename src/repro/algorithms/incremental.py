@@ -17,9 +17,8 @@ re-running the whole algorithm:
 Both algorithms are monotone min-folds with canonical fixpoints
 (shortest hop count; minimum reaching vertex id), so the repaired
 state is **bit-identical** to a from-scratch run on the equivalent
-static graph — the metamorphic gate the dynamic-graph test suite and
-``bench_dynamic.py --smoke`` enforce on every batch, across the
-serial and process executors.
+static graph — the metamorphic gate the dynamic-graph test suite
+enforces on every batch, across the serial and process executors.
 
 The relaxation phases run through the ordinary engine pull protocol
 (via :meth:`Session.engine_context`), so dependency accounting, the

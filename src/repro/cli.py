@@ -248,11 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="most requests one engine run may coalesce (default: 64)",
     )
     serve.add_argument(
-        "--no-batching", action="store_true",
-        help="serve request-at-a-time (disables the coalescer; the "
-        "bench's unbatched baseline)",
-    )
-    serve.add_argument(
         "--timeout", type=float, default=30.0, metavar="SECONDS",
         help="per-request deadline; late queries get 504 (default: 30)",
     )
@@ -537,7 +532,6 @@ def _serve(args) -> int:
     app = ServeApp(
         registry,
         max_depth=args.max_depth,
-        batching=not args.no_batching,
         max_batch=args.max_batch,
         request_timeout=args.timeout,
     )

@@ -163,6 +163,33 @@ class Histogram(Metric):
                 counts[i] += 1
         self._hist[key] = (counts, total + float(value), n + 1)
 
+    def quantile(self, q: float, **labels: object) -> float:
+        """The q-quantile (0..1) of one label set's observations.
+
+        Linear interpolation inside the bucket that holds rank
+        ``q * count``, as Prometheus' ``histogram_quantile`` does: the
+        answer is only as fine as the bucket edges, and a rank past the
+        last edge reads that edge.  0.0 when nothing was observed.
+        """
+        key = _label_key(self.label_names, labels)
+        counts, _, n = self._hist.get(key, ((), 0.0, 0))
+        rank = q * n
+        lower_edge, lower_count = 0.0, 0
+        for edge, count in zip(self.buckets, counts):
+            if count >= rank:
+                if count == lower_count:
+                    return lower_edge
+                share = (rank - lower_count) / (count - lower_count)
+                return lower_edge + (edge - lower_edge) * share
+            lower_edge, lower_count = edge, count
+        return lower_edge
+
+    def mean(self, **labels: object) -> float:
+        """Mean of one label set's observations, 0.0 if none."""
+        key = _label_key(self.label_names, labels)
+        _, total, n = self._hist.get(key, ((), 0.0, 0))
+        return total / n if n else 0.0
+
     def samples(self) -> List[Dict[str, object]]:
         out = []
         for key, (counts, total, n) in sorted(self._hist.items()):

@@ -112,18 +112,12 @@ def plan_batch(batch: List[QueryRequest]) -> Tuple[RunConfig, bool]:
 class Broker:
     """Bounded multi-lane request queue with batch-forming dequeue."""
 
-    def __init__(
-        self,
-        max_depth: int = 64,
-        batching: bool = True,
-        max_batch: int = 64,
-    ) -> None:
+    def __init__(self, max_depth: int = 64, max_batch: int = 64) -> None:
         if max_depth < 1:
             raise ServeError(f"max_depth must be >= 1, got {max_depth}")
         if max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {max_batch}")
         self.max_depth = max_depth
-        self.batching = batching
         self.max_batch = max_batch
         self._cond = threading.Condition()
         self._lanes: Dict[str, Deque[QueryRequest]] = {}
@@ -187,8 +181,6 @@ class Broker:
         head = lane.popleft()
         self._depth -= 1
         batch = [head]
-        if not self.batching:
-            return batch
         kept: Deque[QueryRequest] = deque()
         while lane:
             req = lane.popleft()

@@ -9,14 +9,12 @@ depth, batch sizes, wait/latency histograms) *and* the engine-level
 events of the runs it served (phases, kernel batches, comm bytes) in
 one Prometheus scrape.
 
-Latency percentiles are computed two ways on purpose:
-
-* the ``repro_serve_latency_seconds`` histogram uses fixed buckets —
-  the right shape for a Prometheus scrape pipeline;
-* :meth:`snapshot` keeps a bounded window of exact samples and reports
-  true p50/p99 — the numbers ``bench_serve.py`` and the ``/stats``
-  endpoint print, where bucket-edge quantization would drown the
-  batched-vs-unbatched comparison.
+``/stats`` reads the same registry: its latency p50/p99 are
+:meth:`~repro.obs.metrics.Histogram.quantile` over the fixed-bucket
+``repro_serve_latency_seconds`` histogram since start-up, so they are
+as fine as its bucket edges, and the mean batch size is the mean of
+``repro_serve_batch_size``.  A client that needs exact percentiles
+times its own requests.
 
 All mutators take the internal lock: the HTTP side (asyncio event
 loop) and the per-graph worker threads report concurrently.
@@ -26,13 +24,12 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.hooks import ObsHub
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["ServeMetrics", "percentile"]
+__all__ = ["ServeMetrics"]
 
 #: request latency / queue-wait buckets, in seconds
 LATENCY_BUCKETS = (
@@ -47,29 +44,12 @@ BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 STATUSES = ("ok", "error", "rejected", "draining", "timeout")
 
 
-def percentile(samples: List[float], q: float) -> float:
-    """Exact q-quantile (0..1) by linear interpolation, 0.0 if empty."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 class ServeMetrics:
     """Thread-safe service metrics over one shared registry."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 window: int = 4096) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._lock = threading.Lock()
-        self._latencies: Deque[float] = deque(maxlen=window)
-        self._batch_sizes: Deque[int] = deque(maxlen=window)
         self._started = time.perf_counter()
         reg = self.registry
         self._requests = reg.counter(
@@ -139,7 +119,6 @@ class ServeMetrics:
         with self._lock:
             self._inflight.inc(1.0)
             self._batch_hist.observe(float(size))
-            self._batch_sizes.append(int(size))
             for wait in queue_waits:
                 self._wait_hist.observe(wait)
 
@@ -155,7 +134,6 @@ class ServeMetrics:
             self._requests.inc(status=status)
             if status == "ok":
                 self._latency_hist.observe(latency)
-                self._latencies.append(latency)
                 if coalesced:
                     self._coalesced.inc()
 
@@ -166,10 +144,8 @@ class ServeMetrics:
             return self.registry.export_prometheus()
 
     def snapshot(self) -> Dict[str, float]:
-        """Exact service-level numbers for ``/stats`` and the bench."""
+        """Service-level numbers for ``/stats``, read off the registry."""
         with self._lock:
-            latencies = list(self._latencies)
-            batches = list(self._batch_sizes)
             served = self._requests.value(status="ok")
             uptime = time.perf_counter() - self._started
             return {
@@ -183,9 +159,7 @@ class ServeMetrics:
                 "runs": self._runs.value(),
                 "queue_depth": self._depth.value(),
                 "qps": served / uptime if uptime > 0 else 0.0,
-                "latency_p50": percentile(latencies, 0.50),
-                "latency_p99": percentile(latencies, 0.99),
-                "mean_batch_size": (
-                    sum(batches) / len(batches) if batches else 0.0
-                ),
+                "latency_p50": self._latency_hist.quantile(0.50),
+                "latency_p99": self._latency_hist.quantile(0.99),
+                "mean_batch_size": self._batch_hist.mean(),
             }

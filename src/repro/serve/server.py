@@ -24,7 +24,8 @@ Endpoints
     Prometheus text exposition of the shared registry: serve-level
     counters/histograms plus engine-level run metrics.
 ``GET /stats``
-    Exact JSON service numbers (QPS, p50/p99 latency, batch sizes).
+    JSON service numbers read off the ``/metrics`` registry (QPS,
+    p50/p99 latency from the latency histogram, mean batch size).
 ``GET /graphs``
     The registry's advertised facts per graph, sample sources included.
 ``POST /graphs``
@@ -111,7 +112,6 @@ class ServeApp:
         self,
         registry: GraphRegistry,
         max_depth: int = 64,
-        batching: bool = True,
         max_batch: int = 64,
         request_timeout: float = 30.0,
         metrics: Optional[ServeMetrics] = None,
@@ -121,9 +121,7 @@ class ServeApp:
                 f"request_timeout must be > 0, got {request_timeout}"
             )
         self.registry = registry
-        self.broker = Broker(
-            max_depth=max_depth, batching=batching, max_batch=max_batch
-        )
+        self.broker = Broker(max_depth=max_depth, max_batch=max_batch)
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.request_timeout = request_timeout
         self._workers: Dict[str, threading.Thread] = {}
@@ -572,7 +570,7 @@ async def _handle_connection(
 
 
 class ServerThread:
-    """The server on a background thread — tests and the bench driver.
+    """The server on a background thread, for tests and embedding.
 
     Context-manager protocol: ``__enter__`` starts the app's workers
     and the listener (``.port`` holds the bound port, 0 picks a free

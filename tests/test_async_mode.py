@@ -155,8 +155,7 @@ class TestAsyncPageRank:
 
         Directed skewed R-MAT: the power iteration re-touches every
         active vertex every sweep, while the residual scheduler spends
-        its activations on the hubs (see benchmarks/bench_async.py for
-        the recorded figures).
+        its activations on the hubs.
         """
         from repro.algorithms import pagerank
 

@@ -201,6 +201,18 @@ class TestMetrics:
         assert sample["count"] == 4
         assert sample["sum"] == pytest.approx(555.5)
 
+    def test_histogram_quantile_interpolates(self):
+        h = Histogram("lat", buckets=(1.0, 10.0, 100.0))
+        assert h.quantile(0.5) == 0.0 and h.mean() == 0.0
+        for v in (0.5, 5.0, 50.0, 500.0):
+            h.observe(v)
+        assert h.quantile(0.25) == pytest.approx(1.0)
+        assert h.quantile(0.375) == pytest.approx(5.5)
+        assert h.quantile(0.5) == pytest.approx(10.0)
+        # past the last edge: the edge, as Prometheus reads +Inf
+        assert h.quantile(1.0) == 100.0
+        assert h.mean() == pytest.approx(555.5 / 4)
+
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ReproError):
             Histogram("h", buckets=(10.0, 1.0))

@@ -32,7 +32,6 @@ from repro.serve import (
     parse_graph_spec,
 )
 from repro.serve.batching import plan_batch
-from repro.serve.metrics import percentile
 
 SPEC = "rmat:scale=7,edge_factor=8,seed=3"
 
@@ -191,12 +190,6 @@ class TestBroker:
             broker.submit(_request(i))
         assert len(broker.next_batch("g", timeout=1)) == 2
         assert len(broker.next_batch("g", timeout=1)) == 2
-
-    def test_batching_off_serves_one_at_a_time(self):
-        broker = Broker(batching=False)
-        broker.submit(_request(1))
-        broker.submit(_request(2))
-        assert len(broker.next_batch("g", timeout=1)) == 1
 
     def test_cancelled_requests_are_culled(self):
         broker = Broker()
@@ -361,8 +354,8 @@ class TestHttp:
         assert payload["error"]
 
     def test_concurrent_queries_all_digest_equivalent(self, server, graph):
-        """The bench's core gate, in miniature: whatever batches the
-        coalescer formed, every response replays bit-identically."""
+        """Under concurrent load, whatever batches the coalescer
+        formed, every response replays bit-identically."""
         results = [None] * 12
         def client(i):
             results[i] = _post(
@@ -462,11 +455,6 @@ class TestAdmissionOverHttp:
 
 
 class TestServeMetrics:
-    def test_percentile_interpolates(self):
-        assert percentile([], 0.5) == 0.0
-        assert percentile([7.0], 0.99) == 7.0
-        assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.5
-
     def test_snapshot_tracks_requests(self):
         metrics = ServeMetrics()
         metrics.batch_begin(3, [0.01, 0.02, 0.03])
@@ -480,7 +468,8 @@ class TestServeMetrics:
         assert snap["coalesced_requests"] == 3
         assert snap["runs"] == 1
         assert snap["mean_batch_size"] == 3
-        assert snap["latency_p50"] == pytest.approx(0.1)
+        # read off the histogram: inside the (0.05, 0.1] bucket
+        assert 0.05 < snap["latency_p50"] <= snap["latency_p99"] <= 0.1
 
     def test_prometheus_export_zero_fills_statuses(self):
         text = ServeMetrics().export_prometheus()
@@ -494,9 +483,9 @@ class TestCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--graph", "demo=rmat:scale=5", "--no-batching",
+            ["serve", "--graph", "demo=rmat:scale=5",
              "--max-depth", "8", "--port", "0"]
         )
         assert args.command == "serve"
         assert args.graph == ["demo=rmat:scale=5"]
-        assert args.no_batching
+        assert args.max_depth == 8
