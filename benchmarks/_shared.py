@@ -1,22 +1,20 @@
-"""Shared infrastructure for the paper-table benchmarks.
+"""Shared experiment protocol for the paper-table benchmarks.
 
 Expensive (engine, algorithm, dataset) runs are cached per process so
 Tables 4, 5 and 6 — which report different columns of the same
 experiment matrix — only execute it once.  Every bench prints a
-paper-style table and appends it to ``benchmarks/results/``.
+paper-style table and writes it to ``benchmarks/results/`` through
+:func:`repro.bench.report.emit`.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.api import RunConfig, Session
 from repro.bench import RunResult, dataset
 from repro.engine import SympleOptions
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 PAPER_DATASETS = ("tw", "fr", "s27", "s28", "s29")
 PAPER_ALGORITHMS = ("bfs", "kcore", "mis", "kmeans", "sampling")
@@ -67,25 +65,3 @@ def options_key(
 ) -> Tuple:
     return (differentiated, double_buffering, schedule)
 
-
-def emit(table_name: str, text: str) -> None:
-    """Print a table and persist it for EXPERIMENTS.md."""
-    print()
-    print(text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{table_name}.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def export_metrics(name: str, registry) -> str:
-    """Persist a metric registry as JSON next to the bench tables.
-
-    Returns the path written, so CI can pick the file up as an
-    artifact.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}_metrics.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(registry.export_json_str() + "\n")
-    return path

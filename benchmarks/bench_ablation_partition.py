@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import emit
 from repro.bench import dataset, format_table
+from repro.bench.report import emit
 from repro.engine import DGaloisEngine, SympleGraphEngine, SympleOptions
 from repro.partition import (
     CartesianVertexCut,

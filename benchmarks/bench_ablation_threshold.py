@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import cached_run, emit
+from _shared import cached_run
 from repro.bench import format_table, geomean
 from repro.engine.symple import DEFAULT_DEGREE_THRESHOLD
 from repro.engine import SympleOptions
 from repro.api import RunConfig, Session
 from repro.bench import dataset
+from repro.bench.report import emit
 
 THRESHOLDS = (2, 4, 8, 16, 32, 64)
 ALGOS = ("mis", "kcore")

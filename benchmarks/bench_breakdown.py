@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import cached_run, emit, export_metrics, options_key
+from _shared import cached_run, options_key
 from repro.bench import dataset, format_table
+from repro.bench.report import emit, export_metrics
 from repro.engine import GeminiEngine, SympleGraphEngine, SympleOptions
 from repro.obs import MetricsRegistry, fill_run_metrics, registry_breakdown
 from repro.partition import OutgoingEdgeCut

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import cached_run, emit
+from _shared import cached_run
 from repro.bench import format_table
+from repro.bench.report import emit
 
 SWEEP = (1, 2, 3, 4, 6, 8, 12, 16, 32, 64, 128)
 

@@ -21,9 +21,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from _shared import emit
 from repro.api import Checkpointing, RunConfig, Session
 from repro.bench import dataset, format_table
+from repro.bench.report import emit
 from repro.fault import CrashFault, FaultPlan
 
 FULL = {

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import PAPER_DATASETS, cached_run, emit, options_key
+from _shared import PAPER_DATASETS, cached_run, options_key
 from repro.bench import format_table, geomean
+from repro.bench.report import emit
 
 ALGOS = ("bfs", "kcore", "mis")
 

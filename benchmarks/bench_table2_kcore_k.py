@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import cached_run, emit
+from _shared import cached_run
 from repro.bench import format_table, geomean, speedup
+from repro.bench.report import emit
 
 KS = (4, 8, 16, 32, 64)
 

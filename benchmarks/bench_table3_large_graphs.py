@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import PAPER_ALGORITHMS, cached_run, emit
+from _shared import PAPER_ALGORITHMS, cached_run
 from repro.bench import format_table, speedup
+from repro.bench.report import emit
 
 
 def build_table3():

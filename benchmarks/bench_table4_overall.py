@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import PAPER_ALGORITHMS, PAPER_DATASETS, KCORE_K, cached_run, emit
+from _shared import PAPER_ALGORITHMS, PAPER_DATASETS, KCORE_K, cached_run
 from repro.algorithms import kcore_peel
 from repro.bench import dataset, format_table, geomean, speedup
+from repro.bench.report import emit
 from repro.runtime import SINGLE_THREAD_COST
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import PAPER_ALGORITHMS, PAPER_DATASETS, cached_run, emit
+from _shared import PAPER_ALGORITHMS, PAPER_DATASETS, cached_run
 from repro.bench import format_table, geomean
+from repro.bench.report import emit
 
 
 def build_table6():

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from _shared import cached_run, emit
+from _shared import cached_run
 from repro.bench import format_table
+from repro.bench.report import emit
 
 SYMPLE_SWEEP = (2, 4, 8, 16)
 DGALOIS_SWEEP = (8, 16, 32, 64, 128)

@@ -13,10 +13,10 @@ import numpy as np
 
 from repro.algorithms import mis
 from repro.engine import SympleGraphEngine, SympleOptions
+from repro.engine.symple import render_schedule
 from repro.graph import rmat, to_undirected
 from repro.partition import OutgoingEdgeCut
 from repro.runtime import CostModel
-from repro.runtime.trace import render_schedule, step_timeline
 
 MACHINES = 4
 
@@ -41,7 +41,7 @@ def main() -> None:
     # Exaggerate network latency so the overlap is visible.
     model = CostModel(latency=400.0)
     for db in (False, True):
-        timeline = step_timeline(pull, model, double_buffering=db)
+        timeline = model.circulant_timeline(pull, double_buffering=db)
         label = "with" if db else "without"
         print(f"\nStep timeline {label} double buffering "
               f"(makespan {timeline.makespan:,.0f}):")

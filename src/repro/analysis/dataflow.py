@@ -56,11 +56,6 @@ class Definition(NamedTuple):
     index: int
 
     @property
-    def is_uninit(self) -> bool:
-        """True for the synthetic uninitialized definition."""
-        return self.block == UNINIT_BLOCK
-
-    @property
     def is_real(self) -> bool:
         """True for a definition written by actual code."""
         return self.block >= 0

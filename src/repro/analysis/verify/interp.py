@@ -84,13 +84,6 @@ class UdfSummary:
         )
         return tuple(seen)
 
-    def scalars_read(self) -> Tuple[str, ...]:
-        """State fields read as scalars, first-read order."""
-        seen = dict.fromkeys(
-            r.attr for r in self.state_reads if r.kind == "scalar"
-        )
-        return tuple(seen)
-
     def type_of_expr(self, node: ast.expr) -> str:
         """Abstract type of an expression under the fixpoint env."""
         return _eval_type(node, self.var_types, self._special)

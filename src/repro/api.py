@@ -42,7 +42,13 @@ from repro.algorithms.registry import (
     get_spec,
     sourced_algorithms,
 )
-from repro.engine import ASYNC_ENGINES, SympleOptions, make_engine
+from repro.engine import (
+    ASYNC_ENGINES,
+    ENGINE_KINDS,
+    SympleOptions,
+    make_engine,
+    partition_strategy,
+)
 from repro.errors import (
     EngineError,
     PartitionError,
@@ -54,13 +60,12 @@ from repro.fault import FaultPlan
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, MutationBatch, MutationStats
 from repro.obs.hooks import ObsHub
-from repro.partition import CartesianVertexCut, OutgoingEdgeCut, Partition
+from repro.partition import Partition
 from repro.partition.delta import refresh_partition
 from repro.runtime.cost_model import CostModel
 
 __all__ = ["Checkpointing", "RunConfig", "Session"]
 
-_ENGINE_KINDS = ("gemini", "symple", "dgalois", "single")
 _VERIFY_MODES = ("off", "warn", "strict")
 #: algorithms that accept an explicit ``sources`` tuple — the
 #: multi-source batch entry the serving layer coalesces requests into
@@ -122,10 +127,10 @@ class RunConfig:
     async_bucket_width: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in _ENGINE_KINDS:
+        if self.engine not in ENGINE_KINDS:
             raise EngineError(
                 f"unknown engine {self.engine!r}; "
-                f"expected one of {_ENGINE_KINDS}"
+                f"expected one of {ENGINE_KINDS}"
             )
         spec = get_spec(self.algorithm)
         if not spec.runnable:
@@ -356,20 +361,16 @@ class Session:
 
     def _partition(self, config: RunConfig, graph: CSRGraph,
                    version: int) -> Optional[Partition]:
-        if config.engine == "single":
+        strategy = partition_strategy(config.engine)
+        if strategy is None:
             return None
-        strategy = "vertexcut" if config.engine == "dgalois" else "edgecut"
-        key = (strategy, config.machines, version)
+        name, cut = strategy
+        key = (name, config.machines, version)
         part = self._partitions.get(key)
         if part is None:
             with self._cache_lock:
                 part = self._partitions.get(key)
                 if part is None:
-                    cut = (
-                        CartesianVertexCut()
-                        if strategy == "vertexcut"
-                        else OutgoingEdgeCut()
-                    )
                     part = cut.partition(graph, config.machines)
                     self._partitions[key] = part
         return part
@@ -459,12 +460,14 @@ class Session:
         ``config`` defaults to the session's config; keyword overrides
         are applied on top with :func:`dataclasses.replace`.
         """
-        if self._closed:
-            raise EngineError("session is closed")
-        config = config if config is not None else self.config
-        if overrides:
-            config = config.replace(**overrides)
-        return self._execute(config)
+        # imported lazily so the bench package is an execution-time
+        # dependency only, not an import-time one
+        from repro.bench.harness import _run_session_config
+
+        config = self._resolve(config, overrides)
+        self._preflight(config)
+        with self.engine_context(config) as (engine, graph, _):
+            return _run_session_config(engine, graph, config)
 
     def run_many(self, configs: Iterable[RunConfig]) -> List[Any]:
         """Execute several configs against the same cached artifacts."""
@@ -484,33 +487,13 @@ class Session:
             for (kind, workers), ex in items
         }
 
-    def _execute(self, config: RunConfig):
-        # imported lazily so the bench package is an execution-time
-        # dependency only, not an import-time one
-        from repro.bench.harness import _run_session_config
-
-        self._preflight(config)
-        # one consistent (graph, version) snapshot: a concurrent mutate
-        # cannot hand this run a partition of one topology and the
-        # global graph of another
-        graph, version = self._graph_snapshot()
-        target = self._partition(config, graph, version)
-        executor = self._executor(config)
-        # executors carry per-bind context (worker pools, shm views, the
-        # current state pointer), so concurrent runs sharing one must
-        # not interleave: callers on other threads wait their turn here
-        # while runs on *different* executors proceed in parallel
-        with self._run_lock(executor):
-            engine = make_engine(
-                config.engine,
-                graph if target is None else target,
-                config.machines,
-                options=config.options,
-                obs=config.obs,
-                executor=executor,
-                verify=config.verify,
-            )
-            return _run_session_config(engine, graph, config)
+    def _resolve(self, config: Optional[RunConfig],
+                 overrides: Dict[str, Any]) -> RunConfig:
+        """``config`` (default: the session's) with ``overrides``."""
+        if self._closed:
+            raise EngineError("session is closed")
+        config = config if config is not None else self.config
+        return config.replace(**overrides) if overrides else config
 
     @contextmanager
     def engine_context(self, config: Optional[RunConfig] = None,
@@ -525,14 +508,17 @@ class Session:
         snapshot the engine was built from, even if :meth:`mutate` runs
         concurrently.
         """
-        if self._closed:
-            raise EngineError("session is closed")
-        config = config if config is not None else self.config
-        if overrides:
-            config = config.replace(**overrides)
+        config = self._resolve(config, overrides)
+        # one consistent (graph, version) snapshot: a concurrent mutate
+        # cannot hand this run a partition of one topology and the
+        # global graph of another
         graph, version = self._graph_snapshot()
         target = self._partition(config, graph, version)
         executor = self._executor(config)
+        # executors carry per-bind context (worker pools, shm views, the
+        # current state pointer), so concurrent runs sharing one must
+        # not interleave: callers on other threads wait their turn here
+        # while runs on *different* executors proceed in parallel
         with self._run_lock(executor):
             engine = make_engine(
                 config.engine,

@@ -1,8 +1,10 @@
-"""Result collection.
+"""The paper-result layout: where tables are written and read back.
 
-Benchmarks persist each paper table under ``benchmarks/results/``;
-:func:`collect_results` stitches them into one report (the basis for
-EXPERIMENTS.md's measured numbers), and :func:`results_manifest`
+The paper-table benchmarks persist each table as ``<stem>.txt`` under
+:data:`RESULTS_DIR` through :func:`emit` (metric registries beside
+them as ``<name>_metrics.json`` through :func:`export_metrics`);
+:func:`collect_results` stitches the tables into one report (the basis
+for EXPERIMENTS.md's measured numbers), and :func:`results_manifest`
 reports which experiments have been regenerated and which are missing.
 """
 
@@ -10,9 +12,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List
 
-__all__ = ["EXPECTED_RESULTS", "collect_results", "results_manifest"]
+__all__ = ["EXPECTED_RESULTS", "RESULTS_DIR", "collect_results", "emit",
+           "export_metrics", "results_manifest"]
+
+#: ``benchmarks/results`` of the source checkout this package runs from
+RESULTS_DIR = str(
+    Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+)
 
 # experiment id -> result file stem
 EXPECTED_RESULTS = {
@@ -29,6 +38,30 @@ EXPECTED_RESULTS = {
     "Partition ablation": "ablation_partition",
     "Time breakdown": "breakdown",
 }
+
+
+def _write(filename: str, text: str) -> str:
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, filename)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return path
+
+
+def emit(stem: str, text: str) -> None:
+    """Print a paper table and persist it as ``<stem>.txt``."""
+    print()
+    print(text)
+    _write(f"{stem}.txt", text)
+
+
+def export_metrics(name: str, registry) -> str:
+    """Persist a metric registry as ``<name>_metrics.json``.
+
+    Returns the path written, so CI can pick the file up as an
+    artifact.
+    """
+    return _write(f"{name}_metrics.json", registry.export_json_str())
 
 
 @dataclass(frozen=True)

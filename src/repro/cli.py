@@ -572,7 +572,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _serve(args)
 
     if args.command == "schedule":
-        from repro.runtime.trace import render_schedule
+        from repro.engine.symple import render_schedule
 
         print(render_schedule(args.machines))
         return 0

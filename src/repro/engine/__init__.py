@@ -1,6 +1,6 @@
 """Distributed engines: Gemini, SympleGraph, D-Galois, single-thread."""
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro.engine.base import BaseEngine, PhaseResult
 from repro.engine.dgalois import DGaloisEngine
@@ -15,12 +15,13 @@ from repro.engine.symple import (
 )
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
-from repro.partition.base import Partition
+from repro.partition.base import Partition, Partitioner
 from repro.partition.edge_cut import OutgoingEdgeCut
 from repro.partition.vertex_cut import CartesianVertexCut
 
 __all__ = [
     "ASYNC_ENGINES",
+    "ENGINE_KINDS",
     "BaseEngine",
     "PhaseResult",
     "GeminiEngine",
@@ -30,6 +31,7 @@ __all__ = [
     "SingleThreadEngine",
     "StateStore",
     "make_engine",
+    "partition_strategy",
     "circulant_partition",
     "circulant_machine_order",
 ]
@@ -40,11 +42,26 @@ _ENGINES = {
     "dgalois": DGaloisEngine,
     "single": SingleThreadEngine,
 }
-_ENGINE_KINDS = tuple(_ENGINES)
+ENGINE_KINDS = tuple(_ENGINES)
 #: engine kinds whose phase protocol supports per-bucket activation
 ASYNC_ENGINES = tuple(
     kind for kind, cls in _ENGINES.items() if cls.supports_async
 )
+
+
+def partition_strategy(kind: str) -> Optional[Tuple[str, Partitioner]]:
+    """An engine kind's canonical partition strategy.
+
+    ``(name, partitioner)``: ``gemini`` and ``symple`` run on Gemini's
+    chunked outgoing edge-cut (``"edgecut"``), ``dgalois`` on the
+    Cartesian vertex-cut it defaults to at scale (``"vertexcut"``);
+    ``single`` runs unpartitioned (``None``).
+    """
+    if kind == "single":
+        return None
+    if kind == "dgalois":
+        return "vertexcut", CartesianVertexCut()
+    return "edgecut", OutgoingEdgeCut()
 
 
 def make_engine(
@@ -60,11 +77,10 @@ def make_engine(
 ) -> BaseEngine:
     """Build an engine with its canonical partition strategy.
 
-    ``gemini`` and ``symple`` run on Gemini's chunked outgoing
-    edge-cut; ``dgalois`` on the Cartesian vertex-cut it defaults to at
-    scale; ``single`` on one machine.  Pass a pre-built
-    :class:`Partition` to override the strategy.  ``obs`` attaches an
-    observability hub (an :class:`~repro.obs.hooks.ObsHub`, a
+    The strategy is :func:`partition_strategy`'s (``single`` runs on
+    one machine); pass a pre-built :class:`Partition` to override it.
+    ``obs`` attaches an observability hub (an
+    :class:`~repro.obs.hooks.ObsHub`, a
     :class:`~repro.obs.tracer.Tracer`, or a trace-file path);
     ``executor`` selects the backend per-machine work runs on
     (``"serial"``/``"process"`` or an
@@ -79,9 +95,9 @@ def make_engine(
     :class:`repro.RunConfig` is the supported entry point for whole
     runs.
     """
-    if kind not in _ENGINE_KINDS:
+    if kind not in ENGINE_KINDS:
         raise EngineError(
-            f"unknown engine kind {kind!r}; expected one of {_ENGINE_KINDS}"
+            f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}"
         )
     if options is not None and kind != "symple":
         raise EngineError(
@@ -107,7 +123,7 @@ def make_engine(
     if isinstance(graph_or_partition, Partition):
         partition = graph_or_partition
     else:
-        cut = CartesianVertexCut() if kind == "dgalois" else OutgoingEdgeCut()
+        _, cut = partition_strategy(kind)
         partition = cut.partition(graph_or_partition, num_machines)
     extra = {} if options is None else {"options": options}
     return _ENGINES[kind](

@@ -30,7 +30,7 @@ Figure 11 ablation:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -50,7 +50,8 @@ from repro.runtime.bitmap import Bitmap
 from repro.runtime.cost_model import SYMPLE_COST, CostModel
 from repro.runtime.counters import IterationRecord, StepRecord
 
-__all__ = ["SympleGraphEngine", "SympleOptions", "circulant_partition", "circulant_machine_order"]
+__all__ = ["SympleGraphEngine", "SympleOptions", "circulant_partition",
+           "circulant_machine_order", "schedule_matrix", "render_schedule"]
 
 # The paper selects its production threshold (32) by sweeping powers
 # of two on 1-4 billion-edge graphs (Section 6).  At this repo's ~1000x
@@ -72,15 +73,10 @@ class SympleOptions:
     fallbacks unclassified UDFs take anyway, and the reference the
     equivalence tests compare the fast paths against.
 
-    ``trace`` streams a structured JSONL event trace of every phase,
-    circulant step, dependency hand-off, and kernel batch to the given
-    path (see :mod:`repro.obs`); ``None`` — the default — disables
-    tracing entirely, with no instrumentation overhead.
-
-    Dependency-loss injection lives in the fault subsystem: build
-    ``FaultPlan.dep_loss(rate, seed)`` and attach it with
-    :meth:`BaseEngine.attach_faults` or ``RunConfig(faults=...)``; the
-    plan's single seeded generator drives every fault draw.
+    Tracing is attached as an observer (``make_engine(obs=...)``,
+    ``RunConfig(obs=...)``, :meth:`BaseEngine.attach_observer`), and
+    dependency-loss injection as a fault plan
+    (``FaultPlan.dep_loss(rate, seed)``); neither is an engine option.
     """
 
     degree_threshold: int = DEFAULT_DEGREE_THRESHOLD
@@ -88,20 +84,8 @@ class SympleOptions:
     double_buffering: bool = True
     schedule: str = "circulant"
     use_kernels: bool = True
-    trace: Optional[str] = None
-    # retired knobs; InitVars so passing them raises a pointed error
-    # naming the FaultPlan replacement instead of a bare TypeError
-    dep_loss_rate: InitVar[Optional[float]] = None
-    dep_loss_seed: InitVar[Optional[int]] = None
 
-    def __post_init__(self, dep_loss_rate=None, dep_loss_seed=None) -> None:
-        if dep_loss_rate is not None or dep_loss_seed is not None:
-            raise EngineError(
-                "SympleOptions.dep_loss_rate/dep_loss_seed were removed; "
-                "build FaultPlan.dep_loss(rate, seed) and attach it via "
-                "engine.attach_faults(FaultController(plan, num_machines)) "
-                "or RunConfig(faults=plan)"
-            )
+    def __post_init__(self) -> None:
         if self.schedule not in ("circulant", "naive"):
             raise EngineError(f"unknown schedule {self.schedule!r}")
         if self.degree_threshold < 0:
@@ -111,6 +95,40 @@ class SympleOptions:
 def circulant_partition(machine: int, step: int, num_machines: int) -> int:
     """Destination partition machine ``machine`` processes at ``step``."""
     return (machine + step + 1) % num_machines
+
+
+def schedule_matrix(num_machines: int) -> np.ndarray:
+    """Matrix ``M[machine, step] = partition processed`` (Figure 7b).
+
+    ``num_machines=1`` degenerates to the single-cell matrix ``[[0]]``:
+    one machine, one step, processing its own partition with no
+    dependency hand-off.
+    """
+    p = int(num_machines)
+    if p < 1:
+        raise EngineError("a circulant schedule needs at least one machine")
+    ids = np.arange(p)
+    return circulant_partition(ids[:, None], ids[None, :], p)
+
+
+def render_schedule(num_machines: int) -> str:
+    """ASCII rendering of the circulant schedule."""
+    matrix = schedule_matrix(num_machines)
+    p = len(matrix)
+    width = max(3, len(str(p - 1)) + 1)
+    header = "      " + "".join(f"s{s}".rjust(width) for s in range(p))
+    lines = [header]
+    for m in range(p):
+        cells = "".join(f"P{matrix[m, s]}".rjust(width) for s in range(p))
+        lines.append(f"M{m}".ljust(6) + cells)
+    if p == 1:
+        lines.append("single machine: one step, no dependency hand-off")
+    else:
+        lines.append(
+            "each column is a permutation: machines process disjoint "
+            "partitions per step"
+        )
+    return "\n".join(lines)
 
 
 def circulant_machine_order(partition_id: int, num_machines: int) -> List[int]:
@@ -146,8 +164,6 @@ class SympleGraphEngine(BaseEngine):
             partition, cost_model, use_kernels=self.options.use_kernels,
             obs=obs, executor=executor, verify=verify,
         )
-        if self.obs is None and self.options.trace is not None:
-            self.attach_observer(self.options.trace)
         if self.options.differentiated:
             self._high_mask = (
                 partition.graph.in_degrees() >= self.options.degree_threshold

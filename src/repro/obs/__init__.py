@@ -14,14 +14,14 @@ scripts:
   custom profiling hooks);
 * :mod:`repro.obs.attribution` — exact trace -> Counters
   reconstruction and per-(machine, step) compute/dep-wait/overlap
-  attribution.
+  attribution, flattened from the cost model's circulant timeline.
 
-Entry points: ``SympleOptions(trace=...)``, ``make_engine(obs=...)``,
-``repro run --trace/--metrics``, ``repro trace``, ``repro metrics``.
+Entry points: ``RunConfig(obs=...)``, ``make_engine(obs=...)``,
+``BaseEngine.attach_observer``, ``repro run --trace/--metrics``,
+``repro trace``, ``repro metrics``.
 """
 
 from repro.obs.attribution import (
-    attribute_record,
     attribution_rows,
     rebuild_counters,
     reconstruct_breakdown,
@@ -58,6 +58,5 @@ __all__ = [
     "registry_breakdown",
     "rebuild_counters",
     "reconstruct_breakdown",
-    "attribute_record",
     "attribution_rows",
 ]

@@ -11,11 +11,12 @@ exact in JSON; float64 round-trips through ``repr``), so a cost-model
 breakdown recomputed from the trace equals the live one exactly —
 the property the CI trace gate asserts.
 
-:func:`attribute_record` replays the cost model's circulant
-discrete-event recursion step by step and reports, per (machine, step),
-where the simulated time went: compute, *exposed* dependency wait
-(machine blocked on the incoming hand-off), and the wait *hidden* by
-double buffering's split transfer — the Figure 7/11 view.
+:func:`attribution_rows` flattens the cost model's circulant timeline
+(:meth:`~repro.runtime.cost_model.CostModel.circulant_timeline`) and
+reports, per (iteration, step, machine), where the simulated time went:
+compute, *exposed* dependency wait (machine blocked on the incoming
+hand-off), and the wait *hidden* by double buffering's split transfer —
+the Figure 7/11 view.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.runtime.cost_model import CostModel
 __all__ = [
     "rebuild_counters",
     "reconstruct_breakdown",
-    "attribute_record",
     "attribution_rows",
 ]
 
@@ -162,101 +162,6 @@ def reconstruct_breakdown(
     )
 
 
-def attribute_record(
-    cost_model: CostModel,
-    record: IterationRecord,
-    double_buffering: bool = True,
-) -> List[Dict[str, Any]]:
-    """Per-(machine, step) time attribution for one circulant iteration.
-
-    Replays :meth:`CostModel.symple_iteration_time`'s discrete-event
-    recursion and returns, for each step, per-machine float64 arrays:
-
-    * ``compute`` — edge/vertex work incl. straggler slowdown;
-    * ``dep_wait`` — time the machine sat *blocked* on the incoming
-      dependency hand-off (after its low-degree overlap ran out);
-    * ``hidden_wait`` — wait that double buffering's split transfer hid
-      behind the first half of high-degree compute (zero when
-      ``double_buffering=False``: nothing is hidden, all wait exposed);
-    * ``start`` / ``finish`` — the machine's span within the iteration.
-
-    Exposed-wait totals match the residual ``dependency_wait`` the
-    breakdown reports for a pure sequence of circulant pull iterations.
-    """
-    steps = record.steps
-    if not steps:
-        return []
-    p = steps[0].num_machines
-    finish = np.zeros(p, dtype=np.float64)
-    prev_send_a = np.full(p, -np.inf)
-    prev_send_b = np.full(p, -np.inf)
-    prev_dep_bytes = np.zeros(p, dtype=np.float64)
-    out: List[Dict[str, Any]] = []
-
-    for index, step in enumerate(steps):
-        c_high = (
-            cost_model.compute_time(step.high_edges, step.high_vertices)
-            * step.slowdown
-        )
-        c_low = (
-            cost_model.compute_time(step.low_edges, step.low_vertices)
-            * step.slowdown
-        )
-        if p == 1:
-            # no hand-off on a single machine (matches the cost model)
-            arrive_a = np.full(p, -np.inf)
-            arrive_b = np.full(p, -np.inf)
-        else:
-            right = (np.arange(p) + 1) % p
-            arrive_a = prev_send_a[right] + cost_model.transfer_time(
-                prev_dep_bytes[right] / 2.0
-            ) + np.where(
-                np.isfinite(prev_send_a[right]), cost_model.latency, 0.0
-            )
-            arrive_b = prev_send_b[right] + cost_model.transfer_time(
-                prev_dep_bytes[right] / 2.0
-            ) + np.where(
-                np.isfinite(prev_send_b[right]), cost_model.latency, 0.0
-            )
-
-        has_work = (c_high + c_low) > 0
-        t0 = finish + np.where(has_work, cost_model.step_overhead, 0.0)
-        t_low = t0 + c_low
-        if double_buffering:
-            start_a = np.maximum(t_low, arrive_a)
-            wait_a = start_a - t_low
-            t_a = start_a + c_high / 2.0
-            start_b = np.maximum(t_a, arrive_b)
-            wait_b = start_b - t_a
-            t_b = start_b + c_high / 2.0
-            send_a, send_b = t_a, t_b
-            exposed = wait_a + wait_b
-            # what the same machine would have waited had the whole
-            # dependency shipped once, after the full previous step
-            naive = np.maximum(arrive_b - t_low, 0.0)
-            hidden = np.maximum(naive - exposed, 0.0)
-        else:
-            start = np.maximum(t_low, arrive_b)
-            exposed = start - t_low
-            hidden = np.zeros(p, dtype=np.float64)
-            t_b = start + c_high
-            send_a = send_b = t_b
-        out.append(
-            {
-                "step": index,
-                "compute": c_high + c_low,
-                "dep_wait": exposed,
-                "hidden_wait": hidden,
-                "start": t0,
-                "finish": t_b.copy(),
-            }
-        )
-        finish = t_b
-        prev_send_a, prev_send_b = send_a, send_b
-        prev_dep_bytes = np.asarray(step.dep_bytes, dtype=np.float64)
-    return out
-
-
 def attribution_rows(
     counters: Counters,
     cost_model: CostModel,
@@ -271,20 +176,21 @@ def attribution_rows(
     for it, record in enumerate(counters.iterations):
         if record.mode != "pull":
             continue
-        for entry in attribute_record(
-            cost_model, record, double_buffering=double_buffering
-        ):
-            for m in range(record.steps[0].num_machines):
+        tl = cost_model.circulant_timeline(
+            record, double_buffering=double_buffering
+        )
+        for step in range(tl.num_steps):
+            for m in range(tl.num_machines):
                 rows.append(
                     {
                         "iteration": it,
-                        "step": entry["step"],
+                        "step": step,
                         "machine": m,
-                        "compute": float(entry["compute"][m]),
-                        "dep_wait": float(entry["dep_wait"][m]),
-                        "hidden_wait": float(entry["hidden_wait"][m]),
-                        "start": float(entry["start"][m]),
-                        "finish": float(entry["finish"][m]),
+                        "compute": float(tl.compute[step, m]),
+                        "dep_wait": float(tl.dep_wait[step, m]),
+                        "hidden_wait": float(tl.hidden_wait[step, m]),
+                        "start": float(tl.start[step, m]),
+                        "finish": float(tl.finish[step, m]),
                     }
                 )
     return rows

@@ -2,7 +2,7 @@
 
 An :class:`ObsHub` is the single object an engine carries (attached via
 ``BaseEngine.attach_observer``, ``make_engine(obs=...)``, or
-``SympleOptions(trace=...)``).  The engines, the kernel fast path, and
+``RunConfig(obs=...)``).  The engines, the kernel fast path, and
 the fault subsystem call its event methods at phase boundaries; the hub
 fans each event out to
 

@@ -45,11 +45,6 @@ class LocalAdjacency:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def edge_weights(self, v: int) -> np.ndarray:
-        if self.weights is None:
-            raise PartitionError("partitioned graph is unweighted")
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
@@ -217,11 +212,6 @@ class Partition:
     def in_mirrors_of(self, machine: int) -> np.ndarray:
         """Vertices mirrored on ``machine`` for pull mode."""
         mask = self._has_in[machine] & (self.master_of != machine)
-        return np.flatnonzero(mask)
-
-    def out_mirrors_of(self, machine: int) -> np.ndarray:
-        """Vertices mirrored on ``machine`` for push mode."""
-        mask = self._has_out[machine] & (self.master_of != machine)
         return np.flatnonzero(mask)
 
     def has_in_edges(self, machine: int, v: int) -> bool:

@@ -7,24 +7,16 @@ from repro.runtime.cost_model import (
     SINGLE_THREAD_COST,
     SYMPLE_COST,
     CostModel,
+    StepTimeline,
 )
 from repro.runtime.counters import Counters, IterationRecord, StepRecord
 from repro.runtime.network import SimulatedNetwork
 from repro.runtime.simulation import EventLog, simulate_circulant_iteration
-from repro.runtime.trace import (
-    StepTimeline,
-    render_schedule,
-    schedule_matrix,
-    step_timeline,
-)
 
 __all__ = [
     "EventLog",
     "simulate_circulant_iteration",
     "StepTimeline",
-    "render_schedule",
-    "schedule_matrix",
-    "step_timeline",
     "Bitmap",
     "CostModel",
     "GEMINI_COST",

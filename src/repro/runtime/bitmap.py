@@ -79,10 +79,6 @@ class Bitmap:
         bm._bits[:] = self._bits
         return bm
 
-    def as_array(self) -> np.ndarray:
-        """The underlying boolean array (live view; mutate with care)."""
-        return self._bits
-
     # -- set algebra ----------------------------------------------------------
 
     def union(self, other: "Bitmap") -> "Bitmap":

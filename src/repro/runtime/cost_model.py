@@ -10,9 +10,11 @@ exact per-machine, per-step work and traffic the engines record:
   fixed ``latency`` per message batch;
 * synchronization: a per-iteration barrier and, for SympleGraph, the
   per-step dependency hand-off, which the discrete-event recursion in
-  :meth:`CostModel.symple_iteration_time` models exactly, including the
+  :meth:`CostModel.circulant_timeline` models exactly, including the
   double-buffering overlap (Figure 9) and the low/high-degree overlap
-  of differentiated propagation (Section 5.3).
+  of differentiated propagation (Section 5.3).  That one recursion
+  feeds simulated time, the per-(machine, step) attribution of
+  :mod:`repro.obs.attribution` and the schedule view.
 
 Absolute numbers are in abstract time units, not seconds; the
 benchmarks only interpret *ratios* (speedups, scalability curves),
@@ -26,7 +28,48 @@ import numpy as np
 
 from repro.runtime.counters import Counters, IterationRecord
 
-__all__ = ["CostModel", "GEMINI_COST", "SYMPLE_COST", "DGALOIS_COST", "SINGLE_THREAD_COST"]
+__all__ = ["CostModel", "StepTimeline", "GEMINI_COST", "SYMPLE_COST",
+           "DGALOIS_COST", "SINGLE_THREAD_COST"]
+
+
+@dataclass
+class StepTimeline:
+    """One circulant iteration, per (step, machine).
+
+    Every array is ``(steps, machines)``: ``start`` / ``finish`` bound
+    the machine's step (``start`` after its coordination overhead),
+    ``compute`` is its edge/vertex work including straggler slowdown,
+    ``dep_wait`` the time it sat blocked on the incoming dependency
+    hand-off after its low-degree overlap ran out, and ``hidden_wait``
+    the wait double buffering's split transfer hid (zero without it).
+    """
+
+    start: np.ndarray
+    finish: np.ndarray
+    compute: np.ndarray
+    dep_wait: np.ndarray
+    hidden_wait: np.ndarray
+
+    @property
+    def num_steps(self) -> int:
+        return int(self.start.shape[0])
+
+    @property
+    def num_machines(self) -> int:
+        return int(self.start.shape[1])
+
+    @property
+    def makespan(self) -> float:
+        return float(np.max(self.finish[-1:], initial=0.0))
+
+    def wait_time(self) -> np.ndarray:
+        """Idle time per machine: gaps between consecutive steps."""
+        gaps = self.start[1:] - self.finish[:-1]
+        return gaps.clip(min=0.0).sum(axis=0)
+
+    def dep_wait_time(self) -> np.ndarray:
+        """Total exposed dependency wait per machine."""
+        return self.dep_wait.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -69,27 +112,22 @@ class CostModel:
         """
         total = self.iteration_overhead
         for step in record.steps:
-            compute = self._step_compute(step)
-            total += float(np.max(compute, initial=0.0))
+            total += float(np.max(self.step_compute_time(step), initial=0.0))
             total += self._comm_tail(step.update_bytes)
-        total += self._sync_cost(record)
+        total += self._boundary_cost(record.sync_bytes)
         return total
-
-    def _step_compute(self, step) -> np.ndarray:
-        """Per-machine compute for a step, including straggler slowdown."""
-        return self.compute_time(
-            step.high_edges + step.low_edges,
-            step.high_vertices + step.low_vertices,
-        ) * step.slowdown
 
     def step_compute_time(self, step) -> np.ndarray:
         """Per-machine compute time for a recorded step.
 
-        Public view of the quantity every iteration-timing function
-        charges (edge + vertex work, straggler slowdown applied) — what
-        the observability layer attributes per (machine, step).
+        Edge + vertex work with the straggler slowdown applied: the
+        quantity every iteration-timing function charges, and what the
+        observability layer attributes per (machine, step).
         """
-        return self._step_compute(step)
+        return self.compute_time(
+            step.high_edges + step.low_edges,
+            step.high_vertices + step.low_vertices,
+        ) * step.slowdown
 
     def _comm_tail(self, byte_array) -> float:
         """Residual (non-overlapped) transfer time for a traffic class."""
@@ -104,16 +142,14 @@ class CostModel:
     ) -> float:
         """One SympleGraph iteration under circulant scheduling.
 
-        Discrete-event recursion over machines x steps.  Machine ``m``
-        at step ``s`` consumes the dependency produced by machine
-        ``(m + 1) % p`` at step ``s - 1`` (dependency flows to the
-        machine "on the left", Figure 7).  Low-degree work (excluded
-        from dependency propagation) runs first and overlaps the wait.
+        The makespan of :meth:`circulant_timeline` plus the iteration's
+        transfer tails, barrier and state sync.
         """
         steps = record.steps
         if not steps:
             return self.iteration_overhead
         p = steps[0].num_machines
+        sync = self._boundary_cost(record.sync_bytes)
 
         if schedule == "naive":
             # Sequential enforcement without circulant scheduling: only
@@ -122,24 +158,53 @@ class CostModel:
             # serializes.
             serial = 0.0
             for step in steps:
-                compute = self._step_compute(step)
-                serial += float(np.sum(compute))
+                serial += float(np.sum(self.step_compute_time(step)))
                 serial += float(np.sum(self.transfer_time(step.dep_bytes)))
                 serial += self.latency * p
-            return serial + self.iteration_overhead + self._sync_cost(record)
+            return serial + self.iteration_overhead + sync
         if schedule != "circulant":
             raise ValueError(f"unknown schedule {schedule!r}")
 
-        finish = np.zeros(p, dtype=np.float64)
-        # dep_send[k][m] = instants machine m sent its dep groups in the
-        # previous step (group A, group B).  Before step 0 nothing is
-        # pending: arrival time -inf.
-        prev_send_a = np.full(p, -np.inf)
-        prev_send_b = np.full(p, -np.inf)
-        prev_dep_bytes = np.zeros(p, dtype=np.float64)
-
-        update_tail = 0.0
+        tail = 0.0
         for step in steps:
+            # Updates and dependency traffic both share the fabric; the
+            # dependency's latency component is modeled by the arrival
+            # recursion of :meth:`circulant_timeline`, its bandwidth
+            # component here.
+            tail += self._comm_tail(step.update_bytes)
+            tail += self._comm_tail(step.dep_bytes)
+        total = self.circulant_timeline(record, double_buffering).makespan
+        total += tail + self.iteration_overhead + sync
+        return total
+
+    def circulant_timeline(
+        self, record: IterationRecord, double_buffering: bool = True
+    ) -> StepTimeline:
+        """Discrete-event recursion over one circulant iteration's steps.
+
+        Machine ``m`` at step ``s`` consumes the dependency produced by
+        machine ``(m + 1) % p`` at step ``s - 1`` (dependency flows to
+        the machine "on the left", Figure 7).  Low-degree work (excluded
+        from dependency propagation) runs first and overlaps the wait.
+        With double buffering the hand-off ships in two halves (group A
+        after the first half of high-degree work, group B after the
+        second, Figure 9); without it the whole dependency ships once
+        the step is done.  A single machine never sends a hand-off, so
+        nothing ever arrives and it never waits.  The iteration-wide
+        terms (transfer tails, barrier, sync) are not part of the
+        timeline; :meth:`symple_iteration_time` adds them.
+        """
+        steps = record.steps
+        if not steps:
+            empty = np.zeros((0, 0))
+            return StepTimeline(empty, empty, empty, empty, empty)
+        p = steps[0].num_machines
+        right = (np.arange(p) + 1) % p  # dependency sender per machine
+        never = np.full(p, -np.inf)
+        finish = np.zeros(p, dtype=np.float64)
+        rows = []
+
+        for index, step in enumerate(steps):
             c_high = (
                 self.compute_time(step.high_edges, step.high_vertices)
                 * step.slowdown
@@ -148,50 +213,45 @@ class CostModel:
                 self.compute_time(step.low_edges, step.low_vertices)
                 * step.slowdown
             )
-            # Updates and dependency traffic both share the fabric; the
-            # dependency's latency component is modeled by the arrival
-            # recursion below, its bandwidth component here.
-            update_tail += self._comm_tail(step.update_bytes)
-            update_tail += self._comm_tail(step.dep_bytes)
-
-            if p == 1:
-                # degenerate circulant: the lone machine is its own
-                # "left neighbor" and the hand-off is never sent, so
-                # nothing ever arrives (no self-latency charge)
-                arrive_a = np.full(p, -np.inf)
-                arrive_b = np.full(p, -np.inf)
+            compute = c_high + c_low
+            if index == 0 or p == 1:
+                # nothing was sent before step 0, and a lone machine is
+                # its own "left neighbor": no hand-off, no latency
+                arrive_a = arrive_b = never
             else:
-                right = (np.arange(p) + 1) % p  # dependency sender per m
-                arrive_a = prev_send_a[right] + self.transfer_time(
-                    prev_dep_bytes[right] / 2.0
-                ) + np.where(np.isfinite(prev_send_a[right]), self.latency, 0.0)
-                arrive_b = prev_send_b[right] + self.transfer_time(
-                    prev_dep_bytes[right] / 2.0
-                ) + np.where(np.isfinite(prev_send_b[right]), self.latency, 0.0)
+                # each group carries half the sender's dependency bytes
+                half = self.transfer_time(prev_dep_bytes[right] / 2.0)
+                arrive_a = prev_send_a[right] + half + self.latency
+                arrive_b = prev_send_b[right] + half + self.latency
 
             # Coordination is only charged to machines with work in
             # this step; an empty bucket is skipped for free.
-            has_work = (c_high + c_low) > 0
-            t0 = finish + np.where(has_work, self.step_overhead, 0.0)
+            t0 = finish + np.where(compute > 0, self.step_overhead, 0.0)
             t_low = t0 + c_low  # low-degree work needs no dependency
             if double_buffering:
+                half_high = c_high / 2.0
                 start_a = np.maximum(t_low, arrive_a)
-                t_a = start_a + c_high / 2.0
+                t_a = start_a + half_high
                 start_b = np.maximum(t_a, arrive_b)
-                t_b = start_b + c_high / 2.0
+                t_b = start_b + half_high
                 send_a, send_b = t_a, t_b
+                dep_wait = (start_a - t_low) + (start_b - t_a)
+                # what the machine would have waited had the whole
+                # dependency shipped once, after the full previous step
+                unsplit = np.maximum(arrive_b - t_low, 0.0)
+                hidden = np.maximum(unsplit - dep_wait, 0.0)
             else:
-                # Dependency only ships once the whole step is done.
                 start = np.maximum(t_low, arrive_b)
                 t_b = start + c_high
                 send_a = send_b = t_b
+                dep_wait = start - t_low
+                hidden = np.zeros(p, dtype=np.float64)
+            rows.append((t0, t_b, compute, dep_wait, hidden))
             finish = t_b
             prev_send_a, prev_send_b = send_a, send_b
             prev_dep_bytes = np.asarray(step.dep_bytes, dtype=np.float64)
 
-        total = float(np.max(finish, initial=0.0))
-        total += update_tail + self.iteration_overhead + self._sync_cost(record)
-        return total
+        return StepTimeline(*(np.stack(column) for column in zip(*rows)))
 
     def dgalois_iteration_time(self, record: IterationRecord) -> float:
         """One D-Galois/Gluon BSP round: compute + reduce + broadcast.
@@ -204,41 +264,32 @@ class CostModel:
         """
         total = self.iteration_overhead
         for step in record.steps:
-            compute = self._step_compute(step)
-            total += float(np.max(compute, initial=0.0))
+            total += float(np.max(self.step_compute_time(step), initial=0.0))
             # reduce phase: pipelined, but paid again by the broadcast
             total += 2.0 * self._comm_tail(step.update_bytes)
             total += 2.0 * self.latency
         # broadcast phase mirrors the reduce phase volume
-        total += self._sync_cost(record) + self.latency
+        total += self._boundary_cost(record.sync_bytes) + self.latency
         return total
 
     def push_iteration_time(self, record: IterationRecord) -> float:
         """Sparse push iteration (same for every distributed engine)."""
         total = self.iteration_overhead
         for step in record.steps:
-            compute = self._step_compute(step)
-            total += float(np.max(compute, initial=0.0))
+            total += float(np.max(self.step_compute_time(step), initial=0.0))
             total += self._comm_tail(step.update_bytes) + self.latency
-        total += self._sync_cost(record)
+        total += self._boundary_cost(record.sync_bytes)
         return total
 
-    def _sync_cost(self, record: IterationRecord) -> float:
-        """State broadcast (frontier/flag sync) at iteration end."""
-        if record.sync_bytes <= 0:
-            return 0.0
-        tail = self.transfer_time(record.sync_bytes) * (1.0 - self.comm_overlap)
-        return float(tail) + self.latency
+    def _boundary_cost(self, nbytes: int) -> float:
+        """A transfer at an iteration boundary: the state broadcast
+        (frontier/flag sync) or a checkpoint write.
 
-    def _ckpt_cost(self, record: IterationRecord) -> float:
-        """Checkpoint write at an iteration boundary.
-
-        Checkpoint traffic streams to the durable store while the next
-        phase computes, so only the non-overlapped tail is charged, plus
-        one commit-barrier latency."""
-        if record.ckpt_bytes <= 0:
+        It streams while the next phase computes, so only the
+        non-overlapped tail is charged, plus one barrier latency."""
+        if nbytes <= 0:
             return 0.0
-        tail = self.transfer_time(record.ckpt_bytes) * (1.0 - self.comm_overlap)
+        tail = self.transfer_time(nbytes) * (1.0 - self.comm_overlap)
         return float(tail) + self.latency
 
     # -- whole-run timing ------------------------------------------------------
@@ -267,14 +318,14 @@ class CostModel:
                 total += self.single_thread_iteration_time(record)
             else:
                 raise ValueError(f"unknown engine kind {engine!r}")
-            total += self._ckpt_cost(record)
+            total += self._boundary_cost(record.ckpt_bytes)
         return total + counters.penalty_time
 
     def single_thread_iteration_time(self, record: IterationRecord) -> float:
         """Sequential oracle: sum of all work, no communication."""
         total = 0.0
         for step in record.steps:
-            total += float(np.sum(self._step_compute(step)))
+            total += float(np.sum(self.step_compute_time(step)))
         return total
 
     def breakdown(
@@ -307,7 +358,7 @@ class CostModel:
         for record in counters.iterations:
             overhead += self.iteration_overhead
             for step in record.steps:
-                machine_compute = self._step_compute(step)
+                machine_compute = self.step_compute_time(step)
                 compute += float(np.max(machine_compute, initial=0.0))
                 comm += self._comm_tail(step.update_bytes)
                 comm += self._comm_tail(step.dep_bytes)
@@ -317,7 +368,7 @@ class CostModel:
                     * (1.0 - self.comm_overlap)
                 )
                 overhead += self.latency
-            checkpoint += self._ckpt_cost(record)
+            checkpoint += self._boundary_cost(record.ckpt_bytes)
             if record.mode == "push":
                 overhead += self.latency * len(record.steps)
         dep_wait = max(0.0, total - compute - comm - overhead - checkpoint)

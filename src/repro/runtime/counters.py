@@ -144,7 +144,7 @@ class Counters:
         """Fold another run's counters into this one (multi-phase algos).
 
         Both runs must come from the same cluster size: the per-machine
-        ``StepRecord`` arrays feed the cost model and ``step_timeline``,
+        ``StepRecord`` arrays feed the cost model and its circulant timeline,
         which index by machine — silently mixing sizes corrupts them.
         """
         if other.num_machines != self.num_machines:

@@ -1,6 +1,6 @@
 """Independent discrete-event validation of the circulant timing model.
 
-:meth:`CostModel.symple_iteration_time` computes step timings with a
+:meth:`CostModel.circulant_timeline` computes step timings with a
 closed-form recursion.  This module re-derives the same quantity from
 first principles with a heap-based event simulator: machines are
 resources, dependency messages are events with explicit send/arrival
@@ -48,10 +48,11 @@ def simulate_circulant_iteration(
 ) -> float:
     """Event-driven makespan of one circulant iteration.
 
-    Returns the same quantity as the analytic recursion in
-    :meth:`CostModel.symple_iteration_time` *minus* the iteration-wide
-    terms (update tail, barrier, sync): the pure step-schedule
-    makespan.  Semantics simulated:
+    Returns the same quantity as the makespan of
+    :meth:`CostModel.circulant_timeline` — the pure step-schedule
+    makespan, without the iteration-wide terms (update tail, barrier,
+    sync) :meth:`CostModel.symple_iteration_time` adds.  Semantics
+    simulated:
 
     * machine ``m`` at step ``s`` needs the dependency groups produced
       by machine ``(m+1) % p`` at step ``s-1``;

@@ -159,6 +159,30 @@ class TestSession:
             session.run(algorithm="mis")
             assert session._partitions == first
 
+    def test_runs_build_engines_through_one_path(self, graph, monkeypatch):
+        """Session.run and engine_context build engines through the
+        module's make_engine, on the partition partition_strategy names."""
+        import repro.api as api
+
+        built = []
+
+        def spy(kind, target, machines, **kwargs):
+            engine = make_engine(kind, target, machines, **kwargs)
+            built.append((kind, engine.partition.kind))
+            return engine
+
+        monkeypatch.setattr(api, "make_engine", spy)
+        with Session(graph, RunConfig(machines=4, bfs_roots=1)) as session:
+            session.run()
+            session.run(engine="dgalois")
+            with session.engine_context(engine="gemini"):
+                pass
+        assert built == [
+            ("symple", OutgoingEdgeCut.name),
+            ("dgalois", "cartesian-vertex-cut"),
+            ("gemini", OutgoingEdgeCut.name),
+        ]
+
     def test_closed_session_rejects_runs(self, graph):
         session = Session(graph)
         session.close()
@@ -208,10 +232,6 @@ class TestLegacySurfaceRemoved:
     def test_make_engine_validates_machine_count(self, graph):
         with pytest.raises(EngineError):
             make_engine("symple", graph, 0)
-
-    def test_removed_dep_loss_options_name_fault_plan(self):
-        with pytest.raises(EngineError, match="FaultPlan.dep_loss"):
-            SympleOptions(dep_loss_rate=0.1)
 
 
 class TestSessionLifecycle:

@@ -19,7 +19,6 @@ from repro.engine import (
     SympleGraphEngine,
     SympleOptions,
 )
-from repro.errors import EngineError
 from repro.fault import FaultController, FaultPlan, MessageFault
 from repro.graph import erdos_renyi, to_undirected
 from repro.partition import OutgoingEdgeCut
@@ -225,14 +224,6 @@ class TestKernelEquivalenceUnderFaults:
         eng_off, res_off, ctl_off = results[False]
         assert_observably_identical(eng_on, res_on, eng_off, res_off)
         assert ctl_on.stats == ctl_off.stats
-
-    def test_removed_dep_loss_options_raise_pointed_error(self):
-        # the old per-engine knobs are gone; the error must name the
-        # FaultPlan replacement so the migration is self-explanatory
-        with pytest.raises(EngineError, match="FaultPlan.dep_loss"):
-            SympleOptions(dep_loss_rate=0.25)
-        with pytest.raises(EngineError, match="FaultPlan.dep_loss"):
-            SympleOptions(dep_loss_seed=7)
 
     @pytest.mark.parametrize("algorithm", ["bfs", "pagerank", "cc"])
     def test_update_duplicates_force_per_vertex_sends(self, algorithm):

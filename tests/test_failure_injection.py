@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms import bfs, kcore, mis
 from repro.engine import SympleGraphEngine, SympleOptions
-from repro.errors import EngineError
 from repro.fault import FaultController, FaultPlan
 from repro.graph import erdos_renyi, rmat, to_undirected
 from repro.partition import OutgoingEdgeCut
@@ -151,12 +150,6 @@ class TestDrawOrderPinned:
 
 
 class TestOptionValidation:
-    def test_removed_options_point_at_fault_plan(self):
-        with pytest.raises(EngineError, match="FaultPlan.dep_loss"):
-            SympleOptions(dep_loss_rate=0.5)
-        with pytest.raises(EngineError, match="FaultPlan.dep_loss"):
-            SympleOptions(dep_loss_seed=3)
-
     def test_plan_rate_out_of_range_rejected(self):
         with pytest.raises(Exception):
             FaultPlan.dep_loss(1.5)

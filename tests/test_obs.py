@@ -31,7 +31,6 @@ from repro.obs import (
     validate_events,
 )
 from repro.runtime import SYMPLE_COST
-from repro.runtime.trace import step_timeline
 
 
 @pytest.fixture(scope="module")
@@ -327,13 +326,14 @@ class TestObsHub:
         assert sum(s["value"] for s in batches.samples()) > 0
 
     def test_options_trace_attaches(self, graph, tmp_path):
-        from repro.engine import SympleGraphEngine, SympleOptions
+        """A trace-file path passed as ``obs=`` attaches a tracer (engine
+        options carry no path)."""
+        from repro.engine import SympleGraphEngine
         from repro.partition import OutgoingEdgeCut
 
         path = str(tmp_path / "opt.jsonl")
         engine = SympleGraphEngine(
-            OutgoingEdgeCut().partition(graph, 4),
-            options=SympleOptions(trace=path),
+            OutgoingEdgeCut().partition(graph, 4), obs=path
         )
         assert engine.obs is not None
         bfs(engine, 0)
@@ -398,18 +398,3 @@ class TestAttribution:
             assert r["dep_wait"] >= 0
             assert r["hidden_wait"] >= 0
             assert r["finish"] >= r["start"] or r["compute"] == 0
-
-    def test_agrees_with_step_timeline(self, engine):
-        """Attribution and the timeline replay the same recursion."""
-        record = next(
-            rec for rec in engine.counters.iterations
-            if rec.mode == "pull" and len(rec.steps) == 4
-        )
-        tl = step_timeline(record, SYMPLE_COST)
-        it = engine.counters.iterations.index(record)
-        rows = [r for r in attribution_rows(engine.counters, SYMPLE_COST)
-                if r["iteration"] == it]
-        finish = max(r["finish"] for r in rows)
-        assert finish == pytest.approx(tl.makespan)
-        dep_wait = sum(r["dep_wait"] for r in rows)
-        assert dep_wait == pytest.approx(tl.dep_wait_time().sum())

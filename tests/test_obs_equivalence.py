@@ -29,7 +29,6 @@ from repro.obs import (
 )
 from repro.obs.tracer import VOLATILE_KEYS
 from repro.runtime import SYMPLE_COST
-from repro.runtime.trace import step_timeline
 
 MACHINES = 4
 
@@ -126,7 +125,7 @@ class TestFaultVisibility:
         )
         # ...and its neighbors' blocked time lands in the step timeline
         waits = np.sum(
-            [step_timeline(rec, SYMPLE_COST).dep_wait_time()
+            [SYMPLE_COST.circulant_timeline(rec).dep_wait_time()
              for rec in full], axis=0,
         )
         assert waits.sum() > 0.0

@@ -353,6 +353,20 @@ class TestHttp:
         assert status == 400
         assert payload["error"]
 
+    def test_engine_options_cannot_name_a_server_file(self, server,
+                                                      tmp_path):
+        """Engine options carry no file path: a query naming one is
+        refused and nothing is written on the server."""
+        target = tmp_path / "written-by-query.jsonl"
+        status, _, payload = _post(
+            server.port,
+            {"graph": "demo", "algorithm": "bfs", "engine": "symple",
+             "options": {"trace": str(target)}},
+        )
+        assert status == 400
+        assert "trace" in payload["error"]
+        assert not target.exists()
+
     def test_concurrent_queries_all_digest_equivalent(self, server, graph):
         """Under concurrent load, whatever batches the coalescer
         formed, every response replays bit-identically."""

@@ -1,8 +1,8 @@
-"""Event-driven simulator vs the analytic timing recursion.
+"""Event-driven simulator vs the cost model's circulant timeline.
 
 The two implementations are independent; exact agreement on randomized
-inputs is strong evidence both encode the intended circulant-schedule
-semantics.
+inputs — the makespan and every machine's finish at every step — is
+strong evidence both encode the intended circulant-schedule semantics.
 """
 
 import numpy as np
@@ -18,15 +18,26 @@ from repro.runtime import CostModel, IterationRecord, StepRecord
 from repro.runtime.simulation import EventLog, simulate_circulant_iteration
 
 
-def analytic_step_makespan(cm, record, double_buffering):
-    """Recursion's makespan with the iteration-wide terms removed."""
-    total = cm.symple_iteration_time(record, double_buffering=double_buffering)
-    total -= cm.iteration_overhead
-    total -= cm._sync_cost(record)
-    for step in record.steps:
-        total -= cm._comm_tail(step.update_bytes)
-        total -= cm._comm_tail(step.dep_bytes)
-    return total
+def simulated_finish(record, cm, double_buffering):
+    """Simulator makespan and per-(step, machine) finish from its log."""
+    p = record.steps[0].num_machines
+    log = EventLog()
+    makespan = simulate_circulant_iteration(
+        record, cm, double_buffering=double_buffering, log=log
+    )
+    finish = np.full((len(record.steps), p), np.nan)
+    for t, what in log.events:
+        machine, step, *phase = what.split()
+        if phase == ["high", "done"]:
+            finish[int(step[1:]), int(machine[1:])] = t
+    return makespan, finish
+
+
+def assert_agree(record, cm, double_buffering):
+    makespan, finish = simulated_finish(record, cm, double_buffering)
+    timeline = cm.circulant_timeline(record, double_buffering=double_buffering)
+    assert makespan == pytest.approx(timeline.makespan, rel=1e-9)
+    np.testing.assert_allclose(finish, timeline.finish, rtol=1e-9)
 
 
 def random_record(rng, p, steps):
@@ -54,11 +65,7 @@ class TestAgreement:
         rng = np.random.default_rng(seed)
         record = random_record(rng, p, steps=p)
         cm = CostModel(latency=float(rng.integers(0, 300)))
-        simulated = simulate_circulant_iteration(
-            record, cm, double_buffering=db
-        )
-        analytic = analytic_step_makespan(cm, record, double_buffering=db)
-        assert simulated == pytest.approx(analytic, rel=1e-9)
+        assert_agree(record, cm, db)
 
     def test_agreement_on_real_engine_records(self):
         graph = to_undirected(rmat(scale=8, edge_factor=8, seed=5))
@@ -71,9 +78,7 @@ class TestAgreement:
         for record in engine.counters.iterations:
             if record.mode != "pull" or len(record.steps) != 4:
                 continue
-            simulated = simulate_circulant_iteration(record, cm)
-            analytic = analytic_step_makespan(cm, record, True)
-            assert simulated == pytest.approx(analytic, rel=1e-9)
+            assert_agree(record, cm, True)
 
 
 class TestSimulatorBehaviour:
