@@ -21,7 +21,7 @@ Definition 2.2 semantics so all engines compute identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,7 +36,9 @@ from repro.kernels.slots import apply_slot
 from repro.obs.hooks import ObsHub
 from repro.partition.base import Partition
 from repro.runtime.cost_model import CostModel
-from repro.runtime.counters import Counters, IterationRecord, StepRecord
+from repro.runtime.counters import (
+    COMM_TAGS, Counters, IterationRecord, StepRecord,
+)
 from repro.runtime.network import SimulatedNetwork
 
 __all__ = [
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 SignalLike = Union[Callable, AnalyzedSignal]
+
+_UPDATE, _DEP = COMM_TAGS.index("update"), COMM_TAGS.index("dep")
 
 # One serial per engine (a Session builds an engine per run): the scope
 # scan plans are kept in.  Not ``id()``, which a later engine can reuse.
@@ -97,6 +101,25 @@ class _UpdateBuffer:
                 if slot(v, value, state):
                     changed[v] = None
         return np.fromiter(changed.keys(), dtype=np.int64), self.total
+
+
+def _write_back(dep_store, deps: List[np.ndarray], results) -> None:
+    """A finished step's break bits and carried data into ``dep_store``,
+    one scatter each: a step's partitions are disjoint."""
+    live = [(dep, res) for dep, res in zip(deps, results) if dep.size]
+    broke = [dep[res["broke"]] for dep, res in live
+             if res["broke"] is not None]
+    if broke:
+        dep_store.skip[np.concatenate(broke)] = True
+    for name in dep_store.data:
+        units = [
+            (dep, *res["carried"][name]) for dep, res in live
+            if name in res["carried"]
+        ]
+        if units:
+            at, present, values = map(np.concatenate, zip(*units))
+            dep_store.present[name][at] = present
+            dep_store.data[name][at] = values
 
 
 class BaseEngine:
@@ -299,7 +322,6 @@ class BaseEngine:
         record = IterationRecord(mode="push")
         step = self._make_step(phase)
         buffer = _UpdateBuffer()
-        push_msg: Dict[Tuple[int, int], int] = {}
 
         fast = self.fastpaths
         shared = {
@@ -324,37 +346,38 @@ class BaseEngine:
                     items, state,
                 ),
             )
-        master_of = self.partition.master_of
+        p, master_of = self.num_machines, self.partition.master_of
+        step.high_edges += [res["edges"] for res in results]
+        step.high_vertices += [res["vertices"] for res in results]
+        # frontier state of u must reach this machine's out-edge
+        # replicas (free under outgoing edge-cut): one message each
+        owners = [res["owners"] for res in results]
+        src = [np.concatenate(owners)]
+        dst = [np.repeat(np.arange(p), [o.size for o in owners])]
+        nbytes = [np.full(src[0].size, 8, dtype=np.int64)]
+        step.update_bytes += 8 * np.bincount(src[0], minlength=p)
         for res in results:
-            m = res["m"]
-            step.high_edges[m] += res["edges"]
-            step.high_vertices[m] += res["vertices"]
-            for owner in res["owners"].tolist():
-                # frontier state of u must reach this machine's
-                # out-edge replicas (free under outgoing edge-cut).
-                self.network.send(owner, m, "push", 8)
-                step.update_bytes[owner] += 8
-            emit_v = res["emit_v"]
-            dst = master_of[emit_v]
-            dst = dst[dst != m]
-            if dst.size:
-                # one coalesced message per destination, keyed in the
-                # order this unit first emitted to it
+            m, emit_v = res["m"], res["emit_v"]
+            to = master_of[emit_v]
+            to = to[to != m]
+            if to.size:
+                # one coalesced message per destination, in the order
+                # this unit first emitted to it
                 masters, first, counts = np.unique(
-                    dst, return_index=True, return_counts=True
+                    to, return_index=True, return_counts=True
                 )
                 order = np.argsort(first)
-                for d, k in zip(
-                    masters[order].tolist(), counts[order].tolist()
-                ):
-                    push_msg[(m, d)] = update_bytes * k
-                step.update_bytes[m] += update_bytes * int(dst.size)
+                src.append(np.full(order.size, m, dtype=np.int64))
+                dst.append(masters[order])
+                nbytes.append(update_bytes * counts[order])
+                step.update_bytes[m] += update_bytes * int(to.size)
             buffer.append(emit_v, res["emit_values"])
-
-        for (src, dst), nbytes in push_msg.items():
-            self.network.send(src, dst, "push", nbytes)
-
-        record.push_bytes = sum(push_msg.values())
+        # every frontier transfer, then every update message
+        self.network.send_many(
+            np.concatenate(src), np.concatenate(dst), "push",
+            np.concatenate(nbytes),
+        )
+        record.push_bytes = int(sum(b.sum() for b in nbytes[1:]))
         return self._commit_phase(
             record, [step], buffer, slot, state, sync_bytes
         )
@@ -385,16 +408,6 @@ class BaseEngine:
             )[1]
         return result
 
-    def _grouped_sends_ok(self) -> bool:
-        """May per-vertex update messages be coalesced into one send?
-
-        Grouping keeps bytes_by_tag/messages_by_tag identical (via
-        ``messages=count``) but would change what a delivery hook or
-        the trace log observes per message, so both force the
-        one-send-per-vertex path.
-        """
-        return self.network.delivery_hook is None and not self.network.trace
-
     def _pull_step(
         self,
         analyzed: AnalyzedSignal,
@@ -414,22 +427,20 @@ class BaseEngine:
         """Run one pull step's units on the executor and merge them.
 
         ``items`` are :func:`repro.exec.work.pull_task` units, one per
-        machine; the workers only scan — a chunk of consecutive units at
-        a time, in blocks (:func:`repro.exec.work.pull_units`), with
+        machine in machine order; the workers only scan — a chunk of
+        consecutive units at a time, in blocks
+        (:func:`repro.exec.work.pull_units`), with
         ``at`` — ``(phase, step)`` — saying where in the run this step
         sits, so a block that recurs in the next pull phase can be
-        recognized.  Everything observable happens
-        here, unit by unit in item order: lane metering (the dependency
-        lane always books under ``high_*``; ``plain_column`` names the
-        ``StepRecord`` column pair — ``"high"`` or ``"low"`` — the plain
-        lane books under, which the cost model prices separately),
-        dependency-store write-back, update sends (coalesced per
-        destination when :meth:`_grouped_sends_ok`, else one per
-        emitting vertex in ascending order), update buffering (the
-        unit's arrays become one bin as they are), and —
-        where ``handoffs`` gives a unit a nonzero byte count — the
-        dependency hand-off of that many bytes to the machine on the
-        left.
+        recognized.  Everything observable happens here, for the step
+        as a whole: lane metering (the dependency lane books under
+        ``high_*``, the plain lane under ``plain_column``'s pair —
+        ``"high"`` or ``"low"``, which the cost model prices apart),
+        the dependency-store write-back, one update bin per unit, and
+        one message list for :meth:`SimulatedNetwork.send_many`, unit by
+        unit in item order: an update message per emitting vertex,
+        ascending, then the unit's dependency hand-off of ``handoffs``
+        bytes (where nonzero) to the machine on its left.
         """
         fast, fn = self.fastpaths, analyzed.original
         shared = {
@@ -455,80 +466,63 @@ class BaseEngine:
                     work.pull_task, {**shared, "solo": True}, items, state
                 ),
             )
-        master_of = self.partition.master_of
-        grouped = self._grouped_sends_ok()
+        p = self.num_machines
+        handoffs = list(handoffs or [0] * p)
+        deps = [item.get("dep") for item in items]
+        # one unit per machine, in machine order: one add per column
         plain_edges = getattr(step, plain_column + "_edges")
+        plain_edges += [res["plain_edges"] for res in results]
         plain_vertices = getattr(step, plain_column + "_vertices")
-        for item, res, handoff in zip(items, results, handoffs or repeat(0)):
-            m = res["m"]
-            traced = self.obs is not None and res["kind"] is not None
-            dep = item.get("dep")
-            if dep is not None:
-                if traced:
-                    self.obs.kernel_batch(
-                        m, res["kind"], int(dep.size), res["dep_edges"],
-                        res["dep_seconds"],
-                    )
-                step.high_edges[m] += res["dep_edges"]
-                step.high_vertices[m] += int(dep.size)
-                if res["broke"] is not None:
-                    dep_store.skip[dep[res["broke"]]] = True
-                for name, (present, values) in res["carried"].items():
-                    dep_store.present[name][dep] = present
-                    dep_store.data[name][dep] = values
-            if traced:
-                self.obs.kernel_batch(
-                    m, res["kind"], res["plain_vertices"],
-                    res["plain_edges"], res["plain_seconds"],
-                )
-            plain_edges[m] += res["plain_edges"]
-            plain_vertices[m] += res["plain_vertices"]
+        plain_vertices += [res["plain_vertices"] for res in results]
+        if dep_store is not None:
+            step.high_edges += [res["dep_edges"] for res in results]
+            step.high_vertices += [dep.size for dep in deps]
+            _write_back(dep_store, deps, results)
+        step.dep_bytes += handoffs
+        obs = self.obs
+        if obs is not None:  # events only, unit by unit
+            for dep, res, handoff in zip(deps, results, handoffs):
+                m, kind = res["m"], res["kind"]
+                if kind is not None and dep is not None:
+                    obs.kernel_batch(m, kind, dep.size, res["dep_edges"],
+                                     res["dep_seconds"])
+                if kind is not None:
+                    obs.kernel_batch(m, kind, res["plain_vertices"],
+                                     res["plain_edges"], res["plain_seconds"])
+                if handoff:
+                    obs.dep_transfer(m, (m - 1) % p, handoff)
 
+        # per unit: its update bin; one update message per emitting
+        # vertex to its master (free where that is the unit's own
+        # machine) carrying its values; then its hand-off, if any
+        master_of = self.partition.master_of
+        dst, nbytes, lengths, handoff_at = [], [], [], []
+        for m, res, handoff in zip(range(p), results, handoffs):
             # counts is None when every vertex emitted exactly once
             emit_v, counts = res["emit_v"], res["emit_counts"]
             if emit_v.size:
-                dst = master_of[emit_v]
-                remote = dst != m
-                dst = dst[remote]
-                if dst.size:
-                    # values per remote vertex
-                    sent = None if counts is None else counts[remote]
-                    if grouped:
-                        # same bytes and message count as one send per
-                        # emitting vertex
-                        messages = np.bincount(dst)
-                        payload = (
-                            messages if sent is None
-                            else np.bincount(dst, weights=sent)
-                        )
-                        for d in np.flatnonzero(messages).tolist():
-                            self.network.send(
-                                m, d, "update",
-                                update_bytes * int(payload[d]),
-                                messages=int(messages[d]),
-                            )
-                    else:
-                        for d, k in zip(
-                            dst.tolist(),
-                            repeat(1) if sent is None else sent.tolist(),
-                        ):
-                            self.network.send(
-                                m, d, "update", update_bytes * k
-                            )
-                    step.update_bytes[m] += update_bytes * (
-                        dst.size if sent is None else int(sent.sum())
-                    )
                 buffer.append(
                     emit_v if counts is None else np.repeat(emit_v, counts),
                     res["emit_values"],
                 )
-
+                dst.append(master_of[emit_v])
+                nbytes.append(
+                    np.full(emit_v.size, update_bytes) if counts is None
+                    else update_bytes * counts
+                )
+                step.update_bytes[m] += nbytes[-1][dst[-1] != m].sum()
+            lengths.append(emit_v.size + bool(handoff))
             if handoff:
-                left = (m - 1) % self.num_machines
-                self.network.send(m, left, "dep", handoff)
-                step.dep_bytes[m] += handoff
-                if self.obs is not None:
-                    self.obs.dep_transfer(m, left, handoff)
+                handoff_at.append(sum(lengths) - 1)
+                dst.append([(m - 1) % p])
+                nbytes.append([handoff])
+        if dst:
+            tags = np.full(sum(lengths), _UPDATE)
+            tags[handoff_at] = _DEP
+            self.network.send_many(
+                np.repeat(np.arange(p), lengths), np.concatenate(dst), tags,
+                np.concatenate(nbytes),
+            )
 
     def _commit_phase(
         self,
@@ -642,27 +636,21 @@ class BaseEngine:
         """
         if changed.size == 0 or sync_bytes == 0 or self.num_machines == 1:
             return
-        holders = self.partition._has_in[:, changed].copy()
-        if self.sync_scope == "both":
-            holders |= self.partition._has_out[:, changed]
-        masters = self.partition.master_of[changed]
-        holders[masters, np.arange(changed.size)] = False
-        per_pair = holders.sum(axis=1)  # entries per receiving machine
-        total = 0
-        for m in range(self.num_machines):
-            count = int(per_pair[m])
-            if count == 0:
-                continue
-            # sender is each vertex's master; aggregate by receiver and
-            # charge each master->receiver pair.
-            send_masters, counts = np.unique(
-                masters[holders[m]], return_counts=True
-            )
-            for src, cnt in zip(send_masters, counts):
-                nbytes = int(cnt) * sync_bytes
-                self.network.send(int(src), m, "sync", nbytes)
-                total += nbytes
-        record.sync_bytes += total
+        p, part = self.num_machines, self.partition
+        masters = part.master_of[changed]
+        # pairs[receiver, master]: changed vertices the master sends
+        pairs = np.zeros((p, p), dtype=np.int64)
+        for m in range(p):
+            held = part._has_in[m][changed]
+            if self.sync_scope == "both":
+                held |= part._has_out[m][changed]
+            pairs[m] = np.bincount(masters, weights=held, minlength=p)
+        np.fill_diagonal(pairs, 0)  # a master keeps its own state
+        # receiver ascending, then master: one message per pair
+        receiver, sender = np.nonzero(pairs)
+        nbytes = pairs[receiver, sender] * sync_bytes
+        self.network.send_many(sender, receiver, "sync", nbytes)
+        record.sync_bytes += int(nbytes.sum())
 
     def sync_state(self, vertices: np.ndarray, sync_bytes: int = 4) -> None:
         """Explicitly broadcast changed master state to replica holders.

@@ -199,7 +199,7 @@ class SympleGraphEngine(BaseEngine):
             analyzed,
             slot,
             state,
-            active_idx,
+            np.asarray(active),
             update_bytes,
             sync_bytes,
             dep_data_bytes,
@@ -212,7 +212,7 @@ class SympleGraphEngine(BaseEngine):
         analyzed,
         slot: Callable,
         state: StateStore,
-        active_idx: np.ndarray,
+        active: np.ndarray,
         update_bytes: int,
         sync_bytes: int,
         dep_data_bytes: int,
@@ -227,7 +227,6 @@ class SympleGraphEngine(BaseEngine):
         below plus the write-back in :meth:`BaseEngine._pull_step`."""
         p = self.num_machines
         phase = self._phase_begin("pull")
-        master_of = self.partition.master_of
         dep_store = DepStore(
             self.graph.num_vertices,
             analyzed.info.carried_vars,
@@ -254,15 +253,23 @@ class SympleGraphEngine(BaseEngine):
             KERNEL, analyzed.original, state, analyzed
         ) is not None
 
-        # Loop-invariant hoisting: local degree arrays, the
-        # per-partition candidate split, and each partition's hand-off
-        # size are step-independent — computed once per pull
-        # (O(p * |active|)) instead of once per (step, machine) pair
-        # (O(p^2 * |active|)).
-        machine_degs = [
-            self.partition.local_in(m).degrees() for m in range(p)
-        ]
-        by_master = [active_idx[master_of[active_idx] == j] for j in range(p)]
+        # One row mask per machine and lane — its ``_has_in`` row ANDed
+        # with the active circulated (high) or plain (low) vertices, in
+        # the vertex order by master — cut at the master bounds: unit
+        # (m, j) takes each lane as one slice between j's bounds.
+        part = self.partition
+        order, bounds = part._master_order, part._master_bounds
+        has_in, high = part._has_in, active & high_mask
+        low = active & ~high_mask
+        if order is not None:
+            has_in, high, low = has_in[:, order], high[order], low[order]
+
+        def cut(mask):
+            at = np.flatnonzero(mask)
+            vertices = at if order is None else order[at]
+            return vertices, np.searchsorted(at, bounds).tolist()
+
+        lanes = [(cut(row & high), cut(row & low)) for row in has_in]
         # Control bits travel as a packed bitmap; carried data travels
         # as the SoA array slice for every circulated vertex (Section
         # 6's layout) — this is why sampling's dependency traffic is
@@ -271,7 +278,8 @@ class SympleGraphEngine(BaseEngine):
         handoff_bytes = [
             Bitmap.wire_bytes(n) + n * per_vertex if n else 0
             for n in (
-                int(np.count_nonzero(high_mask[part])) for part in by_master
+                np.count_nonzero(high[lo:hi])
+                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
             )
         ]
 
@@ -292,10 +300,8 @@ class SympleGraphEngine(BaseEngine):
             handoffs = []
             for m in range(p):
                 j = circulant_partition(m, s, p)
-                part = by_master[j]
-                cand = part[machine_degs[m][part] > 0]
-                circulated = high_mask[cand]
-                dep = cand[circulated]
+                (dep, dep_cut), (plain, plain_cut) = lanes[m]
+                dep = dep[dep_cut[j]:dep_cut[j + 1]]
                 skipped = dep_store.skip[dep]
                 if lossy:
                     # one coin per skipped vertex, machine-ascending
@@ -312,7 +318,7 @@ class SympleGraphEngine(BaseEngine):
                         name: (dep_store.present[name][dep], values[dep])
                         for name, values in dep_store.data.items()
                     } if has_data else None,
-                    "plain": cand[~circulated],
+                    "plain": plain[plain_cut[j]:plain_cut[j + 1]],
                 })
                 # after the final step the master holds the complete
                 # state locally: nothing to hand off

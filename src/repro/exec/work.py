@@ -31,6 +31,7 @@ crash-retry (respawn the pool, rerun the map's chunks) safe.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from time import perf_counter, sleep
 from typing import Any, Dict, List
 
@@ -460,53 +461,67 @@ def _scan_lane(ctx, shared, spec, units: List[_Unit], lane: str) -> list:
     return out
 
 
-def _kernel_unit(spec, unit: _Unit, plain, dep) -> Dict[str, Any]:
-    """One unit's result from what :func:`_scan_lane` cut for its two
-    lanes: the emits of both merged in ascending vertex order."""
-    plain_edges, emit_v, values, _, _, plain_seconds = plain
-    dep_edges, dep_seconds, broke, carried_out = 0, 0.0, None, {}
-    if dep is not None:
-        dep_edges, dep_v, dep_values, broke, carried, dep_seconds = dep
-        if unit.carries:
-            carried_out = {
-                spec.carried_vars[0]: (
-                    np.ones(unit.dep.vertices.size, dtype=bool), carried
-                )
-            }
-        if dep_v.size and emit_v.size:
-            emit_v = np.concatenate([dep_v, emit_v])
-            values = np.concatenate([dep_values, values])
-            order = np.argsort(emit_v)
-            emit_v, values = emit_v[order], values[order]
-        elif dep_v.size:
-            emit_v, values = dep_v, dep_values
-    return {
-        "kind": spec.kind,
-        "plain_edges": plain_edges,
-        "plain_seconds": plain_seconds,
-        "dep_edges": dep_edges,
-        "dep_seconds": dep_seconds,
-        "emit_v": emit_v,
-        "emit_counts": None,  # a kernel emits at most once per vertex
-        "emit_values": values,
-        "broke": broke,
-        "carried": carried_out,
-    }
+def _merged_emits(plain: list, dep: list, num_vertices: int) -> list:
+    """Per unit of a block, its two lanes' emits in ascending vertex
+    order: one sort over ``(unit, vertex)`` for the block, cut per unit.
+    Every unit's lane is a slice of that lane's one batch, so each gets
+    what sorting its own two lanes gives, dtype included."""
+    emits = [
+        pl[1:3] if d is None or not d[1].size
+        else d[1:3] if not pl[1].size else None
+        for pl, d in zip(plain, dep)
+    ]
+    both = [i for i, pair in enumerate(emits) if pair is None]
+    if both:
+        lanes = [lane for i in both for lane in (dep[i], plain[i])]
+        sizes = [dep[i][1].size + plain[i][1].size for i in both]
+        emit_v = np.concatenate([lane[1] for lane in lanes])
+        key = emit_v if len(both) == 1 else emit_v + np.repeat(
+            np.arange(len(both)) * num_vertices, sizes
+        )
+        # keys are distinct, and each lane's are ascending already: a
+        # stable sort merges those runs rather than sorting from scratch
+        order = np.argsort(key, kind="stable")
+        emit_v = emit_v[order]
+        values = np.concatenate([lane[2] for lane in lanes])[order]
+        cuts = list(accumulate(sizes, initial=0))
+        for k, i in enumerate(both):
+            span = slice(cuts[k], cuts[k + 1])
+            emits[i] = (emit_v[span], values[span])
+    return emits
 
 
 def _kernel_lanes(ctx, shared, spec, items) -> List[Dict[str, Any]]:
     """Both lanes of every unit on the batched kernel, block by block:
-    one call per lane of a block."""
+    one call per lane of a block, one emit merge per block."""
     units = [_Unit(ctx, shared, item, spec) for item in items]
     results = []
     for block in _blocks(units, 0 if shared["solo"] else _BLOCK_EDGES):
         plain = _scan_lane(ctx, shared, spec, block, "plain")
         dep = _scan_lane(ctx, shared, spec, block, "dep")
-        for unit, plain_out, dep_out in zip(block, plain, dep):
-            out = _kernel_unit(spec, unit, plain_out, dep_out)
-            out["m"] = unit.m
-            out["plain_vertices"] = int(unit.plain.vertices.size)
-            results.append(out)
+        emits = _merged_emits(plain, dep, ctx.num_vertices)
+        for unit, lane, dep_lane, (emit_v, values) in zip(
+            block, plain, dep, emits
+        ):
+            dep_edges, _, _, broke, carried, dep_seconds = (
+                dep_lane or (0, None, None, None, None, 0.0)
+            )
+            results.append({
+                "kind": spec.kind,
+                "plain_edges": lane[0],
+                "plain_seconds": lane[5],
+                "dep_edges": dep_edges,
+                "dep_seconds": dep_seconds,
+                "emit_v": emit_v,
+                "emit_counts": None,  # a kernel emits once per vertex
+                "emit_values": values,
+                "broke": broke,
+                "carried": {spec.carried_vars[0]: (
+                    np.ones(unit.dep.vertices.size, dtype=bool), carried
+                )} if unit.carries else {},
+                "m": unit.m,
+                "plain_vertices": int(unit.plain.vertices.size),
+            })
     return results
 
 

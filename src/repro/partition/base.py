@@ -181,6 +181,19 @@ class Partition:
         self._has_out = np.stack(
             [adj.degrees() > 0 for adj in self._local_out]
         ) if self.num_machines else np.zeros((0, n), dtype=bool)
+        self._index_masters()
+
+    def _index_masters(self) -> None:
+        """The vertices by master (None: the identity, as id-range
+        masters give) and where each machine's masters start in it."""
+        master_of = self.master_of
+        ascending = bool((master_of[1:] >= master_of[:-1]).all())
+        self._master_order = None if ascending else np.argsort(
+            master_of, kind="stable"
+        )
+        self._master_bounds = np.concatenate(([0], np.cumsum(
+            np.bincount(master_of, minlength=self.num_machines)
+        )))
 
     # -- edge placement ---------------------------------------------------
 

@@ -182,6 +182,7 @@ def _patch_machines(
     for m in touched:
         part._has_in[m] = part._local_in[m].degrees() > 0
         part._has_out[m] = part._local_out[m].degrees() > 0
+    part._index_masters()
     return part
 
 

@@ -1,11 +1,12 @@
 """Simulated interconnect with per-pair byte accounting.
 
-Stands in for the paper's MPI/RDMA fabric.  Engines call
-:meth:`SimulatedNetwork.send` for every remote transfer; the network
-records bytes and message counts per (source, destination, tag) so the
-communication tables can be regenerated and the cost model can price
-transfers.  Local (same-machine) transfers are free and not recorded,
-matching how the paper counts communication volume.
+Stands in for the paper's MPI/RDMA fabric.  Engines hand every remote
+transfer to :meth:`SimulatedNetwork.send`, or a phase's ordered list of
+them to :meth:`SimulatedNetwork.send_many`; the network records bytes
+and message counts per (source, destination, tag) so the communication
+tables can be regenerated and the cost model can price transfers.
+Local (same-machine) transfers are free and not recorded, matching how
+the paper counts communication volume.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from repro.errors import EngineError
 from repro.runtime.counters import COMM_TAGS, Counters
 
 __all__ = ["SimulatedNetwork", "DeliveryOutcome"]
+
+
+def _within(values: np.ndarray, bound: int) -> bool:
+    """All of an int64 array in ``[0, bound)``?  (As uint64, a negative
+    value is above any bound: one reduction.)"""
+    return not values.size or int(values.view(np.uint64).max()) < bound
 
 
 @dataclass
@@ -68,15 +75,15 @@ class SimulatedNetwork:
             raise EngineError("a network needs at least one machine")
         self.num_machines = num_machines
         self.counters = counters if counters is not None else Counters(num_machines)
-        # traffic[tag][src, dst] = bytes
-        self.traffic: Dict[str, np.ndarray] = {
-            tag: np.zeros((num_machines, num_machines), dtype=np.int64)
-            for tag in COMM_TAGS
-        }
-        self.message_counts: Dict[str, np.ndarray] = {
-            tag: np.zeros((num_machines, num_machines), dtype=np.int64)
-            for tag in COMM_TAGS
-        }
+        # traffic[tag][src, dst] = bytes: per-tag views of one
+        # (tag, src, dst) array, as are the message counts
+        shape = (len(COMM_TAGS), num_machines, num_machines)
+        self._bytes = np.zeros(shape, dtype=np.int64)
+        self._messages = np.zeros(shape, dtype=np.int64)
+        self.traffic: Dict[str, np.ndarray] = dict(zip(COMM_TAGS, self._bytes))
+        self.message_counts: Dict[str, np.ndarray] = dict(
+            zip(COMM_TAGS, self._messages)
+        )
         self.trace = trace
         self.trace_limit = trace_limit
         self.log: list[Tuple[int, int, str, int]] = []
@@ -114,6 +121,55 @@ class SimulatedNetwork:
                 self.log.append((src, dst, tag, int(nbytes)))
             else:
                 self.dropped_log_entries += 1
+
+    def send_many(self, src, dst, tag, nbytes) -> None:
+        """Record an ordered list of transfers, one message each:
+        aligned integer arrays, ``tag`` one tag name or per message a
+        position in ``COMM_TAGS``, checked as a whole first.  A delivery
+        hook or the trace log gets one :meth:`send` per message in list
+        order; otherwise the list is booked as one sum per ``(tag, src,
+        dst)``, which leaves the same counters and matrices."""
+        if isinstance(tag, str):
+            if tag not in self.traffic:
+                raise EngineError(f"unknown communication tag {tag!r}")
+            tag = np.full(np.shape(src), COMM_TAGS.index(tag))
+        src, dst, codes, nbytes = (
+            np.asarray(a, dtype=np.int64) for a in (src, dst, tag, nbytes)
+        )
+        if {a.shape for a in (src, dst, codes, nbytes)} != {(src.size,)}:
+            raise EngineError("a message list needs aligned 1-D arrays")
+        p = self.num_machines
+        if not _within(codes, len(COMM_TAGS)):
+            raise EngineError("unknown communication tag in the list")
+        if not (_within(src, p) and _within(dst, p)):
+            raise EngineError("machine out of range in a message list")
+        if nbytes.size and nbytes.min() < 0:
+            raise EngineError("cannot send a negative number of bytes")
+        if self.delivery_hook is not None or self.trace:
+            for s, d, c, b in zip(
+                src.tolist(), dst.tolist(), codes.tolist(), nbytes.tolist()
+            ):
+                self.send(s, d, COMM_TAGS[c], b)
+            return
+        # one row of p * p cells per tag; local entries land on the
+        # diagonal (every (p + 1)-th cell), which is then dropped
+        key = src * p + dst
+        key += codes * (p * p)
+        size, rows = self._bytes.size, len(COMM_TAGS)
+        messages = np.bincount(key, minlength=size).reshape(rows, -1)
+        # float64 sums of integers are exact below 2**53 bytes
+        payload = np.bincount(
+            key, weights=nbytes, minlength=size
+        ).astype(np.int64).reshape(rows, -1)
+        messages[:, ::p + 1] = payload[:, ::p + 1] = 0
+        self._messages += messages.reshape(self._messages.shape)
+        self._bytes += payload.reshape(self._bytes.shape)
+        for tag, count, volume in zip(
+            COMM_TAGS, messages.sum(axis=1).tolist(),
+            payload.sum(axis=1).tolist(),
+        ):
+            if count:
+                self.counters.add_bytes(tag, volume, count)
 
     # -- queries -----------------------------------------------------------
 

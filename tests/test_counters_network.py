@@ -5,6 +5,8 @@ import pytest
 
 from repro.errors import EngineError, ReproError
 from repro.runtime import Counters, IterationRecord, SimulatedNetwork, StepRecord
+from repro.runtime.counters import COMM_TAGS
+from repro.runtime.network import DeliveryOutcome
 
 
 class TestStepRecord:
@@ -142,3 +144,121 @@ class TestNetwork:
     def test_zero_machines_rejected(self):
         with pytest.raises(EngineError):
             SimulatedNetwork(0)
+
+
+def booked(net):
+    return (
+        {tag: m.tolist() for tag, m in net.traffic.items()},
+        {tag: m.tolist() for tag, m in net.message_counts.items()},
+        net.counters.summary(),
+    )
+
+
+class TestSendMany:
+    """``send_many`` books what one ``send`` per message books, and
+    hands single messages to whatever observes them in list order."""
+
+    SRC = [0, 2, 1, 0, 2, 2]
+    DST = [1, 0, 1, 2, 0, 1]
+    TAGS = [0, 1, 0, 2, 0, 4]  # positions in COMM_TAGS
+    NBYTES = [3, 4, 5, 6, 7, 0]
+
+    def test_books_what_sends_book(self):
+        many, one = SimulatedNetwork(3), SimulatedNetwork(3)
+        many.send_many(self.SRC, self.DST, self.TAGS, self.NBYTES)
+        for src, dst, tag, nbytes in zip(
+            self.SRC, self.DST, self.TAGS, self.NBYTES
+        ):
+            one.send(src, dst, COMM_TAGS[tag], nbytes)
+        assert booked(many) == booked(one)
+        assert many.message_counts["update"][2, 0] == 1
+        assert many.counters.messages_by_tag["ckpt"] == 1
+
+    def test_one_tag_name_for_the_list(self):
+        net = SimulatedNetwork(3)
+        net.send_many([0, 0, 2], [1, 1, 1], "sync", [8, 8, 16])
+        assert net.traffic["sync"][0, 1] == 16
+        assert net.message_counts["sync"][0, 1] == 2
+        assert net.counters.sync_bytes == 32
+
+    def test_empty_list(self):
+        net = SimulatedNetwork(2)
+        net.send_many([], [], "update", [])
+        net.send_many(
+            np.empty(0, np.int64), np.empty(0, np.int64),
+            np.empty(0, np.int64), np.empty(0, np.int64),
+        )
+        assert booked(net) == booked(SimulatedNetwork(2))
+
+    def test_local_entries_free(self):
+        net = SimulatedNetwork(3, trace=True)
+        seen = []
+        net.delivery_hook = lambda *message: seen.append(message)
+        net.send_many([1, 1, 2], [1, 2, 2], "update", [999, 7, 999])
+        assert net.bytes_sent() == 7
+        assert net.counters.messages_by_tag["update"] == 1
+        assert seen == [(1, 2, "update", 7)]
+        assert net.log == [(1, 2, "update", 7)]
+        quiet = SimulatedNetwork(3)
+        quiet.send_many([1, 1, 2], [1, 2, 2], "update", [999, 7, 999])
+        assert booked(quiet) == booked(net)
+
+    @pytest.mark.parametrize("bad", [
+        dict(nbytes=[1, -1]),
+        dict(tag="gossip"),
+        dict(tag=[0, 5]),
+        dict(tag=[0, -1]),
+        dict(src=[0, 3]),
+        dict(dst=[-1, 1]),
+        dict(dst=[1]),
+    ])
+    def test_rejects_what_send_rejects(self, bad):
+        """Checked before anything is booked."""
+        net = SimulatedNetwork(3, trace=True)
+        args = dict(src=[0, 1], dst=[1, 2], tag="update", nbytes=[4, 4])
+        args.update(bad)
+        with pytest.raises(EngineError):
+            net.send_many(**args)
+        assert booked(net) == booked(SimulatedNetwork(3))
+        assert net.log == []
+
+    def test_hook_sees_list_order(self):
+        net = SimulatedNetwork(3)
+        seen = []
+        net.delivery_hook = lambda *message: seen.append(message)
+        net.send_many(self.SRC, self.DST, self.TAGS, self.NBYTES)
+        assert seen == [
+            (src, dst, COMM_TAGS[tag], nbytes)
+            for src, dst, tag, nbytes in zip(
+                self.SRC, self.DST, self.TAGS, self.NBYTES
+            )
+            if src != dst
+        ]
+        assert booked(net) == booked(self._sent_one_by_one())
+
+    def test_hook_outcomes_charged(self):
+        net = SimulatedNetwork(2)
+        net.delivery_hook = lambda *message: DeliveryOutcome(
+            attempts=2, delay=1.5
+        )
+        net.send_many([0, 1], [1, 0], "update", [10, 20])
+        assert net.traffic["update"].tolist() == [[0, 20], [40, 0]]
+        assert net.counters.messages_by_tag["update"] == 4
+        assert net.counters.penalty_time == 3.0
+
+    def test_trace_keeps_list_order_and_limit(self):
+        net = SimulatedNetwork(3, trace=True, trace_limit=3)
+        net.send_many(self.SRC, self.DST, self.TAGS, self.NBYTES)
+        assert net.log == [
+            (0, 1, "update", 3), (2, 0, "dep", 4), (0, 2, "sync", 6),
+        ]
+        assert net.dropped_log_entries == 2
+        assert booked(net) == booked(self._sent_one_by_one())
+
+    def _sent_one_by_one(self):
+        net = SimulatedNetwork(3)
+        for src, dst, tag, nbytes in zip(
+            self.SRC, self.DST, self.TAGS, self.NBYTES
+        ):
+            net.send(src, dst, COMM_TAGS[tag], nbytes)
+        return net
