@@ -42,7 +42,7 @@ from repro.algorithms.relax import RelaxProgram, Relaxation, flat_neighbors
 from repro.errors import GraphError
 from repro.fault.program import run_program
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import MutationBatch
+from repro.graph.dynamic import MutationBatch, is_integer
 
 __all__ = [
     "IncrementalBFS",
@@ -280,6 +280,8 @@ class IncrementalBFS(_IncrementalBase):
 
     def __init__(self, session, root: int, config=None) -> None:
         super().__init__(session, config)
+        if not is_integer(root):
+            raise GraphError(f"BFS root must be a vertex id, got {root!r}")
         root = int(root)
         if root < 0 or root >= session.graph.num_vertices:
             raise GraphError(

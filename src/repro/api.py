@@ -58,7 +58,12 @@ from repro.errors import (
 from repro.exec import EXECUTOR_KINDS, Executor, make_executor
 from repro.fault import FaultPlan
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DynamicGraph, MutationBatch, MutationStats
+from repro.graph.dynamic import (
+    DynamicGraph,
+    MutationBatch,
+    MutationStats,
+    is_integer,
+)
 from repro.obs.hooks import ObsHub
 from repro.partition import Partition
 from repro.partition.delta import refresh_partition
@@ -200,12 +205,15 @@ class RunConfig:
                     "algorithm does not take them"
                 )
             try:
-                normalized = tuple(int(s) for s in self.sources)
-            except (TypeError, ValueError):
+                normalized = tuple(self.sources)
+            except TypeError:
+                normalized = (None,)  # not a sequence: refused below
+            if not all(map(is_integer, normalized)):
                 raise EngineError(
-                    f"sources must be a sequence of vertex ids, "
+                    f"sources must be a sequence of integer vertex ids, "
                     f"got {self.sources!r}"
-                ) from None
+                )
+            normalized = tuple(map(int, normalized))
             if not normalized:
                 raise EngineError("sources must name at least one vertex")
             if any(s < 0 for s in normalized):
@@ -331,14 +339,9 @@ class Session:
 
     def __init__(self, graph: Union[CSRGraph, DynamicGraph],
                  config: Optional[RunConfig] = None) -> None:
-        if isinstance(graph, DynamicGraph):
-            self._dynamic: Optional[DynamicGraph] = graph
-            self.graph = graph.snapshot()
-            self.graph_version = graph.version
-        else:
-            self._dynamic = None
-            self.graph = graph
-            self.graph_version = 0
+        self._dynamic = (
+            graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
+        )
         self.config = config if config is not None else RunConfig()
         self._partitions: Dict[Tuple[str, int, int], Partition] = {}
         self._executors: Dict[Tuple[str, Optional[int]], Executor] = {}
@@ -356,6 +359,16 @@ class Session:
         self._finalizer = weakref.finalize(
             self, _close_executors, self._executors
         )
+
+    @property
+    def graph(self) -> CSRGraph:
+        """The bound graph's current snapshot."""
+        return self._dynamic.snapshot()
+
+    @property
+    def graph_version(self) -> int:
+        """How many mutation batches the bound graph has applied."""
+        return self._dynamic.version
 
     # -- cached artifacts -------------------------------------------------
 
@@ -536,8 +549,8 @@ class Session:
     def mutate(self, batch: MutationBatch, obs: Any = None) -> MutationStats:
         """Apply one mutation batch to the session's graph.
 
-        Wraps a static graph in a :class:`DynamicGraph` on first use,
-        applies the batch (atomic; may auto-compact), incrementally
+        Applies the batch to the session's :class:`DynamicGraph`
+        (atomic: a failed batch changes nothing), incrementally
         refreshes every cached partition of the current version (other
         strategies are dropped and rebuilt on demand), and bumps
         ``graph_version`` — which re-keys the partition cache, so the
@@ -546,24 +559,22 @@ class Session:
         generation instead of serving the stale one.
 
         ``obs`` (an :class:`~repro.obs.hooks.ObsHub`, tracer, or trace
-        path) receives ``mutation_apply`` / ``mutation_compact`` /
-        ``partition_refresh`` events.
+        path) receives ``mutation_apply`` / ``partition_refresh``
+        events.
         """
         if self._closed:
             raise EngineError("session is closed")
         hub = None if obs is None else ObsHub.coerce(obs)
         with self._cache_lock:
-            if self._dynamic is None:
-                self._dynamic = DynamicGraph(self.graph)
-                self.graph_version = self._dynamic.version
             dyn = self._dynamic
+            old_version = dyn.version
             stats = dyn.apply(batch)
             new_graph = dyn.snapshot()
             refreshed: Dict[Tuple[str, int, int], Partition] = {}
             refresh_log = []
             for (strategy, machines, version), part in \
                     self._partitions.items():
-                if version != self.graph_version:
+                if version != old_version:
                     continue  # superseded topology: let it rebuild
                 try:
                     new_part, rstats = refresh_partition(
@@ -574,23 +585,14 @@ class Session:
                 refreshed[(strategy, machines, dyn.version)] = new_part
                 refresh_log.append((strategy, machines, rstats))
             self._partitions = refreshed
-            self.graph = new_graph
-            self.graph_version = dyn.version
         if hub is not None:
             hub.mutation_apply(
                 graph_version=stats.version,
                 inserts=stats.inserts,
                 deletes=stats.deletes,
                 add_vertices=stats.add_vertices,
-                overlay_edges=stats.overlay_edges,
                 num_edges=stats.num_edges,
             )
-            if stats.compacted:
-                hub.mutation_compact(
-                    graph_version=stats.version,
-                    edges=stats.num_edges,
-                    compactions=dyn.compactions,
-                )
             for strategy, machines, rstats in refresh_log:
                 hub.partition_refresh(
                     strategy=strategy,
@@ -606,12 +608,10 @@ class Session:
     def mutations_since(self, version: int):
         """``(version, batch)`` pairs applied after ``version``.
 
-        None when the session never mutated from that lineage (an
+        None when ``version`` is ahead of the session's graph (an
         incremental handle must then recompute from scratch).
         """
         with self._cache_lock:
-            if self._dynamic is None:
-                return [] if version == self.graph_version else None
             return self._dynamic.batches_since(version)
 
     # -- lifecycle --------------------------------------------------------

@@ -1,15 +1,13 @@
-"""Dynamic graphs: batched mutations over an immutable CSR base.
+"""Dynamic graphs: batched mutations over immutable CSR snapshots.
 
 The CSR container is immutable by design — every engine, partition,
 and shared-memory publication assumes the adjacency it was built from
-never moves.  Mutation therefore happens *around* the CSR, BLADYG
-style: a :class:`DynamicGraph` keeps an immutable base
-:class:`~repro.graph.csr.CSRGraph` plus a delta overlay (an insert log
-and per-edge tombstones) that deletes are resolved against, and
-periodically *compacts* the overlay into a fresh base.  Every applied
-:class:`MutationBatch` bumps a monotone ``version`` — the tag the
-:class:`~repro.api.Session` keys its partition cache on, so a mutated
-graph can never be served a stale topology.
+never moves.  A :class:`DynamicGraph` therefore mutates by
+*replacement*: it holds the current :class:`~repro.graph.csr.CSRGraph`
+and, for each applied :class:`MutationBatch`, swaps in the patched
+graph (:meth:`CSRGraph.patch`) and bumps a monotone ``version`` — the
+tag the :class:`~repro.api.Session` keys its partition cache on, so a
+mutated graph can never be served a stale topology.
 
 Semantics
 ---------
@@ -21,18 +19,15 @@ Semantics
 * Within one batch the order is: grow vertices, then deletes (against
   the pre-batch edge set), then inserts.  A batch is atomic — it
   either applies fully or raises without changing the graph.
-* ``snapshot()`` materializes the current edge set as the
-  :class:`CSRGraph` built from the **live edge list**: the version-0
-  base's edges in out-CSR order, from which each batch removed every
-  copy of its deleted pairs and to whose end it appended its inserts.
-  It is computed by patching rows (:meth:`CSRGraph.patch`), never by
-  re-sorting: the previous snapshot's rows, copies deleted, inserts
-  appended, one batch at a time.  A base built from an unsorted list
-  lists its in-rows in that list's order, not out order; its first
-  snapshot is therefore built in full from the out-order list, and
-  patches follow from there.  Compaction only resets the overlay: it
-  does not reorder the list, so snapshots are the same with or
-  without it.
+* ``snapshot()`` is the current graph: the CSR built from the **live
+  edge list** — the version-0 base's edges in out-CSR order, from
+  which each batch removed every copy of its deleted pairs and to
+  whose end it appended its inserts.  Each batch patches the previous
+  snapshot's rows, never re-sorts.  A base built from an unsorted list
+  lists its in-rows in that list's order, not out order; the first
+  batch therefore patches the build from the out-order list instead.
+  Only the current snapshot is kept: the base and every older version
+  are freed once nothing else holds them.
 """
 
 from __future__ import annotations
@@ -48,10 +43,24 @@ from repro.graph.csr import CSRGraph, find_pairs, match_pairs, rows_sorted
 __all__ = ["MutationBatch", "MutationStats", "DynamicGraph"]
 
 
+def is_integer(value: Any) -> bool:
+    """True for an int or NumPy integer; a bool, float or string is
+    not one (a vertex id is never truncated into range)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(
+        value, bool
+    )
+
+
 def _as_vertex_array(values: Any, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise GraphError(f"{name} must be a 1-D array of vertex ids")
+    # a list is checked id by id: NumPy casts [1, True] to int64
+    if arr.size and (arr.dtype.kind not in "iu" or not (
+        isinstance(values, np.ndarray) or all(map(is_integer, values))
+    )):
+        raise GraphError(f"{name} must hold integer vertex ids")
+    arr = arr.astype(np.int64)
     if arr.size and arr.min() < 0:
         raise GraphError(f"{name} contains a negative vertex id")
     return arr
@@ -99,9 +108,9 @@ class MutationBatch:
                     "insert_weights must parallel the insert endpoints"
                 )
             self.insert_weights = w
-        if add_vertices < 0:
+        if not is_integer(add_vertices) or add_vertices < 0:
             raise GraphError(
-                f"add_vertices must be >= 0, got {add_vertices}"
+                f"add_vertices must be an integer >= 0, got {add_vertices!r}"
             )
         self.add_vertices = int(add_vertices)
 
@@ -211,8 +220,8 @@ class MutationBatch:
                 raise GraphError(
                     "insert rows must be uniformly weighted or unweighted"
                 )
-            ins_src.append(int(row[0]))
-            ins_dst.append(int(row[1]))
+            ins_src.append(row[0])
+            ins_dst.append(row[1])
             if has_w:
                 ins_w.append(float(row[2]))
         del_src: List[int] = []
@@ -222,26 +231,21 @@ class MutationBatch:
                 raise GraphError(
                     f"delete rows must be [src, dst], got {row!r}"
                 )
-            del_src.append(int(row[0]))
-            del_dst.append(int(row[1]))
+            del_src.append(row[0])
+            del_dst.append(row[1])
         return cls(
             insert_src=ins_src,
             insert_dst=ins_dst,
             insert_weights=ins_w if weighted else None,
             delete_src=del_src,
             delete_dst=del_dst,
-            add_vertices=int(payload.get("add_vertices") or 0),
+            add_vertices=payload.get("add_vertices") or 0,
         )
 
 
 def _split_pairs(edges: Iterable[Tuple[int, int]]):
-    src: List[int] = []
-    dst: List[int] = []
-    for pair in edges:
-        u, v = pair
-        src.append(int(u))
-        dst.append(int(v))
-    return src, dst
+    pairs = [tuple(pair) for pair in edges]
+    return [u for u, _ in pairs], [v for _, v in pairs]
 
 
 @dataclass
@@ -254,83 +258,43 @@ class MutationStats:
     #: live edge copies removed (>= ``deletes`` with parallel edges)
     removed_copies: int
     add_vertices: int
-    #: pending overlay work: live insert-log entries + base tombstones
-    overlay_edges: int
     num_vertices: int
     num_edges: int
-    compacted: bool
+
+    # constants, not fields: the benchmark spine's dyn_stream still
+    # reads them (ROADMAP item 8(d)); drop them with its next change
+    overlay_edges = 0
+    compacted = False
 
 
 class DynamicGraph:
-    """A mutable graph: immutable CSR base + delta overlay + versioning.
+    """A mutable graph: the current CSR snapshot, its ``version`` and
+    the batches applied so far."""
 
-    ``compact_ratio`` / ``compact_min`` tune auto-compaction: after a
-    batch, when the overlay (live inserts + base tombstones) exceeds
-    ``max(compact_min, compact_ratio * base_edges)`` the current
-    snapshot becomes the base and the overlay starts empty.
-    ``compact_ratio=0`` compacts after every batch; a very large
-    ``compact_min`` disables auto-compaction (call :meth:`compact`
-    manually).
-    """
-
-    def __init__(
-        self,
-        base: CSRGraph,
-        compact_ratio: float = 0.25,
-        compact_min: int = 1024,
-    ) -> None:
-        if compact_ratio < 0:
-            raise GraphError("compact_ratio must be >= 0")
-        if compact_min < 0:
-            raise GraphError("compact_min must be >= 0")
-        self.compact_ratio = float(compact_ratio)
-        self.compact_min = int(compact_min)
+    def __init__(self, base: CSRGraph) -> None:
+        self._graph = base
         self.version = 0
-        self.compactions = 0
         self._history: List[Tuple[int, MutationBatch]] = []
-        self._rebase(base)
-        self._snapshot: CSRGraph = base
-        self._snapshot_version = 0
-
-    def _rebase(self, base: CSRGraph) -> None:
-        self._base = base
-        self._base_live = np.ones(base.num_edges, dtype=bool)
-        self._ins_src = np.empty(0, dtype=np.int64)
-        self._ins_dst = np.empty(0, dtype=np.int64)
-        self._ins_live = np.empty(0, dtype=bool)
-        self._num_vertices = base.num_vertices
 
     # -- basic facts -------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
-        return self._num_vertices
+        return self._graph.num_vertices
 
     @property
     def num_edges(self) -> int:
-        return int(self._base_live.sum() + self._ins_live.sum())
+        return self._graph.num_edges
 
     @property
     def is_weighted(self) -> bool:
-        return self._base.is_weighted
-
-    @property
-    def base(self) -> CSRGraph:
-        """The immutable CSR the overlay currently layers over."""
-        return self._base
-
-    @property
-    def overlay_edges(self) -> int:
-        """Pending overlay entries: live inserts + base tombstones."""
-        dead_base = self._base_live.size - int(self._base_live.sum())
-        return int(self._ins_live.sum()) + dead_base
+        return self._graph.is_weighted
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DynamicGraph(version={self.version}, "
             f"num_vertices={self.num_vertices}, "
-            f"num_edges={self.num_edges}, "
-            f"overlay_edges={self.overlay_edges})"
+            f"num_edges={self.num_edges})"
         )
 
     # -- mutation ----------------------------------------------------------
@@ -341,7 +305,7 @@ class DynamicGraph:
             raise GraphError(
                 f"apply() takes a MutationBatch, got {type(batch).__name__}"
             )
-        n = self._num_vertices + batch.add_vertices
+        n = self.num_vertices + batch.add_vertices
         for name, arr in (
             ("insert", batch.insert_src), ("insert", batch.insert_dst),
             ("delete", batch.delete_src), ("delete", batch.delete_dst),
@@ -360,70 +324,48 @@ class DynamicGraph:
             raise GraphError(
                 "graph is unweighted: inserts must not carry weights"
             )
-
-        # resolve every delete against the pre-batch edge set before
-        # committing anything, so a bad batch leaves the graph untouched
-        base_kill, ins_kill, removed = self._resolve_deletes(batch)
-
-        # commit
-        self._num_vertices = n
-        if base_kill.size:
-            self._base_live[base_kill] = False
-        if ins_kill.size:
-            self._ins_live[ins_kill] = False
-        if batch.num_inserts:
-            self._ins_src = np.concatenate([self._ins_src, batch.insert_src])
-            self._ins_dst = np.concatenate([self._ins_dst, batch.insert_dst])
-            self._ins_live = np.concatenate([
-                self._ins_live, np.ones(batch.num_inserts, dtype=bool),
-            ])
+        graph = self._graph
+        removed = self._resolve_deletes(graph, batch)
+        if self.version == 0 and not rows_sorted(
+            graph.in_indptr, graph.in_indices
+        ):
+            # in-rows out of source order: the base was built from an
+            # unsorted list, not its out-order one, so build from that
+            # once (sorted in-rows suffice: see csr's row-order note)
+            src, dst = graph.edge_array()
+            graph = CSRGraph(graph.num_vertices, src, dst, graph.out_weights)
+        # patch returns a new graph: nothing is committed until here
+        self._graph = graph.patch(
+            n,
+            (batch.delete_src, batch.delete_dst),
+            (batch.insert_src, batch.insert_dst, batch.insert_weights),
+        )
         self.version += 1
         self._history.append((self.version, batch))
-
-        compacted = False
-        threshold = max(
-            self.compact_min,
-            int(self.compact_ratio * self._base.num_edges),
-        )
-        if self.overlay_edges > threshold:
-            self.compact()
-            compacted = True
         return MutationStats(
             version=self.version,
             inserts=batch.num_inserts,
             deletes=batch.num_deletes,
             removed_copies=removed,
             add_vertices=batch.add_vertices,
-            overlay_edges=self.overlay_edges,
             num_vertices=self.num_vertices,
             num_edges=self.num_edges,
-            compacted=compacted,
         )
 
-    def _resolve_deletes(self, batch: MutationBatch):
-        """Find every live copy of each deleted pair (or raise).
+    @staticmethod
+    def _resolve_deletes(graph: CSRGraph, batch: MutationBatch) -> int:
+        """Count the live copies of each deleted pair (or raise).
 
-        One read of the base's deleted rows and one match against the
-        insert log.  The error names the first pair, in batch order,
-        with no live copy — a pair named a second time counts, since
-        its first naming already removed every copy.
+        One read of the deleted out-rows.  The error names the first
+        pair, in batch order, with no live copy — a pair named a second
+        time counts, since its first naming already removed every copy.
         """
         du, dv = batch.delete_src, batch.delete_dst
         if not du.size:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, 0
-        base = self._base
-        pos, base_pair = find_pairs(base.out_indptr, base.out_indices, du, dv)
-        live = self._base_live[pos]
-        base_kill, base_pair = pos[live], base_pair[live]
-        log = np.flatnonzero(self._ins_live)
-        hit, ins_pair = match_pairs(
-            self._ins_src[log], self._ins_dst[log], du, dv
-        )
-        ins_kill = log[hit]
+            return 0
+        pos, pair = find_pairs(graph.out_indptr, graph.out_indices, du, dv)
         found = np.zeros(du.size, dtype=bool)
-        found[base_pair] = True
-        found[ins_pair] = True
+        found[pair] = True
         _, first = match_pairs(du, dv, du, dv)
         bad = np.flatnonzero(~found | (first != np.arange(du.size)))
         if bad.size:
@@ -432,49 +374,16 @@ class DynamicGraph:
                 f"cannot delete absent edge ({u}, {v}); deletes "
                 "apply to the pre-batch edge set"
             )
-        return base_kill, ins_kill, int(base_kill.size + ins_kill.size)
-
-    # -- materialization ---------------------------------------------------
+        return int(pos.size)
 
     def snapshot(self) -> CSRGraph:
         """The current edge multiset as an immutable CSR (see the module
         docstring for its row order).
 
-        Cached per version: repeated calls between mutations return the
-        same object (identity matters — executors rebind on it).  Each
-        batch since the last call costs one :meth:`CSRGraph.patch`.
+        The same object until the next :meth:`apply` (identity matters —
+        executors rebind on it).
         """
-        if self._snapshot_version == self.version:
-            return self._snapshot
-        graph = self._snapshot
-        if self._snapshot_version == 0 and not rows_sorted(
-            graph.in_indptr, graph.in_indices
-        ):
-            # in-rows out of source order: the base was built from an
-            # unsorted list, not its out-order one, so build from that
-            # once (sorted in-rows suffice: see csr's row-order note)
-            src, dst = graph.edge_array()
-            graph = CSRGraph(graph.num_vertices, src, dst, graph.out_weights)
-        # _history[i] holds version i + 1, so this slice is every batch
-        # applied after the cached snapshot
-        for _, batch in self._history[self._snapshot_version:]:
-            graph = graph.patch(
-                graph.num_vertices + batch.add_vertices,
-                (batch.delete_src, batch.delete_dst),
-                (batch.insert_src, batch.insert_dst, batch.insert_weights),
-            )
-        self._snapshot = graph
-        self._snapshot_version = self.version
-        return graph
-
-    def compact(self) -> CSRGraph:
-        """Fold the overlay into the bookkeeping: the current snapshot
-        becomes the base and the insert log and tombstones start empty.
-        Snapshots are unaffected.  Returns the new base."""
-        base = self.snapshot()
-        self._rebase(base)
-        self.compactions += 1
-        return base
+        return self._graph
 
     # -- history -----------------------------------------------------------
 

@@ -302,7 +302,7 @@ class ObsHub:
 
     def mutation_apply(self, graph_version: int, inserts: int,
                        deletes: int, add_vertices: int,
-                       overlay_edges: int, num_edges: int) -> None:
+                       num_edges: int) -> None:
         """One mutation batch committed to a session's dynamic graph."""
         self.metrics.counter(
             "repro_mutations_total", "mutation batches applied"
@@ -318,23 +318,10 @@ class ObsHub:
         self.metrics.gauge(
             "repro_graph_version", "current dynamic-graph version"
         ).set(int(graph_version))
-        self.metrics.gauge(
-            "repro_overlay_edges", "pending overlay entries"
-        ).set(int(overlay_edges))
         self._emit("mutation_apply", graph_version=int(graph_version),
                    inserts=int(inserts), deletes=int(deletes),
                    add_vertices=int(add_vertices),
-                   overlay_edges=int(overlay_edges),
                    num_edges=int(num_edges))
-
-    def mutation_compact(self, graph_version: int, edges: int,
-                         compactions: int) -> None:
-        """The delta overlay was folded into a fresh base CSR."""
-        self.metrics.counter(
-            "repro_compactions_total", "overlay compactions"
-        ).inc()
-        self._emit("mutation_compact", graph_version=int(graph_version),
-                   edges=int(edges), compactions=int(compactions))
 
     def partition_refresh(self, strategy: str, machines: int,
                           graph_version: int, touched_machines: int,

@@ -91,9 +91,7 @@ EVENT_KINDS: Dict[str, tuple] = {
     "run_end": ("engine", "machines", "summary"),
     # dynamic graphs: one batch of edge/vertex mutations was applied
     "mutation_apply": ("graph_version", "inserts", "deletes",
-                       "add_vertices", "overlay_edges", "num_edges"),
-    # the delta overlay was folded into a fresh base CSR
-    "mutation_compact": ("graph_version", "edges", "compactions"),
+                       "add_vertices", "num_edges"),
     # a cached partition was incrementally refreshed after a mutation:
     # schedule_cells counts the circulant cells the batch dirtied
     # (out of machines^2), touched/reused count rebuilt machines

@@ -472,7 +472,6 @@ class ServeApp:
                 "graph_version": stats.version,
                 "num_vertices": stats.num_vertices,
                 "num_edges": stats.num_edges,
-                "compacted": stats.compacted,
                 "latency_seconds": time.perf_counter() - t0,
             },
         )

@@ -60,6 +60,8 @@ class TestRunConfig:
             {"async_bucket_width": 2.0},  # only valid with mode="async"
             {"mode": "async", "async_bucket_width": 0.0},
             {"mode": "async", "async_bucket_width": -1.0},
+            {"sources": (1.5, "2")},  # never truncated to (1, 2)
+            {"sources": (True,)},
         ],
     )
     def test_validation_rejects(self, kwargs):

@@ -1,14 +1,17 @@
-"""Dynamic graphs: mutation batches, delta overlays, partition refresh.
+"""Dynamic graphs: mutation batches, patched snapshots, partition refresh.
 
 The contract under test: a :class:`DynamicGraph` that applied any batch
 sequence must snapshot to exactly the graph a from-scratch build of the
-surviving edge multiset produces, and an incrementally refreshed
-partition must be bit-identical to :func:`partition_with_masters` on
-the same (graph, frozen masters) — local adjacency, ownership arrays,
-and dependency bitmaps included.
+surviving edge multiset produces, keeping one CSR per version and
+nothing older, and an incrementally refreshed partition must be
+bit-identical to :func:`partition_with_masters` on the same (graph,
+frozen masters) — local adjacency, ownership arrays, and dependency
+bitmaps included.
 """
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +99,21 @@ class TestMutationBatch:
         with pytest.raises(GraphError):
             MutationBatch.from_dict({"deletes": [[1, 2, 3]]})
 
+    @pytest.mark.parametrize("make", [
+        lambda: MutationBatch(insert_src=[0.7], insert_dst=[1.9]),
+        lambda: MutationBatch(delete_src=[True], delete_dst=[1]),
+        lambda: MutationBatch(add_vertices=1.5),
+        lambda: MutationBatch.inserts([(0, 1.0)]),
+        lambda: MutationBatch.from_dict({"inserts": [[0.7, "1"]]}),
+        lambda: MutationBatch.from_dict({"deletes": [[0, False]]}),
+        lambda: MutationBatch.from_dict({"add_vertices": 1.5}),
+    ], ids=["float", "bool", "float-count", "float-pair", "dict-float-str",
+            "dict-bool", "dict-float-count"])
+    def test_non_integral_ids_rejected(self, make):
+        """Floats, strings and bools are refused, never truncated."""
+        with pytest.raises(GraphError, match="integer"):
+            make()
+
 
 class TestDynamicGraph:
     def test_insert_then_snapshot(self, graph):
@@ -142,7 +160,7 @@ class TestDynamicGraph:
 
     def test_delete_insert_log_edge(self):
         g = CSRGraph.from_edges(3, [(0, 1)])
-        dyn = DynamicGraph(g, compact_min=10**9)
+        dyn = DynamicGraph(g)
         dyn.apply(MutationBatch.inserts([(1, 2), (1, 2)]))
         stats = dyn.apply(MutationBatch.deletes([(1, 2)]))
         assert stats.removed_copies == 2
@@ -170,38 +188,13 @@ class TestDynamicGraph:
 
     def test_weighted_snapshot_preserves_weights(self):
         g = CSRGraph.from_edges(3, [(0, 1), (1, 2)], weights=[0.5, 0.25])
-        dyn = DynamicGraph(g, compact_min=10**9)
+        dyn = DynamicGraph(g)
         dyn.apply(MutationBatch.inserts([(2, 0)], weights=[0.125]))
         dyn.apply(MutationBatch.deletes([(0, 1)]))
         snap = dyn.snapshot()
         assert snap.is_weighted
         assert snap.out_edge_weights(1).tolist() == [0.25]
         assert snap.out_edge_weights(2).tolist() == [0.125]
-
-    def test_compaction_folds_overlay(self, graph):
-        dyn = DynamicGraph(graph, compact_ratio=0.0, compact_min=0)
-        stats = dyn.apply(MutationBatch.inserts([(0, 1)]))
-        assert stats.compacted
-        assert dyn.compactions == 1
-        assert dyn.overlay_edges == 0
-        assert dyn.base.num_edges == graph.num_edges + 1
-
-    def test_compaction_equivalent_to_overlay(self, graph):
-        eager = DynamicGraph(graph, compact_ratio=0.0, compact_min=0)
-        lazy = DynamicGraph(graph, compact_min=10**9)
-        src, dst = graph.edge_array()
-        batches = [
-            MutationBatch.inserts([(3, 9), (9, 3)]),
-            MutationBatch.deletes([(int(src[0]), int(dst[0]))]),
-            MutationBatch(insert_src=[48], insert_dst=[0], add_vertices=1),
-        ]
-        for b in batches:
-            eager.apply(b)
-            lazy.apply(b)
-        assert lazy.compactions == 0 and eager.compactions == 3
-        assert edge_multiset(eager.snapshot()) == \
-            edge_multiset(lazy.snapshot())
-        assert eager.num_vertices == lazy.num_vertices
 
     def test_versioning_and_history(self, graph):
         dyn = DynamicGraph(graph)
@@ -249,7 +242,7 @@ class TestRefreshPartition:
     ])
     def test_matches_from_scratch(self, graph, cut, kind):
         part = cut.partition(graph, 4)
-        dyn = DynamicGraph(graph, compact_min=10**9)
+        dyn = DynamicGraph(graph)
         src, dst = graph.edge_array()
         batch = MutationBatch(
             insert_src=[0, 11, 48], insert_dst=[11, 0, 1],
@@ -283,7 +276,7 @@ class TestRefreshPartition:
         v = int(np.flatnonzero(part.master_of == 0)[0])
         w = int(graph.out_neighbors(v)[0])
         batch = MutationBatch.deletes([(v, w)])
-        dyn = DynamicGraph(graph, compact_min=10**9)
+        dyn = DynamicGraph(graph)
         dyn.apply(batch)
         new_part, stats = refresh_partition(part, dyn.snapshot(), batch)
         assert stats.touched_machines == [0]
@@ -297,7 +290,7 @@ class TestRefreshPartition:
         v = int(np.flatnonzero(part.master_of == 1)[0])
         w = int(graph.out_neighbors(v)[0])
         batch = MutationBatch.deletes([(v, w)])
-        dyn = DynamicGraph(graph, compact_min=10**9)
+        dyn = DynamicGraph(graph)
         dyn.apply(batch)
         _, stats = refresh_partition(part, dyn.snapshot(), batch)
         # one mutated edge dirties exactly one circulant cell
@@ -310,7 +303,7 @@ class TestRefreshPartition:
     def test_unsupported_kind_raises(self, graph):
         part = HashVertexCut().partition(graph, 4)
         batch = MutationBatch.inserts([(0, 1)])
-        dyn = DynamicGraph(graph, compact_min=10**9)
+        dyn = DynamicGraph(graph)
         dyn.apply(batch)
         with pytest.raises(PartitionError, match="incremental"):
             refresh_partition(part, dyn.snapshot(), batch)
@@ -354,18 +347,6 @@ class TestMutationObservability:
             "repro_mutated_edges_total", "edges inserted or deleted",
             labels=("op",),
         ).value(op="insert") == 2
-
-    def test_compaction_event(self, graph):
-        from repro.api import Session
-        from repro.graph.dynamic import DynamicGraph as DG
-
-        hub = ObsHub(tracer=Tracer())
-        dyn = DG(graph, compact_ratio=0.0, compact_min=0)
-        with Session(dyn) as session:
-            session.mutate(MutationBatch.inserts([(0, 1)]), obs=hub)
-        kinds = [e["kind"] for e in hub.tracer.events]
-        assert "mutation_compact" in kinds
-        assert validate_events(hub.tracer.events) == []
 
 
 # -- the write path patches rows ----------------------------------------------
@@ -492,8 +473,8 @@ class TestPatchEqualsBuild:
         )
         p = data.draw(st.integers(1, 3), label="machines")
         model = LiveEdges(base)
-        eager = DynamicGraph(base, compact_min=10**9)
-        lazy = DynamicGraph(base, compact_min=10**9)
+        eager = DynamicGraph(base)
+        lazy = DynamicGraph(base)
         parts = {kind: cut.partition(base, p) for kind, cut in CUTS.items()}
         for _ in range(data.draw(st.integers(1, 6), label="batches")):
             batch = draw_batch(data, model, weighted)
@@ -512,9 +493,6 @@ class TestPatchEqualsBuild:
             # several batches between snapshot() calls otherwise
             if data.draw(st.booleans(), label="lazy snapshot"):
                 assert_same_graph(lazy.snapshot(), want)
-            if data.draw(st.booleans(), label="compact"):
-                eager.compact()
-                lazy.compact()
             assert eager.num_edges == lazy.num_edges == want.num_edges
         assert_same_graph(lazy.snapshot(), model.graph())
 
@@ -545,30 +523,6 @@ class TestPatchEqualsBuild:
             ))
             assert stats.reused_machines == 0  # every machine rebuilt
 
-    def test_compaction_leaves_snapshots_alone(self, graph):
-        """Compaction is overlay bookkeeping: the snapshot after it is
-        the same patch a never-compacting graph takes."""
-        eager = DynamicGraph(graph, compact_ratio=0.0, compact_min=0)
-        lazy = DynamicGraph(graph, compact_min=10**9)
-        model = LiveEdges(graph)
-        part = OutgoingEdgeCut().partition(graph, 4)
-        for batch in (
-            MutationBatch.inserts([(47, 5), (0, 5), (3, 5)]),
-            MutationBatch.inserts([(20, 30)]),
-            MutationBatch(delete_src=[0], delete_dst=[5],
-                          insert_src=[1], insert_dst=[5]),
-        ):
-            model.apply(batch)
-            assert eager.apply(batch).compacted
-            lazy.apply(batch)
-            snap = eager.snapshot()
-            assert_same_graph(snap, model.graph())
-            assert_same_graph(lazy.snapshot(), snap)
-            part, _ = refresh_partition(part, snap, batch)
-            assert_same_partition(part, partition_with_masters(
-                snap, part.master_of, "outgoing-edge-cut", 4
-            ))
-
     def test_canonical_base_is_patched(self, graph):
         dyn = DynamicGraph(graph)
         dyn.apply(MutationBatch.inserts([(0, 1)]))
@@ -578,6 +532,34 @@ class TestPatchEqualsBuild:
         copy = pickle.loads(pickle.dumps(snap))
         assert copy.patched_from is None
         assert_same_graph(copy, snap)
+
+    def test_one_csr_per_version(self, graph):
+        """Each apply patches the previous snapshot, which stays the
+        same object until the next apply."""
+        dyn = DynamicGraph(graph)
+        prev = dyn.snapshot()
+        assert prev is graph
+        for batch in (
+            MutationBatch.inserts([(0, 40), (40, 0)]),
+            MutationBatch(delete_src=[0], delete_dst=[40], add_vertices=1),
+            MutationBatch.deletes([(40, 0)]),
+        ):
+            dyn.apply(batch)
+            snap = dyn.snapshot()
+            assert snap is dyn.snapshot()
+            assert snap.patched_from is prev
+            prev = snap
+
+    def test_nothing_older_is_kept(self):
+        """One mutation frees a canonical base nothing else holds."""
+        base = to_undirected(erdos_renyi(48, 180, seed=5))
+        ref = weakref.ref(base)
+        dyn = DynamicGraph(base)
+        del base
+        dyn.apply(MutationBatch.inserts([(0, 1)]))
+        gc.collect()
+        assert ref() is None
+        assert dyn.snapshot().patched_from is None
 
     def test_no_rebuild_on_the_write_path(self, graph, monkeypatch):
         """A canonical base and a cached partition: three mutations
@@ -613,6 +595,30 @@ class TestPatchEqualsBuild:
         assert_same_graph(snap, model.graph())
 
 
+class TestSessionMutate:
+    def test_failed_mutate_changes_nothing(self, graph):
+        """A batch with an absent delete leaves the session's graph,
+        version and cached partition as they were."""
+        from repro.api import Session
+
+        bad = MutationBatch(insert_src=[0], insert_dst=[1],
+                            delete_src=[0], delete_dst=[0])
+        assert not graph.has_edge(0, 0)
+        with Session(graph) as session:
+            first = session.run(algorithm="bfs", machines=4, bfs_roots=1)
+            snap, version = session.graph, session.graph_version
+            cached = dict(session._partitions)
+            with pytest.raises(GraphError, match="absent edge"):
+                session.mutate(bad)
+            assert session.graph is snap
+            assert session.graph_version == version
+            again = session.run(algorithm="bfs", machines=4, bfs_roots=1)
+            assert session._partitions == cached
+            for key, part in cached.items():
+                assert session._partitions[key] is part
+        assert again.digest() == first.digest()
+
+
 class TestResolveDeletes:
     """Deletes resolve in one vectorised pass, with the loop's semantics."""
 
@@ -630,18 +636,16 @@ class TestResolveDeletes:
 
     def test_failed_batch_commits_nothing(self):
         g = CSRGraph.from_edges(4, [(0, 1), (1, 2)])
-        dyn = DynamicGraph(g, compact_min=10**9)
+        dyn = DynamicGraph(g)
         dyn.apply(MutationBatch.inserts([(2, 3), (2, 3)]))
         snap = dyn.snapshot()
-        before = (dyn.version, dyn.num_vertices, dyn.num_edges,
-                  dyn.overlay_edges)
+        before = (dyn.version, dyn.num_vertices, dyn.num_edges)
         with pytest.raises(GraphError, match=r"absent edge \(3, 2\)"):
             dyn.apply(MutationBatch(
                 delete_src=[2, 0, 3], delete_dst=[3, 1, 2],
                 insert_src=[0], insert_dst=[3], add_vertices=1,
             ))
-        assert (dyn.version, dyn.num_vertices, dyn.num_edges,
-                dyn.overlay_edges) == before
+        assert (dyn.version, dyn.num_vertices, dyn.num_edges) == before
         assert dyn.snapshot() is snap
         stats = dyn.apply(MutationBatch.deletes([(2, 3), (0, 1)]))
         assert stats.removed_copies == 3

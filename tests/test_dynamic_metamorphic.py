@@ -29,6 +29,7 @@ from repro.algorithms import (
 from repro.algorithms.incremental import _levels, relax_depth_signal
 from repro.analysis.kernelspec import FULL_SCAN_MIN
 from repro.engine import SympleOptions
+from repro.errors import GraphError
 from repro.graph import (
     DynamicGraph,
     MutationBatch,
@@ -55,7 +56,7 @@ def random_schedule(graph, seed, steps, allow_grow=True):
     ``to_undirected``-built sessions assume).
     """
     rng = np.random.default_rng(seed)
-    shadow = DynamicGraph(graph, compact_min=10**9)
+    shadow = DynamicGraph(graph)
     batches = []
     for _ in range(steps):
         n = shadow.num_vertices
@@ -248,6 +249,12 @@ class TestEveryPrefixEqualsScratch:
                 assert bfs.refresh().mode == "incremental"
                 assert cc.refresh().mode == "incremental"
 
+    def test_non_integral_root_rejected(self):
+        graph = CSRGraph.from_edges(4, [(0, 1), (2, 3)])
+        with Session(graph, serial_config()) as session:
+            with pytest.raises(GraphError, match="root"):
+                IncrementalBFS(session, root=2.5)  # never truncated to 2
+
     def test_unreachable_after_bridge_delete(self):
         """Deleting the only path to a region must re-mark it
         unreachable (-1), exactly as a scratch BFS would."""
@@ -400,7 +407,7 @@ class TestIncrementalKCore:
         with Session(graph, config) as session:
             kc = IncrementalKCore(session, k=3)
             assert kc.refresh().mode == "scratch"
-            shadow = DynamicGraph(graph, compact_min=10**9)
+            shadow = DynamicGraph(graph)
             for _ in range(3):
                 src, dst = shadow.snapshot().edge_array()
                 off_diag = np.flatnonzero(src != dst)

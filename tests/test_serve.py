@@ -293,7 +293,51 @@ def server(graph):
         yield srv
 
 
+@pytest.fixture()
+def mutable_server(graph):
+    """A server of its own: the mutation tests change its graph."""
+    registry = GraphRegistry()
+    registry.add("demo", graph, spec=SPEC)
+    with ServerThread(ServeApp(registry, request_timeout=60.0)) as srv:
+        yield srv
+
+
+def _graph_facts(port):
+    status, body = _get(port, "/graphs")
+    assert status == 200
+    return json.loads(body)["graphs"][0]
+
+
 class TestHttp:
+    def test_mutate_bumps_version_and_edges(self, mutable_server):
+        port = mutable_server.port
+        before = _graph_facts(port)
+        status, _, payload = _post(
+            port, {"graph": "demo", "inserts": [[1, 9], [9, 1]]},
+            path="/mutate",
+        )
+        assert status == 200
+        assert payload["graph_version"] == before["graph_version"] + 1
+        assert payload["num_edges"] == before["num_edges"] + 2
+        assert "compacted" not in payload
+        after = _graph_facts(port)
+        assert after["graph_version"] == payload["graph_version"]
+        assert after["num_edges"] == payload["num_edges"]
+
+    @pytest.mark.parametrize("batch", [
+        {"deletes": [[0, 0]]},  # the demo graph has no self-loop (0, 0)
+        {"inserts": [[1.5, 9]]},
+    ], ids=["absent-delete", "float-id"])
+    def test_bad_mutation_400_changes_nothing(self, mutable_server, batch):
+        port = mutable_server.port
+        before = _graph_facts(port)
+        status, _, payload = _post(
+            port, {"graph": "demo", **batch}, path="/mutate"
+        )
+        assert status == 400
+        assert payload["error"]
+        assert _graph_facts(port) == before
+
     def test_healthz(self, server):
         status, body = _get(server.port, "/healthz")
         payload = json.loads(body)
@@ -345,6 +389,8 @@ class TestHttp:
             {"machines": 0},
             {"obs": "trace.jsonl"},
             {"config": {"algorithm": "bfs"}, "stray": 1},
+            {"sources": [1.5]},
+            {"sources": ["2"]},
         ],
     )
     def test_bad_configs_400(self, server, body):
