@@ -41,8 +41,8 @@ from repro.algorithms.cc import _min_slot, cc_signal, connected_components
 from repro.algorithms.relax import RelaxProgram, Relaxation, flat_neighbors
 from repro.errors import GraphError
 from repro.fault.program import run_program
-from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import MutationBatch, is_integer
+from repro.graph.csr import CSRGraph, is_integer
+from repro.graph.dynamic import MutationBatch
 
 __all__ = [
     "IncrementalBFS",

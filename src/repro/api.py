@@ -57,13 +57,8 @@ from repro.errors import (
 )
 from repro.exec import EXECUTOR_KINDS, Executor, make_executor
 from repro.fault import FaultPlan
-from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import (
-    DynamicGraph,
-    MutationBatch,
-    MutationStats,
-    is_integer,
-)
+from repro.graph.csr import CSRGraph, is_integer
+from repro.graph.dynamic import DynamicGraph, MutationBatch, MutationStats
 from repro.obs.hooks import ObsHub
 from repro.partition import Partition
 from repro.partition.delta import refresh_partition

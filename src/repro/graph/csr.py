@@ -22,16 +22,52 @@ from "the old list, copies deleted, inserts appended".
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
 
 __all__ = [
-    "CSRGraph", "find_pairs", "match_pairs", "patch_rows", "row_positions",
-    "rows_sorted",
+    "CSRGraph", "as_vertex_array", "find_pairs", "is_integer", "match_pairs",
+    "patch_rows", "row_positions", "rows_sorted", "split_pairs",
+    "stable_order",
 ]
+
+
+def is_integer(value: Any) -> bool:
+    """True for an int or NumPy integer; a bool, float or string is
+    not one (a vertex id is never truncated into range)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(
+        value, bool
+    )
+
+
+def as_vertex_array(values: Any, name: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array of non-negative vertex ids (an
+    int64 array is returned as is); anything else raises GraphError.
+    An array is checked by dtype, a list id by id."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise GraphError(f"{name} must be a 1-D array of vertex ids")
+    # a list is checked id by id: NumPy casts [1, True] to int64
+    if arr.size and (arr.dtype.kind not in "iu" or not (
+        isinstance(values, np.ndarray) or all(map(is_integer, values))
+    )):
+        raise GraphError(f"{name} must hold integer vertex ids")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and arr.min() < 0:
+        raise GraphError(f"{name} contains a negative vertex id")
+    return arr
+
+
+def split_pairs(edges: Iterable[Tuple[int, int]]) -> Tuple[List, List]:
+    """``(sources, destinations)`` of an iterable of ``(src, dst)``
+    pairs, as lists of the given ids."""
+    pairs = [tuple(pair) for pair in edges]
+    if any(len(pair) != 2 for pair in pairs):
+        raise GraphError("edges must be (src, dst) pairs")
+    return [u for u, _ in pairs], [v for _, v in pairs]
 
 
 def row_positions(
@@ -154,20 +190,53 @@ def rows_sorted(indptr: np.ndarray, indices: np.ndarray) -> bool:
     return not bool((drops & ~starts[1:]).any())
 
 
+def stable_order(keys: np.ndarray) -> Optional[np.ndarray]:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer
+    ``keys``, or None when they are already non-decreasing (the order
+    is the identity).
+
+    Keys below 256 (machine ids) take NumPy's stable sort of bytes, one
+    radix pass.  Wider keys sort once, in place, as the distinct
+    composites ``key << bits | position``, and keep the low ``bits``:
+    NumPy's SIMD sort, several times quicker than the stable merge
+    sort.  Keys whose composite would overflow int64 take the stable
+    argsort.
+    """
+    if not (keys[1:] < keys[:-1]).any():
+        return None
+    size, top = keys.size, int(keys.max())
+    if top < 256:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
+    bits = (size - 1).bit_length()  # every position fits in bits
+    if (top + 1) << bits > 2**63:
+        return np.argsort(keys, kind="stable")
+    composite = keys.astype(np.int64)
+    composite <<= bits
+    composite |= np.arange(size)
+    composite.sort()
+    composite &= (1 << bits) - 1
+    return composite
+
+
 def _build_csr(
     num_vertices: int,
     src: np.ndarray,
     dst: np.ndarray,
     weights: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Sort edges by ``src`` and build (indptr, indices, weights)."""
-    order = np.argsort(src, kind="stable")
-    sorted_dst = dst[order]
-    sorted_w = weights[order] if weights is not None else None
+    """Group edges by ``src`` (stably) and build (indptr, indices,
+    weights); the arrays are new, never the caller's."""
+    order = stable_order(src)
+    if order is None:
+        sorted_dst = dst.copy()
+        sorted_w = weights.copy() if weights is not None else None
+    else:
+        sorted_dst = dst[order]
+        sorted_w = weights[order] if weights is not None else None
     counts = np.bincount(src, minlength=num_vertices)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, sorted_dst.astype(np.int64, copy=False), sorted_w
+    return indptr, sorted_dst, sorted_w
 
 
 class CSRGraph:
@@ -192,15 +261,15 @@ class CSRGraph:
         dst: np.ndarray,
         weights: Optional[np.ndarray] = None,
     ) -> None:
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape or src.ndim != 1:
+        src = as_vertex_array(src, "src")
+        dst = as_vertex_array(dst, "dst")
+        if src.shape != dst.shape:
             raise GraphError("src and dst must be 1-D arrays of equal length")
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
-        if src.size and (src.min() < 0 or src.max() >= num_vertices):
+        if src.size and src.max() >= num_vertices:
             raise GraphError("edge source out of range")
-        if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
+        if dst.size and dst.max() >= num_vertices:
             raise GraphError("edge destination out of range")
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
@@ -282,15 +351,7 @@ class CSRGraph:
         weights: Optional[Iterable[float]] = None,
     ) -> "CSRGraph":
         """Build a graph from an iterable of ``(src, dst)`` pairs."""
-        edge_list = list(edges)
-        if edge_list:
-            arr = np.asarray(edge_list, dtype=np.int64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise GraphError("edges must be (src, dst) pairs")
-            src, dst = arr[:, 0], arr[:, 1]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
+        src, dst = split_pairs(edges)
         w = None
         if weights is not None:
             w = np.asarray(list(weights), dtype=np.float64)

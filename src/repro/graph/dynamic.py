@@ -38,32 +38,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph, find_pairs, match_pairs, rows_sorted
+from repro.graph.csr import (
+    CSRGraph, as_vertex_array, find_pairs, is_integer, match_pairs,
+    rows_sorted, split_pairs,
+)
 
 __all__ = ["MutationBatch", "MutationStats", "DynamicGraph"]
-
-
-def is_integer(value: Any) -> bool:
-    """True for an int or NumPy integer; a bool, float or string is
-    not one (a vertex id is never truncated into range)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(
-        value, bool
-    )
-
-
-def _as_vertex_array(values: Any, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise GraphError(f"{name} must be a 1-D array of vertex ids")
-    # a list is checked id by id: NumPy casts [1, True] to int64
-    if arr.size and (arr.dtype.kind not in "iu" or not (
-        isinstance(values, np.ndarray) or all(map(is_integer, values))
-    )):
-        raise GraphError(f"{name} must hold integer vertex ids")
-    arr = arr.astype(np.int64)
-    if arr.size and arr.min() < 0:
-        raise GraphError(f"{name} contains a negative vertex id")
-    return arr
 
 
 class MutationBatch:
@@ -92,10 +72,10 @@ class MutationBatch:
         delete_dst: Any = (),
         add_vertices: int = 0,
     ) -> None:
-        self.insert_src = _as_vertex_array(insert_src, "insert_src")
-        self.insert_dst = _as_vertex_array(insert_dst, "insert_dst")
-        self.delete_src = _as_vertex_array(delete_src, "delete_src")
-        self.delete_dst = _as_vertex_array(delete_dst, "delete_dst")
+        self.insert_src = as_vertex_array(insert_src, "insert_src")
+        self.insert_dst = as_vertex_array(insert_dst, "insert_dst")
+        self.delete_src = as_vertex_array(delete_src, "delete_src")
+        self.delete_dst = as_vertex_array(delete_dst, "delete_dst")
         if self.insert_src.shape != self.insert_dst.shape:
             raise GraphError("insert_src and insert_dst must parallel")
         if self.delete_src.shape != self.delete_dst.shape:
@@ -123,14 +103,14 @@ class MutationBatch:
         weights: Optional[Iterable[float]] = None,
     ) -> "MutationBatch":
         """A pure-insert batch from ``(src, dst)`` pairs."""
-        src, dst = _split_pairs(edges)
+        src, dst = split_pairs(edges)
         w = None if weights is None else list(weights)
         return cls(insert_src=src, insert_dst=dst, insert_weights=w)
 
     @classmethod
     def deletes(cls, edges: Iterable[Tuple[int, int]]) -> "MutationBatch":
         """A pure-delete batch from ``(src, dst)`` pairs."""
-        src, dst = _split_pairs(edges)
+        src, dst = split_pairs(edges)
         return cls(delete_src=src, delete_dst=dst)
 
     # -- inspection --------------------------------------------------------
@@ -241,11 +221,6 @@ class MutationBatch:
             delete_dst=del_dst,
             add_vertices=payload.get("add_vertices") or 0,
         )
-
-
-def _split_pairs(edges: Iterable[Tuple[int, int]]):
-    pairs = [tuple(pair) for pair in edges]
-    return [u for u, _ in pairs], [v for _, v in pairs]
 
 
 @dataclass

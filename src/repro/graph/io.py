@@ -47,29 +47,44 @@ def load_edge_list(path: PathLike, num_vertices: int | None = None) -> CSRGraph:
 
     The vertex count is taken from a ``# vertices N`` header if present,
     from the ``num_vertices`` argument otherwise, falling back to
-    ``max id + 1``.
+    ``max id + 1``.  A file that cannot be read, a line whose ids are
+    not integers or whose weight is not a float (named as
+    ``path:lineno``), and an id out of range all raise
+    :class:`~repro.errors.GraphError`.
     """
     srcs: list[int] = []
     dsts: list[int] = []
     weights: list[float] = []
     header_vertices = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "vertices":
-                    header_vertices = int(parts[1])
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphError(f"{path}:{lineno}: expected 2 or 3 fields")
-            srcs.append(int(parts[0]))
-            dsts.append(int(parts[1]))
-            if len(parts) == 3:
-                weights.append(float(parts[2]))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if len(parts) == 2 and parts[0] == "vertices":
+                        header_vertices = int(parts[1])
+                    continue
+                parts = line.split()
+                if len(parts) not in (2, 3):
+                    raise GraphError(
+                        f"{path}:{lineno}: expected 2 or 3 fields"
+                    )
+                srcs.append(int(parts[0]))
+                dsts.append(int(parts[1]))
+                if len(parts) == 3:
+                    weights.append(float(parts[2]))
+    except OSError as exc:
+        raise GraphError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise GraphError(f"{path}: not UTF-8 text") from None
+    except ValueError:  # int() or float() of a bad token
+        raise GraphError(
+            f"{path}:{lineno}: expected integer ids and an optional float "
+            f"weight, got {line!r}"
+        ) from None
     if weights and len(weights) != len(srcs):
         raise GraphError("file mixes weighted and unweighted edges")
     n = num_vertices if num_vertices is not None else header_vertices

@@ -9,10 +9,12 @@ and where every *edge* is stored.  Following the paper (Section 2.2):
   update message to the master per iteration;
 * similarly for out-mirrors in push mode.
 
-Edge ownership is direction-agnostic data: we record, for every edge,
-the storage machine, in both the in-CSR and out-CSR edge orderings, and
-pre-build per-machine local adjacency (a masked CSR over global vertex
-ids) so engines can iterate ``local_in_neighbors(m, v)`` cheaply.
+Edge ownership is direction-agnostic data: every edge has a storage
+machine, in both the in-CSR and out-CSR edge orderings, and each
+machine gets a pre-built local adjacency (a CSR over global vertex ids
+holding only its edges) so engines can iterate
+``local_in_neighbors(m, v)`` cheaply.  An edge cut's owners are a
+function of the masters and are derived, not stored.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, stable_order
 
 __all__ = ["LocalAdjacency", "Partition", "Partitioner"]
+
+#: partition kinds whose edge owners are a function of the masters
+EDGE_CUT_KINDS = ("outgoing-edge-cut", "incoming-edge-cut")
 
 
 class LocalAdjacency:
@@ -61,23 +66,52 @@ class LocalAdjacency:
 
 
 def _restrict_csr(
-    num_vertices: int,
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: Optional[np.ndarray],
     owner: np.ndarray,
-    machine: int,
-) -> LocalAdjacency:
-    """Build the per-machine view of one CSR direction."""
-    mask = owner == machine
-    keys = np.repeat(np.arange(num_vertices), np.diff(indptr))
-    local_keys = keys[mask]
-    local_indices = indices[mask]
-    local_weights = weights[mask] if weights is not None else None
-    counts = np.bincount(local_keys, minlength=num_vertices)
-    local_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=local_indptr[1:])
-    return LocalAdjacency(local_indptr, local_indices, local_weights)
+    num_machines: int,
+) -> List[LocalAdjacency]:
+    """Every machine's view of one CSR direction.
+
+    One stable grouping of the edges by owner: each machine's edge
+    positions then ascend, so its ``indptr`` is where the direction's
+    row starts fall among them, and its indices one gather.  Every view
+    owns its arrays.
+    """
+    order = stable_order(owner)
+    if order is None:  # grouped already: contiguous shares, copied
+        bounds = np.searchsorted(owner, np.arange(num_machines + 1)).tolist()
+        return [
+            LocalAdjacency(
+                np.clip(indptr, lo, hi) - lo,
+                indices[lo:hi].copy(),
+                weights[lo:hi].copy() if weights is not None else None,
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+    bounds = np.cumsum(np.bincount(owner, minlength=num_machines)).tolist()
+    views = []
+    for lo, hi in zip([0] + bounds, bounds):
+        at = order[lo:hi]
+        views.append(LocalAdjacency(
+            np.searchsorted(at, indptr),
+            indices[at],
+            weights[at] if weights is not None else None,
+        ))
+    return views
+
+
+def edge_endpoints(
+    graph: CSRGraph,
+) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Each edge's ``(src, dst)``, in the in-CSR (dst-sorted) and in
+    the out-CSR (src-sorted) edge ordering."""
+    ids = np.arange(graph.num_vertices)
+    return (
+        (graph.in_indices, np.repeat(ids, graph.in_degrees())),
+        (np.repeat(ids, graph.out_degrees()), graph.out_indices),
+    )
 
 
 def edge_cut_owners(
@@ -86,19 +120,14 @@ def edge_cut_owners(
     """(in_edge_owner, out_edge_owner) of an edge cut: an edge lives on
     the master of its source (outgoing) or destination (incoming)."""
     if kind == "outgoing-edge-cut":
-        in_key = graph.in_indices  # src, in dst-sorted order
-        out_key = np.repeat(
-            np.arange(graph.num_vertices), graph.out_degrees()
+        return (
+            master_of[graph.in_indices],  # src, in dst-sorted order
+            np.repeat(master_of, graph.out_degrees()),
         )
-    else:  # incoming-edge-cut
-        in_key = np.repeat(
-            np.arange(graph.num_vertices), graph.in_degrees()
-        )
-        out_key = graph.out_indices  # dst, in src-sorted order
-    empty = np.empty(0, dtype=np.int64)
-    in_owner = master_of[in_key] if in_key.size else empty
-    out_owner = master_of[out_key] if out_key.size else empty
-    return in_owner, out_owner
+    return (  # incoming-edge-cut
+        np.repeat(master_of, graph.in_degrees()),
+        master_of[graph.out_indices],  # dst, in src-sorted order
+    )
 
 
 class Partition:
@@ -112,7 +141,10 @@ class Partition:
         Machine id of each vertex's master copy.
     in_edge_owner:
         Storage machine of each edge, aligned with ``graph.in_indices``
-        (the dst-sorted ordering scanned in pull mode).
+        (the dst-sorted ordering scanned in pull mode).  None, with
+        ``out_edge_owner`` None too, for an edge cut: the owners are a
+        function of the masters, derived to build the local adjacency
+        and again on first read, never stored until then.
     out_edge_owner:
         Storage machine of each edge, aligned with ``graph.out_indices``.
     kind:
@@ -123,27 +155,40 @@ class Partition:
         self,
         graph: CSRGraph,
         master_of: np.ndarray,
-        in_edge_owner: np.ndarray,
-        out_edge_owner: np.ndarray,
+        in_edge_owner: Optional[np.ndarray],
+        out_edge_owner: Optional[np.ndarray],
         kind: str,
         num_machines: Optional[int] = None,
     ) -> None:
         self.graph = graph
         self.master_of = np.asarray(master_of, dtype=np.int64)
-        self._in_edge_owner = np.asarray(in_edge_owner, dtype=np.int64)
-        self._out_edge_owner = np.asarray(out_edge_owner, dtype=np.int64)
         self.kind = kind
-
         if self.master_of.shape != (graph.num_vertices,):
             raise PartitionError("master_of must assign every vertex")
-        if self.in_edge_owner.shape != (graph.num_edges,):
+        if in_edge_owner is None and out_edge_owner is None:
+            if kind not in EDGE_CUT_KINDS:
+                raise PartitionError(
+                    f"partition kind {kind!r} must pass its edge owners; "
+                    f"only {EDGE_CUT_KINDS} derive them from the masters"
+                )
+            self._in_edge_owner = self._out_edge_owner = None
+            in_owner, out_owner = edge_cut_owners(graph, self.master_of, kind)
+        else:
+            self._in_edge_owner = in_owner = np.asarray(
+                in_edge_owner, dtype=np.int64
+            )
+            self._out_edge_owner = out_owner = np.asarray(
+                out_edge_owner, dtype=np.int64
+            )
+            if min(in_owner.min(initial=0), out_owner.min(initial=0)) < 0:
+                raise PartitionError("negative machine id in edge owners")
+        if in_owner.shape != (graph.num_edges,):
             raise PartitionError("in_edge_owner must cover every edge")
-        if self.out_edge_owner.shape != (graph.num_edges,):
+        if out_owner.shape != (graph.num_edges,):
             raise PartitionError("out_edge_owner must cover every edge")
         machines = int(self.master_of.max(initial=-1)) + 1
         owners_max = max(
-            int(self.in_edge_owner.max(initial=-1)),
-            int(self.out_edge_owner.max(initial=-1)),
+            int(in_owner.max(initial=-1)), int(out_owner.max(initial=-1))
         )
         inferred = max(machines, owners_max + 1, 1)
         if num_machines is not None:
@@ -158,23 +203,16 @@ class Partition:
         if self.master_of.size and self.master_of.min() < 0:
             raise PartitionError("negative machine id in master_of")
 
-        n = graph.num_vertices
-        self._local_in: List[LocalAdjacency] = []
-        self._local_out: List[LocalAdjacency] = []
-        for m in range(self.num_machines):
-            self._local_in.append(
-                _restrict_csr(
-                    n, graph.in_indptr, graph.in_indices, graph.in_weights,
-                    self.in_edge_owner, m,
-                )
-            )
-            self._local_out.append(
-                _restrict_csr(
-                    n, graph.out_indptr, graph.out_indices, graph.out_weights,
-                    self.out_edge_owner, m,
-                )
-            )
+        self._local_in = _restrict_csr(
+            graph.in_indptr, graph.in_indices, graph.in_weights,
+            in_owner, self.num_machines,
+        )
+        self._local_out = _restrict_csr(
+            graph.out_indptr, graph.out_indices, graph.out_weights,
+            out_owner, self.num_machines,
+        )
         # has_in_edges[m, v]: machine m stores at least one in-edge of v.
+        n = graph.num_vertices
         self._has_in = np.stack(
             [adj.degrees() > 0 for adj in self._local_in]
         ) if self.num_machines else np.zeros((0, n), dtype=bool)
@@ -187,10 +225,7 @@ class Partition:
         """The vertices by master (None: the identity, as id-range
         masters give) and where each machine's masters start in it."""
         master_of = self.master_of
-        ascending = bool((master_of[1:] >= master_of[:-1]).all())
-        self._master_order = None if ascending else np.argsort(
-            master_of, kind="stable"
-        )
+        self._master_order = stable_order(master_of)
         self._master_bounds = np.concatenate(([0], np.cumsum(
             np.bincount(master_of, minlength=self.num_machines)
         )))
@@ -198,8 +233,8 @@ class Partition:
     # -- edge placement ---------------------------------------------------
 
     def _owners(self) -> Tuple[np.ndarray, np.ndarray]:
-        # a refreshed edge-cut partition derives both arrays on first
-        # read, from the frozen masters; nothing on the run path reads them
+        # an edge-cut partition derives both arrays on first read, from
+        # its masters; nothing on the run path reads them
         if self._in_edge_owner is None:
             self._in_edge_owner, self._out_edge_owner = edge_cut_owners(
                 self.graph, self.master_of, self.kind

@@ -36,7 +36,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph, patch_rows
 from repro.graph.dynamic import MutationBatch
-from repro.partition.base import LocalAdjacency, Partition, edge_cut_owners
+from repro.partition.base import EDGE_CUT_KINDS, LocalAdjacency, Partition
 
 __all__ = [
     "RefreshStats",
@@ -44,11 +44,6 @@ __all__ = [
     "refresh_partition",
     "partition_with_masters",
 ]
-
-#: partition kinds whose edge ownership is a pure function of the
-#: frozen master assignment -> edge endpoints (incrementally refreshable)
-_REFRESHABLE = ("outgoing-edge-cut", "incoming-edge-cut")
-
 
 @dataclass
 class RefreshStats:
@@ -105,16 +100,12 @@ def partition_with_masters(
     bit-for-bit (used by the metamorphic tests, and by callers that
     want to re-partition a mutated graph while keeping placement).
     """
-    if kind not in _REFRESHABLE:
+    if kind not in EDGE_CUT_KINDS:
         raise PartitionError(
             f"partition kind {kind!r} has no master-preserving rebuild; "
-            f"supported: {_REFRESHABLE}"
+            f"supported: {EDGE_CUT_KINDS}"
         )
-    in_owner, out_owner = edge_cut_owners(graph, master_of, kind)
-    return Partition(
-        graph, master_of, in_owner, out_owner, kind,
-        num_machines=num_machines,
-    )
+    return Partition(graph, master_of, None, None, kind, num_machines)
 
 
 def _extend_adjacency(adj: LocalAdjacency, added: int) -> LocalAdjacency:
@@ -204,10 +195,10 @@ def refresh_partition(
     a base built from an unsorted edge list is a full build — has every
     machine rebuilt.
     """
-    if old.kind not in _REFRESHABLE:
+    if old.kind not in EDGE_CUT_KINDS:
         raise PartitionError(
             f"partition kind {old.kind!r} does not support incremental "
-            f"refresh; supported: {_REFRESHABLE}"
+            f"refresh; supported: {EDGE_CUT_KINDS}"
         )
     added = graph.num_vertices - old.graph.num_vertices
     if added != batch.add_vertices or added < 0:

@@ -23,26 +23,13 @@ from repro.partition.chunking import balanced_chunks, chunk_of
 __all__ = ["OutgoingEdgeCut", "IncomingEdgeCut"]
 
 
-def _edge_endpoints_in_order(graph: CSRGraph):
-    """(src, dst) arrays in the in-CSR (dst-sorted) edge ordering."""
-    dst = np.repeat(np.arange(graph.num_vertices), graph.in_degrees())
-    src = graph.in_indices
-    return src, dst
-
-
-def _edge_endpoints_out_order(graph: CSRGraph):
-    """(src, dst) arrays in the out-CSR (src-sorted) edge ordering."""
-    src = np.repeat(np.arange(graph.num_vertices), graph.out_degrees())
-    dst = graph.out_indices
-    return src, dst
-
-
 class OutgoingEdgeCut(Partitioner):
     """Gemini-style chunked outgoing edge-cut.
 
     Masters are assigned by balanced contiguous chunking over the hybrid
     load ``alpha + in_degree`` (pull-mode work); edge ``(u, v)`` is owned
-    by ``master(u)``.
+    by ``master(u)``.  The owners follow from the masters, so the
+    partition stores none (:class:`~repro.partition.base.Partition`).
     """
 
     name = "outgoing-edge-cut"
@@ -55,22 +42,18 @@ class OutgoingEdgeCut(Partitioner):
         boundaries = balanced_chunks(
             graph.in_degrees(), num_machines, alpha=self.alpha
         )
-        vertex_ids = np.arange(graph.num_vertices)
-        master_of = chunk_of(boundaries, vertex_ids)
-        in_src, _ = _edge_endpoints_in_order(graph)
-        out_src, _ = _edge_endpoints_out_order(graph)
+        master_of = chunk_of(boundaries, np.arange(graph.num_vertices))
         return Partition(
-            graph,
-            master_of,
-            in_edge_owner=master_of[in_src] if in_src.size else in_src,
-            out_edge_owner=master_of[out_src] if out_src.size else out_src,
-            kind=self.name,
-            num_machines=num_machines,
+            graph, master_of, None, None, self.name, num_machines
         )
 
 
 class IncomingEdgeCut(Partitioner):
-    """Incoming edge-cut: every in-edge of a vertex is on its master."""
+    """Incoming edge-cut: every in-edge of a vertex is on its master.
+
+    The masters of :class:`OutgoingEdgeCut`; edge ``(u, v)`` is owned by
+    ``master(v)``.
+    """
 
     name = "incoming-edge-cut"
 
@@ -82,15 +65,7 @@ class IncomingEdgeCut(Partitioner):
         boundaries = balanced_chunks(
             graph.in_degrees(), num_machines, alpha=self.alpha
         )
-        vertex_ids = np.arange(graph.num_vertices)
-        master_of = chunk_of(boundaries, vertex_ids)
-        _, in_dst = _edge_endpoints_in_order(graph)
-        _, out_dst = _edge_endpoints_out_order(graph)
+        master_of = chunk_of(boundaries, np.arange(graph.num_vertices))
         return Partition(
-            graph,
-            master_of,
-            in_edge_owner=master_of[in_dst] if in_dst.size else in_dst,
-            out_edge_owner=master_of[out_dst] if out_dst.size else out_dst,
-            kind=self.name,
-            num_machines=num_machines,
+            graph, master_of, None, None, self.name, num_machines
         )

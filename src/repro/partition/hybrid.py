@@ -22,12 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.partition.base import Partition, Partitioner
+from repro.partition.base import Partition, Partitioner, edge_endpoints
 from repro.partition.chunking import balanced_chunks, chunk_of
-from repro.partition.edge_cut import (
-    _edge_endpoints_in_order,
-    _edge_endpoints_out_order,
-)
 
 __all__ = ["HybridCut"]
 
@@ -58,8 +54,7 @@ class HybridCut(Partitioner):
                 return src
             return np.where(high[dst], master_of[src], master_of[dst])
 
-        in_src, in_dst = _edge_endpoints_in_order(graph)
-        out_src, out_dst = _edge_endpoints_out_order(graph)
+        (in_src, in_dst), (out_src, out_dst) = edge_endpoints(graph)
         return Partition(
             graph,
             master_of,

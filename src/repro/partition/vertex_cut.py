@@ -17,12 +17,8 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
-from repro.partition.base import Partition, Partitioner
+from repro.partition.base import Partition, Partitioner, edge_endpoints
 from repro.partition.chunking import balanced_chunks, chunk_of
-from repro.partition.edge_cut import (
-    _edge_endpoints_in_order,
-    _edge_endpoints_out_order,
-)
 
 __all__ = ["HashVertexCut", "CartesianVertexCut", "grid_shape"]
 
@@ -55,8 +51,7 @@ class HashVertexCut(Partitioner):
             graph.in_degrees() + graph.out_degrees(), num_machines
         )
         master_of = chunk_of(boundaries, np.arange(graph.num_vertices))
-        in_src, in_dst = _edge_endpoints_in_order(graph)
-        out_src, out_dst = _edge_endpoints_out_order(graph)
+        (in_src, in_dst), (out_src, out_dst) = edge_endpoints(graph)
         return Partition(
             graph,
             master_of,
@@ -103,8 +98,7 @@ class CartesianVertexCut(Partitioner):
                 return src
             return row_block[src] * cols + col_block[dst]
 
-        in_src, in_dst = _edge_endpoints_in_order(graph)
-        out_src, out_dst = _edge_endpoints_out_order(graph)
+        (in_src, in_dst), (out_src, out_dst) = edge_endpoints(graph)
         return Partition(
             graph,
             master_of,

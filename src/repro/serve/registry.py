@@ -16,8 +16,8 @@ format:
 * a generator spec — ``rmat:scale=11,edge_factor=8,seed=7`` with
   optional ``weighted=<seed>`` (adds seeded uniform edge weights, which
   SSSP queries need) and ``directed=1`` (skips symmetrization);
-* an edge-list file — ``file:/path/to/graph.txt`` (whitespace- or
-  comma-separated ``src dst [weight]`` lines).
+* an edge-list file — ``file:/path/to/graph.txt`` (whitespace-separated
+  ``src dst [weight]`` lines, :func:`~repro.graph.io.load_edge_list`).
 """
 
 from __future__ import annotations

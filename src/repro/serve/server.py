@@ -418,7 +418,7 @@ class ServeApp:
             entry = await loop.run_in_executor(
                 None, self.registry.load, payload["name"], payload["spec"]
             )
-        except ServeError as exc:
+        except ReproError as exc:  # a bad spec, or a file that fails to load
             raise _HttpReply(400, {"error": str(exc)}) from None
         self._ensure_worker(entry.name)
         return _json_reply(201, {"loaded": entry.describe()})

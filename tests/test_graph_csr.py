@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import CSRGraph
+from repro.graph.csr import stable_order
 
 
 def build(n, edges, weights=None):
@@ -68,6 +69,44 @@ class TestConstruction:
     def test_weights_length_mismatch_rejected(self):
         with pytest.raises(GraphError):
             build(2, [(0, 1)], weights=[0.5, 0.7])
+
+    @pytest.mark.parametrize("src", [
+        [0.7, 1.2],
+        ["0", "1"],
+        [True, False],
+        [0, True],
+        np.array([0.0, 1.0]),
+        np.array([True, False]),
+        np.array(["0", "1"]),
+    ], ids=["floats", "strings", "bools", "int-and-bool", "float-array",
+            "bool-array", "string-array"])
+    def test_non_integral_ids_rejected(self, src):
+        """An id is never truncated or cast into range: (0.7, 1) is not
+        the edge (0, 1)."""
+        with pytest.raises(GraphError, match="integer"):
+            CSRGraph(3, src, [1, 2])
+        with pytest.raises(GraphError, match="integer"):
+            CSRGraph(3, [1, 2], src)
+
+    @pytest.mark.parametrize("edges", [
+        [(0.5, 1)], [(0, 1.0)], [(True, 1)], [("0", 1)],
+    ], ids=["float-src", "float-dst", "bool", "string"])
+    def test_from_edges_rejects_non_integral_ids(self, edges):
+        with pytest.raises(GraphError, match="integer"):
+            CSRGraph.from_edges(3, edges)
+
+    def test_integer_ids_of_any_width_accepted(self):
+        g = CSRGraph(3, np.array([2, 0], np.int32), np.array([1, 2], np.uint8))
+        assert g.out_indices.dtype == g.in_indices.dtype == np.int64
+        assert list(g.edges()) == [(0, 2), (2, 1)]
+        assert list(build(3, [(np.int64(2), 1)]).edges()) == [(2, 1)]
+
+    def test_graph_never_aliases_the_callers_arrays(self):
+        src, dst = np.array([0, 0, 1]), np.array([1, 2, 2])
+        g = CSRGraph(3, src, dst)  # both directions already grouped
+        for arr in (g.out_indices, g.in_indices):
+            assert not np.shares_memory(arr, src)
+            assert not np.shares_memory(arr, dst)
 
 
 class TestAdjacency:
@@ -179,3 +218,55 @@ class TestProperties:
         assert np.all(np.diff(g.in_indptr) >= 0)
         assert g.out_indptr[-1] == len(edges)
         assert g.in_indptr[-1] == len(edges)
+
+
+def argsort_oracle(keys):
+    return np.argsort(keys, kind="stable")
+
+
+class TestStableOrder:
+    """``stable_order`` is ``np.argsort(kind="stable")``, or None for
+    keys already in order."""
+
+    @staticmethod
+    def check(keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        before = keys.copy()
+        got = stable_order(keys)
+        expected = argsort_oracle(keys)
+        np.testing.assert_array_equal(keys, before)  # keys are not sorted
+        if got is None:
+            assert not (keys[1:] < keys[:-1]).any()
+            np.testing.assert_array_equal(expected, np.arange(keys.size))
+        else:
+            assert (keys[1:] < keys[:-1]).any()
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("keys", [
+        [],
+        [5],
+        [0, 1, 1, 2, 9],
+        [7] * 10,
+        list(range(20, 0, -1)),
+        [3, 1, 3, 1, 0, 3, 1, 0, 0, 3],
+        [300, 2, 300, 2, 1000, 0],
+    ], ids=["empty", "single", "sorted", "all-equal", "reversed",
+            "duplicate-heavy", "wide-keys"])
+    def test_cases(self, keys):
+        self.check(keys)
+
+    @pytest.mark.parametrize("top", [2**61 - 1, 2**61])
+    def test_both_sides_of_the_overflow_guard(self, top):
+        """Four keys up to ``2**61 - 1`` still fit ``key << 2 | 3`` in
+        int64; one more and the stable argsort takes over."""
+        self.check([top, 0, top, 1])
+
+    @given(st.one_of(
+        st.lists(st.integers(0, 5), max_size=300),
+        st.lists(st.integers(0, 2**16), max_size=300),
+        st.lists(st.integers(0, 2**62), max_size=40),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_stable_argsort(self, keys):
+        self.check(keys)

@@ -84,6 +84,38 @@ class TestEdgeListRoundtrip:
         assert g.num_vertices == 0
         assert g.num_edges == 0
 
+    @pytest.mark.parametrize("text, where", [
+        ("0 1\n1 x\n", ":2:"),
+        ("0 1.5\n", ":1:"),
+        ("0 1 abc\n", ":1:"),
+        ("# vertices three\n0 1\n", ":1:"),
+    ], ids=["bad-id", "float-id", "bad-weight", "bad-header"])
+    def test_bad_token_names_its_line(self, tmp_path, text, where):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=f"{path}{where}"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("text", [
+        "-1 0\n", "# vertices 3\n0 3\n",
+    ], ids=["negative-id", "id-past-header"])
+    def test_id_out_of_range_rejected(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError):
+            load_edge_list(path)
+
+    def test_missing_file_is_a_graph_error(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(GraphError, match=str(path)):
+            load_edge_list(path)
+
+    def test_binary_file_is_a_graph_error(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(b"0 1\n\xff\xfe\x00\n")
+        with pytest.raises(GraphError, match="UTF-8"):
+            load_edge_list(path)
+
 
 class TestNpzRoundtrip:
     def test_unweighted(self, tmp_path):

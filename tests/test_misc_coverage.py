@@ -61,6 +61,17 @@ class TestPartitionValidation:
                 kind="broken",
             )
 
+    def test_negative_edge_owner_rejected(self):
+        g = CSRGraph.from_edges(2, [(0, 1)])
+        with pytest.raises(PartitionError, match="edge owners"):
+            Partition(
+                g,
+                np.array([0, 0]),
+                np.array([-1]),
+                np.zeros(1, dtype=np.int64),
+                kind="broken",
+            )
+
     def test_num_machines_smaller_than_placement_rejected(self):
         g = CSRGraph.from_edges(2, [(0, 1)])
         with pytest.raises(PartitionError):

@@ -338,6 +338,31 @@ class TestHttp:
         assert payload["error"]
         assert _graph_facts(port) == before
 
+    @pytest.mark.parametrize("content", [None, "0 1\n1 x\n",
+                                         "# vertices 3\n0 1\n1 5\n"],
+                             ids=["missing-file", "bad-token",
+                                  "id-out-of-range"])
+    def test_failed_file_load_400_changes_nothing(self, mutable_server,
+                                                  tmp_path, content):
+        """A file spec that fails to load answers 400 and registers
+        nothing; the server keeps answering queries."""
+        port = mutable_server.port
+        path = tmp_path / "edges.txt"
+        if content is not None:
+            path.write_text(content)
+        before = _get(port, "/graphs")
+        status, _, payload = _post(
+            port, {"name": "broken", "spec": f"file:{path}"}, path="/graphs"
+        )
+        assert status == 400
+        assert payload["error"]
+        assert _get(port, "/graphs") == before
+        status, _, _ = _post(
+            port, {"graph": "demo", "algorithm": "bfs", "machines": 4,
+                   "sources": [3]},
+        )
+        assert status == 200
+
     def test_healthz(self, server):
         status, body = _get(server.port, "/healthz")
         payload = json.loads(body)
