@@ -167,10 +167,16 @@ class RunConfig:
                     f"async_bucket_width must be > 0, "
                     f"got {self.async_bucket_width}"
                 )
-        if self.machines < 1:
-            raise EngineError(
-                f"machines must be >= 1, got {self.machines}"
-            )
+        counts = {"machines": 1, "seed": 0, "bfs_roots": 1, "kcore_k": 1,
+                  "kmeans_rounds": 1}
+        if self.workers is not None:
+            counts["workers"] = 1
+        for name, low in counts.items():
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                raise EngineError(
+                    f"{name} must be an integer >= {low}, got {value!r}"
+                )
         if self.options is not None and self.engine != "symple":
             raise EngineError(
                 "options= is a SympleGraph knob; the "
@@ -182,10 +188,6 @@ class RunConfig:
             raise EngineError(
                 f"unknown executor {self.executor!r}; expected one of "
                 f"{EXECUTOR_KINDS} or an Executor instance"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise EngineError(
-                f"workers must be >= 1, got {self.workers}"
             )
         if self.verify not in _VERIFY_MODES:
             raise EngineError(
@@ -321,7 +323,8 @@ class Session:
     executors (per backend and worker count) are built once and reused
     across runs — the process backend in particular publishes the CSR
     topology to shared memory only when the partition it is bound to
-    changes.
+    changes.  A session holds one process pool at most: a run naming
+    another worker count replaces it.
 
     The bound graph may mutate: :meth:`mutate` applies a
     :class:`~repro.graph.dynamic.MutationBatch`, bumps the session's
@@ -346,7 +349,7 @@ class Session:
         # execution serializes per executor instance via _run_locks so
         # two threads never interleave work on one executor's context
         self._cache_lock = threading.Lock()
-        self._run_locks: Dict[int, threading.RLock] = {}
+        self._run_locks: Dict[Any, threading.RLock] = {}
         # interrupted runs must not leak process pools or
         # multiprocessing.shared_memory segments: the finalizer closes
         # session-owned executors at GC or interpreter exit, and
@@ -389,23 +392,30 @@ class Session:
             return self.graph, self.graph_version
 
     def _executor(self, config: RunConfig) -> Executor:
+        """``config``'s executor; called under its run lock, which every
+        process run shares, so a process pool of another worker count —
+        the session keeps one at most — is closed while nothing uses it."""
         if isinstance(config.executor, Executor):
             # caller-owned: used as-is, never closed by the session
             return make_executor(config.executor, workers=config.workers)
         key = (config.executor, config.workers)
-        ex = self._executors.get(key)
-        if ex is None:
-            with self._cache_lock:
-                ex = self._executors.get(key)
-                if ex is None:
-                    ex = make_executor(
-                        config.executor, workers=config.workers
-                    )
-                    self._executors[key] = ex
-        return ex
+        with self._cache_lock:
+            if key not in self._executors:
+                if key[0] == "process":
+                    for old in [k for k in self._executors if k[0] == key[0]]:
+                        self._executors.pop(old).close()
+                self._executors[key] = make_executor(
+                    config.executor, workers=config.workers
+                )
+            return self._executors[key]
 
-    def _run_lock(self, executor: Executor) -> threading.RLock:
-        key = id(executor)
+    def _run_lock(self, config: RunConfig) -> threading.RLock:
+        if isinstance(config.executor, Executor):
+            key: Any = id(config.executor)
+        else:  # one lock for every process executor
+            key = config.executor if config.executor == "process" else (
+                config.executor, config.workers
+            )
         lock = self._run_locks.get(key)
         if lock is None:
             with self._cache_lock:
@@ -522,12 +532,12 @@ class Session:
         # global graph of another
         graph, version = self._graph_snapshot()
         target = self._partition(config, graph, version)
-        executor = self._executor(config)
         # executors carry per-bind context (worker pools, shm views, the
         # current state pointer), so concurrent runs sharing one must
         # not interleave: callers on other threads wait their turn here
         # while runs on *different* executors proceed in parallel
-        with self._run_lock(executor):
+        with self._run_lock(config):
+            executor = self._executor(config)
             engine = make_engine(
                 config.engine,
                 graph if target is None else target,

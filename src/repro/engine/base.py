@@ -103,25 +103,6 @@ class _UpdateBuffer:
         return np.fromiter(changed.keys(), dtype=np.int64), self.total
 
 
-def _write_back(dep_store, deps: List[np.ndarray], results) -> None:
-    """A finished step's break bits and carried data into ``dep_store``,
-    one scatter each: a step's partitions are disjoint."""
-    live = [(dep, res) for dep, res in zip(deps, results) if dep.size]
-    broke = [dep[res["broke"]] for dep, res in live
-             if res["broke"] is not None]
-    if broke:
-        dep_store.skip[np.concatenate(broke)] = True
-    for name in dep_store.data:
-        units = [
-            (dep, *res["carried"][name]) for dep, res in live
-            if name in res["carried"]
-        ]
-        if units:
-            at, present, values = map(np.concatenate, zip(*units))
-            dep_store.present[name][at] = present
-            dep_store.data[name][at] = values
-
-
 class BaseEngine:
     """Common state and protocol shared by all distributed engines."""
 
@@ -174,25 +155,19 @@ class BaseEngine:
         self.executor = make_executor(executor)
         self.executor.bind(self)
 
-    def _map_machines(self, fn, shared, items, state, step=None):
-        """Dispatch per-machine tasks, bracketing with ``exec_*`` events.
+    def _map_machines(self, fn, shared, items, state, stalls=None):
+        """Dispatch tasks, bracketing with ``exec_*`` events.
 
-        ``step`` supplies the straggler slowdown factors the concurrent
-        backends turn into real wall-clock stalls; results come back in
-        item order for the deterministic merge.
+        ``stalls`` — one straggler slowdown factor per item — are what
+        the concurrent backends turn into real wall-clock stalls;
+        results come back in item order for the deterministic merge.
         """
         ex = self.executor
         if self.obs is None:
-            return ex.map_machines(
-                fn, shared, items, state,
-                stalls=step.slowdown if step is not None else None,
-            )
+            return ex.map_machines(fn, shared, items, state, stalls=stalls)
         self.obs.exec_map_begin(ex.kind, ex.workers, len(items))
         t0 = perf_counter()
-        results = ex.map_machines(
-            fn, shared, items, state,
-            stalls=step.slowdown if step is not None else None,
-        )
+        results = ex.map_machines(fn, shared, items, state, stalls=stalls)
         if ex.last_fallback is not None:
             self.obs.exec_fallback(ex.kind, ex.last_fallback)
         for kind, payload in ex.drain_events():
@@ -331,7 +306,7 @@ class BaseEngine:
         }
         items = [{"m": m} for m in range(self.num_machines)]
         results = self._map_machines(
-            work.push_task, shared, items, state, step=step
+            work.push_task, shared, items, state, stalls=step.slowdown
         )
         if (
             shared["use_kernel"]
@@ -408,84 +383,76 @@ class BaseEngine:
             )[1]
         return result
 
-    def _pull_step(
+    def _map_pull(
         self,
+        fn,
         analyzed: AnalyzedSignal,
-        use_kernel: bool,
         state: StateStore,
         items: List[Dict],
+        at: Tuple[int, ...],
+        stalls=None,
+        **shared,
+    ) -> List:
+        """Map pull work on the executor — :func:`~repro.exec.work.pull_task`
+        per machine, or :func:`~repro.exec.work.pull_column` per partition
+        — with ``at`` (``(phase, step)``, or ``(phase,)`` for a walk)
+        placing the block scans in the run.  The first map whose units
+        shared a kernel call is mapped again with every unit alone."""
+        fast, udf = self.fastpaths, analyzed.original
+        use_kernel = fast.plan(KERNEL, udf, state, analyzed) is not None
+        shared.update(signal=analyzed, use_kernel=use_kernel,
+                      timed=self.obs is not None, scan=(self._run_serial, *at),
+                      solo=fast.refuted(BLOCK, udf))
+        certifying = use_kernel and fast.checking(BLOCK, udf)
+        scan = self.executor.scan
+        sharing = scan["units"] - scan["blocks"]
+        results = self._map_machines(fn, shared, items, state, stalls)
+        if certifying and scan["units"] - scan["blocks"] > sharing:
+            results = fast.certified(
+                BLOCK, udf, results, self._map_machines(
+                    fn, {**shared, "solo": True}, items, state
+                ),
+            )
+        return results
+
+    def _merge_step(
+        self,
+        results: List[Dict],
         step: StepRecord,
         buffer: _UpdateBuffer,
         update_bytes: int,
         plain_column: str,
-        active: Optional[np.ndarray] = None,
-        dep_store=None,
         handoffs: Optional[Sequence[int]] = None,
-        is_last: bool = False,
-        at: Tuple[int, int] = (0, 0),
     ) -> None:
-        """Run one pull step's units on the executor and merge them.
-
-        ``items`` are :func:`repro.exec.work.pull_task` units, one per
-        machine in machine order; the workers only scan — a chunk of
-        consecutive units at a time, in blocks
-        (:func:`repro.exec.work.pull_units`), with
-        ``at`` — ``(phase, step)`` — saying where in the run this step
-        sits, so a block that recurs in the next pull phase can be
-        recognized.  Everything observable happens here, for the step
-        as a whole: lane metering (the dependency lane books under
-        ``high_*``, the plain lane under ``plain_column``'s pair —
-        ``"high"`` or ``"low"``, which the cost model prices apart),
-        the dependency-store write-back, one update bin per unit, and
-        one message list for :meth:`SimulatedNetwork.send_many`, unit by
-        unit in item order: an update message per emitting vertex,
-        ascending, then the unit's dependency hand-off of ``handoffs``
-        bytes (where nonzero) to the machine on its left.
+        """Merge one pull step's unit results, one per machine in machine
+        order.  Everything observable happens here, for the step as a
+        whole: lane metering (the dependency lane, there when
+        ``handoffs`` is, books under ``high_*``, the plain lane under
+        ``plain_column``'s pair, which the cost model prices apart), one
+        update bin per unit, and one message list for
+        :meth:`SimulatedNetwork.send_many`, unit by unit: an update
+        message per emitting vertex, ascending, then the unit's hand-off
+        of ``handoffs`` bytes (where nonzero) to the machine on its left.
         """
-        fast, fn = self.fastpaths, analyzed.original
-        shared = {
-            "signal": analyzed,
-            "use_kernel": use_kernel,
-            "timed": self.obs is not None,
-            "active": active,
-            "is_last": is_last,
-            "scan": (self._run_serial, *at),
-            "solo": fast.refuted(BLOCK, fn),
-        }
-        certifying = use_kernel and fast.checking(BLOCK, fn)
-        scan = self.executor.scan
-        sharing = scan["units"] - scan["blocks"]
-        results = self._map_machines(
-            work.pull_task, shared, items, state, step=step
-        )
-        if certifying and scan["units"] - scan["blocks"] > sharing:
-            # the first step in which units shared a kernel call: map
-            # it again with every unit in a kernel call of its own
-            results = fast.certified(
-                BLOCK, fn, results, self._map_machines(
-                    work.pull_task, {**shared, "solo": True}, items, state
-                ),
-            )
         p = self.num_machines
-        handoffs = list(handoffs or [0] * p)
-        deps = [item.get("dep") for item in items]
+        circulant = handoffs is not None
+        handoffs = list(handoffs) if circulant else [0] * p
         # one unit per machine, in machine order: one add per column
         plain_edges = getattr(step, plain_column + "_edges")
         plain_edges += [res["plain_edges"] for res in results]
         plain_vertices = getattr(step, plain_column + "_vertices")
         plain_vertices += [res["plain_vertices"] for res in results]
-        if dep_store is not None:
+        if circulant:
             step.high_edges += [res["dep_edges"] for res in results]
-            step.high_vertices += [dep.size for dep in deps]
-            _write_back(dep_store, deps, results)
-        step.dep_bytes += handoffs
+            step.high_vertices += [res["dep_vertices"] for res in results]
+            step.dep_bytes += handoffs
         obs = self.obs
         if obs is not None:  # events only, unit by unit
-            for dep, res, handoff in zip(deps, results, handoffs):
+            for res, handoff in zip(results, handoffs):
                 m, kind = res["m"], res["kind"]
-                if kind is not None and dep is not None:
-                    obs.kernel_batch(m, kind, dep.size, res["dep_edges"],
-                                     res["dep_seconds"])
+                if kind is not None and circulant:
+                    obs.kernel_batch(m, kind, res["dep_vertices"],
+                                     res["dep_edges"], res["dep_seconds"])
                 if kind is not None:
                     obs.kernel_batch(m, kind, res["plain_vertices"],
                                      res["plain_edges"], res["plain_seconds"])
@@ -578,19 +545,12 @@ class BaseEngine:
         phase = self._phase_begin("pull")
         step = self._make_step(phase)
         buffer = _UpdateBuffer()
-        self._pull_step(
-            analyzed,
-            self.fastpaths.plan(KERNEL, analyzed.original, state, analyzed)
-            is not None,
-            state,
-            [{"m": m} for m in range(self.num_machines)],
-            step,
-            buffer,
-            update_bytes,
-            "high",
-            active=active_idx,
-            at=(phase, 0),
+        results = self._map_pull(
+            work.pull_task, analyzed, state,
+            [{"m": m} for m in range(self.num_machines)], (phase, 0),
+            stalls=step.slowdown, active=active_idx, is_last=False,
         )
+        self._merge_step(results, step, buffer, update_bytes, "high")
         return self._commit_phase(
             IterationRecord(mode="pull"), [step], buffer, slot, state,
             sync_bytes,

@@ -31,6 +31,7 @@ Figure 11 ablation:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -42,9 +43,9 @@ from repro.engine.base import (
     _UpdateBuffer,
 )
 from repro.engine.dep import DepStore
-from repro.engine.fastpath import KERNEL
 from repro.engine.state import StateStore
 from repro.errors import EngineError
+from repro.exec import work
 from repro.partition.base import Partition
 from repro.runtime.bitmap import Bitmap
 from repro.runtime.cost_model import SYMPLE_COST, CostModel
@@ -219,46 +220,29 @@ class SympleGraphEngine(BaseEngine):
         allow_differentiated: bool,
         share_dep_data: bool,
     ) -> PhaseResult:
-        """``p`` steps; in step ``s`` machine ``m`` gets the pull unit
-        for partition ``(m + s + 1) % p``: its circulated vertices whose
-        skip bit is still clear on the dependency lane, the low-degree
-        rest on the plain lane (Gemini's schedule, booked under
-        ``low_*``).  The guarantee of Definition 2.4 lives in the filter
-        below plus the write-back in :meth:`BaseEngine._pull_step`."""
-        p = self.num_machines
+        """``p`` steps; in step ``s`` machine ``m`` scans partition
+        ``(m + s + 1) % p``: its circulated vertices whose skip bit is
+        still clear on the dependency lane, the low-degree rest on the
+        plain lane (Gemini's schedule, booked under ``low_*``).  What is
+        mapped is each partition's column, walked through the steps
+        (:func:`repro.exec.work.pull_walk`, where Definition 2.4's skip
+        filter and write-back run), once a phase — or one step a map
+        under a fault controller, which acts between steps."""
+        p, n = self.num_machines, self.graph.num_vertices
         phase = self._phase_begin("pull")
-        dep_store = DepStore(
-            self.graph.num_vertices,
-            analyzed.info.carried_vars,
-            share_data=share_dep_data,
+        carried = analyzed.info.carried_vars if share_dep_data else ()
+        high_mask = (
+            self._high_mask if allow_differentiated
+            else np.ones(n, dtype=bool)
         )
-        has_data = bool(dep_store.data)
-        if allow_differentiated:
-            high_mask = self._high_mask
-        else:
-            high_mask = np.ones(self.graph.num_vertices, dtype=bool)
-
-        # Failure injection (Section 5.1): with probability
-        # dep_loss_rate a machine started before the control bit
-        # arrived and scans the vertex blind — losing savings, never
-        # correctness.  Only control-only UDFs are eligible (a lost
-        # *data* dependency is not an incomplete-information case).
-        controller = self._fault_controller
-        lossy = (
-            controller is not None
-            and controller.dep_loss_rate > 0.0
-            and not has_data
-        )
-        use_kernel = self.fastpaths.plan(
-            KERNEL, analyzed.original, state, analyzed
-        ) is not None
 
         # One row mask per machine and lane — its ``_has_in`` row ANDed
         # with the active circulated (high) or plain (low) vertices, in
-        # the vertex order by master — cut at the master bounds: unit
-        # (m, j) takes each lane as one slice between j's bounds.
+        # the vertex order by master — cut at the master bounds; column
+        # j is each lane's slices between j's bounds, machine after
+        # machine in step order: in step s machine (j - s - 1) % p.
         part = self.partition
-        order, bounds = part._master_order, part._master_bounds
+        order, bounds = part._master_order, part._master_bounds.tolist()
         has_in, high = part._has_in, active & high_mask
         low = active & ~high_mask
         if order is not None:
@@ -269,65 +253,89 @@ class SympleGraphEngine(BaseEngine):
             vertices = at if order is None else order[at]
             return vertices, np.searchsorted(at, bounds).tolist()
 
-        lanes = [(cut(row & high), cut(row & low)) for row in has_in]
+        rows = [(cut(row & high), cut(row & low)) for row in has_in]
+        columns = []
+        for j in range(p):
+            column = {"j": j}
+            for k, name in enumerate(("dep", "plain")):
+                parts = []
+                for m in circulant_machine_order(j, p):
+                    vertices, at = rows[m][k]
+                    parts.append(vertices[at[j]:at[j + 1]])
+                column[name] = np.concatenate(parts)
+                column[name + "_at"] = [
+                    0, *accumulate(part.size for part in parts)
+                ]
+            columns.append(column)
         # Control bits travel as a packed bitmap; carried data travels
         # as the SoA array slice for every circulated vertex (Section
         # 6's layout) — this is why sampling's dependency traffic is
         # large while BFS/MIS pay one bit per vertex.
-        per_vertex = dep_data_bytes * len(dep_store.data)
+        per_vertex = dep_data_bytes * len(carried)
         handoff_bytes = [
-            Bitmap.wire_bytes(n) + n * per_vertex if n else 0
-            for n in (
-                np.count_nonzero(high[lo:hi])
-                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+            Bitmap.wire_bytes(k) + k * per_vertex if k else 0
+            for k in (
+                int(np.count_nonzero(high[lo:hi]))
+                for lo, hi in zip(bounds[:-1], bounds[1:])
             )
         ]
 
+        def walk(first: int, stop: int, stalls=None, dep_in=None):
+            return self._map_pull(
+                work.pull_column, analyzed, state, columns, (phase,),
+                stalls=stalls, steps=(first, stop), carried=carried,
+                dep_in=dep_in,
+            )
+
+        controller = self._fault_controller
+        if controller is None:
+            walked = walk(0, p)
+        else:
+            dep_store = DepStore(n, carried)
+            # Failure injection (Section 5.1): with probability
+            # dep_loss_rate a machine started before the control bit
+            # arrived and scans the vertex blind — losing savings, never
+            # correctness.  Only control-only UDFs are eligible (a lost
+            # *data* dependency is not an incomplete-information case).
+            lossy = controller.dep_loss_rate > 0.0 and not dep_store.data
         buffer = _UpdateBuffer()
         steps: List[StepRecord] = []
         for s in range(p):
             if s > 0 and controller is not None:
                 # A mid-step crash severs the dependency circulation:
-                # the whole phase aborts and recovery restarts it from
-                # the step-0 boundary with blanked bitmaps (Section 5.1
-                # guarantees correctness under incomplete information).
+                # recovery restarts the phase from the step-0 boundary
+                # with blanked bitmaps (Section 5.1).
                 controller.check_crash(phase, s)
             step = self._make_step(phase)
             if self.obs is not None:
                 self.obs.step_begin(s)
-            is_last = s == p - 1
-            items = []
-            handoffs = []
-            for m in range(p):
-                j = circulant_partition(m, s, p)
-                (dep, dep_cut), (plain, plain_cut) = lanes[m]
-                dep = dep[dep_cut[j]:dep_cut[j + 1]]
-                skipped = dep_store.skip[dep]
-                if lossy:
-                    # one coin per skipped vertex, machine-ascending
-                    # then vertex-ascending: a step's partitions are
-                    # disjoint, so no draw depends on another unit
-                    skipped[skipped] = ~controller.dep_lost(
-                        int(skipped.sum())
-                    )
-                dep = dep[~skipped]
-                items.append({
-                    "m": m,
-                    "dep": dep,
-                    "carried": {
-                        name: (dep_store.present[name][dep], values[dep])
-                        for name, values in dep_store.data.items()
-                    } if has_data else None,
-                    "plain": plain[plain_cut[j]:plain_cut[j + 1]],
-                })
-                # after the final step the master holds the complete
-                # state locally: nothing to hand off
-                handoffs.append(0 if is_last else handoff_bytes[j])
-            self._pull_step(
-                analyzed, use_kernel, state, items, step, buffer,
-                update_bytes, "low", dep_store=dep_store,
-                handoffs=handoffs, is_last=is_last, at=(phase, s),
-            )
+            if controller is not None:
+                # the walk of this step alone, on the parent's state
+                lanes = [work.lane_at(columns[(m + s + 1) % p], "dep", s)
+                         for m in range(p)]
+                skip = dep_store.skip.copy() if lossy else dep_store.skip
+                if lossy:  # one coin per skipped vertex, machine- then
+                    # vertex-ascending: a step's partitions are disjoint
+                    for dep in lanes:
+                        held = dep[skip[dep]]
+                        skip[held[controller.dep_lost(held.size)]] = False
+                walked = walk(
+                    s, s + 1,
+                    stalls=[step.slowdown[(j - s - 1) % p] for j in range(p)],
+                    dep_in=(skip, dep_store.present, dep_store.data),
+                )
+            at = 0 if controller is not None else s
+            results = [walked[(m + s + 1) % p][at] for m in range(p)]
+            if controller is not None:
+                work.write_back(
+                    dep_store, [dep[~skip[dep]] for dep in lanes], results
+                )
+            # after the final step the master holds the complete state
+            # locally: nothing to hand off
+            handoffs = [0 if s == p - 1 else handoff_bytes[(m + s + 1) % p]
+                        for m in range(p)]
+            self._merge_step(results, step, buffer, update_bytes, "low",
+                             handoffs)
             steps.append(step)
             if self.obs is not None:
                 self.obs.step_end(s, step)

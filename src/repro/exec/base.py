@@ -1,7 +1,8 @@
 """Executor abstraction: where per-machine work units actually run.
 
-Engines route every per-(machine, step) work unit through
-``executor.map_machines(task_fn, shared, items, state, stalls)``; the
+Engines route each phase's work through one
+``executor.map_machines(task_fn, shared, items, state, stalls)`` call
+(items: machines, or a circulant pull's destination partitions); the
 executor decides *where* the task functions run — inline
 (:class:`SerialExecutor`) or on forked worker processes mapping the CSR
 topology and vertex state zero-copy out of shared memory
@@ -13,18 +14,18 @@ the backend is purely a wall-clock knob, exactly like ``use_kernels``.
 Every backend runs a chunk of items through the same loop,
 :meth:`repro.exec.work.WorkerContext.run`: a task that has a chunk
 form (``pull_task.chunk`` is ``pull_units``, which scans consecutive
-units together in blocks) gets its whole chunk in one call — the step
-under the serial backend, a worker's contiguous machines under the
-process backend — and any other task is called item by item.  What the
-scans counted (blocks, units, plans built and reused, bytes the kept
-plans hold) comes back with each chunk and sums into
-``Executor.stats()["scan"]``.
+units together in blocks; ``pull_column.chunk`` is ``pull_walk``) gets
+its whole chunk in one call — the map under the serial backend, a
+worker's contiguous items under the process backend — and any other
+task is called item by item.  What the scans counted (blocks, units,
+plans built and reused, bytes the kept plans hold) comes back with each
+chunk and sums into ``Executor.stats()["scan"]``.
 
-``stalls`` carries the fault controller's per-machine straggler
-factors: the simulated cost model already charges them, and the
-process backend additionally turns them into real wall-clock stalls
-(a chunk sleeps, for each of its units slowed by factor f, (f-1) x
-that unit's edge share of the chunk's compute time).
+``stalls`` carries the fault controller's straggler factors, one per
+item: the simulated cost model already charges them, and the process
+backend additionally turns them into real wall-clock stalls (a chunk
+sleeps, for each of its items slowed by factor f, (f-1) x that item's
+edge share of the chunk's compute time).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError
 from repro.exec.work import PlanStore, WorkerContext
+from repro.graph.csr import is_integer
 
 __all__ = [
     "Executor",
@@ -54,7 +56,11 @@ class Executor:
     parallel = False
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = int(workers) if workers else 1
+        if workers is not None and not (is_integer(workers) and workers >= 1):
+            raise EngineError(
+                f"workers must be an integer >= 1, got {workers!r}"
+            )
+        self.workers = 1 if workers is None else int(workers)
         self._ctx: Optional[WorkerContext] = None
         self._partition = None
         # reason the last map ran serially despite the backend, if any

@@ -22,14 +22,17 @@ and across graph rebinds:
   candidate slices, dependency-bitmap and carried-data slices — go
   through a double-buffered bump-allocated :class:`DeltaArena`
   (preallocated, grown geometrically) instead of one segment per key.
-* **Chunked dispatch.**  The per-machine work units of one map call
-  are split into at most ``workers`` contiguous chunks — one IPC
-  round-trip per worker per superstep instead of one per machine —
-  and the flattened results come back in item order, so the parent's
-  deterministic ascending-machine merge is unchanged.  A worker runs
-  its chunk through the same loop as the serial backend
+* **Chunked dispatch.**  The items of one map call — one per machine
+  for a BSP pull or a push, one per destination partition for a
+  circulant pull — are split into at most ``workers`` contiguous
+  chunks: one IPC round trip per worker per phase, a circulant phase
+  included, since each worker walks its partitions through every step
+  (:func:`~repro.exec.work.pull_walk`) and keeps their dependency state
+  itself.  The results come back in item order, so the parent's
+  deterministic step-by-step, ascending-machine merge is unchanged.  A
+  worker runs its chunk through the same loop as the serial backend
   (:meth:`~repro.exec.work.WorkerContext.run`), so a task's chunk form
-  scans a worker's contiguous machines in blocks; each worker keeps its
+  scans a step's units of the chunk in blocks; each worker keeps its
   own scan plans, and what its scans counted comes back with the chunk.
 
 Compiled artifacts never cross the process boundary: the parent strips
@@ -174,7 +177,9 @@ class ProcessPoolExecutor(Executor):
     parallel = True
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(workers or os.cpu_count() or 1)
+        super().__init__(
+            os.cpu_count() or 1 if workers is None else workers
+        )
         self._pool: Optional[futures.ProcessPoolExecutor] = None
         self._arena = ShmArena()
         self._delta = DeltaArena(
@@ -347,11 +352,10 @@ class ProcessPoolExecutor(Executor):
         self._delta.begin()
         shipped_shared = ship(self._strip(shared), self._delta)
         shipped_items = [ship(item, self._delta) for item in items]
-        stall_list = [
-            float(stalls[int(item["m"])]) if stalls is not None else 1.0
-            for item in items
-        ]
         n = len(items)
+        stall_list = (
+            [1.0] * n if stalls is None else [float(f) for f in stalls]
+        )
         chunks = min(self.workers, n)
         bounds = [
             (n * c // chunks, n * (c + 1) // chunks) for c in range(chunks)

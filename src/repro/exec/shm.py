@@ -279,6 +279,8 @@ def ship(value: Any, arena) -> Any:
 
 # attached segments, cached per name for the life of the worker
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
+# past this many, a new attach first drops the ones no view reads
+_ATTACH_LIMIT = 512
 
 
 def attach_array(
@@ -287,7 +289,7 @@ def attach_array(
     """Zero-copy view of a published array inside a worker process."""
     block = _ATTACHED.get(name)
     if block is None:
-        if len(_ATTACHED) > 512:
+        if len(_ATTACHED) > _ATTACH_LIMIT:
             # stale names from retired segments; drop what can be
             # dropped (the parent already unlinked the files; blocks
             # with live exports survive until their views die)
@@ -307,9 +309,13 @@ def attach_array(
         finally:
             resource_tracker.register = orig_register
         _ATTACHED[name] = block
-    return np.ndarray(
-        tuple(shape), dtype=np.dtype(dtype), buffer=block.buf, offset=offset
-    )
+    # frombuffer, not ndarray(buffer=...): the view holds an export of
+    # the block's buffer, so the purge above cannot unmap a segment a
+    # live view (the current topology, state or payload) still reads
+    return np.frombuffer(
+        block.buf, dtype=np.dtype(dtype), count=int(np.prod(shape)),
+        offset=offset,
+    ).reshape(shape)
 
 
 def unship(value: Any) -> Any:

@@ -1,27 +1,27 @@
-"""Pure per-machine work units shared by every executor backend.
+"""Pure work units shared by every executor backend.
 
 Each task function here computes what one simulated machine does in one
-(phase, step) — :func:`pull_task` for every pull schedule,
-:func:`push_task` for the sparse push — against a read-only view of the
-graph and vertex state, and returns a plain, picklable result.  A task
-may have a *chunk form* that takes an executor's whole chunk of
+(phase, step) — :func:`pull_task` for the BSP pull, :func:`push_task`
+for the sparse push — or, :func:`pull_column`, what the machines do to
+one destination partition over a circulant phase, step after step.  A
+task may have a *chunk form* that takes an executor's whole chunk of
 consecutive items at once: :func:`pull_units` is :func:`pull_task`'s,
 and scans the chunk's units in blocks (one kernel call per lane of a
-block, not of a unit) without any unit's result depending on it.  All
-side effects (network sends, counter increments, update buffering,
-dependency-store writes, fault draws, obs events) happen in the
-*parent*, which merges results in ascending machine order
-(``BaseEngine._pull_step``); that fixed order is what keeps counters,
-traffic, and results bit-identical across the serial and process
-backends.
+block, not of a unit) without any unit's result depending on it;
+:func:`pull_walk` is :func:`pull_column`'s.  All side effects (network
+sends, counter increments, update buffering, fault draws, obs events)
+happen in the *parent*, which merges results step by step in ascending
+machine order (``BaseEngine._merge_step``); that fixed order is what
+keeps counters, traffic, and results bit-identical across the serial
+and process backends.
 
 Task functions receive a :class:`WorkerContext` (graph topology + state
 + an analyzed-signal cache + the scan plans it keeps between phases), a
 ``shared`` dict broadcast to every task of one map call, and one
-per-machine ``item`` dict.  They must not mutate anything reachable
-from the context (its :class:`PlanStore` aside, which is a cache of
-what the topology alone determines): dependency-state writes are
-returned as explicit slices for the parent to apply.  The no-mutation
+``item`` dict per machine or partition.  They must not mutate anything
+reachable from the context (its :class:`PlanStore` aside, which is a
+cache of what the topology alone determines); a walk keeps its
+partitions' dependency state in a store of its own.  The no-mutation
 rule is doubly load-bearing under the process backend, where the state
 arrays are shared-memory views aliased across every worker — a task
 that wrote to them would race its siblings *and* corrupt the parent's
@@ -49,7 +49,10 @@ __all__ = [
     "CountingNeighbors",
     "pull_units",
     "pull_task",
+    "pull_walk",
+    "pull_column",
     "push_task",
+    "write_back",
 ]
 
 
@@ -130,7 +133,10 @@ class WorkerContext:
 
 
 def _unit_edges(result) -> int:
-    """Edges a unit's result says it scanned (0 when it does not say)."""
+    """Edges a unit's result says it scanned (0 when it does not say);
+    a list is a column's units."""
+    if isinstance(result, list):
+        return sum(map(_unit_edges, result))
     if not isinstance(result, dict):
         return 0
     return (
@@ -582,8 +588,8 @@ def _interp_lanes(analyzed, state, local, dep, carried, plain, is_last):
 def pull_units(
     ctx: WorkerContext, shared: Dict[str, Any], items: List[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
-    """The pull work units of one executor chunk — consecutive machines
-    of one pull step — as one result per item.
+    """The pull work units of one chunk — machines of one pull step, in
+    ascending order — as one result per item.
 
     Each item is one machine's share of the step, two lanes over
     machine ``item['m']``'s local in-edges:
@@ -649,6 +655,93 @@ def pull_task(
 
 
 pull_task.chunk = pull_units
+
+
+def write_back(dep_store, deps: List[np.ndarray], results) -> None:
+    """A finished step's break bits and carried data into ``dep_store``,
+    one scatter each: a step's partitions are disjoint."""
+    live = [(dep, res) for dep, res in zip(deps, results) if dep.size]
+    broke = [dep[res["broke"]] for dep, res in live
+             if res["broke"] is not None]
+    if broke:
+        dep_store.skip[np.concatenate(broke)] = True
+    for name in dep_store.data:
+        units = [
+            (dep, *res["carried"][name]) for dep, res in live
+            if name in res["carried"]
+        ]
+        if units:
+            at, present, values = map(np.concatenate, zip(*units))
+            dep_store.present[name][at] = present
+            dep_store.data[name][at] = values
+
+
+def lane_at(column: Dict[str, Any], lane: str, step: int) -> np.ndarray:
+    """A column's ``lane`` (``"dep"`` or ``"plain"``) in ``step``."""
+    at = column[lane + "_at"]
+    return column[lane][at[step]:at[step + 1]]
+
+
+def pull_walk(
+    ctx: WorkerContext, shared: Dict[str, Any], columns: List[Dict[str, Any]]
+) -> List[List[Dict[str, Any]]]:
+    """Columns walked over the steps ``shared['steps']`` (``(first,
+    stop)``): per column, one :func:`pull_units` result a step.
+
+    Column ``j`` holds each lane for every step (:func:`lane_at`); in
+    step ``s`` machine ``(j - s - 1) % p`` scans it, a step's units in
+    ascending machine order, as a step's always blocked.  The dependency
+    state is the walk's — fresh, or a copy of ``shared['dep_in']``
+    ``(skip, present, data)`` — cut into and written back between steps.
+    Results gain ``dep_vertices``, and keep ``broke`` and ``carried``
+    only for a parent that passed the state in."""
+    p = len(columns[0]["dep_at"]) - 1
+    store = DepStore(ctx.num_vertices, shared["carried"])
+    dep_in = shared["dep_in"]
+    if dep_in is not None:
+        skip, present, data = dep_in
+        store.skip[:] = skip
+        for name in store.data:
+            store.present[name][:] = present[name]
+            store.data[name][:] = data[name]
+    run, phase = shared["scan"]
+    walked: List[List[Dict[str, Any]]] = [[] for _ in columns]
+    for s in range(*shared["steps"]):
+        at = sorted(
+            range(len(columns)), key=lambda i: (columns[i]["j"] - s - 1) % p
+        )
+        items = []
+        for i in at:
+            dep = lane_at(columns[i], "dep", s)
+            dep = dep[~store.skip[dep]]
+            items.append({
+                "m": (columns[i]["j"] - s - 1) % p,
+                "dep": dep,
+                "carried": {
+                    name: (store.present[name][dep], values[dep])
+                    for name, values in store.data.items()
+                } if store.data else None,
+                "plain": lane_at(columns[i], "plain", s),
+            })
+        results = pull_units(
+            ctx, {**shared, "scan": (run, phase, s), "is_last": s == p - 1},
+            items,
+        )
+        write_back(store, [item["dep"] for item in items], results)
+        for i, item, res in zip(at, items, results):
+            res["dep_vertices"] = int(item["dep"].size)
+            if dep_in is None:
+                del res["broke"], res["carried"]
+            walked[i].append(res)
+    return walked
+
+
+def pull_column(ctx: WorkerContext, shared, column) -> List[Dict[str, Any]]:
+    """One column's walk: :func:`pull_walk` of a chunk of one."""
+    return pull_walk(ctx, shared, [column])[0]
+
+
+pull_column.chunk = pull_walk
 
 
 def _push_scan(ctx: WorkerContext, push_signal, local, cand: np.ndarray):

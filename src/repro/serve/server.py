@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 import threading
 import time
@@ -273,6 +274,13 @@ class ServeApp:
             config = RunConfig.from_dict(fields)
         except (ReproError, TypeError, ValueError) as exc:
             raise _HttpReply(400, {"error": f"bad config: {exc}"}) from None
+        cpus = os.cpu_count() or 1
+        if config.workers is not None and config.workers > cpus:
+            # a query never makes the server fork past its cores
+            raise _HttpReply(400, {
+                "error": f"workers must be <= {cpus} (the server's CPU "
+                f"count), got {config.workers}"
+            })
         return QueryRequest(graph=graph, config=config)
 
     async def query(self, payload: Dict[str, Any],

@@ -68,6 +68,48 @@ class TestRunConfig:
         with pytest.raises(EngineError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"machines": 2.5},
+            {"machines": True},  # a bool is no count
+            {"machines": -1},
+            {"seed": 1.5},
+            {"seed": "7"},
+            {"seed": -1},
+            {"bfs_roots": 1.5},
+            {"bfs_roots": 0},
+            {"bfs_roots": -2},
+            {"kcore_k": 2.5},
+            {"kcore_k": 0},
+            {"kmeans_rounds": 0.5},
+            {"kmeans_rounds": -1},
+            {"workers": 1.5, "executor": "process"},
+            {"workers": -3},
+        ],
+    )
+    def test_counts_are_integers_in_range(self, kwargs):
+        """Refused when built, with the field named: never truncated,
+        and never an untyped error at run time."""
+        name = next(iter(kwargs))
+        with pytest.raises(EngineError, match=f"{name} must be an integer"):
+            RunConfig(**kwargs)
+
+    def test_counts_accept_numpy_integers_and_bounds(self):
+        import numpy as np
+
+        config = RunConfig(machines=np.int64(4), seed=0, bfs_roots=1,
+                           kcore_k=1, kmeans_rounds=1, workers=1)
+        assert config.machines == 4
+
+    @pytest.mark.parametrize("workers", [-3, 0, 1.5, True])
+    @pytest.mark.parametrize("kind", ["serial", "process"])
+    def test_executor_refuses_bad_worker_counts(self, kind, workers):
+        from repro.exec import make_executor
+
+        with pytest.raises(EngineError, match="workers must be an integer"):
+            make_executor(kind, workers)
+
     def test_faulted_requires_resumable_algorithm(self):
         with pytest.raises(UnsupportedAlgorithmError):
             RunConfig(algorithm="scc", faults=FaultPlan.dep_loss(0.1))
@@ -254,6 +296,22 @@ class TestSessionLifecycle:
         assert session._executors
         session.close()
         assert not session._executors
+
+    def test_one_process_pool_per_session(self, graph):
+        """A run naming another worker count replaces the pool."""
+        with Session(graph) as session:
+            first = session._executor(
+                RunConfig(machines=4, executor="process", workers=2)
+            )
+            digests = {
+                session.run(RunConfig(machines=4, bfs_roots=1,
+                                      executor="process",
+                                      workers=w)).digest()
+                for w in (1, 2, 1)
+            }
+            assert len(digests) == 1
+            assert list(session._executors) == [("process", 1)]
+            assert first._pool is None  # closed when it was replaced
 
     def test_finalizer_runs_on_garbage_collection(self, graph):
         import gc

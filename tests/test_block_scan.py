@@ -716,8 +716,9 @@ class TestCertification:
             with pytest.warns(RuntimeWarning, match="block scan disabled"):
                 warned = session.run(verify="warn")
             assert hits
-            # unit by unit from the mismatch on: tampered exactly once
-            assert len(hits) <= 2
+            # unit by unit from the mismatch on: tampered in one map
+            # only — a circulant phase (4 steps x 2 lanes) is one map
+            assert len(hits) <= 2 * 4
         assert warned.digest() == oracle.digest()
 
     def test_off_does_not_replay(self, monkeypatch, run_graph):

@@ -283,3 +283,20 @@ class TestPoolRestart:
         assert len(out) == 4
         assert (ex.spawns, ex._generation) == (1, 2)
         ex.close()
+
+    def test_attach_purge_spares_segments_in_use(self, monkeypatch, graph):
+        """A worker that has attached many segments drops the ones no
+        view reads any more, never the topology or state it is using:
+        unmapping those crashed the worker (and respawned the pool) as
+        soon as the cache passed its limit mid-generation."""
+        from repro.exec import shm
+
+        monkeypatch.setattr(shm, "_ATTACH_LIMIT", 8)  # forked workers see it
+        with ProcessPoolExecutor(1) as ex:
+            for algorithm in ("bfs", "kcore", "cc", "pagerank"):
+                for _ in range(2):
+                    config = RunConfig(machines=4, algorithm=algorithm,
+                                       kcore_k=3, bfs_roots=1, executor=ex)
+                    with Session(graph, config) as session:
+                        session.run()
+            assert ex.spawns == 1

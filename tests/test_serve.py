@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
+import os
 import threading
 import time
 
@@ -338,6 +340,26 @@ class TestHttp:
         assert payload["error"]
         assert _graph_facts(port) == before
 
+    def test_process_pool_stays_within_the_cores(self, mutable_server):
+        """Whatever worker counts the queries name, the served graph
+        holds one process pool, never wider than the server's cores,
+        and a count past them is refused before anything forks."""
+        port = mutable_server.port
+        cpus = os.cpu_count() or 1
+        query = {"graph": "demo", "algorithm": "bfs", "machines": 4,
+                 "executor": "process"}
+        before = len(multiprocessing.active_children())
+        for workers in range(1, cpus + 1):
+            status, _, _ = _post(port, {**query, "workers": workers})
+            assert status == 200
+        status, _, payload = _post(port, {**query, "workers": cpus + 1})
+        assert status == 400
+        assert "workers" in payload["error"]
+        assert len(multiprocessing.active_children()) - before <= cpus
+        status, _, _ = _post(port, {"graph": "demo", "algorithm": "bfs",
+                                    "machines": 4})
+        assert status == 200
+
     @pytest.mark.parametrize("content", [None, "0 1\n1 x\n",
                                          "# vertices 3\n0 1\n1 5\n"],
                              ids=["missing-file", "bad-token",
@@ -416,6 +438,15 @@ class TestHttp:
             {"config": {"algorithm": "bfs"}, "stray": 1},
             {"sources": [1.5]},
             {"sources": ["2"]},
+            {"machines": 2.5},
+            {"machines": True},
+            {"seed": 1.5},
+            {"seed": "7"},
+            {"bfs_roots": 1.5},
+            {"kcore_k": 2.5, "algorithm": "kcore"},
+            {"workers": 1.5, "executor": "process"},
+            {"kmeans_rounds": 0.5, "algorithm": "kmeans"},
+            {"workers": (os.cpu_count() or 1) + 1, "executor": "process"},
         ],
     )
     def test_bad_configs_400(self, server, body):
