@@ -14,6 +14,13 @@ re-running the whole algorithm:
   keeps its own.  The unsupported reset to their identity value and
   re-relax against the untouched boundary.
 
+CC's levels are themselves repaired, not recomputed: after the
+relaxation only the *dirty* vertices (unsupported, relabelled, added)
+and the inserted edges' destinations can hold a changed level, so
+:func:`_repair_levels` re-derives those and pushes each fall along
+same-label out-edges; the whole-graph :func:`_levels` sweep runs for
+the scratch refresh alone.
+
 Both algorithms are monotone min-folds with canonical fixpoints
 (shortest hop count; minimum reaching vertex id), so the repaired
 state is **bit-identical** to a from-scratch run on the equivalent
@@ -173,6 +180,53 @@ def _unsupported(
     return affected
 
 
+def _repair_levels(
+    graph: CSRGraph,
+    label: np.ndarray,
+    level: np.ndarray,
+    dirty: np.ndarray,
+    shortcut: np.ndarray,
+) -> np.ndarray:
+    """:func:`_levels` after a refresh, re-derived only where it moved.
+
+    ``level`` holds the previous levels (``0`` for added vertices);
+    ``dirty`` marks every vertex whose old level may no longer be
+    achieved (unsupported, relabelled or added) and ``shortcut`` lists
+    the inserted edges' destinations, the only places a level can fall
+    below a non-dirty vertex.  Dirty levels restart from scratch (0 at
+    a label's own vertex, else unknown), every seed takes one more than
+    its lowest same-label in-neighbour, and each fall is pushed along
+    same-label out-edges in ascending level order, so every vertex
+    settles once.  Every other level is still achieved and can only
+    fall, so the fixpoint is the BFS distance :func:`_levels` computes.
+    """
+    n = graph.num_vertices
+    level = level.copy()
+    level[dirty] = _INF
+    roots = label == np.arange(n)
+    level[dirty & roots] = 0
+    seeds = np.union1d(np.flatnonzero(dirty), shortcut)
+    seeds = seeds[~roots[seeds]]
+    lengths, u = flat_neighbors(graph.in_indptr, graph.in_indices, seeds)
+    owner = np.repeat(np.arange(seeds.size), lengths)
+    same = label[u] == label[seeds[owner]]
+    best = np.full(seeds.size, _INF, dtype=np.int64)
+    np.minimum.at(best, owner[same], level[u[same]] + 1)
+    level[seeds] = np.minimum(level[seeds], best)
+    pending = np.union1d(seeds, np.flatnonzero(dirty & roots))
+    pending = pending[level[pending] < _INF]
+    while pending.size:
+        at = level[pending]
+        d = at.min()
+        now, pending = np.unique(pending[at == d]), pending[at != d]
+        lengths, w = flat_neighbors(graph.out_indptr, graph.out_indices, now)
+        same = label[w] == np.repeat(label[now], lengths)
+        w = np.unique(w[same & (level[w] > d + 1)])
+        level[w] = d + 1
+        pending = np.concatenate([pending, w])
+    return level
+
+
 def _levels(graph: CSRGraph, label: np.ndarray) -> np.ndarray:
     """Hops from vertex ``label[v]`` to ``v`` inside its label class.
 
@@ -324,7 +378,10 @@ class IncrementalBFS(_IncrementalBase):
 class IncrementalCC(_IncrementalBase):
     """Incremental label propagation (min reaching vertex id), with
     each vertex's hop count from its label's own vertex kept beside
-    the label (:func:`_levels`) so a delete invalidates by support."""
+    the label so a delete invalidates by support.  The scratch refresh
+    sweeps the levels once (:func:`_levels`); every incremental refresh
+    repairs them where the batch can have moved them
+    (:func:`_repair_levels`), bit-identical to a fresh sweep."""
 
     algorithm = "cc"
 
@@ -345,11 +402,17 @@ class IncrementalCC(_IncrementalBase):
         affected = _unsupported(graph, label, level, del_dst)
         reset = np.flatnonzero(affected)
         label[reset] = reset  # back to identity, re-derive from boundary
-        affected[ins_dst] = True
+        first = affected.copy()
+        first[ins_dst] = True
         self._values, iterations = _relax(
-            engine, "label", label, cc_signal, _min_slot, first=affected,
+            engine, "label", label, cc_signal, _min_slot, first=first,
         )
-        self._level = _levels(graph, self._values)
+        # dirty: unsupported, relabelled, or added in this refresh
+        affected[:old.size] |= self._values[:old.size] != old
+        affected[old.size:] = True
+        self._level = _repair_levels(
+            graph, self._values, level, affected, ins_dst,
+        )
         return iterations
 
 

@@ -470,13 +470,17 @@ class Session:
 
     # -- execution --------------------------------------------------------
 
-    def run(self, config: Optional[RunConfig] = None,
-            **overrides: Any):
+    def run(self, config: Optional[RunConfig] = None, *,
+            deadline: Optional[float] = None, **overrides: Any):
         """Execute one run; returns a
         :class:`~repro.bench.harness.RunResult`.
 
         ``config`` defaults to the session's config; keyword overrides
-        are applied on top with :func:`dataclasses.replace`.
+        are applied on top with :func:`dataclasses.replace`.  A
+        ``deadline`` (a :func:`time.perf_counter` reading) stops the
+        run at the first phase or circulant step that starts after it,
+        with :class:`~repro.errors.DeadlineExceeded`; it is not part of
+        the config, so it never changes a digest.
         """
         # imported lazily so the bench package is an execution-time
         # dependency only, not an import-time one
@@ -485,6 +489,7 @@ class Session:
         config = self._resolve(config, overrides)
         self._preflight(config)
         with self.engine_context(config) as (engine, graph, _):
+            engine.deadline = deadline
             return _run_session_config(engine, graph, config)
 
     def run_many(self, configs: Iterable[RunConfig]) -> List[Any]:

@@ -31,7 +31,7 @@ from repro.analysis.instrument import AnalyzedSignal, instrument_signal
 from repro.engine.fastpath import BLOCK, KERNEL, PUSH, SLOT, FastPaths
 from repro.engine.state import StateStore
 from repro.exec import work
-from repro.errors import EngineError
+from repro.errors import DeadlineExceeded, EngineError
 from repro.kernels.slots import apply_slot
 from repro.obs.hooks import ObsHub
 from repro.partition.base import Partition
@@ -133,6 +133,9 @@ class BaseEngine:
         self._analyzed: Dict[int, AnalyzedSignal] = {}
         self._run_serial = next(_RUN_SERIAL)
         self._fault_controller = None
+        #: ``perf_counter()`` time past which a phase or step refuses
+        #: to start (:class:`~repro.errors.DeadlineExceeded`); None: never
+        self.deadline: Optional[float] = None
         self.executor = None
         self.attach_executor(executor)
         self.obs: Optional[ObsHub] = None
@@ -207,9 +210,14 @@ class BaseEngine:
         if controller is not None:
             controller.bind(self)
 
+    def _check_deadline(self, phase: int, step: int = 0) -> None:
+        if self.deadline is not None and perf_counter() > self.deadline:
+            raise DeadlineExceeded(phase, step)
+
     def _phase_begin(self, mode: str = "pull") -> int:
         """Phase index of the phase about to run; fires crash events."""
         phase = len(self.counters.iterations)
+        self._check_deadline(phase)
         if self._fault_controller is not None:
             self._fault_controller.check_crash(phase, 0)
         if self.obs is not None:

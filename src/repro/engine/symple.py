@@ -301,11 +301,13 @@ class SympleGraphEngine(BaseEngine):
         buffer = _UpdateBuffer()
         steps: List[StepRecord] = []
         for s in range(p):
-            if s > 0 and controller is not None:
-                # A mid-step crash severs the dependency circulation:
-                # recovery restarts the phase from the step-0 boundary
-                # with blanked bitmaps (Section 5.1).
-                controller.check_crash(phase, s)
+            if s > 0:
+                self._check_deadline(phase, s)
+                if controller is not None:
+                    # A mid-step crash severs the dependency circulation:
+                    # recovery restarts the phase from the step-0
+                    # boundary with blanked bitmaps (Section 5.1).
+                    controller.check_crash(phase, s)
             step = self._make_step(phase)
             if self.obs is not None:
                 self.obs.step_begin(s)

@@ -60,6 +60,19 @@ class EngineError(ReproError):
     """Distributed engine execution failed or was misconfigured."""
 
 
+class DeadlineExceeded(EngineError):
+    """A run passed the deadline its caller gave it (a served query
+    whose requests all timed out); raised at a phase or step boundary,
+    so no work unit is left in flight."""
+
+    def __init__(self, phase: int, step: int = 0) -> None:
+        super().__init__(
+            f"run passed its deadline at phase {phase}, step {step}"
+        )
+        self.phase = phase
+        self.step = step
+
+
 class ConvergenceError(EngineError):
     """An iterative algorithm exceeded its iteration budget."""
 

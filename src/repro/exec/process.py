@@ -69,13 +69,16 @@ from repro.exec.shm import DeltaArena, ShmArena, ship, unship
 
 __all__ = ["ProcessPoolExecutor"]
 
-_CLEANUP: "weakref.WeakSet[Any]" = weakref.WeakSet()
+_CLEANUP: "weakref.WeakSet[ProcessPoolExecutor]" = weakref.WeakSet()
 
 
 @atexit.register
 def _close_leaked() -> None:  # pragma: no cover - exit path
-    for arena in list(_CLEANUP):
-        arena.close()
+    # whole executors, never bare arenas: close() rebinds adopted
+    # fields to private copies before it unmaps their pages, so a
+    # finalizer that runs after this one reads live memory
+    for executor in list(_CLEANUP):
+        executor.close()
 
 
 # -- worker side -----------------------------------------------------------
@@ -187,8 +190,7 @@ class ProcessPoolExecutor(Executor):
                 ("arena_grow", {"arena": "delta", "bytes": int(cap)})
             )
         )
-        _CLEANUP.add(self._arena)
-        _CLEANUP.add(self._delta)
+        _CLEANUP.add(self)
         self._generation = 0
         self._manifest = None
         self._topo_keys: List[str] = []
@@ -291,8 +293,12 @@ class ProcessPoolExecutor(Executor):
             rec = _StateRecord()
             self._states[state] = rec
             # retire this store's segments when it is garbage-collected
-            # (rec.keys is mutated in place as fields come and go)
-            weakref.finalize(state, self._arena.retire_many, rec.keys)
+            # (rec.keys is mutated in place as fields come and go).  Not
+            # at exit: the store is alive then, and close() retires the
+            # segments after copying its fields out of them
+            weakref.finalize(
+                state, self._arena.retire_many, rec.keys
+            ).atexit = False
         arrays: Dict[str, tuple] = {}
         scalars: Dict[str, Any] = {}
         changed = False

@@ -67,6 +67,8 @@ class QueryRequest:
     id: int = field(default_factory=lambda: next(_ids))
     future: "Future[Dict[str, object]]" = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.perf_counter)
+    #: ``perf_counter()`` time the caller stops waiting; None: never
+    deadline: Optional[float] = None
     cancelled: bool = False
 
     def __post_init__(self) -> None:

@@ -6,7 +6,8 @@ Split of labor:
   admits requests into the :class:`~repro.serve.batching.Broker`
   (turning :class:`~repro.serve.batching.QueueFull` into 429 +
   Retry-After and a draining broker into 503), and awaits each
-  request's future under the per-request timeout;
+  request's future under the per-request timeout — a deadline that
+  travels with the request to its run, so a 504 also stops the run;
 * one **worker thread per graph** drains that graph's lane batch by
   batch: :func:`~repro.serve.batching.plan_batch` merges the batch
   into a single :class:`~repro.api.RunConfig`, the entry's cached
@@ -64,7 +65,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from dataclasses import asdict
 
 from repro.api import RunConfig
-from repro.errors import EngineError, ReproError, ServeError
+from repro.errors import (
+    DeadlineExceeded, EngineError, ReproError, ServeError,
+)
 from repro.graph.dynamic import MutationBatch
 from repro.serve.batching import (
     Broker,
@@ -80,6 +83,11 @@ __all__ = ["ServeApp", "ServerThread", "serve_forever"]
 
 #: request bodies beyond this get 413 instead of an allocation
 MAX_BODY_BYTES = 1 << 20
+
+#: the most simulated machines a query may name: twice the largest
+#: count any benchmark or test uses (run time and partition memory
+#: grow with it)
+MAX_MACHINES = 64
 
 #: RunConfig fields a query may set; live attachments are server-owned
 _CONFIG_FIELDS = frozenset(
@@ -198,9 +206,14 @@ class ServeApp:
         self.metrics.batch_begin(
             len(batch), [req.queue_wait for req in batch]
         )
+        # the run stops once its last waiter has gone
+        deadlines = [req.deadline for req in batch]
+        deadline = None if None in deadlines else max(deadlines)
         t0 = time.perf_counter()
         try:
-            result = entry.session.run(config.replace(obs=hub))
+            result = entry.session.run(
+                config.replace(obs=hub), deadline=deadline
+            )
         except Exception as exc:
             self.metrics.batch_end(time.perf_counter() - t0)
             for req in batch:
@@ -274,6 +287,11 @@ class ServeApp:
             config = RunConfig.from_dict(fields)
         except (ReproError, TypeError, ValueError) as exc:
             raise _HttpReply(400, {"error": f"bad config: {exc}"}) from None
+        if config.machines > MAX_MACHINES:
+            raise _HttpReply(400, {
+                "error": f"machines must be <= {MAX_MACHINES}, got "
+                f"{config.machines}"
+            })
         cpus = os.cpu_count() or 1
         if config.workers is not None and config.workers > cpus:
             # a query never makes the server fork past its cores
@@ -299,6 +317,8 @@ class ServeApp:
             if timeout is None
             else min(timeout, self.request_timeout)
         )
+        # the run stops when nobody waits for it, so the lane moves on
+        request.deadline = request.enqueued_at + timeout
         try:
             self.broker.submit(request)
         except QueueFull as exc:
@@ -318,7 +338,8 @@ class ServeApp:
             payload = await asyncio.wait_for(
                 asyncio.wrap_future(request.future), timeout
             )
-        except asyncio.TimeoutError:
+        except (asyncio.TimeoutError, DeadlineExceeded):
+            # the run may reach the shared deadline before this wait does
             request.cancelled = True
             self.metrics.request_done("timeout", timeout)
             raise _HttpReply(

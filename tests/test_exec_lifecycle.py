@@ -100,7 +100,42 @@ print("same" if (s.label == live).all() else "differs", s.label[:4].tolist())
 """
 
 
+# a session that is never closed: the interpreter's exit runs its
+# finalizer, the state stores' finalizers and the module's leak hook in
+# whatever order they were registered
+_UNCLOSED_SESSION = """
+import sys
+if sys.argv[2] == "early":
+    import repro.exec.process
+from repro import RunConfig, Session, rmat
+
+session = Session(
+    rmat(scale=10, edge_factor=8, seed=1),
+    RunConfig(algorithm=sys.argv[1], machines=4, executor="process",
+              workers=2),
+)
+session.run()
+print("ran")
+"""
+
+
 class TestSegmentLifecycle:
+    @pytest.mark.parametrize("imported", ["early", "late"])
+    @pytest.mark.parametrize("algorithm", ["kcore", "bfs", "pagerank"])
+    def test_unclosed_session_exits_cleanly(self, algorithm, imported):
+        """Exit used to segfault: a finalizer or the leak hook unmapped
+        adopted pages before the session's finalizer copied the store's
+        fields out of them."""
+        before = shm_entries()
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNCLOSED_SESSION, algorithm, imported],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ran"
+        assert shm_entries() - before == set()
+
     def test_no_orphans_after_session_close(self, graph):
         before = shm_entries()
         config = RunConfig(machines=4, executor="process", workers=2,

@@ -12,7 +12,11 @@ delete sets, and asserts
 * for CC that ``_levels`` equals a per-component reference BFS, and
   that the mask over ``(label, level)`` is sound: every vertex whose
   scratch label on the post-delete graph differs from its old one is
-  in it.
+  in it;
+* that ``IncrementalCC``'s repaired levels (``_repair_levels``) equal
+  ``_levels`` of the refreshed labels after every refresh of drawn
+  mutation streams that merge components and split them at bridges,
+  and that an incremental refresh never runs the whole-graph sweep.
 """
 
 import heapq
@@ -22,8 +26,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.incremental import _INF, _levels, _unsupported
+import repro.algorithms.incremental as incremental
+from repro.algorithms.incremental import (
+    _INF, IncrementalCC, _levels, _unsupported,
+)
+from repro.api import RunConfig, Session
 from repro.graph.csr import CSRGraph
+from repro.graph.dynamic import MutationBatch
 
 
 def bfs_affected_oracle(graph, depth, seeds, root):
@@ -199,3 +208,154 @@ class TestCcLevelsAndSoundness:
         assert level.tolist() == [0, 0, 1, 1]
         mask = _unsupported(new, label, level, np.array([2]))
         assert mask.tolist() == [False, False, True, False]
+
+
+@st.composite
+def cc_streams(draw):
+    """``(graph, batches, refresh_after)``: a small multigraph
+    (directed or symmetric, self-loops, parallel edges, isolated
+    vertices) and 1-4 mutation batches valid against it.  A batch is
+    random (inserts, deletes of live pairs, ``add_vertices``), a
+    *merge* (one edge from a lower-labelled class into a higher one,
+    which relabels what the higher one reaches) or a *split* (every
+    copy of a bridge goes, so a class loses part of itself); a refresh
+    follows each batch unless ``refresh_after`` says to wait for the
+    next one."""
+    symmetric = draw(st.booleans())
+    n = draw(st.integers(1, 10))
+    live = []  # the edge multiset, one entry per copy
+
+    def both_ways(edges):
+        if symmetric:
+            edges = edges + [(b, a) for a, b in edges if a != b]
+        return edges
+
+    def pairs(limit, max_size):
+        vertex = st.integers(0, limit - 1)
+        return draw(st.lists(st.tuples(vertex, vertex), max_size=max_size))
+
+    def labels():
+        return reference_labels(CSRGraph.from_edges(n, live))
+
+    def named(edges):
+        # one name per live pair (per undirected pair when symmetric)
+        return sorted({e for e in edges if not symmetric or e[0] <= e[1]})
+
+    live += both_ways(pairs(n, 3 * n))
+    graph = CSRGraph.from_edges(n, live)
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "merge", "split"]))
+        grow, ins, dels = 0, [], []
+        label = labels()
+        if kind == "merge":
+            joins = [(u, v) for u in range(n) for v in range(n)
+                     if label[u] < label[v]]
+            if joins:
+                ins = [draw(st.sampled_from(joins))]
+        elif kind == "split":
+            bridges = []
+            for edge in named(live):
+                doomed = set(both_ways([edge]))
+                rest = [e for e in live if e not in doomed]
+                if not np.array_equal(
+                    reference_labels(CSRGraph.from_edges(n, rest)), label
+                ):
+                    bridges.append(edge)
+            if bridges:
+                dels = [draw(st.sampled_from(bridges))]
+        else:
+            grow = draw(st.integers(0, 2))
+            n += grow
+            ins = pairs(n, 3)
+            if live:
+                dels = draw(st.lists(
+                    st.sampled_from(named(live)), max_size=2, unique=True
+                ))
+        ins, dels = both_ways(ins), both_ways(dels)
+        live = [e for e in live if e not in set(dels)] + ins
+        batches.append(MutationBatch(
+            insert_src=[a for a, _ in ins], insert_dst=[b for _, b in ins],
+            delete_src=[a for a, _ in dels], delete_dst=[b for _, b in dels],
+            add_vertices=grow,
+        ))
+    refresh_after = draw(
+        st.lists(st.booleans(), min_size=len(batches), max_size=len(batches))
+    )
+    return graph, batches, refresh_after
+
+
+class TestCcLevelRepair:
+    @given(cc_streams(), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_repaired_levels_are_the_sweeps(self, stream, machines):
+        graph, batches, refresh_after = stream
+        config = RunConfig(machines=machines, executor="serial")
+        with Session(graph, config) as session:
+            cc = IncrementalCC(session)
+            cc.refresh()
+            for i, batch in enumerate(batches):
+                session.mutate(batch)
+                if not refresh_after[i] and i + 1 < len(batches):
+                    continue
+                got = cc.refresh()
+                assert got.mode == "incremental"
+                snapshot, _ = session._graph_snapshot()
+                assert got.values.tolist() == \
+                    reference_labels(snapshot).tolist()
+                assert cc._level.tolist() == \
+                    _levels(snapshot, got.values).tolist()
+
+    def test_a_merge_relabels_the_higher_class_as_a_whole(self):
+        # paths 0-1-2 and 3-4-5, symmetric; 2 -> 3 both ways makes 0
+        # the label of all six, and 3, 4, 5 sit 3, 4, 5 hops from it
+        path = [(0, 1), (1, 2), (3, 4), (4, 5)]
+        graph = CSRGraph.from_edges(6, path + [(b, a) for a, b in path])
+        with Session(graph, RunConfig(machines=2)) as session:
+            cc = IncrementalCC(session)
+            assert cc.refresh().values.tolist() == [0, 0, 0, 3, 3, 3]
+            assert cc._level.tolist() == [0, 1, 2, 0, 1, 2]
+            session.mutate(MutationBatch.inserts([(2, 3), (3, 2)]))
+            assert cc.refresh().values.tolist() == [0] * 6
+            assert cc._level.tolist() == [0, 1, 2, 3, 4, 5]
+
+    def test_a_shortcut_lowers_levels_downstream(self):
+        # directed path 0 -> 1 -> 2 -> 3 -> 4; 0 -> 3 changes no label
+        # but brings 3 and 4 two hops nearer
+        path = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        with Session(CSRGraph.from_edges(5, path),
+                     RunConfig(machines=2)) as session:
+            cc = IncrementalCC(session)
+            cc.refresh()
+            assert cc._level.tolist() == [0, 1, 2, 3, 4]
+            session.mutate(MutationBatch.inserts([(0, 3)]))
+            assert cc.refresh().values.tolist() == [0] * 5
+            assert cc._level.tolist() == [0, 1, 2, 1, 2]
+
+    def test_incremental_refreshes_never_sweep(self, monkeypatch):
+        """The whole-graph ``_levels`` runs for the scratch refresh
+        only; an incremental refresh repairs the levels it can have
+        changed."""
+        calls = []
+        sweep = incremental._levels
+
+        def counted(graph, label):
+            calls.append(graph.num_vertices)
+            return sweep(graph, label)
+
+        monkeypatch.setattr(incremental, "_levels", counted)
+        ring = [(v, (v + 1) % 8) for v in range(8)]
+        graph = CSRGraph.from_edges(8, ring + [(b, a) for a, b in ring])
+        with Session(graph, RunConfig(machines=2)) as session:
+            cc = IncrementalCC(session)
+            assert cc.refresh().mode == "scratch"
+            assert len(calls) == 1
+            for batch in (
+                MutationBatch.deletes([(2, 3), (3, 2)]),
+                MutationBatch.inserts([(0, 4), (4, 0)]),
+                MutationBatch(insert_src=[5, 8], insert_dst=[8, 5],
+                              add_vertices=1),
+            ):
+                session.mutate(batch)
+                assert cc.refresh().mode == "incremental"
+        assert len(calls) == 1

@@ -385,6 +385,33 @@ class TestHttp:
         )
         assert status == 200
 
+    def test_a_missed_deadline_frees_the_lane(self, mutable_server):
+        """The run behind a 504 stops at its deadline: the next query on
+        the same graph does not wait for it."""
+        port = mutable_server.port
+        status, _, payload = _post(port, {
+            "graph": "demo", "timeout": 1,
+            "config": {"algorithm": "kmeans", "kmeans_rounds": 100000,
+                       "machines": 4},
+        })
+        assert status == 504
+        assert "deadline" in payload["error"]
+        sent = time.perf_counter()
+        status, _, _ = _post(port, {
+            "graph": "demo", "timeout": 5,
+            "config": {"algorithm": "bfs", "machines": 4, "sources": [3]},
+        })
+        assert status == 200
+        assert time.perf_counter() - sent < 1.0
+
+    def test_machines_past_the_bound_400(self, server):
+        status, _, payload = _post(
+            server.port, {"graph": "demo", "algorithm": "bfs",
+                          "machines": 65},
+        )
+        assert status == 400
+        assert "machines must be <= 64" in payload["error"]
+
     def test_healthz(self, server):
         status, body = _get(server.port, "/healthz")
         payload = json.loads(body)
