@@ -8,17 +8,18 @@ one algorithm:
 * ``signals`` — the signal UDF(s) a run would execute, for the
   ``repro verify`` corpus and the Session pre-flight gate;
 * ``sourced`` — whether ``RunConfig.sources`` selects explicit roots
-  (the hook the serving layer's batch coalescer keys on);
+  (a served query names its source this way);
 * ``modes`` — which execution modes the algorithm supports
   (``"sync"`` and/or ``"async"``);
 * ``extras`` — the :class:`~repro.api.RunConfig` knobs the runner
   reads, for documentation and introspection.
 
-``RunConfig.__post_init__`` validation, the CLI ``--algorithm``
-choices, ``repro.algorithms.SIGNAL_UDFS``, and the serve batch planner
-all derive from this table; registering a spec here is the single step
-that makes an algorithm a first-class ``Session.run`` citizen.  Fault
-plans and checkpointing need no declaration: every runner drives
+``RunConfig``'s field table (the ``algorithm`` choices, the ``sources``
+and ``mode`` rules), the CLI ``--algorithm`` choices and
+``repro.algorithms.SIGNAL_UDFS`` all derive from this table;
+registering a spec here is the single step that makes an algorithm a
+first-class ``Session.run`` citizen.  Fault plans and checkpointing
+need no declaration: every runner drives
 :class:`~repro.fault.program.VertexProgram` instances (``scc`` excepted
 — its private transpose engine is out of a plan's reach, and
 ``RunConfig`` says so).
@@ -205,8 +206,8 @@ def run_sources(graph, config, default_count: int) -> np.ndarray:
     """The roots/sources one run traverses from.
 
     Explicit ``config.sources`` (validated against the graph) when the
-    caller — typically the serving layer's batching coalescer — pinned
-    them; otherwise the seeded multi-root protocol.
+    caller — typically a served query — pinned them; otherwise the
+    seeded multi-root protocol.
     """
     if config.sources is None:
         return _seeded_roots(graph, default_count, config.seed)
@@ -253,8 +254,7 @@ def _async_stats(extra: Dict[str, float], results) -> None:
 def _sourced_extras(extra, config, roots, results) -> None:
     extra["avg_reached"] = sum(r.reached for r in results) / len(roots)
     if config.sources is not None:
-        # explicit sources get per-source answers in the result so
-        # a coalesced serving batch can answer every request
+        # explicit sources get per-source answers in the result
         for root, result in zip(roots, results):
             extra[f"reached[{root}]"] = float(result.reached)
 

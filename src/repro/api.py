@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import threading
 import warnings
 import weakref
@@ -39,6 +40,8 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.algorithms.registry import (
     MODES,
+    algorithm_names,
+    async_algorithms,
     get_spec,
     sourced_algorithms,
 )
@@ -49,6 +52,7 @@ from repro.engine import (
     make_engine,
     partition_strategy,
 )
+from repro.engine.symple import OPTION_FIELDS
 from repro.errors import (
     EngineError,
     PartitionError,
@@ -57,20 +61,15 @@ from repro.errors import (
 )
 from repro.exec import EXECUTOR_KINDS, Executor, make_executor
 from repro.fault import FaultPlan
-from repro.graph.csr import CSRGraph, is_integer
+from repro.fields import Field, Rule, check_fields
+from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, MutationBatch, MutationStats
 from repro.obs.hooks import ObsHub
 from repro.partition import Partition
 from repro.partition.delta import refresh_partition
 from repro.runtime.cost_model import CostModel
 
-__all__ = ["Checkpointing", "RunConfig", "Session"]
-
-_VERIFY_MODES = ("off", "warn", "strict")
-#: algorithms that accept an explicit ``sources`` tuple — the
-#: multi-source batch entry the serving layer coalesces requests into
-#: (registry-derived; kept as a module constant for importers)
-SOURCED_ALGORITHMS = sourced_algorithms()
+__all__ = ["Checkpointing", "FIELDS", "RunConfig", "Session"]
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,70 @@ class Checkpointing:
     retention: int = 2
 
     def __post_init__(self) -> None:
-        if self.interval < 0:
-            raise EngineError(
-                f"checkpoint interval must be >= 0, got {self.interval}"
-            )
-        if self.retention < 1:
-            raise EngineError(
-                f"checkpoint retention must be >= 1, got {self.retention}"
-            )
+        check_fields(self, FIELDS["checkpointing"].fields, "checkpointing.")
+
+
+#: The config field table: one row per :class:`RunConfig` field, in
+#: field order; a nested block's row carries that block's rows.
+FIELDS: Dict[str, Field] = {
+    "engine": Field(choices=ENGINE_KINDS),
+    "algorithm": Field(choices=algorithm_names),
+    # twice the largest count any benchmark or test uses: run time and
+    # partition memory grow with it
+    "machines": Field(int, low=1, served_max=64),
+    "seed": Field(int, low=0),
+    "options": Field(SympleOptions, optional=True, fields=OPTION_FIELDS,
+                     rules=(Rule(
+                         lambda c: c.options is None or c.engine == "symple",
+                         lambda c: "options= is a SympleGraph knob; the "
+                         f"{c.engine!r} engine does not accept it"),)),
+    "faults": Field(FaultPlan, optional=True, rules=(Rule(
+        lambda c: not (c.faulted and c.algorithm == "scc"),
+        lambda c: "scc runs its backward sweeps on a private transpose "
+        "engine a fault plan or checkpoint store cannot reach; drop "
+        "faults/checkpointing", UnsupportedAlgorithmError),)),
+    "checkpointing": Field(Checkpointing, fields={
+        "interval": Field(int, low=0), "retention": Field(int, low=1),
+    }),
+    "obs": Field(live=True),
+    "executor": Field(Executor, choices=EXECUTOR_KINDS),
+    # a query never makes the server fork past its cores
+    "workers": Field(int, low=1, optional=True,
+                     served_max=os.cpu_count() or 1),
+    "cost_model": Field(live=True),
+    "verify": Field(choices=("off", "warn", "strict")),
+    "bfs_roots": Field(int, low=1),
+    "kcore_k": Field(int, low=1),
+    "kmeans_rounds": Field(int, low=1),
+    "sources": Field(tuple, optional=True, rules=(Rule(
+        lambda c: c.sources is None or get_spec(c.algorithm).sourced,
+        lambda c: f"sources= selects roots for {sourced_algorithms()}; "
+        f"the {c.algorithm!r} algorithm does not take them"),)),
+    "mode": Field(choices=MODES, rules=(
+        Rule(lambda c: c.mode != "async" or c.engine in ASYNC_ENGINES,
+             lambda c: "mode='async' needs per-bucket activation, which the "
+             f"{c.engine!r} engine lacks; use one of {ASYNC_ENGINES}"),
+        Rule(lambda c: c.mode != "async"
+             or get_spec(c.algorithm).supports_mode("async"),
+             lambda c: f"algorithm {c.algorithm!r} has no async driver; "
+             f"mode='async' supports {async_algorithms()}"),
+    )),
+    "async_bucket_width": Field(float, low=0, optional=True, rules=(Rule(
+        lambda c: c.async_bucket_width is None or c.mode == "async",
+        lambda c: "async_bucket_width only applies to mode='async' runs, "
+        f"but mode is {c.mode!r}"),)),
+}
+
+
+def _plain(value: Any) -> Any:
+    """One field value in its JSON form."""
+    if isinstance(value, Executor):
+        return value.kind
+    if isinstance(value, FaultPlan):
+        return value.to_dict()
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -104,7 +159,8 @@ class RunConfig:
     (:func:`dataclasses.replace`), and round-tripped through
     :meth:`to_dict`/:meth:`from_dict` (minus the two live objects,
     ``obs`` and ``cost_model``, which are attachments rather than
-    configuration).
+    configuration).  Every field is checked against its :data:`FIELDS`
+    row when the config is built.
     """
 
     engine: str = "symple"
@@ -127,105 +183,7 @@ class RunConfig:
     async_bucket_width: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_KINDS:
-            raise EngineError(
-                f"unknown engine {self.engine!r}; "
-                f"expected one of {ENGINE_KINDS}"
-            )
-        spec = get_spec(self.algorithm)
-        if not spec.runnable:
-            raise EngineError(
-                f"algorithm {self.algorithm!r} is signal-only; it has "
-                "no Session.run driver"
-            )
-        if self.mode not in MODES:
-            raise EngineError(
-                f"unknown mode {self.mode!r}; expected one of {MODES}"
-            )
-        if self.mode == "async":
-            if self.engine not in ASYNC_ENGINES:
-                raise EngineError(
-                    f"mode='async' needs per-bucket activation, which "
-                    f"the {self.engine!r} engine does not support; "
-                    f"use one of {ASYNC_ENGINES}"
-                )
-            if not spec.supports_mode("async"):
-                from repro.algorithms.registry import async_algorithms
-
-                raise EngineError(
-                    f"algorithm {self.algorithm!r} has no async driver; "
-                    f"mode='async' supports {async_algorithms()}"
-                )
-        if self.async_bucket_width is not None:
-            if self.mode != "async":
-                raise EngineError(
-                    "async_bucket_width only applies to mode='async' "
-                    f"runs, but mode is {self.mode!r}"
-                )
-            if not self.async_bucket_width > 0:
-                raise EngineError(
-                    f"async_bucket_width must be > 0, "
-                    f"got {self.async_bucket_width}"
-                )
-        counts = {"machines": 1, "seed": 0, "bfs_roots": 1, "kcore_k": 1,
-                  "kmeans_rounds": 1}
-        if self.workers is not None:
-            counts["workers"] = 1
-        for name, low in counts.items():
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise EngineError(
-                    f"{name} must be an integer >= {low}, got {value!r}"
-                )
-        if self.options is not None and self.engine != "symple":
-            raise EngineError(
-                "options= is a SympleGraph knob; the "
-                f"{self.engine!r} engine does not accept it"
-            )
-        if not isinstance(self.executor, Executor) and (
-            self.executor not in EXECUTOR_KINDS
-        ):
-            raise EngineError(
-                f"unknown executor {self.executor!r}; expected one of "
-                f"{EXECUTOR_KINDS} or an Executor instance"
-            )
-        if self.verify not in _VERIFY_MODES:
-            raise EngineError(
-                f"unknown verify mode {self.verify!r}; "
-                f"expected one of {_VERIFY_MODES}"
-            )
-        if self.sources is not None:
-            if not spec.sourced:
-                raise EngineError(
-                    f"sources= selects explicit roots for "
-                    f"{SOURCED_ALGORITHMS}; the {self.algorithm!r} "
-                    "algorithm does not take them"
-                )
-            try:
-                normalized = tuple(self.sources)
-            except TypeError:
-                normalized = (None,)  # not a sequence: refused below
-            if not all(map(is_integer, normalized)):
-                raise EngineError(
-                    f"sources must be a sequence of integer vertex ids, "
-                    f"got {self.sources!r}"
-                )
-            normalized = tuple(map(int, normalized))
-            if not normalized:
-                raise EngineError("sources must name at least one vertex")
-            if any(s < 0 for s in normalized):
-                raise EngineError(
-                    f"sources must be non-negative vertex ids, "
-                    f"got {normalized}"
-                )
-            object.__setattr__(self, "sources", normalized)
-        if self.faulted and self.algorithm == "scc":
-            raise UnsupportedAlgorithmError(
-                "scc runs its backward sweeps on a private transpose "
-                "engine that a fault plan or checkpoint store attached "
-                "to the session engine cannot reach; drop "
-                "faults/checkpointing"
-            )
+        check_fields(self, FIELDS)
 
     @property
     def faulted(self) -> bool:
@@ -244,43 +202,17 @@ class RunConfig:
         ``obs`` and ``cost_model`` are live attachments and are not
         serialized; an executor instance serializes as its kind.
         """
-        executor = self.executor
-        if isinstance(executor, Executor):
-            executor = executor.kind
         return {
-            "engine": self.engine,
-            "algorithm": self.algorithm,
-            "machines": self.machines,
-            "seed": self.seed,
-            "options": (
-                None
-                if self.options is None
-                else dataclasses.asdict(self.options)
-            ),
-            "faults": (
-                None if self.faults is None else self.faults.to_dict()
-            ),
-            "checkpointing": {
-                "interval": self.checkpointing.interval,
-                "retention": self.checkpointing.retention,
-            },
-            "executor": executor,
-            "workers": self.workers,
-            "verify": self.verify,
-            "bfs_roots": self.bfs_roots,
-            "kcore_k": self.kcore_k,
-            "kmeans_rounds": self.kmeans_rounds,
-            "sources": None if self.sources is None else list(self.sources),
-            "mode": self.mode,
-            "async_bucket_width": self.async_bucket_width,
+            f.name: _plain(getattr(self, f.name))
+            for f in dataclasses.fields(self)
+            if not FIELDS[f.name].live
         }
 
     def digest(self) -> str:
         """Canonical sha256 over the configuration fields.
 
         Two configs digest identically iff :meth:`to_dict` agrees —
-        the key the serving layer dedups identical requests by and
-        groups batchable requests under (after stripping ``sources``).
+        the key the serving layer dedups identical requests by.
         """
         payload = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
@@ -289,16 +221,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunConfig":
+        """Inverse of :meth:`to_dict`: a nested block given as a dict
+        is built by its row's type (a fault plan by its own parser)."""
         payload = dict(payload)
-        options = payload.get("options")
-        if options is not None:
-            payload["options"] = SympleOptions(**options)
-        faults = payload.get("faults")
-        if faults is not None:
-            payload["faults"] = FaultPlan.from_dict(faults)
-        ckpt = payload.get("checkpointing")
-        if ckpt is not None:
-            payload["checkpointing"] = Checkpointing(**ckpt)
+        for name, value in payload.items():
+            block = FIELDS[name].type if name in FIELDS else None
+            if isinstance(value, dict) and dataclasses.is_dataclass(block):
+                parse = getattr(block, "from_dict", None)
+                payload[name] = parse(value) if parse else block(**value)
         return cls(**payload)
 
 

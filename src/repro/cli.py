@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.analysis import explain_signal
-from repro.api import Checkpointing, RunConfig, Session
-from repro.bench import ALGORITHMS, DATASETS, dataset, speedup
+from repro.api import FIELDS, Checkpointing, RunConfig, Session
+from repro.bench import DATASETS, dataset, speedup
 from repro.bench.tables import format_table
 from repro.engine import SympleOptions
 
@@ -67,22 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment")
     _add_run_args(run)
-    run.add_argument(
-        "--engine",
-        default="symple",
-        choices=("gemini", "symple", "dgalois", "single"),
-    )
+    _flag(run, "--engine", "engine")
     run.add_argument(
         "--faults",
         default=None,
         metavar="PLAN.json",
         help="inject faults from a FaultPlan JSON file (bfs/kcore/mis)",
     )
-    run.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=0,
-        metavar="N",
+    _flag(
+        run, "--checkpoint-interval", "checkpointing.interval",
+        dest="checkpoint_interval", metavar="N",
         help="checkpoint every N supersteps (0 disables, the default)",
     )
     run.add_argument(
@@ -114,11 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="run one experiment and export its metrics"
     )
     _add_run_args(metrics)
-    metrics.add_argument(
-        "--engine",
-        default="symple",
-        choices=("gemini", "symple", "dgalois", "single"),
-    )
+    _flag(metrics, "--engine", "engine")
     metrics.add_argument(
         "--format",
         default="json",
@@ -209,11 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="sweep machine counts for one engine/algorithm"
     )
-    sweep.add_argument("--engine", default="symple",
-                       choices=("gemini", "symple", "dgalois"))
+    _flag(sweep, "--engine", "engine")
     sweep.add_argument("--dataset", default="s27", choices=sorted(DATASETS))
-    sweep.add_argument("--algorithm", default="mis", choices=ALGORITHMS)
-    sweep.add_argument("--seed", type=int, default=0)
+    _flag(sweep, "--algorithm", "algorithm", default="mis")
+    _flag(sweep, "--seed", "seed")
     sweep.add_argument(
         "--machines", type=int, nargs="+", default=[1, 2, 4, 8, 16]
     )
@@ -245,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-batch", type=int, default=64,
-        help="most requests one engine run may coalesce (default: 64)",
+        help="most identical requests one engine run may answer "
+        "(default: 64)",
     )
     serve.add_argument(
         "--timeout", type=float, default=30.0, metavar="SECONDS",
@@ -265,21 +255,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag(cmd: argparse.ArgumentParser, flag: str, name: str,
+          **extra: Any) -> None:
+    """Add ``flag`` for the config field ``name`` (``"options.schedule"``
+    names a nested one), stored under the field's name: its type,
+    choices and default come from the field table row and the dataclass
+    holding the field."""
+    block, _, attr = name.rpartition(".")
+    owner = FIELDS[block].type if block else RunConfig
+    row = (FIELDS[block].fields if block else FIELDS)[attr]
+    if row.choices:
+        extra.setdefault("choices", row.options())
+    else:
+        extra.setdefault("type", row.type)
+    extra.setdefault("default", owner.__dataclass_fields__[attr].default)
+    extra.setdefault("dest", attr)
+    cmd.add_argument(flag, **extra)
+
+
 def _add_run_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--dataset", default="s27", choices=sorted(DATASETS))
-    cmd.add_argument("--algorithm", default="bfs", choices=ALGORITHMS)
-    cmd.add_argument("--machines", type=int, default=16)
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--kcore-k", type=int, default=8)
-    cmd.add_argument("--bfs-roots", type=int, default=3)
-    cmd.add_argument(
-        "--mode", default="sync", choices=("sync", "async"),
+    _flag(cmd, "--algorithm", "algorithm")
+    _flag(cmd, "--machines", "machines")
+    _flag(cmd, "--seed", "seed")
+    _flag(cmd, "--kcore-k", "kcore_k")
+    _flag(cmd, "--bfs-roots", "bfs_roots")
+    _flag(
+        cmd, "--mode", "mode",
         help="execution mode: BSP supersteps (sync) or the "
         "priority-bucket scheduler (async; bfs/cc/pagerank/sssp on "
         "the symple/gemini/single engines)",
     )
-    cmd.add_argument(
-        "--bucket-width", type=float, default=None, metavar="W",
+    _flag(
+        cmd, "--bucket-width", "async_bucket_width", metavar="W",
         help="async bucket width (priority range per bucket; "
         "default: a per-algorithm heuristic)",
     )
@@ -291,17 +299,14 @@ def _add_run_args(cmd: argparse.ArgumentParser) -> None:
         "--no-differentiated", action="store_true",
         help="disable differentiated dependency propagation",
     )
-    cmd.add_argument(
-        "--schedule", default="circulant", choices=("circulant", "naive")
-    )
-    cmd.add_argument(
-        "--executor", default="serial",
-        choices=("serial", "process"),
+    _flag(cmd, "--schedule", "options.schedule")
+    _flag(
+        cmd, "--executor", "executor",
         help="backend the per-machine work units run on (results are "
         "bit-identical across backends; default: serial)",
     )
-    cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+    _flag(
+        cmd, "--workers", "workers", metavar="N",
         help="worker count for the process executor "
         "(default: cpu count)",
     )
@@ -316,28 +321,23 @@ def _options(args) -> SympleOptions:
 
 
 def _run_config(engine: str, args, obs=None) -> RunConfig:
-    fault_plan = None
+    # the config flags store under their field's name; --faults is a path
+    fields = {
+        name: value for name, value in vars(args).items()
+        if name in FIELDS and name not in ("engine", "faults")
+    }
     if getattr(args, "faults", None):
         from repro.fault import FaultPlan
 
-        fault_plan = FaultPlan.load(args.faults)
+        fields["faults"] = FaultPlan.load(args.faults)
     return RunConfig(
         engine=engine,
-        algorithm=args.algorithm,
-        machines=args.machines,
-        seed=args.seed,
         options=_options(args) if engine == "symple" else None,
-        faults=fault_plan,
         checkpointing=Checkpointing(
             interval=getattr(args, "checkpoint_interval", 0)
         ),
         obs=obs,
-        executor=getattr(args, "executor", "serial"),
-        workers=getattr(args, "workers", None),
-        bfs_roots=args.bfs_roots,
-        kcore_k=args.kcore_k,
-        mode=getattr(args, "mode", "sync"),
-        async_bucket_width=getattr(args, "bucket_width", None),
+        **fields,
     )
 
 

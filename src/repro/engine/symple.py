@@ -46,6 +46,7 @@ from repro.engine.dep import DepStore
 from repro.engine.state import StateStore
 from repro.errors import EngineError
 from repro.exec import work
+from repro.fields import Field, check_fields
 from repro.partition.base import Partition
 from repro.runtime.bitmap import Bitmap
 from repro.runtime.cost_model import SYMPLE_COST, CostModel
@@ -59,6 +60,16 @@ __all__ = ["SympleGraphEngine", "SympleOptions", "circulant_partition",
 # smaller graphs the same sweep (benchmarks/bench_ablation_threshold)
 # selects a proportionally smaller value.
 DEFAULT_DEGREE_THRESHOLD = 4
+
+#: the config field table's rows for ``RunConfig.options``
+#: (``repro.api.FIELDS["options"].fields``)
+OPTION_FIELDS = {
+    "degree_threshold": Field(int, low=0),
+    "differentiated": Field(bool),
+    "double_buffering": Field(bool),
+    "schedule": Field(choices=("circulant", "naive")),
+    "use_kernels": Field(bool),
+}
 
 
 @dataclass
@@ -87,10 +98,7 @@ class SympleOptions:
     use_kernels: bool = True
 
     def __post_init__(self) -> None:
-        if self.schedule not in ("circulant", "naive"):
-            raise EngineError(f"unknown schedule {self.schedule!r}")
-        if self.degree_threshold < 0:
-            raise EngineError("degree_threshold must be non-negative")
+        check_fields(self, OPTION_FIELDS, "options.")
 
 
 def circulant_partition(machine: int, step: int, num_machines: int) -> int:

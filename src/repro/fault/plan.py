@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultPlanError
+from repro.fields import Field, check
 from repro.runtime.counters import COMM_TAGS
 
 __all__ = ["CrashFault", "StragglerFault", "MessageFault", "FaultPlan"]
@@ -210,58 +211,33 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "FaultPlan":
+        """Inverse of :meth:`to_dict`.  Values are checked by their
+        event rows, never coerced, and an unknown key is refused: a
+        misspelt one would otherwise yield a different plan."""
         if not isinstance(payload, dict):
             raise FaultPlanError("fault plan must be a JSON object")
-        crashes: List[CrashFault] = []
-        stragglers: List[StragglerFault] = []
-        messages: List[MessageFault] = []
+        _refuse_unknown(payload, ("seed", "events"), "fault plan")
+        events: Dict[str, List] = {kind: [] for kind in _EVENTS}
         for event in payload.get("events", ()):
-            kind = event.get("kind")
+            event = dict(event) if isinstance(event, dict) else {}
+            kind = event.pop("kind", None)
+            if kind not in _EVENTS:
+                raise FaultPlanError(f"unknown fault event kind {kind!r}")
+            event_cls, rows = _EVENTS[kind]
+            _refuse_unknown(event, rows, f"{kind} event")
+            args = {
+                _ATTRS.get(key, key): _checked(f"{kind} {key}", rows[key], v)
+                for key, v in event.items()
+            }
             try:
-                if kind == "crash":
-                    crashes.append(
-                        CrashFault(
-                            machine=int(event["machine"]),
-                            iteration=int(event["iteration"]),
-                            step=(
-                                int(event["step"])
-                                if "step" in event else None
-                            ),
-                        )
-                    )
-                elif kind == "straggler":
-                    stragglers.append(
-                        StragglerFault(
-                            machine=int(event["machine"]),
-                            factor=float(event["factor"]),
-                            start=int(event.get("start", 0)),
-                            end=(
-                                int(event["end"]) if "end" in event else None
-                            ),
-                        )
-                    )
-                elif kind == "message":
-                    messages.append(
-                        MessageFault(
-                            kind=str(event["fault"]),
-                            rate=float(event["rate"]),
-                            tag=event.get("tag"),
-                            delay=float(event.get("delay", 50.0)),
-                        )
-                    )
-                else:
-                    raise FaultPlanError(
-                        f"unknown fault event kind {kind!r}"
-                    )
-            except KeyError as exc:
-                raise FaultPlanError(
-                    f"fault event {event!r} is missing field {exc}"
-                ) from None
+                events[kind].append(event_cls(**args))
+            except TypeError as exc:  # a required field is missing
+                raise FaultPlanError(f"{kind} event: {exc}") from None
         return cls(
-            seed=int(payload.get("seed", 0)),
-            crashes=tuple(crashes),
-            stragglers=tuple(stragglers),
-            messages=tuple(messages),
+            seed=_checked("plan seed", Field(int), payload.get("seed", 0)),
+            crashes=tuple(events["crash"]),
+            stragglers=tuple(events["straggler"]),
+            messages=tuple(events["message"]),
         )
 
     def to_json(self) -> str:
@@ -283,3 +259,36 @@ class FaultPlan:
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json() + "\n")
+
+
+#: each event kind's class and its keys' rows (types only: the ranges
+#: are the event classes' own ``validate``)
+_EVENTS = {
+    "crash": (CrashFault, {
+        "machine": Field(int), "iteration": Field(int),
+        "step": Field(int, optional=True),
+    }),
+    "straggler": (StragglerFault, {
+        "machine": Field(int), "factor": Field(float),
+        "start": Field(int), "end": Field(int, optional=True),
+    }),
+    "message": (MessageFault, {
+        "fault": Field(str), "rate": Field(float),
+        "tag": Field(str, optional=True), "delay": Field(float),
+    }),
+}
+#: event keys spelt differently from their attribute
+_ATTRS = {"fault": "kind"}
+
+
+def _checked(name: str, row: Field, value) -> object:
+    value = check(name, row, value, FaultPlanError)
+    return float(value) if row.type is float else value
+
+
+def _refuse_unknown(payload: Dict, keys, what: str) -> None:
+    unknown = sorted(set(payload) - set(keys))
+    if unknown:
+        raise FaultPlanError(
+            f"{what} has unknown fields {unknown}; expected {sorted(keys)}"
+        )

@@ -10,9 +10,8 @@ partitioned graphs.  Four pieces compose it:
   the partition and the executor (including the process executor's
   shared-memory CSR topology);
 * :class:`~repro.serve.batching.Broker` — the bounded request queue
-  with the batching coalescer: queued same-graph/same-config BFS/SSSP
-  queries merge into one multi-source batched run, and identical
-  requests dedup by :meth:`~repro.api.RunConfig.digest`;
+  with the dedup batcher: identical queued requests (same
+  :meth:`~repro.api.RunConfig.digest`) ride one run;
 * :class:`~repro.serve.metrics.ServeMetrics` — ObsHub-backed service
   metrics (request counts, queue depth, batch sizes, latency
   histograms) exported on ``/metrics`` in Prometheus text format;

@@ -1,22 +1,17 @@
-"""Request queue with a batching coalescer and admission control.
+"""Request queue with a dedup batcher and admission control.
 
 The :class:`Broker` is the heart of the serving layer: a bounded,
 thread-safe queue of :class:`QueryRequest` objects, one logical lane
 per graph.  A worker draining a lane does not take one request — it
-takes a *batch*:
-
-* the head of the lane, plus
-* every queued request with the same **batch key** (the request's
-  :class:`~repro.api.RunConfig` digest with ``sources`` stripped) —
-  these are same-graph/same-config BFS/SSSP queries that merge into
-  one multi-source batched run, and
-* every queued request with the same **dedup key** (the full config
-  digest) — identical requests that ride the same execution for free.
-
-Merged sources keep arrival order and drop duplicates, so the executed
-config is itself an ordinary :class:`~repro.api.RunConfig` — replaying
-it through a direct :meth:`Session.run` reproduces the served result
+takes a *batch*: the head of the lane plus every queued request with
+the same **dedup key** (the full :class:`~repro.api.RunConfig`
+digest).  Identical requests ride the head's execution for free; a
+batch always executes its head's config, so replaying that config
+through a direct :meth:`Session.run` reproduces the served result
 digest bit for bit, which is exactly what the serve-smoke CI gate does.
+Requests that differ in any field — a BFS source included — run
+separately: ``Session.run`` traverses a multi-source config's roots one
+after another, so merging them would save no work.
 
 Admission control lives at :meth:`Broker.submit`: when the queue holds
 ``max_depth`` requests the submit raises :class:`QueueFull` (the HTTP
@@ -31,14 +26,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from concurrent.futures import Future
 
-from repro.api import SOURCED_ALGORITHMS, RunConfig
+from repro.api import RunConfig
 from repro.errors import ServeError
 
-__all__ = ["Broker", "BrokerClosed", "QueryRequest", "QueueFull", "plan_batch"]
+__all__ = ["Broker", "BrokerClosed", "QueryRequest", "QueueFull"]
 
 _ids = itertools.count(1)
 
@@ -73,46 +68,14 @@ class QueryRequest:
 
     def __post_init__(self) -> None:
         self.dedup_key: str = self.config.digest()
-        # batchable iff the request pins explicit sources on a sourced
-        # algorithm — then same-base-config requests merge source lists
-        if (
-            self.config.algorithm in SOURCED_ALGORITHMS
-            and self.config.sources is not None
-        ):
-            self.batch_key: Optional[str] = self.config.replace(
-                sources=None
-            ).digest()
-        else:
-            self.batch_key = None
 
     @property
     def queue_wait(self) -> float:
         return time.perf_counter() - self.enqueued_at
 
 
-def plan_batch(batch: List[QueryRequest]) -> Tuple[RunConfig, bool]:
-    """The single config a batch executes as, and whether it coalesced.
-
-    Merged sources keep first-arrival order and drop duplicates; a
-    batch of identical requests (pure dedup) or a singleton executes
-    the head request's config unchanged.
-    """
-    head = batch[0]
-    if head.batch_key is None or len(batch) == 1:
-        return head.config, False
-    merged: List[int] = []
-    seen = set()
-    for req in batch:
-        for source in req.config.sources:
-            if source not in seen:
-                seen.add(source)
-                merged.append(source)
-    config = head.config.replace(sources=tuple(merged))
-    return config, config.digest() != head.dedup_key
-
-
 class Broker:
-    """Bounded multi-lane request queue with batch-forming dequeue."""
+    """Bounded multi-lane request queue with dedup-batching dequeue."""
 
     def __init__(self, max_depth: int = 64, max_batch: int = 64) -> None:
         if max_depth < 1:
@@ -189,11 +152,8 @@ class Broker:
             if req.cancelled:
                 self._depth -= 1
                 continue
-            mergeable = req.dedup_key == head.dedup_key or (
-                head.batch_key is not None
-                and req.batch_key == head.batch_key
-            )
-            if mergeable and len(batch) < self.max_batch:
+            same = req.dedup_key == head.dedup_key
+            if same and len(batch) < self.max_batch:
                 batch.append(req)
                 self._depth -= 1
             else:

@@ -9,11 +9,11 @@ Split of labor:
   request's future under the per-request timeout — a deadline that
   travels with the request to its run, so a 504 also stops the run;
 * one **worker thread per graph** drains that graph's lane batch by
-  batch: :func:`~repro.serve.batching.plan_batch` merges the batch
-  into a single :class:`~repro.api.RunConfig`, the entry's cached
-  :class:`~repro.api.Session` executes it (partition, executor, and
-  shared-memory topology reused run over run), and every request in
-  the batch is answered with the run's result and canonical digest.
+  batch: a batch is identical requests, the entry's cached
+  :class:`~repro.api.Session` executes their one
+  :class:`~repro.api.RunConfig` (partition, executor, and shared-memory
+  topology reused run over run), and every request in the batch is
+  answered with the run's result and canonical digest.
 
 Endpoints
 ---------
@@ -35,9 +35,8 @@ Endpoints
 ``POST /query``
     Execute ``{"graph": ..., "config": {RunConfig fields}}`` (the
     config may also be spelled flat at the top level).  Responds with
-    the run's metrics, the executed (possibly source-merged) config,
-    and its ``digest`` — bit-identical to a direct ``Session.run`` of
-    that config.
+    the run's metrics, the executed config, and its ``digest`` —
+    bit-identical to a direct ``Session.run`` of that config.
 ``POST /mutate``
     Apply ``{"graph": ..., "inserts": [[u, v], ...], "deletes":
     [[u, v], ...], "add_vertices": n}`` as one atomic mutation batch
@@ -55,7 +54,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import signal
 import threading
 import time
@@ -64,18 +62,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from dataclasses import asdict
 
-from repro.api import RunConfig
+from repro.api import FIELDS, RunConfig
 from repro.errors import (
     DeadlineExceeded, EngineError, ReproError, ServeError,
 )
+from repro.fields import Field, check
 from repro.graph.dynamic import MutationBatch
-from repro.serve.batching import (
-    Broker,
-    BrokerClosed,
-    QueryRequest,
-    QueueFull,
-    plan_batch,
-)
+from repro.serve.batching import Broker, BrokerClosed, QueryRequest, QueueFull
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import GraphRegistry
 
@@ -84,20 +77,8 @@ __all__ = ["ServeApp", "ServerThread", "serve_forever"]
 #: request bodies beyond this get 413 instead of an allocation
 MAX_BODY_BYTES = 1 << 20
 
-#: the most simulated machines a query may name: twice the largest
-#: count any benchmark or test uses (run time and partition memory
-#: grow with it)
-MAX_MACHINES = 64
-
-#: RunConfig fields a query may set; live attachments are server-owned
-_CONFIG_FIELDS = frozenset(
-    (
-        "engine", "algorithm", "machines", "seed", "options", "faults",
-        "checkpointing", "executor", "workers", "verify", "bfs_roots",
-        "kcore_k", "kmeans_rounds", "sources", "mode",
-        "async_bucket_width",
-    )
-)
+#: a query's ``"timeout"``: a finite number of seconds above zero
+_TIMEOUT = Field(float, low=0)
 
 _JSON = "application/json"
 _TEXT = "text/plain; version=0.0.4; charset=utf-8"
@@ -202,7 +183,7 @@ class ServeApp:
             self._serve_batch(entry, live, hub)
 
     def _serve_batch(self, entry, batch: List[QueryRequest], hub) -> None:
-        config, merged = plan_batch(batch)
+        config = batch[0].config
         self.metrics.batch_begin(
             len(batch), [req.queue_wait for req in batch]
         )
@@ -234,7 +215,7 @@ class ServeApp:
                 "result": body,
                 "executed_config": executed,
                 "batch_size": len(batch),
-                "coalesced": len(batch) > 1 or merged,
+                "coalesced": len(batch) > 1,
             }
             try:
                 req.future.set_result(payload)
@@ -271,13 +252,15 @@ class ServeApp:
             )
         if not isinstance(fields, dict):
             raise _HttpReply(400, {"error": "config must be an object"})
-        unknown = set(fields) - _CONFIG_FIELDS
+        # live attachments (a tracer, a cost model) are server-owned
+        allowed = sorted(name for name, row in FIELDS.items() if not row.live)
+        unknown = set(fields) - set(allowed)
         if unknown:
             raise _HttpReply(
                 400,
                 {
                     "error": f"unknown config fields {sorted(unknown)}",
-                    "allowed": sorted(_CONFIG_FIELDS),
+                    "allowed": allowed,
                 },
             )
         if "sources" in fields and fields["sources"] is not None:
@@ -285,20 +268,14 @@ class ServeApp:
                 fields["sources"] = [fields["sources"]]
         try:
             config = RunConfig.from_dict(fields)
+            for name, row in FIELDS.items():
+                bound, value = row.served_max, getattr(config, name)
+                if bound is not None and value is not None and value > bound:
+                    raise EngineError(
+                        f"{name} must be <= {bound}, got {value!r}"
+                    )
         except (ReproError, TypeError, ValueError) as exc:
             raise _HttpReply(400, {"error": f"bad config: {exc}"}) from None
-        if config.machines > MAX_MACHINES:
-            raise _HttpReply(400, {
-                "error": f"machines must be <= {MAX_MACHINES}, got "
-                f"{config.machines}"
-            })
-        cpus = os.cpu_count() or 1
-        if config.workers is not None and config.workers > cpus:
-            # a query never makes the server fork past its cores
-            raise _HttpReply(400, {
-                "error": f"workers must be <= {cpus} (the server's CPU "
-                f"count), got {config.workers}"
-            })
         return QueryRequest(graph=graph, config=config)
 
     async def query(self, payload: Dict[str, Any],
@@ -407,11 +384,10 @@ class ServeApp:
                 timeout = None
                 if isinstance(payload, dict) and "timeout" in payload:
                     try:
-                        timeout = float(payload.pop("timeout"))
-                    except (TypeError, ValueError):
-                        raise _HttpReply(
-                            400, {"error": "timeout must be a number"}
-                        ) from None
+                        timeout = check("timeout", _TIMEOUT,
+                                        payload.pop("timeout"))
+                    except EngineError as exc:
+                        raise _HttpReply(400, {"error": str(exc)}) from None
                 return _json_reply(200, await self.query(payload, timeout))
             return _json_reply(
                 404,

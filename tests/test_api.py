@@ -62,6 +62,7 @@ class TestRunConfig:
             {"mode": "async", "async_bucket_width": -1.0},
             {"sources": (1.5, "2")},  # never truncated to (1, 2)
             {"sources": (True,)},
+            {"mode": "async", "async_bucket_width": float("inf")},
         ],
     )
     def test_validation_rejects(self, kwargs):
@@ -169,6 +170,31 @@ class TestRunConfig:
         restored = RunConfig.from_dict(payload)
         assert restored.mode == "sync"
         assert restored.async_bucket_width is None
+
+    def test_digests_are_pinned(self):
+        """Serve dedup and the serve_hot replay key on these digests:
+        a config keeps its digest across validation rewrites."""
+        assert RunConfig().digest() == (
+            "fe854a35d6e6f1809c07f332d94ad68b04728346f6cc8ee43aee798c450b8248"
+        )
+        served = RunConfig.from_dict({
+            "engine": "symple", "algorithm": "bfs", "machines": 4,
+            "seed": 7, "sources": [3],
+        })
+        assert served.digest() == (
+            "fdfc969b61e154580fc6e813ff34c0e2769f0c6e30c2e40ef605fe42186cab1e"
+        )
+        every_block = RunConfig(
+            algorithm="sssp", machines=8, seed=9,
+            options=SympleOptions(degree_threshold=4, schedule="naive"),
+            faults=FaultPlan.dep_loss(0.25, seed=3),
+            checkpointing=Checkpointing(interval=2, retention=3),
+            executor="process", workers=2, verify="warn", sources=(4, 1),
+            mode="async", async_bucket_width=2.5,
+        )
+        assert every_block.digest() == (
+            "f55f07c2a83768b6e297d3a2154d96781d1e8b4749013ac4dd6146ebc513beba"
+        )
 
     def test_to_dict_serializes_executor_instance_as_kind(self):
         ex = ProcessPoolExecutor(2)

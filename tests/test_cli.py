@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import EngineError
 
 
 class TestParser:
@@ -23,6 +24,12 @@ class TestParser:
         assert args.engine == "symple"
         assert args.dataset == "s27"
         assert args.machines == 16
+
+    def test_non_finite_bucket_width_refused_before_the_run(self):
+        """The run would die converting infinity to an integer."""
+        with pytest.raises(EngineError, match="async_bucket_width must be"):
+            main(["run", "--algorithm", "bfs", "--mode", "async",
+                  "--bucket-width", "inf"])
 
 
 class TestCommands:

@@ -102,6 +102,22 @@ class TestValidation:
                 {"seed": 0, "events": [{"kind": "crash", "machine": 1}]}
             )
 
+    @pytest.mark.parametrize("payload", [
+        {"events": [{"kind": "crash", "machine": 1.7, "iteration": 0}]},
+        {"events": [{"kind": "crash", "machine": 1, "iteration": "2"}]},
+        {"events": [{"kind": "straggler", "machine": 0, "factor": "nan"}]},
+        {"events": [{"kind": "crash", "machine": 1, "iteration": 0,
+                     "stepp": 1}]},
+        {"seed": 0, "crashes": [{"machine": 1, "iteration": 0}]},
+    ], ids=["float-machine", "string-iteration", "string-nan-factor",
+            "misspelt-key", "unknown-top-level-key"])
+    def test_from_dict_refuses_what_it_used_to_coerce_or_drop(self,
+                                                              payload):
+        """Never truncated, parsed from a string, or silently dropped:
+        each of these would yield a different plan than written."""
+        with pytest.raises(FaultPlanError):
+            FaultPlan.from_dict(payload)
+
     def test_from_json_rejects_garbage(self):
         with pytest.raises(FaultPlanError):
             FaultPlan.from_json("{not json")

@@ -1,8 +1,8 @@
-"""The serving layer: registry, broker, coalescer, HTTP server.
+"""The serving layer: registry, broker, dedup batcher, HTTP server.
 
-Covers the serve-specific contracts the ISSUE names: digest
-equivalence (a served response's digest equals a direct
-``Session.run`` of the executed config, coalesced batches included),
+Covers the serve contracts: digest equivalence (a served response's
+digest equals a direct ``Session.run`` of the executed config, dedup
+batches included),
 admission control (bounded queue -> 429 + Retry-After, draining ->
 503), per-request timeouts (504), and graceful drain (admitted work
 completes, workers exit).
@@ -33,7 +33,6 @@ from repro.serve import (
     ServerThread,
     parse_graph_spec,
 )
-from repro.serve.batching import plan_batch
 
 SPEC = "rmat:scale=7,edge_factor=8,seed=3"
 
@@ -121,42 +120,25 @@ class TestGraphSpec:
 
 
 class TestBatchPlanning:
-    def test_same_base_config_shares_batch_key(self):
-        a, b = _request(1), _request(2)
-        assert a.batch_key == b.batch_key
-        assert a.dedup_key != b.dedup_key
-
     def test_identical_requests_share_dedup_key(self):
         assert _request(1).dedup_key == _request(1).dedup_key
 
     def test_different_machine_counts_do_not_batch(self):
-        assert _request(1).batch_key != _request(1, machines=8).batch_key
+        assert _request(1).dedup_key != _request(1, machines=8).dedup_key
 
-    def test_unsourced_requests_are_not_batchable(self):
-        req = QueryRequest(graph="g", config=_config(algorithm="kcore"))
-        assert req.batch_key is None
-
-    def test_plan_batch_merges_sources_in_arrival_order(self):
-        config, merged = plan_batch([_request(5), _request(2), _request(9)])
-        assert config.sources == (5, 2, 9)
-        assert merged
-
-    def test_plan_batch_dedups_repeated_sources(self):
-        config, merged = plan_batch([_request(3), _request(3), _request(1)])
-        assert config.sources == (3, 1)
-        assert merged
-
-    def test_pure_dedup_batch_is_the_head_config(self):
-        head = _request(3)
-        config, merged = plan_batch([head, _request(3), _request(3)])
-        assert config == head.config
-        assert config.digest() == head.dedup_key
-        assert not merged
-
-    def test_singleton_executes_unchanged(self):
-        head = _request(4)
-        config, merged = plan_batch([head])
-        assert config is head.config and not merged
+    def test_pure_dedup_batch_is_the_head_config(self, graph):
+        """Every request of a batch is answered by one run of the
+        head's config."""
+        registry = GraphRegistry()
+        registry.add("g", graph)
+        app = ServeApp(registry)
+        batch = [_request(3) for _ in range(3)]
+        app._serve_batch(registry.get("g"), batch, app.metrics.hub())
+        payloads = [req.future.result(timeout=1) for req in batch]
+        assert all(p["executed_config"] == batch[0].config.to_dict()
+                   for p in payloads)
+        assert len({p["digest"] for p in payloads}) == 1
+        app.close()
 
 
 class TestBroker:
@@ -176,20 +158,22 @@ class TestBroker:
             broker.submit(_request(1))
 
     def test_batch_forms_across_the_lane(self):
+        """Identical requests join the head wherever they queue; one
+        that differs only in its source runs on its own."""
         broker = Broker(max_depth=8)
-        mergeable = [_request(i) for i in (1, 2, 3)]
-        other = _request(1, machines=8)  # different base config
-        for req in (mergeable[0], other, *mergeable[1:]):
+        identical = [_request(1) for _ in range(3)]
+        other = _request(2)
+        for req in (identical[0], other, *identical[1:]):
             broker.submit(req)
         batch = broker.next_batch("g", timeout=1)
-        assert batch == mergeable
+        assert batch == identical
         assert broker.depth() == 1
         assert broker.next_batch("g", timeout=1) == [other]
 
     def test_max_batch_caps_merging(self):
         broker = Broker(max_depth=8, max_batch=2)
-        for i in range(4):
-            broker.submit(_request(i))
+        for _ in range(4):
+            broker.submit(_request(1))
         assert len(broker.next_batch("g", timeout=1)) == 2
         assert len(broker.next_batch("g", timeout=1)) == 2
 
@@ -230,35 +214,38 @@ class TestDrain:
             app.broker.submit(_request(4))
         app.start()  # workers spawn against an already-draining broker
         assert app.join_workers(timeout=60)
-        digests = {req.future.result(timeout=1)["digest"]
-                   for req in requests}
-        assert len(digests) == 1  # one coalesced run answered all three
+        payloads = [req.future.result(timeout=1) for req in requests]
+        assert [p["executed_config"]["sources"] for p in payloads] == [
+            [1], [2], [3]
+        ]
         app.close()
 
     def test_coalesced_digest_matches_direct_run(self, graph):
-        """The served digest of a merged batch == direct Session.run."""
+        """The served digest of a dedup batch == direct Session.run;
+        a request with another source runs on its own."""
         registry = GraphRegistry()
         registry.add("g", graph)
         app = ServeApp(registry, max_depth=16)
-        requests = [_request(i) for i in (5, 1, 5, 8)]
+        requests = [_request(i) for i in (5, 8, 5, 5)]
         for req in requests:
             app.broker.submit(req)
         app.begin_drain()
         app.start()
         assert app.join_workers(timeout=60)
         payloads = [req.future.result(timeout=1) for req in requests]
-        executed = payloads[0]["executed_config"]
-        assert executed["sources"] == [5, 1, 8]  # arrival order, deduped
-        assert all(p["batch_size"] == 4 for p in payloads)
-        assert all(p["coalesced"] for p in payloads)
+        assert [p["executed_config"]["sources"] for p in payloads] == [
+            [5], [8], [5], [5]
+        ]
+        assert [p["batch_size"] for p in payloads] == [3, 1, 3, 3]
+        assert [p["coalesced"] for p in payloads] == [True, False, True, True]
         with Session(graph) as session:
-            direct = session.run(RunConfig.from_dict(executed))
-        assert {p["digest"] for p in payloads} == {direct.digest()}
+            for p in payloads:
+                direct = session.run(RunConfig.from_dict(p["executed_config"]))
+                assert p["digest"] == direct.digest()
         app.close()
 
-
     def test_sssp_batch_digest_matches_direct_run(self):
-        """SSSP coalesces through the same sources machinery as BFS."""
+        """Served SSSP runs replay bit-identically, one per source."""
         weighted = parse_graph_spec(
             "rmat:scale=6,edge_factor=6,seed=1,weighted=9"
         )
@@ -278,11 +265,13 @@ class TestDrain:
         app.start()
         assert app.join_workers(timeout=60)
         payloads = [req.future.result(timeout=1) for req in requests]
-        executed = payloads[0]["executed_config"]
-        assert executed["sources"] == [2, 7]
+        assert [p["executed_config"]["sources"] for p in payloads] == [
+            [2], [7]
+        ]
         with Session(weighted) as session:
-            direct = session.run(RunConfig.from_dict(executed))
-        assert {p["digest"] for p in payloads} == {direct.digest()}
+            for p in payloads:
+                direct = session.run(RunConfig.from_dict(p["executed_config"]))
+                assert p["digest"] == direct.digest()
         app.close()
 
 
@@ -474,6 +463,14 @@ class TestHttp:
             {"workers": 1.5, "executor": "process"},
             {"kmeans_rounds": 0.5, "algorithm": "kmeans"},
             {"workers": (os.cpu_count() or 1) + 1, "executor": "process"},
+            # sent as JSON Infinity; the run would die converting it
+            {"mode": "async", "async_bucket_width": float("inf")},
+            {"options": {"use_kernels": "no"}},
+            {"options": {"degree_threshold": 2.5}},
+            {"checkpointing": {"interval": 1.5}},
+            {"faults": {"events": [{"kind": "crash", "machine": 1.7,
+                                    "iteration": 0}]}},
+            {"faults": {"crashes": [{"machine": 1, "iteration": 0}]}},
         ],
     )
     def test_bad_configs_400(self, server, body):
@@ -481,6 +478,18 @@ class TestHttp:
         status, _, payload = _post(server.port, body)
         assert status == 400
         assert payload["error"]
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1,
+                                         "5"])
+    def test_timeout_must_be_finite_and_positive(self, server, timeout):
+        """A NaN deadline never passes, so the query would run with
+        none at all: refused before it is admitted."""
+        status, _, payload = _post(server.port, {
+            "graph": "demo", "algorithm": "bfs", "machines": 4,
+            "sources": [3], "timeout": timeout,
+        })
+        assert status == 400
+        assert "timeout" in payload["error"]
 
     def test_engine_options_cannot_name_a_server_file(self, server,
                                                       tmp_path):
