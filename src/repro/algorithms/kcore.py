@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.engine.base import BaseEngine
 from repro.engine.state import StateStore
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, GraphError
 from repro.fault.program import VertexProgram, run_program
 from repro.graph.csr import CSRGraph
 from repro.runtime.cost_model import SINGLE_THREAD_COST, CostModel
@@ -76,7 +76,7 @@ class KCoreProgram(VertexProgram):
 
     def __init__(self, k: int, max_rounds: int | None = None) -> None:
         if k < 1:
-            raise ValueError("k must be at least 1")
+            raise GraphError(f"kcore: k must be >= 1, got {k}")
         self.k = int(k)
         self.max_rounds = max_rounds
 
@@ -162,7 +162,7 @@ def kcore_peel(
     comparison code has no distribution overhead at all).
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise GraphError(f"kcore: k must be >= 1, got {k}")
     degree = graph.in_degrees().copy()
     active = np.ones(graph.num_vertices, dtype=bool)
     queue = deque(np.flatnonzero(degree < k).tolist())

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.engine.base import BaseEngine
 from repro.engine.state import StateStore
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, GraphError
 from repro.fault.program import VertexProgram, run_program
 
 __all__ = ["kmeans", "kmeans_signal", "KMeansProgram", "KMeansResult"]
@@ -72,12 +72,12 @@ class KMeansProgram(VertexProgram):
         graph = engine.graph
         n = graph.num_vertices
         if n == 0:
-            raise ValueError("cannot cluster an empty graph")
+            raise GraphError("kmeans: cannot cluster an empty graph")
         c = self.num_clusters
         if c is None:
             c = max(1, int(np.sqrt(n)))
         if not 1 <= c <= n:
-            raise ValueError("num_clusters must be in [1, num_vertices]")
+            raise GraphError(f"kmeans: num_clusters {c} not in [1, {n}]")
         rng = np.random.default_rng(self.seed)
         ctx["centers"] = rng.choice(n, size=c, replace=False)
         ctx["cost_history"] = []

@@ -48,7 +48,7 @@ from repro.algorithms.relax import bucket_width
 from repro.algorithms.sampling import SamplingProgram, sampling_signal
 from repro.algorithms.scc import scc, scc_reach_signal
 from repro.algorithms.sssp import sssp_program, sssp_signal
-from repro.errors import EngineError
+from repro.errors import EngineError, GraphError
 
 __all__ = [
     "ALGORITHMS",
@@ -192,13 +192,13 @@ def fixpoint_digest(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _seeded_roots(graph, num_roots: int, seed: int) -> np.ndarray:
+def _seeded_roots(graph, roots: int, seed: int, algorithm: str):
     """Random non-isolated roots (the paper uses 64 of them)."""
     rng = np.random.default_rng(seed)
     candidates = np.flatnonzero(graph.out_degrees() > 0)
     if candidates.size == 0:
-        raise ValueError("graph has no non-isolated vertex to root BFS at")
-    count = min(num_roots, candidates.size)
+        raise GraphError(f"{algorithm}: the graph has no vertex to root at")
+    count = min(roots, candidates.size)
     return rng.choice(candidates, size=count, replace=False)
 
 
@@ -210,14 +210,16 @@ def run_sources(graph, config, default_count: int) -> np.ndarray:
     seeded multi-root protocol.
     """
     if config.sources is None:
-        return _seeded_roots(graph, default_count, config.seed)
+        return _seeded_roots(
+            graph, default_count, config.seed, config.algorithm
+        )
     sources = np.asarray(config.sources, dtype=np.int64)
     n = graph.num_vertices
     bad = sources[(sources < 0) | (sources >= n)]
     if bad.size:
-        raise ValueError(
-            f"sources {bad.tolist()} out of range for a graph with "
-            f"{n} vertices"
+        raise EngineError(
+            f"{config.algorithm}: sources {bad.tolist()} out of range for "
+            f"a graph with {n} vertices"
         )
     return sources
 

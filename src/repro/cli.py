@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         default=None,
         metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file (bfs/kcore/mis)",
+        help="inject faults from a FaultPlan JSON file (every algorithm "
+        "but scc)",
     )
     _flag(
         run, "--checkpoint-interval", "checkpointing.interval",

@@ -50,6 +50,8 @@ __all__ = [
 SignalLike = Union[Callable, AnalyzedSignal]
 
 _UPDATE, _DEP = COMM_TAGS.index("update"), COMM_TAGS.index("dep")
+# a pull table's lane with no vertex (read-only, shared)
+_NO_VERTICES = np.zeros(0, dtype=np.int64)
 
 # One serial per engine (a Session builds an engine per run): the scope
 # scan plans are kept in.  Not ``id()``, which a later engine can reuse.
@@ -276,10 +278,10 @@ class BaseEngine:
         prefix sum, which has no meaning when machines scan
         independently).
         """
-        active_idx = self._check_active(active)
-        analyzed = self.ensure_analyzed(signal)
+        active = self._check_active(active)
         return self._pull_parallel(
-            analyzed, slot, state, active_idx, update_bytes, sync_bytes
+            self.ensure_analyzed(signal), slot, state, active,
+            update_bytes, sync_bytes,
         )
 
     def push(
@@ -393,35 +395,78 @@ class BaseEngine:
 
     def _map_pull(
         self,
-        fn,
         analyzed: AnalyzedSignal,
         state: StateStore,
-        items: List[Dict],
-        at: Tuple[int, ...],
+        table: Dict,
+        phase: int,
         stalls=None,
-        **shared,
+        steps: Tuple[int, int] = (0, 1),
+        carried: Sequence[str] = (),
+        dep_in=None,
     ) -> List:
-        """Map pull work on the executor — :func:`~repro.exec.work.pull_task`
-        per machine, or :func:`~repro.exec.work.pull_column` per partition
-        — with ``at`` (``(phase, step)``, or ``(phase,)`` for a walk)
-        placing the block scans in the run.  The first map whose units
-        shared a kernel call is mapped again with every unit alone."""
+        """Map the walk (:func:`~repro.exec.work.pull_walk`) of the
+        phase's ``table`` over ``steps``, one item per row of its
+        machine table.  The first map whose units shared a kernel call
+        is mapped again with every unit alone."""
         fast, udf = self.fastpaths, analyzed.original
         use_kernel = fast.plan(KERNEL, udf, state, analyzed) is not None
-        shared.update(signal=analyzed, use_kernel=use_kernel,
-                      timed=self.obs is not None, scan=(self._run_serial, *at),
+        shared = dict(table=table, steps=steps, carried=carried,
+                      dep_in=dep_in, signal=analyzed, use_kernel=use_kernel,
+                      timed=self.obs is not None,
+                      scan=(self._run_serial, phase),
                       solo=fast.refuted(BLOCK, udf))
+        items = list(range(len(table["machine"])))
         certifying = use_kernel and fast.checking(BLOCK, udf)
         scan = self.executor.scan
         sharing = scan["units"] - scan["blocks"]
-        results = self._map_machines(fn, shared, items, state, stalls)
+        results = self._map_machines(
+            work.pull_walk, shared, items, state, stalls
+        )
         if certifying and scan["units"] - scan["blocks"] > sharing:
             results = fast.certified(
                 BLOCK, udf, results, self._map_machines(
-                    fn, {**shared, "solo": True}, items, state
+                    work.pull_walk, {**shared, "solo": True}, items, state
                 ),
             )
         return results
+
+    def _pull_table(
+        self, dep: Optional[np.ndarray], plain: np.ndarray, circulant: bool
+    ) -> Dict:
+        """The table a pull phase's walk reads.
+
+        Per lane, one ``(vertices, cuts)`` per machine ``m``: the
+        vertices of the lane's mask (``dep`` None: no dependency lane)
+        that ``m`` stores in-edges of, item ``j``'s share being
+        ``vertices[cuts[j]:cuts[j + 1]]``
+        (:func:`~repro.exec.work.unit_lane`); and ``machine[j][s]``, the
+        machine that scans item ``j`` in step ``s``.  A circulant
+        phase's items are the destination partitions: rows in master
+        order, cut at the master bounds, item ``j`` scanned by machine
+        ``(j - s - 1) % p`` in step ``s``.  A BSP phase's item ``m`` is
+        machine ``m``'s whole row in one step, in ascending vertex order
+        — never master order, so its update sends stay ascending.
+        """
+        p, part = self.num_machines, self.partition
+        ids = np.arange(p + 1)
+        order = part._master_order if circulant else None
+        has_in = part._has_in if order is None else part._has_in[:, order]
+        item = ids[:p, None]
+        table = {"machine": ((item - ids[:p] - 1) % p if circulant
+                             else item).tolist()}
+        for lane, mask in (("dep", dep), ("plain", plain)):
+            if mask is not None and order is not None:
+                mask = mask[order]
+            table[lane] = rows = []
+            for m, row in enumerate(has_in):
+                at = _NO_VERTICES if mask is None else np.flatnonzero(
+                    row & mask
+                )
+                cuts = (np.searchsorted(at, part._master_bounds) if circulant
+                        else np.where(ids > m, at.size, 0))
+                rows.append((at if order is None else order[at],
+                             cuts.tolist()))
+        return table
 
     def _merge_step(
         self,
@@ -542,23 +587,25 @@ class BaseEngine:
         analyzed: AnalyzedSignal,
         slot: Callable,
         state: StateStore,
-        active_idx: np.ndarray,
+        active: np.ndarray,
         update_bytes: int,
         sync_bytes: int,
     ) -> PhaseResult:
         """BSP parallel pull: one step in which every machine scans its
         local in-edges of every active vertex on the plain lane —
         Gemini's schedule, and SympleGraph's when there is no dependency
-        to enforce (Section 5.1's special case)."""
+        to enforce (Section 5.1's special case): the one-step walk of a
+        table with no dependency lane."""
         phase = self._phase_begin("pull")
         step = self._make_step(phase)
         buffer = _UpdateBuffer()
-        results = self._map_pull(
-            work.pull_task, analyzed, state,
-            [{"m": m} for m in range(self.num_machines)], (phase, 0),
-            stalls=step.slowdown, active=active_idx, is_last=False,
+        walked = self._map_pull(
+            analyzed, state, self._pull_table(None, active, circulant=False),
+            phase, stalls=step.slowdown,
         )
-        self._merge_step(results, step, buffer, update_bytes, "high")
+        self._merge_step(
+            [walk[0] for walk in walked], step, buffer, update_bytes, "high"
+        )
         return self._commit_phase(
             IterationRecord(mode="pull"), [step], buffer, slot, state,
             sync_bytes,
@@ -667,4 +714,4 @@ class BaseEngine:
             raise EngineError(
                 "active must be a boolean mask over all vertices"
             )
-        return np.flatnonzero(arr)
+        return arr

@@ -31,7 +31,6 @@ Figure 11 ablation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -196,19 +195,19 @@ class SympleGraphEngine(BaseEngine):
     ) -> PhaseResult:
         """Dense pull: circulant scheduling with dependency propagation
         when the signal carries one, Gemini-style parallel otherwise."""
-        active_idx = self._check_active(active)
+        active = self._check_active(active)
         analyzed = self.ensure_analyzed(signal)
         if not analyzed.has_dependency or self.num_machines == 1:
             # No loop-carried dependency: Gemini is the special case of
             # SympleGraph without dependency communication (Section 5.1).
             return self._pull_parallel(
-                analyzed, slot, state, active_idx, update_bytes, sync_bytes
+                analyzed, slot, state, active, update_bytes, sync_bytes
             )
         return self._pull_circulant(
             analyzed,
             slot,
             state,
-            np.asarray(active),
+            active,
             update_bytes,
             sync_bytes,
             dep_data_bytes,
@@ -232,49 +231,18 @@ class SympleGraphEngine(BaseEngine):
         ``(m + s + 1) % p``: its circulated vertices whose skip bit is
         still clear on the dependency lane, the low-degree rest on the
         plain lane (Gemini's schedule, booked under ``low_*``).  What is
-        mapped is each partition's column, walked through the steps
-        (:func:`repro.exec.work.pull_walk`, where Definition 2.4's skip
-        filter and write-back run), once a phase — or one step a map
-        under a fault controller, which acts between steps."""
+        mapped is the phase's table, one item per partition, walked
+        through the steps (:func:`repro.exec.work.pull_walk`, where
+        Definition 2.4's skip filter and write-back run), once a phase —
+        or one step a map under a fault controller, which acts between
+        steps."""
         p, n = self.num_machines, self.graph.num_vertices
         phase = self._phase_begin("pull")
         carried = analyzed.info.carried_vars if share_dep_data else ()
-        high_mask = (
-            self._high_mask if allow_differentiated
-            else np.ones(n, dtype=bool)
-        )
-
-        # One row mask per machine and lane — its ``_has_in`` row ANDed
-        # with the active circulated (high) or plain (low) vertices, in
-        # the vertex order by master — cut at the master bounds; column
-        # j is each lane's slices between j's bounds, machine after
-        # machine in step order: in step s machine (j - s - 1) % p.
-        part = self.partition
-        order, bounds = part._master_order, part._master_bounds.tolist()
-        has_in, high = part._has_in, active & high_mask
-        low = active & ~high_mask
-        if order is not None:
-            has_in, high, low = has_in[:, order], high[order], low[order]
-
-        def cut(mask):
-            at = np.flatnonzero(mask)
-            vertices = at if order is None else order[at]
-            return vertices, np.searchsorted(at, bounds).tolist()
-
-        rows = [(cut(row & high), cut(row & low)) for row in has_in]
-        columns = []
-        for j in range(p):
-            column = {"j": j}
-            for k, name in enumerate(("dep", "plain")):
-                parts = []
-                for m in circulant_machine_order(j, p):
-                    vertices, at = rows[m][k]
-                    parts.append(vertices[at[j]:at[j + 1]])
-                column[name] = np.concatenate(parts)
-                column[name + "_at"] = [
-                    0, *accumulate(part.size for part in parts)
-                ]
-            columns.append(column)
+        high = active & (self._high_mask if allow_differentiated else True)
+        # the circulated (high) vertices on the dependency lane, the
+        # low-degree rest on the plain lane: item j is partition j
+        table = self._pull_table(high, active & ~high, circulant=True)
         # Control bits travel as a packed bitmap; carried data travels
         # as the SoA array slice for every circulated vertex (Section
         # 6's layout) — this is why sampling's dependency traffic is
@@ -282,17 +250,15 @@ class SympleGraphEngine(BaseEngine):
         per_vertex = dep_data_bytes * len(carried)
         handoff_bytes = [
             Bitmap.wire_bytes(k) + k * per_vertex if k else 0
-            for k in (
-                int(np.count_nonzero(high[lo:hi]))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            )
+            for k in np.bincount(
+                self.partition.master_of[high], minlength=p
+            ).tolist()
         ]
 
         def walk(first: int, stop: int, stalls=None, dep_in=None):
             return self._map_pull(
-                work.pull_column, analyzed, state, columns, (phase,),
-                stalls=stalls, steps=(first, stop), carried=carried,
-                dep_in=dep_in,
+                analyzed, state, table, phase, stalls=stalls,
+                steps=(first, stop), carried=carried, dep_in=dep_in,
             )
 
         controller = self._fault_controller
@@ -321,7 +287,7 @@ class SympleGraphEngine(BaseEngine):
                 self.obs.step_begin(s)
             if controller is not None:
                 # the walk of this step alone, on the parent's state
-                lanes = [work.lane_at(columns[(m + s + 1) % p], "dep", s)
+                lanes = [work.unit_lane(table, "dep", m, (m + s + 1) % p)
                          for m in range(p)]
                 skip = dep_store.skip.copy() if lossy else dep_store.skip
                 if lossy:  # one coin per skipped vertex, machine- then

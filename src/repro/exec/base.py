@@ -2,24 +2,25 @@
 
 Engines route each phase's work through one
 ``executor.map_machines(task_fn, shared, items, state, stalls)`` call
-(items: machines, or a circulant pull's destination partitions); the
-executor decides *where* the task functions run — inline
-(:class:`SerialExecutor`) or on forked worker processes mapping the CSR
-topology and vertex state zero-copy out of shared memory
-(:class:`~repro.exec.process.ProcessPoolExecutor`).  Results always
-come back in item order and the parent merges them deterministically,
-so counters, traffic, and results are bit-identical across backends —
-the backend is purely a wall-clock knob, exactly like ``use_kernels``.
+(items: machines, or a circulant pull's destination partitions — the
+items of a pull phase's table); the executor decides *where* the task
+functions run — inline (:class:`SerialExecutor`) or on forked worker
+processes mapping the CSR topology and vertex state zero-copy out of
+shared memory (:class:`~repro.exec.process.ProcessPoolExecutor`).
+Results always come back in item order and the parent merges them
+deterministically, so counters, traffic, and results are bit-identical
+across backends — the backend is purely a wall-clock knob, exactly like
+``use_kernels``.
 
 Every backend runs a chunk of items through the same loop,
 :meth:`repro.exec.work.WorkerContext.run`: a task that has a chunk
-form (``pull_task.chunk`` is ``pull_units``, which scans consecutive
-units together in blocks; ``pull_column.chunk`` is ``pull_walk``) gets
-its whole chunk in one call — the map under the serial backend, a
-worker's contiguous items under the process backend — and any other
-task is called item by item.  What the scans counted (blocks, units,
-plans built and reused, bytes the kept plans hold) comes back with each
-chunk and sums into ``Executor.stats()["scan"]``.
+form (``pull_walk`` is its own, and scans each step's units of the
+chunk together in blocks) gets its whole chunk in one call — the map
+under the serial backend, a worker's contiguous items under the
+process backend — and any other task is called item by item.  What
+the scans counted (blocks, units, plans built and reused, bytes the
+kept plans hold) comes back with each chunk and sums into
+``Executor.stats()["scan"]``.
 
 ``stalls`` carries the fault controller's straggler factors, one per
 item: the simulated cost model already charges them, and the process

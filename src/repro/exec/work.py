@@ -1,32 +1,31 @@
 """Pure work units shared by every executor backend.
 
-Each task function here computes what one simulated machine does in one
-(phase, step) — :func:`pull_task` for the BSP pull, :func:`push_task`
-for the sparse push — or, :func:`pull_column`, what the machines do to
-one destination partition over a circulant phase, step after step.  A
-task may have a *chunk form* that takes an executor's whole chunk of
-consecutive items at once: :func:`pull_units` is :func:`pull_task`'s,
-and scans the chunk's units in blocks (one kernel call per lane of a
-block, not of a unit) without any unit's result depending on it;
-:func:`pull_walk` is :func:`pull_column`'s.  All side effects (network
-sends, counter increments, update buffering, fault draws, obs events)
-happen in the *parent*, which merges results step by step in ascending
-machine order (``BaseEngine._merge_step``); that fixed order is what
-keeps counters, traffic, and results bit-identical across the serial
-and process backends.
+Each task function here computes what the simulated machines do in one
+phase: :func:`pull_walk` for a dense pull — the items of the phase's
+table (one per machine for the BSP schedule, one per destination
+partition for the circulant one) walked step after step — and
+:func:`push_task` for one machine of the sparse push.  A task may take
+an executor's whole chunk of consecutive items at once, as the walk
+does: it scans each step's units of the chunk in blocks (one kernel
+call per lane of a block, not of a unit) without any unit's result
+depending on it.  All side effects (network sends, counter increments,
+update buffering, fault draws, obs events) happen in the *parent*,
+which merges results step by step in ascending machine order
+(``BaseEngine._merge_step``); that fixed order is what keeps counters,
+traffic, and results bit-identical across the serial and process
+backends.
 
 Task functions receive a :class:`WorkerContext` (graph topology + state
 + an analyzed-signal cache + the scan plans it keeps between phases), a
-``shared`` dict broadcast to every task of one map call, and one
-``item`` dict per machine or partition.  They must not mutate anything
-reachable from the context (its :class:`PlanStore` aside, which is a
-cache of what the topology alone determines); a walk keeps its
-partitions' dependency state in a store of its own.  The no-mutation
-rule is doubly load-bearing under the process backend, where the state
-arrays are shared-memory views aliased across every worker — a task
-that wrote to them would race its siblings *and* corrupt the parent's
-authoritative copy; purity is also what makes the executor's
-crash-retry (respawn the pool, rerun the map's chunks) safe.
+``shared`` dict broadcast to every task of one map call, and its items.
+They must not mutate anything reachable from the context (its
+:class:`PlanStore` aside, which is a cache of what the topology alone
+determines); a walk keeps its items' dependency state in a store of
+its own.  The no-mutation rule is doubly load-bearing under the process
+backend, where the state arrays are shared-memory views aliased across
+every worker — a task that wrote to them would race its siblings *and*
+corrupt the parent's authoritative copy; purity is also what makes the
+executor's crash-retry (respawn the pool, rerun the map's chunks) safe.
 """
 
 from __future__ import annotations
@@ -47,11 +46,9 @@ __all__ = [
     "WorkerContext",
     "PlanStore",
     "CountingNeighbors",
-    "pull_units",
-    "pull_task",
     "pull_walk",
-    "pull_column",
     "push_task",
+    "unit_lane",
     "write_back",
 ]
 
@@ -106,8 +103,8 @@ class WorkerContext:
         chunk loop every executor backend shares.
 
         A task with a chunk form (``fn.chunk(ctx, shared, items)``, as
-        :func:`pull_task` has in :func:`pull_units`) gets the whole
-        chunk in one call; any other is called item by item.
+        :func:`pull_walk` is its own) gets the whole chunk in one call;
+        any other is called item by item.
         ``stalls`` — one straggler factor per item — turns into a real
         pause after the chunk: each unit's ``(stall - 1) x`` its edge
         share of the chunk's seconds (an equal share for results that
@@ -134,7 +131,7 @@ class WorkerContext:
 
 def _unit_edges(result) -> int:
     """Edges a unit's result says it scanned (0 when it does not say);
-    a list is a column's units."""
+    a list is a walked item's units."""
     if isinstance(result, list):
         return sum(map(_unit_edges, result))
     if not isinstance(result, dict):
@@ -311,158 +308,85 @@ class PlanStore:
 _NO_ROWS = empty_batch()
 
 
-class _Lane:
-    """One lane of one unit: its vertices, where their neighbor
-    segments lie in the unit's adjacency, and the carried state the
-    kernel restores (``(present, values)`` or None)."""
-
-    __slots__ = ("vertices", "starts", "lens", "edges", "carried_in")
-
-    def __init__(self, vertices, starts, lens, carried_in=None) -> None:
-        self.vertices = vertices
-        self.starts = starts
-        self.lens = lens
-        self.edges = int(lens.sum()) if lens.size else 0
-        self.carried_in = carried_in
-
-
-def _located(local, vertices, carried_in=None) -> _Lane:
-    if not vertices.size:
-        return _Lane(vertices, _NO_ROWS.edges, _NO_ROWS.edges, carried_in)
+def _row(local, vertices):
+    """``vertices``' :class:`~repro.kernels.csr.ScanBlock` row in
+    ``local``: where each neighbor segment starts, how long it is, and
+    the lengths' sum (the edge count the block budget needs)."""
     starts = local.indptr[vertices]
-    return _Lane(
-        vertices, starts, local.indptr[vertices + 1] - starts, carried_in
-    )
+    lens = local.indptr[vertices + 1] - starts
+    return local, starts, lens, int(lens.sum())
 
 
-class _Unit:
-    """One item's O(vertices) share of a kernel scan: the candidate
-    filter, and both lanes located in the machine's adjacency.  The
-    edge count the block budget needs falls out of the segment lengths;
-    nothing is gathered twice."""
-
-    __slots__ = ("m", "local", "dep", "plain", "carries", "restored")
-
-    def __init__(self, ctx, shared, item, spec) -> None:
-        self.m = int(item["m"])
-        self.local = local = ctx.local_in(self.m)
-        plain = item.get("plain")
-        if plain is None:
-            active = shared["active"]
-            lens = local.degrees()[active]
-            keep = lens > 0
-            plain = active[keep]
-            self.plain = _Lane(plain, local.indptr[plain], lens[keep])
-        else:
-            self.plain = _located(local, plain)
-        dep = item.get("dep")
-        carried = item.get("carried")
-        self.carries = bool(carried)
-        self.dep = None if dep is None else _located(
-            local, dep, carried[spec.carried_vars[0]] if carried else None
-        )
-        # the dependency lane's carried-in class; None: no row to class
-        self.restored = None
-        if dep is not None and dep.size:
-            self.restored = bool(carried) and bool(
-                self.dep.carried_in[0].any()
-            )
-
-    @property
-    def edges(self) -> int:
-        return self.plain.edges + (0 if self.dep is None else self.dep.edges)
+def _blocks(edges: List[int], restored: list, limit: int):
+    """Consecutive units (as ranges of unit indices) grouped while the
+    group's edges stay within ``limit`` and its dependency lanes share
+    one carried-in class (a kernel picks its fold dtype once per call
+    from "is anything restored", so a unit that restores values never
+    shares a call with one that does not; None: no row to class)."""
+    first, total, cls = 0, 0, None
+    for u, (unit_edges, unit_cls) in enumerate(zip(edges, restored)):
+        clash = None not in (cls, unit_cls) and cls != unit_cls
+        if u > first and (clash or total + unit_edges > limit):
+            yield range(first, u)
+            first, total, cls = u, 0, None
+        total += unit_edges
+        if unit_cls is not None:
+            cls = unit_cls
+    if first < len(edges):
+        yield range(first, len(edges))
 
 
-def _blocks(units: List[_Unit], limit: int):
-    """Consecutive units grouped while the group's edges stay within
-    ``limit`` and its dependency lanes share one carried-in class (a
-    kernel picks its fold dtype once per call from "is anything
-    restored", so a unit that restores values never shares a call with
-    one that does not)."""
-    block: List[_Unit] = []
-    edges, restored = 0, None
-    for unit in units:
-        clash = None not in (restored, unit.restored) and (
-            restored != unit.restored
-        )
-        if block and (clash or edges + unit.edges > limit):
-            yield block
-            block, edges, restored = [], 0, None
-        block.append(unit)
-        edges += unit.edges
-        if unit.restored is not None:
-            restored = unit.restored
-    if block:
-        yield block
+def _scan_lane(ctx, shared, spec, ms, block, lane, vertices, rows, carried):
+    """Lane ``lane`` of a block in one kernel call.
 
-
-def _scan_lane(ctx, shared, spec, units: List[_Unit], lane: str) -> list:
-    """One lane of a block in one kernel call.
-
-    Per unit, ``(edges, emit_v, values, broke, carried, seconds)``: the
-    edges its vertices scanned, its emitting vertices and their values
-    in lane order, its slices of the batch's ``broke`` and ``carried``
-    (aligned with its lane's vertices; None where the kernel returns
-    none), and its share of the call's seconds — by flattened edges,
-    what a call's time goes with.  Every array is the unit's slice of
-    the block's, cut at the unit offsets: what its own call returns,
-    dtype and bytes.  A unit with no vertex on the lane gets what a
-    kernel returns for no vertices, without a call; a unit without the
-    lane gets None.
+    Per unit of ``block``, ``(edges, emit_v, values, broke, carried,
+    seconds)``: the edges its vertices scanned, its emitting vertices
+    and their values in lane order, its slices of the batch's ``broke``
+    and ``carried`` (aligned with its lane's vertices; None where the
+    kernel returns none), and its share of the call's seconds — by
+    flattened edges, what a call's time goes with.  Every array is the
+    unit's slice of the block's, cut at the unit offsets: what its own
+    call returns, dtype and bytes.  A unit with no vertex on the lane
+    gets what a kernel returns for no vertices, without a call.
+    ``vertices``, ``rows`` and ``carried`` (``(present, values)`` or
+    None: nothing restored) are per unit of the step.
     """
-    lanes = [getattr(unit, lane) for unit in units]
     out = [
-        None if ln is None else (
-            0, ln.vertices[:0], _NO_ROWS.values, _NO_ROWS.broke,
-            _NO_ROWS.carried, 0.0,
-        )
-        for ln in lanes
+        (0, vertices[u][:0], _NO_ROWS.values, _NO_ROWS.broke,
+         _NO_ROWS.carried, 0.0)
+        for u in block
     ]
-    live = [
-        i for i, ln in enumerate(lanes)
-        if ln is not None and ln.vertices.size
-    ]
+    live = [u for u in block if vertices[u].size]
     if not live:
         return out
-    rows = [
-        (units[i].local, lanes[i].starts, lanes[i].lens, lanes[i].edges)
-        for i in live
-    ]
-    carried = [lanes[i].carried_in for i in live]
-    if len(live) == 1:
-        vertices, carried_in = lanes[live[0]].vertices, carried[0]
-    else:
-        vertices = np.concatenate([lanes[i].vertices for i in live])
-        # units that were handed no carried state restore nothing, and
-        # neither does anything they are blocked with (_blocks)
-        carried_in = None if None in carried else tuple(
-            np.concatenate(part) for part in zip(*carried)
-        )
-    block = ctx.plans.block(
-        shared["scan"], lane, tuple(units[i].m for i in live), rows, vertices
+    flat = np.concatenate([vertices[u] for u in live])
+    carried_in = None if carried is None else tuple(
+        np.concatenate(part) for part in zip(*(carried[u] for u in live))
+    )
+    scan_block = ctx.plans.block(
+        shared["scan"], lane, tuple(ms[u] for u in live),
+        [rows[u] for u in live], flat,
     )
     timed = shared["timed"]
     t0 = perf_counter() if timed else 0.0
     batch = get_kernel(spec.kind)(
-        spec, ctx.state, block, vertices, carried_in=carried_in
+        spec, ctx.state, scan_block, flat, carried_in=carried_in
     )
     seconds = perf_counter() - t0 if timed else 0.0
     hits = np.flatnonzero(batch.emit_mask)
-    emit_v, values = vertices[hits], batch.values[hits]
-    bounds = [0]
-    for i in live:
-        bounds.append(bounds[-1] + lanes[i].vertices.size)
+    emit_v, values = flat[hits], batch.values[hits]
+    bounds = [0, *accumulate(vertices[u].size for u in live)]
     edges = np.add.reduceat(batch.edges, bounds[:-1]).tolist()
     cuts = np.searchsorted(hits, bounds).tolist()
-    total = block.flat.size
-    for k, i in enumerate(live):
+    total = scan_block.flat.size
+    for k, u in enumerate(live):
         span = slice(bounds[k], bounds[k + 1])
         emits = slice(cuts[k], cuts[k + 1])
-        out[i] = (
+        out[u - block.start] = (
             edges[k], emit_v[emits], values[emits],
             None if batch.broke is None else batch.broke[span],
             None if batch.carried is None else batch.carried[span],
-            seconds * lanes[i].edges / total,
+            seconds * rows[u][3] / total,
         )
     return out
 
@@ -473,8 +397,7 @@ def _merged_emits(plain: list, dep: list, num_vertices: int) -> list:
     Every unit's lane is a slice of that lane's one batch, so each gets
     what sorting its own two lanes gives, dtype included."""
     emits = [
-        pl[1:3] if d is None or not d[1].size
-        else d[1:3] if not pl[1].size else None
+        pl[1:3] if not d[1].size else d[1:3] if not pl[1].size else None
         for pl, d in zip(plain, dep)
     ]
     both = [i for i, pair in enumerate(emits) if pair is None]
@@ -497,45 +420,56 @@ def _merged_emits(plain: list, dep: list, num_vertices: int) -> list:
     return emits
 
 
-def _kernel_lanes(ctx, shared, spec, items) -> List[Dict[str, Any]]:
-    """Both lanes of every unit on the batched kernel, block by block:
-    one call per lane of a block, one emit merge per block."""
-    units = [_Unit(ctx, shared, item, spec) for item in items]
+def _kernel_step(ctx, shared, spec, ms, deps, carried, plains) -> list:
+    """A step's units — on machines ``ms``, ascending — on the batched
+    kernel, block by block: one call per lane of a block, one emit
+    merge per block.  ``carried`` is each unit's dependency-lane state
+    (``{name: (present, values)}``), or None when none circulates."""
+    name = None if carried is None else spec.carried_vars[0]
+    carried_in = None if carried is None else [c[name] for c in carried]
+    rows = {
+        lane: [_row(ctx.local_in(m), v) for m, v in zip(ms, vertices)]
+        for lane, vertices in (("plain", plains), ("dep", deps))
+    }
+    edges = [pl[3] + d[3] for pl, d in zip(rows["plain"], rows["dep"])]
+    restored = [
+        None if not dep.size
+        else carried_in is not None and bool(carried_in[u][0].any())
+        for u, dep in enumerate(deps)
+    ]
+    limit = 0 if shared["solo"] else _BLOCK_EDGES
     results = []
-    for block in _blocks(units, 0 if shared["solo"] else _BLOCK_EDGES):
-        plain = _scan_lane(ctx, shared, spec, block, "plain")
-        dep = _scan_lane(ctx, shared, spec, block, "dep")
+    for block in _blocks(edges, restored, limit):
+        plain = _scan_lane(ctx, shared, spec, ms, block, "plain", plains,
+                           rows["plain"], None)
+        dep = _scan_lane(ctx, shared, spec, ms, block, "dep", deps,
+                         rows["dep"], carried_in)
         emits = _merged_emits(plain, dep, ctx.num_vertices)
-        for unit, lane, dep_lane, (emit_v, values) in zip(
-            block, plain, dep, emits
-        ):
-            dep_edges, _, _, broke, carried, dep_seconds = (
-                dep_lane or (0, None, None, None, None, 0.0)
-            )
+        for u, pl, d, (emit_v, values) in zip(block, plain, dep, emits):
             results.append({
                 "kind": spec.kind,
-                "plain_edges": lane[0],
-                "plain_seconds": lane[5],
-                "dep_edges": dep_edges,
-                "dep_seconds": dep_seconds,
+                "plain_edges": pl[0],
+                "plain_seconds": pl[5],
+                "dep_edges": d[0],
+                "dep_seconds": d[5],
                 "emit_v": emit_v,
                 "emit_counts": None,  # a kernel emits once per vertex
                 "emit_values": values,
-                "broke": broke,
-                "carried": {spec.carried_vars[0]: (
-                    np.ones(unit.dep.vertices.size, dtype=bool), carried
-                )} if unit.carries else {},
-                "m": unit.m,
-                "plain_vertices": int(unit.plain.vertices.size),
+                "broke": d[3],
+                "carried": {} if carried is None else {
+                    name: (np.ones(deps[u].size, dtype=bool), d[4])
+                },
+                "m": ms[u],
+                "plain_vertices": int(plains[u].size),
             })
     return results
 
 
-def _interp_lanes(analyzed, state, local, dep, carried, plain, is_last):
-    """Both lanes on the per-vertex interpreter, in one ascending pass:
-    the instrumented UDF with a dependency handle for dependency-lane
-    vertices, the original UDF for the rest."""
-    n_dep = 0 if dep is None else dep.size
+def _interp_lanes(analyzed, state, local, m, dep, carried, plain, is_last):
+    """Both lanes of one unit on the per-vertex interpreter, in one
+    ascending pass: the instrumented UDF with a dependency handle for
+    dependency-lane vertices, the original UDF for the rest."""
+    n_dep = dep.size
     # Lane-local dependency state, indexed by position in ``dep``: a
     # vertex the parent let through starts from exactly what it was
     # sent — nothing at all when its dependency message was lost.
@@ -543,7 +477,7 @@ def _interp_lanes(analyzed, state, local, dep, carried, plain, is_last):
     for name, (present, values) in (carried or {}).items():
         store.present[name][:] = present
         store.data[name][:] = values
-    vertices = plain if dep is None else np.concatenate([dep, plain])
+    vertices = np.concatenate([dep, plain])
     dep_edges = plain_edges = 0
     emit_v: List[int] = []
     emit_counts: List[int] = []
@@ -582,79 +516,16 @@ def _interp_lanes(analyzed, state, local, dep, carried, plain, is_last):
             name: (store.present[name], store.data[name])
             for name in store.data
         },
+        "m": m,
+        "plain_vertices": int(plain.size),
     }
 
 
-def pull_units(
-    ctx: WorkerContext, shared: Dict[str, Any], items: List[Dict[str, Any]]
-) -> List[Dict[str, Any]]:
-    """The pull work units of one chunk — machines of one pull step, in
-    ascending order — as one result per item.
-
-    Each item is one machine's share of the step, two lanes over
-    machine ``item['m']``'s local in-edges:
-
-    * the **dependency lane** ``item['dep']`` (absent on the BSP
-      schedule): vertices taking part in dependency propagation, which
-      the parent has already cut down to those this machine must scan
-      (skip bit clear, or dependency message lost), with
-      ``item['carried']`` — ``{name: (present, values)}`` aligned with
-      ``dep``, or None when no data circulates — the carried state the
-      previous machine handed over;
-    * the **plain lane** ``item['plain']``: vertices scanned with the
-      original UDF and no dependency state.  When absent it is every
-      vertex of ``shared['active']`` with a local in-edge, so the BSP
-      schedule ships the active set once, not once per machine.
-
-    ``shared['use_kernel']`` picks the batched kernel or the per-vertex
-    interpreter for both lanes.  The kernel scans the chunk in *blocks*:
-    consecutive units whose flattened edges fit ``_BLOCK_EDGES`` share
-    one kernel call per lane (``shared['solo']`` puts every unit in a
-    block of its own — the certifier's replay), with
-    ``shared['scan']`` — ``(run, phase, step)`` — telling the context's
-    :class:`PlanStore` where in the run the chunk sits.  A unit's
-    result does not depend on what it was blocked with, and has one
-    shape either way: per-lane ``*_edges`` (and, for kernels,
-    ``*_seconds`` — the unit's edge share of its block's call),
-    ``plain_vertices``, the emitting vertices in ascending order
-    (``emit_v``) with how many values each emitted (``emit_counts``, or
-    None for "one each", which is all a kernel can emit) and the values
-    flattened in that order (``emit_values``: a 1-D numeric array, or a
-    list when the interpreter emitted anything else), and the
-    dependency lane's outgoing state for the parent to write back —
-    ``broke`` (mask over ``dep``, or None for a kernel that never
-    breaks) and ``carried`` (same layout as the input).
-    """
-    analyzed = ctx.analyzed(shared["signal"])
-    if shared["use_kernel"]:
-        return _kernel_lanes(ctx, shared, analyzed.kernel, items)
-    results = []
-    for item in items:
-        m = int(item["m"])
-        local = ctx.local_in(m)
-        plain = item.get("plain")
-        if plain is None:
-            active = shared["active"]
-            plain = active[local.degrees()[active] > 0]
-        out = _interp_lanes(
-            analyzed, ctx.state, local, item.get("dep"), item.get("carried"),
-            plain, shared["is_last"],
-        )
-        out["m"] = m
-        out["plain_vertices"] = int(plain.size)
-        results.append(out)
-    return results
-
-
-def pull_task(
-    ctx: WorkerContext, shared: Dict[str, Any], item: Dict[str, Any]
-) -> Dict[str, Any]:
-    """One machine's share of one pull step: :func:`pull_units` of a
-    chunk of one, which executors call for the whole chunk instead."""
-    return pull_units(ctx, shared, [item])[0]
-
-
-pull_task.chunk = pull_units
+def unit_lane(table: Dict[str, Any], lane: str, m: int, item: int):
+    """The vertices machine ``m`` scans for ``item`` on ``lane``
+    (``"dep"`` or ``"plain"``) of a pull phase's table."""
+    vertices, cuts = table[lane][m]
+    return vertices[cuts[item]:cuts[item + 1]]
 
 
 def write_back(dep_store, deps: List[np.ndarray], results) -> None:
@@ -676,26 +547,54 @@ def write_back(dep_store, deps: List[np.ndarray], results) -> None:
             dep_store.data[name][at] = values
 
 
-def lane_at(column: Dict[str, Any], lane: str, step: int) -> np.ndarray:
-    """A column's ``lane`` (``"dep"`` or ``"plain"``) in ``step``."""
-    at = column[lane + "_at"]
-    return column[lane][at[step]:at[step + 1]]
-
-
 def pull_walk(
-    ctx: WorkerContext, shared: Dict[str, Any], columns: List[Dict[str, Any]]
+    ctx: WorkerContext, shared: Dict[str, Any], items: List[int]
 ) -> List[List[Dict[str, Any]]]:
-    """Columns walked over the steps ``shared['steps']`` (``(first,
-    stop)``): per column, one :func:`pull_units` result a step.
+    """The pull task: items of a phase's table walked over the steps
+    ``shared['steps']`` (``(first, stop)``); per item, one result a
+    step.
 
-    Column ``j`` holds each lane for every step (:func:`lane_at`); in
-    step ``s`` machine ``(j - s - 1) % p`` scans it, a step's units in
-    ascending machine order, as a step's always blocked.  The dependency
-    state is the walk's — fresh, or a copy of ``shared['dep_in']``
-    ``(skip, present, data)`` — cut into and written back between steps.
-    Results gain ``dep_vertices``, and keep ``broke`` and ``carried``
-    only for a parent that passed the state in."""
-    p = len(columns[0]["dep_at"]) - 1
+    ``shared['table']`` is the phase (``BaseEngine._pull_table``): per
+    lane, one ``(vertices, cuts)`` per machine — item ``j``'s share of
+    machine ``m``'s lane is ``vertices[cuts[j]:cuts[j + 1]]``
+    (:func:`unit_lane`) — and ``machine[j][s]``, the machine that scans
+    item ``j`` in step ``s``.
+    Each step's unit of an item is two lanes over that machine's local
+    in-edges:
+
+    * the **dependency lane** — vertices taking part in dependency
+      propagation, cut down to those whose skip bit is still clear,
+      with the carried state (``shared['carried']`` names it) the
+      previous machine handed over;
+    * the **plain lane** — vertices scanned with the original UDF and
+      no dependency state.
+
+    The dependency state is the walk's — fresh, or a copy of
+    ``shared['dep_in']`` ``(skip, present, data)`` — and written back
+    between steps.  A step's units run in ascending machine order.
+    ``shared['use_kernel']`` picks the batched kernel or the per-vertex
+    interpreter for both lanes.  The kernel scans a step in *blocks*:
+    consecutive units whose flattened edges fit ``_BLOCK_EDGES`` share
+    one kernel call per lane (``shared['solo']`` puts every unit in a
+    block of its own — the certifier's replay), with the run and phase
+    of ``shared['scan']`` and the step telling the context's
+    :class:`PlanStore` where in the run the block sits.  A unit's
+    result does not depend on what it was blocked with, and has one
+    shape either way: per-lane ``*_edges`` (and, for kernels,
+    ``*_seconds`` — the unit's edge share of its block's call),
+    ``plain_vertices`` and ``dep_vertices``, the scanning machine
+    ``m``, the emitting vertices in ascending order (``emit_v``) with
+    how many values each emitted (``emit_counts``, or None for "one
+    each", which is all a kernel can emit) and the values flattened in
+    that order (``emit_values``: a 1-D numeric array, or a list when
+    the interpreter emitted anything else), and — only for a parent
+    that passed the state in — the dependency lane's outgoing state,
+    ``broke`` (mask over the lane, or None for a kernel that never
+    breaks) and ``carried`` (``{name: (present, values)}``).
+    """
+    table = shared["table"]
+    machine = table["machine"]
+    last = len(machine[0]) - 1
     store = DepStore(ctx.num_vertices, shared["carried"])
     dep_in = shared["dep_in"]
     if dep_in is not None:
@@ -704,44 +603,47 @@ def pull_walk(
         for name in store.data:
             store.present[name][:] = present[name]
             store.data[name][:] = data[name]
+    analyzed = ctx.analyzed(shared["signal"])
     run, phase = shared["scan"]
-    walked: List[List[Dict[str, Any]]] = [[] for _ in columns]
+    walked: List[List[Dict[str, Any]]] = [[] for _ in items]
     for s in range(*shared["steps"]):
-        at = sorted(
-            range(len(columns)), key=lambda i: (columns[i]["j"] - s - 1) % p
-        )
-        items = []
-        for i in at:
-            dep = lane_at(columns[i], "dep", s)
-            dep = dep[~store.skip[dep]]
-            items.append({
-                "m": (columns[i]["j"] - s - 1) % p,
-                "dep": dep,
-                "carried": {
-                    name: (store.present[name][dep], values[dep])
-                    for name, values in store.data.items()
-                } if store.data else None,
-                "plain": lane_at(columns[i], "plain", s),
-            })
-        results = pull_units(
-            ctx, {**shared, "scan": (run, phase, s), "is_last": s == p - 1},
-            items,
-        )
-        write_back(store, [item["dep"] for item in items], results)
-        for i, item, res in zip(at, items, results):
-            res["dep_vertices"] = int(item["dep"].size)
+        at = sorted(range(len(items)), key=lambda i: machine[items[i]][s])
+        ms = [machine[items[i]][s] for i in at]
+        deps = [unit_lane(table, "dep", m, items[i]) for i, m in zip(at, ms)]
+        deps = [dep[~store.skip[dep]] for dep in deps]
+        plains = [
+            unit_lane(table, "plain", m, items[i]) for i, m in zip(at, ms)
+        ]
+        carried = [
+            {name: (store.present[name][dep], values[dep])
+             for name, values in store.data.items()}
+            for dep in deps
+        ] if store.data else None
+        if shared["use_kernel"]:
+            results = _kernel_step(
+                ctx, {**shared, "scan": (run, phase, s)}, analyzed.kernel,
+                ms, deps, carried, plains,
+            )
+        else:
+            results = [
+                _interp_lanes(
+                    analyzed, ctx.state, ctx.local_in(m), m, dep,
+                    None if carried is None else carried[u], plain,
+                    s == last,
+                )
+                for u, (m, dep, plain) in enumerate(zip(ms, deps, plains))
+            ]
+        write_back(store, deps, results)
+        for i, dep, res in zip(at, deps, results):
+            res["dep_vertices"] = int(dep.size)
             if dep_in is None:
                 del res["broke"], res["carried"]
             walked[i].append(res)
     return walked
 
 
-def pull_column(ctx: WorkerContext, shared, column) -> List[Dict[str, Any]]:
-    """One column's walk: :func:`pull_walk` of a chunk of one."""
-    return pull_walk(ctx, shared, [column])[0]
-
-
-pull_column.chunk = pull_walk
+# the walk takes its executor's whole chunk of items in one call
+pull_walk.chunk = pull_walk
 
 
 def _push_scan(ctx: WorkerContext, push_signal, local, cand: np.ndarray):
@@ -796,7 +698,7 @@ def push_task(
     *remote* scanned vertex, in scan order: one frontier-state transfer
     each — with the updates as parallel arrays in emit order:
     ``emit_v`` (destinations) and ``emit_values`` (a numeric array, or
-    a list, as in :func:`pull_task`).  The parent derives every send
+    a list, as in :func:`pull_walk`).  The parent derives every send
     from these and the master map.
 
     ``shared['use_kernel']`` asks for the scan as one array pass

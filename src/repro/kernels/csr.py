@@ -24,7 +24,7 @@ matching the interpreter's restored-value dtype behavior.
 **One call, several machines.**  The ``local`` a kernel scans is one
 :class:`~repro.partition.base.LocalAdjacency` or a :class:`ScanBlock`:
 the ``(adjacency, vertex)`` rows of consecutive work units of one pull
-step, concatenated in unit order (:func:`repro.exec.work.pull_units`
+step, concatenated in unit order (:func:`repro.exec.work.pull_walk`
 builds them, up to a fixed edge budget).  A block flattens its rows
 once — one offset pass over all of them, one gather per machine out of
 that machine's own ``indices``, no copy of the topology — and what it
@@ -241,7 +241,7 @@ def _fold_start(spec, state, vertices: np.ndarray, carried_in: CarriedIn):
     With a restored value anywhere in the call the fold runs in float64
     (the wire type), otherwise in the init's own dtype — decided once
     per *call*, which is why a call's rows must share one carried-in
-    class: :func:`repro.exec.work.pull_units` never blocks a unit that
+    class: :func:`repro.exec.work.pull_walk` never blocks a unit that
     restores values with one that does not.
     """
     init = _per_vertex_eval(spec.exprs["init"], state, vertices)

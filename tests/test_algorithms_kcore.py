@@ -6,6 +6,7 @@ import pytest
 
 from repro.algorithms import kcore, kcore_peel
 from repro.engine import make_engine
+from repro.errors import GraphError
 from repro.graph import (
     CSRGraph,
     attach_chain,
@@ -81,9 +82,10 @@ class TestStructuredGraphs:
         assert result.rounds >= 10
 
     def test_invalid_k_rejected(self, graph):
-        with pytest.raises(ValueError):
+        """Typed, as ``IncrementalKCore`` refuses the same k."""
+        with pytest.raises(GraphError, match="kcore: k must be >= 1"):
             kcore(make_engine("gemini", graph, 2), k=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match="kcore: k must be >= 1"):
             kcore_peel(graph, k=0)
 
 

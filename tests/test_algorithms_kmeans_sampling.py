@@ -6,7 +6,7 @@ import pytest
 from repro.algorithms import kmeans, sample_neighbors
 from repro.algorithms.kmeans import KMeansResult
 from repro.engine import make_engine
-from repro.errors import UnsupportedAlgorithmError
+from repro.errors import GraphError, UnsupportedAlgorithmError
 from repro.graph import (
     CSRGraph,
     cycle_graph,
@@ -72,9 +72,9 @@ class TestKMeans:
         assert (result.distance >= 0).all()
 
     def test_invalid_cluster_count(self, graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match="kmeans: num_clusters"):
             kmeans(make_engine("gemini", graph, 2), num_clusters=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match="kmeans: num_clusters"):
             kmeans(
                 make_engine("gemini", graph, 2),
                 num_clusters=graph.num_vertices + 1,
@@ -82,7 +82,7 @@ class TestKMeans:
 
     def test_empty_graph_rejected(self):
         g = CSRGraph.from_edges(0, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match="kmeans: cannot cluster"):
             kmeans(make_engine("gemini", g, 1))
 
     def test_deterministic_per_seed(self, graph):

@@ -11,10 +11,10 @@ import pytest
 
 from repro.api import Checkpointing, RunConfig, Session
 from repro.engine import SympleOptions, make_engine
-from repro.errors import EngineError, UnsupportedAlgorithmError
+from repro.errors import EngineError, GraphError, UnsupportedAlgorithmError
 from repro.exec import ProcessPoolExecutor, SerialExecutor
 from repro.fault import FaultPlan
-from repro.graph import erdos_renyi, to_undirected
+from repro.graph import CSRGraph, erdos_renyi, to_undirected
 from repro.partition import OutgoingEdgeCut
 
 
@@ -275,6 +275,25 @@ class TestSession:
         with Session(graph, RunConfig(machines=4, bfs_roots=1)) as session:
             assert session.run().digest() == session.run().digest()
             assert session.run().digest() != session.run(seed=5).digest()
+
+    @pytest.mark.parametrize("algorithm", ["bfs", "sssp"])
+    def test_no_root_to_draw_is_a_graph_error(self, algorithm):
+        edgeless = CSRGraph.from_edges(6, [])
+        config = RunConfig(machines=2, algorithm=algorithm)
+        with Session(edgeless, config) as session:
+            with pytest.raises(GraphError, match=f"^{algorithm}: the graph"):
+                session.run()
+
+    @pytest.mark.parametrize("algorithm", ["bfs", "sssp"])
+    def test_sources_out_of_range_are_an_engine_error(self, graph,
+                                                      algorithm):
+        """The error ``RunConfig.sources`` raises for a bad id."""
+        n = graph.num_vertices
+        config = RunConfig(machines=4, algorithm=algorithm, sources=(3, n))
+        with Session(graph, config) as session:
+            with pytest.raises(EngineError,
+                               match=rf"^{algorithm}: sources \[{n}\]"):
+                session.run()
 
 
 class TestLegacySurfaceRemoved:

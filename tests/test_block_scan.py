@@ -2,12 +2,13 @@
 
 The pull side of ``test_push_kernel.py``:
 
-* ``repro.exec.work.pull_units`` — on random small directed multigraphs
+* ``repro.exec.work.pull_walk`` — on random small directed multigraphs
   (self-loops, parallel edges, isolated and zero-in-degree vertices,
-  more machines than vertices) every result key of every unit equals
-  the unit's own per-unit kernel calls (the pre-block ``_kernel_lanes``,
-  kept here as the oracle) by dtype and bytes, whatever the block limit
-  and whatever the units carry in;
+  more machines than vertices) every result key of every unit of a
+  walked step equals the unit's own per-unit kernel calls (the
+  pre-block scan, kept here as the oracle) by dtype and bytes, whatever
+  the block limit and whatever the units carry in; a chunk walked at
+  once equals its items walked one by one;
 * whole ``Session.run`` observables — digest, counters, simulated time,
   the ordered send log — are the same under every block limit and on
   every executor;
@@ -106,11 +107,12 @@ def context(graph, machines, rng):
     return engine, ctx
 
 
-def circulant_items(engine, analyzed, rng, step, differentiated, carry):
-    """One circulant step's units over every vertex, as
-    ``SympleGraphEngine._pull_circulant`` builds them; ``carry`` says
-    which units are handed restored values: 'none', 'some' (about half
-    the units, about half their vertices), 'all'."""
+def circulant_step(engine, analyzed, rng, step, differentiated, carry):
+    """One circulant step's units over every vertex, as a table whose
+    walk of ``step`` (:func:`walk_step`) scans them, the ``dep_in`` it
+    starts from, and each machine's unit for :func:`per_unit_oracle`;
+    ``carry`` says which units are handed restored values: 'none',
+    'some' (about half the units, about half their vertices), 'all'."""
     p = engine.num_machines
     n = engine.graph.num_vertices
     master_of = engine.partition.master_of
@@ -119,52 +121,89 @@ def circulant_items(engine, analyzed, rng, step, differentiated, carry):
         else np.ones(n, dtype=bool)
     )
     names = analyzed.info.carried_vars
-    items = []
+    skip = np.zeros(n, dtype=bool)
+    present = {name: np.zeros(n, dtype=bool) for name in names}
+    data = {name: np.zeros(n) for name in names}
+    table = {
+        "machine": [[(j - s - 1) % p for s in range(p)] for j in range(p)],
+        "dep": [], "plain": [],
+    }
+    units = []
     for m in range(p):
-        part = np.flatnonzero(master_of == circulant_partition(m, step, p))
+        j = circulant_partition(m, step, p)
+        part = np.flatnonzero(master_of == j)
         cand = part[engine.partition.local_in(m).degrees()[part] > 0]
-        dep = cand[high[cand]]
-        dep = dep[rng.random(dep.size) < 0.8]  # the rest already broke
+        circulated, plain = cand[high[cand]], cand[~high[cand]]
+        broke = rng.random(circulated.size) >= 0.8  # already broke
+        skip[circulated[broke]] = True
+        dep = circulated[~broke]
         carried = None
         if names:
-            present = np.zeros(dep.size, dtype=bool)
+            mask = np.zeros(dep.size, dtype=bool)
             if carry == "all" or (carry == "some" and rng.random() < 0.5):
-                present = rng.random(dep.size) < (1.0 if carry == "all"
-                                                  else 0.5)
-            carried = {
-                name: (present, rng.integers(0, 3, dep.size).astype(float))
-                for name in names
-            }
-        items.append({
-            "m": m, "dep": dep, "carried": carried,
-            "plain": cand[~high[cand]],
-        })
-    return items
+                mask = rng.random(dep.size) < (1.0 if carry == "all"
+                                               else 0.5)
+            carried = {}
+            for name in names:
+                values = rng.integers(0, 3, dep.size).astype(float)
+                present[name][dep], data[name][dep] = mask, values
+                carried[name] = (mask, values)
+        # machine m's rows hold partition j alone
+        for lane, vertices in (("dep", circulated), ("plain", plain)):
+            table[lane].append(
+                (vertices, [0] * (j + 1) + [vertices.size] * (p - j))
+            )
+        units.append({"m": m, "dep": dep, "carried": carried, "plain": plain})
+    return table, (skip, present, data), units
 
 
-def shared_for(analyzed, scan=(1, 0, 0), active=None):
+def bsp_step(engine, active):
+    """The BSP table over ``active`` and each machine's unit, its plain
+    lane filtered as the pre-table unit did: by the local degrees."""
+    units = []
+    for m in range(engine.num_machines):
+        local = engine.partition.local_in(m)
+        units.append({"m": m, "dep": None, "carried": None,
+                      "plain": active[local.degrees()[active] > 0]})
+    mask = np.zeros(engine.graph.num_vertices, dtype=bool)
+    mask[active] = True
+    return engine._pull_table(None, mask, circulant=False), units
+
+
+def shared_for(analyzed, scan=(1, 0), carried=()):
     return {
         "signal": analyzed, "use_kernel": True, "timed": False,
-        "active": active, "is_last": False, "scan": scan, "solo": False,
+        "scan": scan, "solo": False, "carried": carried, "dep_in": None,
     }
 
 
-def per_unit_oracle(ctx, analyzed, shared, item):
+def walk_step(ctx, shared, table, step, dep_in=None):
+    """The walk of ``step`` alone over every item of ``table``, its
+    units' results in machine order."""
+    items = list(range(len(table["machine"])))
+    walked = work.pull_walk(
+        ctx, {**shared, "table": table, "steps": (step, step + 1),
+              "dep_in": dep_in}, items,
+    )
+    return [walk[0] for walk in sorted(
+        walked, key=lambda walk: walk[0]["m"]
+    )]
+
+
+def per_unit_oracle(ctx, analyzed, unit):
     """The pull unit as it was before blocks: each lane one kernel call
     over the machine's own ``LocalAdjacency``."""
     spec = analyzed.kernel
     kernel = get_kernel(spec.kind)
-    m = int(item["m"])
+    m = int(unit["m"])
     local = ctx.local_in(m)
-    dep, carried, plain = item.get("dep"), item.get("carried"), item.get("plain")
-    if plain is None:
-        active = shared["active"]
-        plain = active[local.degrees()[active] > 0]
+    dep, carried, plain = unit["dep"], unit["carried"], unit["plain"]
     batch = kernel(spec, ctx.state, local, plain)
     plain_edges = int(batch.edges.sum())
     emit_v = plain[batch.emit_mask]
     values = batch.values[batch.emit_mask]
-    dep_edges, broke, carried_out = 0, None, {}
+    out = {}
+    dep_edges = 0
     if dep is not None:
         name = spec.carried_vars[0] if carried else None
         batch = kernel(
@@ -172,11 +211,10 @@ def per_unit_oracle(ctx, analyzed, shared, item):
             carried_in=carried[name] if carried else None,
         )
         dep_edges = int(batch.edges.sum())
-        broke = batch.broke
-        if carried:
-            carried_out = {
-                name: (np.ones(dep.size, dtype=bool), batch.carried)
-            }
+        out["broke"] = batch.broke
+        out["carried"] = {
+            name: (np.ones(dep.size, dtype=bool), batch.carried)
+        } if carried else {}
         dep_v = dep[batch.emit_mask]
         if dep_v.size and emit_v.size:
             emit_v = np.concatenate([dep_v, emit_v])
@@ -186,10 +224,12 @@ def per_unit_oracle(ctx, analyzed, shared, item):
         elif dep_v.size:
             emit_v, values = dep_v, batch.values[batch.emit_mask]
     return {
+        **out,
         "kind": spec.kind, "plain_edges": plain_edges, "plain_seconds": 0.0,
         "dep_edges": dep_edges, "dep_seconds": 0.0, "emit_v": emit_v,
-        "emit_counts": None, "emit_values": values, "broke": broke,
-        "carried": carried_out, "m": m, "plain_vertices": int(plain.size),
+        "emit_counts": None, "emit_values": values, "m": m,
+        "plain_vertices": int(plain.size),
+        "dep_vertices": 0 if dep is None else int(dep.size),
     }
 
 
@@ -239,24 +279,22 @@ class TestBlockEqualsUnit:
         analyzed = instrument_signal(signal)
         assert analyzed.kernel.compatible(ctx.state)
         step = int(rng.integers(0, machines))
-        items = circulant_items(
+        table, dep_in, units = circulant_step(
             engine, analyzed, rng, step, differentiated, carry
         )
-        shared = shared_for(analyzed, scan=(1, 0, step))
-        want = [per_unit_oracle(ctx, analyzed, shared, it) for it in items]
-        assert_same_results(
-            [work.pull_task(ctx, shared, item) for item in items], want
-        )
+        shared = shared_for(analyzed, carried=analyzed.info.carried_vars)
+        want = [per_unit_oracle(ctx, analyzed, unit) for unit in units]
         for phase, limit in enumerate(LIMITS * 2, start=1):
             # the second round finds the first round's sets: kept plans
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(work, "_BLOCK_EDGES", limit)
-                got = work.pull_units(
-                    ctx, {**shared, "scan": (1, phase, step)}, items
+                got = walk_step(
+                    ctx, {**shared, "scan": (1, phase)}, table, step, dep_in
                 )
             assert_same_results(got, want)
         assert_same_results(
-            work.pull_units(ctx, {**shared, "solo": True}, items), want
+            walk_step(ctx, {**shared, "solo": True}, table, step, dep_in),
+            want,
         )
 
     @pytest.mark.parametrize(
@@ -268,21 +306,20 @@ class TestBlockEqualsUnit:
     )
     @settings(max_examples=25, deadline=None)
     def test_bsp_units(self, signal, seed, machines):
-        """``dep=None``, the plain lane left to the unit's own filter."""
+        """No dependency lane, the plain lane each machine's
+        ``_has_in`` row of the active set."""
         rng = np.random.default_rng(seed)
         graph = random_graph(rng)
         engine, ctx = context(graph, machines, rng)
         analyzed = instrument_signal(signal)
         active = np.flatnonzero(rng.random(graph.num_vertices) < 0.7)
-        items = [{"m": m} for m in range(machines)]
-        shared = shared_for(analyzed, active=active)
-        want = [per_unit_oracle(ctx, analyzed, shared, it) for it in items]
+        table, units = bsp_step(engine, active)
+        shared = shared_for(analyzed)
+        want = [per_unit_oracle(ctx, analyzed, unit) for unit in units]
         for phase, limit in enumerate(LIMITS):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(work, "_BLOCK_EDGES", limit)
-                got = work.pull_units(
-                    ctx, {**shared, "scan": (1, phase, 0)}, items
-                )
+                got = walk_step(ctx, {**shared, "scan": (1, phase)}, table, 0)
             assert_same_results(got, want)
 
     def test_restored_and_fresh_units_never_share_a_call(self):
@@ -293,19 +330,22 @@ class TestBlockEqualsUnit:
         rng = np.random.default_rng(0)
         engine, ctx = context(graph, 4, rng)
         analyzed = instrument_signal(cc_signal)
-        items = circulant_items(engine, analyzed, rng, 1, False, "none")
-        assert all(item["dep"].size for item in items)
-        for item in items[1::2]:
-            item["carried"]["best"][0][:] = True
-        shared = shared_for(analyzed)
+        table, dep_in, units = circulant_step(
+            engine, analyzed, rng, 1, False, "none"
+        )
+        assert all(unit["dep"].size for unit in units)
+        for unit in units[1::2]:
+            unit["carried"]["best"][0][:] = True
+            dep_in[1]["best"][unit["dep"]] = True
+        shared = shared_for(analyzed, carried=("best",))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(work, "_BLOCK_EDGES", 1 << 40)
-            got = work.pull_units(ctx, shared, items)
+            got = walk_step(ctx, shared, table, 1, dep_in)
         assert [res["emit_values"].dtype for res in got] == [
             np.dtype(np.int64), np.dtype(np.float64),
         ] * 2
         assert_same_results(
-            got, [per_unit_oracle(ctx, analyzed, shared, it) for it in items]
+            got, [per_unit_oracle(ctx, analyzed, unit) for unit in units]
         )
         # classes alternate, so no two units could share a block
         assert ctx.plans.counts["blocks"] == ctx.plans.counts["units"] == 4
@@ -318,12 +358,13 @@ class TestBlockEqualsUnit:
         engine, ctx = context(graph, 12, rng)
         for signal in SIGNALS:
             analyzed = instrument_signal(signal)
-            items = circulant_items(engine, analyzed, rng, 0, False, "all")
-            shared = shared_for(analyzed)
-            got = work.pull_units(ctx, shared, items)
+            table, dep_in, units = circulant_step(
+                engine, analyzed, rng, 0, False, "all"
+            )
+            shared = shared_for(analyzed, carried=analyzed.info.carried_vars)
+            got = walk_step(ctx, shared, table, 0, dep_in)
             assert_same_results(
-                got,
-                [per_unit_oracle(ctx, analyzed, shared, it) for it in items],
+                got, [per_unit_oracle(ctx, analyzed, unit) for unit in units]
             )
             empty = [res for res in got if not res["dep_edges"]]
             assert empty
@@ -338,7 +379,32 @@ class TestBlockEqualsUnit:
         assert 0 < work._BLOCK_EDGES <= 2**24 // 16
 
     def test_pull_task_is_a_chunk_of_one(self):
-        assert work.pull_task.chunk is work.pull_units
+        """The pull phase's one task is the walk, and it is its own chunk
+        form: one item walked is a chunk of one."""
+        assert work.pull_walk.chunk is work.pull_walk
+
+    @pytest.mark.parametrize("signal", [kcore_signal, cc_signal],
+                             ids=lambda fn: fn.__name__)
+    def test_a_chunk_walks_as_its_items_alone(self, monkeypatch, signal):
+        """A chunk of items walked at once — every step's units blocked
+        together — gives each item what walking it alone gives, step by
+        step and key by key."""
+        graph = to_undirected(rmat(scale=6, edge_factor=6, seed=3))
+        rng = np.random.default_rng(4)
+        engine, ctx = context(graph, 4, rng)
+        analyzed = instrument_signal(signal)
+        active = rng.random(graph.num_vertices) < 0.8
+        high = active & (graph.in_degrees() >= 4)
+        table = engine._pull_table(high, active & ~high, circulant=True)
+        shared = {**shared_for(analyzed, carried=analyzed.info.carried_vars),
+                  "table": table, "steps": (0, 4)}
+        monkeypatch.setattr(work, "_BLOCK_EDGES", 1 << 40)
+        whole = work.pull_walk(ctx, shared, [0, 1, 2, 3])
+        assert ctx.plans.counts["units"] > ctx.plans.counts["blocks"]
+        alone = [work.pull_walk(ctx, shared, [j])[0] for j in range(4)]
+        for got, want in zip(whole, alone):
+            assert len(got) == 4
+            assert_same_results(got, want)
 
 
 # -- (b) whole runs --------------------------------------------------------------
@@ -445,7 +511,7 @@ class TestWholeRuns:
 # -- (c) plan scoping ------------------------------------------------------------
 
 
-def _located(local, vertices):
+def _segments(local, vertices):
     starts = local.indptr[vertices]
     lens = local.indptr[vertices + 1] - starts
     return starts, lens, int(lens.sum())
@@ -625,8 +691,8 @@ class TestPlanScoping:
         # and the lanes of one position never meet
         assert store.block(
             (1, 4, 0), "plain", (0, 1),
-            [(local, *_located(local, vertices[:4])),
-             (local, *_located(local, vertices[4:]))],
+            [(local, *_segments(local, vertices[:4])),
+             (local, *_segments(local, vertices[4:]))],
             vertices,
         ) is not None
         assert store.counts["plans_reused"] == 1
@@ -659,9 +725,9 @@ def tampered_scan_lane(monkeypatch):
     scan_lane = work._scan_lane
     hits = []
 
-    def tampered(ctx, shared, spec, units, lane):
-        out = scan_lane(ctx, shared, spec, units, lane)
-        live = [i for i, cut in enumerate(out) if cut is not None and cut[0]]
+    def tampered(ctx, shared, spec, ms, block, lane, *lanes):
+        out = scan_lane(ctx, shared, spec, ms, block, lane, *lanes)
+        live = [i for i, cut in enumerate(out) if cut[0]]
         if len(live) > 1:
             hits.append(lane)
             edges, *rest = out[live[1]]

@@ -12,7 +12,8 @@ coins alike, so a booking that drew in another order would show here.
 The circulant pull cuts each machine's candidates at the master bounds
 of the partition's vertex order by master.  Chunked partitions make
 that order the identity; a shuffled master map does not, and must
-still reach the single-thread oracle's answers.
+still reach the single-thread oracle's answers — while the BSP pull,
+whose table comes from the same builder, keeps ascending vertex order.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from repro import RunConfig, Session, api, make_engine, rmat
 from repro.algorithms.bfs import bfs, bottom_up_signal
+from repro.algorithms.registry import fixpoint_digest
 from repro.algorithms.cc import connected_components
 from repro.algorithms.kcore import kcore
 from repro.algorithms.pagerank import pagerank
@@ -151,6 +153,49 @@ class TestShuffledMasters:
                 assert step.dep_bytes[m] == (
                     0 if s == p - 1 else Bitmap.wire_bytes(circulated)
                 )
+
+    def test_bsp_sends_stay_in_vertex_order(self, shuffled):
+        """A BSP pull's units are whole ``_has_in`` rows in ascending
+        vertex order, never master order: each machine's update
+        messages go out by ascending emitting vertex, and the traced
+        booking leaves what the aggregate one does."""
+        graph, part = shuffled
+        p, master_of = part.num_machines, part.master_of
+        frontier = np.arange(graph.num_vertices) % 7 == 0
+        active = np.ones(graph.num_vertices, dtype=bool)
+
+        def pulled(trace):
+            engine = make_engine("gemini", part)
+            engine.network.trace = trace
+            state = engine.new_state()
+            state.set("frontier", frontier)
+            state.add_array("visited", bool, False)
+            engine.pull(bottom_up_signal, _visit, state, active)
+            return {
+                "digest": fixpoint_digest(state.visited),
+                "summary": engine.counters.summary(),
+                "traffic": {
+                    tag: matrix.tolist()
+                    for tag, matrix in engine.network.traffic.items()
+                },
+            }, engine.network.log
+
+        traced, log = pulled(True)
+        aggregate, _ = pulled(False)
+        assert traced == aggregate
+        reordered = False
+        for m in range(p):
+            local = part.local_in(m)
+            emitters = [
+                v for v in np.flatnonzero(part._has_in[m] & active)
+                if frontier[local.neighbors(v)].any()
+            ]
+            remote = [v for v in emitters if master_of[v] != m]
+            sent = [d for s, d, tag, _ in log if s == m and tag == "update"]
+            assert sent == master_of[remote].tolist()
+            by_master = sorted(remote, key=lambda v: master_of[v])
+            reordered |= sent != master_of[by_master].tolist()
+        assert reordered  # master order would have sent them otherwise
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("engine", ENGINES)

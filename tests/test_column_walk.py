@@ -1,10 +1,11 @@
 """A circulant phase mapped as one walk books what its steps do one by one.
 
-The circulant pull maps one work unit per destination partition — its
-column, walked over every step of the phase
-(:func:`repro.exec.work.pull_walk`) — and merges the walked steps in step
-order.  Under a fault controller the same walk is mapped one step at a
-time, the dependency state kept by the parent between maps.  An inert
+The circulant pull maps its table's items — one per destination
+partition — and walks each over every step of the phase
+(:func:`repro.exec.work.pull_walk`, the one pull task), then merges the
+walked steps in step order.  Under a fault controller the same walk is
+mapped over ``steps=(s, s + 1)``, one step a map, the dependency state
+kept by the parent between maps.  An inert
 controller (a plan with no fault in it) takes that one-step form and
 changes nothing else, so the two forms must leave the same digest,
 counters, step records, ordered send log, scan blocks and engine events;

@@ -2,8 +2,9 @@
 
 Every value below was recorded at the last commit that still had the
 label-correcting loop written six times (sync ``sssp`` / ``cc``, the
-incremental repair loop, and the three ``engine/async_mode.py``
-drivers) and ``pagerank`` / ``kmeans`` / ``sampling`` as free
+incremental repair loop, and three async-mode drivers in a module of
+their own, now the bucket schedule of ``algorithms/relax.py``) and
+``pagerank`` / ``kmeans`` / ``sampling`` as free
 functions.  ``RunResult.digest()`` covers every counter, byte tally,
 the simulated time and every ``extra`` value, so an equal digest says
 the rewrite onto :class:`~repro.algorithms.relax.RelaxProgram` and the

@@ -471,6 +471,8 @@ class TestHttp:
             {"faults": {"events": [{"kind": "crash", "machine": 1.7,
                                     "iteration": 0}]}},
             {"faults": {"crashes": [{"machine": 1, "iteration": 0}]}},
+            # refused by the run, not the field table: the graph's size
+            {"algorithm": "bfs", "sources": [10**6]},
         ],
     )
     def test_bad_configs_400(self, server, body):
