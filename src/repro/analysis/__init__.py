@@ -7,8 +7,10 @@ dataflow facts, :func:`analyze_signal` derives the loop-carried
 dependency from them, :func:`instrument_signal` generates the
 dependency-aware variant, and the lint engine
 (:func:`lint_signal`/:func:`lint_slot`, extensible via :func:`rule`)
-reports hazards the analyzer tolerates but distribution does not.
-:func:`classify_kernel`, :func:`classify_slot` and
+reports hazards the analyzer tolerates but distribution does not;
+:mod:`repro.analysis.verify` runs those rules and the kernel
+certification over the UDFs :func:`discover_udfs` finds in files and
+modules (``repro verify``).  :func:`classify_kernel`, :func:`classify_slot` and
 :func:`classify_push` match a program's three UDFs — pull signal, slot,
 push signal — against the shapes the batched fast paths run.
 """
@@ -29,13 +31,8 @@ from repro.analysis.dataflow import (
     loop_carried_vars,
 )
 from repro.analysis.dsl import fold_while
-from repro.analysis.instrument import (
-    AnalyzedSignal,
-    analyze_and_instrument,
-    instrument_signal,
-)
+from repro.analysis.instrument import AnalyzedSignal, instrument_signal
 from repro.analysis.kernelspec import KernelSpec, classify_kernel
-from repro.analysis.linter import LintRun, discover_udfs, run_lint
 from repro.analysis.properties import (
     CheckResult,
     check_dependency_threading,
@@ -61,6 +58,7 @@ from repro.analysis.rules import (
     rule,
 )
 from repro.analysis.slotspec import SlotSpec, classify_slot
+from repro.analysis.verify import discover_udfs
 
 __all__ = [
     "CheckResult",
@@ -75,8 +73,6 @@ __all__ = [
     "lint_slot",
     "rule",
     "iter_rules",
-    "LintRun",
-    "run_lint",
     "discover_udfs",
     "DependencyInfo",
     "SignalAst",
@@ -96,7 +92,6 @@ __all__ = [
     "signal_effects",
     "AnalyzedSignal",
     "instrument_signal",
-    "analyze_and_instrument",
     "KernelSpec",
     "classify_kernel",
     "SlotSpec",

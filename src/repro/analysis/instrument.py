@@ -41,7 +41,7 @@ from repro.analysis.dataflow import ReachingDefinitions, definitely_assigned_at
 from repro.analysis.kernelspec import KernelSpec, classify_kernel
 from repro.errors import InstrumentationError
 
-__all__ = ["AnalyzedSignal", "instrument_signal", "analyze_and_instrument"]
+__all__ = ["AnalyzedSignal", "instrument_signal"]
 
 DEP_PARAM = "dep"
 
@@ -200,10 +200,6 @@ def instrument_signal(fn: Callable) -> AnalyzedSignal:
     if not isinstance(fn, types.FunctionType) or fn.__closure__:
         return _analyze(fn)
     return replace(_analyze_once(fn))
-
-
-# Back-compat friendly alias used throughout the engines.
-analyze_and_instrument = instrument_signal
 
 
 def _transform(fn: Callable, sig: SignalAst, info: DependencyInfo) -> AnalyzedSignal:

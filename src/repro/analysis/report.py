@@ -5,10 +5,11 @@ instrumenter generated — the Python analogue of inspecting the
 source-to-source output of the paper's clang tool (Figure 5).
 
 The lint writers serialize a list of
-:class:`~repro.analysis.rules.LintMessage` findings for ``repro
-lint``: compiler-style text, a stable JSON shape for scripting, and
-SARIF 2.1.0 for code-scanning UIs (one run, one ``repro-lint``
-driver, rule metadata taken from the registry docstrings).
+:class:`~repro.analysis.rules.LintMessage` findings — a
+:class:`~repro.analysis.verify.VerifyReport`'s, for ``repro verify``:
+compiler-style text, a stable JSON shape for scripting, and SARIF
+2.1.0 for code-scanning UIs (one run, one ``repro-lint`` driver, rule
+metadata taken from the registry docstrings).
 """
 
 from __future__ import annotations

@@ -16,22 +16,33 @@ static verdicts:
   backends' bit-identical guarantee are flagged as lint rules
   (:mod:`~repro.analysis.verify.determinism`).
 
-The driver here packages both into per-UDF :class:`UdfVerdict`\\ s and
-an aggregated :class:`VerifyReport` with CI exit-code semantics,
-behind three entry points mirroring the linter: :func:`verify_signal`,
-:func:`verify_slot`, :func:`verify_targets`.  The same verdicts gate
-execution through ``RunConfig(verify=...)`` and the ``repro verify``
-CLI subcommand.
+The driver here packages both, with the lint rules of
+:mod:`repro.analysis.rules`, into per-UDF :class:`UdfVerdict`\\ s and
+an aggregated :class:`VerifyReport` with CI exit-code semantics, behind
+three entry points: :func:`verify_signal`, :func:`verify_slot` and
+:func:`verify_targets`, the one discover-and-check loop.  The same
+verdicts gate execution through ``RunConfig(verify=...)``, and the
+``repro verify`` CLI subcommand is this package's front end.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from pathlib import Path
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.analysis.ast_analysis import analyze_parsed, parse_signal
 from repro.analysis.kernelspec import ShapeMismatch, classify_kernel
-from repro.analysis.rules import LintConfig, LintMessage, lint_signal, lint_slot
+from repro.analysis.rules import (
+    LintConfig,
+    LintMessage,
+    lint_signal,
+    lint_slot,
+    strict_config,
+)
 from repro.analysis.verify.contracts import (
     CONTRACTS,
     certify_spec,
@@ -48,8 +59,8 @@ __all__ = [
     "verify_signal",
     "verify_slot",
     "shape_note",
-    "push_shape_note",
     "verify_targets",
+    "discover_udfs",
     "summarize",
     "UdfSummary",
     "certify_spec",
@@ -80,13 +91,15 @@ class UdfVerdict:
     ``"unclassified"`` (neighbor loop but no kernel shape — the
     per-vertex interpreter runs, nothing to certify), ``"no-loop"``,
     ``"checked"`` (slots: lint rules only), ``"error"`` (the analyzer
-    rejected the UDF), or ``"registry"`` (the synthetic per-run entry
-    carrying registry-coverage warnings — not a UDF, excluded from the
-    summary tally).
+    rejected the UDF, or the target did not load), or ``"registry"``
+    (the synthetic per-run entry carrying registry-coverage warnings).
+    Only ``"signal"`` and ``"slot"`` verdicts are UDFs; a ``"target"``
+    that did not load and the ``"registry"`` entry are left out of the
+    summary tally.
     """
 
     name: str
-    kind: str  # "signal" | "slot" | "registry"
+    kind: str  # "signal" | "slot" | "target" | "registry"
     status: str
     messages: List[LintMessage] = field(default_factory=list)
     spec_kind: Optional[str] = None
@@ -110,7 +123,8 @@ class VerifyReport:
 
     @property
     def errors(self) -> List[LintMessage]:
-        """Error-level findings (unsound kernels, analyzer rejections)."""
+        """Error-level findings (unsound kernels, analyzer rejections,
+        targets that did not load)."""
         return [m for m in self.messages if m.level == "error"]
 
     @property
@@ -120,7 +134,8 @@ class VerifyReport:
 
     @property
     def exit_code(self) -> int:
-        """CI semantics, matching ``repro lint``: 2 errors, 1 warnings."""
+        """CI semantics: 2 on errors, 1 on warnings, 0 otherwise (notes
+        are informational)."""
         if self.errors:
             return 2
         if self.warnings:
@@ -129,7 +144,7 @@ class VerifyReport:
 
     def summary(self) -> str:
         """One-line tally for the end of text output."""
-        udfs = [v for v in self.verdicts if v.status != REGISTRY]
+        udfs = [v for v in self.verdicts if v.kind in ("signal", "slot")]
         certified = sum(1 for v in udfs if v.certified)
         unsound = sum(1 for v in udfs if v.status == UNSOUND)
         return (
@@ -140,13 +155,26 @@ class VerifyReport:
 
 
 def _config(strict: bool, config: Optional[LintConfig]) -> Optional[LintConfig]:
-    if config is not None:
-        return config
-    if strict:
-        from repro.analysis.rules import strict_config
+    """``config`` with the strict promotions applied when ``strict``."""
+    return strict_config(config) if strict else config
 
-        return strict_config()
-    return None
+
+def _located(fn: Callable) -> dict:
+    """``lineno`` / ``path`` of ``fn``'s ``def``, for a message about it."""
+    code = getattr(fn, "__code__", None)
+    if code is None:
+        return {"lineno": 0, "path": ""}
+    return {"lineno": code.co_firstlineno, "path": code.co_filename}
+
+
+def _rejected(verdict: UdfVerdict, fn: Callable, exc: AnalysisError) -> UdfVerdict:
+    """The analyzer refused ``fn``: an ``analysis-error`` at its ``def``."""
+    verdict.status = ERROR
+    verdict.messages.append(
+        LintMessage("analysis-error", "error", f"{verdict.name}: {exc}",
+                    func=verdict.name, **_located(fn))
+    )
+    return verdict
 
 
 def verify_signal(
@@ -159,8 +187,9 @@ def verify_signal(
 
     Purely static — neither the UDF nor any kernel runs.  ``strict``
     applies the promoted severities of
-    :func:`repro.analysis.rules.strict_config` to the lint pass (the
-    certification verdict is always error-level when refuted).
+    :func:`repro.analysis.rules.strict_config` on top of ``config`` to
+    the lint pass (the certification verdict is always error-level when
+    refuted).
     """
     qualname = name or getattr(fn, "__name__", str(fn))
     verdict = UdfVerdict(name=qualname, kind="signal", status=NO_LOOP)
@@ -169,12 +198,7 @@ def verify_signal(
         info = analyze_parsed(sig)
         verdict.messages.extend(lint_signal(fn, _config(strict, config)))
     except AnalysisError as exc:
-        verdict.status = ERROR
-        verdict.messages.append(
-            LintMessage("analysis-error", "error", f"{qualname}: {exc}",
-                        func=qualname)
-        )
-        return verdict
+        return _rejected(verdict, fn, exc)
     if not info.has_neighbor_loop:
         return verdict
     spec = classify_kernel(sig, info)
@@ -232,11 +256,7 @@ def verify_slot(
     try:
         verdict.messages.extend(lint_slot(fn, _config(strict, config)))
     except AnalysisError as exc:
-        verdict.status = ERROR
-        verdict.messages.append(
-            LintMessage("analysis-error", "error", f"{qualname}: {exc}",
-                        func=qualname)
-        )
+        return _rejected(verdict, fn, exc)
     return verdict
 
 
@@ -255,22 +275,81 @@ def shape_note(path, fn: Callable, name: Optional[str] = None) -> LintMessage:
     else:
         code = f"{path.name}-classified"
         text = path.classified.format(name=qualname, spec=spec.describe())
-    location = getattr(fn, "__code__", None)
-    return LintMessage(
-        code,
-        "note",
-        text,
-        lineno=location.co_firstlineno if location else 0,
-        func=qualname,
-        path=location.co_filename if location else "",
-    )
+    return LintMessage(code, "note", text, func=qualname, **_located(fn))
 
 
-def push_shape_note(fn: Callable, name: Optional[str] = None) -> LintMessage:
-    """:func:`shape_note` on the ``push`` row."""
-    from repro.engine.fastpath import PUSH
+def _sources(target: str) -> List[str]:
+    """The ``.py`` files a directory target holds (``__*`` files
+    skipped), or the target itself."""
+    path = Path(target)
+    if not path.is_dir():
+        return [target]
+    return [
+        str(file) for file in sorted(path.rglob("*.py"))
+        if not file.name.startswith("__")
+    ]
 
-    return shape_note(PUSH, fn, name)
+
+def _load_module(source: str):
+    """Import one ``.py`` file path or dotted module name.
+
+    Whatever the import raises, a ``SystemExit`` included, becomes an
+    :class:`~repro.errors.AnalysisError`, so one bad target cannot end
+    or mask the rest of the run; ``KeyboardInterrupt`` still stops it.
+    """
+    path = Path(source)
+    if path.suffix != ".py":
+        try:
+            return importlib.import_module(source)
+        except (Exception, SystemExit) as exc:
+            raise _unloadable(source, exc) from exc
+    if not path.exists():
+        raise AnalysisError(f"no such file: {source}")
+    name = f"_repro_verify_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # register before exec so dataclasses/pickling inside the file work
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except (Exception, SystemExit) as exc:
+        sys.modules.pop(name, None)
+        raise _unloadable(source, exc) from exc
+    return module
+
+
+def _unloadable(source: str, exc: BaseException) -> AnalysisError:
+    if isinstance(exc, SystemExit):
+        exc = f"it called sys.exit({exc.code!r})"
+    return AnalysisError(f"cannot import {source}: {exc}")
+
+
+def discover_udfs(module) -> Iterator[Tuple[str, Callable, str]]:
+    """Yield ``(name, fn, kind)`` for the UDFs a module defines.
+
+    Public functions named like signals (``signal`` or ``*signal``)
+    are checked with the signal rules; ``*slot`` functions with the slot
+    rule — private ones too, which is how the bundled algorithms spell
+    theirs; a three-parameter ``*signal``, private or not, is a push
+    signal ``(u, v, state)`` and comes back as kind ``"push"``.
+    Functions merely re-exported from elsewhere are skipped so package
+    ``__init__`` files do not duplicate findings.
+    """
+    for name in sorted(vars(module)):
+        if name.startswith("__"):
+            continue
+        fn = getattr(module, name)
+        if not callable(fn) or not hasattr(fn, "__code__"):
+            continue
+        if getattr(fn, "__module__", None) != module.__name__:
+            continue  # re-export; its home module reports it
+        if name.endswith("slot"):
+            yield name, fn, "slot"
+        elif name.endswith("signal"):
+            if fn.__code__.co_argcount == 3:
+                yield name, fn, "push"
+            elif not name.startswith("_"):
+                yield name, fn, "signal"
 
 
 def verify_targets(
@@ -281,14 +360,13 @@ def verify_targets(
 ) -> VerifyReport:
     """Verify every UDF found under ``targets``.
 
-    Target resolution (files, directories, dotted modules, built-in
-    algorithm names) reuses the linter's discovery; registered kernel
-    kinds without a certification contract are surfaced once per run
-    as ``kernel-no-contract`` warnings.
+    A target is a ``.py`` file, a directory (recursed for ``*.py``), a
+    dotted module name, or a key of ``named_signals`` (the built-in
+    algorithm names, for ``repro verify kcore``).  A file or module that
+    does not import becomes a ``load-error`` and the rest of the run
+    goes on; registered kernel kinds without a certification contract
+    are surfaced once per run as ``kernel-no-contract`` warnings.
     """
-    # deferred: repro.analysis.linter imports the rules module, whose
-    # import in turn registers this package's determinism rules
-    from repro.analysis.linter import _load_module, discover_udfs
     from repro.engine.fastpath import PUSH, SLOT
 
     report = VerifyReport()
@@ -301,22 +379,22 @@ def verify_targets(
                 )
             )
             continue
-        try:
-            modules = _load_module(target)
-        except AnalysisError as exc:
-            report.verdicts.append(
-                UdfVerdict(
-                    name=target,
-                    kind="signal",
-                    status=ERROR,
-                    messages=[
-                        LintMessage("load-error", "error", str(exc),
-                                    func=target)
-                    ],
+        for source in _sources(target):
+            try:
+                module = _load_module(source)
+            except AnalysisError as exc:
+                report.verdicts.append(
+                    UdfVerdict(
+                        name=source,
+                        kind="target",
+                        status=ERROR,
+                        messages=[
+                            LintMessage("load-error", "error", str(exc),
+                                        func=source)
+                        ],
+                    )
                 )
-            )
-            continue
-        for module in modules:
+                continue
             for name, fn, kind in discover_udfs(module):
                 qualname = f"{module.__name__}.{name}"
                 if kind == "slot":

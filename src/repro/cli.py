@@ -7,8 +7,7 @@ Run experiments and inspect the framework without writing code::
     python -m repro run --algorithm bfs --machines 4 --trace run.jsonl
     python -m repro compare --dataset s28 --algorithm kcore --machines 16
     python -m repro analyze bfs
-    python -m repro lint src/repro/algorithms --format sarif
-    python -m repro verify src/repro/algorithms --strict
+    python -m repro verify src/repro/algorithms --strict --format sarif
     python -m repro metrics --algorithm bfs --format prom
     python -m repro trace run.jsonl --breakdown
 
@@ -16,15 +15,13 @@ Run experiments and inspect the framework without writing code::
 tables report (``--trace``/``--metrics`` additionally stream a JSONL
 event trace / a metrics export); ``compare`` runs Gemini and
 SympleGraph side by side; ``analyze`` prints the analyzer report for
-one of the built-in UDFs; ``lint`` runs the rule engine over
-signal/slot UDFs and exits 1 on warnings, 2 on errors (notes are
-informational); ``verify`` additionally certifies every kernel
-classification against its shape contract, flags executor
-determinism hazards, and notes for every slot which ordered-scatter
-shape it classified into (or why none), with the same exit-code
-semantics; ``metrics``
-runs one experiment and exports its metric
-registry as JSON or Prometheus text; ``trace`` validates a recorded
+one of the built-in UDFs; ``verify`` runs the lint rules over
+signal/slot UDFs, certifies every kernel classification against its
+shape contract, flags executor determinism hazards, and notes for
+every slot and push signal which shape it classified into (or why
+none); it exits 1 on warnings, 2 on errors (notes are informational);
+``metrics`` runs one experiment and exports its metric registry as
+JSON or Prometheus text; ``trace`` validates a recorded
 trace against the event schema (exit 1 on violations) and summarizes
 it, optionally reconstructing the cost breakdown and the per-(machine,
 step) attribution from the trace alone.
@@ -145,35 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("signal", choices=sorted(_load_signals()))
 
-    lint = sub.add_parser(
-        "lint", help="lint signal/slot UDFs in modules or files"
-    )
-    lint.add_argument(
-        "targets",
-        nargs="+",
-        help="a .py file, a directory, a dotted module name, or a "
-        "built-in signal name (e.g. kcore)",
-    )
-    lint.add_argument(
-        "--format",
-        default="text",
-        choices=("text", "json", "sarif"),
-        help="output format (default: text)",
-    )
-    lint.add_argument(
-        "--ignore",
-        action="append",
-        default=[],
-        metavar="CODE",
-        help="disable a rule code (repeatable)",
-    )
-    lint.add_argument(
-        "--output", default=None, help="write the report here instead of stdout"
-    )
-
     verify = sub.add_parser(
         "verify",
-        help="certify kernel classifications and flag determinism hazards",
+        help="lint signal/slot UDFs in modules or files, certify kernel "
+        "classifications and flag determinism hazards",
     )
     verify.add_argument(
         "targets",
@@ -186,6 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="promote strict severities (non-commutative-slot becomes "
         "a warning) before computing the exit code",
+    )
+    verify.add_argument(
+        "--ignore",
+        action="append",
+        default=[],
+        metavar="CODE",
+        help="disable a rule code (repeatable)",
     )
     verify.add_argument(
         "--format",
@@ -461,42 +440,24 @@ def _metric_rows(results) -> List[List[object]]:
     return rows
 
 
-def _lint(args) -> int:
-    """Run ``repro lint``: discover, lint, render, exit-code."""
-    from repro.analysis.linter import run_lint
-    from repro.analysis.report import render_json, render_sarif, render_text
-    from repro.analysis.rules import LintConfig
-
-    config = LintConfig(disabled=frozenset(args.ignore))
-    run = run_lint(args.targets, config=config, named_signals=_load_signals())
-    if args.format == "json":
-        text = render_json(run.messages)
-    elif args.format == "sarif":
-        text = render_sarif(run.messages)
-    else:
-        body = render_text(run.messages)
-        text = (body + "\n" if body else "") + run.summary()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-    return run.exit_code
-
-
 def _verify(args) -> int:
-    """Run ``repro verify``: discover, certify, render, exit-code.
+    """Run ``repro verify``: discover, lint, certify, render, exit-code.
 
-    Exit semantics match ``repro lint``: 2 on errors (an unsound
-    kernel classification or an analyzer rejection), 1 on warnings
-    (determinism hazards; plus strict-promoted rules under
-    ``--strict``), 0 otherwise.
+    2 on errors (an unsound kernel classification, an analyzer
+    rejection, a target that does not load), 1 on warnings (lint and
+    determinism hazards; plus strict-promoted rules under
+    ``--strict``), 0 otherwise.  ``--ignore`` disables rule codes,
+    under ``--strict`` too.
     """
     from repro.analysis.report import render_json, render_sarif, render_text
+    from repro.analysis.rules import LintConfig
     from repro.analysis.verify import verify_targets
 
     report = verify_targets(
-        args.targets, strict=args.strict, named_signals=_load_signals()
+        args.targets,
+        strict=args.strict,
+        config=LintConfig(disabled=frozenset(args.ignore)),
+        named_signals=_load_signals(),
     )
     if args.format == "json":
         text = render_json(report.messages)
@@ -562,9 +523,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "analyze":
         print(explain_signal(_load_signals()[args.signal]))
         return 0
-
-    if args.command == "lint":
-        return _lint(args)
 
     if args.command == "verify":
         return _verify(args)

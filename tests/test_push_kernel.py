@@ -653,7 +653,7 @@ class TestPushCertification:
         assert engine.fastpaths.entry(PUSH, self.signal).verdict is None
 
 
-# -- the verify report and the linter --------------------------------------------------
+# -- the verify report --------------------------------------------------------------------
 
 
 class TestVerifyReport:
@@ -675,9 +675,9 @@ class TestVerifyReport:
         assert push.path.endswith("bfs.py") and push.lineno > 0
 
     def test_unclassified_note_carries_the_reason(self):
-        from repro.analysis.verify import push_shape_note
+        from repro.analysis.verify import shape_note
 
-        note = push_shape_note(chained_signal)
+        note = shape_note(PUSH, chained_signal)
         assert note.code == "push-unclassified" and note.level == "note"
         assert "per-edge loop runs (chained comparison)" in note.message
 
@@ -696,9 +696,13 @@ class TestVerifyReport:
         assert "unless `~__state.active[__v]`" in note["message"]["text"]
 
     def test_lint_counts_push_signals_and_stays_clean(self):
-        from repro.analysis.linter import run_lint
+        from repro.analysis.rules import iter_rules
+        from repro.analysis.verify import verify_targets
 
-        run = run_lint(["src/repro/algorithms"])
-        assert run.exit_code == 0
-        assert len(run.linted) == 26  # 23 signals and slots + 3 push signals
-        assert len(run.notes) == 4
+        report = verify_targets(["src/repro/algorithms"])
+        assert report.exit_code == 0
+        # 23 signals and slots + 3 push signals
+        assert "verified 26 UDF(s)" in report.summary()
+        rules = {spec.code for spec in iter_rules()}
+        notes = [m for m in report.messages if m.code in rules and m.level == "note"]
+        assert len(notes) == 4

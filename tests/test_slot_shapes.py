@@ -726,7 +726,7 @@ class TestVerifyReport:
     def test_private_slots_are_discovered(self):
         # the bundled slots are all `_*slot`; a three-parameter
         # `*signal` is a push signal (tests/test_push_kernel.py)
-        from repro.analysis.linter import discover_udfs
+        from repro.analysis.verify import discover_udfs
 
         assert [(name, kind) for name, _, kind in discover_udfs(bfs_mod)] == [
             ("_async_visit_slot", "slot"),
