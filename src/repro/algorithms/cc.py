@@ -1,11 +1,14 @@
 """Connected components by label propagation.
 
-A *control* algorithm with no loop-carried dependency: every neighbor
-must be examined to compute the local minimum label, so the analyzer
-finds nothing to instrument and SympleGraph automatically degenerates
-to Gemini's schedule (Section 5.1: "Gemini can be considered as a
-special case without dependency communication").  Used by tests to
-verify the no-dependency fall-back path end to end.
+The *control* algorithm with no dependency worth enforcing: every
+neighbor must be examined to compute the local minimum label, so there
+is no ``break`` to propagate.  The analyzer finds the running minimum
+carried, but it is a min fold into a min slot
+(:func:`~repro.analysis.slotspec.min_fold_pair`), whose per-machine
+partials combine at the master exactly, so SympleGraph runs Gemini's
+schedule (Section 5.1: "Gemini can be considered as a special case
+without dependency communication").  Used by tests to verify the
+no-dependency path end to end.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Union
 from repro.analysis.ast_analysis import analyze_signal
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
 from repro.analysis.rules import LintMessage, iter_rules
+from repro.analysis.slotspec import MIN_FOLD_RULE, min_fold_pair
 
 __all__ = ["explain_signal", "render_text", "render_json", "render_sarif"]
 
@@ -51,7 +52,10 @@ def explain_signal(signal: Union[Callable, AnalyzedSignal]) -> str:
         return "\n".join(lines)
 
     lines.append("verdict             : loop-carried dependency detected;")
-    lines.append("                      dependency propagation enabled")
+    lines.append("                      " + (
+        MIN_FOLD_RULE if min_fold_pair(analyzed)
+        else "dependency propagation enabled"
+    ))
     if analyzed is not None and analyzed.instrumented_source:
         lines.append("")
         lines.append("instrumented UDF (generated):")

@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.kernelspec import (
+    FULL_SCAN_MIN,
     ShapeMismatch,
     ShapeSpec,
     _compile_expr,
@@ -61,6 +62,8 @@ __all__ = [
     "SlotMismatch",
     "classify_slot",
     "match_slot",
+    "min_fold_pair",
+    "MIN_FOLD_RULE",
     "FIRST_WINS",
     "MIN_FOLD",
     "MAX_FOLD",
@@ -434,3 +437,32 @@ classify_slot = classifier(
     the three shapes (memoized; see
     :func:`~repro.analysis.kernelspec.classifier`).""",
 )
+
+
+#: the rule :func:`min_fold_pair` decides, in ``repro explain``'s words
+MIN_FOLD_RULE = ("break-free min fold: partials combine at the master "
+                 "with a min-fold slot; circulated otherwise")
+
+
+def min_fold_pair(analyzed, slot: Optional[Callable] = None) -> bool:
+    """Does the analyzed signal need no dependency lane with ``slot``?
+
+    A signal with no ``break`` whose only carried variable is its
+    ``full_scan_min`` fold skips nothing; when ``slot`` is a
+    ``min_fold`` into the field the fold starts from
+    (``best = s.<field>[v]``), each machine's partial minimum combines
+    at the master exactly, in any order (Definition 2.2), so the pair
+    runs the BSP schedule with the same fixpoint.  Any other carry —
+    a sum, an unclassified fold, a min paired with another slot —
+    circulates.  With ``slot`` None only the signal's half is checked
+    (what :func:`~repro.analysis.report.explain_signal` can see).
+    """
+    kernel = analyzed.kernel
+    if (analyzed.info.has_break or kernel is None
+            or kernel.kind != FULL_SCAN_MIN):
+        return False
+    if slot is None:
+        return True
+    spec = classify_slot(slot)
+    return (spec is not None and spec.shape == MIN_FOLD
+            and kernel.sources["init"] == f"__state.{spec.fields[0]}[__v]")

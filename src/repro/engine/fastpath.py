@@ -232,6 +232,16 @@ class FastPaths:
             return None
         return spec
 
+    def holds(self, path: FastPath, fn: Callable, spec) -> bool:
+        """Does ``spec``, ``fn``'s classification on the ``static``
+        row ``path``, keep its contract — switched on or not?  Under
+        ``verify != "off"`` it is certified on first ask, as
+        :meth:`plan` would before the first run."""
+        entry = self.cache.setdefault((id(fn), path.name), Entry(fn, spec))
+        if entry.verdict is None and self.verify != "off":
+            self.certified(path, fn, spec, None)
+        return entry.verdict is not False
+
     def checking(self, path: FastPath, fn: Callable) -> bool:
         """Is ``fn``'s next fast answer on ``path`` to be compared?"""
         if self.verify == "off":

@@ -15,6 +15,14 @@ data (K-core's running count, sampling's prefix sum).  A vertex whose
 bit is set is skipped outright by all following machines — eliminating
 the redundant computation and update communication that Gemini incurs.
 
+A dependency is enforced only where it can skip something.  A signal
+with no ``break`` whose carry is a ``full_scan_min`` fold into a
+``min_fold`` slot on the field it starts from
+(:func:`~repro.analysis.slotspec.min_fold_pair`: CC, incremental BFS /
+CC) skips nothing, and its per-machine partials combine at the master
+exactly, so it runs Gemini's one-step schedule — the same fixpoint
+with no dependency bytes.  Every other carry circulates.
+
 Optimizations (Sections 5.2-5.3), all individually toggleable for the
 Figure 11 ablation:
 
@@ -31,10 +39,11 @@ Figure 11 ablation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.slotspec import min_fold_pair
 from repro.engine.base import (
     BaseEngine,
     PhaseResult,
@@ -42,6 +51,7 @@ from repro.engine.base import (
     _UpdateBuffer,
 )
 from repro.engine.dep import DepStore
+from repro.engine.fastpath import KERNEL
 from repro.engine.state import StateStore
 from repro.errors import EngineError
 from repro.exec import work
@@ -178,6 +188,9 @@ class SympleGraphEngine(BaseEngine):
             )
         else:
             self._high_mask = np.ones(partition.graph.num_vertices, dtype=bool)
+        #: ids of (signal, slot) -> (signal, slot, does the pair skip
+        #: the dependency lane?)
+        self._min_folds: Dict[Tuple[int, int], Tuple] = {}
 
     # -- pull ---------------------------------------------------------------
 
@@ -194,12 +207,16 @@ class SympleGraphEngine(BaseEngine):
         share_dep_data: bool = True,
     ) -> PhaseResult:
         """Dense pull: circulant scheduling with dependency propagation
-        when the signal carries one, Gemini-style parallel otherwise."""
+        when the signal carries a dependency that matters, Gemini-style
+        parallel otherwise — no dependency, one machine, or a break-free
+        min fold the slot combines at the master
+        (:meth:`_combines_at_master`)."""
         active = self._check_active(active)
         analyzed = self.ensure_analyzed(signal)
-        if not analyzed.has_dependency or self.num_machines == 1:
-            # No loop-carried dependency: Gemini is the special case of
-            # SympleGraph without dependency communication (Section 5.1).
+        if (not analyzed.has_dependency or self.num_machines == 1
+                or self._combines_at_master(analyzed, slot)):
+            # Gemini is the special case of SympleGraph without
+            # dependency communication (Section 5.1).
             return self._pull_parallel(
                 analyzed, slot, state, active, update_bytes, sync_bytes
             )
@@ -214,6 +231,21 @@ class SympleGraphEngine(BaseEngine):
             allow_differentiated,
             share_dep_data,
         )
+
+    def _combines_at_master(self, analyzed, slot: Callable) -> bool:
+        """:func:`~repro.analysis.slotspec.min_fold_pair` of the pair,
+        decided once per pair (``use_kernels`` does not enter it).
+        Under ``verify != "off"`` the fold's kernel contract is
+        certified first; a refuted one circulates."""
+        fn = analyzed.original
+        entry = self._min_folds.get((id(fn), id(slot)))
+        if entry is None:
+            # holding both keeps their ids from being reused
+            entry = self._min_folds[id(fn), id(slot)] = (
+                fn, slot, min_fold_pair(analyzed, slot)
+                and self.fastpaths.holds(KERNEL, fn, analyzed.kernel),
+            )
+        return entry[2]
 
     def _pull_circulant(
         self,

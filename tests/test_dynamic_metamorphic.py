@@ -326,9 +326,13 @@ class TestRepairIsLocal:
 
 
 class TestUnreachedSentinel:
-    """``_INF`` is 2**62 and the circulant hand-off carries a fold's
-    running minimum as float64: ``_INF + 1`` rounds back to ``_INF``
-    there, compares equal to the start value and must never emit."""
+    """``_INF`` is 2**62, and a kernel's carried minimum is float64:
+    ``_INF + 1`` rounds back to ``_INF`` there, compares equal to the
+    start value and must never emit.  ``relax_depth_signal`` is a
+    break-free min fold into a min-fold slot, so its pulls run the
+    one-step schedule and hand nothing off (``dep_bytes == 0``); the
+    sentinel must hold there all the same, on the kernel and on the
+    interpreter alike."""
 
     def config(self, **options):
         return RunConfig(
@@ -338,8 +342,7 @@ class TestUnreachedSentinel:
 
     def run(self, config):
         # a path 0-1-2 from the root, and a 6-clique nothing reaches:
-        # in-degree 5, above the dependency threshold, so its pulls
-        # circulate carried state
+        # in-degree 5, above the dependency threshold
         clique = [(a, b) for a in range(3, 9) for b in range(3, 9) if a < b]
         edges = [(0, 1), (1, 2)] + clique
         graph = CSRGraph.from_edges(
@@ -366,7 +369,7 @@ class TestUnreachedSentinel:
             assert result.values.tolist() == [0, 1, 2] + [-1] * 6
         analyzed = engine.ensure_analyzed(relax_depth_signal)
         assert engine.use_kernels and analyzed.kernel.kind == FULL_SCAN_MIN
-        assert engine.counters.summary()["dep_bytes"] > 0  # it circulated
+        assert engine.counters.summary()["dep_bytes"] == 0  # no hand-off
         oracle, twin = self.run(self.config(use_kernels=False))
         assert [r.digest() for r in trail] == [r.digest() for r in oracle]
         assert engine.counters.summary() == twin.counters.summary()

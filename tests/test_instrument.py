@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.bfs import bottom_up_signal
+from repro.algorithms.cc import cc_signal
+from repro.algorithms.incremental import relax_depth_signal
 from repro.algorithms.kcore import kcore_signal
 from repro.algorithms.sampling import sampling_signal
 from repro.analysis import explain_signal, instrument_signal
+from repro.analysis.slotspec import MIN_FOLD_RULE
 from repro.engine.dep import DepStore
 from repro.engine.state import StateStore
 from repro.errors import InstrumentationError
@@ -186,6 +189,18 @@ class TestExplainReport:
 
         report = explain_signal(signal)
         assert "no loop-carried dependency" in report
+
+    @pytest.mark.parametrize("signal", [cc_signal, relax_depth_signal])
+    def test_report_names_the_min_fold_rule(self, signal):
+        report = explain_signal(signal)
+        assert "data dependency     : best" in report
+        assert MIN_FOLD_RULE in report
+        assert "dependency propagation enabled" not in report
+
+    def test_a_break_keeps_dependency_propagation(self):
+        report = explain_signal(kcore_signal)
+        assert "dependency propagation enabled" in report
+        assert MIN_FOLD_RULE not in report
 
     def test_report_accepts_analyzed_signal(self):
         analyzed = instrument_signal(bottom_up_signal)
