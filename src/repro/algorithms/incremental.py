@@ -45,6 +45,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.cc import _min_slot, cc_signal, connected_components
+from repro.algorithms.kcore import check_k, kcore_peel
 from repro.algorithms.relax import RelaxProgram, Relaxation, flat_neighbors
 from repro.errors import GraphError
 from repro.fault.program import run_program
@@ -430,9 +431,7 @@ class IncrementalKCore(_IncrementalBase):
 
     def __init__(self, session, k: int, config=None) -> None:
         super().__init__(session, config)
-        if k < 1:
-            raise GraphError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = check_k(k)
 
     def refresh(self) -> IncrementalResult:
         # no engine phases: peel is the single-machine reference path
@@ -463,8 +462,6 @@ class IncrementalKCore(_IncrementalBase):
         return values.astype(np.int64)
 
     def _scratch_peel(self, graph: CSRGraph) -> None:
-        from repro.algorithms.kcore import kcore_peel
-
         self._values = kcore_peel(graph, self.k).in_core
 
     def _shrink(self, graph: CSRGraph) -> None:

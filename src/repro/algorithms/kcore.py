@@ -24,10 +24,11 @@ from repro.engine.base import BaseEngine
 from repro.engine.state import StateStore
 from repro.errors import ConvergenceError, GraphError
 from repro.fault.program import VertexProgram, run_program
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, is_integer
 from repro.runtime.cost_model import SINGLE_THREAD_COST, CostModel
 
 __all__ = [
+    "check_k",
     "kcore",
     "kcore_signal",
     "kcore_peel",
@@ -36,6 +37,15 @@ __all__ = [
     "PeelResult",
     "KCoreProgram",
 ]
+
+
+def check_k(k) -> int:
+    """``k`` as an int, if it is an integer >= 1; a bool, float or
+    string is not one, so no entry point truncates a k.  Anything else
+    raises :class:`GraphError`."""
+    if not is_integer(k) or k < 1:
+        raise GraphError(f"kcore: k must be >= 1 (an integer), got {k!r}")
+    return int(k)
 
 
 def kcore_signal(v, nbrs, s, emit):
@@ -75,9 +85,7 @@ class KCoreProgram(VertexProgram):
     name = "kcore"
 
     def __init__(self, k: int, max_rounds: int | None = None) -> None:
-        if k < 1:
-            raise GraphError(f"kcore: k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = check_k(k)
         self.max_rounds = max_rounds
 
     def setup(self, engine: BaseEngine, ctx: Dict[str, Any]) -> StateStore:
@@ -161,8 +169,7 @@ def kcore_peel(
     once.  Timed with the single-thread cost preset (the paper's
     comparison code has no distribution overhead at all).
     """
-    if k < 1:
-        raise GraphError(f"kcore: k must be >= 1, got {k}")
+    k = check_k(k)
     degree = graph.in_degrees().copy()
     active = np.ones(graph.num_vertices, dtype=bool)
     queue = deque(np.flatnonzero(degree < k).tolist())

@@ -39,11 +39,7 @@ from repro.algorithms.incremental import relax_depth_signal
 from repro.algorithms.kcore import KCoreProgram, kcore_signal
 from repro.algorithms.kmeans import KMeansProgram, kmeans_signal
 from repro.algorithms.mis import MISProgram, mis_signal
-from repro.algorithms.pagerank import (
-    AsyncPageRankProgram,
-    PageRankProgram,
-    pagerank_signal,
-)
+from repro.algorithms.pagerank import PageRankProgram, pagerank_signal
 from repro.algorithms.relax import bucket_width
 from repro.algorithms.sampling import SamplingProgram, sampling_signal
 from repro.algorithms.scc import scc, scc_reach_signal
@@ -303,21 +299,14 @@ def _run_cc(engine, graph, config, drive, extra) -> RunOutcome:
 
 
 def _run_pagerank(engine, graph, config, drive, extra) -> RunOutcome:
-    if config.mode == "async":
-        result = drive(AsyncPageRankProgram(
-            width=config.async_bucket_width, seed=config.seed
-        ))
-        _async_stats(extra, [result])
-    else:
-        result = drive(PageRankProgram())
-        # one activation per active vertex per power iteration — the
-        # baseline the async scheduler's selective activation beats
-        n_active = int((graph.in_degrees() > 0).sum())
-        extra["activations"] = float(result.iterations * n_active)
+    result = drive(PageRankProgram())
+    # one activation per active vertex per power iteration
+    n_active = int((graph.in_degrees() > 0).sum())
+    extra["activations"] = float(result.iterations * n_active)
     extra["iterations"] = float(result.iterations)
     extra["residual"] = float(result.residual)
-    # no fixpoint digest: PageRank converges epsilon-bounded, not
-    # bit-identically, across schedules (see docs/API.md)
+    # no fixpoint digest: the float sum depends on the engine's scan
+    # order, so PageRank has no cross-engine fixpoint
     return RunOutcome()
 
 
@@ -409,9 +398,7 @@ register(AlgorithmSpec(
     name="pagerank",
     runner=_run_pagerank,
     signals=(pagerank_signal,),
-    modes=("sync", "async"),
-    extras=("async_bucket_width",),
-    description="PageRank: power iteration / async residual push",
+    description="PageRank by power iteration",
 ))
 register(AlgorithmSpec(
     name="sampling",

@@ -32,7 +32,6 @@ phase granularity over a vertex cut.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
@@ -48,7 +47,6 @@ from repro.graph.csr import row_positions
 __all__ = [
     "RelaxProgram",
     "Relaxation",
-    "bucket_epoch",
     "bucket_width",
     "default_bucket_width",
     "flat_neighbors",
@@ -83,8 +81,7 @@ def default_bucket_width(algorithm: str, graph) -> float:
     inside the fixed-(seed, width) reproducibility contract: ``sssp``
     takes 4x the mean edge weight (the delta-stepping rule of thumb;
     1.0 on an edgeless graph), ``cc`` one eighth of the label space,
-    ``bfs`` one depth level, and ``pagerank`` a threshold that halves
-    per bucket (width 1.0 is a decay factor of ``2**-1``).
+    and ``bfs`` one depth level.
     """
     if algorithm == "sssp":
         weighted = graph.is_weighted and graph.num_edges
@@ -109,24 +106,6 @@ def bucket_width(engine: BaseEngine, algorithm: str,
     if not width > 0:
         raise EngineError(f"async_bucket_width must be > 0, got {width}")
     return float(width)
-
-
-@contextmanager
-def bucket_epoch(engine: BaseEngine, ctx: Dict[str, Any],
-                 lo: float, hi: float, size: int):
-    """Bracket one bucket epoch: the ``bucket_begin``/``bucket_end``
-    events around the body's waves, and the bucket count after it."""
-    bucket, waves, activations = (
-        ctx["buckets"], ctx["waves"], ctx["activations"]
-    )
-    if engine.obs is not None:
-        engine.obs.bucket_begin(bucket, lo, hi, size)
-    yield
-    if engine.obs is not None:
-        engine.obs.bucket_end(
-            bucket, ctx["waves"] - waves, ctx["activations"] - activations
-        )
-    ctx["buckets"] += 1
 
 
 def schedule_stats(ctx: Dict[str, Any]) -> Dict[str, int]:
@@ -220,14 +199,24 @@ class RelaxProgram(VertexProgram):
         while hi <= low:  # float edge: low landed on a boundary
             b += 1
             hi = (b + 1) * width - offset
-        with bucket_epoch(engine, ctx, hi - width, hi, int(s.pending.sum())):
-            while True:
-                frontier = np.flatnonzero(
-                    s.pending & (s.array(priority) < hi)
-                )
-                if frontier.size == 0:
-                    break
-                self._wave(engine, s, ctx, frontier)
+        bucket, waves, activations = (
+            ctx["buckets"], ctx["waves"], ctx["activations"]
+        )
+        if engine.obs is not None:
+            engine.obs.bucket_begin(
+                bucket, hi - width, hi, int(s.pending.sum())
+            )
+        while True:
+            frontier = np.flatnonzero(s.pending & (s.array(priority) < hi))
+            if frontier.size == 0:
+                break
+            self._wave(engine, s, ctx, frontier)
+        if engine.obs is not None:
+            engine.obs.bucket_end(
+                bucket, ctx["waves"] - waves,
+                ctx["activations"] - activations,
+            )
+        ctx["buckets"] += 1
         return True
 
     def _wave(self, engine: BaseEngine, s: StateStore,

@@ -66,8 +66,10 @@ class SCCResult:
 def _reachable(
     engine: BaseEngine, pivot: int, subset: np.ndarray
 ) -> np.ndarray:
-    """Vertices in ``subset`` reachable from ``pivot`` along the
-    engine's in-edges reversed — i.e. bottom-up BFS layers."""
+    """Vertices in ``subset`` reachable from ``pivot`` along the edges
+    of the engine's graph, by bottom-up BFS layers: a pull marks ``v``
+    once an in-neighbour of ``v`` is reached.  On the graph this is the
+    pivot's forward set; on its transpose, the backward set."""
     graph = engine.graph
     s = engine.new_state()
     s.set("subset", subset)
@@ -111,11 +113,12 @@ def scc(
 
     src, dst = graph.edge_array()
     transpose = CSRGraph(n, dst, src)
-    fwd = make_engine(engine_kind, transpose, num_machines)
-    # Forward reachability follows OUT-edges of the original graph; the
-    # engine pulls along in-edges, so the forward engine runs on the
-    # transpose and the backward engine on the original.
-    bwd = make_engine(engine_kind, graph, num_machines)
+    # A pull scans in-edges, so an engine on the graph sweeps the
+    # forward set (``v`` is reached through an edge ``u -> v``) and one
+    # on the transpose the backward set (``v`` reaches the pivot
+    # through an edge ``v -> u``).
+    bwd = make_engine(engine_kind, transpose, num_machines)
+    fwd = make_engine(engine_kind, graph, num_machines)
 
     component = np.full(n, -1, dtype=np.int64)
     active = np.ones(n, dtype=bool)
@@ -157,19 +160,19 @@ def scc(
 
         # 2. Pivot and the two reachability sweeps.
         pivot = int(rng.choice(members))
-        forward = _reachable(fwd, pivot, subset)
         backward = _reachable(bwd, pivot, subset)
+        forward = _reachable(fwd, pivot, subset)
         core = forward & backward
         rep = int(np.flatnonzero(core).min())
         component[core] = rep
 
         # 3. Recurse on the three remainders.
-        for remainder in (forward & ~core, backward & ~core, subset & ~forward & ~backward):
+        for remainder in (backward & ~core, forward & ~core, subset & ~forward & ~backward):
             if remainder.any():
                 worklist.append(remainder)
 
     if collect_metrics is not None:
-        collect_metrics.counters.merge(fwd.counters)
         collect_metrics.counters.merge(bwd.counters)
+        collect_metrics.counters.merge(fwd.counters)
 
     return SCCResult(component=component, rounds=rounds)

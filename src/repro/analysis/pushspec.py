@@ -11,7 +11,7 @@ spellings:
 * leading ``if <guard>: return None`` statements, then ``return <expr>``
   (top-down BFS);
 * ``return <expr> if <cond> else None`` (MIS deactivation);
-* a bare ``return <expr>`` (async PageRank).
+* a bare ``return <expr>``.
 
 A classified signal runs as one flat scan of a machine's frontier
 out-edges (:func:`repro.kernels.csr.guarded_emit_scan`) instead of one

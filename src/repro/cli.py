@@ -263,7 +263,7 @@ def _add_run_args(cmd: argparse.ArgumentParser) -> None:
     _flag(
         cmd, "--mode", "mode",
         help="execution mode: BSP supersteps (sync) or the "
-        "priority-bucket scheduler (async; bfs/cc/pagerank/sssp on "
+        "priority-bucket scheduler (async; bfs/cc/sssp on "
         "the symple/gemini/single engines)",
     )
     _flag(

@@ -4,7 +4,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.algorithms import kcore, kcore_peel
+from repro.algorithms import IncrementalKCore, kcore, kcore_peel
+from repro.api import RunConfig, Session
 from repro.engine import make_engine
 from repro.errors import GraphError
 from repro.graph import (
@@ -87,6 +88,34 @@ class TestStructuredGraphs:
             kcore(make_engine("gemini", graph, 2), k=0)
         with pytest.raises(GraphError, match="kcore: k must be >= 1"):
             kcore_peel(graph, k=0)
+
+
+#: not integers: every entry point refuses them alike, none truncates
+NOT_INTEGER_K = [2.5, True, "3"]
+
+
+class TestIntegerK:
+    @pytest.mark.parametrize("k", NOT_INTEGER_K, ids=repr)
+    def test_kcore_refuses(self, graph, k):
+        with pytest.raises(GraphError, match="kcore: k must be"):
+            kcore(make_engine("gemini", graph, 2), k)
+
+    @pytest.mark.parametrize("k", NOT_INTEGER_K, ids=repr)
+    def test_kcore_peel_refuses(self, graph, k):
+        with pytest.raises(GraphError, match="kcore: k must be"):
+            kcore_peel(graph, k)
+
+    @pytest.mark.parametrize("k", NOT_INTEGER_K, ids=repr)
+    def test_incremental_kcore_refuses(self, graph, k):
+        with Session(graph, RunConfig(machines=2)) as session:
+            with pytest.raises(GraphError, match="kcore: k must be"):
+                IncrementalKCore(session, k=k)
+
+    def test_numpy_integer_accepted(self, graph):
+        peel = kcore_peel(graph, np.int64(3))
+        assert peel.k == 3 and type(peel.k) is int
+        result = kcore(make_engine("gemini", graph, 2), np.int32(3))
+        np.testing.assert_array_equal(result.in_core, peel.in_core)
 
 
 class TestCrossEngine:

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.algorithms.scc import scc
+from repro.algorithms.scc import _reachable, scc
 from repro.engine import make_engine
 from repro.errors import ConvergenceError
 from repro.graph import CSRGraph, cycle_graph, path_graph, rmat
@@ -81,6 +81,23 @@ class TestStructuredGraphs:
     def test_round_budget(self, graph):
         with pytest.raises(ConvergenceError):
             scc(graph, num_machines=2, max_rounds=0)
+
+
+class TestSweeps:
+    def test_engine_on_graph_sweeps_forward_on_transpose_backward(self):
+        """A pull scans in-edges, so the sweep follows the engine
+        graph's edges: descendants on the graph, ancestors on its
+        transpose."""
+        graph = path_graph(5, directed=True)  # 0 -> 1 -> 2 -> 3 -> 4
+        src, dst = graph.edge_array()
+        transpose = CSRGraph(5, dst, src)
+        everything = np.ones(5, dtype=bool)
+        forward = _reachable(make_engine("symple", graph, 2), 2, everything)
+        backward = _reachable(
+            make_engine("symple", transpose, 2), 2, everything
+        )
+        assert np.flatnonzero(forward).tolist() == [2, 3, 4]
+        assert np.flatnonzero(backward).tolist() == [0, 1, 2]
 
 
 class TestMetrics:

@@ -32,6 +32,11 @@ class TestParser:
                   "--bucket-width", "inf"])
 
 
+    def test_pagerank_async_refused_before_the_run(self):
+        with pytest.raises(EngineError, match="'pagerank' has no async"):
+            main(["run", "--algorithm", "pagerank", "--mode", "async"])
+
+
 class TestCommands:
     def test_datasets_lists_registry(self, capsys):
         assert main(["datasets"]) == 0

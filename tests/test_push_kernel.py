@@ -49,22 +49,18 @@ from repro.partition import OutgoingEdgeCut
 
 bfs_mod = importlib.import_module("repro.algorithms.bfs")
 mis_mod = importlib.import_module("repro.algorithms.mis")
-pr_mod = importlib.import_module("repro.algorithms.pagerank")
 
 
 # -- (a) the corpus table ----------------------------------------------------
 
 #: every module-level three-parameter ``*signal`` of the bundled
-#: algorithms -> (shape, compiled guard, compiled value).  All three run
-#: in the benchmark spine's push phases (``bfs_skew``, ``bfs_gemini``,
-#: ``serve_hot``; MIS and async PageRank in the tier-1 matrix).
+#: algorithms -> (shape, compiled guard, compiled value).  Both run in
+#: the benchmark spine's push phases (``bfs_skew``, ``bfs_gemini``,
+#: ``serve_hot``; MIS in the tier-1 matrix).
 CORPUS = {
     "bfs._push_signal": (GUARDED_EMIT, "__state.visited[__v]", "__u"),
     "mis._deactivate_push_signal": (
         GUARDED_EMIT, "~__state.active[__v]", "True",
-    ),
-    "pagerank._pr_push_signal": (
-        GUARDED_EMIT, None, "__state.push_value[__u]",
     ),
 }
 
@@ -104,7 +100,6 @@ class TestCorpusTable:
         )
         spec = classify_push(mis_mod._deactivate_push_signal)
         assert spec.bool_arrays == ("active",)  # under the ternary's `not`
-        assert set(classify_push(pr_mod._pr_push_signal).exprs) == {"value"}
 
     def test_memoized_per_function(self):
         assert classify_push(bfs_mod._push_signal) is classify_push(
@@ -187,7 +182,6 @@ def sum_slot(v, value, s):
 BUNDLED = {
     bfs_mod._push_signal: bfs_mod._visit_slot,
     mis_mod._deactivate_push_signal: mis_mod._deactivate_slot,
-    pr_mod._pr_push_signal: pr_mod._pr_accumulate_slot,
 }
 SYNTHETIC = (
     scaled_signal, offset_signal, two_guard_signal, quotient_signal,
@@ -701,8 +695,8 @@ class TestVerifyReport:
 
         report = verify_targets(["src/repro/algorithms"])
         assert report.exit_code == 0
-        # 23 signals and slots + 3 push signals
-        assert "verified 26 UDF(s)" in report.summary()
+        # 22 signals and slots + 2 push signals
+        assert "verified 24 UDF(s)" in report.summary()
         rules = {spec.code for spec in iter_rules()}
         notes = [m for m in report.messages if m.code in rules and m.level == "note"]
         assert len(notes) == 4

@@ -43,7 +43,7 @@ class TestRegistryContents:
 
     def test_derived_views(self):
         assert sourced_algorithms() == ("bfs", "sssp")
-        assert async_algorithms() == ("bfs", "cc", "pagerank", "sssp")
+        assert async_algorithms() == ("bfs", "cc", "sssp")
 
     def test_signal_udfs_cover_every_spec_with_signals(self):
         udfs = signal_udfs()

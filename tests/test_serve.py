@@ -465,6 +465,8 @@ class TestHttp:
             {"workers": (os.cpu_count() or 1) + 1, "executor": "process"},
             # sent as JSON Infinity; the run would die converting it
             {"mode": "async", "async_bucket_width": float("inf")},
+            # PageRank runs sync only: the field table's mode rule
+            {"algorithm": "pagerank", "mode": "async"},
             {"options": {"use_kernels": "no"}},
             {"options": {"degree_threshold": 2.5}},
             {"checkpointing": {"interval": 1.5}},

@@ -80,7 +80,6 @@ CORPUS = {
     "mis._deactivate_slot": FIRST_WINS,
     "mis._not_minimum_slot": FIRST_WINS,
     "pagerank._accumulate_slot": ACCUMULATE,
-    "pagerank._pr_accumulate_slot": ACCUMULATE,
     "sampling._select_slot": None,
     "scc._reach_slot": FIRST_WINS,
     "sssp._relax_slot": MIN_FOLD,
@@ -152,6 +151,13 @@ class TestCorpusTable:
 
 # -- (a) vector equals scalar -------------------------------------------------
 
+def accumulate_changed_slot(v, value, s):
+    # every bundled accumulate returns False; this one reports each
+    # updated vertex, so the scatter's ``changed`` is compared too
+    s.residual[v] += value
+    return True
+
+
 #: classified slot -> its state layout (arrays by dtype, scalars by value)
 LAYOUTS = {
     bfs_mod._visit_slot: (
@@ -170,7 +176,7 @@ LAYOUTS = {
     inc_mod._depth_slot: ({"depth": np.int64}, {}),
     sssp_mod._relax_slot: ({"dist": np.float64}, {}),
     pr_mod._accumulate_slot: ({"incoming": np.float64}, {}),
-    pr_mod._pr_accumulate_slot: ({"residual": np.float64}, {}),
+    accumulate_changed_slot: ({"residual": np.float64}, {}),
     kcore_mod._count_slot: ({"count": np.int64}, {}),
 }
 N = 12
