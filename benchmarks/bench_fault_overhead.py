@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.api import Checkpointing, RunConfig, Session
+from repro.api import RunConfig, Session
 from repro.bench import dataset, format_table
 from repro.bench.report import emit
 from repro.fault import CrashFault, FaultPlan
@@ -50,7 +50,7 @@ def _run(algorithm: str, config: dict, plan: Optional[FaultPlan],
         bfs_roots=1,
         kcore_k=config["kcore_k"],
         faults=plan,
-        checkpointing=Checkpointing(interval=interval),
+        checkpoint_interval=interval,
     )
     with Session(dataset(config["dataset"]), run_config) as session:
         return session.run()

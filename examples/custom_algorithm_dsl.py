@@ -13,8 +13,8 @@ Run:  python examples/custom_algorithm_dsl.py
 
 import numpy as np
 
-from repro import fold_while, make_engine
-from repro.analysis import explain_signal
+from repro.analysis import explain_signal, fold_while
+from repro.engine import make_engine
 from repro.graph import rmat, to_undirected
 
 THRESHOLD = 5

@@ -6,10 +6,11 @@ against the Gemini baseline.
 Run:  python examples/quickstart.py
 """
 
-from repro import bfs, make_engine, rmat
-from repro.analysis import explain_signal
+from repro.algorithms import bfs
 from repro.algorithms.bfs import bottom_up_signal
-from repro.graph import to_undirected
+from repro.analysis import explain_signal
+from repro.engine import make_engine
+from repro.graph import rmat, to_undirected
 
 
 def main() -> None:

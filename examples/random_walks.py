@@ -13,7 +13,8 @@ Run:  python examples/random_walks.py
 
 import numpy as np
 
-from repro import make_engine, sample_neighbors
+from repro.algorithms import sample_neighbors
+from repro.engine import make_engine
 from repro.graph import rmat, to_undirected, with_vertex_weights
 
 

@@ -12,8 +12,9 @@ Run:  python examples/social_network_analysis.py
 
 import numpy as np
 
-from repro import kcore, kcore_peel, make_engine, mis
+from repro.algorithms import kcore, kcore_peel, mis
 from repro.bench import format_table
+from repro.engine import make_engine
 from repro.graph import attach_chain, degree_summary, rmat, to_undirected
 
 

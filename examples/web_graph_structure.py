@@ -11,7 +11,8 @@ Run:  python examples/web_graph_structure.py
 
 import numpy as np
 
-from repro import coreness, make_engine, pagerank, scc
+from repro.algorithms import coreness, pagerank, scc
+from repro.engine import make_engine
 from repro.graph import rmat, to_undirected
 
 

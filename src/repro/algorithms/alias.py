@@ -92,7 +92,7 @@ def sample_neighbors_alias(
     seed: int = 0,
     draws_per_vertex: int = 1,
 ) -> np.ndarray:
-    """Single-machine comparator for :func:`repro.sample_neighbors`.
+    """Single-machine comparator for :func:`repro.algorithms.sample_neighbors`.
 
     Returns an array of shape ``(num_vertices, draws_per_vertex)`` with
     -1 for vertices without in-edges.

@@ -10,9 +10,7 @@ one algorithm:
 * ``sourced`` — whether ``RunConfig.sources`` selects explicit roots
   (a served query names its source this way);
 * ``modes`` — which execution modes the algorithm supports
-  (``"sync"`` and/or ``"async"``);
-* ``extras`` — the :class:`~repro.api.RunConfig` knobs the runner
-  reads, for documentation and introspection.
+  (``"sync"`` and/or ``"async"``).
 
 ``RunConfig``'s field table (the ``algorithm`` choices, the ``sources``
 and ``mode`` rules), the CLI ``--algorithm`` choices and
@@ -88,7 +86,6 @@ class AlgorithmSpec:
     signals: Tuple[Callable, ...] = ()
     sourced: bool = False
     modes: Tuple[str, ...] = ("sync",)
-    extras: Tuple[str, ...] = ()
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -221,10 +218,11 @@ def run_sources(graph, config, default_count: int) -> np.ndarray:
 
 
 def _bucket_width(engine, config, algorithm: str) -> Optional[float]:
-    """The run's bucket width; ``None`` selects the BSP schedule."""
+    """The run's bucket width, the algorithm's default on the graph;
+    ``None`` selects the BSP schedule."""
     if config.mode != "async":
         return None
-    return bucket_width(engine, algorithm, config.async_bucket_width)
+    return bucket_width(engine, algorithm, None)
 
 
 def _async_stats(extra: Dict[str, float], results) -> None:
@@ -363,7 +361,6 @@ register(AlgorithmSpec(
     signals=(bottom_up_signal,),
     sourced=True,
     modes=("sync", "async"),
-    extras=("bfs_roots", "sources", "async_bucket_width"),
     description="direction-optimizing BFS, multi-root averaged",
 ))
 register(AlgorithmSpec(
@@ -371,21 +368,18 @@ register(AlgorithmSpec(
     runner=_run_cc,
     signals=(cc_signal,),
     modes=("sync", "async"),
-    extras=("async_bucket_width",),
     description="connected components by min-label propagation",
 ))
 register(AlgorithmSpec(
     name="kcore",
     runner=_run_kcore,
     signals=(kcore_signal,),
-    extras=("kcore_k",),
     description="k-core decomposition by iterative peeling",
 ))
 register(AlgorithmSpec(
     name="kmeans",
     runner=_run_kmeans,
     signals=(kmeans_signal,),
-    extras=("kmeans_rounds",),
     description="graph k-means label assignment",
 ))
 register(AlgorithmSpec(
@@ -418,7 +412,6 @@ register(AlgorithmSpec(
     signals=(sssp_signal,),
     sourced=True,
     modes=("sync", "async"),
-    extras=("sources", "async_bucket_width"),
     description="shortest paths: Bellman-Ford / delta-stepping",
 ))
 # signal-only entries: driven through Session.mutate +

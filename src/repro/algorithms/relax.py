@@ -75,7 +75,7 @@ def out_neighbor_mask(graph, vertices: np.ndarray) -> np.ndarray:
 
 
 def default_bucket_width(algorithm: str, graph) -> float:
-    """The bucket width a ``RunConfig(async_bucket_width=None)`` run uses.
+    """The bucket width a ``RunConfig(mode="async")`` run uses.
 
     Deterministic functions of the graph alone, so the default stays
     inside the fixed-(seed, width) reproducibility contract: ``sssp``
@@ -104,7 +104,7 @@ def bucket_width(engine: BaseEngine, algorithm: str,
     if width is None:
         return default_bucket_width(algorithm, engine.graph)
     if not width > 0:
-        raise EngineError(f"async_bucket_width must be > 0, got {width}")
+        raise EngineError(f"a bucket width must be > 0, got {width}")
     return float(width)
 
 

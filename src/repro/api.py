@@ -2,7 +2,7 @@
 
 A :class:`RunConfig` is a frozen, serializable description of one
 experiment — engine, algorithm, cluster size, seed, engine options,
-fault plan, checkpointing policy, observability sink, and executor
+fault plan, checkpoint interval, observability sink, and executor
 backend.  A :class:`Session` binds a graph, caches the expensive
 per-(strategy, machines) partitions and per-(backend, workers)
 executors across runs, and executes configs under the paper's
@@ -35,7 +35,7 @@ import threading
 import warnings
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.algorithms.registry import (
@@ -69,22 +69,7 @@ from repro.partition import Partition
 from repro.partition.delta import refresh_partition
 from repro.runtime.cost_model import CostModel
 
-__all__ = ["Checkpointing", "FIELDS", "RunConfig", "Session"]
-
-
-@dataclass(frozen=True)
-class Checkpointing:
-    """Checkpoint policy for recoverable runs.
-
-    ``interval`` is the superstep period (0 disables checkpointing);
-    ``retention`` bounds how many checkpoints the store keeps.
-    """
-
-    interval: int = 0
-    retention: int = 2
-
-    def __post_init__(self) -> None:
-        check_fields(self, FIELDS["checkpointing"].fields, "checkpointing.")
+__all__ = ["FIELDS", "RunConfig", "Session"]
 
 
 #: The config field table: one row per :class:`RunConfig` field, in
@@ -105,12 +90,10 @@ FIELDS: Dict[str, Field] = {
         lambda c: not (c.faulted and c.algorithm == "scc"),
         lambda c: "scc runs its backward sweeps on a private transpose "
         "engine a fault plan or checkpoint store cannot reach; drop "
-        "faults/checkpointing", UnsupportedAlgorithmError),)),
-    "checkpointing": Field(Checkpointing, fields={
-        "interval": Field(int, low=0), "retention": Field(int, low=1),
-    }),
+        "faults/checkpoint_interval", UnsupportedAlgorithmError),)),
+    "checkpoint_interval": Field(int, low=0),
     "obs": Field(live=True),
-    "executor": Field(Executor, choices=EXECUTOR_KINDS),
+    "executor": Field(choices=EXECUTOR_KINDS),
     # a query never makes the server fork past its cores
     "workers": Field(int, low=1, optional=True,
                      served_max=os.cpu_count() or 1),
@@ -132,17 +115,11 @@ FIELDS: Dict[str, Field] = {
              lambda c: f"algorithm {c.algorithm!r} has no async driver; "
              f"mode='async' supports {async_algorithms()}"),
     )),
-    "async_bucket_width": Field(float, low=0, optional=True, rules=(Rule(
-        lambda c: c.async_bucket_width is None or c.mode == "async",
-        lambda c: "async_bucket_width only applies to mode='async' runs, "
-        f"but mode is {c.mode!r}"),)),
 }
 
 
 def _plain(value: Any) -> Any:
     """One field value in its JSON form."""
-    if isinstance(value, Executor):
-        return value.kind
     if isinstance(value, FaultPlan):
         return value.to_dict()
     if dataclasses.is_dataclass(value):
@@ -169,9 +146,9 @@ class RunConfig:
     seed: int = 0
     options: Optional[SympleOptions] = None
     faults: Optional[FaultPlan] = None
-    checkpointing: Checkpointing = field(default_factory=Checkpointing)
+    checkpoint_interval: int = 0
     obs: Any = None
-    executor: Any = "serial"
+    executor: str = "serial"
     workers: Optional[int] = None
     cost_model: Optional[CostModel] = None
     verify: str = "off"
@@ -180,7 +157,6 @@ class RunConfig:
     kmeans_rounds: int = 2
     sources: Optional[Tuple[int, ...]] = None
     mode: str = "sync"
-    async_bucket_width: Optional[float] = None
 
     def __post_init__(self) -> None:
         check_fields(self, FIELDS)
@@ -190,7 +166,7 @@ class RunConfig:
         """Whether this run goes through the recoverable driver."""
         return (
             self.faults is not None and not self.faults.empty
-        ) or self.checkpointing.interval > 0
+        ) or self.checkpoint_interval > 0
 
     def replace(self, **overrides: Any) -> "RunConfig":
         """A copy with the given fields replaced (re-validated)."""
@@ -200,7 +176,7 @@ class RunConfig:
         """JSON-serializable form of the *configuration* fields.
 
         ``obs`` and ``cost_model`` are live attachments and are not
-        serialized; an executor instance serializes as its kind.
+        serialized.
         """
         return {
             f.name: _plain(getattr(self, f.name))
@@ -325,9 +301,6 @@ class Session:
         """``config``'s executor; called under its run lock, which every
         process run shares, so a process pool of another worker count —
         the session keeps one at most — is closed while nothing uses it."""
-        if isinstance(config.executor, Executor):
-            # caller-owned: used as-is, never closed by the session
-            return make_executor(config.executor, workers=config.workers)
         key = (config.executor, config.workers)
         with self._cache_lock:
             if key not in self._executors:
@@ -340,12 +313,10 @@ class Session:
             return self._executors[key]
 
     def _run_lock(self, config: RunConfig) -> threading.RLock:
-        if isinstance(config.executor, Executor):
-            key: Any = id(config.executor)
-        else:  # one lock for every process executor
-            key = config.executor if config.executor == "process" else (
-                config.executor, config.workers
-            )
+        # one lock for every process executor
+        key = config.executor if config.executor == "process" else (
+            config.executor, config.workers
+        )
         lock = self._run_locks.get(key)
         if lock is None:
             with self._cache_lock:

@@ -125,8 +125,7 @@ def _run_session_config(engine: BaseEngine, graph: CSRGraph, config):
             program,
             engine,
             plan=config.faults,
-            checkpoint_interval=config.checkpointing.interval,
-            retention=config.checkpointing.retention,
+            checkpoint_interval=config.checkpoint_interval,
         )
         _merge_report(extra, report)
         return result

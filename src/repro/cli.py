@@ -8,7 +8,7 @@ Run experiments and inspect the framework without writing code::
     python -m repro compare --dataset s28 --algorithm kcore --machines 16
     python -m repro analyze bfs
     python -m repro verify src/repro/algorithms --strict --format sarif
-    python -m repro metrics --algorithm bfs --format prom
+    python -m repro run --algorithm bfs --metrics m.prom --metrics-format prom
     python -m repro trace run.jsonl --breakdown
 
 ``run`` executes one experiment and prints the metrics the paper's
@@ -20,11 +20,10 @@ signal/slot UDFs, certifies every kernel classification against its
 shape contract, flags executor determinism hazards, and notes for
 every slot and push signal which shape it classified into (or why
 none); it exits 1 on warnings, 2 on errors (notes are informational);
-``metrics`` runs one experiment and exports its metric registry as
-JSON or Prometheus text; ``trace`` validates a recorded
-trace against the event schema (exit 1 on violations) and summarizes
-it, optionally reconstructing the cost breakdown and the per-(machine,
-step) attribution from the trace alone.
+``trace`` validates a recorded trace against the event schema (exit 1
+on violations) and summarizes it, optionally reconstructing the cost
+breakdown and the per-(machine, step) attribution from the trace
+alone.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import sys
 from typing import Any, List, Optional
 
 from repro.analysis import explain_signal
-from repro.api import FIELDS, Checkpointing, RunConfig, Session
+from repro.api import FIELDS, RunConfig, Session
 from repro.bench import DATASETS, dataset, speedup
 from repro.bench.tables import format_table
 from repro.engine import SympleOptions
@@ -73,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         "but scc)",
     )
     _flag(
-        run, "--checkpoint-interval", "checkpointing.interval",
-        dest="checkpoint_interval", metavar="N",
+        run, "--checkpoint-interval", "checkpoint_interval", metavar="N",
         help="checkpoint every N supersteps (0 disables, the default)",
     )
     run.add_argument(
@@ -100,21 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the result's canonical sha256 digest (equal across "
         "executor backends; the CI equivalence gate diffs it)",
-    )
-
-    metrics = sub.add_parser(
-        "metrics", help="run one experiment and export its metrics"
-    )
-    _add_run_args(metrics)
-    _flag(metrics, "--engine", "engine")
-    metrics.add_argument(
-        "--format",
-        default="json",
-        choices=("json", "prom"),
-        help="export format: JSON or Prometheus text (default: json)",
-    )
-    metrics.add_argument(
-        "--output", default=None, help="write the export here instead of stdout"
     )
 
     trace = sub.add_parser(
@@ -266,11 +249,6 @@ def _add_run_args(cmd: argparse.ArgumentParser) -> None:
         "priority-bucket scheduler (async; bfs/cc/sssp on "
         "the symple/gemini/single engines)",
     )
-    _flag(
-        cmd, "--bucket-width", "async_bucket_width", metavar="W",
-        help="async bucket width (priority range per bucket; "
-        "default: a per-algorithm heuristic)",
-    )
     cmd.add_argument(
         "--no-double-buffering", action="store_true",
         help="disable the double-buffering optimization",
@@ -313,9 +291,6 @@ def _run_config(engine: str, args, obs=None) -> RunConfig:
     return RunConfig(
         engine=engine,
         options=_options(args) if engine == "symple" else None,
-        checkpointing=Checkpointing(
-            interval=getattr(args, "checkpoint_interval", 0)
-        ),
         obs=obs,
         **fields,
     )
@@ -326,18 +301,15 @@ def _execute(engine: str, args, obs=None):
         return session.run(_run_config(engine, args, obs=obs))
 
 
-def _export_metrics(registry, fmt: str, output: Optional[str]) -> None:
+def _export_metrics(registry, fmt: str, output: str) -> None:
     text = (
         registry.export_prometheus()
         if fmt == "prom"
         else registry.export_json_str()
     )
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-        print(f"metrics written to {output}")
-    else:
-        print(text)
+    with open(output, "w", encoding="utf-8") as handle:
+        handle.write(text if text.endswith("\n") else text + "\n")
+    print(f"metrics written to {output}")
 
 
 def _trace(args) -> int:
@@ -571,14 +543,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 note=f"best machine count: {sweep.best()}",
             )
         )
-        return 0
-
-    if args.command == "metrics":
-        from repro.obs import ObsHub
-
-        hub = ObsHub()
-        _execute(args.engine, args, obs=hub)
-        _export_metrics(hub.metrics, args.format, args.output)
         return 0
 
     if args.command == "trace":

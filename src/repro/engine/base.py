@@ -118,7 +118,6 @@ class BaseEngine:
         self,
         partition: Partition,
         default_cost: CostModel,
-        use_kernels: bool = True,
         obs: Optional[ObsHub] = None,
         executor=None,
         verify: str = "off",
@@ -129,9 +128,8 @@ class BaseEngine:
         self.counters = Counters(self.num_machines)
         self.network = SimulatedNetwork(self.num_machines, self.counters)
         self.default_cost = default_cost
-        self.use_kernels = use_kernels
         self.verify = verify
-        self.fastpaths = FastPaths(use_kernels, verify)
+        self.fastpaths = FastPaths(verify)
         self._analyzed: Dict[int, AnalyzedSignal] = {}
         self._run_serial = next(_RUN_SERIAL)
         self._fault_controller = None

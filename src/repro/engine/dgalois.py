@@ -30,12 +30,11 @@ class DGaloisEngine(BaseEngine):
         self,
         partition: Partition,
         cost_model: CostModel = DGALOIS_COST,
-        use_kernels: bool = True,
         obs=None,
         executor=None,
         verify: str = "off",
     ) -> None:
         super().__init__(
-            partition, cost_model, use_kernels=use_kernels, obs=obs,
-            executor=executor, verify=verify,
+            partition, cost_model, obs=obs, executor=executor,
+            verify=verify,
         )

@@ -14,7 +14,6 @@ a scalar *oracle* that is always right:
 
 :data:`PATHS` has one :class:`FastPath` row per place, and
 :class:`FastPaths` is an engine's one copy of the policy around them:
-``use_kernels`` switches every row off (nothing is classified), and
 under ``verify != "off"`` the first answer of each ``(function, path)``
 is compared with the oracle's — ``kernel``'s statically, by the
 contract certifier before its first run, the others by replay.  On a
@@ -201,11 +200,10 @@ class Entry:
 
 
 class FastPaths:
-    """One engine's switch, verify mode and verdicts, cached per
+    """One engine's verify mode and verdicts, cached per
     ``(id(fn), path name)``."""
 
-    def __init__(self, enabled: bool, verify: str) -> None:
-        self.enabled = enabled
+    def __init__(self, verify: str) -> None:
         self.verify = verify
         self.cache: Dict[Tuple[int, str], Entry] = {}
 
@@ -217,8 +215,6 @@ class FastPaths:
         """The spec ``fn`` runs through on ``path`` against ``state``, or
         None for the oracle; ``subject`` is what ``path`` classifies
         when that is not ``fn`` (a kernel's analyzed signal)."""
-        if not self.enabled:
-            return None
         entry = self.cache.get((id(fn), path.name))
         if entry is None:
             spec = path.classify(fn if subject is None else subject)
@@ -234,7 +230,7 @@ class FastPaths:
 
     def holds(self, path: FastPath, fn: Callable, spec) -> bool:
         """Does ``spec``, ``fn``'s classification on the ``static``
-        row ``path``, keep its contract — switched on or not?  Under
+        row ``path``, keep its contract, whether or not it runs?  Under
         ``verify != "off"`` it is certified on first ask, as
         :meth:`plan` would before the first run."""
         entry = self.cache.setdefault((id(fn), path.name), Entry(fn, spec))

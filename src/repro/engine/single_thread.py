@@ -31,13 +31,12 @@ class SingleThreadEngine(GeminiEngine):
         self,
         graph: CSRGraph,
         cost_model: CostModel = SINGLE_THREAD_COST,
-        use_kernels: bool = True,
         obs=None,
         executor=None,
         verify: str = "off",
     ) -> None:
         partition = OutgoingEdgeCut().partition(graph, 1)
         super().__init__(
-            partition, cost_model, use_kernels=use_kernels, obs=obs,
-            executor=executor, verify=verify,
+            partition, cost_model, obs=obs, executor=executor,
+            verify=verify,
         )

@@ -77,22 +77,12 @@ OPTION_FIELDS = {
     "differentiated": Field(bool),
     "double_buffering": Field(bool),
     "schedule": Field(choices=("circulant", "naive")),
-    "use_kernels": Field(bool),
 }
 
 
 @dataclass
 class SympleOptions:
     """Feature switches for the SympleGraph runtime.
-
-    ``use_kernels`` enables the batched NumPy fast paths
-    (:mod:`repro.kernels`) for UDFs the analyzer classified into a
-    vectorizable shape — signal kernels and slot scatters alike;
-    results, counters, and traffic are bit-identical either way, so
-    this is purely a wall-clock switch.  Off, every pull unit runs the
-    per-vertex interpreter and every update the scalar slot loop — the
-    fallbacks unclassified UDFs take anyway, and the reference the
-    equivalence tests compare the fast paths against.
 
     Tracing is attached as an observer (``make_engine(obs=...)``,
     ``RunConfig(obs=...)``, :meth:`BaseEngine.attach_observer`), and
@@ -104,7 +94,6 @@ class SympleOptions:
     differentiated: bool = True
     double_buffering: bool = True
     schedule: str = "circulant"
-    use_kernels: bool = True
 
     def __post_init__(self) -> None:
         check_fields(self, OPTION_FIELDS, "options.")
@@ -179,8 +168,8 @@ class SympleGraphEngine(BaseEngine):
     ) -> None:
         self.options = options or SympleOptions()
         super().__init__(
-            partition, cost_model, use_kernels=self.options.use_kernels,
-            obs=obs, executor=executor, verify=verify,
+            partition, cost_model, obs=obs, executor=executor,
+            verify=verify,
         )
         if self.options.differentiated:
             self._high_mask = (
@@ -234,7 +223,7 @@ class SympleGraphEngine(BaseEngine):
 
     def _combines_at_master(self, analyzed, slot: Callable) -> bool:
         """:func:`~repro.analysis.slotspec.min_fold_pair` of the pair,
-        decided once per pair (``use_kernels`` does not enter it).
+        decided once per pair.
         Under ``verify != "off"`` the fold's kernel contract is
         certified first; a refuted one circulates."""
         fn = analyzed.original

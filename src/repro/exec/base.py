@@ -9,8 +9,7 @@ processes mapping the CSR topology and vertex state zero-copy out of
 shared memory (:class:`~repro.exec.process.ProcessPoolExecutor`).
 Results always come back in item order and the parent merges them
 deterministically, so counters, traffic, and results are bit-identical
-across backends — the backend is purely a wall-clock knob, exactly like
-``use_kernels``.
+across backends — the backend is purely a wall-clock knob.
 
 Every backend runs a chunk of items through the same loop,
 :meth:`repro.exec.work.WorkerContext.run`: a task that has a chunk

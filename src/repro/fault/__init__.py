@@ -7,7 +7,7 @@ The subsystem has four parts (see ``docs/API.md``):
 * :mod:`repro.fault.injector` — the :class:`FaultController` applying
   a plan through engine phase/step hooks and the network delivery hook;
 * :mod:`repro.fault.checkpoint` — durable snapshots at superstep
-  boundaries with interval and rolling-retention policy;
+  boundaries on an interval policy, the latest one kept;
 * :mod:`repro.fault.recovery` — :func:`run_recoverable`, the
   coordinator that rolls back to the last consistent checkpoint and
   replays, with bounded exponential-backoff retries.

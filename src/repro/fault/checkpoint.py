@@ -15,15 +15,15 @@ recovery restarts the interrupted phase with dependency bitmaps blanked
 The store models durable, replicated storage: writes survive crashes,
 and their cost is charged through the ``ckpt`` communication tag and
 the cost model's checkpoint term so overhead shows up in the
-communication tables.  ``retention`` bounds how many snapshots are kept
-(rolling window), as production checkpoint stores do.
+communication tables.  Recovery only ever restores the latest
+snapshot, so that is the one the store keeps.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class Checkpoint:
     superstep: int
     state: Dict[str, Any]
     ctx: Dict[str, Any]
-    extras: Dict[str, np.ndarray] = field(default_factory=dict)
     nbytes: int = 0
 
     def restore_into(self, state: StateStore) -> Dict[str, Any]:
@@ -66,7 +65,7 @@ class Checkpoint:
 
 
 class CheckpointStore:
-    """Rolling window of durable checkpoints with interval policy.
+    """The latest durable checkpoint, taken on an interval policy.
 
     ``interval`` of 0 disables checkpointing entirely; ``interval`` of
     N takes a snapshot entering supersteps 0, N, 2N, ... (the superstep
@@ -74,15 +73,11 @@ class CheckpointStore:
     first interval elapses).
     """
 
-    def __init__(self, interval: int = 0, retention: int = 2) -> None:
+    def __init__(self, interval: int = 0) -> None:
         if interval < 0:
             raise ValueError("checkpoint interval must be non-negative")
-        if retention < 1:
-            raise ValueError("retention must keep at least one checkpoint")
         self.interval = interval
-        self.retention = retention
-        self._checkpoints: List[Checkpoint] = []
-        self._last_saved: Optional[int] = None
+        self._latest: Optional[Checkpoint] = None
         # overhead accounting, surfaced in recovery reports
         self.checkpoints_taken = 0
         self.bytes_written = 0
@@ -101,41 +96,29 @@ class CheckpointStore:
         """
         if not self.enabled:
             return False
-        if self._last_saved is not None and superstep <= self._last_saved:
+        if self._latest is not None and superstep <= self._latest.superstep:
             return False
         return superstep % self.interval == 0
 
     def save(
-        self,
-        superstep: int,
-        state: StateStore,
-        ctx: Dict[str, Any],
-        extras: Optional[Dict[str, np.ndarray]] = None,
+        self, superstep: int, state: StateStore, ctx: Dict[str, Any]
     ) -> Checkpoint:
-        """Snapshot the run entering ``superstep`` and roll retention."""
+        """Snapshot the run entering ``superstep``, replacing the last."""
         snap = state.snapshot()
-        extras = {
-            name: arr.copy() for name, arr in (extras or {}).items()
-        }
-        nbytes = snapshot_nbytes(snap) + sum(
-            int(a.nbytes) for a in extras.values()
-        )
         checkpoint = Checkpoint(
             superstep=superstep,
             state=snap,
             ctx=copy.deepcopy(ctx),
-            extras=extras,
-            nbytes=nbytes,
+            nbytes=snapshot_nbytes(snap),
         )
-        self._checkpoints.append(checkpoint)
-        del self._checkpoints[: -self.retention]
-        self._last_saved = superstep
+        self._latest = checkpoint
         self.checkpoints_taken += 1
-        self.bytes_written += nbytes
+        self.bytes_written += checkpoint.nbytes
         return checkpoint
 
     def latest(self) -> Optional[Checkpoint]:
-        return self._checkpoints[-1] if self._checkpoints else None
+        """The most recent checkpoint, or None before the first."""
+        return self._latest
 
     def restore_latest(
         self, state: StateStore
@@ -152,6 +135,3 @@ class CheckpointStore:
         self.restores += 1
         self.bytes_restored += checkpoint.nbytes
         return checkpoint, ctx
-
-    def __len__(self) -> int:
-        return len(self._checkpoints)

@@ -124,7 +124,6 @@ def run_recoverable(
     engine,
     plan: Optional[FaultPlan] = None,
     checkpoint_interval: int = 0,
-    retention: int = 2,
     max_recoveries: int = 16,
     max_retries: int = 5,
     backoff_base: float = 50.0,
@@ -147,7 +146,7 @@ def run_recoverable(
             backoff_base=backoff_base,
         )
     engine.attach_faults(controller)
-    store = CheckpointStore(interval=checkpoint_interval, retention=retention)
+    store = CheckpointStore(interval=checkpoint_interval)
     report = RecoveryReport()
 
     try:

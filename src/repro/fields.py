@@ -37,8 +37,7 @@ class Field:
     ``tuple`` (a non-empty sequence of non-negative integer vertex ids,
     stored as a tuple of ints) or the class of a nested block, whose
     rows are ``fields``.  A row with ``choices`` (a tuple, or a callable
-    read when used) takes one of them, or an instance of ``type`` when
-    one is given.  An ``int`` is at least ``low``; a ``float`` lies
+    read when used) takes one of them.  An ``int`` is at least ``low``; a ``float`` lies
     strictly above it.  A ``live`` row is an attachment (a tracer, a
     cost model): any value, never serialized or served.  ``served_max``
     bounds what a served query may name.
@@ -67,12 +66,9 @@ def check(name: str, row: Field, value: Any,
         return value
     if row.choices:
         choices = row.options()
-        if value in choices or (kind is not None and isinstance(value, kind)):
+        if value in choices:
             return value
-        also = f" or a {kind.__name__} instance" if kind is not None else ""
-        raise error(
-            f"unknown {name} {value!r}; expected one of {choices}{also}"
-        )
+        raise error(f"unknown {name} {value!r}; expected one of {choices}")
     low = row.low
     if kind is int:
         if is_integer(value) and (low is None or value >= low):

@@ -6,9 +6,7 @@ per-(machine, step) candidate batches as NumPy array programs over the
 flattened CSR neighbor segments, for UDFs the analyzer classified into
 a known shape (:mod:`repro.analysis.kernelspec`).  Results, counters,
 and simulated network traffic are bit-identical to the interpreter;
-anything unclassified falls back to the per-vertex path, and
-``SympleOptions.use_kernels=False`` (or ``use_kernels=False`` on the
-baseline engines) turns the fast path off entirely.
+anything unclassified falls back to the per-vertex path.
 
 Importing the package registers the built-in kernels; see
 :func:`repro.kernels.registry.register_kernel` to add more.  The slot
@@ -17,7 +15,7 @@ ordered scatter per phase — is :mod:`repro.kernels.slots`, and the
 sparse push's flat scan of the frontier's out-edges is
 :func:`repro.kernels.csr.guarded_emit_scan` (called directly, not
 registered: it returns per-edge emits, not a per-vertex batch); both
-sit under the same switch and the same fallback contract.
+keep the same fallback contract.
 """
 
 from repro.kernels import csr  # noqa: F401 - registers built-in kernels

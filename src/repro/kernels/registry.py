@@ -26,7 +26,7 @@ what lets a caller cut a block's batch back into its units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -59,7 +59,6 @@ class KernelBatch:
     values: np.ndarray
     broke: Optional[np.ndarray] = None
     carried: Optional[np.ndarray] = None
-    extras: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
 Kernel = Callable[..., KernelBatch]

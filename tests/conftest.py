@@ -12,6 +12,7 @@ from repro.engine import (
     SympleGraphEngine,
     SympleOptions,
 )
+from repro.engine.fastpath import FastPaths
 from repro.graph import rmat, to_undirected
 from repro.partition import CartesianVertexCut, OutgoingEdgeCut
 
@@ -26,6 +27,22 @@ def small_graph():
 def tiny_graph():
     """Undirected graph small enough for exhaustive oracles."""
     return to_undirected(rmat(scale=6, edge_factor=6, seed=7))
+
+
+@pytest.fixture
+def interpreted(monkeypatch):
+    """The scalar oracles, with every fast path off: each pull on the
+    per-vertex interpreter, each update on the scalar slot loop, each
+    push on the per-edge loop.  ``interpreted(engine)`` switches one
+    engine and returns it; ``interpreted()`` switches every engine for
+    the rest of the test, those a ``Session`` builds included."""
+
+    def off(engine=None):
+        owner = FastPaths if engine is None else engine.fastpaths
+        monkeypatch.setattr(owner, "plan", lambda *args, **kwargs: None)
+        return engine
+
+    return off
 
 
 @pytest.fixture

@@ -51,12 +51,13 @@ class TestConnectedComponents:
         assert result.num_components == 1
 
     def test_no_dependency_traffic(self, graph):
-        """CC has no break, so SympleGraph must not pay dependency
-        bytes for... note: its min-label accumulator IS carried data,
-        so the engine may circulate it; correctness is unaffected."""
+        """CC has no break, and its carried min label folds into a
+        min-fold slot: the partial minima combine at the master, so
+        SympleGraph sends no dependency bytes."""
         engine = make_engine("symple", graph, 4)
         result = connected_components(engine)
         assert result.iterations >= 1
+        assert engine.counters.bytes_by_tag["dep"] == 0
 
 
 class TestPageRank:

@@ -1,7 +1,7 @@
 """The Session/RunConfig entry point and its post-redesign surface.
 
 Covers: RunConfig construction, validation, replace(), and
-to_dict/from_dict round-trips (including the async-mode knobs);
+to_dict/from_dict round-trips (including the async mode);
 Session caching, overrides, lifecycle; and the hard removal of the
 legacy surfaces (``run_algorithm``, extended-positional
 ``make_engine``) retired by the registry redesign.
@@ -9,10 +9,10 @@ legacy surfaces (``run_algorithm``, extended-positional
 
 import pytest
 
-from repro.api import Checkpointing, RunConfig, Session
+from repro.api import RunConfig, Session
 from repro.engine import SympleOptions, make_engine
 from repro.errors import EngineError, GraphError, UnsupportedAlgorithmError
-from repro.exec import ProcessPoolExecutor, SerialExecutor
+from repro.exec import SerialExecutor
 from repro.fault import FaultPlan
 from repro.graph import CSRGraph, erdos_renyi, to_undirected
 from repro.partition import OutgoingEdgeCut
@@ -30,7 +30,7 @@ class TestRunConfig:
         assert config.algorithm == "bfs"
         assert config.machines == 16
         assert config.executor == "serial"
-        assert config.checkpointing == Checkpointing()
+        assert config.checkpoint_interval == 0
         assert not config.faulted
 
     def test_frozen(self):
@@ -57,12 +57,12 @@ class TestRunConfig:
             {"mode": "eventual"},
             {"engine": "dgalois", "mode": "async"},
             {"mode": "async", "algorithm": "kmeans"},
-            {"async_bucket_width": 2.0},  # only valid with mode="async"
-            {"mode": "async", "async_bucket_width": 0.0},
-            {"mode": "async", "async_bucket_width": -1.0},
+            {"checkpoint_interval": -1},
+            {"executor": SerialExecutor()},  # a kind, never an instance
+            {"checkpoint_interval": 1.5},
             {"sources": (1.5, "2")},  # never truncated to (1, 2)
             {"sources": (True,)},
-            {"mode": "async", "async_bucket_width": float("inf")},
+            {"verify": "loud"},
         ],
     )
     def test_validation_rejects(self, kwargs):
@@ -115,20 +115,17 @@ class TestRunConfig:
         with pytest.raises(UnsupportedAlgorithmError):
             RunConfig(algorithm="scc", faults=FaultPlan.dep_loss(0.1))
         with pytest.raises(UnsupportedAlgorithmError):
-            RunConfig(
-                algorithm="scc", checkpointing=Checkpointing(interval=1)
-            )
+            RunConfig(algorithm="scc", checkpoint_interval=1)
 
     def test_faulted_property(self):
         assert RunConfig(faults=FaultPlan.dep_loss(0.1)).faulted
-        assert RunConfig(checkpointing=Checkpointing(interval=2)).faulted
+        assert RunConfig(checkpoint_interval=2).faulted
         assert not RunConfig(faults=FaultPlan(seed=1)).faulted  # empty plan
 
     def test_checkpointing_validation(self):
-        with pytest.raises(EngineError):
-            Checkpointing(interval=-1)
-        with pytest.raises(EngineError):
-            Checkpointing(retention=0)
+        for bad in (-1, 1.5, True, None):
+            with pytest.raises(EngineError, match="checkpoint_interval"):
+                RunConfig(checkpoint_interval=bad)
 
     def test_round_trip(self):
         config = RunConfig(
@@ -138,7 +135,7 @@ class TestRunConfig:
             seed=9,
             options=SympleOptions(degree_threshold=4),
             faults=FaultPlan.dep_loss(0.25, seed=3),
-            checkpointing=Checkpointing(interval=2, retention=3),
+            checkpoint_interval=2,
             executor="process",
             workers=2,
             kcore_k=3,
@@ -147,62 +144,57 @@ class TestRunConfig:
         restored = RunConfig.from_dict(payload)
         assert restored.to_dict() == payload
         assert restored.options == config.options
-        assert restored.checkpointing == config.checkpointing
+        assert restored.checkpoint_interval == 2
         assert restored.faults.to_dict() == config.faults.to_dict()
 
     def test_round_trip_async_mode(self):
-        config = RunConfig(
-            algorithm="sssp", mode="async", async_bucket_width=2.5
-        )
+        config = RunConfig(algorithm="sssp", mode="async")
         payload = config.to_dict()
         assert payload["mode"] == "async"
-        assert payload["async_bucket_width"] == 2.5
         restored = RunConfig.from_dict(payload)
         assert restored.mode == "async"
-        assert restored.async_bucket_width == 2.5
         assert restored.to_dict() == payload
 
     def test_from_dict_accepts_pre_async_payloads(self):
         # payloads saved before the mode knobs existed must still load
         payload = RunConfig(algorithm="kcore", kcore_k=2).to_dict()
         del payload["mode"]
-        del payload["async_bucket_width"]
         restored = RunConfig.from_dict(payload)
         assert restored.mode == "sync"
-        assert restored.async_bucket_width is None
 
     def test_digests_are_pinned(self):
         """Serve dedup and the serve_hot replay key on these digests:
-        a config keeps its digest across validation rewrites."""
+        a config keeps its digest across validation rewrites (a field
+        added or removed changes every payload, so it re-pins them)."""
         assert RunConfig().digest() == (
-            "fe854a35d6e6f1809c07f332d94ad68b04728346f6cc8ee43aee798c450b8248"
+            "81729f722bda9c9628861a4f6b4d8e0d6b8336dbe040b2bd8bf8c9dc34ac673d"
         )
         served = RunConfig.from_dict({
             "engine": "symple", "algorithm": "bfs", "machines": 4,
             "seed": 7, "sources": [3],
         })
         assert served.digest() == (
-            "fdfc969b61e154580fc6e813ff34c0e2769f0c6e30c2e40ef605fe42186cab1e"
+            "02f49428850ea432a0ab038bf0d6795b79d94b68c6e1183281c00f05497a48cf"
         )
         every_block = RunConfig(
             algorithm="sssp", machines=8, seed=9,
             options=SympleOptions(degree_threshold=4, schedule="naive"),
             faults=FaultPlan.dep_loss(0.25, seed=3),
-            checkpointing=Checkpointing(interval=2, retention=3),
-            executor="process", workers=2, verify="warn", sources=(4, 1),
-            mode="async", async_bucket_width=2.5,
+            checkpoint_interval=2, executor="process", workers=2,
+            verify="warn", sources=(4, 1), mode="async",
         )
         assert every_block.digest() == (
-            "f55f07c2a83768b6e297d3a2154d96781d1e8b4749013ac4dd6146ebc513beba"
+            "f533cf8ff6974656fea27a23902043d7a12ba2722a98c254860ca231ce6a85ea"
         )
 
-    def test_to_dict_serializes_executor_instance_as_kind(self):
-        ex = ProcessPoolExecutor(2)
-        try:
-            config = RunConfig(executor=ex)
-            assert config.to_dict()["executor"] == "process"
-        finally:
-            ex.close()
+    def test_executor_instance_is_refused(self):
+        """``executor`` names a kind the session owns; an instance goes
+        to ``make_engine(executor=...)``, the low-level path."""
+        ex = SerialExecutor()
+        with pytest.raises(EngineError, match="unknown executor"):
+            RunConfig(executor=ex)
+        with pytest.raises(EngineError, match="unknown executor"):
+            RunConfig().replace(executor=ex)
 
 
 class TestSession:
@@ -258,18 +250,6 @@ class TestSession:
         session.close()
         with pytest.raises(EngineError):
             session.run()
-
-    def test_caller_owned_executor_not_closed(self, graph):
-        ex = SerialExecutor()
-        closes = []
-        original_close = ex.close
-        ex.close = lambda: (closes.append(True), original_close())
-        config = RunConfig(machines=4, bfs_roots=1, executor=ex)
-        with Session(graph, config) as session:
-            session.run()
-        # the session must not close an executor it did not create
-        assert not closes
-        ex.close()
 
     def test_digest_distinguishes_configs(self, graph):
         with Session(graph, RunConfig(machines=4, bfs_roots=1)) as session:

@@ -20,9 +20,10 @@ import pytest
 
 from repro.algorithms.bfs import AsyncBFSProgram
 from repro.algorithms.cc import cc_program
+from repro.algorithms.registry import async_algorithms, fixpoint_digest
 from repro.algorithms.relax import default_bucket_width
 from repro.algorithms.sssp import sssp_program
-from repro.api import Checkpointing, RunConfig, Session
+from repro.api import RunConfig, Session
 from repro.engine import ASYNC_ENGINES, make_engine
 from repro.errors import EngineError
 from repro.fault import CrashFault, FaultPlan, run_program, run_recoverable
@@ -57,6 +58,27 @@ def run_one(graph, **kwargs):
         return session.run()
 
 
+def run_async(graph, algorithm, width, seed, sources=()):
+    """``(fixpoint, results)`` of an async run at bucket ``width``,
+    digested as ``Session.run`` digests it; ``None`` is the width a
+    ``RunConfig(mode="async")`` run takes, any other is given to the
+    program itself."""
+    if width is None:
+        width = default_bucket_width(algorithm, graph)
+    engine = make_engine("symple", graph, MACHINES)
+    if algorithm == "cc":
+        result = run_program(cc_program(width, seed), engine)
+        return fixpoint_digest(result.label), [result]
+    program = AsyncBFSProgram if algorithm == "bfs" else sssp_program
+    results = [run_program(program(root, width, seed), engine)
+               for root in sources]
+    arrays = [
+        a for r in results
+        for a in ((r.visited, r.depth) if algorithm == "bfs" else (r.dist,))
+    ]
+    return fixpoint_digest(*arrays), results
+
+
 class TestValidation:
     def test_async_requires_capable_engine(self):
         with pytest.raises(EngineError, match="per-bucket"):
@@ -74,11 +96,12 @@ class TestValidation:
         ):
             RunConfig(algorithm="pagerank", mode="async")
 
-    def test_bucket_width_needs_async_mode(self):
-        with pytest.raises(EngineError, match="async"):
-            RunConfig(async_bucket_width=2.0)
-        with pytest.raises(EngineError, match="> 0"):
-            RunConfig(mode="async", async_bucket_width=-1.0)
+    def test_program_width_must_be_positive(self, skewed_graph):
+        """A width is a program's argument; ``RunConfig`` takes none."""
+        for width in (0.0, -1.0):
+            engine = make_engine("symple", skewed_graph, MACHINES)
+            with pytest.raises(EngineError, match="> 0"):
+                run_program(cc_program(width=width), engine)
 
     def test_engine_gate_on_direct_drivers(self, skewed_graph):
         engine = make_engine("dgalois", skewed_graph, MACHINES)
@@ -86,7 +109,7 @@ class TestValidation:
             run_program(cc_program(width=8.0), engine)
 
     def test_default_widths_positive(self, weighted_graph):
-        for algo in ("bfs", "sssp", "cc", "pagerank"):
+        for algo in async_algorithms():
             assert default_bucket_width(algo, weighted_graph) > 0
 
 
@@ -101,37 +124,30 @@ class TestSyncAsyncEquivalence:
         pins = {"sources": (0, 5)} if algo == "bfs" else {}
         for graph in (skewed_graph, grid):
             sync = run_one(graph, algorithm=algo, **pins)
-            awr = run_one(
-                graph, algorithm=algo,
-                mode="async", async_bucket_width=width, seed=5, **pins,
-            )
+            fixpoint, _ = run_async(graph, algo, width, 5, (0, 5))
             assert sync.fixpoint is not None
-            assert awr.fixpoint == sync.fixpoint
+            assert fixpoint == sync.fixpoint
+            if width is None:  # the run's default width, end to end
+                awr = run_one(graph, algorithm=algo, mode="async", seed=5,
+                              **pins)
+                assert awr.fixpoint == sync.fixpoint
 
     @pytest.mark.parametrize("width", [None, 0.5])
     def test_sssp_fixpoint_matches_sync(self, weighted_graph, grid, width):
         for graph in (weighted_graph, random_weights(grid, seed=3)):
             sync = run_one(graph, algorithm="sssp", sources=(0,))
-            awr = run_one(
-                graph, algorithm="sssp", sources=(0,),
-                mode="async", async_bucket_width=width, seed=5,
-            )
-            assert awr.fixpoint == sync.fixpoint
+            fixpoint, _ = run_async(graph, "sssp", width, 5, (0,))
+            assert fixpoint == sync.fixpoint
 
     def test_seed_changes_schedule_not_fixpoint(self, weighted_graph):
         runs = [
-            run_one(
-                weighted_graph, algorithm="sssp", sources=(0,),
-                mode="async", async_bucket_width=0.25, seed=s,
-            )
+            run_async(weighted_graph, "sssp", 0.25, s, (0,))
             for s in (0, 1, 2)
         ]
-        assert len({r.fixpoint for r in runs}) == 1
+        assert len({fixpoint for fixpoint, _ in runs}) == 1
         # different offsets genuinely produce different schedules
         schedules = {
-            (r.extra["async_buckets"], r.extra["async_waves"],
-             r.extra["activations"])
-            for r in runs
+            (r.buckets, r.waves, r.activations) for _, [r] in runs
         }
         assert len(schedules) > 1
 
@@ -229,7 +245,7 @@ class TestAsyncRecovery:
         faulted = run_one(
             skewed_graph, algorithm="bfs", bfs_roots=1, mode="async",
             faults=FaultPlan.single_crash(machine=1, iteration=2),
-            checkpointing=Checkpointing(interval=1),
+            checkpoint_interval=1,
         )
         assert faulted.fixpoint == clean.fixpoint
         assert faulted.extra["fault_crashes"] == 1
@@ -244,7 +260,7 @@ class TestAsyncRecovery:
         faulted = run_one(
             weighted_graph, algorithm=algo, mode="async", seed=3,
             faults=FaultPlan.single_crash(machine=1, iteration=2),
-            checkpointing=Checkpointing(interval=1),
+            checkpoint_interval=1,
         )
         assert faulted.fixpoint == clean.fixpoint
         assert faulted.extra["fault_crashes"] == 1
@@ -261,7 +277,7 @@ class TestAsyncRecovery:
                 weighted_graph, algorithm="cc", mode="async", seed=3,
                 executor=executor, workers=2,
                 faults=FaultPlan.single_crash(machine=1, iteration=2),
-                checkpointing=Checkpointing(interval=1),
+                checkpoint_interval=1,
             ).digest()
             for executor in ("serial", "process")
         }

@@ -19,13 +19,13 @@ whose table comes from the same builder, keeps ascending vertex order.
 import numpy as np
 import pytest
 
-from repro import RunConfig, Session, api, make_engine, rmat
+from repro import RunConfig, Session, api, rmat
 from repro.algorithms.bfs import bfs, bottom_up_signal
 from repro.algorithms.registry import fixpoint_digest
 from repro.algorithms.cc import connected_components
 from repro.algorithms.kcore import kcore
 from repro.algorithms.pagerank import pagerank
-from repro.engine import SympleGraphEngine, circulant_partition
+from repro.engine import SympleGraphEngine, circulant_partition, make_engine
 from repro.fault import FaultPlan, MessageFault
 from repro.graph import to_undirected
 from repro.partition import partition_with_masters

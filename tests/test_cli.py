@@ -25,12 +25,22 @@ class TestParser:
         assert args.dataset == "s27"
         assert args.machines == 16
 
-    def test_non_finite_bucket_width_refused_before_the_run(self):
-        """The run would die converting infinity to an integer."""
-        with pytest.raises(EngineError, match="async_bucket_width must be"):
-            main(["run", "--algorithm", "bfs", "--mode", "async",
-                  "--bucket-width", "inf"])
+    def test_metrics_subcommand_is_gone(self, capsys):
+        """``repro run --metrics PATH --metrics-format json|prom`` is
+        the one spelling."""
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--algorithm", "bfs"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'metrics'" in capsys.readouterr().err
 
+    def test_bucket_width_flag_is_gone(self, capsys):
+        """An async run takes its graph's default bucket width."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mode", "async", "--bucket-width", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bucket-width" in (
+            capsys.readouterr().err
+        )
 
     def test_pagerank_async_refused_before_the_run(self):
         with pytest.raises(EngineError, match="'pagerank' has no async"):

@@ -84,7 +84,8 @@ def observed(monkeypatch, graph, executor, stepwise, **overrides):
     make = api.make_engine
 
     def recording(*args, **kwargs):
-        engine = make(*args, **kwargs)
+        # the module's executor in place of the session's own
+        engine = make(*args, **{**kwargs, "executor": executor})
         engine.network.trace = True
         if stepwise:
             engine.attach_faults(
@@ -98,7 +99,7 @@ def observed(monkeypatch, graph, executor, stepwise, **overrides):
     with monkeypatch.context() as patch:
         patch.setattr(api, "make_engine", recording)
         config = RunConfig(machines=MACHINES, seed=2, bfs_roots=2,
-                           kcore_k=3, executor=executor, obs=tracer,
+                           kcore_k=3, obs=tracer,
                            **overrides)
         with Session(graph, config) as session:
             result = session.run()

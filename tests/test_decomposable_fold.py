@@ -17,13 +17,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.algorithms import IncrementalBFS, IncrementalCC, cc_signal
+from repro.algorithms import IncrementalBFS, IncrementalCC, cc_signal, relax
 from repro.algorithms.cc import _min_slot
 from repro.algorithms.incremental import _depth_slot, relax_depth_signal
 from repro.analysis import check_parallel_decomposable, instrument_signal
 from repro.analysis.slotspec import min_fold_pair
-from repro.api import Checkpointing, RunConfig, Session
-from repro.engine import SympleOptions, make_engine
+from repro.api import RunConfig, Session
+from repro.engine import make_engine
 from repro.engine.state import StateStore
 from repro.errors import KernelSoundnessError
 from repro.fault import FaultPlan
@@ -179,29 +179,36 @@ class TestSameDigests:
 
     @pytest.mark.parametrize("mode,width", [("sync", None), ("async", None),
                                             ("async", 3.0)])
-    def test_across_executors_and_kernels(self, graph, mode, width):
+    def test_across_executors_and_kernels(self, monkeypatch, interpreted,
+                                          graph, mode, width):
+        if width is not None:  # the width the async run takes
+            monkeypatch.setattr(relax, "default_bucket_width",
+                                lambda algorithm, graph: width)
         runs = [
-            run(graph, mode=mode, async_bucket_width=width, **kwargs)
+            run(graph, mode=mode, **kwargs)
             for kwargs in (
                 {},
                 {"executor": "process", "workers": 2},
-                {"options": SympleOptions(use_kernels=False)},
                 {"verify": "strict"},
             )
         ]
+        interpreted()
+        runs.append(run(graph, mode=mode))
         assert runs[0].dep_bytes == 0
         assert len({r.digest() for r in runs}) == 1
 
-    def test_incremental_across_executors_and_kernels(self, graph):
+    def test_incremental_across_executors_and_kernels(self, interpreted,
+                                                      graph):
         digests = [
             [(row[2], row[3]) for row in stream(graph, **kwargs)]
             for kwargs in (
                 {},
                 {"executor": "process", "workers": 2},
-                {"options": SympleOptions(use_kernels=False)},
                 {"verify": "strict"},
             )
         ]
+        interpreted()
+        digests.append([(row[2], row[3]) for row in stream(graph)])
         assert all(d == digests[0] for d in digests)
 
     @pytest.mark.parametrize("mode", ["sync", "async"])
@@ -210,7 +217,7 @@ class TestSameDigests:
         recovered = run(
             graph, mode=mode,
             faults=FaultPlan.single_crash(machine=1, iteration=2),
-            checkpointing=Checkpointing(interval=1),
+            checkpoint_interval=1,
         )
         assert recovered.extra["fault_crashes"] == 1
         assert recovered.dep_bytes == 0
@@ -278,11 +285,12 @@ class TestCertificate:
     a max fold that claims ``cc_signal``'s min spec is refuted and
     circulates, whether or not the kernels are on."""
 
-    def pull(self, verify, use_kernels=True):
+    def pull(self, verify, off):
         graph = skewed()
         n = graph.num_vertices
-        engine = make_engine("symple", graph, 4, verify=verify,
-                             options=SympleOptions(use_kernels=use_kernels))
+        engine = make_engine("symple", graph, 4, verify=verify)
+        if off is not None:
+            off(engine)
         analyzed = engine.ensure_analyzed(max_signal)
         analyzed.kernel = engine.ensure_analyzed(cc_signal).kernel
         state = engine.new_state()
@@ -291,9 +299,10 @@ class TestCertificate:
         return engine.counters.summary()["dep_bytes"]
 
     @pytest.mark.parametrize("use_kernels", [True, False])
-    def test_refuted_contract_circulates(self, use_kernels):
-        assert self.pull("off", use_kernels) == 0  # trusted unchecked
+    def test_refuted_contract_circulates(self, interpreted, use_kernels):
+        off = None if use_kernels else interpreted
+        assert self.pull("off", off) == 0  # trusted unchecked
         with pytest.warns(RuntimeWarning, match="max_signal"):
-            assert self.pull("warn", use_kernels) > 0
+            assert self.pull("warn", off) > 0
         with pytest.raises(KernelSoundnessError):
-            self.pull("strict", use_kernels)
+            self.pull("strict", off)

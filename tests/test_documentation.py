@@ -37,7 +37,9 @@ def test_public_items_documented(module):
 
 def test_public_classes_document_their_methods():
     """Public methods of the flagship classes carry docstrings."""
-    from repro import CSRGraph, CostModel, SympleGraphEngine
+    from repro.engine import SympleGraphEngine
+    from repro.graph import CSRGraph
+    from repro.runtime import CostModel
     from repro.engine.state import StateStore
     from repro.partition.base import Partition
 

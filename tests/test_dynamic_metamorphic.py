@@ -28,7 +28,6 @@ from repro.algorithms import (
 )
 from repro.algorithms.incremental import _levels, relax_depth_signal
 from repro.analysis.kernelspec import FULL_SCAN_MIN
-from repro.engine import SympleOptions
 from repro.errors import GraphError
 from repro.graph import (
     DynamicGraph,
@@ -334,10 +333,9 @@ class TestUnreachedSentinel:
     sentinel must hold there all the same, on the kernel and on the
     interpreter alike."""
 
-    def config(self, **options):
+    def config(self):
         return RunConfig(
             engine="symple", machines=4, verify="strict", bfs_roots=1,
-            options=SympleOptions(**options),
         )
 
     def run(self, config):
@@ -362,15 +360,17 @@ class TestUnreachedSentinel:
             trail.append(result)
         return trail, engine
 
-    def test_high_degree_unreached_vertices_stay_unreached(self):
+    def test_high_degree_unreached_vertices_stay_unreached(self,
+                                                           interpreted):
         trail, engine = self.run(self.config())
         assert [r.mode for r in trail] == ["scratch", "incremental"]
         for result in trail:
             assert result.values.tolist() == [0, 1, 2] + [-1] * 6
         analyzed = engine.ensure_analyzed(relax_depth_signal)
-        assert engine.use_kernels and analyzed.kernel.kind == FULL_SCAN_MIN
+        assert analyzed.kernel.kind == FULL_SCAN_MIN
         assert engine.counters.summary()["dep_bytes"] == 0  # no hand-off
-        oracle, twin = self.run(self.config(use_kernels=False))
+        interpreted()
+        oracle, twin = self.run(self.config())
         assert [r.digest() for r in trail] == [r.digest() for r in oracle]
         assert engine.counters.summary() == twin.counters.summary()
         assert engine.execution_time() == twin.execution_time()

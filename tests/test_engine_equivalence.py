@@ -134,8 +134,8 @@ class TestCCEquivalence:
 #
 # The batched NumPy kernels must be invisible: same results, same
 # counters, same traffic, byte for byte.  We run every algorithm on
-# every engine twice — use_kernels on and off — and diff everything
-# the engines observe.
+# every engine twice — fast paths on and off (the ``interpreted``
+# fixture) — and diff everything the engines observe.
 
 ALGORITHMS = {
     "bfs": lambda eng: bfs(eng, 0, mode="bottomup"),
@@ -146,11 +146,9 @@ ALGORITHMS = {
 }
 
 ENGINES = {
-    "gemini": lambda part, uk: GeminiEngine(part, use_kernels=uk),
-    "dgalois": lambda part, uk: DGaloisEngine(part, use_kernels=uk),
-    "symple": lambda part, uk: SympleGraphEngine(
-        part, options=SympleOptions(use_kernels=uk)
-    ),
+    "gemini": GeminiEngine,
+    "dgalois": DGaloisEngine,
+    "symple": SympleGraphEngine,
 }
 
 
@@ -180,25 +178,26 @@ class TestKernelInterpreterEquivalence:
     @pytest.mark.parametrize("machines", [1, 3, 4])
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_bit_identical(self, algorithm, engine_name, machines):
+    def test_bit_identical(self, interpreted, algorithm, engine_name,
+                           machines):
         graph = random_graph(seed=7, n=60, m=280)
         part = OutgoingEdgeCut().partition(graph, machines)
         run = ALGORITHMS[algorithm]
-        eng_on = ENGINES[engine_name](part, True)
-        eng_off = ENGINES[engine_name](part, False)
-        assert eng_on.use_kernels and not eng_off.use_kernels
+        eng_on = ENGINES[engine_name](part)
+        eng_off = interpreted(ENGINES[engine_name](part))
         assert_observably_identical(
             eng_on, run(eng_on), eng_off, run(eng_off)
         )
 
     @pytest.mark.parametrize("algorithm", ["bfs", "kcore", "cc"])
-    def test_isolated_vertices_are_skipped_identically(self, algorithm):
+    def test_isolated_vertices_are_skipped_identically(self, interpreted,
+                                                       algorithm):
         # satellite: zero-degree vertices never enter a pull batch
         graph = to_undirected(erdos_renyi(50, 90, seed=3))
         part = OutgoingEdgeCut().partition(graph, 3)
         run = ALGORITHMS[algorithm]
-        eng_on = SympleGraphEngine(part, SympleOptions(use_kernels=True))
-        eng_off = SympleGraphEngine(part, SympleOptions(use_kernels=False))
+        eng_on = SympleGraphEngine(part)
+        eng_off = interpreted(SympleGraphEngine(part))
         assert_observably_identical(
             eng_on, run(eng_on), eng_off, run(eng_off)
         )
@@ -210,13 +209,15 @@ class TestKernelEquivalenceUnderFaults:
     the observable behavior, so both paths must replay it exactly."""
 
     @pytest.mark.parametrize("algorithm", ["bfs", "mis", "kcore"])
-    def test_dep_loss_plan(self, algorithm):
+    def test_dep_loss_plan(self, interpreted, algorithm):
         graph = random_graph(seed=13, n=60, m=280)
         part = OutgoingEdgeCut().partition(graph, 4)
         run = ALGORITHMS[algorithm]
         results = {}
         for uk in (True, False):
-            eng = SympleGraphEngine(part, SympleOptions(use_kernels=uk))
+            eng = SympleGraphEngine(part)
+            if not uk:
+                interpreted(eng)
             controller = FaultController(FaultPlan.dep_loss(0.3, seed=11), 4)
             eng.attach_faults(controller)
             results[uk] = (eng, run(eng), controller)
@@ -226,7 +227,8 @@ class TestKernelEquivalenceUnderFaults:
         assert ctl_on.stats == ctl_off.stats
 
     @pytest.mark.parametrize("algorithm", ["bfs", "pagerank", "cc"])
-    def test_update_duplicates_force_per_vertex_sends(self, algorithm):
+    def test_update_duplicates_force_per_vertex_sends(self, interpreted,
+                                                      algorithm):
         # a delivery hook draws once per message, so the kernel path
         # must fall back to per-vertex sends in ascending order
         plan = FaultPlan(
@@ -237,7 +239,9 @@ class TestKernelEquivalenceUnderFaults:
         run = ALGORITHMS[algorithm]
         results = {}
         for uk in (True, False):
-            eng = SympleGraphEngine(part, SympleOptions(use_kernels=uk))
+            eng = SympleGraphEngine(part)
+            if not uk:
+                interpreted(eng)
             controller = FaultController(plan, 4)
             eng.attach_faults(controller)
             results[uk] = (eng, run(eng), controller)
@@ -247,7 +251,8 @@ class TestKernelEquivalenceUnderFaults:
         assert ctl_on.stats == ctl_off.stats
 
     @pytest.mark.parametrize("algorithm", ["bfs", "kcore"])
-    def test_combined_dep_loss_and_duplicates(self, algorithm):
+    def test_combined_dep_loss_and_duplicates(self, interpreted,
+                                              algorithm):
         # dep drops + a delivery-hook fault share one generator; the
         # parent draws both (dep coins per step, then per-message), so
         # the kernel path stays on and must match the interpreter
@@ -263,7 +268,9 @@ class TestKernelEquivalenceUnderFaults:
         run = ALGORITHMS[algorithm]
         results = {}
         for uk in (True, False):
-            eng = SympleGraphEngine(part, SympleOptions(use_kernels=uk))
+            eng = SympleGraphEngine(part)
+            if not uk:
+                interpreted(eng)
             controller = FaultController(plan, 4)
             eng.attach_faults(controller)
             results[uk] = (eng, run(eng), controller)

@@ -15,7 +15,7 @@ must still agree across backends).
 import numpy as np
 import pytest
 
-from repro.api import Checkpointing, RunConfig, Session
+from repro.api import RunConfig, Session
 from repro.engine import SympleGraphEngine, SympleOptions
 from repro.errors import UnsupportedAlgorithmError
 from repro.exec import EXECUTOR_KINDS, make_executor
@@ -82,7 +82,8 @@ class TestEngineLevelIdentity:
     """Beyond digests: raw result arrays, counters, and traffic."""
 
     @pytest.mark.parametrize("use_kernels", [True, False])
-    def test_symple_bfs_arrays_and_traffic(self, graph, use_kernels):
+    def test_symple_bfs_arrays_and_traffic(self, interpreted, graph,
+                                           use_kernels):
         from repro.algorithms import bfs
 
         partition = OutgoingEdgeCut().partition(graph, 4)
@@ -93,11 +94,9 @@ class TestEngineLevelIdentity:
                 backend, workers=None if backend == "serial" else WORKERS
             )
             try:
-                engine = SympleGraphEngine(
-                    partition,
-                    SympleOptions(use_kernels=use_kernels),
-                    executor=ex,
-                )
+                engine = SympleGraphEngine(partition, executor=ex)
+                if not use_kernels:
+                    interpreted(engine)
                 result = bfs(engine, root, mode="bottomup")
             finally:
                 ex.close()
@@ -208,7 +207,7 @@ class TestFaultedRuns:
                 seed=3,
                 kcore_k=2,
                 faults=plan,
-                checkpointing=Checkpointing(interval=1),
+                checkpoint_interval=1,
                 executor=backend,
                 workers=None if backend == "serial" else WORKERS,
                 obs=tracers[backend],

@@ -20,7 +20,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.algorithms import bfs, connected_components, kcore, pagerank
 from repro.api import RunConfig, Session
+from repro.engine import make_engine
 from repro.engine.state import StateStore
 from repro.errors import EngineError
 from repro.exec.process import ProcessPoolExecutor
@@ -327,11 +329,10 @@ class TestPoolRestart:
         from repro.exec import shm
 
         monkeypatch.setattr(shm, "_ATTACH_LIMIT", 8)  # forked workers see it
+        runs = (lambda engine: bfs(engine, 0), lambda engine: kcore(engine, 3),
+                connected_components, pagerank)
         with ProcessPoolExecutor(1) as ex:
-            for algorithm in ("bfs", "kcore", "cc", "pagerank"):
-                for _ in range(2):
-                    config = RunConfig(machines=4, algorithm=algorithm,
-                                       kcore_k=3, bfs_roots=1, executor=ex)
-                    with Session(graph, config) as session:
-                        session.run()
+            for run in runs:
+                for _ in range(2):  # a partition, so a generation, each
+                    run(make_engine("symple", graph, 4, executor=ex))
             assert ex.spawns == 1

@@ -117,24 +117,24 @@ class TestDrawOrderPinned:
 
     @pytest.mark.parametrize("use_kernels", [True, False])
     @pytest.mark.parametrize("algorithm", sorted(PINNED))
-    def test_digest_and_controller_stats(self, algorithm, use_kernels):
+    def test_digest_and_controller_stats(self, interpreted, algorithm,
+                                         use_kernels):
         from repro.api import RunConfig, Session
 
         graph = to_undirected(erdos_renyi(64, 300, seed=11))
         plan = FaultPlan.dep_loss(0.3, seed=5)
-        options = SympleOptions(use_kernels=use_kernels)
         digest, dep_losses = self.PINNED[algorithm]
+        if not use_kernels:
+            interpreted()
 
         config = RunConfig(
             engine="symple", algorithm=algorithm, machines=4, seed=3,
-            kcore_k=2, bfs_roots=2, faults=plan, options=options,
+            kcore_k=2, bfs_roots=2, faults=plan,
         )
         with Session(graph, config) as session:
             assert session.run().digest() == digest
 
-        engine = SympleGraphEngine(
-            OutgoingEdgeCut().partition(graph, 4), options
-        )
+        engine = SympleGraphEngine(OutgoingEdgeCut().partition(graph, 4))
         controller = FaultController(plan, 4)
         engine.attach_faults(controller)
         if algorithm == "kcore":

@@ -1,7 +1,7 @@
 """The one fast-path mechanism (``repro.engine.fastpath``).
 
 * the ``kernel`` row's *warn* policy — a tampered ``KernelSpec`` warns
-  once, runs like its ``use_kernels=False`` twin and stays refuted;
+  once, runs like its twin on the interpreter and stays refuted;
 * verdicts are per ``(function, path)``: a refutation on one path
   leaves the function's other paths alone;
 * the gate CI runs over ``repro verify``'s notes (:func:`unexcused`),
@@ -26,7 +26,7 @@ from repro.analysis.instrument import instrument_signal
 from repro.analysis.kernelspec import FULL_SCAN_SUM
 from repro.analysis.rules import LintMessage
 from repro.analysis.verify import certify_spec, shape_note, verify_targets
-from repro.engine import GeminiEngine, SympleGraphEngine, SympleOptions
+from repro.engine import GeminiEngine, SympleGraphEngine
 from repro.engine.fastpath import KERNEL, PATHS, PUSH, SLOT, Entry, unexcused
 from repro.errors import KernelSoundnessError
 from repro.graph import rmat, to_undirected
@@ -60,19 +60,17 @@ def arrays_of(state):
 # -- the kernel row's warn policy ---------------------------------------------
 
 
-def engine_of(engine_cls, use_kernels, verify):
-    part = OutgoingEdgeCut().partition(GRAPH, 4)
-    if engine_cls is GeminiEngine:
-        return GeminiEngine(part, use_kernels=use_kernels, verify=verify)
-    return SympleGraphEngine(
-        part, SympleOptions(use_kernels=use_kernels), verify=verify
-    )
+def engine_of(engine_cls, verify, off=None):
+    """An engine, on the scalar oracles when ``off`` (the
+    ``interpreted`` fixture) is given."""
+    engine = engine_cls(OutgoingEdgeCut().partition(GRAPH, 4), verify=verify)
+    return engine if off is None else off(engine)
 
 
-def two_cc_pulls(engine_cls, use_kernels, verify="off"):
+def two_cc_pulls(engine_cls, verify="off", off=None):
     """Two label-propagation pulls under ``cc_signal``'s spec claiming a
     sum; everything the run can be observed by."""
-    engine = engine_of(engine_cls, use_kernels, verify)
+    engine = engine_of(engine_cls, verify, off)
     analyzed = engine.ensure_analyzed(cc_signal)
     analyzed.kernel = dataclasses.replace(analyzed.kernel, kind=FULL_SCAN_SUM)
     n = GRAPH.num_vertices
@@ -91,22 +89,22 @@ def two_cc_pulls(engine_cls, use_kernels, verify="off"):
 
 @pytest.mark.parametrize("engine_cls", [GeminiEngine, SympleGraphEngine])
 class TestKernelWarn:
-    def test_the_tamper_would_change_the_answer(self, engine_cls):
+    def test_the_tamper_would_change_the_answer(self, interpreted,
+                                                engine_cls):
         # the test below has teeth: run unchecked, the spec is wrong
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tampered = two_cc_pulls(engine_cls, True)[0]
-        assert tampered != two_cc_pulls(engine_cls, False)[0]
+            tampered = two_cc_pulls(engine_cls)[0]
+        assert tampered != two_cc_pulls(engine_cls, off=interpreted)[0]
 
-    def test_warns_once_answers_like_the_oracle_and_stays(self, engine_cls):
+    def test_warns_once_answers_like_the_oracle_and_stays(self, interpreted,
+                                                          engine_cls):
         with pytest.warns(
             RuntimeWarning, match="kernel fast path disabled for cc_signal"
         ) as w:
-            warned, engine, analyzed, state = two_cc_pulls(
-                engine_cls, True, "warn"
-            )
+            warned, engine, analyzed, state = two_cc_pulls(engine_cls, "warn")
         assert len(w) == 1  # across both pulls
-        assert warned == two_cc_pulls(engine_cls, False)[0]
+        assert warned == two_cc_pulls(engine_cls, off=interpreted)[0]
         assert engine.fastpaths.entry(KERNEL, cc_signal).verdict is False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -116,7 +114,7 @@ class TestKernelWarn:
 
     def test_strict_raises_the_certifiers_obligation(self, engine_cls):
         with pytest.raises(KernelSoundnessError) as err:
-            two_cc_pulls(engine_cls, True, "strict")
+            two_cc_pulls(engine_cls, "strict")
         assert err.value.obligation == "fold-sum"
 
 
@@ -127,7 +125,7 @@ class TestVerdictsArePerPath:
     def test_a_refuted_slot_leaves_the_push_path(self):
         # one cache used to hold the slot and push verdicts by function
         # alone, so this False switched the push scan off too
-        engine = engine_of(GeminiEngine, True, "warn")
+        engine = engine_of(GeminiEngine, "warn")
         state = engine.new_state()
         state.add_array("visited", bool, False)
         fn = bfs_mod._push_signal
@@ -136,8 +134,8 @@ class TestVerdictsArePerPath:
         assert engine.fastpaths.checking(PUSH, fn)
         assert not engine.fastpaths.refuted(PUSH, fn)
 
-    def test_switch_off_classifies_nothing(self):
-        engine = engine_of(GeminiEngine, False, "strict")
+    def test_switch_off_classifies_nothing(self, interpreted):
+        engine = engine_of(GeminiEngine, "strict", interpreted)
         state = engine.new_state()
         for path in (SLOT, PUSH):
             assert engine.fastpaths.plan(path, cc_mod._min_slot, state) is None
@@ -257,10 +255,10 @@ def fill(state, spec, rng):
         state.add_scalar(name, 2)
 
 
-def replay_verdict(udf, spec) -> str:
+def replay_verdict(udf, spec, interpreted) -> str:
     outcomes = []
-    for use_kernels in (True, False):
-        engine = engine_of(GeminiEngine, use_kernels, "off")
+    for off in (None, interpreted):
+        engine = engine_of(GeminiEngine, "off", off)
         analyzed = instrument_signal(udf)
         analyzed.kernel = spec
         state = engine.new_state()
@@ -288,9 +286,10 @@ def test_regime_table_covers_the_cases():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_certifier_regime(case):
+def test_certifier_regime(interpreted, case):
     udf, spec_of = CASES[case]
     spec = instrument_signal(CLASSIFIED[spec_of]).kernel
     with np.errstate(all="ignore"):
-        got = (static_verdict(udf, spec), replay_verdict(udf, spec))
+        got = (static_verdict(udf, spec),
+               replay_verdict(udf, spec, interpreted))
     assert got == REGIME[case]

@@ -41,20 +41,19 @@ class TestPolicy:
         assert not store.due(4) and not store.due(2)
         assert store.due(6)
 
-    def test_retention_rolls_window(self):
-        store = CheckpointStore(interval=1, retention=2)
+    def test_keeps_the_latest_checkpoint(self):
+        store = CheckpointStore(interval=1)
         s = make_state()
-        for i in range(5):
+        first = store.save(0, s, {})
+        for i in range(1, 5):
             store.save(i, s, {})
-        assert len(store) == 2
         assert store.latest().superstep == 4
+        assert store.latest() is not first
         assert store.checkpoints_taken == 5  # accounting is cumulative
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             CheckpointStore(interval=-1)
-        with pytest.raises(ValueError):
-            CheckpointStore(interval=1, retention=0)
 
 
 class TestRestoreIsolation:
@@ -118,12 +117,3 @@ class TestAccounting:
         assert store.bytes_written == 2 * per
         assert store.bytes_restored == per
         assert store.restores == 1
-
-    def test_extras_counted_and_copied(self):
-        store = CheckpointStore(interval=1)
-        s = make_state(8)
-        extra = np.arange(4, dtype=np.int64)
-        checkpoint = store.save(0, s, {}, extras={"bitmap": extra})
-        extra[:] = 0
-        assert np.all(checkpoint.extras["bitmap"] == np.arange(4))
-        assert checkpoint.nbytes == snapshot_nbytes(s.snapshot()) + 32

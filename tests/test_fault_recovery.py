@@ -284,7 +284,7 @@ def test_checkpoint_overhead_is_metered(small_graph):
 
 
 def test_harness_faulted_run(small_graph):
-    from repro.api import Checkpointing, RunConfig, Session
+    from repro.api import RunConfig, Session
 
     with Session(small_graph) as session:
         plain = session.run(RunConfig(
@@ -295,7 +295,7 @@ def test_harness_faulted_run(small_graph):
             engine="symple", algorithm="kcore", machines=MACHINES,
             kcore_k=3,
             faults=FaultPlan.single_crash(machine=1, iteration=2),
-            checkpointing=Checkpointing(interval=1),
+            checkpoint_interval=1,
         ))
     assert faulted.extra["core_size"] == plain.extra["core_size"]
     assert faulted.extra["fault_crashes"] == 1
@@ -312,7 +312,7 @@ def test_harness_recovers_every_algorithm(
 ):
     """One mid-run crash with a checkpoint per superstep: the fixpoint
     and every non-fault metric equal the clean twin's."""
-    from repro.api import Checkpointing, RunConfig, Session
+    from repro.api import RunConfig, Session
 
     # sampling is a single phase, so its only crash point is phase 0
     iteration = 0 if algorithm == "sampling" else 2
@@ -324,7 +324,7 @@ def test_harness_recovers_every_algorithm(
         clean = session.run()
         faulted = session.run(
             faults=FaultPlan.single_crash(machine=1, iteration=iteration),
-            checkpointing=Checkpointing(interval=1),
+            checkpoint_interval=1,
         )
     assert faulted.fixpoint == clean.fixpoint
     assert faulted.extra["fault_crashes"] == 1

@@ -11,8 +11,9 @@ Covers the three pieces introduced by the vectorized fast path:
   interpretation of the same UDF, including restored loop-carried
   state.
 
-End-to-end engine equivalence (kernels on vs off, with faults) lives
-in ``test_engine_equivalence.py``.
+End-to-end engine equivalence (kernels against the interpreter the
+``interpreted`` fixture runs, with faults) lives in
+``test_engine_equivalence.py``.
 """
 
 import importlib
@@ -29,7 +30,8 @@ from repro.analysis.kernelspec import (
     FULL_SCAN_MIN,
     FULL_SCAN_SUM,
 )
-from repro.engine import SympleGraphEngine, SympleOptions
+from repro.engine import GeminiEngine, SympleGraphEngine
+from repro.engine.fastpath import KERNEL
 from repro.engine.state import StateStore
 from repro.graph import erdos_renyi, to_undirected
 from repro.kernels import available_kernels, get_kernel, register_kernel
@@ -436,16 +438,18 @@ class TestKernelsMatchInterpreter:
 
 
 class TestEscapeHatch:
-    def test_use_kernels_false_disables_fast_path(self):
+    def test_interpreted_engine_classifies_nothing(self, interpreted):
         graph = to_undirected(erdos_renyi(40, 160, seed=9))
         part = OutgoingEdgeCut().partition(graph, 3)
-        on = SympleGraphEngine(part, SympleOptions(use_kernels=True))
-        off = SympleGraphEngine(part, SympleOptions(use_kernels=False))
-        assert on.use_kernels and not off.use_kernels
+        on = SympleGraphEngine(part)
+        off = interpreted(SympleGraphEngine(part))
         r_on = bfs_mod.bfs(on, 0, mode="bottomup")
         r_off = bfs_mod.bfs(off, 0, mode="bottomup")
         assert np.array_equal(r_on.depth, r_off.depth)
         assert on.counters.summary() == off.counters.summary()
+        signal = bfs_mod.bottom_up_signal
+        assert on.fastpaths.entry(KERNEL, signal).spec is not None
+        assert not off.fastpaths.cache
 
 
 # -- connectives and chained comparisons -------------------------------------
@@ -499,15 +503,17 @@ def first_seen_slot(v, value, s):
 
 
 class TestConnectivesAndChains:
-    def one_pull(self, signal, use_kernels, verify, off=False):
-        from repro.engine import GeminiEngine
+    def one_pull(self, signal, interpreted, verify, off=False):
+        """One pull; on the interpreter when the ``interpreted``
+        fixture is given."""
         from repro.graph import rmat
 
         graph = rmat(scale=7, edge_factor=8, seed=3)
         engine = GeminiEngine(
-            OutgoingEdgeCut().partition(graph, 4),
-            use_kernels=use_kernels, verify=verify,
+            OutgoingEdgeCut().partition(graph, 4), verify=verify
         )
+        if interpreted is not None:
+            interpreted(engine)
         n = graph.num_vertices
         state = engine.new_state()
         state.set("weight", np.arange(n, dtype=np.int64) % 3 * 2)
@@ -532,9 +538,10 @@ class TestConnectivesAndChains:
         [int_and_signal, int_not_signal, scalar_and_signal, chained_signal],
         ids=lambda fn: fn.__name__,
     )
-    def test_kernel_path_equals_interpreter(self, signal, verify):
-        fast = self.one_pull(signal, True, verify)
-        assert fast == self.one_pull(signal, False, verify)
+    def test_kernel_path_equals_interpreter(self, interpreted, signal,
+                                            verify):
+        fast = self.one_pull(signal, None, verify)
+        assert fast == self.one_pull(signal, interpreted, verify)
         assert 0 < fast[1] < fast[0] < 1024  # it matched, and it broke
 
     def test_connective_operands_must_be_bool_at_run_time(self):
@@ -565,14 +572,14 @@ class TestConnectivesAndChains:
         assert instrument_signal(chained_signal).kernel is None
 
     @pytest.mark.parametrize("off", [False, True, 0, 3])
-    def test_a_lone_scalar_takes_pythons_not(self, off):
+    def test_a_lone_scalar_takes_pythons_not(self, interpreted, off):
         # `not s.off` stays Python's `not` (no dtype to require), so the
         # kernel runs and agrees whatever the scalar is
         spec = instrument_signal(python_not_signal).kernel
         assert "not __state.off" in spec.sources["predicate"]
         assert spec.bool_scalars == () and spec.bool_arrays == ("flag",)
-        assert self.one_pull(python_not_signal, True, "off", off) == (
-            self.one_pull(python_not_signal, False, "off", off)
+        assert self.one_pull(python_not_signal, None, "off", off) == (
+            self.one_pull(python_not_signal, interpreted, "off", off)
         )
 
     def test_bundled_classifications_survive(self):

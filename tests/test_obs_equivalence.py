@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bfs
-from repro.api import Checkpointing, RunConfig, Session
-from repro.engine import SympleOptions, make_engine
+from repro.api import RunConfig, Session
+from repro.engine import make_engine
 from repro.fault import FaultPlan, StragglerFault
 from repro.graph import erdos_renyi, to_undirected
 from repro.obs import (
@@ -61,21 +61,20 @@ def semantic_events(events):
     return out
 
 
-def traced_bfs(graph, use_kernels):
+def traced_bfs(graph, interpreted=None):
     hub = ObsHub(tracer=Tracer())
-    engine = make_engine(
-        "symple", graph, MACHINES,
-        options=SympleOptions(use_kernels=use_kernels), obs=hub,
-    )
+    engine = make_engine("symple", graph, MACHINES, obs=hub)
+    if interpreted is not None:
+        interpreted(engine)
     bfs(engine, 0)
     hub.run_end(engine)
     return engine, hub
 
 
 class TestKernelEquivalence:
-    @pytest.fixture(scope="class")
-    def runs(self, graph):
-        return traced_bfs(graph, True), traced_bfs(graph, False)
+    @pytest.fixture
+    def runs(self, graph, interpreted):
+        return traced_bfs(graph), traced_bfs(graph, interpreted)
 
     def test_traces_identical_modulo_profiling(self, runs):
         (_, fast_hub), (_, slow_hub) = runs
@@ -137,7 +136,7 @@ class TestFaultVisibility:
         hub = ObsHub(tracer=Tracer())
         run_algo(
             "symple", graph, "bfs", num_machines=MACHINES, bfs_roots=1,
-            faults=plan, checkpointing=Checkpointing(interval=1), obs=hub,
+            faults=plan, checkpoint_interval=1, obs=hub,
         )
         events = hub.tracer.events
         # aborted phases (injected crash) must still validate

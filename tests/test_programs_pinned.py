@@ -29,6 +29,10 @@ are unchanged, and every other row is as before.
 A deletion: PageRank lost its async residual-push program, so its four
 ``async`` rows went with it; every remaining row is as before.
 
+``RunConfig`` no longer takes a bucket width (an async run takes the
+graph's default), so the rows with an explicit width run with that
+default patched to it: the same schedule, and the same recording.
+
 To re-record after an *intended* schedule change, run this file as a
 script (``PYTHONPATH=src python tests/test_programs_pinned.py``) and
 paste the printed tables.
@@ -36,12 +40,13 @@ paste the printed tables.
 
 import hashlib
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.algorithms import IncrementalBFS, IncrementalCC
+from repro.algorithms import IncrementalBFS, IncrementalCC, relax
 from repro.api import RunConfig, Session
 from repro.graph import MutationBatch, random_weights, rmat, to_undirected
 
@@ -51,7 +56,7 @@ ENGINES = ("symple", "gemini")
 #: small skewed R-MAT, weighted so SSSP runs on the same graph
 GRAPH = dict(scale=8, edge_factor=6, a=0.7, b=0.1, c=0.1, seed=7)
 
-#: (algorithm, mode, async_bucket_width)
+#: (algorithm, mode, bucket width; None: the graph's default)
 CASES = (
     ("sssp", "sync", None),
     ("cc", "sync", None),
@@ -188,9 +193,12 @@ def build_graph():
 def run_case(graph, engine, algorithm, mode, width):
     config = RunConfig(
         engine=engine, algorithm=algorithm, machines=MACHINES, seed=SEED,
-        bfs_roots=2, mode=mode, async_bucket_width=width,
+        bfs_roots=2, mode=mode,
     )
-    with Session(graph, config) as session:
+    at_width = nullcontext() if width is None else mock.patch.object(
+        relax, "default_bucket_width", lambda algorithm, graph: width
+    )
+    with at_width, Session(graph, config) as session:
         result = session.run()
     return result.digest(), result.fixpoint
 

@@ -6,16 +6,16 @@ The push side of ``test_kernels.py`` and ``test_slot_shapes.py``:
   guarded_emit}`` is pinned by name with each compiled guard and value
   (a refactor that silently demotes one to the per-edge loop fails
   here, not later as a 1.7x benchmark regression), and near-miss
-  signals classify to ``None`` and run exactly like their
-  ``use_kernels=False`` twin;
+  signals classify to ``None`` and run exactly like their twin on the
+  per-edge loop (the ``interpreted`` fixture);
 * ``repro.kernels.csr.guarded_emit_scan`` through
   ``repro.exec.work.push_task`` — on random small directed graphs
   (self-loops, multi-edges, isolated and zero-out-degree frontier
   vertices, empty frontiers, more machines than vertices) every result
   key of the scan equals the per-edge loop's, arrays by dtype and
-  bytes, and a whole ``engine.push`` equals its ``use_kernels=False``
-  twin in result, state, counters and every send, on the serial and
-  the process executor;
+  bytes, and a whole ``engine.push`` equals its per-edge twin in
+  result, state, counters and every send, on the serial and the
+  process executor;
 * the engine gate — a tampered ``PushSpec`` is refused under
   ``verify="strict"`` and dropped, with the right answer, under
   ``"warn"``.
@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.algorithms
@@ -40,7 +40,7 @@ from repro.analysis.pushspec import (
     match_push,
 )
 from repro.api import RunConfig, Session
-from repro.engine import GeminiEngine, SympleOptions
+from repro.engine import GeminiEngine
 from repro.engine.fastpath import PUSH
 from repro.errors import KernelSoundnessError
 from repro.exec import make_executor, work
@@ -268,15 +268,18 @@ def arrays_of(state):
     }
 
 
-def one_push(graph, machines, signal, seed, use_kernels, executor=None,
+def one_push(graph, machines, signal, seed, off=None, executor=None,
              verify="off", everyone=False):
     """One push phase on a seeded random state and frontier — or from
     every vertex — into the signal's slot of ``SIGNALS``, else
-    ``sum_slot``; everything it can be observed by."""
+    ``sum_slot``; everything it can be observed by.  ``off`` (the
+    ``interpreted`` fixture) puts it on the per-edge loop."""
     engine = GeminiEngine(
         OutgoingEdgeCut().partition(graph, machines),
-        use_kernels=use_kernels, executor=executor, verify=verify,
+        executor=executor, verify=verify,
     )
+    if off is not None:
+        off(engine)
     engine.network.trace = True
     rng = np.random.default_rng(seed)
     state = engine.new_state()
@@ -342,25 +345,30 @@ class TestScanMatchesLoop:
         seed=st.integers(0, 2**32 - 1),
         machines=st.sampled_from([1, 3, 12]),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_whole_phase_equals_its_twin(self, signal, seed, machines):
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_whole_phase_equals_its_twin(self, interpreted, signal, seed,
+                                         machines):
+        # the fixture patches each example's own engine, nothing shared
         graph = random_graph(np.random.default_rng(seed))
-        fast, engine = one_push(graph, machines, signal, seed, True)
-        oracle, _ = one_push(graph, machines, signal, seed, False)
+        fast, engine = one_push(graph, machines, signal, seed)
+        oracle, _ = one_push(graph, machines, signal, seed, interpreted)
         assert engine.fastpaths.entry(PUSH, signal).spec is not None
         assert fast == oracle
 
     @pytest.mark.parametrize(
         "signal", list(SIGNALS), ids=lambda fn: fn.__name__
     )
-    def test_process_executor_equals_serial_twin(self, signal):
+    def test_process_executor_equals_serial_twin(self, interpreted, signal):
         executor = make_executor("process", workers=2)
         try:
             for seed in (5, 6, 7):
                 graph = random_graph(np.random.default_rng(seed))
-                fast, _ = one_push(graph, 3, signal, seed, True, executor)
+                fast, _ = one_push(graph, 3, signal, seed, None, executor)
                 assert executor.last_fallback is None  # it did fan out
-                assert fast == one_push(graph, 3, signal, seed, False)[0]
+                assert fast == one_push(
+                    graph, 3, signal, seed, interpreted
+                )[0]
         finally:
             executor.close()
 
@@ -517,12 +525,14 @@ class TestRejections:
 
     graph = to_undirected(rmat(scale=5, edge_factor=3, seed=9))
 
+    @pytest.fixture(autouse=True)
+    def _oracle(self, interpreted):
+        self.interpreted = interpreted
+
     def twins(self, signal, seed=4):
-        fast, engine = one_push(
-            self.graph, 3, signal, seed, True, everyone=True
-        )
+        fast, engine = one_push(self.graph, 3, signal, seed, everyone=True)
         oracle, _ = one_push(
-            self.graph, 3, signal, seed, False, everyone=True
+            self.graph, 3, signal, seed, self.interpreted, everyone=True
         )
         return fast, oracle, engine
 
@@ -561,9 +571,10 @@ class TestRejections:
             ) is not None)
         assert ran == {True, False}
 
-    def test_use_kernels_false_never_classifies(self):
+    def test_interpreted_never_classifies(self):
         _, engine = one_push(
-            self.graph, 3, bfs_mod._push_signal, 4, False, everyone=True
+            self.graph, 3, bfs_mod._push_signal, 4, self.interpreted,
+            everyone=True,
         )
         assert not engine.fastpaths.cache
 
@@ -596,27 +607,34 @@ class TestPushCertification:
     graph = to_undirected(rmat(scale=6, edge_factor=4, seed=21))
     signal = staticmethod(bfs_mod._push_signal)
 
-    def push(self, use_kernels, verify="off"):
+    @pytest.fixture(autouse=True)
+    def _oracle(self, interpreted):
+        self.interpreted = interpreted
+
+    def push(self, verify="off", off=None):
         return one_push(
-            self.graph, 4, self.signal, 3, use_kernels, verify=verify,
+            self.graph, 4, self.signal, 3, off, verify=verify,
             everyone=True,
         )
 
+    def oracle(self):
+        return self.push(off=self.interpreted)[0]
+
     def test_pristine_signal_certifies_once(self):
-        outcome, engine = self.push(True, "strict")
+        outcome, engine = self.push("strict")
         assert engine.fastpaths.entry(PUSH, self.signal).verdict is True
-        assert outcome == self.push(False)[0]
+        assert outcome == self.oracle()
 
     def test_strict_refuses_a_tampered_spec(self, tampered):
         with pytest.raises(KernelSoundnessError) as exc_info:
-            self.push(True, "strict")
+            self.push("strict")
         assert exc_info.value.obligation == "push-equivalence"
         assert "_push_signal" in str(exc_info.value)
         assert "['emit_values']" in str(exc_info.value)
 
     def test_warn_drops_it_and_answers_like_the_oracle(self, tampered):
         with pytest.warns(RuntimeWarning, match="push fast path disabled") as w:
-            outcome, engine = self.push(True, "warn")
+            outcome, engine = self.push("warn")
             # the verdict is cached: a second phase neither warns again
             # nor takes the scan
             state = _state_of(engine, 3)
@@ -627,7 +645,7 @@ class TestPushCertification:
         assert len(w) == 1
         assert engine.fastpaths.entry(PUSH, self.signal).verdict is False
         assert engine.fastpaths.plan(PUSH, self.signal, state) is None
-        assert outcome == self.push(False)[0]
+        assert outcome == self.oracle()
 
     def test_warned_run_digests_like_the_oracle(self, tampered):
         def digest(**config):
@@ -640,10 +658,11 @@ class TestPushCertification:
         with pytest.warns(RuntimeWarning, match="push fast path disabled") as w:
             warned = digest(verify="warn")
         assert len(w) == 1
-        assert warned == digest(options=SympleOptions(use_kernels=False))
+        self.interpreted()
+        assert warned == digest()
 
     def test_off_never_replays(self):
-        _, engine = self.push(True)
+        _, engine = self.push()
         assert engine.fastpaths.entry(PUSH, self.signal).verdict is None
 
 

@@ -464,12 +464,12 @@ class TestHttp:
             {"kmeans_rounds": 0.5, "algorithm": "kmeans"},
             {"workers": (os.cpu_count() or 1) + 1, "executor": "process"},
             # sent as JSON Infinity; the run would die converting it
-            {"mode": "async", "async_bucket_width": float("inf")},
+            {"checkpoint_interval": float("inf")},
             # PageRank runs sync only: the field table's mode rule
             {"algorithm": "pagerank", "mode": "async"},
-            {"options": {"use_kernels": "no"}},
+            {"options": {"differentiated": "no"}},
             {"options": {"degree_threshold": 2.5}},
-            {"checkpointing": {"interval": 1.5}},
+            {"checkpoint_interval": 1.5},
             {"faults": {"events": [{"kind": "crash", "machine": 1.7,
                                     "iteration": 0}]}},
             {"faults": {"crashes": [{"machine": 1, "iteration": 0}]}},
@@ -482,6 +482,21 @@ class TestHttp:
         status, _, payload = _post(server.port, body)
         assert status == 400
         assert payload["error"]
+
+    @pytest.mark.parametrize("body, unknown", [
+        ({"async_bucket_width": 2.0, "mode": "async"}, "async_bucket_width"),
+        ({"checkpointing": {"interval": 1, "retention": 3}},
+         "checkpointing"),
+        ({"options": {"use_kernels": False}}, "use_kernels"),
+        ({"executor": {"kind": "process", "workers": 2}}, "executor"),
+    ], ids=["async_bucket_width", "checkpointing.retention",
+            "options.use_kernels", "executor-instance"])
+    def test_removed_knobs_400(self, server, body, unknown):
+        """The knobs that left ``RunConfig``: each is refused before it
+        is admitted, and the error names it."""
+        status, _, payload = _post(server.port, {"graph": "demo", **body})
+        assert status == 400
+        assert unknown in payload["error"]
 
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1,
                                          "5"])

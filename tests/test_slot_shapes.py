@@ -5,8 +5,8 @@ The slot side of ``test_kernels.py``:
 * ``repro.analysis.slotspec`` — the corpus table ``{slot: shape}`` is
   pinned by name (a refactor that silently demotes a slot to the scalar
   loop fails here, not later as a benchmark regression), and near-miss
-  slots classify to ``None`` and run exactly like their
-  ``use_kernels=False`` twin;
+  slots classify to ``None`` and run exactly like their twin on the
+  scalar slot loop (the ``interpreted`` fixture);
 * ``repro.kernels.slots`` — on random duplicate-heavy bins every
   scatter leaves the state bytewise equal to the scalar slot loop's,
   with the same ``changed`` (order included) and count; the
@@ -40,7 +40,7 @@ from repro.analysis.slotspec import (
     classify_slot,
     match_slot,
 )
-from repro.engine import GeminiEngine, SympleGraphEngine, SympleOptions
+from repro.engine import GeminiEngine, SympleGraphEngine
 from repro.engine.base import _UpdateBuffer
 from repro.engine.fastpath import SLOT, Entry
 from repro.engine.state import StateStore
@@ -520,14 +520,14 @@ def graph():
     return to_undirected(rmat(scale=7, edge_factor=8, seed=21))
 
 
-def one_pull(graph, slot, use_kernels, verify="off", tamper=None,
+def one_pull(graph, slot, off=None, verify="off", tamper=None,
              signal=offer_signal):
     """One Gemini pull of ``signal`` into ``slot``; everything the
-    phase can be observed by."""
-    engine = GeminiEngine(
-        OutgoingEdgeCut().partition(graph, 4), use_kernels=use_kernels,
-        verify=verify,
-    )
+    phase can be observed by.  ``off`` (the ``interpreted`` fixture)
+    puts it on the scalar oracles."""
+    engine = GeminiEngine(OutgoingEdgeCut().partition(graph, 4), verify=verify)
+    if off is not None:
+        off(engine)
     if tamper is not None:
         engine.fastpaths.cache[id(slot), "slot"] = Entry(slot, tamper)
     n = graph.num_vertices
@@ -580,10 +580,10 @@ class TestRejections:
     @pytest.mark.parametrize(
         "case", sorted(set(NEAR_MISSES) - {"_select_slot", "_async_visit_slot"})
     )
-    def test_run_matches_oracle_twin(self, graph, case):
+    def test_run_matches_oracle_twin(self, interpreted, graph, case):
         slot, _ = NEAR_MISSES[case]
-        fast, engine = one_pull(graph, slot, use_kernels=True)
-        oracle, _ = one_pull(graph, slot, use_kernels=False)
+        fast, engine = one_pull(graph, slot)
+        oracle, _ = one_pull(graph, slot, interpreted)
         assert engine.fastpaths.entry(SLOT, slot).spec is None
         assert fast == oracle
         assert fast[2] > 0  # the phase did apply updates
@@ -597,15 +597,11 @@ class TestRejections:
         ids=["_select_slot", "_async_visit_slot"],
     )
     @pytest.mark.parametrize("engine_cls", [GeminiEngine, SympleGraphEngine])
-    def test_corpus_run_matches_oracle_twin(self, graph, engine_cls, run):
+    def test_corpus_run_matches_oracle_twin(self, interpreted, graph,
+                                            engine_cls, run):
         part = OutgoingEdgeCut().partition(graph, 4)
         outcomes = []
-        for uk in (True, False):
-            eng = (
-                GeminiEngine(part, use_kernels=uk)
-                if engine_cls is GeminiEngine
-                else SympleGraphEngine(part, SympleOptions(use_kernels=uk))
-            )
+        for eng in (engine_cls(part), interpreted(engine_cls(part))):
             res = run(eng)
             outcomes.append((
                 {k: v.tobytes() for k, v in vars(res).items()
@@ -615,13 +611,13 @@ class TestRejections:
             ))
         assert outcomes[0] == outcomes[1]
 
-    def test_classified_twin_matches_too(self, graph):
+    def test_classified_twin_matches_too(self, interpreted, graph):
         # the same harness, through a scatter: the table above is not
         # passing because nothing in it ever leaves the scalar loop
-        fast, engine = one_pull(graph, cc_mod._min_slot, use_kernels=True)
-        oracle, twin_engine = one_pull(graph, cc_mod._min_slot, False)
+        fast, engine = one_pull(graph, cc_mod._min_slot)
+        oracle, twin_engine = one_pull(graph, cc_mod._min_slot, interpreted)
         assert engine.fastpaths.entry(SLOT, cc_mod._min_slot).spec.shape == MIN_FOLD
-        assert not twin_engine.fastpaths.cache  # the switch skips classifying
+        assert not twin_engine.fastpaths.cache  # the oracle classifies nothing
         assert fast == oracle and fast[1]
 
 
@@ -631,12 +627,12 @@ class TestNaNAccumulate:
     oracle's with or without certification."""
 
     @pytest.mark.parametrize("verify", ["off", "strict"])
-    def test_run_matches_oracle_twin(self, graph, verify):
+    def test_run_matches_oracle_twin(self, interpreted, graph, verify):
         slot = pr_mod._accumulate_slot
         fast, engine = one_pull(
-            graph, slot, True, verify=verify, signal=spill_signal
+            graph, slot, verify=verify, signal=spill_signal
         )
-        oracle, _ = one_pull(graph, slot, False, signal=spill_signal)
+        oracle, _ = one_pull(graph, slot, interpreted, signal=spill_signal)
         # still classified: the gate is per phase, on the values
         assert engine.fastpaths.entry(SLOT, slot).spec.shape == ACCUMULATE
         assert fast == oracle
@@ -655,26 +651,27 @@ class TestSlotCertification:
             classify_slot(cc_mod._min_slot), shape=MAX_FOLD
         )
 
-    def test_pristine_slot_certifies_once(self, graph):
+    def test_pristine_slot_certifies_once(self, interpreted, graph):
         slot = cc_mod._min_slot
-        outcome, engine = one_pull(graph, slot, True, verify="strict")
+        outcome, engine = one_pull(graph, slot, verify="strict")
         assert engine.fastpaths.entry(SLOT, slot).verdict is True
-        assert outcome == one_pull(graph, slot, False)[0]
+        assert outcome == one_pull(graph, slot, interpreted)[0]
 
     def test_strict_refuses_a_tampered_spec(self, graph):
         with pytest.raises(KernelSoundnessError) as exc_info:
             one_pull(
-                graph, cc_mod._min_slot, True, verify="strict",
+                graph, cc_mod._min_slot, verify="strict",
                 tamper=self.tampered(),
             )
         assert exc_info.value.obligation == "slot-equivalence"
         assert "_min_slot" in str(exc_info.value)
 
-    def test_warn_drops_it_and_answers_like_the_oracle(self, graph):
+    def test_warn_drops_it_and_answers_like_the_oracle(self, interpreted,
+                                                       graph):
         slot = cc_mod._min_slot
         with pytest.warns(RuntimeWarning, match="slot fast path disabled") as w:
             outcome, engine = one_pull(
-                graph, slot, True, verify="warn", tamper=self.tampered()
+                graph, slot, verify="warn", tamper=self.tampered()
             )
             # the verdict is cached: a second phase neither warns again
             # nor takes the scatter
@@ -685,11 +682,11 @@ class TestSlotCertification:
             engine.pull(offer_signal, slot, state, np.ones(n, dtype=bool))
         assert len(w) == 1
         assert engine.fastpaths.entry(SLOT, slot).verdict is False
-        assert outcome == one_pull(graph, slot, False)[0]
+        assert outcome == one_pull(graph, slot, interpreted)[0]
         assert (state.label < n).any()
 
     def test_off_never_replays(self, graph):
-        _, engine = one_pull(graph, cc_mod._min_slot, True)
+        _, engine = one_pull(graph, cc_mod._min_slot)
         assert engine.fastpaths.entry(SLOT, cc_mod._min_slot).verdict is None
 
 

@@ -8,12 +8,13 @@ silently drift from the library.
 import numpy as np
 import pytest
 
-from repro import make_engine, rmat
+from repro import rmat
 from repro.analysis import explain_signal, lint_signal
 from repro.analysis.properties import (
     check_dependency_threading,
     check_parallel_decomposable,
 )
+from repro.engine import make_engine
 from repro.engine.state import StateStore
 from repro.graph import to_undirected
 
