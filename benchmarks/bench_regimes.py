@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: fields that define the experiment, not how it is run
 INPUTS = ("algorithm", "machines", "seed", "sources", "kcore_k", "bfs_roots",
-          "kmeans_rounds", "faults", "cost_model")
+          "kmeans_rounds", "faults")
 
 FIG11 = ("results", "fig11.txt", "s27  0.960")
 PROCESS = ("workload", "kcore_process")
@@ -53,7 +53,7 @@ CENSUS: Dict[Tuple[str, str], Tuple[str, Tuple[str, ...]]] = {
     ("options.schedule", "naive"): ("paper: the strawman of Section 5.1", (
         "test", "tests/test_paper_claims.py",
         "TestFig11Shape::test_naive_schedule_much_slower")),
-    ("checkpoint_interval", "tunable"): ("regime: a crash replays nothing", (
+    ("checkpoint_interval", "tunable"): ("fault tolerance: costs sim time", (
         "results", "fault_overhead.txt", "kcore           2")),
     ("obs", "attached"): ("self-check: a trace rebuilds the cost breakdown", (
         "test", "tests/test_obs.py",

@@ -67,7 +67,6 @@ from repro.graph.dynamic import DynamicGraph, MutationBatch, MutationStats
 from repro.obs.hooks import ObsHub
 from repro.partition import Partition
 from repro.partition.delta import refresh_partition
-from repro.runtime.cost_model import CostModel
 
 __all__ = ["FIELDS", "RunConfig", "Session"]
 
@@ -97,7 +96,6 @@ FIELDS: Dict[str, Field] = {
     # a query never makes the server fork past its cores
     "workers": Field(int, low=1, optional=True,
                      served_max=os.cpu_count() or 1),
-    "cost_model": Field(live=True),
     "verify": Field(choices=("off", "warn", "strict")),
     "bfs_roots": Field(int, low=1),
     "kcore_k": Field(int, low=1),
@@ -134,10 +132,9 @@ class RunConfig:
     Everything the retired legacy keyword pile expressed, as one
     value that can be stored, compared, replaced field-wise
     (:func:`dataclasses.replace`), and round-tripped through
-    :meth:`to_dict`/:meth:`from_dict` (minus the two live objects,
-    ``obs`` and ``cost_model``, which are attachments rather than
-    configuration).  Every field is checked against its :data:`FIELDS`
-    row when the config is built.
+    :meth:`to_dict`/:meth:`from_dict` (minus the live ``obs``, an
+    attachment rather than configuration).  Every field is checked
+    against its :data:`FIELDS` row when the config is built.
     """
 
     engine: str = "symple"
@@ -150,7 +147,6 @@ class RunConfig:
     obs: Any = None
     executor: str = "serial"
     workers: Optional[int] = None
-    cost_model: Optional[CostModel] = None
     verify: str = "off"
     bfs_roots: int = 3
     kcore_k: int = 8
@@ -175,8 +171,7 @@ class RunConfig:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form of the *configuration* fields.
 
-        ``obs`` and ``cost_model`` are live attachments and are not
-        serialized.
+        ``obs`` is a live attachment and is not serialized.
         """
         return {
             f.name: _plain(getattr(self, f.name))

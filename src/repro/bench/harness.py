@@ -116,7 +116,6 @@ def _run_session_config(engine: BaseEngine, graph: CSRGraph, config):
     """
     extra: Dict[str, float] = {}
     faulted = config.faulted
-    cost_model = config.cost_model
 
     def drive(program):
         if not faulted:
@@ -132,9 +131,9 @@ def _run_session_config(engine: BaseEngine, graph: CSRGraph, config):
 
     spec = get_spec(config.algorithm)
     outcome = spec.runner(engine, graph, config, drive, extra)
-    time = engine.execution_time(cost_model) * outcome.scale
+    time = engine.execution_time() * outcome.scale
     if engine.obs is not None:
-        engine.obs.run_end(engine, cost_model)
+        engine.obs.run_end(engine)
     return _collect(
         engine,
         config.algorithm,

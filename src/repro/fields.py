@@ -38,9 +38,9 @@ class Field:
     stored as a tuple of ints) or the class of a nested block, whose
     rows are ``fields``.  A row with ``choices`` (a tuple, or a callable
     read when used) takes one of them.  An ``int`` is at least ``low``; a ``float`` lies
-    strictly above it.  A ``live`` row is an attachment (a tracer, a
-    cost model): any value, never serialized or served.  ``served_max``
-    bounds what a served query may name.
+    strictly above it.  A ``live`` row is an attachment (a tracer): any
+    value, never serialized or served.  ``served_max`` bounds what a
+    served query may name.
     """
 
     type: Any = None

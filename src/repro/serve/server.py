@@ -252,7 +252,7 @@ class ServeApp:
             )
         if not isinstance(fields, dict):
             raise _HttpReply(400, {"error": "config must be an object"})
-        # live attachments (a tracer, a cost model) are server-owned
+        # live attachments (a tracer) are server-owned
         allowed = sorted(name for name, row in FIELDS.items() if not row.live)
         unknown = set(fields) - set(allowed)
         if unknown:

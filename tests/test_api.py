@@ -9,6 +9,7 @@ legacy surfaces (``run_algorithm``, extended-positional
 
 import pytest
 
+from repro.algorithms import bfs
 from repro.api import RunConfig, Session
 from repro.engine import SympleOptions, make_engine
 from repro.errors import EngineError, GraphError, UnsupportedAlgorithmError
@@ -16,6 +17,7 @@ from repro.exec import SerialExecutor
 from repro.fault import FaultPlan
 from repro.graph import CSRGraph, erdos_renyi, to_undirected
 from repro.partition import OutgoingEdgeCut
+from repro.runtime import CostModel
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +197,16 @@ class TestRunConfig:
             RunConfig(executor=ex)
         with pytest.raises(EngineError, match="unknown executor"):
             RunConfig().replace(executor=ex)
+
+    def test_cost_model_is_not_a_config_field(self, graph):
+        """A run prices with its engine's own model; another model
+        prices an engine the caller drives."""
+        with pytest.raises(TypeError, match="cost_model"):
+            RunConfig(cost_model=CostModel())
+        engine = make_engine("symple", graph, 4)
+        bfs(engine, 0)
+        dearer = CostModel(edge_cost=2 * engine.default_cost.edge_cost)
+        assert engine.execution_time(dearer) > engine.execution_time()
 
 
 class TestSession:

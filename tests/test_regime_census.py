@@ -35,6 +35,22 @@ def test_a_knob_with_no_row_fails(census, monkeypatch):
     assert any(p.startswith("turbo=True: no evidence") for p in problems)
 
 
+def test_a_live_attachment_with_no_row_fails(census, monkeypatch):
+    monkeypatch.setitem(FIELDS, "profiler", Field(live=True))
+    rows, problems = census.build_table()
+    assert ["profiler", "attached", "-", "MISSING"] in rows
+    assert any(p.startswith("profiler=attached: no evidence")
+               for p in problems)
+
+
+def test_inputs_are_the_fields_that_define_the_experiment(census):
+    """Only what defines the experiment is exempt from the census; a
+    knob cannot leave it by being listed as an input."""
+    assert census.INPUTS == ("algorithm", "machines", "seed", "sources",
+                             "kcore_k", "bfs_roots", "kmeans_rounds",
+                             "faults")
+
+
 def test_evidence_that_is_gone_fails(census, monkeypatch):
     monkeypatch.setitem(census.CENSUS, ("options.schedule", "naive"), (
         "paper", ("test", "tests/test_paper_claims.py", "test_deleted"),

@@ -489,8 +489,9 @@ class TestHttp:
          "checkpointing"),
         ({"options": {"use_kernels": False}}, "use_kernels"),
         ({"executor": {"kind": "process", "workers": 2}}, "executor"),
+        ({"cost_model": {"edge_cost": 1.0}}, "cost_model"),
     ], ids=["async_bucket_width", "checkpointing.retention",
-            "options.use_kernels", "executor-instance"])
+            "options.use_kernels", "executor-instance", "cost_model"])
     def test_removed_knobs_400(self, server, body, unknown):
         """The knobs that left ``RunConfig``: each is refused before it
         is admitted, and the error names it."""
