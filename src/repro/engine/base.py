@@ -21,7 +21,7 @@ Definition 2.2 semantics so all engines compute identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import accumulate, count
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,6 +50,9 @@ __all__ = [
 SignalLike = Union[Callable, AnalyzedSignal]
 
 _UPDATE, _DEP = COMM_TAGS.index("update"), COMM_TAGS.index("dep")
+# the integer columns of a StepRecord
+_COLUMNS = ("high_edges", "low_edges", "high_vertices", "low_vertices",
+            "update_bytes", "dep_bytes")
 # a pull table's lane with no vertex (read-only, shared)
 _NO_VERTICES = np.zeros(0, dtype=np.int64)
 
@@ -453,94 +456,130 @@ class BaseEngine:
         table = {"machine": ((item - ids[:p] - 1) % p if circulant
                              else item).tolist()}
         for lane, mask in (("dep", dep), ("plain", plain)):
-            if mask is not None and order is not None:
+            if mask is None or not mask.any():  # no row pass for nothing
+                table[lane] = [(_NO_VERTICES, [0] * (p + 1))] * p
+                continue
+            if order is not None:
                 mask = mask[order]
             table[lane] = rows = []
             for m, row in enumerate(has_in):
-                at = _NO_VERTICES if mask is None else np.flatnonzero(
-                    row & mask
-                )
+                at = np.flatnonzero(row & mask)
                 cuts = (np.searchsorted(at, part._master_bounds) if circulant
                         else np.where(ids > m, at.size, 0))
                 rows.append((at if order is None else order[at],
                              cuts.tolist()))
         return table
 
-    def _merge_step(
+    def _merge_steps(
         self,
-        results: List[Dict],
-        step: StepRecord,
+        rows: List[List[Optional[Dict]]],
         buffer: _UpdateBuffer,
         update_bytes: int,
         plain_column: str,
-        handoffs: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Merge one pull step's unit results, one per machine in machine
-        order.  Everything observable happens here, for the step as a
-        whole: lane metering (the dependency lane, there when
-        ``handoffs`` is, books under ``high_*``, the plain lane under
-        ``plain_column``'s pair, which the cost model prices apart), one
-        update bin per unit, and one message list for
-        :meth:`SimulatedNetwork.send_many`, unit by unit: an update
-        message per emitting vertex, ascending, then the unit's hand-off
-        of ``handoffs`` bytes (where nonzero) to the machine on its left.
+        handoffs: Optional[Sequence[Sequence[int]]] = None,
+        slowdown: Optional[Sequence[np.ndarray]] = None,
+        first: Optional[int] = None,
+    ) -> List[StepRecord]:
+        """Merge pull steps' unit results, ``rows[s]`` step ``s``'s units
+        in machine order (None: a unit with no vertex), and return their
+        step records (with ``slowdown[s]``, else none), each column a
+        row of one array: lane metering (the dependency lane, there when
+        ``handoffs`` is, under ``high_*``; the plain lane under
+        ``plain_column``'s pair, which the cost model prices apart),
+        update and hand-off bytes.  Then one update bin per emitting
+        unit, and one message list for
+        :meth:`SimulatedNetwork.send_many`, step by step and unit by
+        unit: an update message per emitting vertex, ascending, then the
+        unit's hand-off of ``handoffs[s][m]`` bytes (where nonzero) to
+        the machine on its left.  Observer events go out unit by unit,
+        each step's between its ``step_begin`` and ``step_end`` when
+        ``first`` (the index of ``rows[0]``'s step) is given.
         """
-        p = self.num_machines
-        circulant = handoffs is not None
-        handoffs = list(handoffs) if circulant else [0] * p
-        # one unit per machine, in machine order: one add per column
-        plain_edges = getattr(step, plain_column + "_edges")
-        plain_edges += [res["plain_edges"] for res in results]
-        plain_vertices = getattr(step, plain_column + "_vertices")
-        plain_vertices += [res["plain_vertices"] for res in results]
-        if circulant:
-            step.high_edges += [res["dep_edges"] for res in results]
-            step.high_vertices += [res["dep_vertices"] for res in results]
-            step.dep_bytes += handoffs
-        obs = self.obs
-        if obs is not None:  # events only, unit by unit
-            for res, handoff in zip(results, handoffs):
-                m, kind = res["m"], res["kind"]
-                if kind is not None and circulant:
-                    obs.kernel_batch(m, kind, res["dep_vertices"],
-                                     res["dep_edges"], res["dep_seconds"])
-                if kind is not None:
-                    obs.kernel_batch(m, kind, res["plain_vertices"],
-                                     res["plain_edges"], res["plain_seconds"])
-                if handoff:
-                    obs.dep_transfer(m, (m - 1) % p, handoff)
-
+        p, n = self.num_machines, len(rows)
+        units = [res for row in rows for res in row]
+        live = [u for u, res in enumerate(units) if res is not None]
+        keys = {plain_column + "_edges": "plain_edges",
+                plain_column + "_vertices": "plain_vertices"}
+        if handoffs is not None:
+            keys.update(high_edges="dep_edges", high_vertices="dep_vertices")
+        sent = np.zeros(n * p, dtype=np.int64) if handoffs is None else (
+            np.asarray(handoffs, dtype=np.int64).ravel()
+        )
+        booked = {"update_bytes": np.zeros(n * p, dtype=np.int64),
+                  "dep_bytes": sent}
+        for column, key in keys.items():
+            booked[column] = np.zeros(n * p, dtype=np.int64)
+            booked[column][live] = [units[u][key] for u in live]
         # per unit: its update bin; one update message per emitting
         # vertex to its master (free where that is the unit's own
         # machine) carrying its values; then its hand-off, if any
-        master_of = self.partition.master_of
-        dst, nbytes, lengths, handoff_at = [], [], [], []
-        for m, res, handoff in zip(range(p), results, handoffs):
-            # counts is None when every vertex emitted exactly once
-            emit_v, counts = res["emit_v"], res["emit_counts"]
-            if emit_v.size:
-                buffer.append(
-                    emit_v if counts is None else np.repeat(emit_v, counts),
-                    res["emit_values"],
-                )
-                dst.append(master_of[emit_v])
-                nbytes.append(
-                    np.full(emit_v.size, update_bytes) if counts is None
-                    else update_bytes * counts
-                )
-                step.update_bytes[m] += nbytes[-1][dst[-1] != m].sum()
-            lengths.append(emit_v.size + bool(handoff))
-            if handoff:
-                handoff_at.append(sum(lengths) - 1)
-                dst.append([(m - 1) % p])
-                nbytes.append([handoff])
-        if dst:
-            tags = np.full(sum(lengths), _UPDATE)
-            tags[handoff_at] = _DEP
-            self.network.send_many(
-                np.repeat(np.arange(p), lengths), np.concatenate(dst), tags,
-                np.concatenate(nbytes),
+        emitting = [u for u in live if units[u]["emit_v"].size]
+        for u in emitting:
+            emit_v, repeats = units[u]["emit_v"], units[u]["emit_counts"]
+            buffer.append(
+                emit_v if repeats is None else np.repeat(emit_v, repeats),
+                units[u]["emit_values"],
             )
+        sizes = [units[u]["emit_v"].size for u in emitting]
+        src = np.repeat(np.array(emitting, dtype=np.int64) % p, sizes)
+        dst = self.partition.master_of[np.concatenate(
+            [units[u]["emit_v"] for u in emitting] or [_NO_VERTICES]
+        )]
+        nbytes = np.full(dst.size, update_bytes, dtype=np.int64)
+        # counts is None when every vertex emitted exactly once
+        counts = [units[u]["emit_counts"] for u in emitting]
+        if any(c is not None for c in counts):
+            nbytes *= np.concatenate([
+                np.ones(size, dtype=np.int64) if c is None else c
+                for size, c in zip(sizes, counts)
+            ])
+        if emitting:
+            booked["update_bytes"][emitting] = np.add.reduceat(
+                np.where(dst != src, nbytes, 0),
+                list(accumulate(sizes[:-1], initial=0)),
+            )
+        tags = np.full(src.size, _UPDATE)
+        handing = np.flatnonzero(sent)
+        if handing.size:  # each hand-off goes after its unit's updates
+            ends = np.zeros(n * p + 1, dtype=np.int64)
+            ends[np.array(emitting, dtype=np.int64) + 1] = sizes
+            at = np.cumsum(ends)[handing + 1]
+            src, dst, nbytes, tags = (
+                np.insert(array, at, value) for array, value in (
+                    (src, handing % p), (dst, (handing - 1) % p),
+                    (nbytes, sent[handing]), (tags, _DEP),
+                )
+            )
+        if src.size:
+            self.network.send_many(src, dst, tags, nbytes)
+        booked = {name: array.reshape(n, p) for name, array in booked.items()}
+        zeros = np.zeros((n, p), dtype=np.int64)
+        steps = [
+            StepRecord(p, slowdown=None if slowdown is None else slowdown[k],
+                       **{name: booked.get(name, zeros)[k]
+                          for name in _COLUMNS})
+            for k in range(n)
+        ]
+        obs = self.obs
+        for k, step in enumerate(steps if obs is not None else ()):
+            if first is not None:
+                obs.step_begin(first + k)
+            # events only, unit by unit: a kernel batch per lane scanned
+            for m, (res, handoff) in enumerate(
+                zip(rows[k], sent[k * p:(k + 1) * p].tolist())
+            ):
+                kind = None if res is None else res["kind"]
+                for lane in ("dep", "plain") if kind is not None else ():
+                    if res[lane + "_vertices"]:
+                        obs.kernel_batch(
+                            m, kind, res[lane + "_vertices"],
+                            res[lane + "_edges"], res[lane + "_seconds"],
+                        )
+                if handoff:
+                    obs.dep_transfer(m, (m - 1) % p, handoff)
+            if first is not None:
+                obs.step_end(first + k, step)
+        return steps
 
     def _commit_phase(
         self,
@@ -601,8 +640,9 @@ class BaseEngine:
             analyzed, state, self._pull_table(None, active, circulant=False),
             phase, stalls=step.slowdown,
         )
-        self._merge_step(
-            [walk[0] for walk in walked], step, buffer, update_bytes, "high"
+        step, = self._merge_steps(
+            [[walk[0] for walk in walked]], buffer, update_bytes, "high",
+            slowdown=[step.slowdown],
         )
         return self._commit_phase(
             IterationRecord(mode="pull"), [step], buffer, slot, state,

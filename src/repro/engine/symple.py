@@ -269,12 +269,12 @@ class SympleGraphEngine(BaseEngine):
         # 6's layout) — this is why sampling's dependency traffic is
         # large while BFS/MIS pay one bit per vertex.
         per_vertex = dep_data_bytes * len(carried)
-        handoff_bytes = [
+        handoff_bytes = np.array([
             Bitmap.wire_bytes(k) + k * per_vertex if k else 0
             for k in np.bincount(
                 self.partition.master_of[high], minlength=p
             ).tolist()
-        ]
+        ], dtype=np.int64)
 
         def walk(first: int, stop: int, stalls=None, dep_in=None):
             return self._map_pull(
@@ -282,9 +282,23 @@ class SympleGraphEngine(BaseEngine):
                 steps=(first, stop), carried=carried, dep_in=dep_in,
             )
 
+        # step s hands on partition (m + s + 1) % p's state; after the
+        # final step the master holds it locally: nothing to hand off
+        ids = np.arange(p)
+        handoffs = handoff_bytes[(ids[:, None] + ids + 1) % p]
+        handoffs[-1] = 0
+        buffer = _UpdateBuffer()
+        steps: List[StepRecord] = []
         controller = self._fault_controller
         if controller is None:
             walked = walk(0, p)
+            for s in range(1, p):
+                self._check_deadline(phase, s)
+            steps = self._merge_steps(
+                [[walked[(m + s + 1) % p][s] for m in range(p)]
+                 for s in range(p)],
+                buffer, update_bytes, "low", handoffs, first=0,
+            )
         else:
             dep_store = DepStore(n, carried)
             # Failure injection (Section 5.1): with probability
@@ -293,20 +307,16 @@ class SympleGraphEngine(BaseEngine):
             # correctness.  Only control-only UDFs are eligible (a lost
             # *data* dependency is not an incomplete-information case).
             lossy = controller.dep_loss_rate > 0.0 and not dep_store.data
-        buffer = _UpdateBuffer()
-        steps: List[StepRecord] = []
-        for s in range(p):
-            if s > 0:
-                self._check_deadline(phase, s)
-                if controller is not None:
+            for s in range(p):
+                if s > 0:
+                    self._check_deadline(phase, s)
                     # A mid-step crash severs the dependency circulation:
-                    # recovery restarts the phase from the step-0
-                    # boundary with blanked bitmaps (Section 5.1).
+                    # recovery restarts the phase from the step-0 boundary
+                    # with blanked bitmaps (Section 5.1).
                     controller.check_crash(phase, s)
-            step = self._make_step(phase)
-            if self.obs is not None:
-                self.obs.step_begin(s)
-            if controller is not None:
+                step = self._make_step(phase)
+                if self.obs is not None:
+                    self.obs.step_begin(s)
                 # the walk of this step alone, on the parent's state
                 lanes = [work.unit_lane(table, "dep", m, (m + s + 1) % p)
                          for m in range(p)]
@@ -321,21 +331,17 @@ class SympleGraphEngine(BaseEngine):
                     stalls=[step.slowdown[(j - s - 1) % p] for j in range(p)],
                     dep_in=(skip, dep_store.present, dep_store.data),
                 )
-            at = 0 if controller is not None else s
-            results = [walked[(m + s + 1) % p][at] for m in range(p)]
-            if controller is not None:
+                results = [walked[(m + s + 1) % p][0] for m in range(p)]
                 work.write_back(
                     dep_store, [dep[~skip[dep]] for dep in lanes], results
                 )
-            # after the final step the master holds the complete state
-            # locally: nothing to hand off
-            handoffs = [0 if s == p - 1 else handoff_bytes[(m + s + 1) % p]
-                        for m in range(p)]
-            self._merge_step(results, step, buffer, update_bytes, "low",
-                             handoffs)
-            steps.append(step)
-            if self.obs is not None:
-                self.obs.step_end(s, step)
+                step, = self._merge_steps(
+                    [results], buffer, update_bytes, "low", [handoffs[s]],
+                    slowdown=[step.slowdown],
+                )
+                steps.append(step)
+                if self.obs is not None:
+                    self.obs.step_end(s, step)
 
         return self._commit_phase(
             IterationRecord(mode="pull"), steps, buffer, slot, state,

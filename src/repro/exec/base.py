@@ -13,8 +13,8 @@ across backends — the backend is purely a wall-clock knob.
 
 Every backend runs a chunk of items through the same loop,
 :meth:`repro.exec.work.WorkerContext.run`: a task that has a chunk
-form (``pull_walk`` is its own, and scans each step's units of the
-chunk together in blocks) gets its whole chunk in one call — the map
+form (``pull_walk`` is its own, and scans the chunk's units together
+in blocks) gets its whole chunk in one call — the map
 under the serial backend, a worker's contiguous items under the
 process backend — and any other task is called item by item.  What
 the scans counted (blocks, units, plans built and reused, bytes the

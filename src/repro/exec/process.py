@@ -32,7 +32,7 @@ and across graph rebinds:
   deterministic step-by-step, ascending-machine merge is unchanged.  A
   worker runs its chunk through the same loop as the serial backend
   (:meth:`~repro.exec.work.WorkerContext.run`), so a task's chunk form
-  scans a step's units of the chunk in blocks; each worker keeps its
+  scans the chunk's units in blocks; each worker keeps its
   own scan plans, and what its scans counted comes back with the chunk.
 
 Compiled artifacts never cross the process boundary: the parent strips

@@ -6,14 +6,14 @@ table (one per machine for the BSP schedule, one per destination
 partition for the circulant one) walked step after step — and
 :func:`push_task` for one machine of the sparse push.  A task may take
 an executor's whole chunk of consecutive items at once, as the walk
-does: it scans each step's units of the chunk in blocks (one kernel
-call per lane of a block, not of a unit) without any unit's result
-depending on it.  All side effects (network sends, counter increments,
-update buffering, fault draws, obs events) happen in the *parent*,
-which merges results step by step in ascending machine order
-(``BaseEngine._merge_step``); that fixed order is what keeps counters,
-traffic, and results bit-identical across the serial and process
-backends.
+does: it scans the plain lanes of the chunk's units over all its steps
+once, and each step's dependency lanes, in blocks (one kernel call per
+block, not per unit) without any unit's result depending on it.  All
+side effects (network sends, counter increments, update buffering,
+fault draws, obs events) happen in the *parent*, which merges results
+step by step in ascending machine order (``BaseEngine._merge_steps``);
+that fixed order is what keeps counters, traffic, and results
+bit-identical across the serial and process backends.
 
 Task functions receive a :class:`WorkerContext` (graph topology + state
 + an analyzed-signal cache + the scan plans it keeps between phases), a
@@ -30,7 +30,7 @@ executor's crash-retry (respawn the pool, rerun the map's chunks) safe.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, groupby
 from time import perf_counter, sleep
 from typing import Any, Dict, List
 
@@ -190,34 +190,19 @@ def _as_values(values: list):
     return array if array.dtype.kind in "biuf" else values
 
 
-# The edge budget of one kernel call: consecutive units of a chunk are
+# The edge budget of one kernel call: consecutive units of a lane are
 # scanned together while their flattened edges stay within it (a unit
-# over it is a block alone — exactly the per-unit call).  Bounded in
-# both directions, on measurements (``benchmarks/spine/run.py --seconds
-# 4 --trace 0``, seeds 21 / 22, 2-vCPU host; ``run_s`` in seconds,
-# ``peak_rss_mb`` in MiB where it moved):
-#
-#   limit       bfs_skew         bfs_gemini               pagerank_dense
-#   0           0.1195 / 0.1149  0.0889 / 0.0854          0.2788 / 0.2993
-#   65,536      0.0981 / 0.0906  0.0874 / 0.0861          0.2083 / 0.2138
-#   262,144     0.0945 / 0.0898  0.0837 / 0.0867          0.2120 / 0.2120
-#   unbounded   0.0918 / 0.0876  0.0866 / 0.0881,         0.2045 / 0.2117
-#                                rss 230 -> 249 (+8 %)
-#
-# Below the bound, units of a few hundred edges (896 kernel calls a
-# ``bfs_skew`` run, 2,560 a ``pagerank_dense`` run) are bound by fixed
-# NumPy call overhead, not arithmetic, and want to be scanned together;
-# above it a whole BSP step in one call (``bfs_gemini``: 1 M edges)
-# buys nothing — each of its eight units a phase is over any sane limit
-# and scans alone at no loss — and its edge-sized temporaries cost the
-# 8 % of peak RSS (the first prototype of this scan, with more of them
-# per kernel, also read 7-9 % slower: 0.104-0.107 s against
-# 0.095-0.100 s).  65,536 and 262,144 read the same on all three, so the
-# smaller is kept: a block's temporaries (8 bytes an edge, a handful
-# live at once) then stay inside a 2 MiB private cache — GPOP's sizing
-# rule — and a multi-unit call stays far below the 2**24 hits that
-# ``count_to_k_break``'s running count is exact for under a float32
-# init.
+# over it is a block alone — exactly the per-unit call).  A plain-lane
+# block spans steps — a machine's units over all the steps of a walk —
+# so a large phase splits by this budget, not by step.  Bounded in both
+# directions (DESIGN.md, "A bound in both directions", has the
+# readings): far below it units are bound by fixed NumPy call overhead
+# and want company; far above it a whole BSP step in one call gains
+# nothing, and its edge-sized temporaries cost 8 % of peak RSS.  65,536
+# and 262,144 read the same, so the smaller is kept: a block's
+# temporaries then stay inside a 2 MiB private cache (GPOP's sizing
+# rule), and a multi-unit call stays far below the 2**24 hits that
+# ``count_to_k_break``'s running count is exact for under a float32 init.
 _BLOCK_EDGES = 65_536
 
 
@@ -306,32 +291,24 @@ class PlanStore:
 
 # what a lane with no vertex gets, without a call (read-only, shared)
 _NO_ROWS = empty_batch()
+_NO_VERTICES = np.zeros(0, dtype=np.int64)
+_NO_SCAN = (0, _NO_VERTICES, _NO_ROWS.values, _NO_ROWS.broke,
+            _NO_ROWS.carried, 0.0)
 
 
-def _row(local, vertices):
-    """``vertices``' :class:`~repro.kernels.csr.ScanBlock` row in
-    ``local``: where each neighbor segment starts, how long it is, and
-    the lengths' sum (the edge count the block budget needs)."""
-    starts = local.indptr[vertices]
-    lens = local.indptr[vertices + 1] - starts
-    return local, starts, lens, int(lens.sum())
-
-
-def _blocks(edges: List[int], restored: list, limit: int):
+def _blocks(edges: List[int], restored: List[bool], limit: int):
     """Consecutive units (as ranges of unit indices) grouped while the
-    group's edges stay within ``limit`` and its dependency lanes share
-    one carried-in class (a kernel picks its fold dtype once per call
-    from "is anything restored", so a unit that restores values never
-    shares a call with one that does not; None: no row to class)."""
-    first, total, cls = 0, 0, None
-    for u, (unit_edges, unit_cls) in enumerate(zip(edges, restored)):
-        clash = None not in (cls, unit_cls) and cls != unit_cls
-        if u > first and (clash or total + unit_edges > limit):
+    group's edges stay within ``limit`` and its units share one
+    carried-in class (a kernel picks its fold dtype once per call from
+    "is anything restored", so a unit that restores values never shares
+    a call with one that does not)."""
+    first, total = 0, 0
+    for u, unit_edges in enumerate(edges):
+        if u > first and (restored[u] != restored[first]
+                          or total + unit_edges > limit):
             yield range(first, u)
-            first, total, cls = u, 0, None
+            first, total = u, 0
         total += unit_edges
-        if unit_cls is not None:
-            cls = unit_cls
     if first < len(edges):
         yield range(first, len(edges))
 
@@ -346,26 +323,18 @@ def _scan_lane(ctx, shared, spec, ms, block, lane, vertices, rows, carried):
     kernel returns none), and its share of the call's seconds — by
     flattened edges, what a call's time goes with.  Every array is the
     unit's slice of the block's, cut at the unit offsets: what its own
-    call returns, dtype and bytes.  A unit with no vertex on the lane
-    gets what a kernel returns for no vertices, without a call.
-    ``vertices``, ``rows`` and ``carried`` (``(present, values)`` or
-    None: nothing restored) are per unit of the step.
+    call returns, dtype and bytes.  ``ms``, ``vertices`` (none empty),
+    ``rows`` and ``carried`` (``(present, values)`` or None: nothing
+    restored) are per unit of the walk's lane; ``shared['scan']`` is
+    the block's position, the step of its first unit included.
     """
-    out = [
-        (0, vertices[u][:0], _NO_ROWS.values, _NO_ROWS.broke,
-         _NO_ROWS.carried, 0.0)
-        for u in block
-    ]
-    live = [u for u in block if vertices[u].size]
-    if not live:
-        return out
-    flat = np.concatenate([vertices[u] for u in live])
+    flat = np.concatenate([vertices[u] for u in block])
     carried_in = None if carried is None else tuple(
-        np.concatenate(part) for part in zip(*(carried[u] for u in live))
+        np.concatenate(part) for part in zip(*(carried[u] for u in block))
     )
     scan_block = ctx.plans.block(
-        shared["scan"], lane, tuple(ms[u] for u in live),
-        [rows[u] for u in live], flat,
+        shared["scan"], lane, tuple(ms[u] for u in block),
+        [rows[u] for u in block], flat,
     )
     timed = shared["timed"]
     t0 = perf_counter() if timed else 0.0
@@ -375,36 +344,67 @@ def _scan_lane(ctx, shared, spec, ms, block, lane, vertices, rows, carried):
     seconds = perf_counter() - t0 if timed else 0.0
     hits = np.flatnonzero(batch.emit_mask)
     emit_v, values = flat[hits], batch.values[hits]
-    bounds = [0, *accumulate(vertices[u].size for u in live)]
+    bounds = [0, *accumulate(vertices[u].size for u in block)]
     edges = np.add.reduceat(batch.edges, bounds[:-1]).tolist()
     cuts = np.searchsorted(hits, bounds).tolist()
     total = scan_block.flat.size
-    for k, u in enumerate(live):
-        span = slice(bounds[k], bounds[k + 1])
-        emits = slice(cuts[k], cuts[k + 1])
-        out[u - block.start] = (
-            edges[k], emit_v[emits], values[emits],
-            None if batch.broke is None else batch.broke[span],
-            None if batch.carried is None else batch.carried[span],
-            seconds * rows[u][3] / total,
+    return [(
+        edges[k], emit_v[cuts[k]:cuts[k + 1]], values[cuts[k]:cuts[k + 1]],
+        None if batch.broke is None else batch.broke[bounds[k]:bounds[k + 1]],
+        None if batch.carried is None
+        else batch.carried[bounds[k]:bounds[k + 1]],
+        seconds * rows[u][3] / total,
+    ) for k, u in enumerate(block)]
+
+
+def _lane_blocks(ctx, shared, spec, lane, units, vertices, carried=None):
+    """Lane ``lane`` of ``units`` — ``(step, machine)`` each, in walk
+    order, every vertex set non-empty; ``carried`` per unit
+    ``(present, values)`` or None — scanned block by block: per block,
+    its units (a range) and what :func:`_scan_lane` returns for them.
+    A unit's row (its machine's adjacency, its vertices' segment starts
+    and lengths, their sum) comes from one gather per run of
+    consecutive units on one machine."""
+    ms, rows = [m for _, m in units], []
+    for m, group in groupby(range(len(ms)), key=ms.__getitem__):
+        sets = [vertices[u] for u in group]
+        local = ctx.local_in(m)
+        flat = sets[0] if len(sets) == 1 else np.concatenate(sets)
+        starts, lens = local.indptr[flat], local.degrees()[flat]
+        bounds = [0, *accumulate(v.size for v in sets)]
+        rows += [
+            (local, starts[a:b], lens[a:b], e) for a, b, e in zip(
+                bounds, bounds[1:],
+                np.add.reduceat(lens, bounds[:-1]).tolist(),
+            )
+        ]
+    restored = [False] * len(units) if carried is None else [
+        bool(present.any()) for present, _ in carried
+    ]
+    limit = 0 if shared["solo"] else _BLOCK_EDGES
+    run, phase = shared["scan"]
+    for block in _blocks([row[3] for row in rows], restored, limit):
+        at = {**shared, "scan": (run, phase, units[block.start][0])}
+        yield block, _scan_lane(
+            ctx, at, spec, ms, block, lane, vertices, rows, carried
         )
-    return out
 
 
 def _merged_emits(plain: list, dep: list, num_vertices: int) -> list:
-    """Per unit of a block, its two lanes' emits in ascending vertex
-    order: one sort over ``(unit, vertex)`` for the block, cut per unit.
-    Every unit's lane is a slice of that lane's one batch, so each gets
-    what sorting its own two lanes gives, dtype included."""
+    """Per unit, its two lanes' ``(emit_v, values)`` merged in ascending
+    vertex order: one sort over ``(unit, vertex)`` for the units where
+    both lanes emitted, cut per unit.  The units' dependency lanes are
+    one block's (one carried-in class), so each gets what sorting its
+    own two lanes gives, dtype included."""
     emits = [
-        pl[1:3] if not d[1].size else d[1:3] if not pl[1].size else None
+        pl if not d[0].size else d if not pl[0].size else None
         for pl, d in zip(plain, dep)
     ]
     both = [i for i, pair in enumerate(emits) if pair is None]
     if both:
         lanes = [lane for i in both for lane in (dep[i], plain[i])]
-        sizes = [dep[i][1].size + plain[i][1].size for i in both]
-        emit_v = np.concatenate([lane[1] for lane in lanes])
+        sizes = [dep[i][0].size + plain[i][0].size for i in both]
+        emit_v = np.concatenate([lane[0] for lane in lanes])
         key = emit_v if len(both) == 1 else emit_v + np.repeat(
             np.arange(len(both)) * num_vertices, sizes
         )
@@ -412,7 +412,7 @@ def _merged_emits(plain: list, dep: list, num_vertices: int) -> list:
         # stable sort merges those runs rather than sorting from scratch
         order = np.argsort(key, kind="stable")
         emit_v = emit_v[order]
-        values = np.concatenate([lane[2] for lane in lanes])[order]
+        values = np.concatenate([lane[1] for lane in lanes])[order]
         cuts = list(accumulate(sizes, initial=0))
         for k, i in enumerate(both):
             span = slice(cuts[k], cuts[k + 1])
@@ -420,49 +420,28 @@ def _merged_emits(plain: list, dep: list, num_vertices: int) -> list:
     return emits
 
 
-def _kernel_step(ctx, shared, spec, ms, deps, carried, plains) -> list:
-    """A step's units — on machines ``ms``, ascending — on the batched
-    kernel, block by block: one call per lane of a block, one emit
-    merge per block.  ``carried`` is each unit's dependency-lane state
-    (``{name: (present, values)}``), or None when none circulates."""
-    name = None if carried is None else spec.carried_vars[0]
-    carried_in = None if carried is None else [c[name] for c in carried]
-    rows = {
-        lane: [_row(ctx.local_in(m), v) for m, v in zip(ms, vertices)]
-        for lane, vertices in (("plain", plains), ("dep", deps))
+def _kernel_result(spec, m, plain, pl, dep, d, emits, name):
+    """A kernel-scanned unit's result: ``pl`` / ``d`` its lanes' scans
+    (:func:`_scan_lane`; ``_NO_SCAN`` for a lane with no vertex),
+    ``plain`` / ``dep`` their vertices, ``emits`` its merged emits,
+    ``name`` the carried variable (None: nothing circulates)."""
+    return {
+        "kind": spec.kind,
+        "plain_edges": pl[0],
+        "plain_seconds": pl[5],
+        "dep_edges": d[0],
+        "dep_seconds": d[5],
+        "emit_v": emits[0],
+        "emit_counts": None,  # a kernel emits once per vertex
+        "emit_values": emits[1],
+        "broke": d[3],
+        "carried": {} if name is None else {
+            name: (np.ones(dep.size, dtype=bool), d[4])
+        },
+        "m": m,
+        "plain_vertices": int(plain.size),
+        "dep_vertices": int(dep.size),
     }
-    edges = [pl[3] + d[3] for pl, d in zip(rows["plain"], rows["dep"])]
-    restored = [
-        None if not dep.size
-        else carried_in is not None and bool(carried_in[u][0].any())
-        for u, dep in enumerate(deps)
-    ]
-    limit = 0 if shared["solo"] else _BLOCK_EDGES
-    results = []
-    for block in _blocks(edges, restored, limit):
-        plain = _scan_lane(ctx, shared, spec, ms, block, "plain", plains,
-                           rows["plain"], None)
-        dep = _scan_lane(ctx, shared, spec, ms, block, "dep", deps,
-                         rows["dep"], carried_in)
-        emits = _merged_emits(plain, dep, ctx.num_vertices)
-        for u, pl, d, (emit_v, values) in zip(block, plain, dep, emits):
-            results.append({
-                "kind": spec.kind,
-                "plain_edges": pl[0],
-                "plain_seconds": pl[5],
-                "dep_edges": d[0],
-                "dep_seconds": d[5],
-                "emit_v": emit_v,
-                "emit_counts": None,  # a kernel emits once per vertex
-                "emit_values": values,
-                "broke": d[3],
-                "carried": {} if carried is None else {
-                    name: (np.ones(deps[u].size, dtype=bool), d[4])
-                },
-                "m": ms[u],
-                "plain_vertices": int(plains[u].size),
-            })
-    return results
 
 
 def _interp_lanes(analyzed, state, local, m, dep, carried, plain, is_last):
@@ -518,6 +497,7 @@ def _interp_lanes(analyzed, state, local, m, dep, carried, plain, is_last):
         },
         "m": m,
         "plain_vertices": int(plain.size),
+        "dep_vertices": n_dep,
     }
 
 
@@ -552,45 +532,46 @@ def pull_walk(
 ) -> List[List[Dict[str, Any]]]:
     """The pull task: items of a phase's table walked over the steps
     ``shared['steps']`` (``(first, stop)``); per item, one result a
-    step.
+    step, or None for a unit with no vertex on either lane.
 
     ``shared['table']`` is the phase (``BaseEngine._pull_table``): per
     lane, one ``(vertices, cuts)`` per machine — item ``j``'s share of
     machine ``m``'s lane is ``vertices[cuts[j]:cuts[j + 1]]``
     (:func:`unit_lane`) — and ``machine[j][s]``, the machine that scans
-    item ``j`` in step ``s``.
-    Each step's unit of an item is two lanes over that machine's local
-    in-edges:
-
-    * the **dependency lane** — vertices taking part in dependency
-      propagation, cut down to those whose skip bit is still clear,
-      with the carried state (``shared['carried']`` names it) the
-      previous machine handed over;
-    * the **plain lane** — vertices scanned with the original UDF and
-      no dependency state.
-
+    item ``j`` in step ``s``.  A unit (an item in a step) is two lanes
+    over that machine's local in-edges: the **dependency lane**,
+    vertices taking part in dependency propagation whose skip bit is
+    still clear, with the carried state (``shared['carried']`` names
+    it) the previous machine handed over; and the **plain lane**,
+    vertices scanned with the original UDF and no dependency state.
     The dependency state is the walk's — fresh, or a copy of
-    ``shared['dep_in']`` ``(skip, present, data)`` — and written back
-    between steps.  A step's units run in ascending machine order.
+    ``shared['dep_in']`` ``(skip, present, data)``.
+
     ``shared['use_kernel']`` picks the batched kernel or the per-vertex
-    interpreter for both lanes.  The kernel scans a step in *blocks*:
-    consecutive units whose flattened edges fit ``_BLOCK_EDGES`` share
-    one kernel call per lane (``shared['solo']`` puts every unit in a
-    block of its own — the certifier's replay), with the run and phase
-    of ``shared['scan']`` and the step telling the context's
-    :class:`PlanStore` where in the run the block sits.  A unit's
-    result does not depend on what it was blocked with, and has one
-    shape either way: per-lane ``*_edges`` (and, for kernels,
-    ``*_seconds`` — the unit's edge share of its block's call),
-    ``plain_vertices`` and ``dep_vertices``, the scanning machine
-    ``m``, the emitting vertices in ascending order (``emit_v``) with
-    how many values each emitted (``emit_counts``, or None for "one
-    each", which is all a kernel can emit) and the values flattened in
-    that order (``emit_values``: a 1-D numeric array, or a list when
-    the interpreter emitted anything else), and — only for a parent
-    that passed the state in — the dependency lane's outgoing state,
-    ``broke`` (mask over the lane, or None for a kernel that never
-    breaks) and ``carried`` (``{name: (present, values)}``).
+    interpreter (the oracle: both lanes of a unit in one pass, step by
+    step).  No step changes what a plain lane scans, so the kernel
+    scans the plain lanes of the whole walk once, machine by machine;
+    only the dependency lanes walk the steps, in ascending machine
+    order, with the skip filter and the write-back between them.  Both
+    scan in *blocks*: consecutive units whose flattened edges fit
+    ``_BLOCK_EDGES`` share one call (``shared['solo']``: every unit
+    alone — the certifier's replay), and ``shared['scan']`` with the
+    step of the block's first unit tells the context's
+    :class:`PlanStore` where in the run the block sits.  A lane with no
+    vertex costs no call and no row.
+
+    A unit's result does not depend on what it was blocked with:
+    per-lane ``*_edges`` (and, for kernels, ``*_seconds`` — the unit's
+    edge share of its block's call), ``plain_vertices`` and
+    ``dep_vertices``, the scanning machine ``m``, the emitting vertices
+    in ascending order (``emit_v``) with how many values each emitted
+    (``emit_counts``, or None for "one each", which is all a kernel can
+    emit) and the values flattened in that order (``emit_values``: a
+    1-D numeric array, or a list when the interpreter emitted anything
+    else), and — only for a parent that passed the state in — the
+    dependency lane's outgoing state, ``broke`` (mask over the lane, or
+    None for a kernel that never breaks) and ``carried``
+    (``{name: (present, values)}``).
     """
     table = shared["table"]
     machine = table["machine"]
@@ -604,41 +585,97 @@ def pull_walk(
             store.present[name][:] = present[name]
             store.data[name][:] = data[name]
     analyzed = ctx.analyzed(shared["signal"])
-    run, phase = shared["scan"]
-    walked: List[List[Dict[str, Any]]] = [[] for _ in items]
-    for s in range(*shared["steps"]):
-        at = sorted(range(len(items)), key=lambda i: machine[items[i]][s])
-        ms = [machine[items[i]][s] for i in at]
-        deps = [unit_lane(table, "dep", m, items[i]) for i, m in zip(at, ms)]
+    spec = analyzed.kernel if shared["use_kernel"] else None
+    name = spec.carried_vars[0] if spec is not None and store.data else None
+    first, stop = shared["steps"]
+    width = len(items)
+    # the walk's units, step by step in ascending machine order: unit
+    # u is item unit_i[u] in step first + u // width, on machine ms[u]
+    scanning = np.array(machine, dtype=np.int64)[items, first:stop].T
+    order = np.argsort(scanning, axis=1, kind="stable")
+    unit_i = order.ravel()
+    unit_m = np.sort(scanning, axis=1).ravel()
+    unit_j = np.array(items, dtype=np.int64)[unit_i]
+    ms = unit_m.tolist()
+
+    def lane(which: str) -> Dict[int, np.ndarray]:
+        """The units whose table slice of lane ``which`` holds a vertex,
+        ascending, with the slice: nothing is cut for the rest."""
+        rows = table[which]
+        cuts = np.array([row[1] for row in rows], dtype=np.int64)
+        lo, hi = cuts[unit_m, unit_j], cuts[unit_m, unit_j + 1]
+        held = np.flatnonzero(hi > lo).tolist()
+        return {u: rows[ms[u]][0][lo[u]:hi[u]] for u in held}
+
+    plains, busy = lane("plain"), lane("dep")
+    scans: Dict[int, Any] = {}
+    if spec is not None:
+        # no step changes what a plain lane scans: one scan for the
+        # walk, machine by machine
+        live = sorted(plains, key=lambda u: (ms[u], u))
+        for block, lanes in _lane_blocks(
+            ctx, shared, spec, "plain",
+            [(first + u // width, ms[u]) for u in live],
+            [plains[u] for u in live],
+        ):
+            scans.update(zip((live[k] for k in block), lanes))
+    # only units with a dependency lane walk the steps (on the
+    # interpreter, every unit with a vertex: it scans both lanes at once)
+    results: Dict[int, Any] = {}
+    for k, at in groupby(
+        busy if spec is not None else sorted({**plains, **busy}),
+        key=lambda u: u // width,
+    ):
+        at = list(at)
+        deps = [busy.get(u, _NO_VERTICES) for u in at]
         deps = [dep[~store.skip[dep]] for dep in deps]
-        plains = [
-            unit_lane(table, "plain", m, items[i]) for i, m in zip(at, ms)
-        ]
         carried = [
-            {name: (store.present[name][dep], values[dep])
-             for name, values in store.data.items()}
+            {key: (store.present[key][dep], values[dep])
+             for key, values in store.data.items()}
             for dep in deps
         ] if store.data else None
-        if shared["use_kernel"]:
-            results = _kernel_step(
-                ctx, {**shared, "scan": (run, phase, s)}, analyzed.kernel,
-                ms, deps, carried, plains,
-            )
-        else:
-            results = [
+        if spec is None:
+            step = [
                 _interp_lanes(
-                    analyzed, ctx.state, ctx.local_in(m), m, dep,
-                    None if carried is None else carried[u], plain,
-                    s == last,
-                )
-                for u, (m, dep, plain) in enumerate(zip(ms, deps, plains))
+                    analyzed, ctx.state, ctx.local_in(ms[u]), ms[u], dep,
+                    None if carried is None else carried[n],
+                    plains.get(u, _NO_VERTICES), first + k == last,
+                ) if dep.size or u in plains else None
+                for n, (u, dep) in enumerate(zip(at, deps))
             ]
-        write_back(store, deps, results)
-        for i, dep, res in zip(at, deps, results):
-            res["dep_vertices"] = int(dep.size)
-            if dep_in is None:
-                del res["broke"], res["carried"]
-            walked[i].append(res)
+        else:
+            live = [n for n, dep in enumerate(deps) if dep.size]
+            step = [None] * len(at)
+            for block, lanes in _lane_blocks(
+                ctx, shared, spec, "dep",
+                [(first + k, ms[at[n]]) for n in live],
+                [deps[n] for n in live],
+                None if carried is None else [carried[n][name] for n in live],
+            ):
+                units = [live[b] for b in block]
+                pairs = [scans.get(at[n], _NO_SCAN)[1:3] for n in units]
+                for n, d, emits in zip(units, lanes, _merged_emits(
+                    pairs, [d[1:3] for d in lanes], ctx.num_vertices
+                )):
+                    u = at[n]
+                    step[n] = _kernel_result(
+                        spec, ms[u], plains.get(u, _NO_VERTICES),
+                        scans.get(u, _NO_SCAN), deps[n], d, emits, name,
+                    )
+        write_back(store, deps, step)
+        results.update((u, res) for u, res in zip(at, step) if res)
+    for u, scan in scans.items():
+        if u not in results:  # no dependency lane left: its plain scan
+            results[u] = _kernel_result(
+                spec, ms[u], plains[u], scan, _NO_VERTICES, _NO_SCAN,
+                scan[1:3], name,
+            )
+    # a unit with no vertex on either lane is None
+    walked: List[List[Any]] = [[None] * (stop - first) for _ in items]
+    for u, res in results.items():
+        if dep_in is None:
+            del res["broke"], res["carried"]
+        walked[unit_i[u]][u // width] = res
     return walked
 
 

@@ -23,11 +23,12 @@ matching the interpreter's restored-value dtype behavior.
 
 **One call, several machines.**  The ``local`` a kernel scans is one
 :class:`~repro.partition.base.LocalAdjacency` or a :class:`ScanBlock`:
-the ``(adjacency, vertex)`` rows of consecutive work units of one pull
-step, concatenated in unit order (:func:`repro.exec.work.pull_walk`
-builds them, up to a fixed edge budget).  A block flattens its rows
-once — one offset pass over all of them, one gather per machine out of
-that machine's own ``indices``, no copy of the topology — and what it
+the ``(adjacency, vertex)`` rows of consecutive work units of one lane
+of a pull walk, concatenated in unit order
+(:func:`repro.exec.work.pull_walk` builds them, up to a fixed edge
+budget).  A block flattens its rows once — one offset pass over all
+of them, one gather per row out of its machine's own ``indices``, no
+copy of the topology — and what it
 flattens depends on the topology and the vertex sets only, never on the
 state, so the executing context keeps a block whose sets recur between
 consecutive pull phases and the next call pays for arithmetic alone.

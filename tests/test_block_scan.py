@@ -179,14 +179,14 @@ def shared_for(analyzed, scan=(1, 0), carried=()):
 
 def walk_step(ctx, shared, table, step, dep_in=None):
     """The walk of ``step`` alone over every item of ``table``, its
-    units' results in machine order."""
+    units' results in the order of the machines that scan them."""
     items = list(range(len(table["machine"])))
     walked = work.pull_walk(
         ctx, {**shared, "table": table, "steps": (step, step + 1),
               "dep_in": dep_in}, items,
     )
-    return [walk[0] for walk in sorted(
-        walked, key=lambda walk: walk[0]["m"]
+    return [walked[j][0] for j in sorted(
+        items, key=lambda j: table["machine"][j][step]
     )]
 
 
@@ -249,8 +249,13 @@ def same(a, b):
 
 
 def assert_same_results(got, want):
+    """Unit by unit, key by key; a unit with no vertex on either lane
+    is None — the oracle's has zero vertices on both."""
     assert len(got) == len(want)
     for res, ref in zip(got, want):
+        if ref is None or not (ref["plain_vertices"] or ref["dep_vertices"]):
+            assert res is None, ref
+            continue
         assert res.keys() == ref.keys()
         for key in ref:
             assert same(res[key], ref[key]), (ref["m"], key, res[key], ref[key])
@@ -351,26 +356,85 @@ class TestBlockEqualsUnit:
         assert ctx.plans.counts["blocks"] == ctx.plans.counts["units"] == 4
 
     def test_empty_units_keep_the_empty_batch_arrays(self):
-        """p > n: most machines hold nothing; their lanes come back as
-        what a kernel returns for no vertices, dtypes included."""
+        """p > n: most machines hold nothing, and their units come back
+        as None — no call, no arrays; a unit's lane with no vertex comes
+        back as what a kernel returns for no vertices, dtypes
+        included."""
         graph = CSRGraph(3, np.array([0, 1, 1]), np.array([1, 2, 2]))
-        rng = np.random.default_rng(1)
-        engine, ctx = context(graph, 12, rng)
-        for signal in SIGNALS:
-            analyzed = instrument_signal(signal)
-            table, dep_in, units = circulant_step(
-                engine, analyzed, rng, 0, False, "all"
-            )
-            shared = shared_for(analyzed, carried=analyzed.info.carried_vars)
-            got = walk_step(ctx, shared, table, 0, dep_in)
-            assert_same_results(
-                got, [per_unit_oracle(ctx, analyzed, unit) for unit in units]
-            )
-            empty = [res for res in got if not res["dep_edges"]]
-            assert empty
-            for res in empty:
-                assert res["broke"].dtype == bool and not res["broke"].size
-                assert res["emit_values"].dtype == np.int64
+        for differentiated in (False, True):
+            rng = np.random.default_rng(1)
+            engine, ctx = context(graph, 12, rng)
+            got = []
+            for signal in SIGNALS:
+                analyzed = instrument_signal(signal)
+                shared = shared_for(analyzed,
+                                    carried=analyzed.info.carried_vars)
+                for step in range(12):
+                    table, dep_in, units = circulant_step(
+                        engine, analyzed, rng, step, differentiated, "all"
+                    )
+                    walked = walk_step(ctx, shared, table, step, dep_in)
+                    assert_same_results(walked, [
+                        per_unit_oracle(ctx, analyzed, unit)
+                        for unit in units
+                    ])
+                    got += walked
+            scanned = [res for res in got if res is not None]
+            # of a signal's 144 units (12 steps x 12 machines) at most
+            # two hold a vertex: 1 and 2 have in-edges, on one machine
+            # each
+            assert 0 < len(scanned) <= 2 * len(SIGNALS) < len(got)
+            lane_only = [res for res in scanned if not res["dep_vertices"]]
+            assert bool(lane_only) == differentiated
+            for res in lane_only:
+                assert res["broke"].dtype == bool
+                assert not res["broke"].size
+
+    def test_a_phase_with_no_dependency_lane(self, monkeypatch):
+        """BFS's late pulls: every vertex on the plain lane.  The walk
+        of all p steps makes no dependency-lane call and no row for an
+        empty unit, and scans the plain lanes of every step in
+        ``ceil(plain edges / _BLOCK_EDGES)`` calls."""
+        graph = to_undirected(rmat(scale=8, edge_factor=4, seed=2))
+        rng = np.random.default_rng(5)
+        engine, ctx = context(graph, 8, rng)
+        analyzed = instrument_signal(bottom_up_signal)
+        n = graph.num_vertices
+        table = engine._pull_table(
+            np.zeros(n, dtype=bool), rng.random(n) < 0.5, circulant=True
+        )
+        lanes, sets = [], []
+        scan_lane, lane_blocks = work._scan_lane, work._lane_blocks
+
+        def counted_scan(ctx, shared, spec, ms, block, lane, *rest):
+            lanes.append(lane)
+            return scan_lane(ctx, shared, spec, ms, block, lane, *rest)
+
+        def counted_rows(ctx, shared, spec, lane, units, vertices, *rest):
+            # every vertex set that gets a row
+            sets.extend(v.size for v in vertices)
+            return lane_blocks(ctx, shared, spec, lane, units, vertices,
+                               *rest)
+
+        monkeypatch.setattr(work, "_scan_lane", counted_scan)
+        monkeypatch.setattr(work, "_lane_blocks", counted_rows)
+        shared = {**shared_for(analyzed), "table": table, "steps": (0, 8)}
+        walked = work.pull_walk(ctx, shared, list(range(8)))
+        plain = [
+            (m, unit_vertices) for m in range(8) for j in range(8)
+            if (unit_vertices := work.unit_lane(table, "plain", m, j)).size
+        ]
+        edges = sum(
+            int(ctx.local_in(m).degrees()[v].sum()) for m, v in plain
+        )
+        assert 0 < edges and len(plain) > 8
+        assert lanes == ["plain"] * -(-edges // work._BLOCK_EDGES)
+        assert sorted(sets) == sorted(v.size for _, v in plain)
+        units = [res for walk in walked for res in walk]
+        # a unit with no plain vertex has nothing to scan at all
+        assert sum(res is None for res in units) == 64 - len(plain)
+        assert all(res["dep_vertices"] == res["dep_edges"] == 0
+                   for res in units if res is not None)
 
     def test_limit_bounds_the_running_count(self):
         """``count_to_k_break``'s one cumsum per call is exact below

@@ -8,9 +8,11 @@ mapped over ``steps=(s, s + 1)``, one step a map, the dependency state
 kept by the parent between maps.  An inert
 controller (a plan with no fault in it) takes that one-step form and
 changes nothing else, so the two forms must leave the same digest,
-counters, step records, ordered send log, scan blocks and engine events;
-only the executor's own events (``exec_*``: one map per phase against
-one per step, and the arena growth the map sizes cause) differ.
+counters, step records, ordered send log, scanned units and engine
+events; only the executor's own events (``exec_*``: one map per phase
+against one per step, and the arena growth the map sizes cause) and the
+number of blocks differ — a walk scans the plain lanes of all its steps
+together, so a map of one step can only take more blocks.
 """
 
 import numpy as np
@@ -98,9 +100,9 @@ def observed(monkeypatch, graph, executor, stepwise, **overrides):
     scan = dict(executor.scan)
     with monkeypatch.context() as patch:
         patch.setattr(api, "make_engine", recording)
-        config = RunConfig(machines=MACHINES, seed=2, bfs_roots=2,
-                           kcore_k=3, obs=tracer,
-                           **overrides)
+        config = RunConfig(**{"machines": MACHINES, "seed": 2,
+                              "bfs_roots": 2, "kcore_k": 3, "obs": tracer,
+                              **overrides})
         with Session(graph, config) as session:
             result = session.run()
     engine = engines[-1]
@@ -139,9 +141,39 @@ class TestWalkEqualsSteps:
             monkeypatch, graph, executor, True, algorithm=algorithm
         )
         for key in walked:
-            assert walked[key] == stepped[key], key
+            if key != "scan":
+                assert walked[key] == stepped[key], key
+        assert walked["scan"]["units"] == stepped["scan"]["units"]
+        assert walked["scan"]["blocks"] <= stepped["scan"]["blocks"]
         assert maps == phases  # one map a phase, whatever its schedule
         assert step_maps >= maps
+
+    @pytest.mark.parametrize("ex", ["serial", "process-2"])
+    def test_empty_dependency_lanes(self, monkeypatch, executors, ex):
+        """BFS at p = 8 on an R-MAT whose late bottom-up pulls hold only
+        low-degree vertices: no step of those phases has a dependency
+        lane to walk, and both forms still book the same."""
+        graph = to_undirected(rmat(scale=8, edge_factor=4, seed=2))
+        run = dict(algorithm="bfs", machines=8)
+        walked, _, _ = observed(monkeypatch, graph, executors[ex], False,
+                                **run)
+        stepped, _, _ = observed(monkeypatch, graph, executors[ex], True,
+                                 **run)
+        scan = walked.pop("scan"), stepped.pop("scan")
+        assert walked == stepped
+        assert scan[0]["units"] == scan[1]["units"]
+
+        def booked(step, name):
+            dtype, data = step[name]
+            return np.frombuffer(data, dtype=dtype)
+
+        plain_only = [
+            steps for steps in walked["steps"] if len(steps) == 8
+            and not any(booked(step, "high_vertices").any()
+                        for step in steps)
+            and any(booked(step, "low_vertices").any() for step in steps)
+        ]
+        assert len(plain_only) >= 2
 
     @pytest.mark.parametrize("ex", ["serial", "process-2"])
     @pytest.mark.parametrize("algorithm", ["bfs", "kcore", "cc"])

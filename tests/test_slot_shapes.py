@@ -47,7 +47,7 @@ from repro.engine.state import StateStore
 from repro.errors import KernelSoundnessError
 from repro.fault.program import run_program
 from repro.graph import rmat, to_undirected
-from repro.kernels import get_kernel
+from repro.kernels import get_kernel, slots
 from repro.kernels.slots import SLOT_APPLIES, apply_slot
 from repro.partition import OutgoingEdgeCut
 from repro.partition.base import LocalAdjacency
@@ -431,6 +431,36 @@ class TestFullScanSumOrder:
                     delta = total - state.base[v]
                     assert batch.values[i].tobytes() == delta.tobytes()
         assert np.array_equal(batch.edges, lens[vertices])
+
+
+def sorted_first_seen(v):
+    """The sort formulation: ``np.unique``'s first indices, reordered
+    by position."""
+    distinct, first = np.unique(v, return_index=True)
+    order = np.argsort(first)
+    return distinct[order], first[order]
+
+
+class TestFirstSeen:
+    @given(
+        n=st.integers(1, 50),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sort(self, n, data):
+        """Empty, one element, all duplicates and ids up to ``n - 1``
+        all come back as the sort gives them, dtypes included."""
+        ids = st.integers(0, n - 1)
+        v = np.array(data.draw(st.one_of(
+            st.just([]),
+            ids.map(lambda i: [i]),
+            st.tuples(ids, st.integers(1, 20)).map(lambda t: [t[0]] * t[1]),
+            st.lists(ids, max_size=60),
+            st.lists(st.just(n - 1), min_size=1).map(lambda tail: [0, *tail]),
+        )), dtype=np.int64)
+        got, want = slots._first_seen(v), sorted_first_seen(v)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # -- (b) near-misses fall back ------------------------------------------------
