@@ -108,6 +108,10 @@ class _UpdateBuffer:
         return np.fromiter(changed.keys(), dtype=np.int64), self.total
 
 
+#: the bits of every byte value, low bit first: ``(256, 8)``
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
 class BaseEngine:
     """Common state and protocol shared by all distributed engines."""
 
@@ -136,6 +140,7 @@ class BaseEngine:
         self._analyzed: Dict[int, AnalyzedSignal] = {}
         self._run_serial = next(_RUN_SERIAL)
         self._fault_controller = None
+        self._codes: Optional[np.ndarray] = None
         #: ``perf_counter()`` time past which a phase or step refuses
         #: to start (:class:`~repro.errors.DeadlineExceeded`); None: never
         self.deadline: Optional[float] = None
@@ -689,21 +694,39 @@ class BaseEngine:
         """
         if changed.size == 0 or sync_bytes == 0 or self.num_machines == 1:
             return
-        p, part = self.num_machines, self.partition
-        masters = part.master_of[changed]
-        # pairs[receiver, master]: changed vertices the master sends
-        pairs = np.zeros((p, p), dtype=np.int64)
-        for m in range(p):
-            held = part._has_in[m][changed]
-            if self.sync_scope == "both":
-                held |= part._has_out[m][changed]
-            pairs[m] = np.bincount(masters, weights=held, minlength=p)
+        p = self.num_machines
+        masters = self.partition.master_of[changed] * 256
+        # pairs[receiver, master]: changed vertices the master sends.
+        # Each (master, holder byte) is counted once, then the byte's
+        # bits spread the count over its eight receivers
+        pairs = np.empty((p, p), dtype=np.int64)
+        for g, code in enumerate(self._holder_codes()):
+            counts = np.bincount(masters + code[changed], minlength=p * 256)
+            spread = counts.reshape(p, 256) @ _BYTE_BITS
+            pairs[8 * g: 8 * g + 8] = spread.T[: p - 8 * g]
         np.fill_diagonal(pairs, 0)  # a master keeps its own state
         # receiver ascending, then master: one message per pair
         receiver, sender = np.nonzero(pairs)
         nbytes = pairs[receiver, sender] * sync_bytes
         self.network.send_many(sender, receiver, "sync", nbytes)
         record.sync_bytes += int(nbytes.sum())
+
+    def _holder_codes(self) -> np.ndarray:
+        """Each vertex's replica holders as bits, eight machines a byte:
+        bit b of ``codes[g, v]`` is set where machine ``8g + b`` holds
+        edges of ``v`` (the bitmaps of :attr:`sync_scope`, packed once
+        per engine)."""
+        if self._codes is None:
+            part = self.partition
+            held = part._has_in
+            if self.sync_scope == "both":
+                held = held | part._has_out
+            codes = np.zeros((-(-held.shape[0] // 8), held.shape[1]),
+                             dtype=np.uint8)
+            for m, row in enumerate(held.view(np.uint8)):
+                codes[m // 8] |= row << (m % 8)
+            self._codes = codes
+        return self._codes
 
     def sync_state(self, vertices: np.ndarray, sync_bytes: int = 4) -> None:
         """Explicitly broadcast changed master state to replica holders.

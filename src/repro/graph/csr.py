@@ -13,7 +13,7 @@ store no weight array.
 Row order.  A graph built from an edge list lists each row in list
 order, in both directions (two stable sorts of one list), so the copies
 of a parallel pair ``(u, v)`` appear in the same relative order in
-out-row ``u`` and in in-row ``v``.  :func:`patch_rows` keeps that
+out-row ``u`` and in in-row ``v``.  :func:`splice_rows` keeps that
 invariant: it removes every copy of a pair at once and appends inserts
 in batch order, so a patched graph's rows are exactly those of a build
 from "the old list, copies deleted, inserts appended".
@@ -30,8 +30,8 @@ from repro.errors import GraphError
 
 __all__ = [
     "CSRGraph", "as_vertex_array", "find_pairs", "is_integer", "match_pairs",
-    "patch_rows", "row_positions", "rows_sorted", "split_pairs",
-    "stable_order",
+    "row_positions", "rows_sorted", "spans", "splice", "splice_rows",
+    "split_pairs", "stable_order",
 ]
 
 
@@ -70,6 +70,13 @@ def split_pairs(edges: Iterable[Tuple[int, int]]) -> Tuple[List, List]:
     return [u for u, _ in pairs], [v for _, v in pairs]
 
 
+def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + lengths[i] - 1`` of every
+    span, back to back in listing order."""
+    skip = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(int(lengths.sum())) + skip
+
+
 def row_positions(
     indptr: np.ndarray, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -77,8 +84,7 @@ def row_positions(
     of every entry of those rows, back to back in listing order."""
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    skip = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return lengths, np.arange(int(lengths.sum())) + skip
+    return lengths, spans(starts, lengths)
 
 
 def match_pairs(
@@ -90,17 +96,12 @@ def match_pairs(
     """Which candidate pairs are among the ``(rows[i], values[i])``.
 
     Returns ``(hits, pair)``: the ascending indices of the matching
-    candidates and, for each, the first ``i`` naming its pair.  A table
-    over the values culls the candidates no pair names; the rest are
-    binary-searched among the batch's sorted keys.
+    candidates and, for each, the first ``i`` naming its pair.  The
+    candidates are binary-searched among the batch's sorted keys.
     """
     if not rows.size:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     width = max(int(values.max()), int(cand_vals.max(initial=0))) + 1
-    named = np.zeros(width, dtype=bool)
-    named[values] = True
-    maybe = np.flatnonzero(named[cand_vals])
-    cand_rows, cand_vals = cand_rows[maybe], cand_vals[maybe]
     uniq_rows, row_id = np.unique(rows, return_inverse=True)
     at_row = np.minimum(
         np.searchsorted(uniq_rows, cand_rows), uniq_rows.size - 1
@@ -111,7 +112,7 @@ def match_pairs(
     cand_keys = at_row * width + cand_vals
     at = np.minimum(np.searchsorted(keys, cand_keys), keys.size - 1)
     ok = (uniq_rows[at_row] == cand_rows) & (keys[at] == cand_keys)
-    return maybe[ok], first[at[ok]]
+    return np.flatnonzero(ok), first[at[ok]]
 
 
 def find_pairs(
@@ -121,62 +122,106 @@ def find_pairs(
     values: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every CSR position holding one of the ``(rows[i], values[i])``
-    pairs, as ``(positions, pair)`` (see :func:`match_pairs`).
+    pairs, ascending, as ``(positions, pair)`` (see :func:`match_pairs`).
 
     Each distinct named row is read once; rows past the CSR's last row
-    hold nothing.
+    hold nothing.  A table over the values (a square CSR's entries are
+    row ids) culls the entries no pair names before any are matched.
     """
-    named = np.unique(rows[rows < indptr.size - 1])
-    lens, pos = row_positions(indptr, named)
-    hits, pair = match_pairs(
-        np.repeat(named, lens), indices[pos], rows, values
-    )
-    return pos[hits], pair
+    num_rows = indptr.size - 1
+    named = np.unique(rows[rows < num_rows])
+    lengths, pos = row_positions(indptr, named)
+    vals = indices[pos]
+    width = max(num_rows, int(values.max(initial=0)) + 1)
+    table = np.zeros(width, dtype=bool)
+    table[values] = True
+    maybe = np.flatnonzero(table[vals])
+    cand_rows = named[np.searchsorted(np.cumsum(lengths), maybe, "right")]
+    hits, pair = match_pairs(cand_rows, vals[maybe], rows, values)
+    return pos[maybe[hits]], pair
 
 
-def patch_rows(
+#: entries :func:`splice` moves per step: the kept entries of a chunk
+#: pass through a cache-sized buffer, not a second array of them all
+SPLICE_CHUNK = 1 << 15
+
+
+def splice(
+    arr: np.ndarray, kill: np.ndarray, at: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``arr`` without the entries at the ascending positions ``kill``,
+    with ``values[j]`` placed before old entry ``at[j]`` (``at``
+    non-decreasing; equal positions keep the order of ``values``).
+
+    One new array: the values are scattered to their slots, and every
+    kept entry is written once, chunk by chunk, through the masks of
+    kept entries and of old slots — a loop over fixed-size chunks, none
+    over the kills and inserts.  An insert at a killed position lands
+    where that entry was.  With nothing to kill or insert, ``arr``
+    itself is returned.
+    """
+    if not kill.size and not at.size:
+        return arr
+    size = arr.size - kill.size + at.size
+    keep = np.ones(arr.size, dtype=bool)
+    keep[kill] = False
+    # each insert moves back by the kills before it, on by the inserts
+    slots = at - np.searchsorted(kill, at) + np.arange(at.size)
+    old = np.ones(size, dtype=bool)
+    old[slots] = False
+    out = np.empty(size, dtype=arr.dtype)
+    out[slots] = values
+    # where each chunk of arr starts in out (the last takes end inserts)
+    cuts = np.append(np.arange(0, arr.size, SPLICE_CHUNK), arr.size)
+    starts = cuts - np.searchsorted(kill, cuts) + np.searchsorted(at, cuts)
+    starts[-1] = size
+    for a, b, lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist(),
+                            starts[:-1].tolist(), starts[1:].tolist()):
+        out[lo:hi][old[lo:hi]] = arr[a:b][keep[a:b]]
+    return out
+
+
+def splice_rows(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: Optional[np.ndarray],
     num_rows: int,
-    deletes: Tuple[np.ndarray, np.ndarray],
+    kill: np.ndarray,
     inserts: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Patch one CSR direction; returns new ``(indptr, indices, weights)``.
 
-    ``deletes = (rows, values)``: every copy of each pair leaves its
-    row, the rest keep their order.  ``inserts = (rows, values,
-    weights)``: appended at the ends of their rows in batch order.
-    ``indptr`` grows to ``num_rows`` rows (appended rows start empty).
-    The inputs are not written.  Cost: a copy of the arrays for the
-    deletes and one for the inserts, plus the deleted rows' lengths —
-    no sort over the edges.
+    ``kill``: the ascending positions of the entries to remove (a
+    :func:`find_pairs` result, every copy of a pair).  ``inserts =
+    (rows, values, weights)``: appended at the ends of their rows in
+    batch order — each goes before its row's old end, rows in order.
+    ``indptr`` grows to ``num_rows`` rows (appended rows start empty)
+    through one cumulative delta; each array is written once
+    (:func:`splice`).  The inputs are not written; an untouched array
+    may be returned as is.
     """
-    del_rows, del_vals = deletes
     ins_rows, ins_vals, ins_w = inserts
-    grown = np.bincount(ins_rows, minlength=num_rows)
-    if del_rows.size:
-        kill, pair = find_pairs(indptr, indices, del_rows, del_vals)
-        grown -= np.bincount(del_rows[pair], minlength=num_rows)
-        indices = np.delete(indices, kill)
-        if weights is not None:
-            weights = np.delete(weights, kill)
+    # rows that end at one position (empty rows between them) take
+    # their inserts in row order: hand splice row-major batch order
+    order = np.argsort(ins_rows, kind="stable")
+    rows = ins_rows[order]
+    # one cumulative delta: +1 after each insert's row, -1 after each
+    # kill's, held over the runs of rows between changed ones
+    kill_rows = np.searchsorted(indptr, kill, "right") - 1
+    changed = np.concatenate([rows, kill_rows])
+    by_row = np.argsort(changed, kind="stable")
+    delta = np.zeros(changed.size + 1, dtype=np.int64)
+    np.cumsum(np.where(by_row < rows.size, 1, -1), out=delta[1:])
+    runs = np.diff(np.concatenate(([-1], changed[by_row], [num_rows])))
     out_indptr = np.empty(num_rows + 1, dtype=np.int64)
     out_indptr[: indptr.size] = indptr
     out_indptr[indptr.size:] = indptr[-1]
-    out_indptr[1:] += np.cumsum(grown)
-    if ins_rows.size:
-        # rows that end at one position (empty rows between them) take
-        # their inserts in row order, and np.insert keeps the given
-        # order among equal positions: hand it row-major batch order.
-        # A row's end before its inserts = its new end minus the
-        # inserts in rows up to it.
-        order = np.argsort(ins_rows, kind="stable")
-        rows = ins_rows[order]
-        ends = out_indptr[rows + 1] - np.searchsorted(rows, rows, "right")
-        indices = np.insert(indices, ends, ins_vals[order])
-        if weights is not None:
-            weights = np.insert(weights, ends, ins_w[order])
+    out_indptr += np.repeat(delta, runs)
+    at = indptr[np.minimum(rows + 1, indptr.size - 1)]
+    indices = splice(indices, kill, at, ins_vals[order])
+    if weights is not None:  # a pure-delete batch carries no weights
+        w = ins_w[order] if ins_w is not None else np.empty(0)
+        weights = splice(weights, kill, at, w)
     return out_indptr, indices, weights
 
 
@@ -285,6 +330,7 @@ class CSRGraph:
             num_vertices, dst, src, weights
         )
         self._patched_from: Optional[weakref.ref] = None
+        self.patch_kills: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- construction -------------------------------------------------
 
@@ -304,33 +350,36 @@ class CSRGraph:
         graph._num_edges = int(out_csr[1].size)
         graph.out_indptr, graph.out_indices, graph.out_weights = out_csr
         graph.in_indptr, graph.in_indices, graph.in_weights = in_csr
-        graph._patched_from = None
+        graph._patched_from = graph.patch_kills = None
         return graph
 
     def patch(
         self,
         num_vertices: int,
-        deletes: Tuple[np.ndarray, np.ndarray],
+        kills: Tuple[np.ndarray, np.ndarray],
         inserts: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
     ) -> "CSRGraph":
-        """A new graph with every copy of each deleted ``(src, dst)``
-        pair removed and the ``(src, dst, weights)`` inserts appended,
-        grown to ``num_vertices`` — :func:`patch_rows` on both
+        """A new graph without the entries at ``kills = (out positions,
+        in positions)`` — each a :func:`find_pairs` result over this
+        graph — and with the ``(src, dst, weights)`` inserts appended,
+        grown to ``num_vertices``: :func:`splice_rows` on both
         directions.  The result remembers this graph as
-        :attr:`patched_from`."""
-        (del_src, del_dst), (ins_src, ins_dst, ins_w) = deletes, inserts
+        :attr:`patched_from` and the positions as ``patch_kills``,
+        which a partition refresh maps onto its machines."""
+        (out_kill, in_kill), (ins_src, ins_dst, ins_w) = kills, inserts
         graph = CSRGraph.from_csr(
             num_vertices,
-            patch_rows(
+            splice_rows(
                 self.out_indptr, self.out_indices, self.out_weights,
-                num_vertices, (del_src, del_dst), (ins_src, ins_dst, ins_w),
+                num_vertices, out_kill, (ins_src, ins_dst, ins_w),
             ),
-            patch_rows(
+            splice_rows(
                 self.in_indptr, self.in_indices, self.in_weights,
-                num_vertices, (del_dst, del_src), (ins_dst, ins_src, ins_w),
+                num_vertices, in_kill, (ins_dst, ins_src, ins_w),
             ),
         )
         graph._patched_from = weakref.ref(self)
+        graph.patch_kills = kills
         return graph
 
     @property
@@ -341,7 +390,7 @@ class CSRGraph:
 
     def __getstate__(self):
         # a weak reference does not pickle; the copy has no patch parent
-        return {**self.__dict__, "_patched_from": None}
+        return {**self.__dict__, "_patched_from": None, "patch_kills": None}
 
     @classmethod
     def from_edges(

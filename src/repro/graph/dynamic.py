@@ -300,19 +300,25 @@ class DynamicGraph:
                 "graph is unweighted: inserts must not carry weights"
             )
         graph = self._graph
-        removed = self._resolve_deletes(graph, batch)
+        out_kill = self._resolve_deletes(graph, batch)
         if self.version == 0 and not rows_sorted(
             graph.in_indptr, graph.in_indices
         ):
             # in-rows out of source order: the base was built from an
             # unsorted list, not its out-order one, so build from that
-            # once (sorted in-rows suffice: see csr's row-order note)
+            # once (sorted in-rows suffice: see csr's row-order note);
+            # its out-rows, and so out_kill, are the base's
             src, dst = graph.edge_array()
             graph = CSRGraph(graph.num_vertices, src, dst, graph.out_weights)
+        in_kill = out_kill[:0]
+        if out_kill.size:
+            in_kill, _ = find_pairs(
+                graph.in_indptr, graph.in_indices,
+                batch.delete_dst, batch.delete_src,
+            )
         # patch returns a new graph: nothing is committed until here
         self._graph = graph.patch(
-            n,
-            (batch.delete_src, batch.delete_dst),
+            n, (out_kill, in_kill),
             (batch.insert_src, batch.insert_dst, batch.insert_weights),
         )
         self.version += 1
@@ -321,23 +327,25 @@ class DynamicGraph:
             version=self.version,
             inserts=batch.num_inserts,
             deletes=batch.num_deletes,
-            removed_copies=removed,
+            removed_copies=int(out_kill.size),
             add_vertices=batch.add_vertices,
             num_vertices=self.num_vertices,
             num_edges=self.num_edges,
         )
 
     @staticmethod
-    def _resolve_deletes(graph: CSRGraph, batch: MutationBatch) -> int:
-        """Count the live copies of each deleted pair (or raise).
+    def _resolve_deletes(graph: CSRGraph, batch: MutationBatch) -> np.ndarray:
+        """The ascending out-CSR positions of every live copy of each
+        deleted pair (or raise).
 
-        One read of the deleted out-rows.  The error names the first
-        pair, in batch order, with no live copy — a pair named a second
-        time counts, since its first naming already removed every copy.
+        One read of the deleted out-rows, the search the out-patch then
+        uses.  The error names the first pair, in batch order, with no
+        live copy — a pair named a second time counts, since its first
+        naming already removed every copy.
         """
         du, dv = batch.delete_src, batch.delete_dst
         if not du.size:
-            return 0
+            return np.empty(0, dtype=np.int64)
         pos, pair = find_pairs(graph.out_indptr, graph.out_indices, du, dv)
         found = np.zeros(du.size, dtype=bool)
         found[pair] = True
@@ -349,7 +357,7 @@ class DynamicGraph:
                 f"cannot delete absent edge ({u}, {v}); deletes "
                 "apply to the pre-batch edge set"
             )
-        return int(pos.size)
+        return pos
 
     def snapshot(self) -> CSRGraph:
         """The current edge multiset as an immutable CSR (see the module

@@ -65,6 +65,23 @@ class LocalAdjacency:
         return int(self.indices.size)
 
 
+def slice_view(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: Optional[np.ndarray],
+    lo: int,
+    hi: int,
+) -> LocalAdjacency:
+    """The entries ``lo:hi`` of one CSR direction as a machine's CSR:
+    views of ``indices`` / ``weights`` (the graph holds them anyway)
+    and a clipped ``indptr`` of its own."""
+    return LocalAdjacency(
+        np.clip(indptr, lo, hi) - lo,
+        indices[lo:hi],
+        weights[lo:hi] if weights is not None else None,
+    )
+
+
 def _restrict_csr(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -76,18 +93,15 @@ def _restrict_csr(
 
     One stable grouping of the edges by owner: each machine's edge
     positions then ascend, so its ``indptr`` is where the direction's
-    row starts fall among them, and its indices one gather.  Every view
-    owns its arrays.
+    row starts fall among them, and its indices one gather.  Owners
+    grouped already (an edge cut's master side, masters in id order)
+    give each machine a slice: :func:`slice_view`.
     """
     order = stable_order(owner)
-    if order is None:  # grouped already: contiguous shares, copied
+    if order is None:  # grouped already: contiguous shares
         bounds = np.searchsorted(owner, np.arange(num_machines + 1)).tolist()
         return [
-            LocalAdjacency(
-                np.clip(indptr, lo, hi) - lo,
-                indices[lo:hi].copy(),
-                weights[lo:hi].copy() if weights is not None else None,
-            )
+            slice_view(indptr, indices, weights, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
         ]
     bounds = np.cumsum(np.bincount(owner, minlength=num_machines)).tolist()

@@ -270,7 +270,9 @@ class TestRefreshPartition:
 
     def test_untouched_machines_reuse_objects(self, graph):
         """No add_vertices: untouched machines keep the identical
-        LocalAdjacency objects — zero rebuild cost."""
+        in-side LocalAdjacency objects — zero rebuild cost — and their
+        master side is the same bytes, re-sliced from the new snapshot
+        over the same ``indptr``."""
         part = OutgoingEdgeCut().partition(graph, 4)
         # a vertex mastered by machine 0 under outgoing-edge-cut
         v = int(np.flatnonzero(part.master_of == 0)[0])
@@ -281,9 +283,13 @@ class TestRefreshPartition:
         new_part, stats = refresh_partition(part, dyn.snapshot(), batch)
         assert stats.touched_machines == [0]
         assert stats.reused_machines == 3
+        snap = dyn.snapshot()
         for m in range(1, 4):
             assert new_part._local_in[m] is part._local_in[m]
-            assert new_part._local_out[m] is part._local_out[m]
+            got, had = new_part._local_out[m], part._local_out[m]
+            assert got.indptr is had.indptr
+            assert got.indices.tobytes() == had.indices.tobytes()
+            assert np.shares_memory(got.indices, snap.out_indices)
 
     def test_schedule_cells_partial(self, graph):
         part = OutgoingEdgeCut().partition(graph, 4)
@@ -593,6 +599,98 @@ class TestPatchEqualsBuild:
         for batch in batches:
             model.apply(batch)
         assert_same_graph(snap, model.graph())
+
+
+class TestWritePathStructure:
+    """What one ``Session.mutate`` reads and writes: one search per
+    snapshot direction and none per machine, master sides that view
+    the snapshot, and no view that outlives its version."""
+
+    BATCHES = [
+        MutationBatch.inserts([(0, 40), (40, 0), (7, 3)]),
+        MutationBatch(delete_src=[0, 40], delete_dst=[40, 0],
+                      insert_src=[48, 5], insert_dst=[2, 48],
+                      add_vertices=1),
+        MutationBatch(delete_src=[7], delete_dst=[3],
+                      insert_src=[1, 2], insert_dst=[2, 1]),
+    ]
+
+    @pytest.mark.parametrize("cut", ["outgoing-edge-cut",
+                                     "incoming-edge-cut"])
+    def test_one_search_per_direction(self, graph, monkeypatch, cut):
+        import sys
+
+        import repro.graph.csr as csr_mod
+
+        part = CUTS[cut].partition(graph, 4)
+        dyn = DynamicGraph(graph)
+        searched = []
+        real = csr_mod.find_pairs
+
+        def counting(indptr, *args):
+            searched.append(indptr)
+            return real(indptr, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and \
+                    getattr(module, "find_pairs", None) is real:
+                monkeypatch.setattr(module, "find_pairs", counting)
+        for batch in self.BATCHES:
+            before = dyn.snapshot()
+            searched.clear()
+            dyn.apply(batch)
+            part, _ = refresh_partition(part, dyn.snapshot(), batch)
+            # out-rows for the deletes, in-rows once: no machine's rows
+            directions = [
+                "out" if a is before.out_indptr else
+                "in" if a is before.in_indptr else "other"
+                for a in searched
+            ]
+            assert sorted(directions) == (
+                ["in", "out"] if batch.num_deletes else []
+            )
+
+    @pytest.mark.parametrize("cut", ["outgoing-edge-cut",
+                                     "incoming-edge-cut"])
+    def test_master_sides_view_the_snapshot(self, graph, cut):
+        part = CUTS[cut].partition(graph, 4)
+        dyn = DynamicGraph(graph)
+        for batch in self.BATCHES:
+            dyn.apply(batch)
+            snap = dyn.snapshot()
+            part, _ = refresh_partition(part, snap, batch)
+            if cut == "outgoing-edge-cut":
+                master, other = part._local_out, part._local_in
+                whole = (snap.out_indices, snap.in_indices)
+            else:
+                master, other = part._local_in, part._local_out
+                whole = (snap.in_indices, snap.out_indices)
+            for m in range(4):
+                assert master[m].indices.base is whole[0]
+                assert not np.shares_memory(other[m].indices, whole[1])
+                assert not np.shares_memory(master[m].indptr, snap.out_indptr)
+
+    def test_no_view_pins_an_old_version(self, graph):
+        """Three mutations with a cached partition: the first snapshot
+        and its arrays are freed."""
+        from repro.api import Session
+
+        with Session(graph) as session:
+            session.run(algorithm="bfs", machines=4, bfs_roots=1)
+            session.mutate(self.BATCHES[0])
+            first = session.graph
+            refs = [weakref.ref(first)] + [
+                weakref.ref(getattr(first, name)) for name in (
+                    "out_indptr", "out_indices", "in_indptr", "in_indices",
+                )
+            ]
+            del first
+            for batch in self.BATCHES[1:]:
+                session.mutate(batch)
+            (part,) = session._partitions.values()
+            assert part.graph is session.graph
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestSessionMutate:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.csr as csr
 from repro.errors import GraphError
 from repro.graph import CSRGraph
-from repro.graph.csr import stable_order
+from repro.graph.csr import find_pairs, splice_rows, stable_order
 
 
 def build(n, edges, weights=None):
@@ -270,3 +271,131 @@ class TestStableOrder:
     @settings(max_examples=150, deadline=None)
     def test_matches_the_stable_argsort(self, keys):
         self.check(keys)
+
+
+def delete_then_insert(indptr, indices, weights, num_rows, deletes, inserts):
+    """The oracle: the two-pass patch the splice replaced.  Every copy
+    of each deleted ``(row, value)`` pair goes with ``np.delete``; the
+    inserts then go with ``np.insert`` at their rows' ends, row-major
+    in batch order."""
+    ins_rows, ins_vals, ins_w = inserts
+    kill = sorted({
+        i for r, v in zip(*deletes) if r < indptr.size - 1
+        for i in range(indptr[r], indptr[r + 1]) if indices[i] == v
+    })
+    rows_of_kills = np.searchsorted(indptr, kill, "right") - 1
+    grown = np.bincount(ins_rows, minlength=num_rows)
+    grown -= np.bincount(rows_of_kills, minlength=num_rows)
+    indices = np.delete(indices, kill)
+    if weights is not None:
+        weights = np.delete(weights, kill)
+    out_indptr = np.empty(num_rows + 1, dtype=np.int64)
+    out_indptr[: indptr.size] = indptr
+    out_indptr[indptr.size:] = indptr[-1]
+    out_indptr[1:] += np.cumsum(grown)
+    order = np.argsort(ins_rows, kind="stable")
+    rows = ins_rows[order]
+    ends = out_indptr[rows + 1] - np.searchsorted(rows, rows, "right")
+    indices = np.insert(indices, ends, ins_vals[order])
+    if weights is not None:
+        weights = np.insert(weights, ends, ins_w[order])
+    return out_indptr, indices, weights
+
+
+def arrays(*values):
+    return [np.asarray(v, dtype=np.int64) for v in values]
+
+
+class TestSplice:
+    """One search and one splice per array give the bytes of the
+    delete-then-insert patch, chunked at any size."""
+
+    @staticmethod
+    def check(graph, deletes, inserts, num_rows=None, chunk=None):
+        num_rows = graph.num_vertices if num_rows is None else num_rows
+        csr_in = (graph.out_indptr, graph.out_indices, graph.out_weights)
+        before = [None if a is None else a.copy() for a in csr_in]
+        want = delete_then_insert(*csr_in, num_rows, deletes, inserts)
+        kill, _ = find_pairs(graph.out_indptr, graph.out_indices, *deletes)
+        saved = csr.SPLICE_CHUNK
+        csr.SPLICE_CHUNK = chunk or saved
+        try:
+            got = splice_rows(*csr_in, num_rows, kill, inserts)
+        finally:
+            csr.SPLICE_CHUNK = saved
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        for a, b in zip(csr_in, before):  # the inputs are not written
+            assert (a is None) or a.tobytes() == b.tobytes()
+        return got
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_delete_then_insert(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=30,
+        ), label="edges")
+        weights = None
+        if data.draw(st.booleans(), label="weighted"):
+            weights = [0.25 * (i + 1) for i in range(len(edges))]
+        graph = build(n, edges, weights)
+        num_rows = n + data.draw(st.integers(0, 2), label="appended rows")
+        pairs = sorted(set(edges))
+        dels = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True, max_size=4)
+            if pairs else st.just([]), label="deletes",
+        )
+        ins = data.draw(st.lists(st.tuples(
+            st.integers(0, num_rows - 1), st.integers(0, num_rows - 1),
+        ), max_size=6), label="inserts")
+        if dels and data.draw(st.booleans(), label="re-insert"):
+            ins.append(dels[0])
+        ins_w = None if weights is None else np.full(len(ins), 9.5)
+        self.check(
+            graph,
+            tuple(arrays([u for u, _ in dels], [v for _, v in dels])),
+            (*arrays([u for u, _ in ins], [v for _, v in ins]), ins_w),
+            num_rows,
+            chunk=data.draw(st.sampled_from([None, 1, 2, 3, 5])),
+        )
+
+    def test_empty_batch(self):
+        graph = build(3, [(0, 1), (2, 0)])
+        indptr, indices, _ = self.check(
+            graph, tuple(arrays([], [])), (*arrays([], []), None)
+        )
+        assert indices is graph.out_indices  # nothing to write
+
+    def test_kill_at_a_row_start_beside_an_insert_at_its_position(self):
+        """Row 0 ends where row 1 starts: its insert and row 1's killed
+        first entry share one old position."""
+        graph = build(3, [(0, 2), (1, 0), (1, 2)], [0.5, 1.5, 2.5])
+        _, indices, weights = self.check(
+            graph, tuple(arrays([1], [0])),
+            (*arrays([0], [1]), np.array([7.0])), chunk=1,
+        )
+        assert indices.tolist() == [2, 1, 2]
+        assert weights.tolist() == [0.5, 7.0, 2.5]
+
+    def test_every_copy_of_a_parallel_pair_goes_and_one_comes_back(self):
+        graph = build(3, [(0, 1), (1, 2), (0, 1), (0, 2), (0, 1)])
+        indptr, indices, _ = self.check(
+            graph, tuple(arrays([0], [1])), (*arrays([0], [1]), None),
+        )
+        assert indices[indptr[0]:indptr[1]].tolist() == [2, 1]
+
+    def test_weighted_appended_rows(self):
+        graph = build(2, [(0, 1), (1, 0)], [1.0, 2.0])
+        indptr, indices, weights = self.check(
+            graph, tuple(arrays([1], [0])),
+            (*arrays([3, 2, 3], [0, 3, 2]), np.array([3.0, 4.0, 5.0])),
+            num_rows=4,
+        )
+        assert indptr.tolist() == [0, 1, 1, 2, 4]
+        assert indices.tolist() == [1, 3, 0, 2]
+        assert weights.tolist() == [1.0, 4.0, 3.0, 5.0]

@@ -160,18 +160,37 @@ def test_edge_cut_derives_its_owners_on_read(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.name)
 @pytest.mark.parametrize("machines", [1, 3])
 def test_local_adjacency_owns_its_arrays(strategy, machines):
-    """One machine holds a contiguous share; it is copied, so a view
-    never pins the graph it was cut from."""
+    """A direction whose owners are grouped already (an edge cut's
+    master side, masters in id order; every direction on one machine)
+    gives each machine a slice of the graph's arrays, which
+    ``Partition.graph`` holds anyway.  Every other direction owns its
+    arrays, and no ``indptr`` is shared."""
     graph = unsorted_weighted_graph()
     part = strategy.partition(graph, machines)
     graph_arrays = [
         graph.in_indptr, graph.in_indices, graph.in_weights,
         graph.out_indptr, graph.out_indices, graph.out_weights,
     ]
-    for adj in part._local_in + part._local_out:
-        for arr in (adj.indptr, adj.indices, adj.weights):
+    sliced = {}
+    for direction, local, owner in (
+        ("in", part._local_in, part.in_edge_owner),
+        ("out", part._local_out, part.out_edge_owner),
+    ):
+        sliced[direction] = not (owner[1:] < owner[:-1]).any()
+        for adj in local:
             for whole in graph_arrays:
-                assert not np.shares_memory(arr, whole)
+                assert not np.shares_memory(adj.indptr, whole)
+            for name in ("indices", "weights"):
+                arr = getattr(adj, name)
+                if sliced[direction]:
+                    assert arr.base is getattr(graph, f"{direction}_{name}")
+                else:
+                    for whole in graph_arrays:
+                        assert not np.shares_memory(arr, whole)
+    if machines > 1 and strategy.name in EDGE_CUTS:
+        master_side = "out" if strategy.name == "outgoing-edge-cut" else "in"
+        assert sliced == {"in": master_side == "in",
+                          "out": master_side == "out"}
 
 
 def test_only_edge_cuts_derive_their_owners():
