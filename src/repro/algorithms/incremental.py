@@ -49,7 +49,7 @@ from repro.algorithms.kcore import check_k, kcore_peel
 from repro.algorithms.relax import RelaxProgram, Relaxation, flat_neighbors
 from repro.errors import GraphError
 from repro.fault.program import run_program
-from repro.graph.csr import CSRGraph, is_integer
+from repro.graph.csr import CSRGraph, is_integer, sorted_unique
 from repro.graph.dynamic import MutationBatch
 
 __all__ = [
@@ -156,7 +156,7 @@ def _unsupported(
     affected = np.zeros(graph.num_vertices, dtype=bool)
     enqueued = np.zeros(graph.num_vertices, dtype=bool)
     at = level[seeds]
-    pending = np.unique(seeds[(at > 0) & (at < _INF)])
+    pending = sorted_unique(seeds[(at > 0) & (at < _INF)])
     enqueued[pending] = True
     while pending.size:
         at = level[pending]
@@ -175,7 +175,7 @@ def _unsupported(
         below = (level[w] == d + 1) & ~enqueued[w]
         if group is not None:
             below &= group[w] == np.repeat(group[lost], lengths)
-        children = np.unique(w[below])
+        children = sorted_unique(w[below])
         enqueued[children] = True
         pending = np.concatenate([pending, children])
     return affected
@@ -219,10 +219,10 @@ def _repair_levels(
     while pending.size:
         at = level[pending]
         d = at.min()
-        now, pending = np.unique(pending[at == d]), pending[at != d]
+        now, pending = sorted_unique(pending[at == d]), pending[at != d]
         lengths, w = flat_neighbors(graph.out_indptr, graph.out_indices, now)
         same = label[w] == np.repeat(label[now], lengths)
-        w = np.unique(w[same & (level[w] > d + 1)])
+        w = sorted_unique(w[same & (level[w] > d + 1)])
         level[w] = d + 1
         pending = np.concatenate([pending, w])
     return level
@@ -248,7 +248,7 @@ def _levels(graph: CSRGraph, label: np.ndarray) -> np.ndarray:
         fresh = (level[w] == _INF) & (label[w] == np.repeat(
             label[frontier], lengths
         ))
-        frontier = np.unique(w[fresh])
+        frontier = sorted_unique(w[fresh])
     return level
 
 
@@ -266,8 +266,8 @@ def _collect_mutations(
         if batch.num_deletes:
             dels.append(batch.delete_dst)
     empty = np.empty(0, dtype=np.int64)
-    ins_dst = np.unique(np.concatenate(ins)) if ins else empty
-    del_dst = np.unique(np.concatenate(dels)) if dels else empty
+    ins_dst = sorted_unique(np.concatenate(ins)) if ins else empty
+    del_dst = sorted_unique(np.concatenate(dels)) if dels else empty
     return ins_dst[ins_dst < n], del_dst[del_dst < n], any_inserts
 
 

@@ -21,7 +21,7 @@ Definition 2.2 semantics so all engines compute identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, count
+from itertools import count
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -31,6 +31,7 @@ from repro.analysis.instrument import AnalyzedSignal, instrument_signal
 from repro.engine.fastpath import BLOCK, KERNEL, PUSH, SLOT, FastPaths
 from repro.engine.state import StateStore
 from repro.exec import work
+from repro.graph.csr import sorted_unique
 from repro.errors import DeadlineExceeded, EngineError
 from repro.kernels.slots import apply_slot
 from repro.obs.hooks import ObsHub
@@ -78,12 +79,14 @@ class PhaseResult:
 class _UpdateBuffer:
     """Updates collected during a phase, applied bulk-synchronously.
 
-    One ``(v, values)`` bin per merged work unit, in merge order: ``v``
-    the destination vertices (int64) and ``values`` the update values
-    aligned with it — the numeric array the unit returned, or a list
-    when its values were not numbers of one type.  A classified slot
-    takes the bins through :func:`repro.kernels.slots.apply_slot`;
-    :meth:`apply` is the scalar loop every other slot takes.
+    ``(v, values)`` bins in merge order: ``v`` the destination vertices
+    (int64) and ``values`` the update values aligned with it — a numeric
+    array, or a list when they were not numbers of one type.  A pull
+    appends one bin per run of merged units whose values share a class
+    (:func:`repro.exec.work.update_bins`), which is the per-unit bins
+    end to end; a push one per machine.  A classified slot takes the
+    bins through :func:`repro.kernels.slots.apply_slot`; :meth:`apply`
+    is the scalar loop every other slot takes.
     """
 
     bins: List[Tuple[np.ndarray, object]] = field(default_factory=list)
@@ -106,6 +109,12 @@ class _UpdateBuffer:
                 if slot(v, value, state):
                     changed[v] = None
         return np.fromiter(changed.keys(), dtype=np.int64), self.total
+
+
+def _same_mask(kept: Optional[np.ndarray], mask: Optional[np.ndarray]):
+    if kept is None or mask is None:
+        return kept is mask
+    return bool((kept == mask).all())
 
 
 #: the bits of every byte value, low bit first: ``(256, 8)``
@@ -141,6 +150,8 @@ class BaseEngine:
         self._run_serial = next(_RUN_SERIAL)
         self._fault_controller = None
         self._codes: Optional[np.ndarray] = None
+        #: the last pull table, with the masks it was built from
+        self._table: Optional[tuple] = None
         #: ``perf_counter()`` time past which a phase or step refuses
         #: to start (:class:`~repro.errors.DeadlineExceeded`); None: never
         self.deadline: Optional[float] = None
@@ -441,43 +452,58 @@ class BaseEngine:
     ) -> Dict:
         """The table a pull phase's walk reads.
 
-        Per lane, one ``(vertices, cuts)`` per machine ``m``: the
+        Per lane, one ``(vertices, cuts)``: machine ``m``'s row is the
         vertices of the lane's mask (``dep`` None: no dependency lane)
-        that ``m`` stores in-edges of, item ``j``'s share being
-        ``vertices[cuts[j]:cuts[j + 1]]``
+        that ``m`` stores in-edges of, the rows end to end in
+        ``vertices``, and item ``j``'s share of row ``m`` is
+        ``vertices[cuts[m, j]:cuts[m, j + 1]]``
         (:func:`~repro.exec.work.unit_lane`); and ``machine[j][s]``, the
         machine that scans item ``j`` in step ``s``.  A circulant
         phase's items are the destination partitions: rows in master
         order, cut at the master bounds, item ``j`` scanned by machine
         ``(j - s - 1) % p`` in step ``s``.  A BSP phase's item ``m`` is
         machine ``m``'s whole row in one step, in ascending vertex order
-        — never master order, so its update sends stay ascending.
+        — never master order, so its update sends stay ascending.  The
+        last table is kept: a phase over the masks of the one before
+        (every PageRank phase after the first) gets it back.
         """
+        memo = self._table
+        if (
+            memo is not None and memo[0] == circulant
+            and _same_mask(memo[1], dep) and _same_mask(memo[2], plain)
+        ):
+            return memo[3]
         p, part = self.num_machines, self.partition
         ids = np.arange(p + 1)
         order = part._master_order if circulant else None
         has_in = part._has_in if order is None else part._has_in[:, order]
         item = ids[:p, None]
-        table = {"machine": ((item - ids[:p] - 1) % p if circulant
-                             else item).tolist()}
+        table = {"machine": (item - ids[:p] - 1) % p if circulant
+                 else item}
         for lane, mask in (("dep", dep), ("plain", plain)):
+            cuts = np.zeros((p, p + 1), dtype=np.int64)
             if mask is None or not mask.any():  # no row pass for nothing
-                table[lane] = [(_NO_VERTICES, [0] * (p + 1))] * p
+                table[lane] = (_NO_VERTICES, cuts)
                 continue
             if order is not None:
                 mask = mask[order]
-            table[lane] = rows = []
+            rows, base = [], 0
             for m, row in enumerate(has_in):
                 at = np.flatnonzero(row & mask)
-                cuts = (np.searchsorted(at, part._master_bounds) if circulant
-                        else np.where(ids > m, at.size, 0))
-                rows.append((at if order is None else order[at],
-                             cuts.tolist()))
+                cuts[m] = base + (
+                    np.searchsorted(at, part._master_bounds) if circulant
+                    else np.where(ids > m, at.size, 0)
+                )
+                rows.append(at if order is None else order[at])
+                base += at.size
+            table[lane] = (np.concatenate(rows), cuts)
+        self._table = (circulant, None if dep is None else dep.copy(),
+                       plain.copy(), table)
         return table
 
     def _merge_steps(
         self,
-        rows: List[List[Optional[Dict]]],
+        walked: List[Dict],
         buffer: _UpdateBuffer,
         update_bytes: int,
         plain_column: str,
@@ -485,78 +511,66 @@ class BaseEngine:
         slowdown: Optional[Sequence[np.ndarray]] = None,
         first: Optional[int] = None,
     ) -> List[StepRecord]:
-        """Merge pull steps' unit results, ``rows[s]`` step ``s``'s units
-        in machine order (None: a unit with no vertex), and return their
-        step records (with ``slowdown[s]``, else none), each column a
-        row of one array: lane metering (the dependency lane, there when
-        ``handoffs`` is, under ``high_*``; the plain lane under
-        ``plain_column``'s pair, which the cost model prices apart),
-        update and hand-off bytes.  Then one update bin per emitting
-        unit, and one message list for
-        :meth:`SimulatedNetwork.send_many`, step by step and unit by
-        unit: an update message per emitting vertex, ascending, then the
-        unit's hand-off of ``handoffs[s][m]`` bytes (where nonzero) to
-        the machine on its left.  Observer events go out unit by unit,
-        each step's between its ``step_begin`` and ``step_end`` when
-        ``first`` (the index of ``rows[0]``'s step) is given.
+        """Merge a map's walked steps (:func:`~repro.exec.work.pull_walk`'s
+        array sets, one per executor chunk, joined into the ``(steps,
+        p)`` grid of units) and return their step records (with
+        ``slowdown[s]``, else none), each column a row of one array:
+        lane metering (the dependency lane, there when ``handoffs`` is,
+        under ``high_*``; the plain lane under ``plain_column``'s pair,
+        which the cost model prices apart), update and hand-off bytes.
+        Then the update bins, in unit order, and the messages: an update
+        per emitting vertex to its master (free where that is the
+        unit's own machine) and a hand-off of ``handoffs[s][m]`` bytes
+        (where nonzero) to the machine on its left — per ``(tag, src,
+        dst)`` sums, or, when the network books single messages, one
+        list ordered step by step and unit by unit, each hand-off after
+        its unit's updates.  Observer events go out unit by unit, each
+        step's between its ``step_begin`` and ``step_end`` when
+        ``first`` (the index of the first step) is given.
         """
-        p, n = self.num_machines, len(rows)
-        units = [res for row in rows for res in row]
-        live = [u for u, res in enumerate(units) if res is not None]
+        p = self.num_machines
+        walk = work.joined(walked, p)
+        units = walk["m"].size
+        n = units // p
         keys = {plain_column + "_edges": "plain_edges",
                 plain_column + "_vertices": "plain_vertices"}
         if handoffs is not None:
             keys.update(high_edges="dep_edges", high_vertices="dep_vertices")
-        sent = np.zeros(n * p, dtype=np.int64) if handoffs is None else (
+        sent = np.zeros(units, dtype=np.int64) if handoffs is None else (
             np.asarray(handoffs, dtype=np.int64).ravel()
         )
-        booked = {"update_bytes": np.zeros(n * p, dtype=np.int64),
-                  "dep_bytes": sent}
+        booked = {"dep_bytes": sent}
         for column, key in keys.items():
-            booked[column] = np.zeros(n * p, dtype=np.int64)
-            booked[column][live] = [units[u][key] for u in live]
-        # per unit: its update bin; one update message per emitting
-        # vertex to its master (free where that is the unit's own
-        # machine) carrying its values; then its hand-off, if any
-        emitting = [u for u in live if units[u]["emit_v"].size]
-        for u in emitting:
-            emit_v, repeats = units[u]["emit_v"], units[u]["emit_counts"]
-            buffer.append(
-                emit_v if repeats is None else np.repeat(emit_v, repeats),
-                units[u]["emit_values"],
-            )
-        sizes = [units[u]["emit_v"].size for u in emitting]
-        src = np.repeat(np.array(emitting, dtype=np.int64) % p, sizes)
-        dst = self.partition.master_of[np.concatenate(
-            [units[u]["emit_v"] for u in emitting] or [_NO_VERTICES]
-        )]
-        nbytes = np.full(dst.size, update_bytes, dtype=np.int64)
-        # counts is None when every vertex emitted exactly once
-        counts = [units[u]["emit_counts"] for u in emitting]
-        if any(c is not None for c in counts):
-            nbytes *= np.concatenate([
-                np.ones(size, dtype=np.int64) if c is None else c
-                for size, c in zip(sizes, counts)
-            ])
-        if emitting:
-            booked["update_bytes"][emitting] = np.add.reduceat(
-                np.where(dst != src, nbytes, 0),
-                list(accumulate(sizes[:-1], initial=0)),
-            )
-        tags = np.full(src.size, _UPDATE)
+            booked[column] = walk[key]
+        for v, values in work.update_bins(walk):
+            buffer.append(v, values)
+        # per (unit, destination master): update messages, and values
+        # where a vertex emitted more than once
+        emit_n, counts = walk["emit_n"], walk["emit_counts"]
+        dst = self.partition.master_of[walk["emit_v"]]
+        key = np.repeat(np.arange(units) * p, emit_n)
+        key += dst
+        messages = np.bincount(key, minlength=units * p).reshape(-1, p)
+        values = messages if counts is None else np.bincount(
+            key, weights=counts, minlength=units * p
+        ).astype(np.int64).reshape(-1, p)
+        booked["update_bytes"] = update_bytes * (
+            values.sum(axis=1) - values[np.arange(units), walk["m"]]
+        )
         handing = np.flatnonzero(sent)
-        if handing.size:  # each hand-off goes after its unit's updates
-            ends = np.zeros(n * p + 1, dtype=np.int64)
-            ends[np.array(emitting, dtype=np.int64) + 1] = sizes
-            at = np.cumsum(ends)[handing + 1]
-            src, dst, nbytes, tags = (
-                np.insert(array, at, value) for array, value in (
-                    (src, handing % p), (dst, (handing - 1) % p),
-                    (nbytes, sent[handing]), (tags, _DEP),
-                )
+        if self.network.per_message:
+            self._send_ordered(walk, dst, update_bytes, sent, handing)
+        else:
+            # (messages, bytes) per (tag, src, dst): the units of a
+            # machine are every p-th row, its hand-offs go to m - 1
+            sums = np.zeros((2, len(COMM_TAGS), p, p), dtype=np.int64)
+            sums[:, _UPDATE] = messages.reshape(n, p, p).sum(axis=0), (
+                update_bytes * values.reshape(n, p, p).sum(axis=0)
             )
-        if src.size:
-            self.network.send_many(src, dst, tags, nbytes)
+            src = handing % p
+            np.add.at(sums[0, _DEP], (src, (src - 1) % p), 1)
+            np.add.at(sums[1, _DEP], (src, (src - 1) % p), sent[handing])
+            self.network.book(*sums)
         booked = {name: array.reshape(n, p) for name, array in booked.items()}
         zeros = np.zeros((n, p), dtype=np.int64)
         steps = [
@@ -565,26 +579,54 @@ class BaseEngine:
                           for name in _COLUMNS})
             for k in range(n)
         ]
-        obs = self.obs
-        for k, step in enumerate(steps if obs is not None else ()):
+        if self.obs is not None:
+            self._observe_steps(walk, steps, sent, first)
+        return steps
+
+    def _send_ordered(self, walk, dst, update_bytes, sent, handing) -> None:
+        """The merged units' messages as one ordered list, for a network
+        that books single messages: step by step and unit by unit, an
+        update per emitting vertex, then the unit's hand-off."""
+        p, emit_n = self.num_machines, walk["emit_n"]
+        counts = walk["emit_counts"]
+        src = np.repeat(walk["m"], emit_n)
+        nbytes = (np.full(dst.size, update_bytes, dtype=np.int64)
+                  if counts is None else update_bytes * counts)
+        tags = np.full(src.size, _UPDATE)
+        if handing.size:  # each hand-off goes after its unit's updates
+            src, dst, nbytes, tags = (
+                np.insert(array, np.cumsum(emit_n)[handing], value)
+                for array, value in (
+                    (src, handing % p), (dst, (handing - 1) % p),
+                    (nbytes, sent[handing]), (tags, _DEP),
+                )
+            )
+        if src.size:
+            self.network.send_many(src, dst, tags, nbytes)
+
+    def _observe_steps(self, walk, steps, sent, first) -> None:
+        """The merged steps' events, unit by unit: a kernel batch per
+        lane scanned, then the unit's hand-off."""
+        obs, p, kind = self.obs, self.num_machines, walk["kind"]
+        lanes = {
+            lane: [walk[f"{lane}_{what}"].tolist()
+                   for what in ("vertices", "edges", "seconds")]
+            for lane in ("dep", "plain")
+        } if kind is not None else {}
+        sent = sent.tolist()
+        for k, step in enumerate(steps):
             if first is not None:
                 obs.step_begin(first + k)
-            # events only, unit by unit: a kernel batch per lane scanned
-            for m, (res, handoff) in enumerate(
-                zip(rows[k], sent[k * p:(k + 1) * p].tolist())
-            ):
-                kind = None if res is None else res["kind"]
-                for lane in ("dep", "plain") if kind is not None else ():
-                    if res[lane + "_vertices"]:
-                        obs.kernel_batch(
-                            m, kind, res[lane + "_vertices"],
-                            res[lane + "_edges"], res[lane + "_seconds"],
-                        )
-                if handoff:
-                    obs.dep_transfer(m, (m - 1) % p, handoff)
+            for u in range(k * p, (k + 1) * p):
+                m = u - k * p
+                for vertices, edges, seconds in lanes.values():
+                    if vertices[u]:
+                        obs.kernel_batch(m, kind, vertices[u], edges[u],
+                                         seconds[u])
+                if sent[u]:
+                    obs.dep_transfer(m, (m - 1) % p, sent[u])
             if first is not None:
                 obs.step_end(first + k, step)
-        return steps
 
     def _commit_phase(
         self,
@@ -646,8 +688,7 @@ class BaseEngine:
             phase, stalls=step.slowdown,
         )
         step, = self._merge_steps(
-            [[walk[0] for walk in walked]], buffer, update_bytes, "high",
-            slowdown=[step.slowdown],
+            walked, buffer, update_bytes, "high", slowdown=[step.slowdown],
         )
         return self._commit_phase(
             IterationRecord(mode="pull"), [step], buffer, slot, state,
@@ -675,7 +716,7 @@ class BaseEngine:
                 "vertices must be a bool mask or a 1-D integer array, "
                 f"got dtype {arr.dtype} with shape {arr.shape}"
             )
-        arr = np.unique(arr.astype(np.int64))
+        arr = sorted_unique(arr.astype(np.int64))
         if arr.size and (arr[0] < 0 or arr[-1] >= n):
             raise EngineError(
                 f"vertex ids must lie in [0, {n}), got "

@@ -75,17 +75,14 @@ def _same(a, b) -> bool:
 
 
 def _same_units(fn, results, oracle) -> List[str]:
-    """Work-unit results (a walk's are a list per item, None for a unit
-    with nothing to scan), key for key; seconds are not results."""
+    """Work-unit results — a push unit's dict per machine, a walk's one
+    array set per executor chunk — key for key; seconds are not
+    results."""
     return sorted({
         key
-        for item, want in zip(results, oracle)
-        for res, ref in (
-            zip(item, want) if isinstance(want, list) else [(item, want)]
-        )
-        for key in ref or res or ()
-        if not key.endswith("_seconds")
-        and not _same((res or {}).get(key), (ref or {}).get(key))
+        for res, ref in zip(results, oracle)
+        for key in ref
+        if not key.endswith("_seconds") and not _same(res.get(key), ref[key])
     })
 
 

@@ -295,9 +295,7 @@ class SympleGraphEngine(BaseEngine):
             for s in range(1, p):
                 self._check_deadline(phase, s)
             steps = self._merge_steps(
-                [[walked[(m + s + 1) % p][s] for m in range(p)]
-                 for s in range(p)],
-                buffer, update_bytes, "low", handoffs, first=0,
+                walked, buffer, update_bytes, "low", handoffs, first=0,
             )
         else:
             dep_store = DepStore(n, carried)
@@ -318,12 +316,11 @@ class SympleGraphEngine(BaseEngine):
                 if self.obs is not None:
                     self.obs.step_begin(s)
                 # the walk of this step alone, on the parent's state
-                lanes = [work.unit_lane(table, "dep", m, (m + s + 1) % p)
-                         for m in range(p)]
                 skip = dep_store.skip.copy() if lossy else dep_store.skip
                 if lossy:  # one coin per skipped vertex, machine- then
                     # vertex-ascending: a step's partitions are disjoint
-                    for dep in lanes:
+                    for m in range(p):
+                        dep = work.unit_lane(table, "dep", m, (m + s + 1) % p)
                         held = dep[skip[dep]]
                         skip[held[controller.dep_lost(held.size)]] = False
                 walked = walk(
@@ -331,12 +328,11 @@ class SympleGraphEngine(BaseEngine):
                     stalls=[step.slowdown[(j - s - 1) % p] for j in range(p)],
                     dep_in=(skip, dep_store.present, dep_store.data),
                 )
-                results = [walked[(m + s + 1) % p][0] for m in range(p)]
-                work.write_back(
-                    dep_store, [dep[~skip[dep]] for dep in lanes], results
-                )
+                for chunk in walked:
+                    work.write_back(dep_store, chunk["dep_v"], chunk["broke"],
+                                    chunk["carried"])
                 step, = self._merge_steps(
-                    [results], buffer, update_bytes, "low", [handoffs[s]],
+                    walked, buffer, update_bytes, "low", [handoffs[s]],
                     slowdown=[step.slowdown],
                 )
                 steps.append(step)

@@ -7,7 +7,9 @@ items of a pull phase's table); the executor decides *where* the task
 functions run — inline (:class:`SerialExecutor`) or on forked worker
 processes mapping the CSR topology and vertex state zero-copy out of
 shared memory (:class:`~repro.exec.process.ProcessPoolExecutor`).
-Results always come back in item order and the parent merges them
+Results always come back in item order (a chunk form's once per
+chunk: the walk returns one array set for its chunk's units) and the
+parent merges them
 deterministically, so counters, traffic, and results are bit-identical
 across backends — the backend is purely a wall-clock knob.
 
@@ -145,7 +147,8 @@ class Executor:
         stalls=None,
     ) -> List[Any]:
         """Run ``fn`` (its chunk form, when it has one) over the items;
-        one result per item, in item order."""
+        the results in item order — one per item, or a chunk form's
+        results for each chunk, chunk after chunk."""
         raise NotImplementedError
 
     def close(self) -> None:

@@ -28,8 +28,10 @@ and across graph rebinds:
   chunks: one IPC round trip per worker per phase, a circulant phase
   included, since each worker walks its partitions through every step
   (:func:`~repro.exec.work.pull_walk`) and keeps their dependency state
-  itself.  The results come back in item order, so the parent's
-  deterministic step-by-step, ascending-machine merge is unchanged.  A
+  itself, and returns one array set for the chunk (pickled whole: a
+  few flat arrays, not a dict per unit).  The results come back in
+  chunk order, so the parent's deterministic step-by-step,
+  ascending-machine merge is unchanged.  A
   worker runs its chunk through the same loop as the serial backend
   (:meth:`~repro.exec.work.WorkerContext.run`), so a task's chunk form
   scans the chunk's units in blocks; each worker keeps its

@@ -23,12 +23,12 @@ matching the interpreter's restored-value dtype behavior.
 
 **One call, several machines.**  The ``local`` a kernel scans is one
 :class:`~repro.partition.base.LocalAdjacency` or a :class:`ScanBlock`:
-the ``(adjacency, vertex)`` rows of consecutive work units of one lane
-of a pull walk, concatenated in unit order
-(:func:`repro.exec.work.pull_walk` builds them, up to a fixed edge
-budget).  A block flattens its rows once — one offset pass over all
-of them, one gather per row out of its machine's own ``indices``, no
-copy of the topology — and what it
+the ``(adjacency, vertex)`` segments of consecutive work units of one
+lane of a pull walk, concatenated in unit order
+(:class:`repro.exec.work.LanePlan` builds them, up to a fixed edge
+budget).  A block flattens its segments once — one offset pass over all
+of them, one gather per run of one machine's vertices out of its own
+``indices``, no copy of the topology — and what it
 flattens depends on the topology and the vertex sets only, never on the
 state, so the executing context keeps a block whose sets recur between
 consecutive pull phases and the next call pays for arithmetic alone.
@@ -80,12 +80,12 @@ CarriedIn = Optional[Tuple[np.ndarray, np.ndarray]]
 
 
 class ScanBlock:
-    """The rows of one kernel call and their scan plan.
+    """The segments of one kernel call and their scan plan.
 
-    ``rows`` is one ``(local, starts, lens, edges)`` per work unit in
-    the call, in unit order: the unit's adjacency, for each of its
-    vertices where the neighbor segment starts in ``local.indices`` and
-    how long it is (callers guarantee nonzero), and the lengths' sum.
+    ``starts`` / ``lens`` give, per vertex of the call, where its
+    neighbor segment starts in its machine's ``indices`` and how long
+    it is (callers guarantee nonzero); ``runs`` is one ``(local, a, b)``
+    per run of consecutive vertices ``a:b`` on one machine, in order.
     The plan is ``lens`` / ``seg_start`` (each segment's length and its
     offset into the flat arrays) and ``flat`` (the concatenated
     neighbor ids, in scan order); :attr:`seg_ids` and :meth:`dest` are
@@ -96,24 +96,21 @@ class ScanBlock:
 
     __slots__ = ("lens", "seg_start", "flat", "_seg_ids", "_dest")
 
-    def __init__(self, rows) -> None:
-        starts = np.concatenate([row[1] for row in rows])
-        lens = np.concatenate([row[2] for row in rows])
+    def __init__(self, starts, lens, runs) -> None:
         self.lens = lens = lens.astype(np.int64, copy=False)
-        self.seg_start = seg_start = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=seg_start[1:])
-        total = int(seg_start[-1] + lens[-1])
+        self.seg_start = seg_start = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=seg_start[1:])
+        total = int(seg_start[-1])
         # each flat element's index into its own machine's ``indices``
-        index = np.repeat(starts - seg_start, lens)
+        index = np.repeat(starts - seg_start[:-1], lens)
         index += np.arange(total, dtype=np.int64)
-        # one gather per machine, out of that machine's array into its
+        # one gather per run, out of that machine's array into its
         # slice of the block: no stacked copy of the topology
-        flat = np.empty(total, dtype=rows[0][0].indices.dtype)
-        lo = 0
-        for local, _, _, edges in rows:
-            hi = lo + edges
+        flat = np.empty(total, dtype=runs[0][0].indices.dtype)
+        for local, a, b in runs:
+            lo, hi = seg_start[a], seg_start[b]
             np.take(local.indices, index[lo:hi], out=flat[lo:hi], mode="clip")
-            lo = hi
+        self.seg_start = seg_start[:-1]
         self.flat = flat.astype(np.int64, copy=False)
         self._seg_ids: Optional[np.ndarray] = None
         self._dest: Optional[np.ndarray] = None
@@ -123,7 +120,7 @@ class ScanBlock:
         """The block of one unit: ``vertices``' segments in ``local``."""
         starts = local.indptr[vertices]
         lens = local.indptr[vertices + 1] - starts
-        return cls([(local, starts, lens, int(lens.sum()))])
+        return cls(starts, lens, [(local, 0, vertices.size)])
 
     @property
     def seg_ids(self) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import CSRGraph, spans, splice_rows
+from repro.graph.csr import CSRGraph, sorted_unique, spans, splice_rows
 from repro.graph.dynamic import MutationBatch
 from repro.partition.base import (
     EDGE_CUT_KINDS, LocalAdjacency, Partition, slice_view,
@@ -290,7 +290,7 @@ def refresh_partition(
     ]
     cells = circulant_cells(owners, dst_masters, p)
     if graph.patched_from is old.graph and old._master_order is None:
-        touched = np.unique(owners)
+        touched = sorted_unique(owners)
         part = _refresh_machines(
             old, graph, master_of, batch, owners, touched
         )

@@ -122,6 +122,12 @@ class SimulatedNetwork:
             else:
                 self.dropped_log_entries += 1
 
+    @property
+    def per_message(self) -> bool:
+        """Does anything observe single messages (a delivery hook, the
+        trace log)?  Only then does a message list's order matter."""
+        return self.delivery_hook is not None or self.trace
+
     def send_many(self, src, dst, tag, nbytes) -> None:
         """Record an ordered list of transfers, one message each:
         aligned integer arrays, ``tag`` one tag name or per message a
@@ -145,23 +151,43 @@ class SimulatedNetwork:
             raise EngineError("machine out of range in a message list")
         if nbytes.size and nbytes.min() < 0:
             raise EngineError("cannot send a negative number of bytes")
-        if self.delivery_hook is not None or self.trace:
+        if self.per_message:
             for s, d, c, b in zip(
                 src.tolist(), dst.tolist(), codes.tolist(), nbytes.tolist()
             ):
                 self.send(s, d, COMM_TAGS[c], b)
             return
-        # one row of p * p cells per tag; local entries land on the
-        # diagonal (every (p + 1)-th cell), which is then dropped
+        # one row of p * p cells per tag
         key = src * p + dst
         key += codes * (p * p)
-        size, rows = self._bytes.size, len(COMM_TAGS)
-        messages = np.bincount(key, minlength=size).reshape(rows, -1)
+        size = self._bytes.size
+        messages = np.bincount(key, minlength=size)
         # float64 sums of integers are exact below 2**53 bytes
-        payload = np.bincount(
-            key, weights=nbytes, minlength=size
-        ).astype(np.int64).reshape(rows, -1)
-        messages[:, ::p + 1] = payload[:, ::p + 1] = 0
+        payload = np.bincount(key, weights=nbytes, minlength=size)
+        self._add(messages, payload.astype(np.int64))
+
+    def book(self, messages: np.ndarray, nbytes: np.ndarray) -> None:
+        """Book messages as sums: ``(tag, src, dst)`` message counts and
+        their byte totals, tags in ``COMM_TAGS`` order — what
+        :meth:`send_many` books for a list of them when nothing observes
+        single messages (so it refuses when something does).  Cells on
+        the diagonal are local, hence free."""
+        if self.per_message:
+            raise EngineError("single messages are observed: send a list")
+        if {messages.shape, nbytes.shape} != {self._messages.shape}:
+            raise EngineError("message sums must be (tag, src, dst) arrays")
+        if messages.min() < 0 or nbytes.min() < 0:
+            raise EngineError("cannot book a negative sum")
+        self._add(messages.astype(np.int64), nbytes.astype(np.int64))
+
+    def _add(self, messages: np.ndarray, payload: np.ndarray) -> None:
+        """Add sums the caller hands over (they are changed): local
+        cells, every (p + 1)-th of a tag's p * p, are dropped first."""
+        rows = len(COMM_TAGS)
+        messages = messages.reshape(rows, -1)
+        payload = payload.reshape(rows, -1)
+        messages[:, ::self.num_machines + 1] = 0
+        payload[:, ::self.num_machines + 1] = 0
         self._messages += messages.reshape(self._messages.shape)
         self._bytes += payload.reshape(self._bytes.shape)
         for tag, count, volume in zip(

@@ -4,22 +4,26 @@ The pull side of ``test_push_kernel.py``:
 
 * ``repro.exec.work.pull_walk`` — on random small directed multigraphs
   (self-loops, parallel edges, isolated and zero-in-degree vertices,
-  more machines than vertices) every result key of every unit of a
-  walked step equals the unit's own per-unit kernel calls (the
-  pre-block scan, kept here as the oracle) by dtype and bytes, whatever
-  the block limit and whatever the units carry in; a chunk walked at
-  once equals its items walked one by one;
+  more machines than vertices) the walk's one array set, cut back into
+  units, equals every unit's own per-unit kernel calls (the pre-block
+  scan, kept here as the oracle) by dtype and bytes, whatever the block
+  limit and whatever the units carry in; a chunk walked at once equals
+  its items walked one by one; a walk returns the same fixed set of
+  arrays whatever ``p``;
 * whole ``Session.run`` observables — digest, counters, simulated time,
   the ordered send log — are the same under every block limit and on
   every executor;
-* ``repro.exec.work.PlanStore`` — a scan plan is kept from the second
-  consecutive sighting of a block's vertex sets, served while they
-  recur, and never outlives its run or its partition;
+* ``repro.exec.work.PlanStore`` — a lane plan is kept from the second
+  consecutive sighting of a lane's vertex sets, served while they recur
+  (no row gather, no block build), and never outlives its run or its
+  partition;
 * the engine gate — a tampered block slice is refused under
   ``verify="strict"`` and dropped, with the right answer, under
   ``"warn"``;
 * the executors' chunk loop — one helper, a typed failure when never
-  bound, the straggler rule.
+  bound, the straggler rule;
+* booking — an untraced phase with no delivery hook books per-pair
+  sums, with no ordered message list.
 """
 
 import numpy as np
@@ -126,8 +130,8 @@ def circulant_step(engine, analyzed, rng, step, differentiated, carry):
     data = {name: np.zeros(n) for name in names}
     table = {
         "machine": [[(j - s - 1) % p for s in range(p)] for j in range(p)],
-        "dep": [], "plain": [],
     }
+    rows = {"dep": [], "plain": []}
     units = []
     for m in range(p):
         j = circulant_partition(m, step, p)
@@ -150,10 +154,17 @@ def circulant_step(engine, analyzed, rng, step, differentiated, carry):
                 carried[name] = (mask, values)
         # machine m's rows hold partition j alone
         for lane, vertices in (("dep", circulated), ("plain", plain)):
-            table[lane].append(
-                (vertices, [0] * (j + 1) + [vertices.size] * (p - j))
-            )
+            rows[lane].append((j, vertices))
         units.append({"m": m, "dep": dep, "carried": carried, "plain": plain})
+    for lane, held in rows.items():
+        cuts = np.zeros((p, p + 1), dtype=np.int64)
+        base = 0
+        for m, (j, vertices) in enumerate(held):
+            cuts[m] = base + np.where(np.arange(p + 1) > j, vertices.size, 0)
+            base += vertices.size
+        table[lane] = (
+            np.concatenate([v for _, v in held]).astype(np.int64), cuts
+        )
     return table, (skip, present, data), units
 
 
@@ -181,13 +192,46 @@ def walk_step(ctx, shared, table, step, dep_in=None):
     """The walk of ``step`` alone over every item of ``table``, its
     units' results in the order of the machines that scan them."""
     items = list(range(len(table["machine"])))
-    walked = work.pull_walk(
+    walk, = work.pull_walk(
         ctx, {**shared, "table": table, "steps": (step, step + 1),
               "dep_in": dep_in}, items,
     )
-    return [walked[j][0] for j in sorted(
-        items, key=lambda j: table["machine"][j][step]
-    )]
+    return unit_results(walk)
+
+
+def unit_results(walk):
+    """A walk's array set cut back into one result per unit, in the
+    walk's unit order, shaped as :func:`per_unit_oracle`'s (None: a unit
+    with no vertex on either lane)."""
+    cls, sizes, starts = work._unit_values(walk)
+    emit_at = np.cumsum(walk["emit_n"]) - walk["emit_n"]
+    dep_at = np.cumsum(walk["dep_vertices"]) - walk["dep_vertices"]
+    out = []
+    for u in range(walk["m"].size):
+        res = {"kind": walk["kind"], "m": int(walk["m"][u])}
+        for lane in ("plain", "dep"):
+            for what in ("edges", "vertices"):
+                res[f"{lane}_{what}"] = int(walk[f"{lane}_{what}"][u])
+        if not (res["plain_vertices"] or res["dep_vertices"]):
+            out.append(None)
+            continue
+        emits = slice(emit_at[u], emit_at[u] + walk["emit_n"][u])
+        res["emit_v"] = walk["emit_v"][emits]
+        if sizes[u]:
+            res["emit_values"] = walk["emit_values"][cls[u]][
+                starts[u]:starts[u] + sizes[u]
+            ]
+        if "dep_v" in walk and res["dep_vertices"]:
+            span = slice(dep_at[u], dep_at[u] + res["dep_vertices"])
+            res["dep_v"] = walk["dep_v"][span]
+            res["broke"] = (None if walk["broke"] is None
+                            else walk["broke"][span])
+            res["carried"] = {
+                name: (present[span], values[span])
+                for name, (present, values) in walk["carried"].items()
+            }
+        out.append(res)
+    return out
 
 
 def per_unit_oracle(ctx, analyzed, unit):
@@ -223,14 +267,18 @@ def per_unit_oracle(ctx, analyzed, unit):
             emit_v, values = emit_v[order], values[order]
         elif dep_v.size:
             emit_v, values = dep_v, batch.values[batch.emit_mask]
-    return {
-        **out,
-        "kind": spec.kind, "plain_edges": plain_edges, "plain_seconds": 0.0,
-        "dep_edges": dep_edges, "dep_seconds": 0.0, "emit_v": emit_v,
-        "emit_counts": None, "emit_values": values, "m": m,
-        "plain_vertices": int(plain.size),
+    res = {
+        "kind": spec.kind, "m": m,
+        "plain_edges": plain_edges, "plain_vertices": int(plain.size),
+        "dep_edges": dep_edges,
         "dep_vertices": 0 if dep is None else int(dep.size),
+        "emit_v": emit_v,
     }
+    if emit_v.size:  # a unit that emits nothing has no values
+        res["emit_values"] = values
+    if res["dep_vertices"]:  # nor, with no dependency lane, any state
+        res.update(out, dep_v=dep)
+    return res
 
 
 def same(a, b):
@@ -248,14 +296,18 @@ def same(a, b):
     return type(a) is type(b) and a == b
 
 
-def assert_same_results(got, want):
+def assert_same_results(got, want, state=True):
     """Unit by unit, key by key; a unit with no vertex on either lane
-    is None — the oracle's has zero vertices on both."""
+    is None — the oracle's has zero vertices on both.  ``state``: the
+    walk returned the dependency state (it was passed ``dep_in``)."""
     assert len(got) == len(want)
     for res, ref in zip(got, want):
         if ref is None or not (ref["plain_vertices"] or ref["dep_vertices"]):
             assert res is None, ref
             continue
+        if not state:
+            ref = {k: v for k, v in ref.items()
+                   if k not in ("dep_v", "broke", "carried")}
         assert res.keys() == ref.keys()
         for key in ref:
             assert same(res[key], ref[key]), (ref["m"], key, res[key], ref[key])
@@ -325,7 +377,7 @@ class TestBlockEqualsUnit:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(work, "_BLOCK_EDGES", limit)
                 got = walk_step(ctx, {**shared, "scan": (1, phase)}, table, 0)
-            assert_same_results(got, want)
+            assert_same_results(got, want, state=False)
 
     def test_restored_and_fresh_units_never_share_a_call(self):
         """A kernel picks its fold dtype once per call: a unit with no
@@ -355,11 +407,10 @@ class TestBlockEqualsUnit:
         # classes alternate, so no two units could share a block
         assert ctx.plans.counts["blocks"] == ctx.plans.counts["units"] == 4
 
-    def test_empty_units_keep_the_empty_batch_arrays(self):
+    def test_empty_units_cost_nothing(self):
         """p > n: most machines hold nothing, and their units come back
-        as None — no call, no arrays; a unit's lane with no vertex comes
-        back as what a kernel returns for no vertices, dtypes
-        included."""
+        with no vertex, no edge and no emit; a unit whose dependency
+        lane is empty adds nothing to the step's state arrays."""
         graph = CSRGraph(3, np.array([0, 1, 1]), np.array([1, 2, 2]))
         for differentiated in (False, True):
             rng = np.random.default_rng(1)
@@ -387,12 +438,11 @@ class TestBlockEqualsUnit:
             lane_only = [res for res in scanned if not res["dep_vertices"]]
             assert bool(lane_only) == differentiated
             for res in lane_only:
-                assert res["broke"].dtype == bool
-                assert not res["broke"].size
+                assert "broke" not in res and "carried" not in res
 
     def test_a_phase_with_no_dependency_lane(self, monkeypatch):
         """BFS's late pulls: every vertex on the plain lane.  The walk
-        of all p steps makes no dependency-lane call and no row for an
+        of all p steps plans only its plain lane, with a row for no
         empty unit, and scans the plain lanes of every step in
         ``ceil(plain edges / _BLOCK_EDGES)`` calls."""
         graph = to_undirected(rmat(scale=8, edge_factor=4, seed=2))
@@ -403,23 +453,17 @@ class TestBlockEqualsUnit:
         table = engine._pull_table(
             np.zeros(n, dtype=bool), rng.random(n) < 0.5, circulant=True
         )
-        lanes, sets = [], []
-        scan_lane, lane_blocks = work._scan_lane, work._lane_blocks
+        plans = []
+        lane_plan = work._lane_plan
 
-        def counted_scan(ctx, shared, spec, ms, block, lane, *rest):
-            lanes.append(lane)
-            return scan_lane(ctx, shared, spec, ms, block, lane, *rest)
+        def counted(ctx, shared, key, machines, sizes, *rest):
+            plan = lane_plan(ctx, shared, key, machines, sizes, *rest)
+            plans.append((key[0], sizes.tolist(), len(plan.blocks)))
+            return plan
 
-        def counted_rows(ctx, shared, spec, lane, units, vertices, *rest):
-            # every vertex set that gets a row
-            sets.extend(v.size for v in vertices)
-            return lane_blocks(ctx, shared, spec, lane, units, vertices,
-                               *rest)
-
-        monkeypatch.setattr(work, "_scan_lane", counted_scan)
-        monkeypatch.setattr(work, "_lane_blocks", counted_rows)
+        monkeypatch.setattr(work, "_lane_plan", counted)
         shared = {**shared_for(analyzed), "table": table, "steps": (0, 8)}
-        walked = work.pull_walk(ctx, shared, list(range(8)))
+        walk, = work.pull_walk(ctx, shared, list(range(8)))
         plain = [
             (m, unit_vertices) for m in range(8) for j in range(8)
             if (unit_vertices := work.unit_lane(table, "plain", m, j)).size
@@ -428,13 +472,14 @@ class TestBlockEqualsUnit:
             int(ctx.local_in(m).degrees()[v].sum()) for m, v in plain
         )
         assert 0 < edges and len(plain) > 8
-        assert lanes == ["plain"] * -(-edges // work._BLOCK_EDGES)
-        assert sorted(sets) == sorted(v.size for _, v in plain)
-        units = [res for walk in walked for res in walk]
+        (lane, sizes, blocks), = plans
+        assert lane == "plain"
+        assert blocks == -(-edges // work._BLOCK_EDGES)
+        assert sorted(sizes) == sorted(v.size for _, v in plain)
+        units = unit_results(walk)
         # a unit with no plain vertex has nothing to scan at all
         assert sum(res is None for res in units) == 64 - len(plain)
-        assert all(res["dep_vertices"] == res["dep_edges"] == 0
-                   for res in units if res is not None)
+        assert not walk["dep_vertices"].any() and not walk["dep_edges"].any()
 
     def test_limit_bounds_the_running_count(self):
         """``count_to_k_break``'s one cumsum per call is exact below
@@ -463,12 +508,54 @@ class TestBlockEqualsUnit:
         shared = {**shared_for(analyzed, carried=analyzed.info.carried_vars),
                   "table": table, "steps": (0, 4)}
         monkeypatch.setattr(work, "_BLOCK_EDGES", 1 << 40)
-        whole = work.pull_walk(ctx, shared, [0, 1, 2, 3])
+        whole = unit_results(work.pull_walk(ctx, shared, [0, 1, 2, 3])[0])
         assert ctx.plans.counts["units"] > ctx.plans.counts["blocks"]
-        alone = [work.pull_walk(ctx, shared, [j])[0] for j in range(4)]
-        for got, want in zip(whole, alone):
-            assert len(got) == 4
-            assert_same_results(got, want)
+        for j in range(4):
+            alone = unit_results(work.pull_walk(ctx, shared, [j])[0])
+            assert len(alone) == 4
+            # item j is scanned by machine (j - s - 1) % 4 in step s
+            assert_same_results(
+                alone, [whole[4 * s + (j - s - 1) % 4] for s in range(4)]
+            )
+
+    @pytest.mark.parametrize("machines", [4, 8])
+    def test_a_walk_is_one_fixed_array_set(self, monkeypatch, machines):
+        """Whatever ``p``, a walked phase comes back as the same keys,
+        each a flat array over the walk's ``steps x p`` units (or its
+        emits), a tuple of value arrays, or a scalar — no per-unit
+        dict, list or tuple."""
+        graph = to_undirected(rmat(scale=6, edge_factor=6, seed=3))
+        walks = []
+        pull_walk = work.pull_walk
+
+        def recording(ctx, shared, items):
+            walks.append(pull_walk(ctx, shared, items))
+            return walks[-1]
+
+        recording.chunk = recording
+        monkeypatch.setattr(work, "pull_walk", recording)
+        config = RunConfig(machines=machines, algorithm="kcore", kcore_k=3)
+        with Session(graph, config) as session:
+            session.run()
+        assert walks
+        for chunks in walks:
+            walk, = chunks  # one chunk on the serial executor
+            assert set(walk) == {
+                "kind", "m", "width", "item_edges", "emit_v", "emit_n",
+                "emit_counts", "emit_values", "emit_class",
+                *work._UNIT_COLUMNS,
+            }
+            units = walk["m"].size
+            assert units % machines == 0 and units >= machines
+            for key in ("m", *work._UNIT_COLUMNS, "emit_n"):
+                assert walk[key].shape == (units,)
+            assert walk["emit_v"].shape == (int(walk["emit_n"].sum()),)
+            assert isinstance(walk["emit_values"], tuple)
+            assert all(isinstance(v, np.ndarray)
+                       for v in walk["emit_values"])
+            assert walk["emit_class"] is None or (
+                walk["emit_class"].shape == (units,)
+            )
 
 
 # -- (b) whole runs --------------------------------------------------------------
@@ -572,13 +659,53 @@ class TestWholeRuns:
         assert alone == 1 < split < whole
 
 
+def mixed_signal(v, nbrs, s, emit):
+    """Bottom-up BFS emitting an int for an even parent and a tuple for
+    an odd one: a unit's values are an int64 array, a list, or (both
+    kinds) a list — three value classes a chunk join must keep apart."""
+    for u in nbrs:
+        if s.frontier[u]:
+            emit(u if u % 2 == 0 else (u,))
+            break
+
+
+def _mixed_slot(v, value, s):
+    if s.parent[v] >= 0:
+        return False
+    s.parent[v] = value[0] if isinstance(value, tuple) else value
+    return True
+
+
+class TestChunkJoin:
+    @pytest.mark.parametrize("engine_cls", [SympleGraphEngine, GeminiEngine])
+    def test_value_classes_survive_the_join(self, run_graph, engine_cls):
+        """The interpreter's units emit arrays and lists; walked in two
+        or three process chunks and joined, the state, the counters and
+        the ordered send log are the serial walk's."""
+        seen = []
+        for executor in (None, ProcessPoolExecutor(2), ProcessPoolExecutor(3)):
+            engine = engine_cls(
+                OutgoingEdgeCut().partition(run_graph, 5), executor=executor
+            )
+            engine.network.trace = True
+            state = engine.new_state()
+            n = run_graph.num_vertices
+            state.add_array("parent", np.int64, -1)
+            state.set("frontier", np.arange(n) % 7 == 0)
+            active = run_graph.in_degrees() > 0
+            try:
+                for _ in range(2):
+                    engine.pull(mixed_signal, _mixed_slot, state, active)
+                    state.frontier[:] = state.parent >= 0
+            finally:
+                engine.executor.close()
+            seen.append((state.parent.tobytes(), engine.counters.summary(),
+                         list(engine.network.log)))
+        assert seen[0][0] != np.full(n, -1).tobytes()
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
 # -- (c) plan scoping ------------------------------------------------------------
-
-
-def _segments(local, vertices):
-    starts = local.indptr[vertices]
-    lens = local.indptr[vertices + 1] - starts
-    return starts, lens, int(lens.sum())
 
 
 def scan_of(session):
@@ -685,34 +812,85 @@ class TestPlanScoping:
                 scan_of(fresh), dict.fromkeys(work.PlanStore.COUNTERS, 0)
             )
 
-    def test_store_keeps_from_the_second_sighting(self):
-        graph = to_undirected(rmat(scale=5, edge_factor=4, seed=2))
-        partition = OutgoingEdgeCut().partition(graph, 2)
-        locals_ = [partition.local_in(m) for m in range(2)]
-        sets = [np.flatnonzero(local.degrees() > 0) for local in locals_]
+    def test_a_recurring_lane_gathers_and_builds_nothing(self, monkeypatch,
+                                                          run_graph):
+        """PageRank's lanes recur every phase: once a lane's plan is kept
+        (its second sighting), the phases after it make no row gather
+        and no block — no ``LanePlan``, no ``ScanBlock`` — and every
+        block is served."""
+        from repro.algorithms.pagerank import _accumulate_slot
 
-        def rows(sets):
-            out = []
-            for local, vertices in zip(locals_, sets):
-                starts = local.indptr[vertices]
-                lens = local.indptr[vertices + 1] - starts
-                out.append((local, starts, lens, int(lens.sum())))
-            return out
+        built = {"plans": 0, "blocks": 0}
+        lane_plan, scan_block = work.LanePlan, work.ScanBlock
 
-        store = work.PlanStore()
+        def counting(kind, cls):
+            def make(*args, **kwargs):
+                built[kind] += 1
+                return cls(*args, **kwargs)
+            return make
 
-        def sight(run, phase, sets):
-            return store.block(
-                (run, phase, 0), "plain", (0, 1), rows(sets),
-                np.concatenate(sets),
+        monkeypatch.setattr(work, "LanePlan", counting("plans", lane_plan))
+        monkeypatch.setattr(work, "ScanBlock", counting("blocks", scan_block))
+        graph = run_graph
+        with Session(graph, RunConfig(machines=4)) as session:
+            with session.engine_context() as (engine, _, _):
+                state = engine.new_state()
+                state.add_array("rank", np.float64, 1.0 / graph.num_vertices)
+                state.set("out_degree", np.maximum(
+                    graph.out_degrees(), 1).astype(np.float64))
+                state.add_array("incoming", np.float64, 0.0)
+                active = graph.in_degrees() > 0
+                per_phase = []
+                for _ in range(5):
+                    marks = dict(built), scan_of(session)
+                    engine.pull(
+                        pagerank_signal, _accumulate_slot, state, active
+                    )
+                    state.rank[:] = state.rank * 0.5 + 0.1
+                    per_phase.append((
+                        {k: built[k] - marks[0][k] for k in built},
+                        delta(scan_of(session), marks[1]),
+                    ))
+        for k, (made, counts) in enumerate(per_phase):
+            assert counts["blocks"] > 0
+            if k < 2:  # seen once, then kept
+                assert made["plans"] > 0 and made["blocks"] > 0
+            else:
+                assert made == {"plans": 0, "blocks": 0}
+                assert counts["plans_reused"] == counts["blocks"]
+
+    @staticmethod
+    def sights(graph, machines=2):
+        """A store, and a function that sights one lane position of a
+        walk over each machine's whole row of ``graph`` (or ``sets``)."""
+        partition = OutgoingEdgeCut().partition(graph, machines)
+        ctx = work.WorkerContext(
+            [partition.local_in(m) for m in range(machines)],
+            [partition.local_out(m) for m in range(machines)],
+            partition.master_of, graph.num_vertices,
+        )
+        sets = [np.flatnonzero(ctx.local_in(m).degrees() > 0)
+                for m in range(machines)]
+
+        def sight(run, phase, sets=sets, lane="plain", machines=None):
+            sizes = np.array([v.size for v in sets])
+            machines = np.arange(len(sets)) if machines is None else machines
+            return work._lane_plan(
+                ctx, {"solo": False, "scan": (run, phase)}, (lane, 0, 0),
+                machines, sizes, np.concatenate(sets), None,
             )
 
-        first = sight(1, 0, sets)
+        return ctx.plans, sight, sets, ctx
+
+    def test_store_keeps_from_the_second_sighting(self):
+        graph = to_undirected(rmat(scale=5, edge_factor=4, seed=2))
+        store, sight, sets, ctx = self.sights(graph)
+        first = sight(1, 0)
         assert store.nbytes == 0  # seen once: nothing kept
-        second = sight(1, 1, sets)
+        second = sight(1, 1)
         assert second is not first and store.nbytes == second.nbytes
-        assert sight(1, 2, sets) is second
-        assert sight(1, 4, sets) is second  # push phases in between
+        assert sight(1, 2) is second
+        assert sight(1, 4) is second  # push phases in between
         assert store.counts == {
             "blocks": 4, "units": 8, "plans_built": 2, "plans_reused": 2,
         }
@@ -720,63 +898,54 @@ class TestPlanScoping:
         fewer = [sets[0], sets[1][:-1]]
         third = sight(1, 5, fewer)
         assert third is not second and store.nbytes == 0
-        assert third.flat.size == second.flat.size - rows(sets)[1][2][-1]
-        sight(1, 6, sets)
-        kept = sight(1, 7, sets)
-        assert sight(1, 8, sets) is kept
+        dropped = int(ctx.local_in(1).degrees()[sets[1][-1]])
+        flat = [plan.blocks[0][4].flat.size for plan in (second, third)]
+        assert flat[1] == flat[0] - dropped
+        sight(1, 6)
+        kept = sight(1, 7)
+        assert sight(1, 8) is kept
         # a new run finds nothing, whatever the sets
-        fresh = sight(2, 0, sets)
+        fresh = sight(2, 0)
         assert fresh is not kept and store.nbytes == 0
         # equal sets two phases apart are not consecutive sightings
         sight(2, 1, fewer)
-        sight(2, 2, sets)
+        sight(2, 2)
         assert store.nbytes == 0
 
     def test_same_vertices_cut_elsewhere_is_a_miss(self):
-        """Equal concatenated sets under different unit boundaries are
-        different blocks (each row gathers from its own machine)."""
+        """Equal concatenated sets under different unit boundaries, or
+        on other machines, are different lanes (each row gathers from
+        its own machine); the lanes of one position never meet."""
         graph = to_undirected(rmat(scale=5, edge_factor=4, seed=2))
-        local = OutgoingEdgeCut().partition(graph, 1).local_in(0)
-        vertices = np.flatnonzero(local.degrees() > 0)
-
-        def sight(phase, cut):
-            rows = []
-            for part in (vertices[:cut], vertices[cut:]):
-                starts = local.indptr[part]
-                lens = local.indptr[part + 1] - starts
-                rows.append((local, starts, lens, int(lens.sum())))
-            return store.block((1, phase, 0), "dep", (0, 1), rows, vertices)
-
-        store = work.PlanStore()
-        sight(0, 3)
-        kept = sight(1, 3)
-        assert sight(2, 3) is kept
-        assert sight(3, 4) is not kept and store.nbytes == 0
-        # and the lanes of one position never meet
-        assert store.block(
-            (1, 4, 0), "plain", (0, 1),
-            [(local, *_segments(local, vertices[:4])),
-             (local, *_segments(local, vertices[4:]))],
-            vertices,
-        ) is not None
+        store, sight, (vertices,), _ = self.sights(graph, machines=1)
+        cut = {k: [vertices[:k], vertices[k:]] for k in (3, 4)}
+        one = np.zeros(2, dtype=np.int64)  # both units on machine 0
+        sight(1, 0, cut[3], machines=one)
+        kept = sight(1, 1, cut[3], machines=one)
+        assert sight(1, 2, cut[3], machines=one) is kept
+        assert sight(1, 3, cut[4], machines=one) is not kept
+        assert store.nbytes == 0
+        sight(1, 4, cut[4], machines=one)
+        assert sight(1, 5, cut[4], lane="dep", machines=one) is not None
         assert store.counts["plans_reused"] == 1
 
     def test_store_copies_sets_it_does_not_own(self):
         """A worker's sets are views of the delta arena, overwritten
         two maps later."""
         graph = to_undirected(rmat(scale=5, edge_factor=4, seed=2))
-        local = OutgoingEdgeCut().partition(graph, 1).local_in(0)
-        backing = np.flatnonzero(local.degrees() > 0)
+        store, _, sets, ctx = self.sights(graph, machines=1)
+        backing = sets[0].copy()
         view = backing[:]
         assert not view.flags.owndata
-        starts = local.indptr[view]
-        lens = local.indptr[view + 1] - starts
-        row = [(local, starts, lens, int(lens.sum()))]
-        store = work.PlanStore()
-        store.block((1, 0, 0), "plain", (0,), row, view)
+        sizes, machines = np.array([view.size]), np.zeros(1, dtype=np.int64)
+
+        def build():
+            return work.LanePlan(ctx, machines, sizes, view, None, 1 << 20)
+
+        store.plan((1, 0), ("plain", 0, 0), b"", view, build)
         wanted = backing.copy()
         backing[0] = backing[1]  # the arena moves on
-        store.block((1, 1, 0), "plain", (0,), row, wanted)
+        store.plan((1, 1), ("plain", 0, 0), b"", wanted, build)
         assert store.counts["plans_built"] == 2 and store.nbytes > 0
 
 
@@ -784,18 +953,18 @@ class TestPlanScoping:
 
 
 def tampered_scan_lane(monkeypatch):
-    """Make every multi-unit block hand its second unit one edge too
-    many — a slicing bug the per-unit replay must catch."""
+    """Make every lane with a multi-unit block hand the block's second
+    unit one edge too many — a slicing bug the per-unit replay must
+    catch."""
     scan_lane = work._scan_lane
     hits = []
 
-    def tampered(ctx, shared, spec, ms, block, lane, *lanes):
-        out = scan_lane(ctx, shared, spec, ms, block, lane, *lanes)
-        live = [i for i, cut in enumerate(out) if cut[0]]
-        if len(live) > 1:
-            hits.append(lane)
-            edges, *rest = out[live[1]]
-            out[live[1]] = (edges + 1, *rest)
+    def tampered(ctx, shared, spec, plan, *lanes):
+        out = scan_lane(ctx, shared, spec, plan, *lanes)
+        second = [u0 + 1 for u0, u1, *_ in plan.blocks if u1 - u0 > 1]
+        if second:
+            hits.append(plan)
+            out[0][second] += 1
         return out
 
     monkeypatch.setattr(work, "_scan_lane", tampered)
@@ -1042,3 +1211,45 @@ class TestAnalysisMemo:
         mine = ctx.analyzed(kcore_signal)
         assert ctx.analyzed(kcore_signal) is mine
         assert mine.kernel is instrument_signal(kcore_signal).kernel
+
+
+# -- booking ------------------------------------------------------------------
+
+
+class TestBooking:
+    @pytest.mark.parametrize("algorithm", ["pagerank", "kcore", "bfs"])
+    def test_untraced_books_sums_without_a_list(
+        self, monkeypatch, run_graph, algorithm
+    ):
+        """With no delivery hook and no trace log nothing observes a
+        single message, so the merge books per-pair sums and builds no
+        ordered list: no hand-off is inserted anywhere.  Traced, the
+        same run inserts its hand-offs after their units' updates and
+        books the same counters."""
+        inserts = []
+        insert = np.insert
+
+        def counted(*args, **kwargs):
+            inserts.append(1)
+            return insert(*args, **kwargs)
+
+        monkeypatch.setattr(np, "insert", counted)
+        engines = []
+        make_engine = api.make_engine
+
+        def recording(*args, **kwargs):
+            engines.append(make_engine(*args, **kwargs))
+            engines[-1].network.trace = traced
+            return engines[-1]
+
+        monkeypatch.setattr(api, "make_engine", recording)
+        summaries = []
+        for traced in (False, True):
+            config = RunConfig(machines=5, algorithm=algorithm, bfs_roots=2,
+                               kcore_k=3)
+            with Session(run_graph, config) as session:
+                session.run()
+            summaries.append(engines[-1].counters.summary())
+            assert bool(inserts) == traced
+            assert engines[-1].counters.bytes_by_tag["dep"] > 0
+        assert summaries[0] == summaries[1]

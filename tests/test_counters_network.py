@@ -154,6 +154,49 @@ def booked(net):
     )
 
 
+class TestBook:
+    """``book`` takes the per-``(tag, src, dst)`` sums of a list and
+    books what ``send_many`` books for the list itself."""
+
+    def sums(self, net, src, dst, tags, nbytes):
+        out = np.zeros((2, *net._bytes.shape), dtype=np.int64)
+        np.add.at(out[0], (tags, src, dst), 1)
+        np.add.at(out[1], (tags, src, dst), nbytes)
+        return out
+
+    def test_books_what_the_list_books(self):
+        listed, summed = SimulatedNetwork(3), SimulatedNetwork(3)
+        args = TestSendMany.SRC, TestSendMany.DST, TestSendMany.TAGS, \
+            TestSendMany.NBYTES
+        listed.send_many(*args)
+        summed.book(*self.sums(summed, *args))
+        assert booked(summed) == booked(listed)
+        assert summed.counters.messages_by_tag["ckpt"] == 1
+
+    def test_local_cells_are_free(self):
+        net = SimulatedNetwork(2)
+        net.book(*self.sums(net, [0, 1, 0], [0, 1, 1], [0, 0, 0],
+                            [5, 5, 3]))
+        assert net.bytes_sent() == 3
+        assert net.counters.messages_by_tag["update"] == 1
+
+    @pytest.mark.parametrize("bad", ["hook", "trace", "shape", "negative"])
+    def test_refuses(self, bad):
+        """Under a hook or the trace log single messages are observed:
+        sums would hide them.  Nothing is booked on a refusal."""
+        net = SimulatedNetwork(2, trace=bad == "trace")
+        if bad == "hook":
+            net.delivery_hook = lambda *message: None
+        sums = self.sums(net, [0], [1], [0], [4])
+        if bad == "shape":
+            sums = sums[:, :, :1]
+        if bad == "negative":
+            sums[1, 0, 0, 1] = -4
+        with pytest.raises(EngineError):
+            net.book(*sums)
+        assert booked(net) == booked(SimulatedNetwork(2))
+
+
 class TestSendMany:
     """``send_many`` books what one ``send`` per message books, and
     hands single messages to whatever observes them in list order."""

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import repro.graph.csr as csr
 from repro.errors import GraphError
 from repro.graph import CSRGraph
-from repro.graph.csr import find_pairs, splice_rows, stable_order
+from repro.graph.csr import (
+    find_pairs, sorted_unique, splice_rows, stable_order,
+)
 
 
 def build(n, edges, weights=None):
@@ -271,6 +273,43 @@ class TestStableOrder:
     @settings(max_examples=150, deadline=None)
     def test_matches_the_stable_argsort(self, keys):
         self.check(keys)
+
+
+class TestSortedUnique:
+    """``sorted_unique`` gives ``np.unique``'s values and dtype; an
+    input already strictly ascending comes back as it is."""
+
+    @staticmethod
+    def check(values):
+        before = values.copy()
+        got = sorted_unique(values)
+        want = np.unique(values)
+        np.testing.assert_array_equal(values, before)  # input untouched
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        if not (values[1:] <= values[:-1]).any():
+            assert got is values
+
+    @pytest.mark.parametrize("values", [
+        [], [4], [3] * 7, [0, 2, 5, 9], [9, 5, 2, 0], [1, 4, 1, 0, 4, 4],
+    ], ids=["empty", "one", "all-duplicate", "ascending", "descending",
+            "mixed"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_cases(self, values, dtype):
+        self.check(np.asarray(values, dtype=dtype))
+
+    @given(
+        st.lists(st.integers(-2**31, 2**31 - 1), max_size=200),
+        st.sampled_from([np.int64, np.int32]),
+        st.sampled_from(["as drawn", "ascending", "descending"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_unique(self, values, dtype, arrange):
+        values = np.asarray(values, dtype=dtype)
+        if arrange != "as drawn":
+            values = np.sort(values)
+            values = values if arrange == "ascending" else values[::-1].copy()
+        self.check(values)
 
 
 def delete_then_insert(indptr, indices, weights, num_rows, deletes, inserts):
