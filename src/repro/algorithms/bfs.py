@@ -277,12 +277,11 @@ def _pick_direction(
         return "push"
     if mode == "bottomup":
         return "pull"
-    n = len(out_degrees)
-    frontier_idx = np.flatnonzero(s.frontier)
-    m_f = int(out_degrees[frontier_idx].sum())
-    unvisited = ~s.visited
-    m_u = int(out_degrees[unvisited].sum())
-    n_f = frontier_idx.size
     if not running_pull:
+        # degree sums as dot products with the masks: exact integers,
+        # no gathered copy
+        m_f = int(out_degrees @ s.frontier)
+        m_u = int(out_degrees @ ~s.visited)
         return "pull" if m_f > m_u / alpha else "push"
-    return "push" if n_f < n / beta else "pull"
+    n_f = np.count_nonzero(s.frontier)
+    return "push" if n_f < len(out_degrees) / beta else "pull"

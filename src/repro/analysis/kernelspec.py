@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import re
 import types
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -63,6 +64,7 @@ __all__ = [
     "ShapeSpec",
     "ShapeMismatch",
     "KernelSpec",
+    "EDGE_ROLES",
     "classifier",
     "classify_kernel",
     "match_kernel",
@@ -143,6 +145,37 @@ class KernelSpec(ShapeSpec):
     @property
     def shape(self) -> str:
         return self.kind
+
+    @property
+    def vertex_roles(self) -> Dict[str, Optional[str]]:
+        """The per-edge roles (:data:`EDGE_ROLES`) whose value is the
+        neighbour's alone — they read ``__u`` and no ``__v`` — so one
+        value per vertex, gathered per edge, is the per-edge value.
+        Each maps to the state field it is a bare read of
+        (``__state.x[__u]``: the array is its own table), or None."""
+        roles = {}
+        for role in EDGE_ROLES[self.kind]:
+            source = self.sources[role]
+            if _reads(source, "__u") and not _reads(source, "__v"):
+                bare = _BARE_READ.fullmatch(source)
+                roles[role] = bare and bare.group(1)
+        return roles
+
+
+#: the roles each kind evaluates once per scanned edge, over the flat
+#: neighbour ids; every other role is evaluated once per vertex
+EDGE_ROLES = {
+    FIRST_MATCH_BREAK: ("predicate",),
+    COUNT_TO_K_BREAK: ("predicate",),
+    FULL_SCAN_SUM: ("term",),
+    FULL_SCAN_MIN: ("term",),
+}
+_BARE_READ = re.compile(r"__state\.(\w+)\[__u\]")
+
+
+def _reads(source: str, name: str) -> bool:
+    """Does a compiled expression's ``source`` read the name ``name``?"""
+    return re.search(rf"\b{name}\b", source) is not None
 
 
 def classifier(

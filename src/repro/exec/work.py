@@ -50,6 +50,7 @@ __all__ = [
     "LanePlan",
     "CountingNeighbors",
     "pull_walk",
+    "vertex_tables",
     "push_task",
     "unit_lane",
     "joined",
@@ -393,10 +394,41 @@ def _lane_plan(ctx, shared, key, machines, sizes, vertices, restored):
     )
 
 
-def _scan_lane(ctx, shared, spec, plan, vertices, carried_in):
+def vertex_tables(spec, state) -> Dict[str, np.ndarray]:
+    """The per-vertex tables of ``spec``'s neighbour-only roles
+    (:attr:`~repro.analysis.kernelspec.KernelSpec.vertex_roles`) over
+    ``state``: a bare read's own array, no copy; any other role
+    evaluated once over every vertex id.
+
+    Built per :func:`pull_walk` call and never kept: workers write no
+    state during a phase, so one table serves the walk, and a replayed
+    phase builds its own from the state it reads.  A table evaluates
+    vertices no edge reads (a sink's ``rank / 0``), so floating-point
+    warnings are off, and a role whose table raises there (an integer
+    to a negative power) stays per edge.
+    """
+    tables = {}
+    ids = None
+    for role, field in spec.vertex_roles.items():
+        if field is not None:
+            tables[role] = getattr(state, field)
+            continue
+        if ids is None:
+            ids = np.arange(state.num_vertices, dtype=np.int64)
+        try:
+            with np.errstate(all="ignore"):
+                value = spec.exprs[role](state, ids, None)
+        except (ArithmeticError, ValueError):
+            continue
+        tables[role] = np.broadcast_to(value, ids.shape)
+    return tables
+
+
+def _scan_lane(ctx, shared, spec, plan, vertices, carried_in, tables):
     """A lane's kernel calls, one per block of ``plan`` over
     ``vertices`` (``carried_in``: ``(present, values)`` aligned with
-    them, or None).
+    them, or None), each gathering its neighbour-only roles from
+    ``tables`` (:func:`vertex_tables`).
 
     Per unit, the edges it scanned and its share of its call's seconds
     (by flattened edges, what a call's time goes with); per vertex,
@@ -416,6 +448,7 @@ def _scan_lane(ctx, shared, spec, plan, vertices, carried_in):
             carried_in=None if carried_in is None else (
                 carried_in[0][v0:v1], carried_in[1][v0:v1]
             ),
+            tables=tables,
         )
         if timed:
             seconds[u0:u1] = (
@@ -708,7 +741,9 @@ def pull_walk(
     edges fit ``_BLOCK_EDGES`` share one call (``shared['solo']``: every
     unit alone, the certifier's replay) — and ``shared['scan']`` scopes
     the plans the context's :class:`PlanStore` keeps.  A lane with no
-    vertex costs no call and no row.
+    vertex costs no call and no row.  Every kernel call of the walk
+    gathers the spec's neighbour-only roles from tables the walk builds
+    once (:func:`vertex_tables`), never kept beyond it.
 
     The result holds, per unit (``m``: the scanning machine; the walk's
     units step-major, each step's ``width`` units in ascending machine
@@ -739,6 +774,7 @@ def pull_walk(
     analyzed = ctx.analyzed(shared["signal"])
     spec = analyzed.kernel if shared["use_kernel"] else None
     name = spec.carried_vars[0] if spec is not None and store.data else None
+    tables = None if spec is None else vertex_tables(spec, ctx.state)
     first, stop = shared["steps"]
     width = len(items)
     # the walk's units, step by step in ascending machine order: unit
@@ -767,7 +803,7 @@ def pull_walk(
         plan = _lane_plan(ctx, shared, ("plain", first, items[0]),
                           unit_m[units], sizes, vertices, None)
         walk.lane("plain", units, sizes, plan.starts, vertices, _scan_lane(
-            ctx, shared, spec, plan, vertices, None
+            ctx, shared, spec, plan, vertices, None, tables
         ))
     # only units with a dependency lane walk the steps (on the
     # interpreter, every unit with a vertex: it scans both lanes at
@@ -818,7 +854,7 @@ def pull_walk(
                 else np.logical_or.reduceat(carried_in[0], starts),
             )
             scanned = _scan_lane(ctx, shared, spec, plan, vertices,
-                                 carried_in)
+                                 carried_in, tables)
             walk.lane("dep", at, counts, starts, vertices, scanned)
             broke = scanned[3]
             # a kernel's carried value is always there

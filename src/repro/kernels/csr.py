@@ -19,7 +19,14 @@ CSR neighbor segments.  Two invariants are load-bearing:
 All kernels accept ``carried_in=(present, values)`` to restore
 loop-carried state forwarded by the circulant schedule; ``values``
 arrive as float64 (the :class:`~repro.engine.dep.DepStore` wire type),
-matching the interpreter's restored-value dtype behavior.
+matching the interpreter's restored-value dtype behavior.  They also
+accept ``tables``: ``{role: per-vertex array}`` for the per-edge roles
+whose value is the neighbour's alone
+(:attr:`~repro.analysis.kernelspec.KernelSpec.vertex_roles`), which the
+kernel gathers per edge (``table[flat]``) instead of evaluating the
+role over every edge.  The caller builds them against the state the
+call scans (:func:`repro.exec.work.vertex_tables`); an expression is
+elementwise, so the gather is the per-edge value bit for bit.
 
 **One call, several machines.**  The ``local`` a kernel scans is one
 :class:`~repro.partition.base.LocalAdjacency` or a :class:`ScanBlock`:
@@ -53,7 +60,7 @@ publication.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +84,7 @@ __all__ = [
 ]
 
 CarriedIn = Optional[Tuple[np.ndarray, np.ndarray]]
+Tables = Optional[Dict[str, np.ndarray]]
 
 
 class ScanBlock:
@@ -156,11 +164,17 @@ def _segments(local, vertices: np.ndarray) -> ScanBlock:
 
 
 def _edge_eval(
-    spec, role: str, state, plan: ScanBlock, vertices, as_bool: bool = False
+    spec, role: str, state, plan: ScanBlock, vertices, tables: Tables,
+    as_bool: bool = False,
 ) -> np.ndarray:
-    """Evaluate a per-edge expression over the flat neighbor ids; the
-    per-edge destination is built only for an expression that reads
-    it."""
+    """A per-edge expression over the flat neighbor ids: gathered from
+    the role's per-vertex table where the caller built one, evaluated
+    per edge otherwise — the per-edge destination built only for an
+    expression that reads it."""
+    table = None if tables is None else tables.get(role)
+    if table is not None:
+        out = table[plan.flat]
+        return out.astype(bool, copy=False) if as_bool else out
     reads_dest = "__v" in spec.sources[role]
     return _flat_eval(
         spec.exprs[role], state, plan.flat,
@@ -266,7 +280,8 @@ def empty_batch() -> KernelBatch:
 
 @register_kernel(FIRST_MATCH_BREAK)
 def first_match_break_kernel(
-    spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None
+    spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None,
+    tables: Tables = None,
 ) -> KernelBatch:
     """Per-segment first match: emit once at the first predicate hit.
 
@@ -278,7 +293,8 @@ def first_match_break_kernel(
     if vertices.size == 0:
         return empty_batch()
     plan = _segments(local, vertices)
-    pred = _edge_eval(spec, "predicate", state, plan, vertices, as_bool=True)
+    pred = _edge_eval(spec, "predicate", state, plan, vertices, tables,
+                      as_bool=True)
     matched, first = _first_hit(plan, pred)
     # where the scan stopped: the first match, else the last neighbor
     last = np.where(matched, first, plan.seg_start + plan.lens - 1)
@@ -295,7 +311,8 @@ def first_match_break_kernel(
 
 @register_kernel(COUNT_TO_K_BREAK)
 def count_to_k_break_kernel(
-    spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None
+    spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None,
+    tables: Tables = None,
 ) -> KernelBatch:
     """Running predicate count saturating at a threshold.
 
@@ -307,7 +324,8 @@ def count_to_k_break_kernel(
         return empty_batch()
     plan = _segments(local, vertices)
     lens, seg_start = plan.lens, plan.seg_start
-    pred = _edge_eval(spec, "predicate", state, plan, vertices, as_bool=True)
+    pred = _edge_eval(spec, "predicate", state, plan, vertices, tables,
+                      as_bool=True)
     _, start = _fold_start(spec, state, vertices, carried_in)
 
     # One running sum over the whole call, rebased per segment: exact
@@ -340,7 +358,8 @@ def count_to_k_break_kernel(
 
 @register_kernel(FULL_SCAN_SUM)
 def full_scan_sum_kernel(
-    spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None
+    spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None,
+    tables: Tables = None,
 ) -> KernelBatch:
     """Full-scan sum fold, accumulated in the interpreter's add order.
 
@@ -352,7 +371,7 @@ def full_scan_sum_kernel(
     if vertices.size == 0:
         return empty_batch()
     plan = _segments(local, vertices)
-    term = _edge_eval(spec, "term", state, plan, vertices)
+    term = _edge_eval(spec, "term", state, plan, vertices, tables)
     _, start = _fold_start(spec, state, vertices, carried_in)
 
     totals = start.astype(np.result_type(start.dtype, term.dtype))
@@ -371,13 +390,14 @@ def full_scan_sum_kernel(
 
 @register_kernel(FULL_SCAN_MIN)
 def full_scan_min_kernel(
-    spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None
+    spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None,
+    tables: Tables = None,
 ) -> KernelBatch:
     """Full-scan minimum fold (order-independent, so ``reduceat`` is safe)."""
     if vertices.size == 0:
         return empty_batch()
     plan = _segments(local, vertices)
-    term = _edge_eval(spec, "term", state, plan, vertices)
+    term = _edge_eval(spec, "term", state, plan, vertices, tables)
     init, start = _fold_start(spec, state, vertices, carried_in)
     best = np.minimum(start, np.minimum.reduceat(term, plan.seg_start))
     emit_mask = best < init

@@ -8,7 +8,8 @@ interpreted per vertex, so registering a new kernel is purely additive.
 
 A kernel is a callable::
 
-    kernel(spec, state, local, vertices, carried_in=None) -> KernelBatch
+    kernel(spec, state, local, vertices, carried_in=None, tables=None)
+        -> KernelBatch
 
 where ``spec`` is the :class:`~repro.analysis.kernelspec.KernelSpec`,
 ``state`` the :class:`~repro.engine.state.StateStore`, ``local`` what
@@ -20,7 +21,9 @@ the rows' destination vertices (all with nonzero local degree; under a
 block, the units' sets concatenated in unit order).  ``carried_in``
 optionally supplies restored loop-carried values as ``(present_mask,
 values)`` arrays aligned with ``vertices`` (the circulant dependency
-hand-off).  Every array of the returned batch is per vertex, which is
+hand-off), and ``tables`` per-vertex values of the spec's
+neighbour-only roles (``KernelSpec.vertex_roles``) to gather per edge
+in place of evaluating them; the pull walk always passes it.  Every array of the returned batch is per vertex, which is
 what lets a caller cut a block's batch back into its units.
 """
 

@@ -13,7 +13,8 @@ exact per-machine, per-step work and traffic the engines record:
   :meth:`CostModel.circulant_timeline` models exactly, including the
   double-buffering overlap (Figure 9) and the low/high-degree overlap
   of differentiated propagation (Section 5.3).  That one recursion
-  feeds simulated time, the per-(machine, step) attribution of
+  feeds simulated time (a whole run's records of one shape priced in
+  one pass), the per-(machine, step) attribution of
   :mod:`repro.obs.attribution` and the schedule view.
 
 Absolute numbers are in abstract time units, not seconds; the
@@ -30,6 +31,10 @@ from repro.runtime.counters import Counters, IterationRecord
 
 __all__ = ["CostModel", "StepTimeline", "GEMINI_COST", "SYMPLE_COST",
            "DGALOIS_COST", "SINGLE_THREAD_COST"]
+
+#: records priced by one recursion at most: a run of thousands of
+#: phases keeps its stacked (steps, records, machines) arrays small
+_BATCH_RECORDS = 256
 
 
 @dataclass
@@ -164,18 +169,7 @@ class CostModel:
             return serial + self.iteration_overhead + sync
         if schedule != "circulant":
             raise ValueError(f"unknown schedule {schedule!r}")
-
-        tail = 0.0
-        for step in steps:
-            # Updates and dependency traffic both share the fabric; the
-            # dependency's latency component is modeled by the arrival
-            # recursion of :meth:`circulant_timeline`, its bandwidth
-            # component here.
-            tail += self._comm_tail(step.update_bytes)
-            tail += self._comm_tail(step.dep_bytes)
-        total = self.circulant_timeline(record, double_buffering).makespan
-        total += tail + self.iteration_overhead + sync
-        return total
+        return float(self._circulant_times([record], double_buffering)[0])
 
     def circulant_timeline(
         self, record: IterationRecord, double_buffering: bool = True
@@ -193,43 +187,66 @@ class CostModel:
         nothing ever arrives and it never waits.  The iteration-wide
         terms (transfer tails, barrier, sync) are not part of the
         timeline; :meth:`symple_iteration_time` adds them.
+
+        The record's view of :meth:`_timelines`, the recursion that
+        runs a batch of records at once.
         """
-        steps = record.steps
-        if not steps:
+        if not record.steps:
             empty = np.zeros((0, 0))
             return StepTimeline(empty, empty, empty, empty, empty)
-        p = steps[0].num_machines
+        columns, _ = self._timelines([record], double_buffering)
+        return StepTimeline(*(column[:, 0] for column in columns))
+
+    def _timelines(self, records, double_buffering: bool):
+        """The circulant recursion of ``records`` — non-empty, all with
+        the same number of steps and machines — run once over the steps
+        with every record's machines side by side.
+
+        Returns the five :class:`StepTimeline` columns, each
+        ``(steps, records, machines)``, and the records' inputs as
+        ``(steps, records, machines)`` arrays by :class:`StepRecord`
+        field.  Every operation is elementwise, so a record's slice is
+        bit for bit its own recursion.
+        """
+        fields = {
+            name: np.array([
+                [getattr(step, name) for step in record.steps]
+                for record in records
+            ]).swapaxes(0, 1)
+            for name in ("high_edges", "low_edges", "high_vertices",
+                         "low_vertices", "update_bytes", "dep_bytes",
+                         "slowdown")
+        }
+        slowdown = fields["slowdown"]
+        c_high = self.compute_time(
+            fields["high_edges"], fields["high_vertices"]) * slowdown
+        c_low = self.compute_time(
+            fields["low_edges"], fields["low_vertices"]) * slowdown
+        compute = c_high + c_low
+        dep_bytes = np.asarray(fields["dep_bytes"], dtype=np.float64)
+        num_steps, _, p = compute.shape
         right = (np.arange(p) + 1) % p  # dependency sender per machine
         never = np.full(p, -np.inf)
-        finish = np.zeros(p, dtype=np.float64)
+        finish = np.zeros(compute.shape[1:], dtype=np.float64)
         rows = []
 
-        for index, step in enumerate(steps):
-            c_high = (
-                self.compute_time(step.high_edges, step.high_vertices)
-                * step.slowdown
-            )
-            c_low = (
-                self.compute_time(step.low_edges, step.low_vertices)
-                * step.slowdown
-            )
-            compute = c_high + c_low
+        for index in range(num_steps):
             if index == 0 or p == 1:
                 # nothing was sent before step 0, and a lone machine is
                 # its own "left neighbor": no hand-off, no latency
                 arrive_a = arrive_b = never
             else:
                 # each group carries half the sender's dependency bytes
-                half = self.transfer_time(prev_dep_bytes[right] / 2.0)
-                arrive_a = prev_send_a[right] + half + self.latency
-                arrive_b = prev_send_b[right] + half + self.latency
+                half = self.transfer_time(dep_bytes[index - 1][:, right] / 2.0)
+                arrive_a = prev_send_a[:, right] + half + self.latency
+                arrive_b = prev_send_b[:, right] + half + self.latency
 
             # Coordination is only charged to machines with work in
             # this step; an empty bucket is skipped for free.
-            t0 = finish + np.where(compute > 0, self.step_overhead, 0.0)
-            t_low = t0 + c_low  # low-degree work needs no dependency
+            t0 = finish + np.where(compute[index] > 0, self.step_overhead, 0.0)
+            t_low = t0 + c_low[index]  # low-degree work needs no dependency
             if double_buffering:
-                half_high = c_high / 2.0
+                half_high = c_high[index] / 2.0
                 start_a = np.maximum(t_low, arrive_a)
                 t_a = start_a + half_high
                 start_b = np.maximum(t_a, arrive_b)
@@ -242,16 +259,39 @@ class CostModel:
                 hidden = np.maximum(unsplit - dep_wait, 0.0)
             else:
                 start = np.maximum(t_low, arrive_b)
-                t_b = start + c_high
+                t_b = start + c_high[index]
                 send_a = send_b = t_b
                 dep_wait = start - t_low
-                hidden = np.zeros(p, dtype=np.float64)
-            rows.append((t0, t_b, compute, dep_wait, hidden))
+                hidden = np.zeros(t_b.shape, dtype=np.float64)
+            rows.append((t0, t_b, compute[index], dep_wait, hidden))
             finish = t_b
             prev_send_a, prev_send_b = send_a, send_b
-            prev_dep_bytes = np.asarray(step.dep_bytes, dtype=np.float64)
 
-        return StepTimeline(*(np.stack(column) for column in zip(*rows)))
+        return [np.stack(column) for column in zip(*rows)], fields
+
+    def _circulant_times(self, records, double_buffering: bool) -> np.ndarray:
+        """:meth:`symple_iteration_time` of circulant ``records`` (as
+        :meth:`_timelines` takes them), one recursion for all: each
+        record's makespan plus its transfer tails (summed step by step,
+        a step's update tail before its dependency tail), the barrier
+        and its state sync."""
+        columns, fields = self._timelines(records, double_buffering)
+        makespan = np.max(columns[1][-1], axis=-1, initial=0.0)
+        share = 1.0 - self.comm_overlap
+        # Updates and dependency traffic both share the fabric; the
+        # dependency's latency component is modeled by the arrival
+        # recursion, its bandwidth component here.
+        update, dep = (
+            self.transfer_time(fields[name].sum(axis=-1)) * share
+            for name in ("update_bytes", "dep_bytes")
+        )
+        tail = np.zeros(len(records))
+        for k in range(update.shape[0]):
+            tail = tail + update[k] + dep[k]
+        sync = np.array([
+            self._boundary_cost(record.sync_bytes) for record in records
+        ])
+        return makespan + (tail + self.iteration_overhead + sync)
 
     def dgalois_iteration_time(self, record: IterationRecord) -> float:
         """One D-Galois/Gluon BSP round: compute + reduce + broadcast.
@@ -301,10 +341,30 @@ class CostModel:
         double_buffering: bool = True,
         schedule: str = "circulant",
     ) -> float:
-        """Total simulated time of a recorded run."""
+        """Total simulated time of a recorded run.
+
+        SympleGraph's circulant records are priced first, one
+        :meth:`_timelines` recursion per (steps, machines) shape (and
+        per ``_BATCH_RECORDS`` records); every record's time is then
+        added in run order, as one record at a time would.
+        """
+        priced = {}
+        if engine == "symple" and schedule == "circulant":
+            shapes = {}
+            for record in counters.iterations:
+                if record.mode != "push" and record.steps:
+                    key = (len(record.steps), record.steps[0].num_machines)
+                    shapes.setdefault(key, []).append(record)
+            for records in shapes.values():
+                for lo in range(0, len(records), _BATCH_RECORDS):
+                    batch = records[lo:lo + _BATCH_RECORDS]
+                    times = self._circulant_times(batch, double_buffering)
+                    priced.update(zip(map(id, batch), times.tolist()))
         total = 0.0
         for record in counters.iterations:
-            if record.mode == "push":
+            if id(record) in priced:
+                total += priced[id(record)]
+            elif record.mode == "push":
                 total += self.push_iteration_time(record)
             elif engine == "gemini":
                 total += self.gemini_iteration_time(record)

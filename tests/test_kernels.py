@@ -20,6 +20,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import SIGNAL_UDFS
 from repro.analysis import fold_while
@@ -33,6 +35,7 @@ from repro.analysis.kernelspec import (
 from repro.engine import GeminiEngine, SympleGraphEngine
 from repro.engine.fastpath import KERNEL
 from repro.engine.state import StateStore
+from repro.exec.work import vertex_tables
 from repro.graph import erdos_renyi, to_undirected
 from repro.kernels import available_kernels, get_kernel, register_kernel
 from repro.kernels import registry as kernel_registry
@@ -614,3 +617,192 @@ class TestConnectivesAndChains:
             return True
 
         assert classify_slot(chained_slot) is None
+
+
+# -- per-vertex tables of the neighbour-only roles ---------------------------
+#
+# A per-edge role that reads the neighbour alone is evaluated once per
+# vertex and gathered per edge (`repro.exec.work.vertex_tables`).  The
+# expressions are elementwise, so the gather must be the per-edge value
+# bit for bit, whatever the dtypes and however the division goes.
+
+
+def _div_sum_signal(v, nbrs, s, emit):
+    total = 0.0
+    start = total
+    for u in nbrs:
+        total += s.a[u] / s.b[u]
+    if total > start:
+        emit(total - start)
+
+
+def _index_value_sum_signal(v, nbrs, s, emit):
+    total = 0
+    start = total
+    for u in nbrs:
+        total += s.a[u] * u - 1
+    if total > start:
+        emit(total - start)
+
+
+def _ratio_count_signal(v, nbrs, s, emit):
+    cnt = 0
+    start = cnt
+    for u in nbrs:
+        if s.a[u] / s.b[u] >= s.t:
+            cnt += 1
+            if cnt >= s.k:
+                break
+    if cnt > start:
+        emit(cnt - start)
+
+
+def _shift_min_signal(v, nbrs, s, emit):
+    best = s.a[v]
+    for u in nbrs:
+        if s.a[u] + u < best:
+            best = s.a[u] + u
+    if best < s.a[v]:
+        emit(best)
+
+
+def _index_first_signal(v, nbrs, s, emit):
+    for u in nbrs:
+        if u % 3 == 1 or s.a[u] > s.b[u]:
+            emit(u)
+            break
+
+
+def _dest_term_signal(v, nbrs, s, emit):
+    total = 0.0
+    start = total
+    for u in nbrs:
+        total += s.a[u] * s.b[v]
+    if total > start:
+        emit(total - start)
+
+
+TABLE_SIGNALS = [
+    fn for fns in SIGNAL_UDFS.values() for fn in fns
+    if instrument_signal(fn).kernel is not None
+] + [
+    _div_sum_signal, _index_value_sum_signal, _ratio_count_signal,
+    _shift_min_signal, _index_first_signal, _dest_term_signal,
+]
+
+_DTYPES = {"bool": bool, "int": np.int64, "float": np.float64}
+_VALUES = {
+    "bool": st.booleans(),
+    "int": st.integers(-3, 3) | st.sampled_from([2**40, -(2**40)]),
+    "float": st.sampled_from(
+        [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 5e-324]
+    ) | st.floats(allow_nan=True, allow_infinity=True),
+}
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    """Floats as their bit patterns, so NaNs and signed zeros compare."""
+    array = np.asarray(array)
+    return array.view(np.int64) if array.dtype == np.float64 else array
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
+
+
+@st.composite
+def table_cases(draw):
+    """A kernel spec, a state of drawn dtypes and values, and a graph."""
+    fn = draw(st.sampled_from(TABLE_SIGNALS))
+    spec = instrument_signal(fn).kernel
+    n = draw(st.integers(1, 10))
+    state = StateStore(n)
+    for name in spec.arrays:
+        kind = "bool" if name in spec.bool_arrays else draw(
+            st.sampled_from(sorted(_DTYPES))
+        )
+        state.add_array(name, _DTYPES[kind])
+        state.array(name)[:] = draw(
+            st.lists(_VALUES[kind], min_size=n, max_size=n)
+        )
+    for name in spec.scalars:
+        state.add_scalar(name, draw(
+            st.booleans() if name in spec.bool_scalars
+            else st.integers(1, 3) | st.sampled_from([0.5, 2.0])
+        ))
+    edges = {
+        v: draw(st.lists(st.integers(0, n - 1), max_size=4))
+        for v in range(n)
+    }
+    return fn, spec, state, toy_adjacency(n, edges)
+
+
+class TestVertexTables:
+    def test_which_roles_qualify(self):
+        roles = {
+            fn.__name__: instrument_signal(fn).kernel.vertex_roles
+            for fn in TABLE_SIGNALS
+        }
+        assert roles["pagerank_signal"] == {"term": None}
+        assert roles["relax_depth_signal"] == {"term": None}
+        assert roles["scc_reach_signal"] == {"predicate": None}
+        assert roles["bottom_up_signal"] == {"predicate": "frontier"}
+        assert roles["cc_signal"] == {"term": "label"}
+        assert roles["kcore_signal"] == {"predicate": "active"}
+        assert roles["kmeans_signal"] == {"predicate": "assigned"}
+        # reads the destination: stays per edge
+        assert roles["mis_signal"] == {}
+        assert roles["_dest_term_signal"] == {}
+        assert roles["_index_first_signal"] == {"predicate": None}
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=table_cases(), flat=st.lists(st.integers(0, 9), max_size=24))
+    def test_gather_equals_per_edge_evaluation(self, case, flat):
+        fn, spec, state, local = case
+        flat = np.array(
+            [u % state.num_vertices for u in flat], dtype=np.int64
+        )
+        tables = vertex_tables(spec, state)
+        assert set(tables) <= set(spec.vertex_roles)
+        with np.errstate(all="ignore"):
+            for role, field in spec.vertex_roles.items():
+                if field is not None:
+                    assert tables[role] is getattr(state, field)
+                per_edge = np.broadcast_to(
+                    np.asarray(spec.exprs[role](state, flat, None)),
+                    flat.shape,
+                )
+                assert _same(tables[role][flat], per_edge), fn.__name__
+            vertices = np.flatnonzero(local.degrees()).astype(np.int64)
+            kernel = get_kernel(spec.kind)
+            gathered = kernel(spec, state, local, vertices, tables=tables)
+            evaluated = kernel(spec, state, local, vertices)
+        for name in ("edges", "emit_mask", "values", "broke", "carried"):
+            assert _same(
+                getattr(gathered, name), getattr(evaluated, name)
+            ), (fn.__name__, name)
+
+    def test_a_table_that_raises_stays_per_edge(self):
+        def power_sum(v, nbrs, s, emit):
+            total = 0
+            start = total
+            for u in nbrs:
+                total += 2 ** s.e[u]
+            if total > start:
+                emit(total - start)
+
+        spec = instrument_signal(power_sum).kernel
+        assert spec.vertex_roles == {"term": None}
+        state = StateStore(3)
+        state.add_array("e", np.int64, 1)
+        state.e[2] = -1  # no edge reads vertex 2
+        assert vertex_tables(spec, state) == {}
+        local = toy_adjacency(3, {0: [1], 1: [0, 1]})
+        vertices = np.array([0, 1], dtype=np.int64)
+        batch = get_kernel(spec.kind)(
+            spec, state, local, vertices, tables=vertex_tables(spec, state)
+        )
+        assert batch.values.tolist() == [2, 4]
