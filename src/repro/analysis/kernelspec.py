@@ -161,6 +161,20 @@ class KernelSpec(ShapeSpec):
                 roles[role] = bare and bare.group(1)
         return roles
 
+    @property
+    def whole_roles(self) -> Tuple[str, ...]:
+        """The computed :attr:`vertex_roles` (no bare read) whose every
+        ``__u`` is the whole subscript ``[__u]``, so the role evaluated
+        with ``__u`` = ``slice(None)`` is its value at every vertex."""
+        sources = {
+            role: self.sources[role]
+            for role, bare in self.vertex_roles.items() if bare is None
+        }
+        return tuple(
+            role for role, source in sources.items()
+            if len(_U.findall(source)) == source.count("[__u]")
+        )
+
 
 #: the roles each kind evaluates once per scanned edge, over the flat
 #: neighbour ids; every other role is evaluated once per vertex
@@ -171,6 +185,7 @@ EDGE_ROLES = {
     FULL_SCAN_MIN: ("term",),
 }
 _BARE_READ = re.compile(r"__state\.(\w+)\[__u\]")
+_U = re.compile(r"\b__u\b")
 
 
 def _reads(source: str, name: str) -> bool:
@@ -789,3 +804,4 @@ def match_kernel(fn: Callable) -> KernelSpec:
     if spec is None:
         raise ShapeMismatch("no kernel classification")
     return spec
+

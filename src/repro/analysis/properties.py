@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.instrument import AnalyzedSignal, instrument_signal
-from repro.engine.dep import DepStore
+from repro.engine.dep import DepStore, carried_dtypes
 from repro.engine.state import StateStore
 
 __all__ = [
@@ -120,10 +120,11 @@ def check_no_loop_carried_dependency(
         u1, u2 = pool[:cut], pool[cut:]
         state = make_state()
 
-        fresh = DepStore(v + 1, analyzed.info.carried_vars)
+        carried = carried_dtypes(analyzed, state)
+        fresh = DepStore(v + 1, carried)
         plain = _run_instrumented(analyzed, v, u2, state, fresh)
 
-        threaded = DepStore(v + 1, analyzed.info.carried_vars)
+        threaded = DepStore(v + 1, carried)
         _run_instrumented(analyzed, v, u1, state, threaded)
         conditioned = _run_instrumented(analyzed, v, u2, state, threaded)
 
@@ -219,7 +220,7 @@ def check_dependency_threading(
                     _run_signal(analyzed.original, v, chunk, state)
                 )
         else:
-            store = DepStore(v + 1, analyzed.info.carried_vars)
+            store = DepStore(v + 1, carried_dtypes(analyzed, state))
             distributed = []
             cuts = sorted(
                 int(c)

@@ -81,12 +81,12 @@ class _UpdateBuffer:
 
     ``(v, values)`` bins in merge order: ``v`` the destination vertices
     (int64) and ``values`` the update values aligned with it — a numeric
-    array, or a list when they were not numbers of one type.  A pull
-    appends one bin per run of merged units whose values share a class
-    (:func:`repro.exec.work.update_bins`), which is the per-unit bins
-    end to end; a push one per machine.  A classified slot takes the
-    bins through :func:`repro.kernels.slots.apply_slot`; :meth:`apply`
-    is the scalar loop every other slot takes.
+    array, or a list when they were not numbers of one dtype.  A pull
+    appends one bin per map (:func:`repro.exec.work.update_bins`), which
+    is the per-unit bins end to end; a push one per machine.  A
+    classified slot takes the bins through
+    :func:`repro.kernels.slots.apply_slot`; :meth:`apply` is the scalar
+    loop every other slot takes.
     """
 
     bins: List[Tuple[np.ndarray, object]] = field(default_factory=list)
@@ -418,7 +418,7 @@ class BaseEngine:
         phase: int,
         stalls=None,
         steps: Tuple[int, int] = (0, 1),
-        carried: Sequence[str] = (),
+        carried: Optional[Dict[str, np.dtype]] = None,
         dep_in=None,
     ) -> List:
         """Map the walk (:func:`~repro.exec.work.pull_walk`) of the
@@ -427,7 +427,7 @@ class BaseEngine:
         is mapped again with every unit alone."""
         fast, udf = self.fastpaths, analyzed.original
         use_kernel = fast.plan(KERNEL, udf, state, analyzed) is not None
-        shared = dict(table=table, steps=steps, carried=carried,
+        shared = dict(table=table, steps=steps, carried=carried or {},
                       dep_in=dep_in, signal=analyzed, use_kernel=use_kernel,
                       timed=self.obs is not None,
                       scan=(self._run_serial, phase),

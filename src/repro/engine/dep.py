@@ -11,16 +11,36 @@ variable.  Instrumented UDFs interact with a lightweight per-vertex
   data state.
 
 The engine owns the arrays; "sending" the dependency between machines
-is a matter of byte accounting since the simulation shares memory.
+is a matter of byte accounting since the simulation shares memory.  A
+carried variable keeps the dtype it has in the program
+(:func:`carried_dtypes`), so a restored value is what the fold would
+have held had it never left the machine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Mapping, Sequence, Union
 
 import numpy as np
 
-__all__ = ["DepStore", "DepHandle"]
+from repro.kernels.csr import fold_dtype
+
+__all__ = ["DepStore", "DepHandle", "carried_dtypes"]
+
+
+def carried_dtypes(analyzed, state) -> Dict[str, np.dtype]:
+    """The dtype of each variable ``analyzed`` carries, over ``state``
+    — the one rule every :class:`DepStore` of a run is allocated by.
+
+    The kernel spec's fold dtype (:func:`~repro.kernels.csr.fold_dtype`)
+    when the spec runs against ``state``, whichever of the kernel and
+    the interpreter folds; else — the carry's type cannot be known —
+    float64.
+    """
+    spec = analyzed.kernel
+    if spec is not None and spec.compatible(state):
+        return {name: fold_dtype(spec, state) for name in spec.carried_vars}
+    return dict.fromkeys(analyzed.info.carried_vars, np.dtype(np.float64))
 
 
 class DepStore:
@@ -32,12 +52,14 @@ class DepStore:
     whenever the UDF is already Gemini-correct (e.g. K-core, where
     partial counts sum at the master and only the saturation *break*
     must travel) and the reference implementations ship exactly that.
+    ``data_vars`` maps each carried variable to its dtype
+    (:func:`carried_dtypes`); bare names are float64.
     """
 
     def __init__(
         self,
         num_vertices: int,
-        data_vars: Sequence[str] = (),
+        data_vars: Union[Sequence[str], Mapping[str, Any]] = (),
         share_data: bool = True,
     ) -> None:
         self.num_vertices = num_vertices
@@ -45,8 +67,11 @@ class DepStore:
         self.skip = np.zeros(num_vertices, dtype=bool)
         if not share_data:
             data_vars = ()
+        if not isinstance(data_vars, Mapping):  # names alone: float64
+            data_vars = dict.fromkeys(data_vars, np.float64)
         self.data: Dict[str, np.ndarray] = {
-            name: np.zeros(num_vertices, dtype=np.float64) for name in data_vars
+            name: np.zeros(num_vertices, dtype=dtype)
+            for name, dtype in data_vars.items()
         }
         self.present: Dict[str, np.ndarray] = {
             name: np.zeros(num_vertices, dtype=bool) for name in data_vars
@@ -55,7 +80,7 @@ class DepStore:
     def reset(self) -> None:
         self.skip[:] = False
         for name in self.data:
-            self.data[name][:] = 0.0
+            self.data[name][:] = 0
             self.present[name][:] = False
 
     def handle(self, v: int, is_last: bool = False) -> "DepHandle":

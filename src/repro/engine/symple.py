@@ -50,7 +50,7 @@ from repro.engine.base import (
     SignalLike,
     _UpdateBuffer,
 )
-from repro.engine.dep import DepStore
+from repro.engine.dep import DepStore, carried_dtypes
 from repro.engine.fastpath import KERNEL
 from repro.engine.state import StateStore
 from repro.errors import EngineError
@@ -259,7 +259,7 @@ class SympleGraphEngine(BaseEngine):
         steps."""
         p, n = self.num_machines, self.graph.num_vertices
         phase = self._phase_begin("pull")
-        carried = analyzed.info.carried_vars if share_dep_data else ()
+        carried = carried_dtypes(analyzed, state) if share_dep_data else {}
         high = active & (self._high_mask if allow_differentiated else True)
         # the circulated (high) vertices on the dependency lane, the
         # low-degree rest on the plain lane: item j is partition j

@@ -168,23 +168,28 @@ _NUMBERS = (bool, int, float, np.bool_, np.integer, np.floating)
 
 def _as_values(values: list):
     """A unit's emitted values as one 1-D numeric array when they are
-    numbers of a single type, else the list as it is.
+    numbers of a single type, or of types that all map to the array's
+    dtype (a Python int beside a restored ``np.int64``), else the list
+    as it is.
 
     Updates stay arrays from the unit to the state (the slot scatters
     of :mod:`repro.kernels.slots` take arrays only), and an array
-    pickles smaller than a list of scalars.  Tuples, objects, mixed
-    types and Python ints no fixed-width dtype holds stay a list, which
-    the parent applies with the scalar slot loop.
+    pickles smaller than a list of scalars.  Tuples, objects, types of
+    different dtypes and Python ints no fixed-width dtype holds stay a
+    list, which the parent applies with the scalar slot loop.
     """
-    if not values or len(set(map(type, values))) != 1:
-        return values
-    if not isinstance(values[0], _NUMBERS):
+    types = set(map(type, values))
+    if not values or not all(issubclass(t, _NUMBERS) for t in types):
         return values
     try:
         array = np.array(values)
     except OverflowError:
         return values
-    return array if array.dtype.kind in "biuf" else values
+    if array.dtype.kind not in "biuf":
+        return values
+    if len(types) > 1 and any(np.dtype(t) != array.dtype for t in types):
+        return values  # an int beside a float, or past int64
+    return array
 
 
 # The edge budget of one kernel call: consecutive units of a lane are
@@ -210,18 +215,16 @@ class LanePlan:
     first vertex; every unit non-empty) and grouped into ``blocks`` —
     ``(u0, u1, v0, v1, ScanBlock)``: units ``u0:u1``, vertices
     ``v0:v1``, scanned in one kernel call — while a block's flattened
-    edges stay within the limit and its units share one carried-in
-    class (:func:`_blocks`); ``edges`` is each unit's flattened edges.
-    A unit's rows come from one ``indptr`` / ``degrees`` gather per run
-    of consecutive units on one machine.  Everything here is a function
-    of the topology, the vertex sets and which units restore carried
-    values, which is what lets a context keep a plan across phases.
+    edges stay within the limit (:func:`_blocks`); ``edges`` is each
+    unit's flattened edges.  A unit's rows come from one ``indptr`` /
+    ``degrees`` gather per run of consecutive units on one machine.
+    Everything here is a function of the topology and the vertex sets,
+    which is what lets a context keep a plan across phases.
     """
 
     __slots__ = ("starts", "edges", "blocks")
 
-    def __init__(self, ctx, machines, sizes, vertices, restored, limit):
-        units = sizes.size
+    def __init__(self, ctx, machines, sizes, vertices, limit):
         self.starts = np.cumsum(sizes) - sizes
         bounds = [*self.starts.tolist(), vertices.size]
         seg = np.empty(vertices.size, dtype=np.int64)
@@ -234,10 +237,8 @@ class LanePlan:
             lens[lo:hi] = local.degrees()[vertices[lo:hi]]
             runs.append((local, lo, hi))
         self.edges = np.add.reduceat(lens, self.starts)
-        if restored is None:
-            restored = np.zeros(units, dtype=bool)
         self.blocks = []
-        for block in _blocks(self.edges, restored, limit):
+        for block in _blocks(self.edges, limit):
             v0, v1 = bounds[block.start], bounds[block.stop]
             self.blocks.append((
                 block.start, block.stop, v0, v1,
@@ -256,13 +257,12 @@ class LanePlan:
 class PlanStore:
     """The lane plans a context keeps, and its scan counters.
 
-    A :class:`LanePlan` depends on the topology, a lane's vertex sets
-    and which of its units restore carried values, so a lane that
-    recurs is scanned with the plan it built last time: its rows, its
-    block grouping and its blocks' flattened segments.  Per lane
-    position of a phase — a dependency step, or a walk's plain lane,
-    each at the walk's first item — the store remembers the layout
-    (machines, unit sizes, restored classes) and the vertices it last
+    A :class:`LanePlan` depends on the topology and a lane's vertex
+    sets, so a lane that recurs is scanned with the plan it built last
+    time: its rows, its block grouping and its blocks' flattened
+    segments.  Per lane position of a phase — a dependency step, or a
+    walk's plain lane, each at the walk's first item — the store
+    remembers the layout (machines, unit sizes) and the vertices it last
     saw and, from the second consecutive sighting on, the plan; a
     position whose layout or vertices differ (compared by exact array
     equality) replaces both.  Reuse is between consecutive pull phases
@@ -353,20 +353,16 @@ def _runs(machines: np.ndarray):
     return zip(cuts, cuts[1:])
 
 
-def _blocks(edges: np.ndarray, restored: np.ndarray, limit: int):
+def _blocks(edges: np.ndarray, limit: int):
     """Consecutive units (as ranges of unit indices) grouped while the
-    group's edges stay within ``limit`` and its units share one
-    carried-in class (a kernel picks its fold dtype once per call from
-    "is anything restored", so a unit that restores values never shares
-    a call with one that does not)."""
-    if restored.all() == restored.any() and edges.sum() <= limit:
+    group's edges stay within ``limit``."""
+    if edges.sum() <= limit:
         yield range(edges.size)  # the common case: one call
         return
-    edges, restored = edges.tolist(), restored.tolist()
+    edges = edges.tolist()
     first, total = 0, 0
     for u, unit_edges in enumerate(edges):
-        if u > first and (restored[u] != restored[first]
-                          or total + unit_edges > limit):
+        if u > first and total + unit_edges > limit:
             yield range(first, u)
             first, total = u, 0
         total += unit_edges
@@ -374,23 +370,18 @@ def _blocks(edges: np.ndarray, restored: np.ndarray, limit: int):
         yield range(first, len(edges))
 
 
-def _lane_plan(ctx, shared, key, machines, sizes, vertices, restored):
+def _lane_plan(ctx, shared, key, machines, sizes, vertices):
     """The plan of lane position ``key`` of the walk's phase: kept in
     the context's :class:`PlanStore`, except on the certifier's replay
     (``shared['solo']``), which builds every unit alone and keeps
     nothing."""
     if shared["solo"]:
-        plan = LanePlan(ctx, machines, sizes, vertices, restored, 0)
+        plan = LanePlan(ctx, machines, sizes, vertices, 0)
         ctx.plans.count(plan)
         return plan
-    layout = b"".join((
-        machines.tobytes(), sizes.tobytes(),
-        b"" if restored is None else restored.tobytes(),
-    ))
     return ctx.plans.plan(
-        shared["scan"], key, layout, vertices,
-        lambda: LanePlan(ctx, machines, sizes, vertices, restored,
-                         _BLOCK_EDGES),
+        shared["scan"], key, machines.tobytes() + sizes.tobytes(), vertices,
+        lambda: LanePlan(ctx, machines, sizes, vertices, _BLOCK_EDGES),
     )
 
 
@@ -398,7 +389,9 @@ def vertex_tables(spec, state) -> Dict[str, np.ndarray]:
     """The per-vertex tables of ``spec``'s neighbour-only roles
     (:attr:`~repro.analysis.kernelspec.KernelSpec.vertex_roles`) over
     ``state``: a bare read's own array, no copy; any other role
-    evaluated once over every vertex id.
+    evaluated once over every vertex — over the whole arrays
+    (``slice(None)``: no id array, no gather) when each ``__u`` of its
+    source is a whole subscript ``[__u]``, else over every vertex id.
 
     Built per :func:`pull_walk` call and never kept: workers write no
     state during a phase, so one table serves the walk, and a replayed
@@ -407,20 +400,20 @@ def vertex_tables(spec, state) -> Dict[str, np.ndarray]:
     warnings are off, and a role whose table raises there (an integer
     to a negative power) stays per edge.
     """
-    tables = {}
-    ids = None
+    tables, whole = {}, spec.whole_roles
     for role, field in spec.vertex_roles.items():
         if field is not None:
             tables[role] = getattr(state, field)
             continue
-        if ids is None:
-            ids = np.arange(state.num_vertices, dtype=np.int64)
+        index = slice(None) if role in whole else np.arange(
+            state.num_vertices, dtype=np.int64
+        )
         try:
             with np.errstate(all="ignore"):
-                value = spec.exprs[role](state, ids, None)
+                value = spec.exprs[role](state, index, None)
         except (ArithmeticError, ValueError):
             continue
-        tables[role] = np.broadcast_to(value, ids.shape)
+        tables[role] = np.broadcast_to(value, (state.num_vertices,))
     return tables
 
 
@@ -434,9 +427,9 @@ def _scan_lane(ctx, shared, spec, plan, vertices, carried_in, tables):
     (by flattened edges, what a call's time goes with); per vertex,
     ``broke`` and ``carried`` (None where the kernel returns none);
     the emitting vertices' positions in ``vertices`` and, per block,
-    their values — a block's dtype is its own call's.  A kernel decides
-    nothing per call that a unit could not tell from its own, so each
-    unit's share of these is what its own call returns.
+    their values.  A kernel decides nothing per call that a unit could
+    not tell from its own, so each unit's share of these is what its
+    own call returns.
     """
     timed = shared["timed"]
     seconds = np.zeros(plan.starts.size)
@@ -469,18 +462,18 @@ def _scan_lane(ctx, shared, spec, plan, vertices, carried_in, tables):
     )
 
 
-def _value_class(values) -> str:
-    """What a run of values may share a bin with: arrays of its dtype
-    (``slots._flatten`` converts dtypes bin by bin, so concatenating
-    two dtypes first would promote them) or, for a list, other lists."""
-    return values.dtype.str if isinstance(values, np.ndarray) else "list"
-
-
-def _join_values(parts: list):
-    """Values of one class, end to end."""
-    if isinstance(parts[0], np.ndarray):
+def _end_to_end(parts: list):
+    """Value runs end to end: one array where every non-empty run is an
+    array of one dtype, else one list — an array's elements in it as
+    NumPy scalars, what the scalar slot loop reads from an array too."""
+    parts = [part for part in parts if len(part)]
+    if not parts:
+        return _NO_VERTICES
+    if all(isinstance(part, np.ndarray) for part in parts) and len(
+        {part.dtype for part in parts}
+    ) == 1:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return [value for part in parts for value in part]
+    return [value for part in parts for value in list(part)]
 
 
 class _Walk:
@@ -488,9 +481,10 @@ class _Walk:
 
     Units are the walk's, step-major, each step's in ascending machine
     order; per unit the lane columns, and the emits of every lane as
-    pieces — the emitting units, vertices and values — merged into
-    unit order, ascending vertex order within a unit, by
-    :meth:`result`.
+    pieces — the emitting units with their emitting vertices' counts,
+    the vertices, the value runs and the per-vertex value counts (None:
+    one each) — merged into unit order, ascending vertex order within a
+    unit, by :meth:`result`.
     """
 
     LANES = ("plain", "dep")
@@ -517,18 +511,13 @@ class _Walk:
             counts = np.diff(np.searchsorted(
                 hits, np.append(starts, vertices.size)
             ))
-            self.pieces.append((units, counts, vertices[hits], values))
+            self.pieces.append((units, counts, vertices[hits], values, None))
 
     def result(self, with_state: bool) -> Dict[str, Any]:
         """The array set; ``with_state``: with the dependency lanes'
         scanned vertices and outgoing state, step after step."""
-        size = self.unit_m.size
         out = {"kind": self.kind, "m": self.unit_m, "width": self.width,
-               **self.cols, **(
-                   self._merged(self.pieces, size)
-                   if self.kind is not None and self.pieces
-                   else _packed(self.pieces, size)
-               )}
+               **self.cols, **self._merged()}
         out["item_edges"] = np.bincount(
             self.unit_i, self.cols["plain_edges"] + self.cols["dep_edges"],
             minlength=self.width,
@@ -547,98 +536,43 @@ class _Walk:
             }
         return out
 
-    def _merged(self, pieces, size):
-        """Kernel pieces in unit order: one sort over ``(unit, vertex)``
-        (each piece is ascending within a unit, so a stable sort merges
-        runs), and per unit the dtype concatenating its lanes' values
-        gives — almost always one dtype for the whole walk."""
-        emit_n = np.zeros(size, dtype=np.int64)
-        for units, counts, _, _ in pieces:
-            emit_n[units] += counts
-        emit_v = np.concatenate([piece[2] for piece in pieces])
-        values = [part for piece in pieces for part in piece[3]]
-        key = np.concatenate([
-            np.repeat(units, counts) for units, counts, _, _ in pieces
-        ])
+    def _merged(self) -> Dict[str, Any]:
+        """The pieces' emits in unit order: one sort over ``(unit,
+        vertex)`` where they are not in it already — a kernel walk scans
+        its plain lanes before its steps; each piece is ascending within
+        a unit, so a stable sort merges runs.  The interpreter's units
+        come in order, so only kernel values, one each, are reordered."""
+        emit_n = np.zeros(self.unit_m.size, dtype=np.int64)
+        if not self.pieces:
+            return dict(emit_v=_NO_VERTICES, emit_n=emit_n, emit_counts=None,
+                        emit_values=_NO_VERTICES)
+        units, counts, emit_v, values, emit_counts = zip(*self.pieces)
+        for at, n in zip(units, counts):
+            emit_n[at] += n
+        emit_counts = _counts(emit_v, emit_counts)
+        emit_v = np.concatenate(emit_v)
+        values = _end_to_end([part for parts in values for part in parts])
+        key = np.repeat(np.concatenate(units), np.concatenate(counts))
         key *= self.n
         key += emit_v
         # the pieces are sorted runs, which NumPy's stable sort merges:
         # here about 2x quicker than graph.csr.stable_order's SIMD sort
-        order = None
         if (key[1:] < key[:-1]).any():
             order = np.argsort(key, kind="stable")
-            emit_v = emit_v[order]
-        dtypes = list(dict.fromkeys(v.dtype for v in values if v.size))
-        if len(dtypes) == 1:
-            flat = np.concatenate([v for v in values if v.size])
-            classes = (flat if order is None else flat[order],)
-            return dict(emit_v=emit_v, emit_n=emit_n, emit_counts=None,
-                        emit_values=classes, emit_class=None)
-        # a unit's values take the dtype its lanes' concatenation gives
-        code = np.repeat(
-            [1 << dtypes.index(v.dtype) if v.size else 0 for v in values],
-            [v.size for v in values],
-        )
-        if order is not None:
-            code = code[order]
-        emitting = np.flatnonzero(emit_n)
-        masks = np.bitwise_or.reduceat(
-            code, np.cumsum(emit_n[emitting]) - emit_n[emitting]
-        )
-        # per distinct mask of lane dtypes, the class of its dtype
-        seen = np.unique(masks)
-        result = [np.result_type(*(
-            dt for b, dt in enumerate(dtypes) if mask >> b & 1
-        )) for mask in seen.tolist()]
-        kinds = list(dict.fromkeys(result))
-        lookup = np.zeros(int(seen[-1]) + 1, dtype=np.int64)
-        lookup[seen] = [kinds.index(dt) for dt in result]
-        unit_class = np.zeros(size, dtype=np.int64)
-        unit_class[emitting] = lookup[masks]
-        emit_class = np.repeat(unit_class, emit_n)
-        classes = []
-        with np.errstate(invalid="ignore", over="ignore"):
-            for c, dt in enumerate(kinds):
-                flat = np.concatenate([v.astype(dt) for v in values])
-                if order is not None:
-                    flat = flat[order]
-                classes.append(flat[emit_class == c])
-        return dict(emit_v=emit_v, emit_n=emit_n, emit_counts=None,
-                    emit_values=tuple(classes), emit_class=unit_class)
+            emit_v, values = emit_v[order], values[order]
+        return dict(emit_v=emit_v, emit_n=emit_n, emit_counts=emit_counts,
+                    emit_values=values)
 
 
-def _packed(units: list, size: int) -> Dict[str, Any]:
-    """The interpreter's per-unit emits — ``(unit, emit_v, counts,
-    values)`` in unit order — as the walk's arrays."""
-    units = [unit for unit in units if unit[1].size]
-    emit_n = np.zeros(size, dtype=np.int64)
-    if not units:
-        return dict(emit_v=_NO_VERTICES, emit_n=emit_n, emit_counts=None,
-                    emit_values=(), emit_class=None)
-    at, emit_v, counts, values = zip(*units)
-    emit_n[list(at)] = [v.size for v in emit_v]
-    kinds = list(dict.fromkeys(map(_value_class, values)))
-    unit_class = None
-    if len(kinds) > 1:
-        unit_class = np.zeros(size, dtype=np.int64)
-        unit_class[list(at)] = [
-            kinds.index(_value_class(v)) for v in values
-        ]
-    return dict(
-        emit_v=np.concatenate(emit_v),
-        emit_n=emit_n,
-        emit_counts=None if all(c is None for c in counts) else (
-            np.concatenate([
-                np.ones(v.size, dtype=np.int64) if c is None else c
-                for v, c in zip(emit_v, counts)
-            ])
-        ),
-        emit_values=tuple(
-            _join_values([v for v in values if _value_class(v) == kind])
-            for kind in kinds
-        ),
-        emit_class=unit_class,
-    )
+def _counts(emit_v, counts):
+    """Parts' per-vertex value counts end to end, or None when every
+    part's is None — one value each."""
+    if all(c is None for c in counts):
+        return None
+    return np.concatenate([
+        np.ones(v.size, dtype=np.int64) if c is None else c
+        for v, c in zip(emit_v, counts)
+    ])
 
 
 def _interp_lanes(analyzed, state, local, dep, carried, plain, is_last):
@@ -652,7 +586,9 @@ def _interp_lanes(analyzed, state, local, dep, carried, plain, is_last):
     # Lane-local dependency state, indexed by position in ``dep``: a
     # vertex the parent let through starts from exactly what it was
     # sent — nothing at all when its dependency message was lost.
-    store = DepStore(n_dep, carried or (), share_data=carried is not None)
+    store = DepStore(n_dep, {
+        name: values.dtype for name, (_, values) in (carried or {}).items()
+    }, share_data=carried is not None)
     for name, (present, values) in (carried or {}).items():
         store.present[name][:] = present
         store.data[name][:] = values
@@ -751,9 +687,9 @@ def pull_walk(
     kernels, ``seconds`` (the unit's edge share of its block's call);
     the emits in unit order, ascending vertex order within a unit —
     ``emit_v``, ``emit_n`` per unit, ``emit_counts`` per emitting vertex
-    (None for "one each", all a kernel can emit) and ``emit_values``:
-    one array (or, for the interpreter's non-numbers, list) per value
-    class, ``emit_class`` (None: one class) saying each unit's;
+    (None for "one each", all a kernel can emit) and ``emit_values``,
+    one array — a kernel's always; the interpreter's when its units'
+    values are numbers of one dtype, else one list (:func:`_end_to_end`);
     ``item_edges``, what each item scanned; and — only for a parent
     that passed the state in — the dependency lanes' scanned vertices
     ``dep_v`` with their outgoing ``broke`` (or None for a kernel that
@@ -773,7 +709,7 @@ def pull_walk(
             store.data[name][:] = data[name]
     analyzed = ctx.analyzed(shared["signal"])
     spec = analyzed.kernel if shared["use_kernel"] else None
-    name = spec.carried_vars[0] if spec is not None and store.data else None
+    name = next(iter(store.data), None)  # a kernel carries one at most
     tables = None if spec is None else vertex_tables(spec, ctx.state)
     first, stop = shared["steps"]
     width = len(items)
@@ -801,7 +737,7 @@ def pull_walk(
         sizes = plain[2][units] - plain[1][units]
         vertices = plain[0][spans(plain[1][units], sizes)]
         plan = _lane_plan(ctx, shared, ("plain", first, items[0]),
-                          unit_m[units], sizes, vertices, None)
+                          unit_m[units], sizes, vertices)
         walk.lane("plain", units, sizes, plan.starts, vertices, _scan_lane(
             ctx, shared, spec, plan, vertices, None, tables
         ))
@@ -817,7 +753,7 @@ def pull_walk(
     gathered = dep[0][spans(dep[1][busy], sizes)]
     hi = np.cumsum(sizes)
     lo = hi - sizes
-    keys = list(store.data) if spec is None else [name] if name else []
+    keys = list(store.data)
     # a skip bit is only read once one is set
     skipping = dep_in is not None and bool(store.skip.any())
     for k in range(stop - first):
@@ -847,14 +783,10 @@ def pull_walk(
             if not live.any():
                 continue
             at, counts, starts = at[live], counts[live], starts[live]
-            carried_in = carried.get(name)
-            plan = _lane_plan(
-                ctx, shared, ("dep", first + k, items[0]), unit_m[at],
-                counts, vertices, None if carried_in is None
-                else np.logical_or.reduceat(carried_in[0], starts),
-            )
+            plan = _lane_plan(ctx, shared, ("dep", first + k, items[0]),
+                              unit_m[at], counts, vertices)
             scanned = _scan_lane(ctx, shared, spec, plan, vertices,
-                                 carried_in, tables)
+                                 carried.get(name), tables)
             walk.lane("dep", at, counts, starts, vertices, scanned)
             broke = scanned[3]
             # a kernel's carried value is always there
@@ -896,19 +828,19 @@ def _interp_step(ctx, analyzed, walk, at, dep, sizes, starts, carried,
         walk.cols["plain_vertices"][u] = unit_plain.size
         walk.cols["dep_edges"][u] = dep_edges
         walk.cols["dep_vertices"][u] = b - a
-        walk.pieces.append((u, *emits))
+        emit_v, counts, values = emits
+        if emit_v.size:
+            walk.pieces.append(([u], [emit_v.size], emit_v, [values], counts))
         broke.append(skip)
         carried_out.append(out)
-    return (
-        np.concatenate(broke) if broke else np.zeros(0, dtype=bool),
-        {
-            key: tuple(
-                np.concatenate([c[key][k] for c in carried_out])
-                for k in (0, 1)
-            )
-            for key in (carried or {})
-        } if carried_out else {},
-    )
+    if not broke:  # no unit held a vertex: ``dep`` and ``carried`` are empty
+        return np.zeros(0, dtype=bool), carried or {}
+    return np.concatenate(broke), {
+        key: tuple(
+            np.concatenate([c[key][k] for c in carried_out]) for k in (0, 1)
+        )
+        for key in (carried or {})
+    }
 
 
 #: the per-unit columns of a walk's array set
@@ -916,32 +848,6 @@ _UNIT_COLUMNS = tuple(
     f"{lane}_{what}" for lane in _Walk.LANES
     for what in ("edges", "vertices", "seconds")
 )
-
-
-def _unit_values(walk: Dict[str, Any]):
-    """Per unit of ``walk``: its value class, how many values it
-    emitted, and where they start in its class's array."""
-    size = walk["m"].size
-    emit_n, counts = walk["emit_n"], walk["emit_counts"]
-    sizes = emit_n
-    if counts is not None:
-        total = np.concatenate(([0], np.cumsum(counts)))
-        ends = np.cumsum(emit_n)
-        sizes = total[ends] - total[ends - emit_n]
-    cls = walk["emit_class"]
-    if cls is None:
-        cls = np.zeros(size, dtype=np.int64)
-    starts = np.zeros(size, dtype=np.int64)
-    for c in range(len(walk["emit_values"])):
-        mine = np.where(cls == c, sizes, 0)
-        starts += np.where(cls == c, np.cumsum(mine) - mine, 0)
-    return cls, sizes, starts
-
-
-def _take(values, index: np.ndarray):
-    if isinstance(values, np.ndarray):
-        return values[index]
-    return [values[i] for i in index.tolist()]
 
 
 def joined(walks: List[Dict[str, Any]], p: int) -> Dict[str, Any]:
@@ -963,67 +869,25 @@ def joined(walks: List[Dict[str, Any]], p: int) -> Dict[str, Any]:
     at = spans((ends - emit_n)[order], emit_n[order])
     out["emit_v"] = np.concatenate([w["emit_v"] for w in walks])[at]
     out["emit_n"] = emit_n[order]
-    counts = [w["emit_counts"] for w in walks]
-    out["emit_counts"] = None if all(c is None for c in counts) else (
-        np.concatenate([
-            np.ones(w["emit_v"].size, dtype=np.int64) if c is None else c
-            for w, c in zip(walks, counts)
-        ])[at]
-    )
-    # each chunk's value classes, joined by kind
-    kinds: Dict[str, int] = {}
-    parts: List[list] = []
-    cls, sizes, starts = [], [], []
-    for w in walks:
-        c, s, st = _unit_values(w)
-        where, offset = [0], [0]
-        for values in w["emit_values"]:
-            g = kinds.setdefault(_value_class(values), len(kinds))
-            if g == len(parts):
-                parts.append([])
-            where.append(g)
-            offset.append(sum(len(part) for part in parts[g]))
-            parts[g].append(values)
-        where, offset = np.array(where[1:] or [0]), np.array(offset[1:] or [0])
-        cls.append(where[c])
-        starts.append(st + offset[c])
-        sizes.append(s)
-    cls, sizes, starts = (
-        np.concatenate(a)[order] for a in (cls, sizes, starts)
-    )
-    values = []
-    for g, group in enumerate(parts):
-        mine = (cls == g) & (sizes > 0)
-        values.append(_take(
-            _join_values(group), spans(starts[mine], sizes[mine])
-        ))
-    out["emit_values"] = tuple(values)
-    out["emit_class"] = cls if len(values) > 1 else None
+    values = _end_to_end([w["emit_values"] for w in walks])
+    counts = _counts([w["emit_v"] for w in walks],
+                     [w["emit_counts"] for w in walks])
+    out["emit_counts"] = None if counts is None else counts[at]
+    if counts is not None:  # a vertex's values are one run of its count
+        at = spans((np.cumsum(counts) - counts)[at], counts[at])
+    out["emit_values"] = values[at] if isinstance(values, np.ndarray) else [
+        values[i] for i in at.tolist()
+    ]
     return out
 
 
 def update_bins(walk: Dict[str, Any]) -> List[tuple]:
-    """A walk's updates as ``(v, values)`` bins in unit order: one per
-    run of consecutive emitting units whose values share a class — the
-    per-unit bins end to end, as one scatter takes them."""
+    """A walk's updates as ``(v, values)`` bins in unit order: the
+    per-unit bins end to end, one bin as one scatter takes it (none for
+    no update)."""
     emit_v, counts = walk["emit_v"], walk["emit_counts"]
     v = emit_v if counts is None else np.repeat(emit_v, counts)
-    classes = walk["emit_values"]
-    if len(classes) <= 1:
-        return [(v, classes[0])] if v.size else []
-    cls, sizes, starts = _unit_values(walk)
-    emitting = np.flatnonzero(sizes)
-    cut = (np.flatnonzero(np.diff(cls[emitting])) + 1).tolist()
-    at = np.cumsum(sizes) - sizes
-    bins = []
-    for a, b in zip([0, *cut], [*cut, emitting.size]):
-        u, w = emitting[a], emitting[b - 1]
-        values = classes[cls[u]]
-        bins.append((
-            v[at[u]:at[w] + sizes[w]],
-            values[starts[u]:starts[w] + sizes[w]],
-        ))
-    return bins
+    return [(v, walk["emit_values"])] if v.size else []
 
 
 # the walk takes its executor's whole chunk of items in one call

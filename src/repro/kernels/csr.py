@@ -18,8 +18,9 @@ CSR neighbor segments.  Two invariants are load-bearing:
 
 All kernels accept ``carried_in=(present, values)`` to restore
 loop-carried state forwarded by the circulant schedule; ``values``
-arrive as float64 (the :class:`~repro.engine.dep.DepStore` wire type),
-matching the interpreter's restored-value dtype behavior.  They also
+arrive, and ``KernelBatch.carried`` leaves, in the fold's own dtype
+(:func:`fold_dtype`, which the :class:`~repro.engine.dep.DepStore`
+allocates), so a restored fold emits what a fresh one does.  They also
 accept ``tables``: ``{role: per-vertex array}`` for the per-edge roles
 whose value is the neighbour's alone
 (:attr:`~repro.analysis.kernelspec.KernelSpec.vertex_roles`), which the
@@ -41,11 +42,10 @@ state, so the executing context keeps a block whose sets recur between
 consecutive pull phases and the next call pays for arithmetic alone.
 The parts only some kernels read (the per-edge segment id, the per-edge
 destination) are built on first use and kept with the block.  A kernel
-decides nothing per *call* that a unit could tell from its own call:
-every row of a call shares one carried-in class (restored or not — the
-caller splits blocks on it) and the results are per vertex, so slicing
-a block's arrays at the unit offsets gives each unit the arrays of its
-solo call, dtype and bytes.
+decides nothing per *call* that a unit could tell from its own call —
+a fold's dtype is the spec's over the state, restored or not — and the
+results are per vertex, so slicing a block's arrays at the unit offsets
+gives each unit the arrays of its solo call, dtype and bytes.
 
 Aliasing contract with the process executor: under the process backend
 the :class:`~repro.engine.state.StateStore` arrays a kernel reads are
@@ -76,6 +76,7 @@ from repro.kernels.registry import KernelBatch, register_kernel
 __all__ = [
     "ScanBlock",
     "empty_batch",
+    "fold_dtype",
     "guarded_emit_scan",
     "first_match_break_kernel",
     "count_to_k_break_kernel",
@@ -246,23 +247,31 @@ def _per_vertex_eval(fn, state, vertices: np.ndarray) -> np.ndarray:
     return np.broadcast_to(out, vertices.shape)
 
 
+def fold_dtype(spec, state) -> np.dtype:
+    """The dtype a carried fold of ``spec`` runs in over ``state``:
+    what its running value takes from the init and, for the count, the
+    ``int64`` (or float init's) increments, for the sum and the min the
+    term — the dtype a kernel's fold has with nothing restored."""
+    none = np.zeros(0, dtype=np.int64)
+    init = np.asarray(spec.exprs["init"](state, None, none)).dtype
+    if spec.kind == COUNT_TO_K_BREAK:
+        step = init if init.kind == "f" else np.dtype(np.int64)
+    else:
+        step = np.asarray(spec.exprs["term"](state, none, none)).dtype
+    return np.result_type(step, init)
+
+
 def _fold_start(spec, state, vertices: np.ndarray, carried_in: CarriedIn):
     """``(init, start)`` of a carried fold: the UDF's initial value per
-    vertex, and what each vertex resumes from.
-
-    With a restored value anywhere in the call the fold runs in float64
-    (the wire type), otherwise in the init's own dtype — decided once
-    per *call*, which is why a call's rows must share one carried-in
-    class: :func:`repro.exec.work.pull_walk` never blocks a unit that
-    restores values with one that does not.
-    """
+    vertex, and what each vertex resumes from — in the restored values'
+    dtype when there are any, which is the fold's (:func:`fold_dtype`),
+    so the fold's result has one dtype whatever was restored."""
     init = _per_vertex_eval(spec.exprs["init"], state, vertices)
-    if carried_in is not None and bool(carried_in[0].any()):
-        present, restored = carried_in
-        start = init.astype(np.float64).copy()
-        start[present] = restored[present]
-    else:
-        start = np.array(init, copy=True)
+    if carried_in is None:
+        return init, np.array(init)
+    present, restored = carried_in
+    start = init.astype(restored.dtype)
+    start[present] = restored[present]
     return init, start
 
 
@@ -352,7 +361,7 @@ def count_to_k_break_kernel(
         emit_mask=emit_mask,
         values=values,
         broke=broke,
-        carried=final.astype(np.float64, copy=False),
+        carried=final,
     )
 
 
@@ -384,7 +393,7 @@ def full_scan_sum_kernel(
         emit_mask=emit_mask,
         values=values,
         broke=None,
-        carried=totals.astype(np.float64, copy=False),
+        carried=totals,
     )
 
 
@@ -406,5 +415,5 @@ def full_scan_min_kernel(
         emit_mask=emit_mask,
         values=best,
         broke=None,
-        carried=best.astype(np.float64, copy=False),
+        carried=best,
     )

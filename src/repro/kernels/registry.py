@@ -21,10 +21,11 @@ the rows' destination vertices (all with nonzero local degree; under a
 block, the units' sets concatenated in unit order).  ``carried_in``
 optionally supplies restored loop-carried values as ``(present_mask,
 values)`` arrays aligned with ``vertices`` (the circulant dependency
-hand-off), and ``tables`` per-vertex values of the spec's
-neighbour-only roles (``KernelSpec.vertex_roles``) to gather per edge
-in place of evaluating them; the pull walk always passes it.  Every array of the returned batch is per vertex, which is
-what lets a caller cut a block's batch back into its units.
+hand-off, in the fold's dtype), and ``tables`` per-vertex values of the
+spec's neighbour-only roles (``KernelSpec.vertex_roles``) to gather per
+edge in place of evaluating them; the pull walk always passes it.
+Every array of the returned batch is per vertex, which is what lets a
+caller cut a block's batch back into its units.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class KernelBatch:
     is only meaningful where ``emit_mask`` is set.  ``broke`` marks
     vertices whose scan ended in a ``break`` — the loop-carried control
     bit the circulant schedule forwards.  ``carried`` holds the final
-    value of the single carried variable (float64, only for kinds that
-    carry one), which becomes the dependency *data* hand-off.
+    value of the single carried variable (only for kinds that carry
+    one), which becomes the dependency *data* hand-off — in the fold's
+    dtype (:func:`repro.kernels.csr.fold_dtype`), as restored values
+    arrive in ``carried_in``.
     """
 
     edges: np.ndarray

@@ -1,7 +1,8 @@
 """Ordered scatters: apply a phase's update bins for a classified slot.
 
-The slot side of :mod:`repro.kernels.csr`.  A phase collects one
-``(v, values)`` bin per merged work unit, in merge order; for a slot
+The slot side of :mod:`repro.kernels.csr`.  A phase collects
+``(v, values)`` bins in merge order (a pull one per map of its walk, a
+push one per machine); for a slot
 :func:`repro.analysis.slotspec.classify_slot` matched, the concatenated
 bins are applied with one scatter per shape instead of one Python call
 per update.  Three invariants, mirroring the signal kernels':
@@ -91,10 +92,7 @@ def _converted(values, cast: Optional[str]) -> Optional[np.ndarray]:
 
 
 def _flatten(
-    bins: Bins,
-    cast: Optional[str],
-    target: Optional[np.dtype] = None,
-    compares: bool = False,
+    bins: Bins, cast: Optional[str], target: Optional[np.dtype] = None
 ) -> Optional[np.ndarray]:
     """The bins' values as one array, each bin converted on its own.
 
@@ -104,14 +102,6 @@ def _flatten(
     converted to it, so the parts concatenate without a second,
     possibly lossy promotion.  Without one the parts must agree on a
     dtype by themselves.
-
-    ``compares`` (the folds) also lets float bins into an int64 field
-    when every value is a whole number below 2**53 — what the signal
-    kernels emit for an int fold whose carried state travelled as
-    float64.  The scalar ``value < cell`` then compares in float64 and
-    the store truncates; for such values that is the int64 comparison
-    (a cell beyond 2**53 rounds, but never across a smaller whole
-    value) and an exact store.
     """
     parts: List[np.ndarray] = []
     for _, values in bins:
@@ -123,11 +113,6 @@ def _flatten(
                 return None
         elif np.result_type(target, part.dtype) == target:
             part = part.astype(target, copy=False)
-        elif (
-            compares and target == _INT64 and part.dtype.kind == "f"
-            and bool(((np.abs(part) < 2.0**53) & (part == np.trunc(part))).all())
-        ):
-            part = part.astype(_INT64)
         else:
             return None
         parts.append(part)
@@ -193,7 +178,7 @@ def _apply_fold(
 ) -> Optional[np.ndarray]:
     (name,) = spec.fields
     array = getattr(state, name)
-    values = _flatten(bins, None, array.dtype, compares=True)
+    values = _flatten(bins, None, array.dtype)
     if values is None:
         return None
     # The scalar loop stores a value only when it strictly beats the

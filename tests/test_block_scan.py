@@ -40,6 +40,7 @@ from repro.algorithms.pagerank import pagerank_signal
 from repro.analysis.instrument import instrument_signal
 from repro.api import RunConfig, Session
 from repro.engine import GeminiEngine, SympleGraphEngine
+from repro.engine.dep import carried_dtypes
 from repro.engine.fastpath import BLOCK
 from repro.engine.symple import circulant_partition
 from repro.errors import EngineError, KernelSoundnessError
@@ -124,10 +125,11 @@ def circulant_step(engine, analyzed, rng, step, differentiated, carry):
         engine.graph.in_degrees() >= 2 if differentiated
         else np.ones(n, dtype=bool)
     )
-    names = analyzed.info.carried_vars
+    # carried values travel in their fold's dtype
+    names = carried_dtypes(analyzed, engine.executor._ctx.state)
     skip = np.zeros(n, dtype=bool)
     present = {name: np.zeros(n, dtype=bool) for name in names}
-    data = {name: np.zeros(n) for name in names}
+    data = {name: np.zeros(n, dtype=dtype) for name, dtype in names.items()}
     table = {
         "machine": [[(j - s - 1) % p for s in range(p)] for j in range(p)],
     }
@@ -149,7 +151,7 @@ def circulant_step(engine, analyzed, rng, step, differentiated, carry):
                                                else 0.5)
             carried = {}
             for name in names:
-                values = rng.integers(0, 3, dep.size).astype(float)
+                values = rng.integers(0, 3, dep.size).astype(names[name])
                 present[name][dep], data[name][dep] = mask, values
                 carried[name] = (mask, values)
         # machine m's rows hold partition j alone
@@ -181,7 +183,10 @@ def bsp_step(engine, active):
     return engine._pull_table(None, mask, circulant=False), units
 
 
-def shared_for(analyzed, scan=(1, 0), carried=()):
+def shared_for(analyzed, scan=(1, 0), ctx=None):
+    """The walk's shared dict; with ``ctx``, carrying the signal's
+    variables, typed over its state as the engine types them."""
+    carried = {} if ctx is None else carried_dtypes(analyzed, ctx.state)
     return {
         "signal": analyzed, "use_kernel": True, "timed": False,
         "scan": scan, "solo": False, "carried": carried, "dep_in": None,
@@ -203,8 +208,13 @@ def unit_results(walk):
     """A walk's array set cut back into one result per unit, in the
     walk's unit order, shaped as :func:`per_unit_oracle`'s (None: a unit
     with no vertex on either lane)."""
-    cls, sizes, starts = work._unit_values(walk)
-    emit_at = np.cumsum(walk["emit_n"]) - walk["emit_n"]
+    emit_n, counts = walk["emit_n"], walk["emit_counts"]
+    emit_at = np.cumsum(emit_n) - emit_n
+    sizes = emit_n  # each unit's values, and where they start
+    if counts is not None:
+        total = np.concatenate(([0], np.cumsum(counts)))
+        sizes = total[emit_at + emit_n] - total[emit_at]
+    starts = np.cumsum(sizes) - sizes
     dep_at = np.cumsum(walk["dep_vertices"]) - walk["dep_vertices"]
     out = []
     for u in range(walk["m"].size):
@@ -218,7 +228,7 @@ def unit_results(walk):
         emits = slice(emit_at[u], emit_at[u] + walk["emit_n"][u])
         res["emit_v"] = walk["emit_v"][emits]
         if sizes[u]:
-            res["emit_values"] = walk["emit_values"][cls[u]][
+            res["emit_values"] = walk["emit_values"][
                 starts[u]:starts[u] + sizes[u]
             ]
         if "dep_v" in walk and res["dep_vertices"]:
@@ -339,7 +349,7 @@ class TestBlockEqualsUnit:
         table, dep_in, units = circulant_step(
             engine, analyzed, rng, step, differentiated, carry
         )
-        shared = shared_for(analyzed, carried=analyzed.info.carried_vars)
+        shared = shared_for(analyzed, ctx=ctx)
         want = [per_unit_oracle(ctx, analyzed, unit) for unit in units]
         for phase, limit in enumerate(LIMITS * 2, start=1):
             # the second round finds the first round's sets: kept plans
@@ -379,10 +389,10 @@ class TestBlockEqualsUnit:
                 got = walk_step(ctx, {**shared, "scan": (1, phase)}, table, 0)
             assert_same_results(got, want, state=False)
 
-    def test_restored_and_fresh_units_never_share_a_call(self):
-        """A kernel picks its fold dtype once per call: a unit with no
-        restored value blocked with one that has some would come back
-        float64 where its own call gives the init's int64."""
+    def test_restored_and_fresh_units_share_a_call(self):
+        """A fold runs in its spec's dtype whatever is restored, so a
+        unit with no restored value shares a call with one that has
+        some, and each comes back with its own call's int64."""
         graph = to_undirected(rmat(scale=6, edge_factor=6, seed=3))
         rng = np.random.default_rng(0)
         engine, ctx = context(graph, 4, rng)
@@ -394,18 +404,18 @@ class TestBlockEqualsUnit:
         for unit in units[1::2]:
             unit["carried"]["best"][0][:] = True
             dep_in[1]["best"][unit["dep"]] = True
-        shared = shared_for(analyzed, carried=("best",))
+        shared = shared_for(analyzed, ctx=ctx)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(work, "_BLOCK_EDGES", 1 << 40)
             got = walk_step(ctx, shared, table, 1, dep_in)
         assert [res["emit_values"].dtype for res in got] == [
-            np.dtype(np.int64), np.dtype(np.float64),
-        ] * 2
+            np.dtype(np.int64)
+        ] * 4
         assert_same_results(
             got, [per_unit_oracle(ctx, analyzed, unit) for unit in units]
         )
-        # classes alternate, so no two units could share a block
-        assert ctx.plans.counts["blocks"] == ctx.plans.counts["units"] == 4
+        assert ctx.plans.counts["blocks"] == 1
+        assert ctx.plans.counts["units"] == 4
 
     def test_empty_units_cost_nothing(self):
         """p > n: most machines hold nothing, and their units come back
@@ -418,8 +428,7 @@ class TestBlockEqualsUnit:
             got = []
             for signal in SIGNALS:
                 analyzed = instrument_signal(signal)
-                shared = shared_for(analyzed,
-                                    carried=analyzed.info.carried_vars)
+                shared = shared_for(analyzed, ctx=ctx)
                 for step in range(12):
                     table, dep_in, units = circulant_step(
                         engine, analyzed, rng, step, differentiated, "all"
@@ -505,7 +514,7 @@ class TestBlockEqualsUnit:
         active = rng.random(graph.num_vertices) < 0.8
         high = active & (graph.in_degrees() >= 4)
         table = engine._pull_table(high, active & ~high, circulant=True)
-        shared = {**shared_for(analyzed, carried=analyzed.info.carried_vars),
+        shared = {**shared_for(analyzed, ctx=ctx),
                   "table": table, "steps": (0, 4)}
         monkeypatch.setattr(work, "_BLOCK_EDGES", 1 << 40)
         whole = unit_results(work.pull_walk(ctx, shared, [0, 1, 2, 3])[0])
@@ -522,8 +531,7 @@ class TestBlockEqualsUnit:
     def test_a_walk_is_one_fixed_array_set(self, monkeypatch, machines):
         """Whatever ``p``, a walked phase comes back as the same keys,
         each a flat array over the walk's ``steps x p`` units (or its
-        emits), a tuple of value arrays, or a scalar — no per-unit
-        dict, list or tuple."""
+        emits) or a scalar — no per-unit dict, list or tuple."""
         graph = to_undirected(rmat(scale=6, edge_factor=6, seed=3))
         walks = []
         pull_walk = work.pull_walk
@@ -542,20 +550,14 @@ class TestBlockEqualsUnit:
             walk, = chunks  # one chunk on the serial executor
             assert set(walk) == {
                 "kind", "m", "width", "item_edges", "emit_v", "emit_n",
-                "emit_counts", "emit_values", "emit_class",
-                *work._UNIT_COLUMNS,
+                "emit_counts", "emit_values", *work._UNIT_COLUMNS,
             }
             units = walk["m"].size
             assert units % machines == 0 and units >= machines
             for key in ("m", *work._UNIT_COLUMNS, "emit_n"):
                 assert walk[key].shape == (units,)
             assert walk["emit_v"].shape == (int(walk["emit_n"].sum()),)
-            assert isinstance(walk["emit_values"], tuple)
-            assert all(isinstance(v, np.ndarray)
-                       for v in walk["emit_values"])
-            assert walk["emit_class"] is None or (
-                walk["emit_class"].shape == (units,)
-            )
+            assert walk["emit_values"].shape == walk["emit_v"].shape
 
 
 # -- (b) whole runs --------------------------------------------------------------
@@ -877,7 +879,7 @@ class TestPlanScoping:
             machines = np.arange(len(sets)) if machines is None else machines
             return work._lane_plan(
                 ctx, {"solo": False, "scan": (run, phase)}, (lane, 0, 0),
-                machines, sizes, np.concatenate(sets), None,
+                machines, sizes, np.concatenate(sets),
             )
 
         return ctx.plans, sight, sets, ctx
@@ -940,7 +942,7 @@ class TestPlanScoping:
         sizes, machines = np.array([view.size]), np.zeros(1, dtype=np.int64)
 
         def build():
-            return work.LanePlan(ctx, machines, sizes, view, None, 1 << 20)
+            return work.LanePlan(ctx, machines, sizes, view, 1 << 20)
 
         store.plan((1, 0), ("plain", 0, 0), b"", view, build)
         wanted = backing.copy()

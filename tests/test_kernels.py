@@ -16,6 +16,7 @@ End-to-end engine equivalence (kernels against the interpreter the
 ``test_engine_equivalence.py``.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.exec.work import vertex_tables
 from repro.graph import erdos_renyi, to_undirected
 from repro.kernels import available_kernels, get_kernel, register_kernel
 from repro.kernels import registry as kernel_registry
+from repro.kernels.csr import fold_dtype
 from repro.partition import OutgoingEdgeCut
 from repro.partition.base import LocalAdjacency
 
@@ -393,9 +395,9 @@ class TestKernelsMatchInterpreter:
 
     def test_full_scan_min_keeps_the_unreached_sentinel(self):
         # incremental BFS folds `depth[u] + 1` over an int64 sentinel of
-        # 2**62; once carried state arrives the fold runs in float64,
-        # where 2**62 + 1 rounds back to 2**62: equal to the start, so
-        # no emit, and real depths stay exact
+        # 2**62; carried state arrives in the fold's int64, where
+        # 2**62 + 1 never beats the start 2**62, so no emit, and real
+        # depths stay exact
         signal, inf = inc_mod.relax_depth_signal, int(inc_mod._INF)
         spec = instrument_signal(signal).kernel
         assert spec.kind == FULL_SCAN_MIN
@@ -410,12 +412,12 @@ class TestKernelsMatchInterpreter:
             spec, state, local, self.VERTICES,
             carried_in=(
                 np.ones(self.VERTICES.size, dtype=bool),
-                state.depth[self.VERTICES].astype(np.float64),
+                state.depth[self.VERTICES].copy(),
             ),
         )
-        assert plain.values.dtype.kind == "i"
-        assert carried.values.dtype.kind == "f"
+        assert fold_dtype(spec, state) == np.int64
         for batch in (plain, carried):
+            assert batch.values.dtype == batch.carried.dtype == np.int64
             assert batch.emit_mask.tolist() == want_emit
             assert batch.values.tolist() == want_values
         edges, emits, values, _ = self.run_interpreter(
@@ -673,6 +675,13 @@ def _index_first_signal(v, nbrs, s, emit):
             break
 
 
+def _both_first_signal(v, nbrs, s, emit):
+    for u in nbrs:
+        if s.a[u] and s.b[u]:
+            emit(u)
+            break
+
+
 def _dest_term_signal(v, nbrs, s, emit):
     total = 0.0
     start = total
@@ -687,7 +696,8 @@ TABLE_SIGNALS = [
     if instrument_signal(fn).kernel is not None
 ] + [
     _div_sum_signal, _index_value_sum_signal, _ratio_count_signal,
-    _shift_min_signal, _index_first_signal, _dest_term_signal,
+    _shift_min_signal, _index_first_signal, _both_first_signal,
+    _dest_term_signal,
 ]
 
 _DTYPES = {"bool": bool, "int": np.int64, "float": np.float64}
@@ -776,6 +786,15 @@ class TestVertexTables:
                     flat.shape,
                 )
                 assert _same(tables[role][flat], per_edge), fn.__name__
+                if field is None and role in tables:
+                    # a `[__u]`-only role's whole-array table and any
+                    # other's over the ids: both the per-vertex values
+                    ids = np.arange(state.num_vertices, dtype=np.int64)
+                    by_id = np.broadcast_to(
+                        np.asarray(spec.exprs[role](state, ids, None)),
+                        ids.shape,
+                    )
+                    assert _same(tables[role], by_id), fn.__name__
             vertices = np.flatnonzero(local.degrees()).astype(np.int64)
             kernel = get_kernel(spec.kind)
             gathered = kernel(spec, state, local, vertices, tables=tables)
@@ -784,6 +803,42 @@ class TestVertexTables:
             assert _same(
                 getattr(gathered, name), getattr(evaluated, name)
             ), (fn.__name__, name)
+
+    @pytest.mark.parametrize("name, whole", [
+        ("pagerank_signal", True),  # rank[u] / out_degree[u]
+        ("relax_depth_signal", True),  # depth[u] + 1
+        ("_both_first_signal", True),  # a[u] & b[u]
+        ("_index_value_sum_signal", False),  # a[u] * u - 1
+        ("_shift_min_signal", False),  # a[u] + u
+        ("_index_first_signal", False),  # u % 3 == 1 | ...
+    ])
+    def test_whole_subscript_roles_read_whole_arrays(self, name, whole):
+        """A computed role whose every ``__u`` is the subscript
+        ``[__u]`` is evaluated once over the whole arrays
+        (``slice(None)``), any other over the vertex ids."""
+        fn = {fn.__name__: fn for fn in TABLE_SIGNALS}[name]
+        spec = instrument_signal(fn).kernel
+        (role, field), = spec.vertex_roles.items()
+        assert field is None
+        indexes = []
+
+        def recording(state, u, v, expr=spec.exprs[role]):
+            indexes.append(u)
+            return expr(state, u, v)
+
+        spec = dataclasses.replace(
+            spec, exprs={**spec.exprs, role: recording}
+        )
+        state = StateStore(5)
+        for array in spec.arrays:
+            state.add_array(
+                array, bool if array in spec.bool_arrays else np.int64, 1
+            )
+        assert vertex_tables(spec, state)[role].shape == (5,)
+        index, = indexes
+        assert isinstance(index, slice) == whole
+        if not whole:
+            assert index.tolist() == list(range(5))
 
     def test_a_table_that_raises_stays_per_edge(self):
         def power_sum(v, nbrs, s, emit):
