@@ -203,19 +203,18 @@ class RelaxProgram(VertexProgram):
             ctx["buckets"], ctx["waves"], ctx["activations"]
         )
         if engine.obs is not None:
-            engine.obs.bucket_begin(
-                bucket, hi - width, hi, int(s.pending.sum())
-            )
+            engine.obs.emit("bucket_begin", bucket=int(bucket),
+                            lo=float(hi - width), hi=float(hi),
+                            size=int(s.pending.sum()))
         while True:
             frontier = np.flatnonzero(s.pending & (s.array(priority) < hi))
             if frontier.size == 0:
                 break
             self._wave(engine, s, ctx, frontier)
         if engine.obs is not None:
-            engine.obs.bucket_end(
-                bucket, ctx["waves"] - waves,
-                ctx["activations"] - activations,
-            )
+            engine.obs.emit("bucket_end", bucket=int(bucket),
+                            waves=int(ctx["waves"] - waves),
+                            activations=int(ctx["activations"] - activations))
         ctx["buckets"] += 1
         return True
 

@@ -492,22 +492,24 @@ class Session:
                 refresh_log.append((strategy, machines, rstats))
             self._partitions = refreshed
         if hub is not None:
-            hub.mutation_apply(
-                graph_version=stats.version,
-                inserts=stats.inserts,
-                deletes=stats.deletes,
-                add_vertices=stats.add_vertices,
-                num_edges=stats.num_edges,
+            hub.emit(
+                "mutation_apply",
+                graph_version=int(stats.version),
+                inserts=int(stats.inserts),
+                deletes=int(stats.deletes),
+                add_vertices=int(stats.add_vertices),
+                num_edges=int(stats.num_edges),
             )
             for strategy, machines, rstats in refresh_log:
-                hub.partition_refresh(
+                hub.emit(
+                    "partition_refresh",
                     strategy=strategy,
-                    machines=machines,
-                    graph_version=stats.version,
+                    machines=int(machines),
+                    graph_version=int(stats.version),
                     touched_machines=len(rstats.touched_machines),
-                    reused_machines=rstats.reused_machines,
-                    schedule_cells=rstats.schedule_cells,
-                    total_cells=rstats.total_cells,
+                    reused_machines=int(rstats.reused_machines),
+                    schedule_cells=int(rstats.schedule_cells),
+                    total_cells=int(rstats.total_cells),
                 )
         return stats
 

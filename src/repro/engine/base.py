@@ -51,9 +51,6 @@ __all__ = [
 SignalLike = Union[Callable, AnalyzedSignal]
 
 _UPDATE, _DEP = COMM_TAGS.index("update"), COMM_TAGS.index("dep")
-# the integer columns of a StepRecord
-_COLUMNS = ("high_edges", "low_edges", "high_vertices", "low_vertices",
-            "update_bytes", "dep_bytes")
 # a pull table's lane with no vertex (read-only, shared)
 _NO_VERTICES = np.zeros(0, dtype=np.int64)
 
@@ -184,20 +181,20 @@ class BaseEngine:
         the concurrent backends turn into real wall-clock stalls;
         results come back in item order for the deterministic merge.
         """
-        ex = self.executor
-        if self.obs is None:
+        ex, obs = self.executor, self.obs
+        if obs is None:
             return ex.map_machines(fn, shared, items, state, stalls=stalls)
-        self.obs.exec_map_begin(ex.kind, ex.workers, len(items))
+        obs.emit("exec_map_begin", backend=ex.kind, workers=int(ex.workers),
+                 tasks=len(items))
         t0 = perf_counter()
         results = ex.map_machines(fn, shared, items, state, stalls=stalls)
         if ex.last_fallback is not None:
-            self.obs.exec_fallback(ex.kind, ex.last_fallback)
+            obs.emit("exec_fallback", backend=ex.kind,
+                     reason=ex.last_fallback)
         for kind, payload in ex.drain_events():
-            if kind == "pool_spawn":
-                self.obs.exec_pool_spawn(ex.kind, **payload)
-            elif kind == "arena_grow":
-                self.obs.exec_arena_grow(ex.kind, **payload)
-        self.obs.exec_map_end(ex.kind, len(items), perf_counter() - t0)
+            obs.emit(kind, backend=ex.kind, **payload)
+        obs.emit("exec_map_end", backend=ex.kind, tasks=len(items),
+                 seconds=perf_counter() - t0)
         return results
 
     # -- observability ------------------------------------------------------
@@ -240,8 +237,8 @@ class BaseEngine:
         if self._fault_controller is not None:
             self._fault_controller.check_crash(phase, 0)
         if self.obs is not None:
-            self.obs.phase_begin(phase, mode, self.cost_kind,
-                                 self.num_machines)
+            self.obs.emit("phase_begin", phase=phase, mode=mode,
+                          engine=self.cost_kind, machines=self.num_machines)
         return phase
 
     def _make_step(self, phase: int) -> StepRecord:
@@ -576,7 +573,7 @@ class BaseEngine:
         steps = [
             StepRecord(p, slowdown=None if slowdown is None else slowdown[k],
                        **{name: booked.get(name, zeros)[k]
-                          for name in _COLUMNS})
+                          for name in StepRecord.COUNTS})
             for k in range(n)
         ]
         if self.obs is not None:
@@ -616,17 +613,19 @@ class BaseEngine:
         sent = sent.tolist()
         for k, step in enumerate(steps):
             if first is not None:
-                obs.step_begin(first + k)
+                obs.emit("step_begin", step=first + k)
             for u in range(k * p, (k + 1) * p):
                 m = u - k * p
                 for vertices, edges, seconds in lanes.values():
                     if vertices[u]:
-                        obs.kernel_batch(m, kind, vertices[u], edges[u],
-                                         seconds[u])
+                        obs.emit("kernel_batch", machine=m, kernel=kind,
+                                 vertices=vertices[u], edges=edges[u],
+                                 seconds=seconds[u])
                 if sent[u]:
-                    obs.dep_transfer(m, (m - 1) % p, sent[u])
+                    obs.emit("dep_transfer", src=m, dst=(m - 1) % p,
+                             bytes=sent[u])
             if first is not None:
-                obs.step_end(first + k, step)
+                obs.emit("step_end", step=first + k, **step.payload())
 
     def _commit_phase(
         self,
@@ -651,9 +650,12 @@ class BaseEngine:
         if self.obs is not None:
             if not steps_traced:
                 for s, step in enumerate(steps):
-                    self.obs.step_begin(s)
-                    self.obs.step_end(s, step)
-            self.obs.phase_end(record)
+                    self.obs.emit("step_begin", step=s)
+                    self.obs.emit("step_end", step=s, **step.payload())
+            self.obs.emit("phase_end", mode=record.mode,
+                          steps=len(record.steps),
+                          sync_bytes=int(record.sync_bytes),
+                          push_bytes=int(record.push_bytes))
         edges = record.total_edges()
         self.counters.add_edges(edges)
         self.counters.add_vertices(
@@ -784,17 +786,16 @@ class BaseEngine:
             record.steps = [StepRecord(self.num_machines)]
             self.counters.add_iteration(record)
             if self.obs is not None:
-                self.obs.implicit_record(self.num_machines)
+                self.obs.emit("implicit_record", machines=self.num_machines)
         target = self.counters.iterations[-1]
         before = target.sync_bytes
         self._count_sync(vertices, sync_bytes, target)
         if self.obs is not None and target.sync_bytes != before:
             # the delta mutates an already-committed record; the trace
             # carries it so reconstruction stays exact
-            self.obs.sync_update(
-                len(self.counters.iterations) - 1,
-                target.sync_bytes - before,
-            )
+            self.obs.emit("sync_update",
+                          record=len(self.counters.iterations) - 1,
+                          bytes=int(target.sync_bytes - before))
 
     # -- results --------------------------------------------------------------
 

@@ -314,7 +314,7 @@ class SympleGraphEngine(BaseEngine):
                     controller.check_crash(phase, s)
                 step = self._make_step(phase)
                 if self.obs is not None:
-                    self.obs.step_begin(s)
+                    self.obs.emit("step_begin", step=s)
                 # the walk of this step alone, on the parent's state
                 skip = dep_store.skip.copy() if lossy else dep_store.skip
                 if lossy:  # one coin per skipped vertex, machine- then
@@ -337,7 +337,7 @@ class SympleGraphEngine(BaseEngine):
                 )
                 steps.append(step)
                 if self.obs is not None:
-                    self.obs.step_end(s, step)
+                    self.obs.emit("step_end", step=s, **step.payload())
 
         return self._commit_phase(
             IterationRecord(mode="pull"), steps, buffer, slot, state,

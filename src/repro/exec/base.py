@@ -69,7 +69,8 @@ class Executor:
         self.last_fallback: Optional[str] = None
         #: lifecycle events (``(kind, payload)``) accumulated since the
         #: last drain — pool spawns, arena growths; engines drain these
-        #: into the observability stream after each map call
+        #: into the observability stream (``kind`` is the event's) after
+        #: each map call
         self.events: "deque[Tuple[str, Dict[str, Any]]]" = deque(maxlen=256)
         #: what the block scans of every map so far counted
         self.scan: Dict[str, int] = dict.fromkeys(PlanStore.COUNTERS, 0)

@@ -189,7 +189,7 @@ class ProcessPoolExecutor(Executor):
         self._arena = ShmArena()
         self._delta = DeltaArena(
             on_grow=lambda cap: self.events.append(
-                ("arena_grow", {"arena": "delta", "bytes": int(cap)})
+                ("exec_arena_grow", {"arena": "delta", "bytes": int(cap)})
             )
         )
         _CLEANUP.add(self)
@@ -262,7 +262,7 @@ class ProcessPoolExecutor(Executor):
             self.spawns += 1
             self.events.append(
                 (
-                    "pool_spawn",
+                    "exec_pool_spawn",
                     {
                         "workers": int(self.workers),
                         "generation": int(self._generation),

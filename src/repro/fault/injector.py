@@ -108,7 +108,8 @@ class FaultController:
             self._pending_crashes.remove(event)
             self.stats["crashes"] += 1
             if self._obs is not None:
-                self._obs.crash(event.machine, iteration, step)
+                self._obs.emit("crash", machine=event.machine,
+                               iteration=iteration, step=step)
             raise MachineCrashError(event.machine, iteration, step)
 
     # -- straggler injection -----------------------------------------------

@@ -89,7 +89,8 @@ def _charge_checkpoint(engine, nbytes: int, superstep: int = 0) -> None:
         record.ckpt_bytes += nbytes
     obs = getattr(engine, "obs", None)
     if obs is not None:
-        obs.checkpoint(superstep, nbytes, _latest_record_index(engine))
+        obs.emit("checkpoint", superstep=superstep, bytes=int(nbytes),
+                 record=_latest_record_index(engine))
 
 
 def _charge_restore(engine, nbytes: int, superstep: int = 0) -> None:
@@ -106,7 +107,8 @@ def _charge_restore(engine, nbytes: int, superstep: int = 0) -> None:
         record.ckpt_bytes += nbytes
     obs = getattr(engine, "obs", None)
     if obs is not None:
-        obs.restore(superstep, nbytes, _latest_record_index(engine))
+        obs.emit("restore", superstep=superstep, bytes=int(nbytes),
+                 record=_latest_record_index(engine))
 
 
 def _latest_record(engine):
@@ -189,7 +191,8 @@ def run_recoverable(
                     superstep = checkpoint.superstep
                 obs = getattr(engine, "obs", None)
                 if obs is not None:
-                    obs.rollback(
+                    obs.emit(
+                        "rollback",
                         recoveries=report.recoveries,
                         superstep=crashed_at,
                         restored=superstep,

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.runtime.counters import COMM_TAGS, Counters, IterationRecord, StepRecord
 from repro.runtime.cost_model import CostModel
@@ -34,23 +32,6 @@ __all__ = [
     "reconstruct_breakdown",
     "attribution_rows",
 ]
-
-_STEP_ARRAYS = (
-    "high_edges",
-    "low_edges",
-    "high_vertices",
-    "low_vertices",
-    "update_bytes",
-    "dep_bytes",
-)
-
-
-def _step_from_event(event: Dict[str, Any], machines: int) -> StepRecord:
-    step = StepRecord(machines)
-    for name in _STEP_ARRAYS:
-        setattr(step, name, np.asarray(event[name], dtype=np.int64))
-    step.slowdown = np.asarray(event["slowdown"], dtype=np.float64)
-    return step
 
 
 def rebuild_counters(events: Iterable[Dict[str, Any]]) -> Counters:
@@ -80,7 +61,7 @@ def rebuild_counters(events: Iterable[Dict[str, Any]]) -> Counters:
         elif kind == "step_end":
             if machines is None:
                 raise ReproError("step_end before any phase_begin")
-            pending.append(_step_from_event(event, machines))
+            pending.append(StepRecord.from_payload(event, machines))
         elif kind == "phase_end":
             if counters is None:
                 raise ReproError("phase_end before any phase_begin")

@@ -10,11 +10,13 @@ exposition format (scrape endpoints, CI artifacts).
 Two usage modes:
 
 * **live** — an :class:`~repro.obs.hooks.ObsHub` owns a registry and
-  bumps counters as hook events fire (phases, steps, dep transfers,
-  kernel batches, checkpoints, rollbacks);
+  moves the metrics each event's row of the event table
+  (:data:`~repro.obs.tracer.EVENT_KINDS`) names as events fire
+  (phases, steps, dep transfers, kernel batches, checkpoints,
+  rollbacks);
 * **post-hoc** — :func:`fill_run_metrics` prices a finished run's
   counters through a cost model into the same registry, which is what
-  ``repro metrics`` and the benchmark exporters emit.
+  ``repro run --metrics`` and the benchmark exporters emit.
 
 Metric and label names follow Prometheus conventions (``repro_`` prefix,
 ``_total`` suffix on counters); values are plain Python numbers.
@@ -374,8 +376,9 @@ def fill_run_metrics(
 def registry_breakdown(registry: MetricsRegistry) -> Dict[str, float]:
     """Read the cost breakdown back out of an exported registry.
 
-    The inverse view of :func:`fill_run_metrics` — benchmark scripts
-    consume this instead of calling the cost model themselves.
+    The inverse view of :func:`fill_run_metrics` — the breakdown
+    table (``benchmarks/bench_breakdown.py``) reads its numbers back
+    through this instead of calling the cost model itself.
     """
     total = registry.get("repro_simulated_time_total")
     component = registry.get("repro_simulated_time_breakdown")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import numpy as np
 
-from repro.runtime.counters import Counters, IterationRecord
+from repro.runtime.counters import Counters, IterationRecord, StepRecord
 
 __all__ = ["CostModel", "StepTimeline", "GEMINI_COST", "SYMPLE_COST",
            "DGALOIS_COST", "SINGLE_THREAD_COST"]
@@ -213,15 +213,14 @@ class CostModel:
                 [getattr(step, name) for step in record.steps]
                 for record in records
             ]).swapaxes(0, 1)
-            for name in ("high_edges", "low_edges", "high_vertices",
-                         "low_vertices", "update_bytes", "dep_bytes",
-                         "slowdown")
+            for name in StepRecord.COLUMNS
         }
-        slowdown = fields["slowdown"]
-        c_high = self.compute_time(
-            fields["high_edges"], fields["high_vertices"]) * slowdown
-        c_low = self.compute_time(
-            fields["low_edges"], fields["low_vertices"]) * slowdown
+        c_high, c_low = (
+            self.compute_time(fields[f"{degree}_edges"],
+                              fields[f"{degree}_vertices"])
+            * fields["slowdown"]
+            for degree in ("high", "low")
+        )
         compute = c_high + c_low
         dep_bytes = np.asarray(fields["dep_bytes"], dtype=np.float64)
         num_steps, _, p = compute.shape

@@ -44,19 +44,32 @@ class StepRecord:
     # 1.0 everywhere when no fault plan is active
     slowdown: np.ndarray = field(default=None)  # type: ignore[assignment]
 
+    #: the per-machine integer columns; :attr:`COLUMNS` adds the float
+    #: slowdown, in the order a trace's ``step_end`` event carries them
+    COUNTS = ("high_edges", "low_edges", "high_vertices", "low_vertices",
+              "update_bytes", "dep_bytes")
+    COLUMNS = COUNTS + ("slowdown",)
+
     def __post_init__(self) -> None:
-        for name in (
-            "high_edges",
-            "low_edges",
-            "high_vertices",
-            "low_vertices",
-            "update_bytes",
-            "dep_bytes",
-        ):
+        for name in self.COUNTS:
             if getattr(self, name) is None:
                 setattr(self, name, np.zeros(self.num_machines, dtype=np.int64))
         if self.slowdown is None:
             self.slowdown = np.ones(self.num_machines, dtype=np.float64)
+
+    def payload(self) -> Dict[str, list]:
+        """The columns as JSON-exact lists (float64 round-trips through
+        ``repr``), keyed by column name in :attr:`COLUMNS` order."""
+        return {name: getattr(self, name).tolist() for name in self.COLUMNS}
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, list],
+                     num_machines: int) -> "StepRecord":
+        """The inverse of :meth:`payload`, bit for bit."""
+        return cls(num_machines, **{
+            name: np.asarray(payload[name], dtype=np.int64)
+            for name in cls.COUNTS
+        }, slowdown=np.asarray(payload["slowdown"], dtype=np.float64))
 
     def total_edges(self) -> int:
         return int(self.high_edges.sum() + self.low_edges.sum())

@@ -15,6 +15,7 @@ from repro.engine import make_engine
 from repro.errors import ReproError
 from repro.graph import erdos_renyi, rmat, to_undirected
 from repro.obs import (
+    EVENT_KINDS,
     Counter,
     Gauge,
     Histogram,
@@ -263,18 +264,6 @@ class TestMetrics:
             registry_breakdown(MetricsRegistry())
 
 
-class RecordingHook:
-    def __init__(self):
-        self.crashes = []
-        self.others = []
-
-    def on_crash(self, event):
-        self.crashes.append(event)
-
-    def on_event(self, event):
-        self.others.append(event["kind"])
-
-
 class TestObsHub:
     def test_coerce(self, tmp_path):
         hub = ObsHub()
@@ -286,35 +275,52 @@ class TestObsHub:
         with pytest.raises(ReproError):
             ObsHub.coerce(42)
 
-    def test_hook_dispatch(self):
-        hub = ObsHub()
-        hook = RecordingHook()
-        hub.register(hook)
-        hub.register(hook)  # idempotent
-        hub.crash(machine=1, iteration=2, step=0)
-        hub.implicit_record(machines=4)
-        assert len(hook.crashes) == 1
-        assert hook.crashes[0]["machine"] == 1
-        assert hook.others == ["implicit_record"]
-        hub.unregister(hook)
-        hub.crash(machine=0, iteration=3, step=0)
-        assert len(hook.crashes) == 1
-
     def test_span_context_threads_through(self):
         hub = ObsHub(tracer=Tracer())
-        hub.phase_begin(phase=3, mode="pull", engine="symple", machines=4)
-        hub.step_begin(2)
-        hub.dep_transfer(src=1, dst=0, nbytes=64)
+        hub.emit("phase_begin", phase=3, mode="pull", engine="symple",
+                 machines=4)
+        hub.emit("step_begin", step=2)
+        hub.emit("dep_transfer", src=1, dst=0, bytes=64)
         event = hub.tracer.events[-1]
         assert event["phase"] == 3 and event["step"] == 2
         assert hub.metrics.get("repro_dep_transfer_bytes_total").value() == 64
 
     def test_crash_clears_context(self):
         hub = ObsHub(tracer=Tracer())
-        hub.phase_begin(phase=0, mode="pull", engine="symple", machines=2)
-        hub.crash(machine=0, iteration=0, step=0)
-        hub.dep_transfer(src=0, dst=1, nbytes=8)
+        hub.emit("phase_begin", phase=0, mode="pull", engine="symple",
+                 machines=2)
+        hub.emit("crash", machine=0, iteration=0, step=0)
+        hub.emit("dep_transfer", src=0, dst=1, bytes=8)
         assert hub.tracer.events[-1]["phase"] is None
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ReproError, match="martian"):
+            ObsHub().emit("martian")
+
+    def test_families_appear_when_their_kind_fires(self):
+        hub = ObsHub()  # no tracer: the metrics still move
+        assert hub.metrics.names() == []
+        hub.emit("mutation_apply", graph_version=2, inserts=3, deletes=0,
+                 add_vertices=0, num_edges=10)
+        m = hub.metrics
+        assert m.names() == ["repro_graph_version",
+                             "repro_mutated_edges_total",
+                             "repro_mutations_total"]
+        assert m.get("repro_mutated_edges_total").value(op="insert") == 3
+        assert m.get("repro_mutated_edges_total").samples()[0] == {
+            "labels": {"op": "delete"}, "value": 0.0}
+        assert m.get("repro_graph_version").value() == 2
+
+    def test_every_row_emits(self):
+        """Each row's fields are enough to emit it, and its feeds agree
+        with every other row's on a family's type and labels."""
+        hub = ObsHub(tracer=Tracer())
+        for kind, row in EVENT_KINDS.items():
+            hub.emit(kind, **dict.fromkeys(row.fields, 1))
+            assert set(row.required) <= set(hub.tracer.events[-1])
+        assert set(hub.metrics.names()) == {
+            feed.name for row in EVENT_KINDS.values() for feed in row.feeds
+        }
 
     def test_engine_counts_phases_and_kernels(self, graph):
         engine, hub = traced_run(graph)
