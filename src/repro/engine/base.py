@@ -54,9 +54,9 @@ _UPDATE, _DEP = COMM_TAGS.index("update"), COMM_TAGS.index("dep")
 # a pull table's lane with no vertex (read-only, shared)
 _NO_VERTICES = np.zeros(0, dtype=np.int64)
 
-# One serial per engine (a Session builds an engine per run): the scope
-# scan plans are kept in.  Not ``id()``, which a later engine can reuse.
-_RUN_SERIAL = count(1)
+# One serial per table ``_pull_table`` builds: the key workers keep lane
+# plans under.  Not ``id()``, which a later table can reuse.
+_TABLE_SERIAL = count(1)
 
 
 @dataclass
@@ -144,7 +144,6 @@ class BaseEngine:
         self.verify = verify
         self.fastpaths = FastPaths(verify)
         self._analyzed: Dict[int, AnalyzedSignal] = {}
-        self._run_serial = next(_RUN_SERIAL)
         self._fault_controller = None
         self._codes: Optional[np.ndarray] = None
         #: the last pull table, with the masks it was built from
@@ -412,7 +411,6 @@ class BaseEngine:
         analyzed: AnalyzedSignal,
         state: StateStore,
         table: Dict,
-        phase: int,
         stalls=None,
         steps: Tuple[int, int] = (0, 1),
         carried: Optional[Dict[str, np.dtype]] = None,
@@ -427,7 +425,6 @@ class BaseEngine:
         shared = dict(table=table, steps=steps, carried=carried or {},
                       dep_in=dep_in, signal=analyzed, use_kernel=use_kernel,
                       timed=self.obs is not None,
-                      scan=(self._run_serial, phase),
                       solo=fast.refuted(BLOCK, udf))
         items = list(range(len(table["machine"])))
         certifying = use_kernel and fast.checking(BLOCK, udf)
@@ -462,7 +459,9 @@ class BaseEngine:
         machine ``m``'s whole row in one step, in ascending vertex order
         — never master order, so its update sends stay ascending.  The
         last table is kept: a phase over the masks of the one before
-        (every PageRank phase after the first) gets it back.
+        (every PageRank phase after the first) gets it back, its
+        ``serial`` too: workers keep lane plans under it
+        (:class:`~repro.exec.work.PlanStore`).
         """
         memo = self._table
         if (
@@ -475,8 +474,8 @@ class BaseEngine:
         order = part._master_order if circulant else None
         has_in = part._has_in if order is None else part._has_in[:, order]
         item = ids[:p, None]
-        table = {"machine": (item - ids[:p] - 1) % p if circulant
-                 else item}
+        table = {"serial": next(_TABLE_SERIAL),
+                 "machine": (item - ids[:p] - 1) % p if circulant else item}
         for lane, mask in (("dep", dep), ("plain", plain)):
             cuts = np.zeros((p, p + 1), dtype=np.int64)
             if mask is None or not mask.any():  # no row pass for nothing
@@ -603,8 +602,10 @@ class BaseEngine:
 
     def _observe_steps(self, walk, steps, sent, first) -> None:
         """The merged steps' events, unit by unit: a kernel batch per
-        lane scanned, then the unit's hand-off."""
+        lane scanned, then the unit's hand-off; ``step_end`` feeds no
+        metric, so only a tracing hub is sent it."""
         obs, p, kind = self.obs, self.num_machines, walk["kind"]
+        traced = first is not None and obs.tracer is not None
         lanes = {
             lane: [walk[f"{lane}_{what}"].tolist()
                    for what in ("vertices", "edges", "seconds")]
@@ -624,7 +625,7 @@ class BaseEngine:
                 if sent[u]:
                     obs.emit("dep_transfer", src=m, dst=(m - 1) % p,
                              bytes=sent[u])
-            if first is not None:
+            if traced:
                 obs.emit("step_end", step=first + k, **step.payload())
 
     def _commit_phase(
@@ -647,15 +648,15 @@ class BaseEngine:
         record.steps = steps
         self._count_sync(changed, sync_bytes, record)
         self.counters.add_iteration(record)
-        if self.obs is not None:
-            if not steps_traced:
-                for s, step in enumerate(steps):
-                    self.obs.emit("step_begin", step=s)
-                    self.obs.emit("step_end", step=s, **step.payload())
-            self.obs.emit("phase_end", mode=record.mode,
-                          steps=len(record.steps),
-                          sync_bytes=int(record.sync_bytes),
-                          push_bytes=int(record.push_bytes))
+        obs = self.obs
+        if obs is not None:
+            for s, step in enumerate(() if steps_traced else steps):
+                obs.emit("step_begin", step=s)
+                if obs.tracer is not None:  # step_end feeds no metric
+                    obs.emit("step_end", step=s, **step.payload())
+            obs.emit("phase_end", mode=record.mode, steps=len(steps),
+                     sync_bytes=int(record.sync_bytes),
+                     push_bytes=int(record.push_bytes))
         edges = record.total_edges()
         self.counters.add_edges(edges)
         self.counters.add_vertices(
@@ -687,7 +688,7 @@ class BaseEngine:
         buffer = _UpdateBuffer()
         walked = self._map_pull(
             analyzed, state, self._pull_table(None, active, circulant=False),
-            phase, stalls=step.slowdown,
+            stalls=step.slowdown,
         )
         step, = self._merge_steps(
             walked, buffer, update_bytes, "high", slowdown=[step.slowdown],

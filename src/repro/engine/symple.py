@@ -278,7 +278,7 @@ class SympleGraphEngine(BaseEngine):
 
         def walk(first: int, stop: int, stalls=None, dep_in=None):
             return self._map_pull(
-                analyzed, state, table, phase, stalls=stalls,
+                analyzed, state, table, stalls=stalls,
                 steps=(first, stop), carried=carried, dep_in=dep_in,
             )
 
@@ -336,7 +336,8 @@ class SympleGraphEngine(BaseEngine):
                     slowdown=[step.slowdown],
                 )
                 steps.append(step)
-                if self.obs is not None:
+                if self.obs is not None and self.obs.tracer is not None:
+                    # step_end feeds no metric: only a trace reads it
                     self.obs.emit("step_end", step=s, **step.payload())
 
         return self._commit_phase(

@@ -16,11 +16,14 @@ across backends — the backend is purely a wall-clock knob.
 Every backend runs a chunk of items through the same loop,
 :meth:`repro.exec.work.WorkerContext.run`: a task that has a chunk
 form (``pull_walk`` is its own, and scans the chunk's units together
-in blocks) gets its whole chunk in one call — the map
-under the serial backend, a worker's contiguous items under the
-process backend — and any other task is called item by item.  What
-the scans counted (blocks, units, plans built and reused, bytes the
-kept plans hold) comes back with each chunk and sums into
+in blocks) gets its whole chunk in one call — the map under the
+serial backend, a worker's contiguous items under the process backend
+— and any other task is called item by item.  Each context keeps the
+lane plans of the pull table it last walked, under the serial that
+travels with the table (:class:`~repro.exec.work.PlanStore`), so a
+phase the engine hands the same table again is served them.  What the
+scans counted (blocks, units, plans built and reused, bytes the kept
+plans hold) comes back with each chunk and sums into
 ``Executor.stats()["scan"]``.
 
 ``stalls`` carries the fault controller's straggler factors, one per

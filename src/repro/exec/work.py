@@ -18,16 +18,17 @@ traffic, and results bit-identical across the serial and process
 backends.
 
 Task functions receive a :class:`WorkerContext` (graph topology + state
-+ an analyzed-signal cache + the scan plans it keeps between phases), a
-``shared`` dict broadcast to every task of one map call, and its items.
-They must not mutate anything reachable from the context (its
-:class:`PlanStore` aside, which is a cache of what the topology alone
-determines); a walk keeps its items' dependency state in a store of
-its own.  The no-mutation rule is doubly load-bearing under the process
-backend, where the state arrays are shared-memory views aliased across
-every worker — a task that wrote to them would race its siblings *and*
-corrupt the parent's authoritative copy; purity is also what makes the
-executor's crash-retry (respawn the pool, rerun the map's chunks) safe.
++ an analyzed-signal cache + the scan plans it keeps under a pull
+table), a ``shared`` dict broadcast to every task of one map call, and
+its items.  They must not mutate anything reachable from the context
+(its :class:`PlanStore` aside, which is a cache of what the topology
+and a table alone determine); a walk keeps its items' dependency state
+in a store of its own.  The no-mutation rule is doubly load-bearing
+under the process backend, where the state arrays are shared-memory
+views aliased across every worker — a task that wrote to them would
+race its siblings *and* corrupt the parent's authoritative copy;
+purity is also what makes the executor's crash-retry (respawn the
+pool, rerun the map's chunks) safe.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class WorkerContext:
     :class:`AnalyzedSignal` through untouched; worker processes receive
     the original function (compiled UDFs do not pickle) and re-derive
     the analysis here, cached per function object.  ``plans`` is the
-    context's :class:`PlanStore`: the scan plans kept between
-    consecutive pull phases of a run, which — like the adjacency lists —
-    belong to this partition and go when the context is replaced.
+    context's :class:`PlanStore`: the scan plans kept under the last
+    pull table walked here, which — like the adjacency lists — belong
+    to this partition and go when the context is replaced.
     """
 
     def __init__(
@@ -219,7 +220,7 @@ class LanePlan:
     unit's flattened edges.  A unit's rows come from one ``indptr`` /
     ``degrees`` gather per run of consecutive units on one machine.
     Everything here is a function of the topology and the vertex sets,
-    which is what lets a context keep a plan across phases.
+    which is what lets a context keep a plan while a table recurs.
     """
 
     __slots__ = ("starts", "edges", "blocks")
@@ -257,66 +258,37 @@ class LanePlan:
 class PlanStore:
     """The lane plans a context keeps, and its scan counters.
 
-    A :class:`LanePlan` depends on the topology and a lane's vertex
-    sets, so a lane that recurs is scanned with the plan it built last
-    time: its rows, its block grouping and its blocks' flattened
-    segments.  Per lane position of a phase — a dependency step, or a
-    walk's plain lane, each at the walk's first item — the store
-    remembers the layout (machines, unit sizes) and the vertices it last
-    saw and, from the second consecutive sighting on, the plan; a
-    position whose layout or vertices differ (compared by exact array
-    equality) replaces both.  Reuse is between consecutive pull phases
-    of one run only: a new ``(run, phase)`` scope drops whatever the
-    phase before the last one left, and a new run drops everything, so
-    what one run counts never depends on what ran before it and at most
-    one plan per position is held (nothing for a set seen once).  The
-    topology half of the key is the store's owner: a context belongs to
-    one partition and is replaced with it.  The counters count blocks:
-    kernel calls, the unit lanes they scan, and plans built or reused
-    per block.
+    A :class:`LanePlan` is a function of the topology and a lane's
+    vertex sets, which a pull table (``BaseEngine._pull_table``) fixes:
+    under one table ``serial``, a lane position (a walk's plain lane or
+    a dependency step, of one chunk of items) is one plan.  The store
+    keeps one serial's: a new serial drops every kept plan; a position
+    seen once keeps nothing, and from its second sighting on its plan is
+    kept and then served.  The engine's table memo decides what recurs
+    (a new run or mask set is a new table), so what one run counts never
+    depends on what ran before it; the topology needs no key, a context
+    being replaced with its partition.  The counters count blocks:
+    kernel calls, the unit lanes they scan, plans built or reused.
     """
 
     COUNTERS = ("blocks", "units", "plans_built", "plans_reused")
 
     def __init__(self) -> None:
         self.counts = dict.fromkeys(self.COUNTERS, 0)
-        self._scope = None
-        # position -> (layout, vertices, plan or None): the pull phase
-        # before this one, and this one
-        self._last: Dict[Any, tuple] = {}
-        self._seen: Dict[Any, tuple] = {}
+        self._serial = None
+        # position -> its plan, or None for a position seen once
+        self._plans: Dict[Any, Any] = {}
 
-    def plan(self, scan, key, layout: bytes, vertices, build) -> LanePlan:
-        """The plan of position ``key`` of scope ``scan`` (``(run,
-        phase)``) over ``vertices`` cut as ``layout`` says: the kept one
-        when the position saw exactly these last phase, else
-        ``build()``'s."""
-        if scan != self._scope:
-            same_run = self._scope is not None and self._scope[0] == scan[0]
-            self._last = self._seen if same_run else {}
-            self._seen = {}
-            self._scope = scan
-        # a step replayed inside its phase (recovery) finds what its
-        # first pass left
-        prev = self._last.pop(key, None) or self._seen.get(key)
-        if (
-            prev is None
-            or prev[0] != layout
-            or not np.array_equal(prev[1], vertices)
-        ):
-            # seen once: the plan is not kept (a worker's sets may be
-            # views of the delta arena, which the map after next
-            # overwrites)
-            kept = vertices if vertices.flags.owndata else vertices.copy()
-            self._seen[key] = (layout, kept, None)
-            plan = build()
-            self.count(plan)
-            return plan
-        layout, vertices, plan = prev
+    def plan(self, serial, key, build) -> LanePlan:
+        """The plan of position ``key`` of table ``serial``: the kept
+        one, else ``build()``'s, kept from the second sighting on."""
+        if serial != self._serial:
+            self._serial, self._plans = serial, {}
+        plan = self._plans.get(key)
         fresh = plan is None
         if fresh:
             plan = build()
-        self._seen[key] = (layout, vertices, plan)
+            self._plans[key] = plan if key in self._plans else None
         self.count(plan, fresh)
         return plan
 
@@ -333,14 +305,10 @@ class PlanStore:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by kept plans (a reused one sits in both maps)."""
+        """Bytes held by kept plans."""
         # list(): /stats reads this from another thread mid-run
-        entries = list(self._last.values()) + list(self._seen.values())
-        plans = {
-            id(entry[2]): entry[2] for entry in entries
-            if entry[2] is not None
-        }
-        return sum(plan.nbytes for plan in plans.values())
+        plans = list(self._plans.values())
+        return sum(plan.nbytes for plan in plans if plan is not None)
 
 
 _NO_VERTICES = np.zeros(0, dtype=np.int64)
@@ -371,18 +339,21 @@ def _blocks(edges: np.ndarray, limit: int):
 
 
 def _lane_plan(ctx, shared, key, machines, sizes, vertices):
-    """The plan of lane position ``key`` of the walk's phase: kept in
-    the context's :class:`PlanStore`, except on the certifier's replay
-    (``shared['solo']``), which builds every unit alone and keeps
-    nothing."""
-    if shared["solo"]:
-        plan = LanePlan(ctx, machines, sizes, vertices, 0)
+    """The plan of lane position ``key`` of the walk's table, kept in
+    the context's :class:`PlanStore` under the table's serial.  A lane
+    the table does not fix (``key`` None: a dependency lane the skip
+    filter has cut) builds its plan and keeps nothing, as does the
+    certifier's replay (``shared['solo']``), which builds every unit
+    alone."""
+    def build():
+        return LanePlan(ctx, machines, sizes, vertices,
+                        0 if shared["solo"] else _BLOCK_EDGES)
+
+    if key is None or shared["solo"]:
+        plan = build()
         ctx.plans.count(plan)
         return plan
-    return ctx.plans.plan(
-        shared["scan"], key, machines.tobytes() + sizes.tobytes(), vertices,
-        lambda: LanePlan(ctx, machines, sizes, vertices, _BLOCK_EDGES),
-    )
+    return ctx.plans.plan(shared["table"]["serial"], key, build)
 
 
 def vertex_tables(spec, state) -> Dict[str, np.ndarray]:
@@ -653,18 +624,18 @@ def pull_walk(
     ``shared['steps']`` (``(first, stop)``); returns one array set for
     the whole chunk (in a list: the chunk's results).
 
-    ``shared['table']`` is the phase (``BaseEngine._pull_table``): per
-    lane, ``(vertices, cuts)`` — item ``j``'s share of machine ``m``'s
-    lane is ``vertices[cuts[m, j]:cuts[m, j + 1]]`` (:func:`unit_lane`)
-    — and ``machine[j][s]``, the machine that scans item ``j`` in step
-    ``s``.  A unit (an item in a step) is two lanes over that machine's
-    local in-edges: the **dependency lane**, vertices taking part in
-    dependency propagation whose skip bit is still clear, with the
-    carried state (``shared['carried']`` names it) the previous machine
-    handed over; and the **plain lane**, vertices scanned with the
-    original UDF and no dependency state.  The dependency state is the
-    walk's — fresh, or a copy of ``shared['dep_in']`` ``(skip, present,
-    data)``.
+    ``shared['table']`` is the phase (``BaseEngine._pull_table``): its
+    ``serial``; per lane, ``(vertices, cuts)`` — item ``j``'s share of
+    machine ``m``'s lane is ``vertices[cuts[m, j]:cuts[m, j + 1]]``
+    (:func:`unit_lane`) — and ``machine[j][s]``, the machine that scans
+    item ``j`` in step ``s``.  A unit (an item in a step) is two lanes
+    over that machine's local in-edges: the **dependency lane**,
+    vertices taking part in dependency propagation whose skip bit is
+    still clear, with the carried state (``shared['carried']`` names it)
+    the previous machine handed over; and the **plain lane**, vertices
+    scanned with the original UDF and no dependency state.  The
+    dependency state is the walk's — fresh, or a copy of
+    ``shared['dep_in']`` ``(skip, present, data)``.
 
     ``shared['use_kernel']`` picks the batched kernel or the per-vertex
     interpreter (the oracle: both lanes of a unit in one pass, step by
@@ -675,11 +646,11 @@ def pull_walk(
     once on it, the write-back is one scatter).  Both scan in *blocks*
     of a lane's :class:`LanePlan` — consecutive units whose flattened
     edges fit ``_BLOCK_EDGES`` share one call (``shared['solo']``: every
-    unit alone, the certifier's replay) — and ``shared['scan']`` scopes
-    the plans the context's :class:`PlanStore` keeps.  A lane with no
-    vertex costs no call and no row.  Every kernel call of the walk
-    gathers the spec's neighbour-only roles from tables the walk builds
-    once (:func:`vertex_tables`), never kept beyond it.
+    unit alone, the certifier's replay), kept under the table's serial
+    (:func:`_lane_plan`).  A lane with no vertex costs no call and no
+    row.  Every kernel call of the walk gathers the spec's neighbour-only
+    roles from tables the walk builds once (:func:`vertex_tables`), never
+    kept beyond it.
 
     The result holds, per unit (``m``: the scanning machine; the walk's
     units step-major, each step's ``width`` units in ascending machine
@@ -713,6 +684,7 @@ def pull_walk(
     tables = None if spec is None else vertex_tables(spec, ctx.state)
     first, stop = shared["steps"]
     width = len(items)
+    chunk = tuple(items)  # with the steps, a lane position of the table
     # the walk's units, step by step in ascending machine order: unit
     # u is item unit_i[u] in step first + u // width, on machine unit_m[u]
     items = np.asarray(items)
@@ -736,7 +708,7 @@ def pull_walk(
         units = held[np.argsort(unit_m[held], kind="stable")]
         sizes = plain[2][units] - plain[1][units]
         vertices = plain[0][spans(plain[1][units], sizes)]
-        plan = _lane_plan(ctx, shared, ("plain", first, items[0]),
+        plan = _lane_plan(ctx, shared, ("plain", first, stop, chunk),
                           unit_m[units], sizes, vertices)
         walk.lane("plain", units, sizes, plan.starts, vertices, _scan_lane(
             ctx, shared, spec, plan, vertices, None, tables
@@ -783,8 +755,9 @@ def pull_walk(
             if not live.any():
                 continue
             at, counts, starts = at[live], counts[live], starts[live]
-            plan = _lane_plan(ctx, shared, ("dep", first + k, items[0]),
-                              unit_m[at], counts, vertices)
+            # a lane the skip filter cut is the walk's, not the table's
+            key = None if skipping else ("dep", first + k, chunk)
+            plan = _lane_plan(ctx, shared, key, unit_m[at], counts, vertices)
             scanned = _scan_lane(ctx, shared, spec, plan, vertices,
                                  carried.get(name), tables)
             walk.lane("dep", at, counts, starts, vertices, scanned)

@@ -25,6 +25,8 @@ Metric and label names follow Prometheus conventions (``repro_`` prefix,
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,18 +153,19 @@ class Histogram(Metric):
         if not buckets or list(buckets) != sorted(buckets):
             raise ReproError("histogram buckets must be sorted, non-empty")
         self.buckets = tuple(float(b) for b in buckets)
-        # per label key: (bucket_counts, sum, count)
+        # per label key: (per-bucket counts, the last one past every
+        # edge, sum, count); readers sum the counts into the cumulative
+        # buckets, so an observation is one search
         self._hist: Dict[Tuple[str, ...],
                          Tuple[List[int], float, int]] = {}
 
     def observe(self, value: float, **labels: object) -> None:
         key = _label_key(self.label_names, labels)
         counts, total, n = self._hist.get(
-            key, ([0] * len(self.buckets), 0.0, 0)
+            key, ([0] * (len(self.buckets) + 1), 0.0, 0)
         )
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
+        if value == value:  # NaN is in no bucket
+            counts[bisect_left(self.buckets, value)] += 1
         self._hist[key] = (counts, total + float(value), n + 1)
 
     def quantile(self, q: float, **labels: object) -> float:
@@ -177,7 +180,7 @@ class Histogram(Metric):
         counts, _, n = self._hist.get(key, ((), 0.0, 0))
         rank = q * n
         lower_edge, lower_count = 0.0, 0
-        for edge, count in zip(self.buckets, counts):
+        for edge, count in zip(self.buckets, accumulate(counts)):
             if count >= rank:
                 if count == lower_count:
                     return lower_edge
@@ -200,7 +203,7 @@ class Histogram(Metric):
                     "labels": dict(zip(self.label_names, key)),
                     "buckets": {
                         _prom_number(b): c
-                        for b, c in zip(self.buckets, counts)
+                        for b, c in zip(self.buckets, accumulate(counts))
                     },
                     "sum": total,
                     "count": n,
@@ -212,7 +215,7 @@ class Histogram(Metric):
         lines = []
         names = self.label_names + ("le",)
         for key, (counts, total, n) in sorted(self._hist.items()):
-            for bound, count in zip(self.buckets, counts):
+            for bound, count in zip(self.buckets, accumulate(counts)):
                 lines.append(
                     _prom_sample(self.name + "_bucket", names,
                                  key + (_prom_number(bound),), count)

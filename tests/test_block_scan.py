@@ -14,9 +14,10 @@ The pull side of ``test_push_kernel.py``:
   the ordered send log — are the same under every block limit and on
   every executor;
 * ``repro.exec.work.PlanStore`` — a lane plan is kept from the second
-  consecutive sighting of a lane's vertex sets, served while they recur
-  (no row gather, no block build), and never outlives its run or its
-  partition;
+  sighting of its lane position under one pull table, served while the
+  table recurs (no row gather, no block build), and never outlives its
+  table or its partition; of the bundled runs only PageRank reuses
+  plans (the census);
 * the engine gate — a tampered block slice is refused under
   ``verify="strict"`` and dropped, with the right answer, under
   ``"warn"``;
@@ -37,9 +38,11 @@ from repro.algorithms.cc import _min_slot, cc_signal
 from repro.algorithms.kcore import kcore_signal
 from repro.algorithms.mis import mis_signal
 from repro.algorithms.pagerank import pagerank_signal
+from repro.algorithms.registry import algorithm_names
 from repro.analysis.instrument import instrument_signal
 from repro.api import RunConfig, Session
 from repro.engine import GeminiEngine, SympleGraphEngine
+from repro.engine.base import _TABLE_SERIAL
 from repro.engine.dep import carried_dtypes
 from repro.engine.fastpath import BLOCK
 from repro.engine.symple import circulant_partition
@@ -47,7 +50,9 @@ from repro.errors import EngineError, KernelSoundnessError
 from repro.exec import make_executor, work
 from repro.exec.process import ProcessPoolExecutor
 from repro.fault import FaultPlan, StragglerFault
-from repro.graph import CSRGraph, MutationBatch, rmat, to_undirected
+from repro.graph import (
+    CSRGraph, MutationBatch, random_weights, rmat, to_undirected,
+)
 from repro.kernels import get_kernel
 from repro.partition import OutgoingEdgeCut
 
@@ -131,6 +136,7 @@ def circulant_step(engine, analyzed, rng, step, differentiated, carry):
     present = {name: np.zeros(n, dtype=bool) for name in names}
     data = {name: np.zeros(n, dtype=dtype) for name, dtype in names.items()}
     table = {
+        "serial": next(_TABLE_SERIAL),
         "machine": [[(j - s - 1) % p for s in range(p)] for j in range(p)],
     }
     rows = {"dep": [], "plain": []}
@@ -183,13 +189,13 @@ def bsp_step(engine, active):
     return engine._pull_table(None, mask, circulant=False), units
 
 
-def shared_for(analyzed, scan=(1, 0), ctx=None):
+def shared_for(analyzed, ctx=None):
     """The walk's shared dict; with ``ctx``, carrying the signal's
     variables, typed over its state as the engine types them."""
     carried = {} if ctx is None else carried_dtypes(analyzed, ctx.state)
     return {
         "signal": analyzed, "use_kernel": True, "timed": False,
-        "scan": scan, "solo": False, "carried": carried, "dep_in": None,
+        "solo": False, "carried": carried, "dep_in": None,
     }
 
 
@@ -351,13 +357,11 @@ class TestBlockEqualsUnit:
         )
         shared = shared_for(analyzed, ctx=ctx)
         want = [per_unit_oracle(ctx, analyzed, unit) for unit in units]
-        for phase, limit in enumerate(LIMITS * 2, start=1):
-            # the second round finds the first round's sets: kept plans
+        for limit in LIMITS * 2:
+            # the second round finds the first round's lanes: kept plans
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(work, "_BLOCK_EDGES", limit)
-                got = walk_step(
-                    ctx, {**shared, "scan": (1, phase)}, table, step, dep_in
-                )
+                got = walk_step(ctx, shared, table, step, dep_in)
             assert_same_results(got, want)
         assert_same_results(
             walk_step(ctx, {**shared, "solo": True}, table, step, dep_in),
@@ -383,10 +387,10 @@ class TestBlockEqualsUnit:
         table, units = bsp_step(engine, active)
         shared = shared_for(analyzed)
         want = [per_unit_oracle(ctx, analyzed, unit) for unit in units]
-        for phase, limit in enumerate(LIMITS):
+        for limit in LIMITS:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(work, "_BLOCK_EDGES", limit)
-                got = walk_step(ctx, {**shared, "scan": (1, phase)}, table, 0)
+                got = walk_step(ctx, shared, table, 0)
             assert_same_results(got, want, state=False)
 
     def test_restored_and_fresh_units_share_a_call(self):
@@ -517,7 +521,10 @@ class TestBlockEqualsUnit:
         shared = {**shared_for(analyzed, ctx=ctx),
                   "table": table, "steps": (0, 4)}
         monkeypatch.setattr(work, "_BLOCK_EDGES", 1 << 40)
-        whole = unit_results(work.pull_walk(ctx, shared, [0, 1, 2, 3])[0])
+        # walked twice, the chunk's plans are kept; an item alone is
+        # another lane position of the table, never served them
+        for _ in range(2):
+            whole = unit_results(work.pull_walk(ctx, shared, [0, 1, 2, 3])[0])
         assert ctx.plans.counts["units"] > ctx.plans.counts["blocks"]
         for j in range(4):
             alone = unit_results(work.pull_walk(ctx, shared, [j])[0])
@@ -724,7 +731,37 @@ def delta(after, before):
     }
 
 
+@pytest.fixture(scope="module")
+def census_graphs():
+    """The plan-reuse census graph, and its weighted form for sssp."""
+    graph = rmat(scale=9, edge_factor=8, seed=3)
+    return graph, random_weights(to_undirected(graph), seed=3)
+
+
 class TestPlanScoping:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_plan_reuse_census(self, census_graphs, algorithm, engine):
+        """Which bundled runs reuse lane plans: PageRank, whose lanes
+        are the same every phase, serves every block after its second
+        phase; every other algorithm's active set or skip bits move from
+        phase to phase, and it reuses none."""
+        graph, weighted = census_graphs
+        config = RunConfig(machines=4, engine=engine, algorithm=algorithm)
+        with Session(weighted if algorithm == "sssp" else graph,
+                     config) as session:
+            result = session.run()
+            scan = scan_of(session)
+        assert scan["plans_built"] + scan["plans_reused"] == scan["blocks"]
+        if algorithm == "pagerank":
+            phases = int(result.extra["iterations"])
+            assert scan["blocks"] and phases > 2
+            assert scan["plans_reused"] * phases == (
+                scan["blocks"] * (phases - 2)
+            )
+        else:
+            assert scan["plans_reused"] == 0
+
     @pytest.mark.parametrize("algorithm", ["bfs", "pagerank"])
     def test_back_to_back_runs_count_the_same(self, run_graph, algorithm):
         """Nothing built in one run is served in the next."""
@@ -861,10 +898,35 @@ class TestPlanScoping:
                 assert made == {"plans": 0, "blocks": 0}
                 assert counts["plans_reused"] == counts["blocks"]
 
+    def test_a_lane_the_skip_filter_cut_is_never_kept(self):
+        """Past a walk's first skip bit its dependency lanes are the
+        walk's, not the table's: walks of one table whose breaks differ
+        each answer as their own solo replay, and only the lanes the
+        table fixes are served."""
+        graph = to_undirected(rmat(scale=6, edge_factor=6, seed=3))
+        rng = np.random.default_rng(6)
+        engine, ctx = context(graph, 4, rng)
+        analyzed = instrument_signal(kcore_signal)
+        high = graph.in_degrees() >= 2
+        table = engine._pull_table(high, ~high, circulant=True)
+        shared = {**shared_for(analyzed, ctx=ctx),
+                  "table": table, "steps": (0, 4)}
+        for _ in range(4):
+            ctx.state.active[:] = rng.random(graph.num_vertices) < 0.5
+            got, want = (
+                unit_results(work.pull_walk(ctx, walk, [0, 1, 2, 3])[0])
+                for walk in (shared, {**shared, "solo": True})
+            )
+            assert_same_results(got, want, state=False)
+        counts = ctx.plans.take()
+        assert 0 < counts["plans_reused"] < counts["blocks"] / 2
+
     @staticmethod
     def sights(graph, machines=2):
         """A store, and a function that sights one lane position of a
-        walk over each machine's whole row of ``graph`` (or ``sets``)."""
+        walk over each machine's whole row of ``graph`` (or ``sets``)
+        under table ``serial`` (``lane`` None: a lane the table does not
+        fix)."""
         partition = OutgoingEdgeCut().partition(graph, machines)
         ctx = work.WorkerContext(
             [partition.local_in(m) for m in range(machines)],
@@ -874,11 +936,12 @@ class TestPlanScoping:
         sets = [np.flatnonzero(ctx.local_in(m).degrees() > 0)
                 for m in range(machines)]
 
-        def sight(run, phase, sets=sets, lane="plain", machines=None):
+        def sight(serial, sets=sets, lane="plain", machines=None):
             sizes = np.array([v.size for v in sets])
             machines = np.arange(len(sets)) if machines is None else machines
             return work._lane_plan(
-                ctx, {"solo": False, "scan": (run, phase)}, (lane, 0, 0),
+                ctx, {"solo": False, "table": {"serial": serial}},
+                None if lane is None else (lane, 0, 0),
                 machines, sizes, np.concatenate(sets),
             )
 
@@ -887,68 +950,55 @@ class TestPlanScoping:
     def test_store_keeps_from_the_second_sighting(self):
         graph = to_undirected(rmat(scale=5, edge_factor=4, seed=2))
         store, sight, sets, ctx = self.sights(graph)
-        first = sight(1, 0)
+        first = sight(1)
         assert store.nbytes == 0  # seen once: nothing kept
-        second = sight(1, 1)
+        second = sight(1)
         assert second is not first and store.nbytes == second.nbytes
-        assert sight(1, 2) is second
-        assert sight(1, 4) is second  # push phases in between
+        assert sight(1) is second
+        assert sight(1) is second
         assert store.counts == {
             "blocks": 4, "units": 8, "plans_built": 2, "plans_reused": 2,
         }
-        # one vertex fewer in one unit: a miss, and the old plan goes
+        # a new table drops the kept plan, whatever its sets
         fewer = [sets[0], sets[1][:-1]]
-        third = sight(1, 5, fewer)
+        third = sight(2, fewer)
         assert third is not second and store.nbytes == 0
         dropped = int(ctx.local_in(1).degrees()[sets[1][-1]])
         flat = [plan.blocks[0][4].flat.size for plan in (second, third)]
         assert flat[1] == flat[0] - dropped
-        sight(1, 6)
-        kept = sight(1, 7)
-        assert sight(1, 8) is kept
-        # a new run finds nothing, whatever the sets
-        fresh = sight(2, 0)
-        assert fresh is not kept and store.nbytes == 0
-        # equal sets two phases apart are not consecutive sightings
-        sight(2, 1, fewer)
-        sight(2, 2)
+        kept = sight(2, fewer)
+        assert sight(2, fewer) is kept
+        # a lane the skip filter cut is built and never kept
+        assert sight(2, fewer, lane=None) is not kept
+        assert sight(2, fewer, lane=None) is not kept
+        assert store.nbytes == kept.nbytes
+        # a table seen before the last one starts afresh
+        sight(1)
         assert store.nbytes == 0
+        sight(1)
+        assert store.nbytes > 0
 
     def test_same_vertices_cut_elsewhere_is_a_miss(self):
-        """Equal concatenated sets under different unit boundaries, or
-        on other machines, are different lanes (each row gathers from
-        its own machine); the lanes of one position never meet."""
+        """The table's serial and the lane position are the whole key:
+        each position of one table has its own plan, and the same
+        vertices cut the same way under another table are a miss."""
         graph = to_undirected(rmat(scale=5, edge_factor=4, seed=2))
         store, sight, (vertices,), _ = self.sights(graph, machines=1)
         cut = {k: [vertices[:k], vertices[k:]] for k in (3, 4)}
         one = np.zeros(2, dtype=np.int64)  # both units on machine 0
-        sight(1, 0, cut[3], machines=one)
-        kept = sight(1, 1, cut[3], machines=one)
-        assert sight(1, 2, cut[3], machines=one) is kept
-        assert sight(1, 3, cut[4], machines=one) is not kept
+        sight(1, cut[3], machines=one)
+        kept = sight(1, cut[3], machines=one)
+        assert sight(1, cut[3], machines=one) is kept
+        # another position of the table counts its own sightings
+        sight(1, cut[4], lane="dep", machines=one)
+        dep = sight(1, cut[4], lane="dep", machines=one)
+        assert dep is not kept and dep.starts.tolist() == [0, 4]
+        assert sight(1, cut[3], machines=one) is kept
+        assert store.nbytes == kept.nbytes + dep.nbytes
+        # the same lane under another table
+        assert sight(2, cut[3], machines=one) is not kept
         assert store.nbytes == 0
-        sight(1, 4, cut[4], machines=one)
-        assert sight(1, 5, cut[4], lane="dep", machines=one) is not None
-        assert store.counts["plans_reused"] == 1
-
-    def test_store_copies_sets_it_does_not_own(self):
-        """A worker's sets are views of the delta arena, overwritten
-        two maps later."""
-        graph = to_undirected(rmat(scale=5, edge_factor=4, seed=2))
-        store, _, sets, ctx = self.sights(graph, machines=1)
-        backing = sets[0].copy()
-        view = backing[:]
-        assert not view.flags.owndata
-        sizes, machines = np.array([view.size]), np.zeros(1, dtype=np.int64)
-
-        def build():
-            return work.LanePlan(ctx, machines, sizes, view, 1 << 20)
-
-        store.plan((1, 0), ("plain", 0, 0), b"", view, build)
-        wanted = backing.copy()
-        backing[0] = backing[1]  # the arena moves on
-        store.plan((1, 1), ("plain", 0, 0), b"", wanted, build)
-        assert store.counts["plans_built"] == 2 and store.nbytes > 0
+        assert store.counts["plans_reused"] == 2
 
 
 # -- (d) certification -----------------------------------------------------------

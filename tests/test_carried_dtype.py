@@ -149,7 +149,7 @@ def walk(engine, state, analyzed, use_kernel):
     )
     shared = dict(table=table, steps=(0, p), carried=carried, dep_in=dep_in,
                   signal=analyzed, use_kernel=use_kernel, timed=False,
-                  scan=(1, int(use_kernel)), solo=False)
+                  solo=False)
     result, = work.pull_walk(ctx, shared, list(range(p)))
     if result["broke"] is None:  # a fold that never breaks
         result["broke"] = np.zeros(result["dep_v"].size, dtype=bool)

@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import bfs, mis
 from repro.engine import make_engine
@@ -31,7 +33,27 @@ from repro.obs import (
     summarize_events,
     validate_events,
 )
+from repro.obs.metrics import _prom_number
 from repro.runtime import SYMPLE_COST
+
+
+#: histogram edges to draw from: repeats, zero, infinities
+EDGES = (float("-inf"), -3.0, 0.0, 1.0, 1.0, 2.5, 1e6, float("inf"))
+
+
+def loop_quantile(buckets, cumulative, n, q):
+    """The q-quantile of ``n`` observations read off ``cumulative``
+    bucket counts, as ``Histogram.quantile`` documents it."""
+    rank = q * n
+    lower_edge, lower_count = 0.0, 0
+    for edge, count in zip(buckets, cumulative):
+        if count >= rank:
+            if count == lower_count:
+                return lower_edge
+            share = (rank - lower_count) / (count - lower_count)
+            return lower_edge + (edge - lower_edge) * share
+        lower_edge, lower_count = edge, count
+    return lower_edge
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +235,51 @@ class TestMetrics:
         assert h.quantile(1.0) == 100.0
         assert h.mean() == pytest.approx(555.5 / 4)
 
+    @given(
+        edges=st.lists(st.sampled_from(EDGES), min_size=1, max_size=6),
+        values=st.lists(st.one_of(
+            st.sampled_from(EDGES + (float("nan"),)),
+            st.floats(-1e3, 1e7),
+            st.integers(-5, 5),
+        ), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_histogram_reads_as_the_per_edge_loop(self, edges, values):
+        """Each observation is one search into per-bucket counts that
+        the readers sum; every reading is what comparing each value
+        with every edge gives: NaN in no bucket, +inf in no finite one,
+        -inf in all of them, a value on an edge in that edge's bucket."""
+        registry = MetricsRegistry()
+        h = registry.histogram("h", labels=("half",), buckets=sorted(edges))
+        for i, value in enumerate(values):
+            h.observe(value, half=str(i % 2))
+        samples, buckets = [], []
+        for half in ("0", "1"):
+            drawn = values[int(half)::2]
+            if not drawn:
+                continue
+            loop = [sum(v <= b for v in drawn) for b in h.buckets]
+            samples.append({
+                "labels": {"half": half},
+                "buckets": {_prom_number(b): c
+                            for b, c in zip(h.buckets, loop)},
+                "sum": sum(map(float, drawn)), "count": len(drawn),
+            })
+            buckets += [
+                f'h_bucket{{half="{half}",le="{le}"}} {c}' for le, c in zip(
+                    [*map(_prom_number, h.buckets), "+Inf"],
+                    [*loop, len(drawn)],
+                )
+            ]
+            for q in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
+                got = h.quantile(q, half=half)
+                want = loop_quantile(h.buckets, loop, len(drawn), q)
+                assert got == want or (got != got and want != want)
+        (metric,) = registry.export_json()["metrics"]
+        assert json.dumps(metric["samples"]) == json.dumps(samples)
+        assert [line for line in registry.export_prometheus().splitlines()
+                if line.startswith("h_bucket")] == buckets
+
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ReproError):
             Histogram("h", buckets=(10.0, 1.0))
@@ -321,6 +388,43 @@ class TestObsHub:
         assert set(hub.metrics.names()) == {
             feed.name for row in EVENT_KINDS.values() for feed in row.feeds
         }
+
+    def test_untraced_hub_builds_no_step_payload(self, graph, monkeypatch):
+        """``step_end`` feeds no metric, so a hub with no tracer (a
+        served query's) is sent none and no step record is turned into
+        lists; a tracing hub gets one per step, on every path that ends
+        steps (circulant, BSP and push, and step at a time under a fault
+        controller)."""
+        from repro.api import RunConfig, Session
+        from repro.fault import FaultPlan, StragglerFault
+        from repro.runtime.counters import StepRecord
+
+        calls = []
+        payload = StepRecord.payload
+
+        def counted(step):
+            calls.append(step)
+            return payload(step)
+
+        monkeypatch.setattr(StepRecord, "payload", counted)
+        straggler = FaultPlan(
+            stragglers=(StragglerFault(machine=1, factor=2.5),)
+        )
+        for overrides in (dict(engine="symple"), dict(engine="gemini"),
+                          dict(engine="symple", faults=straggler)):
+            for hub in (ObsHub(), ObsHub(tracer=Tracer())):
+                calls.clear()
+                config = RunConfig(machines=4, algorithm="bfs", obs=hub,
+                                   **overrides)
+                with Session(graph, config) as session:
+                    session.run()
+                assert hub.metrics.get("repro_steps_total").value() > 0
+                if hub.tracer is None:
+                    assert calls == [], overrides
+                else:
+                    ends = [event for event in hub.tracer.events
+                            if event["kind"] == "step_end"]
+                    assert len(calls) == len(ends) > 0, overrides
 
     def test_engine_counts_phases_and_kernels(self, graph):
         engine, hub = traced_run(graph)
