@@ -17,19 +17,15 @@ from repro.bench.report import emit, export_metrics
 from repro.engine import GeminiEngine, SympleGraphEngine, SympleOptions
 from repro.obs import MetricsRegistry, fill_run_metrics, registry_breakdown
 from repro.partition import OutgoingEdgeCut
-from repro.runtime import DGALOIS_COST, GEMINI_COST, SYMPLE_COST
+from repro.runtime import GEMINI_COST, SYMPLE_COST
 
 
-def _priced(engine, cost_model, kind, double_buffering=True):
-    """Breakdown via the observability registry (the exported view)."""
+def _priced(engine, cost_model):
+    """Breakdown via the observability registry (the exported view):
+    the engine prices its run once, the registry splits that total."""
     registry = MetricsRegistry()
-    fill_run_metrics(
-        registry,
-        engine.counters,
-        cost_model=cost_model,
-        engine_kind=kind,
-        double_buffering=double_buffering,
-    )
+    fill_run_metrics(registry, engine.counters, cost_model,
+                     engine.execution_time(cost_model))
     return registry, registry_breakdown(registry)
 
 
@@ -42,7 +38,7 @@ def build_breakdown():
 
     gemini = GeminiEngine(OutgoingEdgeCut().partition(g, 16))
     mis(gemini, seed=1)
-    registry, b = _priced(gemini, GEMINI_COST, "gemini")
+    registry, b = _priced(gemini, GEMINI_COST)
     export_metrics("breakdown_gemini", registry)
     data["gemini"] = b
     rows.append(_row("gemini", b))
@@ -53,8 +49,7 @@ def build_breakdown():
             options=SympleOptions(double_buffering=db),
         )
         mis(engine, seed=1)
-        registry, b = _priced(engine, SYMPLE_COST, "symple",
-                              double_buffering=db)
+        registry, b = _priced(engine, SYMPLE_COST)
         if db:
             export_metrics("breakdown_symple", registry)
         data[label] = b

@@ -131,13 +131,13 @@ def _run_session_config(engine: BaseEngine, graph: CSRGraph, config):
 
     spec = get_spec(config.algorithm)
     outcome = spec.runner(engine, graph, config, drive, extra)
-    time = engine.execution_time() * outcome.scale
-    if engine.obs is not None:
-        engine.obs.run_end(engine)
+    total = engine.execution_time()
+    if engine.obs is not None:  # the hub splits the unscaled total
+        engine.obs.run_end(engine, total)
     return _collect(
         engine,
         config.algorithm,
-        time,
+        total * outcome.scale,
         extra,
         scale=outcome.scale,
         fixpoint=outcome.fixpoint,

@@ -85,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         default=None,
         metavar="PATH",
-        help="write the run's metric registry to PATH",
+        help="write the run's metric registry to PATH: the engine's "
+        "whole counters and unscaled simulated time (over every BFS "
+        "root), not the per-root averages the printed table shows",
     )
     run.add_argument(
         "--metrics-format",

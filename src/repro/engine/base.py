@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import count
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -800,10 +800,17 @@ class BaseEngine:
 
     # -- results --------------------------------------------------------------
 
+    def pricing_keywords(self) -> Dict[str, Any]:
+        """The options :meth:`CostModel.execution_time` prices this
+        engine's runs with, as its keywords (none here)."""
+        return {}
+
     def execution_time(self, cost_model: Optional[CostModel] = None) -> float:
-        """Simulated execution time of everything run so far."""
+        """Simulated execution time of everything run so far: the one
+        place an engine's run is priced."""
         model = cost_model or self.default_cost
-        return model.execution_time(self.counters, self.cost_kind)
+        return model.execution_time(self.counters, self.cost_kind,
+                                    **self.pricing_keywords())
 
     def reset_metrics(self) -> None:
         """Clear counters and traffic (state/partition untouched)."""

@@ -39,7 +39,7 @@ Figure 11 ablation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -347,12 +347,9 @@ class SympleGraphEngine(BaseEngine):
 
     # -- timing ---------------------------------------------------------------
 
-    def execution_time(self, cost_model: Optional[CostModel] = None) -> float:
-        """Simulated time, honoring this engine's schedule/DB options."""
-        model = cost_model or self.default_cost
-        return model.execution_time(
-            self.counters,
-            "symple",
-            double_buffering=self.options.double_buffering,
-            schedule=self.options.schedule,
-        )
+    def pricing_keywords(self) -> Dict[str, Any]:
+        """Price with this engine's schedule and double-buffering."""
+        return {
+            "double_buffering": self.options.double_buffering,
+            "schedule": self.options.schedule,
+        }

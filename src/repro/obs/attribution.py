@@ -113,16 +113,14 @@ def rebuild_counters(events: Iterable[Dict[str, Any]]) -> Counters:
 
 
 def reconstruct_breakdown(
-    events: Iterable[Dict[str, Any]],
-    cost_model: CostModel,
-    engine: Optional[str] = None,
-    double_buffering: Optional[bool] = None,
-    schedule: Optional[str] = None,
+    events: Iterable[Dict[str, Any]], cost_model: CostModel
 ) -> Dict[str, float]:
-    """Cost-model breakdown recomputed purely from a trace.
+    """Cost-model breakdown recomputed purely from a trace: the
+    rebuilt run priced once, then split.
 
-    Engine kind, double-buffering flag, and schedule default to what the
-    ``run_end`` event recorded, so one trace file is self-describing.
+    The engine kind and its pricing options (double buffering,
+    schedule) are what the ``run_end`` event recorded, so one trace
+    file is self-describing.
     """
     events = list(events)
     run_end = next(
@@ -130,17 +128,13 @@ def reconstruct_breakdown(
     )
     if run_end is None:
         raise ReproError("trace has no run_end event")
-    if engine is None:
-        engine = run_end["engine"]
-    if double_buffering is None:
-        double_buffering = bool(run_end.get("double_buffering", True))
-    if schedule is None:
-        schedule = run_end.get("schedule", "circulant")
     counters = rebuild_counters(events)
-    return cost_model.breakdown(
-        counters, engine, double_buffering=double_buffering,
-        schedule=schedule,
+    total = cost_model.execution_time(
+        counters, run_end["engine"],
+        double_buffering=bool(run_end.get("double_buffering", True)),
+        schedule=run_end.get("schedule", "circulant"),
     )
+    return cost_model.breakdown(counters, total)
 
 
 def attribution_rows(

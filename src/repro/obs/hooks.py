@@ -16,7 +16,9 @@ per call site, and a hub without a tracer (a served query's) builds no
 event dict.  What a tracer costs is measured, not budgeted: the
 spine's per-layer ``obs.trace_overhead_share``.  Wall-clock spans
 (``seconds`` on phase, kernel-batch and executor-map events) are
-measured only while a hub is attached.
+measured only while a hub is attached.  At the end of a run,
+:meth:`ObsHub.run_end` is handed the simulated total the harness
+priced and splits it into the run metrics: a hub never prices a run.
 """
 
 from __future__ import annotations
@@ -121,31 +123,26 @@ class ObsHub:
                           feed.labels, fixed))
         return bound
 
-    def run_end(self, engine, cost_model=None) -> None:
+    def run_end(self, engine, total: float) -> None:
         """Close out a run: fill the run metrics, emit the summary event.
 
-        Called once by the harness (or manually after driving an engine
-        directly).  ``cost_model`` defaults to the engine's own.
+        ``total`` is the run's unscaled simulated time, as
+        ``engine.execution_time()`` priced it; the hub splits it and
+        does not price the run again.  Called once by the harness (or
+        by hand after driving an engine directly).
         """
-        model = cost_model if cost_model is not None else engine.default_cost
-        options = getattr(engine, "options", None)
-        double_buffering = getattr(options, "double_buffering", True)
-        schedule = getattr(options, "schedule", "circulant")
-        fill_run_metrics(
-            self.metrics,
-            engine.counters,
-            model,
-            engine.cost_kind,
-            double_buffering=double_buffering,
-            schedule=schedule,
-        )
+        fill_run_metrics(self.metrics, engine.counters, engine.default_cost,
+                         total)
+        # the cost model's defaults, for engines with no pricing options
+        pricing = {"double_buffering": True, "schedule": "circulant",
+                   **engine.pricing_keywords()}
         self.emit(
             "run_end",
             engine=engine.cost_kind,
             machines=engine.num_machines,
             summary=engine.counters.summary(),
-            double_buffering=bool(double_buffering),
-            schedule=schedule,
+            double_buffering=bool(pricing["double_buffering"]),
+            schedule=pricing["schedule"],
         )
 
     def close(self) -> None:

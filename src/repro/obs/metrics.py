@@ -14,9 +14,12 @@ Two usage modes:
   (:data:`~repro.obs.tracer.EVENT_KINDS`) names as events fire
   (phases, steps, dep transfers, kernel batches, checkpoints,
   rollbacks);
-* **post-hoc** — :func:`fill_run_metrics` prices a finished run's
-  counters through a cost model into the same registry, which is what
-  ``repro run --metrics`` and the benchmark exporters emit.
+* **post-hoc** — :func:`fill_run_metrics` fills the same registry
+  from a finished run's counters and the simulated total its engine
+  priced (``engine.execution_time()``): it splits that total, it does
+  not price the run again.  :meth:`~repro.obs.hooks.ObsHub.run_end`
+  calls it at the end of every hub run, and ``repro run --metrics``
+  and the benchmark exporters emit what it filled.
 
 Metric and label names follow Prometheus conventions (``repro_`` prefix,
 ``_total`` suffix on counters); values are plain Python numbers.
@@ -28,8 +31,6 @@ import json
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ReproError
 from repro.runtime.counters import COMM_TAGS, Counters
@@ -312,15 +313,16 @@ def fill_run_metrics(
     registry: MetricsRegistry,
     counters: Counters,
     cost_model: Optional[CostModel] = None,
-    engine_kind: Optional[str] = None,
-    double_buffering: bool = True,
-    schedule: str = "circulant",
+    total: Optional[float] = None,
 ) -> MetricsRegistry:
-    """Price a finished run's counters into ``registry``.
+    """Fill ``registry`` from a finished run's counters.
 
     Populates the work/traffic totals always, and — when a cost model
-    and engine kind are given — the simulated-time breakdown the paper's
-    Figure 11 reports, plus a per-step critical-path compute histogram.
+    and the run's simulated ``total`` (what the engine's
+    ``execution_time()`` priced) are given — the split of that total
+    the paper's Figure 11 reports
+    (:meth:`~repro.runtime.cost_model.CostModel.breakdown`), plus a
+    per-step critical-path compute histogram fed by the same step loop.
     Call once per run: the traffic counters are cumulative.
     """
     registry.gauge(
@@ -348,13 +350,15 @@ def fill_run_metrics(
         comm_bytes.inc(counters.bytes_by_tag[tag], tag=tag)
         comm_msgs.inc(counters.messages_by_tag[tag], tag=tag)
 
-    if cost_model is None or engine_kind is None:
+    if cost_model is None or total is None:
         return registry
 
-    breakdown = cost_model.breakdown(
-        counters, engine_kind, double_buffering=double_buffering,
-        schedule=schedule,
+    step_compute = registry.histogram(
+        "repro_step_compute_time",
+        "critical-path compute time per recorded step",
     )
+    breakdown = cost_model.breakdown(counters, total,
+                                     observe=step_compute.observe)
     registry.gauge(
         "repro_simulated_time_total", "total simulated execution time"
     ).set(breakdown["total"])
@@ -365,14 +369,6 @@ def fill_run_metrics(
     for name, value in breakdown.items():
         if name != "total":
             component.set(value, component=name)
-    step_compute = registry.histogram(
-        "repro_step_compute_time",
-        "critical-path compute time per recorded step",
-    )
-    for record in counters.iterations:
-        for step in record.steps:
-            compute = cost_model.step_compute_time(step)
-            step_compute.observe(float(np.max(compute, initial=0.0)))
     return registry
 
 
@@ -388,7 +384,7 @@ def registry_breakdown(registry: MetricsRegistry) -> Dict[str, float]:
     if total is None or component is None:
         raise ReproError(
             "registry has no simulated-time breakdown; was "
-            "fill_run_metrics called with a cost model?"
+            "fill_run_metrics called with a cost model and total?"
         )
     out = {"total": total.value()}
     for sample in component.samples():

@@ -25,6 +25,8 @@ which is the quantity the paper's evaluation reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, Optional
+
 import numpy as np
 
 from repro.runtime.counters import Counters, IterationRecord, StepRecord
@@ -387,38 +389,36 @@ class CostModel:
             total += float(np.sum(self.step_compute_time(step)))
         return total
 
-    def breakdown(
-        self,
-        counters: Counters,
-        engine: str,
-        double_buffering: bool = True,
-        schedule: str = "circulant",
-    ) -> dict:
-        """Decompose a run's simulated time into its cost sources.
+    def breakdown(self, counters: Counters, total: float,
+                  observe: Optional[Callable[[float], None]] = None) -> dict:
+        """Split a run's simulated time ``total`` into its cost sources.
 
-        Returns a dict with ``compute`` (critical-path edge/vertex
-        work), ``communication`` (residual transfer tails), ``overhead``
-        (barriers, latency, step coordination, injected penalties),
-        ``checkpoint`` (fault-tolerance snapshot writes), and — for
-        SympleGraph — ``dependency_wait`` (time machines spent blocked
-        on incoming dependency state, the quantity double buffering
-        attacks).  The components sum to :meth:`execution_time` up to
-        the dependency-wait attribution.
+        ``total`` is what :meth:`execution_time` priced the run at (the
+        engine's ``execution_time()``, which knows its pricing options);
+        this only splits it.  Returns a dict with ``total``, ``compute``
+        (critical-path edge/vertex work), ``communication`` (residual
+        transfer tails), ``overhead`` (barriers, latency, step
+        coordination, injected penalties), ``checkpoint``
+        (fault-tolerance snapshot writes), and ``dependency_wait`` (for
+        SympleGraph, time machines spent blocked on incoming dependency
+        state, the quantity double buffering attacks): what ``total``
+        leaves once the others are taken out.  ``observe``, when given,
+        is called with each step's critical-path compute in record /
+        step order — the values ``compute`` adds up.
         """
         compute = 0.0
         comm = 0.0
         overhead = counters.penalty_time
         checkpoint = 0.0
-        dep_wait = 0.0
-        total = self.execution_time(
-            counters, engine, double_buffering=double_buffering,
-            schedule=schedule,
-        )
         for record in counters.iterations:
             overhead += self.iteration_overhead
             for step in record.steps:
-                machine_compute = self.step_compute_time(step)
-                compute += float(np.max(machine_compute, initial=0.0))
+                step_max = float(
+                    np.max(self.step_compute_time(step), initial=0.0)
+                )
+                if observe is not None:
+                    observe(step_max)
+                compute += step_max
                 comm += self._comm_tail(step.update_bytes)
                 comm += self._comm_tail(step.dep_bytes)
             if record.sync_bytes > 0:

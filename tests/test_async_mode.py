@@ -188,7 +188,7 @@ class TestBucketObservability:
         )
         width = default_bucket_width("sssp", weighted_graph)
         result = run_program(sssp_program(0, width, seed=4), engine)
-        hub.run_end(engine)
+        hub.run_end(engine, engine.execution_time())
         events = hub.tracer.events
         assert validate_events(events) == []
         begins = [e for e in events if e["kind"] == "bucket_begin"]

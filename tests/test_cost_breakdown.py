@@ -26,11 +26,18 @@ def make_counters(p=4, edges=1000, update_bytes=500, dep=50, sync=200, steps=4):
     return c
 
 
+def priced(cm, counters, engine, **pricing):
+    """Price a run once, then split the total."""
+    return cm.breakdown(
+        counters, cm.execution_time(counters, engine, **pricing)
+    )
+
+
 class TestBreakdown:
     def test_components_nonnegative_and_sum(self):
         cm = CostModel()
         c = make_counters()
-        b = cm.breakdown(c, "symple")
+        b = priced(cm, c, "symple")
         for key in ("compute", "communication", "overhead", "dependency_wait"):
             assert b[key] >= 0.0, key
         total = b["compute"] + b["communication"] + b["overhead"] + b["dependency_wait"]
@@ -39,21 +46,21 @@ class TestBreakdown:
     def test_gemini_has_no_dependency_wait_to_speak_of(self):
         cm = CostModel()
         c = make_counters(steps=1)
-        b = cm.breakdown(c, "gemini")
+        b = priced(cm, c, "gemini")
         # Gemini's time decomposes fully into the first three terms
         assert b["dependency_wait"] < b["total"] * 0.05
 
     def test_latency_increases_dependency_wait(self):
         c = make_counters()
-        low = CostModel(latency=5.0).breakdown(c, "symple")
-        high = CostModel(latency=500.0).breakdown(c, "symple")
+        low = priced(CostModel(latency=5.0), c, "symple")
+        high = priced(CostModel(latency=500.0), c, "symple")
         assert high["dependency_wait"] > low["dependency_wait"]
 
     def test_double_buffering_shrinks_dependency_wait(self):
         cm = CostModel(latency=300.0)
         c = make_counters()
-        with_db = cm.breakdown(c, "symple", double_buffering=True)
-        without = cm.breakdown(c, "symple", double_buffering=False)
+        with_db = priced(cm, c, "symple", double_buffering=True)
+        without = priced(cm, c, "symple", double_buffering=False)
         assert with_db["dependency_wait"] <= without["dependency_wait"]
 
     def test_real_run(self):
@@ -63,7 +70,7 @@ class TestBreakdown:
             options=SympleOptions(degree_threshold=0),
         )
         mis(engine, seed=1)
-        b = engine.default_cost.breakdown(engine.counters, "symple")
+        b = priced(engine.default_cost, engine.counters, "symple")
         assert b["total"] == pytest.approx(engine.execution_time())
         assert b["compute"] > 0
 

@@ -65,7 +65,7 @@ def traced_run(graph, engine_kind="symple", num_machines=4, path=None):
     hub = ObsHub(tracer=Tracer(path=path))
     engine = make_engine(engine_kind, graph, num_machines, obs=hub)
     bfs(engine, 0)
-    hub.run_end(engine)
+    hub.run_end(engine, engine.execution_time())
     hub.close()
     return engine, hub
 
@@ -317,10 +317,9 @@ class TestMetrics:
         engine = make_engine("symple", graph, 4)
         mis(engine, seed=1)
         registry = MetricsRegistry()
-        fill_run_metrics(
-            registry, engine.counters, SYMPLE_COST, "symple"
-        )
-        live = SYMPLE_COST.breakdown(engine.counters, "symple")
+        total = SYMPLE_COST.execution_time(engine.counters, "symple")
+        fill_run_metrics(registry, engine.counters, SYMPLE_COST, total)
+        live = SYMPLE_COST.breakdown(engine.counters, total)
         assert registry_breakdown(registry) == live
         assert registry.get("repro_comm_bytes_total").value(
             tag="dep"
@@ -447,7 +446,7 @@ class TestObsHub:
         )
         assert engine.obs is not None
         bfs(engine, 0)
-        engine.obs.run_end(engine)
+        engine.obs.run_end(engine, engine.execution_time())
         engine.obs.close()
         events = read_trace(path)
         assert validate_events(events) == []
@@ -464,7 +463,7 @@ class TestReconstruction:
     def test_breakdown_matches_live_exactly(self, graph, engine_kind):
         engine, hub = traced_run(graph, engine_kind=engine_kind)
         live = engine.default_cost.breakdown(
-            engine.counters, engine.cost_kind
+            engine.counters, engine.execution_time()
         )
         rebuilt = reconstruct_breakdown(
             hub.tracer.events, engine.default_cost
@@ -476,7 +475,7 @@ class TestReconstruction:
         engine, hub = traced_run(graph, path=path)
         events = read_trace(path)
         live = engine.default_cost.breakdown(
-            engine.counters, engine.cost_kind
+            engine.counters, engine.execution_time()
         )
         assert reconstruct_breakdown(events, engine.default_cost) == live
 

@@ -67,7 +67,7 @@ def traced_bfs(graph, interpreted=None):
     if interpreted is not None:
         interpreted(engine)
     bfs(engine, 0)
-    hub.run_end(engine)
+    hub.run_end(engine, engine.execution_time())
     return engine, hub
 
 
@@ -95,7 +95,8 @@ class TestKernelEquivalence:
         for engine in (fast_engine, slow_engine):
             registry = MetricsRegistry()
             fill_run_metrics(
-                registry, engine.counters, SYMPLE_COST, "symple"
+                registry, engine.counters, SYMPLE_COST,
+                SYMPLE_COST.execution_time(engine.counters, "symple"),
             )
             exports.append(registry.export_json())
         assert exports[0] == exports[1]
@@ -161,8 +162,9 @@ class TestFaultVisibility:
         run_recoverable(
             BFSProgram(0), engine, plan=plan, checkpoint_interval=2
         )
-        hub.run_end(engine)
-        live = SYMPLE_COST.breakdown(engine.counters, "symple")
+        total = engine.execution_time()
+        hub.run_end(engine, total)
+        live = SYMPLE_COST.breakdown(engine.counters, total)
         assert reconstruct_breakdown(
             hub.tracer.events, SYMPLE_COST
         ) == live
