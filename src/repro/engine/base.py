@@ -174,7 +174,8 @@ class BaseEngine:
         self.executor.bind(self)
 
     def _map_machines(self, fn, shared, items, state, stalls=None):
-        """Dispatch tasks, bracketing with ``exec_*`` events.
+        """Dispatch tasks, bracketing with ``exec_*`` events (a hub with
+        no tracer is handed the map's begin and end as one tally).
 
         ``stalls`` — one straggler slowdown factor per item — are what
         the concurrent backends turn into real wall-clock stalls;
@@ -183,8 +184,10 @@ class BaseEngine:
         ex, obs = self.executor, self.obs
         if obs is None:
             return ex.map_machines(fn, shared, items, state, stalls=stalls)
-        obs.emit("exec_map_begin", backend=ex.kind, workers=int(ex.workers),
-                 tasks=len(items))
+        traced = self._traced
+        if traced is not None:
+            traced.emit("exec_map_begin", backend=ex.kind,
+                        workers=int(ex.workers), tasks=len(items))
         t0 = perf_counter()
         results = ex.map_machines(fn, shared, items, state, stalls=stalls)
         if ex.last_fallback is not None:
@@ -192,11 +195,23 @@ class BaseEngine:
                      reason=ex.last_fallback)
         for kind, payload in ex.drain_events():
             obs.emit(kind, backend=ex.kind, **payload)
-        obs.emit("exec_map_end", backend=ex.kind, tasks=len(items),
-                 seconds=perf_counter() - t0)
+        seconds = perf_counter() - t0
+        if traced is not None:
+            traced.emit("exec_map_end", backend=ex.kind, tasks=len(items),
+                        seconds=seconds)
+        else:
+            obs.tally(exec_map_begin=(1, {"backend": ex.kind}),
+                      exec_map_end=(1, {"seconds": (seconds,)}))
         return results
 
     # -- observability ------------------------------------------------------
+
+    @property
+    def _traced(self) -> Optional[ObsHub]:
+        """The hub when it has a tracer: the only one sent the events
+        that feed no metric (``phase_end``, ``step_end``, ...)."""
+        obs = self.obs
+        return obs if obs is not None and obs.tracer is not None else None
 
     def attach_observer(self, obs) -> None:
         """Attach (or with ``None``, detach) an observability hub.
@@ -603,9 +618,26 @@ class BaseEngine:
     def _observe_steps(self, walk, steps, sent, first) -> None:
         """The merged steps' events, unit by unit: a kernel batch per
         lane scanned, then the unit's hand-off; ``step_end`` feeds no
-        metric, so only a tracing hub is sent it."""
+        metric, so only a tracing hub is sent it.  A hub with no tracer
+        is handed the walk's counts instead: its batches (their seconds
+        observed at once), hand-offs and steps, in one tally."""
         obs, p, kind = self.obs, self.num_machines, walk["kind"]
-        traced = first is not None and obs.tracer is not None
+        if obs.tracer is None:
+            lanes = ("dep", "plain") if kind is not None else ()
+            batches = [
+                seconds for lane in lanes for vertices, seconds in zip(
+                    walk[lane + "_vertices"].tolist(),
+                    walk[lane + "_seconds"].tolist(),
+                ) if vertices
+            ]
+            obs.tally(
+                step_begin=(len(steps), {}),
+                kernel_batch=(len(batches),
+                              {"kernel": kind, "seconds": batches}),
+                dep_transfer=(int(np.count_nonzero(sent)),
+                              {"bytes": int(sent.sum())}),
+            )
+            return
         lanes = {
             lane: [walk[f"{lane}_{what}"].tolist()
                    for what in ("vertices", "edges", "seconds")]
@@ -625,7 +657,7 @@ class BaseEngine:
                 if sent[u]:
                     obs.emit("dep_transfer", src=m, dst=(m - 1) % p,
                              bytes=sent[u])
-            if traced:
+            if first is not None:
                 obs.emit("step_end", step=first + k, **step.payload())
 
     def _commit_phase(
@@ -648,15 +680,17 @@ class BaseEngine:
         record.steps = steps
         self._count_sync(changed, sync_bytes, record)
         self.counters.add_iteration(record)
-        obs = self.obs
-        if obs is not None:
+        traced = self._traced
+        if traced is not None:
             for s, step in enumerate(() if steps_traced else steps):
-                obs.emit("step_begin", step=s)
-                if obs.tracer is not None:  # step_end feeds no metric
-                    obs.emit("step_end", step=s, **step.payload())
-            obs.emit("phase_end", mode=record.mode, steps=len(steps),
-                     sync_bytes=int(record.sync_bytes),
-                     push_bytes=int(record.push_bytes))
+                traced.emit("step_begin", step=s)
+                traced.emit("step_end", step=s, **step.payload())
+            traced.emit("phase_end", mode=record.mode, steps=len(steps),
+                        sync_bytes=int(record.sync_bytes),
+                        push_bytes=int(record.push_bytes))
+        elif self.obs is not None and record.mode == "push":
+            # a merged walk tallied its own steps; a push step is here
+            self.obs.tally(step_begin=(len(steps), {}))
         edges = record.total_edges()
         self.counters.add_edges(edges)
         self.counters.add_vertices(
@@ -786,12 +820,12 @@ class BaseEngine:
             record = IterationRecord(mode="pull")
             record.steps = [StepRecord(self.num_machines)]
             self.counters.add_iteration(record)
-            if self.obs is not None:
+            if self._traced is not None:
                 self.obs.emit("implicit_record", machines=self.num_machines)
         target = self.counters.iterations[-1]
         before = target.sync_bytes
         self._count_sync(vertices, sync_bytes, target)
-        if self.obs is not None and target.sync_bytes != before:
+        if self._traced is not None and target.sync_bytes != before:
             # the delta mutates an already-committed record; the trace
             # carries it so reconstruction stays exact
             self.obs.emit("sync_update",

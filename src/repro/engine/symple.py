@@ -290,6 +290,8 @@ class SympleGraphEngine(BaseEngine):
         buffer = _UpdateBuffer()
         steps: List[StepRecord] = []
         controller = self._fault_controller
+        # a hub with no tracer tallies each merged walk's steps
+        traced = self._traced
         if controller is None:
             walked = walk(0, p)
             for s in range(1, p):
@@ -313,8 +315,8 @@ class SympleGraphEngine(BaseEngine):
                     # with blanked bitmaps (Section 5.1).
                     controller.check_crash(phase, s)
                 step = self._make_step(phase)
-                if self.obs is not None:
-                    self.obs.emit("step_begin", step=s)
+                if traced is not None:
+                    traced.emit("step_begin", step=s)
                 # the walk of this step alone, on the parent's state
                 skip = dep_store.skip.copy() if lossy else dep_store.skip
                 if lossy:  # one coin per skipped vertex, machine- then
@@ -336,9 +338,8 @@ class SympleGraphEngine(BaseEngine):
                     slowdown=[step.slowdown],
                 )
                 steps.append(step)
-                if self.obs is not None and self.obs.tracer is not None:
-                    # step_end feeds no metric: only a trace reads it
-                    self.obs.emit("step_end", step=s, **step.payload())
+                if traced is not None:  # step_end feeds no metric
+                    traced.emit("step_end", step=s, **step.payload())
 
         return self._commit_phase(
             IterationRecord(mode="pull"), steps, buffer, slot, state,

@@ -414,16 +414,17 @@ def _scan_lane(ctx, shared, spec, plan, vertices, carried_in, tables):
             ),
             tables=tables,
         )
-        if timed:
-            seconds[u0:u1] = (
-                (perf_counter() - t0) * plan.edges[u0:u1] / block.flat.size
-            )
+        if timed:  # the call's seconds per flattened edge, for now
+            took = perf_counter() - t0
+            seconds[u0:u1] = took / max(block.flat.size, 1)
         hit = np.flatnonzero(batch.emit_mask)
         edges.append(batch.edges)
         hits.append(hit + v0)
         values.append(batch.values[hit])
         broke.append(batch.broke)
         carried.append(batch.carried)
+    if timed:
+        seconds *= plan.edges
     return (
         np.add.reduceat(np.concatenate(edges), plan.starts),
         np.concatenate(hits), values,

@@ -10,21 +10,24 @@ in the open phase / step, moves the row's live metrics in its
 :class:`~repro.obs.metrics.MetricsRegistry` and hands the event to its
 :class:`~repro.obs.tracer.Tracer`, when it has one.
 
-Overhead: engines guard every call site with ``if self.obs is not
-None``, so a run without a hub pays one attribute load and a None check
-per call site, and a hub without a tracer (a served query's) builds no
-event dict.  What a tracer costs is measured, not budgeted: the
-spine's per-layer ``obs.trace_overhead_share``.  Wall-clock spans
-(``seconds`` on phase, kernel-batch and executor-map events) are
-measured only while a hub is attached.  At the end of a run,
-:meth:`ObsHub.run_end` is handed the simulated total the harness
-priced and splits it into the run metrics: a hub never prices a run.
+Overhead: with no hub, a call site pays one None check.  A hub with no
+tracer (a served query's) is handed counts, not events: one
+:meth:`ObsHub.tally` per merged walk (its kernel batches, dependency
+hand-offs and steps) and per executor map, and none of the kinds that
+feed no metric (``phase_end``, ``step_end``, ``run_end``, ...).  Its
+updates go through label handles bound once per label set, each under
+the registry's one lock.  What a tracer costs is measured, not
+budgeted: the spine's per-layer ``obs.trace_overhead_share``.
+Wall-clock spans (``seconds`` on phase, kernel-batch and executor-map
+events) are measured only while a hub is attached.
+:meth:`ObsHub.run_end` splits the simulated total the harness priced
+into the run metrics: a hub never prices a run.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, fill_run_metrics
@@ -33,6 +36,9 @@ from repro.obs.tracer import EVENT_KINDS, Tracer
 __all__ = ["ObsHub"]
 
 _UPDATE = {"counter": "inc", "gauge": "set", "histogram": "observe"}
+#: kind -> the event fields its feeds read as label values
+_LABELS = {kind: sum((feed.labels for feed in row.feeds), ())
+           for kind, row in EVENT_KINDS.items()}
 
 
 class ObsHub:
@@ -47,10 +53,9 @@ class ObsHub:
         self._phase: Optional[int] = None
         self._step: Optional[int] = None
         self._phase_t0 = 0.0
-        # kind -> its feeds' (update, amount, label fields, fixed
-        # labels), bound on the kind's first event: a family appears in
-        # the registry only once something moved it
-        self._feeds: Dict[str, List[tuple]] = {}
+        # (kind, label values) -> its bound feeds, on the first update:
+        # a family appears in the registry only once something moved it
+        self._handles: Dict[tuple, List[tuple]] = {}
 
     # -- construction helpers --------------------------------------------
 
@@ -89,14 +94,11 @@ class ObsHub:
             self._step = fields["step"]
         elif kind == "phase_end":
             fields["seconds"] = time.perf_counter() - self._phase_t0
-        feeds = self._feeds.get(kind)
-        if feeds is None:
-            feeds = self._feeds[kind] = self._bind(row.feeds)
-        for update, amount, labels, fixed in feeds:
-            if labels:
-                fixed = {**fixed, **{label: fields[label] for label in labels}}
-            # amount: the field of that name, else the constant itself
-            update(fields.get(amount, amount), **fixed)
+        if row.feeds:
+            with self.metrics.lock:
+                for update, amount, _, _ in self._bound(kind, fields):
+                    # amount: the field of that name, else the constant
+                    update(fields.get(amount, amount))
         tracer = self.tracer
         if tracer is not None:
             # the span keys (a prefix of phase, step) go ahead of the fields
@@ -110,29 +112,54 @@ class ObsHub:
         if kind in ("phase_end", "crash"):  # a crash aborts the phase
             self._phase = self._step = None
 
-    def _bind(self, feeds) -> List[tuple]:
-        bound = []
-        for feed in feeds:
-            fixed = dict(feed.fixed)
-            extra = {"buckets": feed.buckets} if feed.buckets else {}
-            metric = getattr(self.metrics, feed.type)(
-                feed.name, feed.help, labels=feed.labels + tuple(fixed),
-                **extra,
-            )
-            bound.append((getattr(metric, _UPDATE[feed.type]), feed.amount,
-                          feed.labels, fixed))
-        return bound
+    def tally(self, **kinds: Tuple[int, Dict[str, Any]]) -> None:
+        """Move the feeds of each ``kind=(n, fields)`` as ``n`` events
+        of it would, in one update: a counter by ``n`` times a constant
+        or by the amount field (the events' total), a histogram by
+        observing the field's values, a gauge set to it; a label field
+        holds for all ``n``."""
+        with self.metrics.lock:
+            for kind, (n, fields) in kinds.items():
+                for _, amount, bulk, scaled in (
+                    self._bound(kind, fields) if n else ()
+                ):
+                    bulk(amount * n if scaled else fields[amount])
+
+    def _bound(self, kind: str, fields: Dict[str, Any]) -> List[tuple]:
+        """``kind``'s feeds at the labels in ``fields``: one event's
+        update, its amount (a field or a constant), ``n`` events'
+        update, and whether that moves by ``n`` times the constant."""
+        key = (kind, *map(fields.__getitem__, _LABELS[kind]))
+        if key not in self._handles:
+            self._handles[key] = [self._bind(feed, fields)
+                                  for feed in EVENT_KINDS[kind].feeds]
+        return self._handles[key]
+
+    def _bind(self, feed, fields: Dict[str, Any]) -> tuple:
+        extra = {"buckets": feed.buckets} if feed.buckets else {}
+        fixed = dict(feed.fixed)
+        handle = getattr(self.metrics, feed.type)(
+            feed.name, feed.help, labels=feed.labels + tuple(fixed), **extra,
+        ).labels(**fixed, **{label: fields[label] for label in feed.labels})
+        update = getattr(handle, _UPDATE[feed.type])
+        return (update, feed.amount,
+                handle.observe_many if feed.type == "histogram" else update,
+                feed.type == "counter" and not isinstance(feed.amount, str))
 
     def run_end(self, engine, total: float) -> None:
-        """Close out a run: fill the run metrics, emit the summary event.
+        """Close out a run: fill the run metrics, and trace the summary.
 
         ``total`` is the run's unscaled simulated time, as
         ``engine.execution_time()`` priced it; the hub splits it and
-        does not price the run again.  Called once by the harness (or
-        by hand after driving an engine directly).
+        does not price the run again.  The ``run_end`` event feeds no
+        metric, so only a tracing hub builds it.  Called once by the
+        harness (or by hand after driving an engine directly).
         """
-        fill_run_metrics(self.metrics, engine.counters, engine.default_cost,
-                         total)
+        with self.metrics.lock:
+            fill_run_metrics(self.metrics, engine.counters,
+                             engine.default_cost, total)
+        if self.tracer is None:
+            return
         # the cost model's defaults, for engines with no pricing options
         pricing = {"double_buffering": True, "schedule": "circulant",
                    **engine.pricing_keywords()}

@@ -11,9 +11,8 @@ Two usage modes:
 
 * **live** — an :class:`~repro.obs.hooks.ObsHub` owns a registry and
   moves the metrics each event's row of the event table
-  (:data:`~repro.obs.tracer.EVENT_KINDS`) names as events fire
-  (phases, steps, dep transfers, kernel batches, checkpoints,
-  rollbacks);
+  (:data:`~repro.obs.tracer.EVENT_KINDS`) names, per event or by a
+  whole walk's counts, through label handles (:meth:`Metric.labels`);
 * **post-hoc** — :func:`fill_run_metrics` fills the same registry
   from a finished run's counters and the simulated total its engine
   priced (``engine.execution_time()``): it splits that total, it does
@@ -22,12 +21,15 @@ Two usage modes:
   and the benchmark exporters emit what it filled.
 
 Metric and label names follow Prometheus conventions (``repro_`` prefix,
-``_total`` suffix on counters); values are plain Python numbers.
+``_total`` suffix on counters); values are plain Python numbers.  The
+metrics take no lock: writers sharing a registry between threads (the
+serve layer and its workers' hubs) take its one ``lock`` per update.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -40,6 +42,7 @@ __all__ = [
     "Metric",
     "Counter",
     "Gauge",
+    "Handle",
     "Histogram",
     "MetricsRegistry",
     "fill_run_metrics",
@@ -73,6 +76,11 @@ class Metric:
         self._samples: Dict[Tuple[str, ...], float] = {}
 
     # -- access ----------------------------------------------------------
+
+    def labels(self, **labels: object) -> "Handle":
+        """The sample at one label set, its label values checked once:
+        a handle's updates take no labels."""
+        return Handle(self, _label_key(self.label_names, labels))
 
     def value(self, **labels: object) -> float:
         key = _label_key(self.label_names, labels)
@@ -122,10 +130,7 @@ class Counter(Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ReproError("counters only go up")
-        key = _label_key(self.label_names, labels)
-        self._samples[key] = self._samples.get(key, 0.0) + float(amount)
+        self.labels(**labels).inc(amount)
 
 
 class Gauge(Metric):
@@ -134,12 +139,10 @@ class Gauge(Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
-        key = _label_key(self.label_names, labels)
-        self._samples[key] = float(value)
+        self.labels(**labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = _label_key(self.label_names, labels)
-        self._samples[key] = self._samples.get(key, 0.0) + float(amount)
+        self.labels(**labels).inc(amount)
 
 
 class Histogram(Metric):
@@ -161,13 +164,11 @@ class Histogram(Metric):
                          Tuple[List[int], float, int]] = {}
 
     def observe(self, value: float, **labels: object) -> None:
-        key = _label_key(self.label_names, labels)
-        counts, total, n = self._hist.get(
-            key, ([0] * (len(self.buckets) + 1), 0.0, 0)
-        )
-        if value == value:  # NaN is in no bucket
-            counts[bisect_left(self.buckets, value)] += 1
-        self._hist[key] = (counts, total + float(value), n + 1)
+        self.labels(**labels).observe_many((value,))
+
+    def observe_many(self, values: Sequence[float],
+                     **labels: object) -> None:
+        self.labels(**labels).observe_many(values)
 
     def quantile(self, q: float, **labels: object) -> float:
         """The q-quantile (0..1) of one label set's observations.
@@ -235,11 +236,49 @@ class Histogram(Metric):
         return lines
 
 
+class Handle:
+    """A metric's sample at one label set (:meth:`Metric.labels`)."""
+
+    __slots__ = ("metric", "key")
+
+    def __init__(self, metric: Metric, key: Tuple[str, ...]) -> None:
+        self.metric, self.key = metric, key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0 and self.metric.kind == "counter":
+            raise ReproError("counters only go up")
+        samples = self.metric._samples
+        samples[self.key] = samples.get(self.key, 0.0) + float(amount)
+
+    def set(self, value: float) -> None:
+        self.metric._samples[self.key] = float(value)
+
+    def observe(self, value: float) -> None:
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe every one of ``values`` in order: the buckets, sum
+        and count one :meth:`observe` per value gives."""
+        if not len(values):
+            return
+        hist, buckets = self.metric._hist, self.metric.buckets
+        counts, total, n = hist.get(self.key) or (
+            [0] * (len(buckets) + 1), 0.0, 0
+        )
+        for value in values:
+            if value == value:  # NaN is in no bucket
+                counts[bisect_left(buckets, value)] += 1
+            total += float(value)
+        hist[self.key] = (counts, total, n + len(values))
+
+
 class MetricsRegistry:
-    """Get-or-create registry of named metrics with exporters."""
+    """Get-or-create registry of named metrics with exporters; ``lock``
+    is the one lock its writers share."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
+        self.lock = threading.Lock()
 
     def _get_or_create(self, cls, name: str, help: str,
                        labels: Sequence[str], **kwargs) -> Metric:
@@ -322,8 +361,10 @@ def fill_run_metrics(
     ``execution_time()`` priced) are given — the split of that total
     the paper's Figure 11 reports
     (:meth:`~repro.runtime.cost_model.CostModel.breakdown`), plus a
-    per-step critical-path compute histogram fed by the same step loop.
-    Call once per run: the traffic counters are cumulative.
+    per-step critical-path compute histogram: one bulk observe of the
+    step maxima the split adds up.  Call once per run: the traffic
+    counters are cumulative.  Takes no lock: a caller sharing the
+    registry between threads holds its ``lock``.
     """
     registry.gauge(
         "repro_edges_traversed", "neighbors examined by signal UDFs"
@@ -358,7 +399,7 @@ def fill_run_metrics(
         "critical-path compute time per recorded step",
     )
     breakdown = cost_model.breakdown(counters, total,
-                                     observe=step_compute.observe)
+                                     observe=step_compute.observe_many)
     registry.gauge(
         "repro_simulated_time_total", "total simulated execution time"
     ).set(breakdown["total"])

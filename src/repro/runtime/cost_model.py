@@ -25,7 +25,9 @@ which is the quantity the paper's evaluation reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from itertools import islice
+from types import SimpleNamespace
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -390,7 +392,8 @@ class CostModel:
         return total
 
     def breakdown(self, counters: Counters, total: float,
-                  observe: Optional[Callable[[float], None]] = None) -> dict:
+                  observe: Optional[Callable[[List[float]], None]] = None
+                  ) -> dict:
         """Split a run's simulated time ``total`` into its cost sources.
 
         ``total`` is what :meth:`execution_time` priced the run at (the
@@ -402,30 +405,52 @@ class CostModel:
         (fault-tolerance snapshot writes), and ``dependency_wait`` (for
         SympleGraph, time machines spent blocked on incoming dependency
         state, the quantity double buffering attacks): what ``total``
-        leaves once the others are taken out.  ``observe``, when given,
-        is called with each step's critical-path compute in record /
-        step order — the values ``compute`` adds up.
+        leaves once the others are taken out.  Every step's
+        critical-path compute and transfer tails, and every record's
+        sync tail, are priced at once, over the run's steps stacked into
+        ``(steps, machines)`` arrays, then added one by one in record /
+        step order, as one step at a time would.  ``observe``, when
+        given, is called once with the steps' critical-path compute in
+        that order — the values ``compute`` adds up.
         """
+        records = counters.iterations
+        steps = [step for record in records for step in record.steps]
+        share = 1.0 - self.comm_overlap
+        maxima = tails = []
+        if steps:
+            # (steps, columns, machines): one step's counts per row
+            counts = np.concatenate([
+                getattr(step, name) for step in steps
+                for name in StepRecord.COUNTS
+            ]).reshape(len(steps), len(StepRecord.COUNTS), -1)
+            stacked = SimpleNamespace(
+                slowdown=np.array([step.slowdown for step in steps]),
+                **dict(zip(StepRecord.COUNTS, counts.swapaxes(0, 1))),
+            )
+            maxima = np.max(self.step_compute_time(stacked), axis=-1,
+                            initial=0.0).tolist()
+            at = StepRecord.COUNTS.index("update_bytes")  # then dep_bytes
+            # per step: its update tail, then its dependency tail
+            tails = (self.transfer_time(counts[:, at:at + 2].sum(axis=-1))
+                     * share).tolist()
+        if observe is not None:
+            observe(maxima)
+        syncs = (self.transfer_time([record.sync_bytes for record in records])
+                 * share).tolist()
+        per_step = zip(maxima, tails)
         compute = 0.0
         comm = 0.0
         overhead = counters.penalty_time
         checkpoint = 0.0
-        for record in counters.iterations:
+        for record, sync in zip(records, syncs):
             overhead += self.iteration_overhead
-            for step in record.steps:
-                step_max = float(
-                    np.max(self.step_compute_time(step), initial=0.0)
-                )
-                if observe is not None:
-                    observe(step_max)
+            for step_max, (update, dep) in islice(per_step,
+                                                  len(record.steps)):
                 compute += step_max
-                comm += self._comm_tail(step.update_bytes)
-                comm += self._comm_tail(step.dep_bytes)
+                comm += update
+                comm += dep
             if record.sync_bytes > 0:
-                comm += float(
-                    self.transfer_time(record.sync_bytes)
-                    * (1.0 - self.comm_overlap)
-                )
+                comm += sync
                 overhead += self.latency
             checkpoint += self._boundary_cost(record.ckpt_bytes)
             if record.mode == "push":

@@ -16,13 +16,16 @@ as fine as its bucket edges, and the mean batch size is the mean of
 ``repro_serve_batch_size``.  A client that needs exact percentiles
 times its own requests.
 
-All mutators take the internal lock: the HTTP side (asyncio event
-loop) and the per-graph worker threads report concurrently.
+The registry owns the one lock every writer takes: the HTTP side
+(asyncio event loop), the per-graph worker threads' hubs and a
+mutation's hub all report into it concurrently, and a counter's
+``inc`` is a read-modify-write.  Each method here takes
+:attr:`~repro.obs.metrics.MetricsRegistry.lock` once; a hub takes it
+once per event, per tallied walk and per run-end fill.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, List, Optional
 
@@ -49,7 +52,6 @@ class ServeMetrics:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
         self._started = time.perf_counter()
         reg = self.registry
         self._requests = reg.counter(
@@ -99,38 +101,38 @@ class ServeMetrics:
 
         One per worker thread: the hub carries per-run phase context and
         is not thread-safe, but all hubs share the one registry that
-        ``/metrics`` exports.
+        ``/metrics`` exports, and write it under its lock.
         """
         return ObsHub(metrics=self.registry)
 
     # -- admission-side reporting -----------------------------------------
 
     def queue_depth(self, depth: int) -> None:
-        with self._lock:
+        with self.registry.lock:
             self._depth.set(float(depth))
 
     def rejected(self, status: str = "rejected") -> None:
-        with self._lock:
+        with self.registry.lock:
             self._requests.inc(status=status)
 
     # -- worker-side reporting --------------------------------------------
 
     def batch_begin(self, size: int, queue_waits: List[float]) -> None:
-        with self._lock:
+        with self.registry.lock:
             self._inflight.inc(1.0)
             self._batch_hist.observe(float(size))
             for wait in queue_waits:
                 self._wait_hist.observe(wait)
 
     def batch_end(self, run_seconds: float) -> None:
-        with self._lock:
+        with self.registry.lock:
             self._inflight.inc(-1.0)
             self._runs.inc()
             self._run_hist.observe(run_seconds)
 
     def request_done(self, status: str, latency: float,
                      coalesced: bool = False) -> None:
-        with self._lock:
+        with self.registry.lock:
             self._requests.inc(status=status)
             if status == "ok":
                 self._latency_hist.observe(latency)
@@ -140,12 +142,12 @@ class ServeMetrics:
     # -- export ------------------------------------------------------------
 
     def export_prometheus(self) -> str:
-        with self._lock:
+        with self.registry.lock:
             return self.registry.export_prometheus()
 
     def snapshot(self) -> Dict[str, float]:
         """Service-level numbers for ``/stats``, read off the registry."""
-        with self._lock:
+        with self.registry.lock:
             served = self._requests.value(status="ok")
             uptime = time.perf_counter() - self._started
             return {

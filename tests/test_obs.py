@@ -248,11 +248,17 @@ class TestMetrics:
         """Each observation is one search into per-bucket counts that
         the readers sum; every reading is what comparing each value
         with every edge gives: NaN in no bucket, +inf in no finite one,
-        -inf in all of them, a value on an edge in that edge's bucket."""
-        registry = MetricsRegistry()
+        -inf in all of them, a value on an edge in that edge's bucket.
+        A bulk observe of each half reads as observing its values one
+        at a time."""
+        registry, bulk = MetricsRegistry(), MetricsRegistry()
         h = registry.histogram("h", labels=("half",), buckets=sorted(edges))
         for i, value in enumerate(values):
             h.observe(value, half=str(i % 2))
+        at_once = bulk.histogram("h", labels=("half",),
+                                 buckets=sorted(edges))
+        for half in ("0", "1"):
+            at_once.observe_many(values[int(half)::2], half=half)
         samples, buckets = [], []
         for half in ("0", "1"):
             drawn = values[int(half)::2]
@@ -272,13 +278,15 @@ class TestMetrics:
                 )
             ]
             for q in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
-                got = h.quantile(q, half=half)
                 want = loop_quantile(h.buckets, loop, len(drawn), q)
-                assert got == want or (got != got and want != want)
-        (metric,) = registry.export_json()["metrics"]
-        assert json.dumps(metric["samples"]) == json.dumps(samples)
-        assert [line for line in registry.export_prometheus().splitlines()
-                if line.startswith("h_bucket")] == buckets
+                for got in (h.quantile(q, half=half),
+                            at_once.quantile(q, half=half)):
+                    assert got == want or (got != got and want != want)
+        for reg in (registry, bulk):
+            (metric,) = reg.export_json()["metrics"]
+            assert json.dumps(metric["samples"]) == json.dumps(samples)
+            assert [line for line in reg.export_prometheus().splitlines()
+                    if line.startswith("h_bucket")] == buckets
 
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ReproError):
@@ -450,6 +458,105 @@ class TestObsHub:
         engine.obs.close()
         events = read_trace(path)
         assert validate_events(events) == []
+
+
+#: the kinds an untraced hub is handed as counts (kernel batches,
+#: dependency hand-offs, steps, executor maps) or not at all (the kinds
+#: that feed no metric)
+TALLIED = {"kernel_batch", "dep_transfer", "step_begin", "exec_map_begin",
+           "exec_map_end"}
+UNFED = {kind for kind, row in EVENT_KINDS.items() if not row.feeds}
+
+
+class TestHubCensus:
+    """What the runtime hands a hub: a traced one every event, an
+    untraced one (a served query's) counts — one tally per merged walk
+    and per map — and none of the events that feed no metric."""
+
+    @pytest.mark.parametrize("fields", [
+        dict(algorithm="bfs"),
+        dict(algorithm="kcore"),
+        dict(engine="gemini", algorithm="bfs"),
+    ], ids=["symple-bfs", "symple-kcore", "gemini-bfs"])
+    def test_untraced_hub_is_handed_counts(self, graph, monkeypatch,
+                                           fields):
+        from collections import Counter as Tally
+
+        from repro.api import RunConfig, Session
+        from repro.runtime.counters import Counters
+
+        emitted, summaries = Tally(), []
+        emit, summary = ObsHub.emit, Counters.summary
+
+        def counted_emit(hub, kind, **event):
+            emitted[kind, hub.tracer is not None] += 1
+            return emit(hub, kind, **event)
+
+        def counted_summary(counters):
+            summaries.append(counters)
+            return summary(counters)
+
+        monkeypatch.setattr(ObsHub, "emit", counted_emit)
+        monkeypatch.setattr(Counters, "summary", counted_summary)
+        hubs = {}
+        for traced in (False, True):
+            hub = ObsHub(tracer=Tracer() if traced else None)
+            del summaries[:]
+            with Session(graph, RunConfig(machines=4, obs=hub,
+                                          **fields)) as session:
+                session.run()
+            hubs[traced] = hub, len(summaries)
+        untraced = {kind for kind, traced in emitted if not traced}
+        assert untraced and not untraced & (TALLIED | UNFED)
+        assert hubs[False][1] == 0  # no run_end event was built
+        assert hubs[True][1] == 1
+        handed = {"kernel_batch", "step_begin", "run_end", "phase_end",
+                  "exec_map_begin", "exec_map_end"}
+        if fields.get("engine", "symple") == "symple":
+            handed.add("dep_transfer")
+        assert all(emitted[kind, True] > 0 for kind in handed)
+        metrics = hubs[False][0].metrics
+        for name in ("repro_steps_total", "repro_kernel_batches_total",
+                     "repro_exec_maps_total", "repro_phases_total"):
+            assert sum(s["value"] for s in
+                       metrics.get(name).samples()) > 0, name
+
+    def test_hubs_on_one_registry_lose_no_update(self):
+        """Hubs over one registry (serve workers), each updating from
+        its own thread, more threads than cores: the registry's lock
+        keeps every read-modify-write, so the totals are exact."""
+        import sys
+        import threading
+
+        registry = MetricsRegistry()
+        hubs, rounds = 4, 10_000
+
+        def work():
+            hub = ObsHub(metrics=registry)
+            for _ in range(rounds):
+                hub.emit("dep_transfer", src=0, dst=1, bytes=3)
+                hub.tally(kernel_batch=(2, {"kernel": "k",
+                                            "seconds": (1.0, 1.0)}))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(hubs)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        events = hubs * rounds
+        get = registry.get
+        assert get("repro_dep_transfers_total").value() == events
+        assert get("repro_dep_transfer_bytes_total").value() == 3 * events
+        assert get("repro_kernel_batches_total").value(
+            kernel="k") == 2 * events
+        (sample,) = get("repro_kernel_batch_seconds").samples()
+        assert sample["count"] == sample["sum"] == 2 * events
 
 
 class TestReconstruction:

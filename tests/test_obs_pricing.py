@@ -2,11 +2,12 @@
 
 The harness prices a finished run with ``engine.execution_time()``;
 ``ObsHub.run_end`` is handed that total and only splits it into the run
-metrics (``CostModel.breakdown``), with one step loop that also feeds
-the per-step compute histogram.  The census counts the cost model's
-calls; the lattice runs a hub on every pricing regime the engine's
-options and the fault subsystem produce and checks the exported
-metrics against the result and against a trace rebuilt from scratch.
+metrics (``CostModel.breakdown``), pricing every step at once, and
+the per-step compute histogram observes the same step maxima.  The
+census counts the cost model's calls; the lattice runs a hub on every
+pricing regime the engine's options and the fault subsystem produce and
+checks the exported metrics against the result and against a trace
+rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class TestPricingCensus:
     ], ids=["symple-bfs", "symple-kcore", "gemini-bfs", "naive-bfs"])
     def test_a_hub_run_prices_once(self, graph, census, fields):
         """With a hub, a run makes the one ``execution_time`` call a run
-        without one makes, and one ``step_compute_time`` call more per
-        recorded step: the split's step loop, shared by the compute
-        component and the histogram."""
+        without one makes, and one ``step_compute_time`` call more: the
+        split prices every recorded step at once, for the compute
+        component and the histogram's one bulk observe alike."""
         calls, priced = census
         seen = {}
         for hub in (None, ObsHub()):
@@ -75,7 +76,7 @@ class TestPricingCensus:
         assert steps > 0
         extra = (seen[True].get("step_compute_time", 0)
                  - seen[False].get("step_compute_time", 0))
-        assert extra == steps
+        assert extra == 1
         histogram = hub.metrics.get("repro_step_compute_time")
         assert histogram.samples()[0]["count"] == steps
 
@@ -123,3 +124,51 @@ class TestPricingLattice:
         if name == "faulted":
             assert registry_breakdown(metrics)["checkpoint"] > 0.0
             assert metrics.get("repro_penalty_time").value() > 0.0
+
+
+#: the lattice plus a process-executor run (pool spawns, arena growth)
+#: and an async one (priority buckets)
+COUNTED = {**LATTICE,
+           "process": dict(algorithm="kcore", executor="process", workers=2),
+           "async": dict(algorithm="bfs", mode="async", seed=3)}
+#: a tallied kind -> the counter that counts its events
+COUNTS = {"kernel_batch": "repro_kernel_batches_total",
+          "dep_transfer": "repro_dep_transfers_total",
+          "step_begin": "repro_steps_total"}
+
+
+class TestCountsEqualTheTrace:
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_untraced_hub_exports_what_a_traced_one_does(self, graph, name):
+        """A hub with no tracer is handed counts, not events; it exports
+        what a tracing hub on the same run does — bar the sum and the
+        buckets of a wall-clock histogram — and its counts are the
+        trace's events of the kind."""
+        hubs = {}
+        for traced in (False, True):
+            hub = ObsHub(tracer=Tracer() if traced else None)
+            with Session(graph, RunConfig(machines=4, obs=hub,
+                                          **COUNTED[name])) as session:
+                session.run()
+            hubs[traced] = hub
+        exported = {
+            traced: {m["name"]: m for m in
+                     hub.metrics.export_json()["metrics"]}
+            for traced, hub in hubs.items()
+        }
+        assert exported[False].keys() == exported[True].keys()
+        for family, metric in exported[True].items():
+            untraced = exported[False][family]
+            if family.endswith("_seconds"):  # wall clock: counts only
+                assert metric["kind"] == "histogram"
+                for sample in (*metric["samples"], *untraced["samples"]):
+                    del sample["sum"], sample["buckets"]
+            assert untraced == metric, family
+        events = Counter(e["kind"] for e in hubs[True].tracer.events)
+        for kind, family in COUNTS.items():
+            counted = hubs[False].metrics.get(family)
+            total = 0 if counted is None else sum(
+                sample["value"] for sample in counted.samples()
+            )
+            assert total == events[kind], kind
+        assert events["kernel_batch"] and events["step_begin"]
