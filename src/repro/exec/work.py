@@ -194,30 +194,42 @@ def _as_values(values: list):
 
 
 # The edge budget of one kernel call: consecutive units of a lane are
-# scanned together while their flattened edges stay within it (a unit
-# over it is a block alone — exactly the per-unit call).  A plain-lane
-# block spans steps — a machine's units over all the steps of a walk —
-# so a large phase splits by this budget, not by step.  Bounded in both
+# scanned together while their edges stay within it (a unit over it is
+# a block alone — exactly the per-unit call).  A plain-lane block spans
+# steps — a machine's units over all the steps of a walk — so a large
+# phase splits by this budget, not by step.  Bounded in both
 # directions (DESIGN.md, "A bound in both directions", has the
 # readings): far below it units are bound by fixed NumPy call overhead
 # and want company; far above it a whole BSP step in one call gains
 # nothing, and its edge-sized temporaries cost 8 % of peak RSS.  65,536
 # and 262,144 read the same, so the smaller is kept: a block's
 # temporaries then stay inside a 2 MiB private cache (GPOP's sizing
-# rule), and a multi-unit call stays far below the 2**24 hits that
-# ``count_to_k_break``'s running count is exact for under a float32 init.
+# rule).  The budget bounds no count: ``count_to_k_break`` keeps no
+# running sum across rows, so the 2**24 its count is exact to under a
+# float32 init bounds one row's start plus degree, not a block's hits.
+# Below the budget sits the first-match probe's size rule,
+# ``csr._PROBE_EDGES`` (8,192): a call of that many edges or fewer is
+# scanned whole, a larger one probes each row's first neighbour and
+# flattens only the rows the probe leaves open.  The probe costs some
+# twenty fixed NumPy calls; probing every call, per call against the
+# whole scan (seed 7, block build plus kernel, min of 7), read 1.03x
+# under 128 edges and 1.3-1.6x above on ``serve_hot`` (median call 169
+# edges, at most 4,829), 1.0x at 2-4 k edges, 0.77x at 4-8 k and 0.5x
+# above on ``bfs_skew``, and 0.4-0.5x on ``bfs_gemini``'s large calls
+# (median 60 k).
 _BLOCK_EDGES = 65_536
 
 
 class LanePlan:
-    """One lane of a walk position, flattened once.
+    """One lane of a walk position, located once.
 
     The lane's vertices are cut into units (``starts``: each unit's
     first vertex; every unit non-empty) and grouped into ``blocks`` —
     ``(u0, u1, v0, v1, ScanBlock)``: units ``u0:u1``, vertices
-    ``v0:v1``, scanned in one kernel call — while a block's flattened
-    edges stay within the limit (:func:`_blocks`); ``edges`` is each
-    unit's flattened edges.  A unit's rows come from one ``indptr`` /
+    ``v0:v1``, scanned in one kernel call — while a block's edges stay
+    within the limit (:func:`_blocks`); ``edges`` is each unit's edges.
+    A block flattens its rows when a kernel first reads them, and keeps
+    them with the plan.  A unit's rows come from one ``indptr`` /
     ``degrees`` gather per run of consecutive units on one machine.
     Everything here is a function of the topology and the vertex sets,
     which is what lets a context keep a plan while a table recurs.
@@ -395,7 +407,7 @@ def _scan_lane(ctx, shared, spec, plan, vertices, carried_in, tables):
     ``tables`` (:func:`vertex_tables`).
 
     Per unit, the edges it scanned and its share of its call's seconds
-    (by flattened edges, what a call's time goes with); per vertex,
+    (by the edges of its rows, what a call's time goes with); per vertex,
     ``broke`` and ``carried`` (None where the kernel returns none);
     the emitting vertices' positions in ``vertices`` and, per block,
     their values.  A kernel decides nothing per call that a unit could
@@ -414,9 +426,9 @@ def _scan_lane(ctx, shared, spec, plan, vertices, carried_in, tables):
             ),
             tables=tables,
         )
-        if timed:  # the call's seconds per flattened edge, for now
+        if timed:  # the call's seconds per edge of its rows, for now
             took = perf_counter() - t0
-            seconds[u0:u1] = took / max(block.flat.size, 1)
+            seconds[u0:u1] = took / max(block.total, 1)
         hit = np.flatnonzero(batch.emit_mask)
         edges.append(batch.edges)
         hits.append(hit + v0)

@@ -34,15 +34,19 @@ elementwise, so the gather is the per-edge value bit for bit.
 the ``(adjacency, vertex)`` segments of consecutive work units of one
 lane of a pull walk, concatenated in unit order
 (:class:`repro.exec.work.LanePlan` builds them, up to a fixed edge
-budget).  A block flattens its segments once — one offset pass over all
-of them, one gather per run of one machine's vertices out of its own
-``indices``, no copy of the topology — and what it
-flattens depends on the topology and the vertex sets only, never on the
-state, so the executing context keeps a block whose sets recur between
-consecutive pull phases and the next call pays for arithmetic alone.
-The parts only some kernels read (the per-edge segment id, the per-edge
-destination) are built on first use and kept with the block.  A kernel
-decides nothing per *call* that a unit could tell from its own call —
+budget).  A block flattens its segments the first time a kernel reads
+them — one offset pass over all of them, one gather per run of one
+machine's vertices out of its own ``indices``, no copy of the topology
+— and keeps the result: what it flattens depends on the topology and
+the vertex sets only, never on the state, so the executing context
+keeps a block whose sets recur between consecutive pull phases and the
+next call pays for arithmetic alone.  A break kernel need not read it
+at all: ``first_match_break`` probes each segment's first neighbor
+(one gather per run) and flattens only the segments the probe left
+open, less that neighbor — a tail block that depends on the state, so
+it lives for the call.  The parts only some kernels read (the per-edge
+segment id, the per-edge destination) are built on first use too.  A
+kernel decides nothing per *call* that a unit could tell from its own call —
 a fold's dtype is the spec's over the state, restored or not — and the
 results are per vertex, so slicing a block's arrays at the unit offsets
 gives each unit the arrays of its solo call, dtype and bytes.
@@ -87,6 +91,11 @@ __all__ = [
 CarriedIn = Optional[Tuple[np.ndarray, np.ndarray]]
 Tables = Optional[Dict[str, np.ndarray]]
 
+#: the edge total up to which ``first_match_break`` scans a call whole,
+#: without probing its segments' first neighbors (``work._BLOCK_EDGES``
+#: has the readings)
+_PROBE_EDGES = 8192
+
 
 class ScanBlock:
     """The segments of one kernel call and their scan plan.
@@ -95,32 +104,28 @@ class ScanBlock:
     neighbor segment starts in its machine's ``indices`` and how long
     it is (callers guarantee nonzero); ``runs`` is one ``(local, a, b)``
     per run of consecutive vertices ``a:b`` on one machine, in order.
-    The plan is ``lens`` / ``seg_start`` (each segment's length and its
-    offset into the flat arrays) and ``flat`` (the concatenated
-    neighbor ids, in scan order); :attr:`seg_ids` and :meth:`dest` are
-    the per-edge arrays only some kernels read, built on first use.
-    Everything here is a function of the topology and the vertex sets
-    alone, which is what lets a context keep a block across phases.
+    ``seg_start`` / ``seg_end`` are each segment's bounds in the flat
+    arrays and ``total`` their length.  Nothing edge-sized is built up
+    front: :attr:`flat` (the concatenated neighbor ids, in scan order),
+    :attr:`seg_ids` and :meth:`dest` are built on first read and kept,
+    so a break kernel that settles a row at its first neighbor
+    (:meth:`heads`) never flattens it.  Everything here is a function
+    of the topology and the vertex sets alone, which is what lets a
+    context keep a block across phases.
     """
 
-    __slots__ = ("lens", "seg_start", "flat", "_seg_ids", "_dest")
+    __slots__ = ("starts", "lens", "seg_start", "seg_end", "total", "runs",
+                 "_flat", "_seg_ids", "_dest")
 
     def __init__(self, starts, lens, runs) -> None:
+        self.starts = starts
         self.lens = lens = lens.astype(np.int64, copy=False)
-        self.seg_start = seg_start = np.zeros(lens.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=seg_start[1:])
-        total = int(seg_start[-1])
-        # each flat element's index into its own machine's ``indices``
-        index = np.repeat(starts - seg_start[:-1], lens)
-        index += np.arange(total, dtype=np.int64)
-        # one gather per run, out of that machine's array into its
-        # slice of the block: no stacked copy of the topology
-        flat = np.empty(total, dtype=runs[0][0].indices.dtype)
-        for local, a, b in runs:
-            lo, hi = seg_start[a], seg_start[b]
-            np.take(local.indices, index[lo:hi], out=flat[lo:hi], mode="clip")
-        self.seg_start = seg_start[:-1]
-        self.flat = flat.astype(np.int64, copy=False)
+        bounds = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=bounds[1:])
+        self.seg_start, self.seg_end = bounds[:-1], bounds[1:]
+        self.total = int(bounds[-1])
+        self.runs = runs
+        self._flat: Optional[np.ndarray] = None
         self._seg_ids: Optional[np.ndarray] = None
         self._dest: Optional[np.ndarray] = None
 
@@ -130,6 +135,45 @@ class ScanBlock:
         starts = local.indptr[vertices]
         lens = local.indptr[vertices + 1] - starts
         return cls(starts, lens, [(local, 0, vertices.size)])
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The neighbor ids of every segment end to end: one offset
+        pass over all of them, one gather per run out of its machine's
+        own ``indices`` into its slice — no copy of the topology."""
+        if self._flat is None:
+            seg_start, seg_end = self.seg_start, self.seg_end
+            # each flat element's index into its own machine's ``indices``
+            index = np.repeat(self.starts - seg_start, self.lens)
+            index += np.arange(self.total, dtype=np.int64)
+            self._flat = self._take(index, [
+                (seg_start[a], seg_end[b - 1]) for _, a, b in self.runs
+            ])
+        return self._flat
+
+    def heads(self) -> np.ndarray:
+        """Each segment's first neighbor id: one gather per run."""
+        return self._take(self.starts, [(a, b) for _, a, b in self.runs])
+
+    def _take(self, index: np.ndarray, bounds) -> np.ndarray:
+        """``indices[index[lo:hi]]`` of each run's machine, for the
+        run's ``(lo, hi)`` in ``bounds``, end to end as int64."""
+        out = np.empty(index.size, dtype=self.runs[0][0].indices.dtype)
+        for (local, _, _), (lo, hi) in zip(self.runs, bounds):
+            np.take(local.indices, index[lo:hi], out=out[lo:hi], mode="clip")
+        return out.astype(np.int64, copy=False)
+
+    def tail(self, rows: np.ndarray) -> "ScanBlock":
+        """The block of segments ``rows`` (ascending, each longer than
+        one edge) without their first neighbor."""
+        cuts = np.searchsorted(
+            rows, [a for _, a, _ in self.runs] + [self.lens.size]
+        ).tolist()
+        return ScanBlock(self.starts[rows] + 1, self.lens[rows] - 1, [
+            (local, a, b)
+            for (local, _, _), a, b in zip(self.runs, cuts, cuts[1:])
+            if b > a
+        ])
 
     @property
     def seg_ids(self) -> np.ndarray:
@@ -150,37 +194,37 @@ class ScanBlock:
     def nbytes(self) -> int:
         return sum(
             array.nbytes
-            for array in (self.lens, self.seg_start, self.flat,
-                          self._seg_ids, self._dest)
+            # ``seg_end`` shares ``seg_start``'s buffer
+            for array in (self.starts, self.lens, self.seg_start,
+                          self._flat, self._seg_ids, self._dest)
             if array is not None
         )
 
 
 def _segments(local, vertices: np.ndarray) -> ScanBlock:
-    """The flattened neighbor segments of ``vertices``: ``local`` itself
-    when it is already a block, the one-unit block over it otherwise."""
+    """The neighbor segments of ``vertices``: ``local`` itself when it
+    is already a block, the one-unit block over it otherwise."""
     if isinstance(local, ScanBlock):
         return local
     return ScanBlock.of(local, vertices)
 
 
 def _edge_eval(
-    spec, role: str, state, plan: ScanBlock, vertices, tables: Tables,
+    spec, role: str, state, nbrs: np.ndarray, dest, tables: Tables,
     as_bool: bool = False,
 ) -> np.ndarray:
-    """A per-edge expression over the flat neighbor ids: gathered from
-    the role's per-vertex table where the caller built one, evaluated
-    per edge otherwise — the per-edge destination built only for an
-    expression that reads it."""
+    """A per-edge expression over the neighbor ids ``nbrs``: gathered
+    from the role's per-vertex table where the caller built one,
+    evaluated per edge otherwise — ``dest()``, the per-edge destination,
+    built only for an expression that reads it."""
     table = None if tables is None else tables.get(role)
     if table is not None:
-        out = table[plan.flat]
+        out = table[nbrs]
         return out.astype(bool, copy=False) if as_bool else out
     reads_dest = "__v" in spec.sources[role]
     return _flat_eval(
-        spec.exprs[role], state, plan.flat,
-        plan.dest(vertices) if reads_dest else None,
-        plan.flat.shape, as_bool=as_bool,
+        spec.exprs[role], state, nbrs, dest() if reads_dest else None,
+        nbrs.shape, as_bool=as_bool,
     )
 
 
@@ -193,7 +237,7 @@ def _first_hit(plan: ScanBlock, hits: np.ndarray):
     first = np.append(where, hits.size)[
         np.searchsorted(where, plan.seg_start)
     ]
-    return first < plan.seg_start + plan.lens, first
+    return first < plan.seg_end, first
 
 
 def _flat_eval(fn, state, u, v, shape, as_bool: bool = False) -> np.ndarray:
@@ -287,6 +331,19 @@ def empty_batch() -> KernelBatch:
     )
 
 
+def _scan_to_first(spec, state, plan: ScanBlock, vertices, tables: Tables):
+    """``(broke, edges, nbr)`` per segment of ``plan``, scanned to its
+    first predicate hit (:func:`_first_hit`) or, with none, its end:
+    did it hit, how many edges it scanned, and the neighbor it stopped
+    at."""
+    flat = plan.flat
+    pred = _edge_eval(spec, "predicate", state, flat,
+                      lambda: plan.dest(vertices), tables, as_bool=True)
+    matched, first = _first_hit(plan, pred)
+    last = np.where(matched, first, plan.seg_end - 1)
+    return matched, last - plan.seg_start + 1, flat[last]
+
+
 @register_kernel(FIRST_MATCH_BREAK)
 def first_match_break_kernel(
     spec: KernelSpec, state, local, vertices, carried_in: CarriedIn = None,
@@ -294,27 +351,42 @@ def first_match_break_kernel(
 ) -> KernelBatch:
     """Per-segment first match: emit once at the first predicate hit.
 
-    The first hit is each segment's first set element of the flat
-    predicate mask (:func:`_first_hit`); a vertex with none scans its
-    whole segment.  No loop-carried data: the only dependency is the
-    break bit itself.
+    The predicate is probed at every segment's first neighbor
+    (:meth:`ScanBlock.heads`, one gather per run); only the segments
+    that missed there and hold more are flattened, less that neighbor
+    (:meth:`ScanBlock.tail`), and scanned to their first hit
+    (:func:`_scan_to_first`).  A call of at most ``_PROBE_EDGES`` edges
+    is scanned whole instead: there the probe's fixed NumPy calls cost
+    more than the edges it skips.  A vertex with no hit scans its whole
+    segment.  No loop-carried data: the only dependency is the break
+    bit itself.
     """
     if vertices.size == 0:
         return empty_batch()
     plan = _segments(local, vertices)
-    pred = _edge_eval(spec, "predicate", state, plan, vertices, tables,
-                      as_bool=True)
-    matched, first = _first_hit(plan, pred)
-    # where the scan stopped: the first match, else the last neighbor
-    last = np.where(matched, first, plan.seg_start + plan.lens - 1)
+    if plan.total <= _PROBE_EDGES:
+        broke, edges, nbr = _scan_to_first(spec, state, plan, vertices,
+                                           tables)
+    else:
+        nbr = plan.heads()
+        hit = _edge_eval(spec, "predicate", state, nbr, lambda: vertices,
+                         tables, as_bool=True)
+        broke = np.array(hit)
+        edges = np.where(hit, 1, plan.lens)
+        rows = np.flatnonzero(edges > 1)  # missed, and more to scan
+        if rows.size:
+            broke[rows], scanned, nbr[rows] = _scan_to_first(
+                spec, state, plan.tail(rows), vertices[rows], tables
+            )
+            edges[rows] = scanned + 1
     values = np.array(_flat_eval(
-        spec.exprs["emit"], state, plan.flat[last], vertices, vertices.shape
+        spec.exprs["emit"], state, nbr, vertices, vertices.shape
     ))
     return KernelBatch(
-        edges=last - plan.seg_start + 1,
-        emit_mask=matched.copy(),
+        edges=edges,
+        emit_mask=broke.copy(),
         values=values,
-        broke=matched,
+        broke=broke,
     )
 
 
@@ -325,35 +397,49 @@ def count_to_k_break_kernel(
 ) -> KernelBatch:
     """Running predicate count saturating at a threshold.
 
-    A within-segment cumulative sum of predicate hits locates the first
-    position where the (restored) count reaches the threshold; edges
-    scanned and the final count follow from that position.
+    Per segment, its hits (the set positions of the flat predicate) and
+    the count they take it to: the ``i``-th hit runs it to ``start +
+    i``, so the breaking hit is the smallest ``i >= 1`` whose count
+    reaches the threshold, found per segment, not per edge; edges
+    scanned and the final count follow from it.
     """
     if vertices.size == 0:
         return empty_batch()
     plan = _segments(local, vertices)
     lens, seg_start = plan.lens, plan.seg_start
-    pred = _edge_eval(spec, "predicate", state, plan, vertices, tables,
-                      as_bool=True)
+    pred = _edge_eval(spec, "predicate", state, plan.flat,
+                      lambda: plan.dest(vertices), tables, as_bool=True)
     _, start = _fold_start(spec, state, vertices, carried_in)
-
-    # One running sum over the whole call, rebased per segment: exact
-    # only while the call's hit total stays inside the integer range of
-    # ``inc``'s dtype (2**24 for a float32 init, 2**53 for float64).
-    # One unit's call always had that limit; a block adds nothing to
-    # it, because ``work._BLOCK_EDGES`` keeps a multi-unit call far
-    # below 2**24 edges.
-    inc = pred.astype(start.dtype if start.dtype.kind == "f" else np.int64)
-    running = np.cumsum(inc)
-    running -= np.repeat(running[seg_start] - inc[seg_start], lens)
-    running = running + np.repeat(start, lens)
-
     threshold = _per_vertex_eval(spec.exprs["threshold"], state, vertices)
-    sat = pred & (running >= np.repeat(threshold, lens))
-    broke, first = _first_hit(plan, sat)
-    last = np.where(broke, first, seg_start + lens - 1)
-    edges = last - seg_start + 1
-    final = running[last]
+    where = np.flatnonzero(pred)
+    hits = np.add.reduceat(pred, seg_start, dtype=np.int64)
+    lo = np.cumsum(hits) - hits
+    step = start.dtype if start.dtype.kind == "f" else np.dtype(np.int64)
+
+    # The count after the i-th hit is ``i + start`` in the running
+    # dtype the per-edge loop has, compared with the threshold as the
+    # loop compares.  The comparison only turns true as ``i`` grows, so
+    # the breaking hit is the first true one among the three around
+    # ``ceil(threshold - start)``.  There is no running sum across
+    # segments, so exactness is per segment: while its ``start`` plus
+    # its degree stays inside the integer range of the running dtype
+    # (2**24 for a float32 init, 2**53 for float64 or int64), rounding
+    # the sum or the difference moves the answer by at most one hit.
+    # NaN reads as 1: a NaN count or threshold compares false at every
+    # hit, and ``inf`` against ``inf`` true at the first.
+    near = np.fmin(np.fmax(np.ceil(
+        threshold.astype(np.float64) - start.astype(np.float64)
+    ), 1), hits + 1).astype(np.int64)
+    tries = near + np.array([[-1], [0], [1]])
+    ok = (tries.astype(step) + start) >= threshold
+    # the first true try: ``near - 1`` plus the false ones, at least 1
+    need = np.maximum(near + 2 - ok.sum(axis=0), 1)
+    broke = ok[2] & (need <= hits)
+    count = np.where(broke, need, hits)
+    # the breaking hit's flat index (clipped where no segment breaks)
+    at = where.take(lo + count - 1, mode="clip") if where.size else lo
+    edges = np.where(broke, at - seg_start + 1, lens)
+    final = count.astype(step) + start
     emit_mask = final > start
     values = final - start
     return KernelBatch(
@@ -380,7 +466,8 @@ def full_scan_sum_kernel(
     if vertices.size == 0:
         return empty_batch()
     plan = _segments(local, vertices)
-    term = _edge_eval(spec, "term", state, plan, vertices, tables)
+    term = _edge_eval(spec, "term", state, plan.flat,
+                      lambda: plan.dest(vertices), tables)
     _, start = _fold_start(spec, state, vertices, carried_in)
 
     totals = start.astype(np.result_type(start.dtype, term.dtype))
@@ -406,7 +493,8 @@ def full_scan_min_kernel(
     if vertices.size == 0:
         return empty_batch()
     plan = _segments(local, vertices)
-    term = _edge_eval(spec, "term", state, plan, vertices, tables)
+    term = _edge_eval(spec, "term", state, plan.flat,
+                      lambda: plan.dest(vertices), tables)
     init, start = _fold_start(spec, state, vertices, carried_in)
     best = np.minimum(start, np.minimum.reduceat(term, plan.seg_start))
     emit_mask = best < init

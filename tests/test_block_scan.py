@@ -24,7 +24,11 @@ The pull side of ``test_push_kernel.py``:
 * the executors' chunk loop — one helper, a typed failure when never
   bound, the straggler rule;
 * booking — an untraced phase with no delivery hook books per-pair
-  sums, with no ordered message list.
+  sums, with no ordered message list;
+* what a break kernel flattens — a first-match call no more than the
+  rows its head probe left open, less their first edge (a call under
+  ``csr._PROBE_EDGES`` edges is scanned whole), a walk whose every head
+  hits nothing, with the scanned edges pinned.
 """
 
 import numpy as np
@@ -33,18 +37,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.api as api
-from repro.algorithms.bfs import bottom_up_signal
+from repro.algorithms.bfs import _visit_slot, bottom_up_signal
 from repro.algorithms.cc import _min_slot, cc_signal
 from repro.algorithms.kcore import kcore_signal
 from repro.algorithms.mis import mis_signal
 from repro.algorithms.pagerank import pagerank_signal
 from repro.algorithms.registry import algorithm_names
 from repro.analysis.instrument import instrument_signal
+from repro.analysis.kernelspec import FIRST_MATCH_BREAK
 from repro.api import RunConfig, Session
 from repro.engine import GeminiEngine, SympleGraphEngine
 from repro.engine.base import _TABLE_SERIAL
 from repro.engine.dep import carried_dtypes
 from repro.engine.fastpath import BLOCK
+from repro.engine.state import StateStore
 from repro.engine.symple import circulant_partition
 from repro.errors import EngineError, KernelSoundnessError
 from repro.exec import make_executor, work
@@ -53,8 +59,10 @@ from repro.fault import FaultPlan, StragglerFault
 from repro.graph import (
     CSRGraph, MutationBatch, random_weights, rmat, to_undirected,
 )
-from repro.kernels import get_kernel
+from repro.kernels import csr, get_kernel
+from repro.kernels import registry as kernel_registry
 from repro.partition import OutgoingEdgeCut
+from repro.partition.base import LocalAdjacency
 
 #: block limits: every unit alone / blocks that split mid-step (on the
 #: 0-40-edge graphs of (a); on the 925-edge graph of (b)) / whole chunks
@@ -495,10 +503,30 @@ class TestBlockEqualsUnit:
         assert not walk["dep_vertices"].any() and not walk["dep_edges"].any()
 
     def test_limit_bounds_the_running_count(self):
-        """``count_to_k_break``'s one cumsum per call is exact below
-        2**24 hits under a float32 init; the block limit stays far
-        inside that."""
-        assert 0 < work._BLOCK_EDGES <= 2**24 // 16
+        """``count_to_k_break`` keeps no running sum across a call's
+        rows, so the 2**24 its count is exact to under a float32 init
+        bounds one row's start plus degree, not the block's hits: a row
+        of a multi-row block that counts from 2**24 - 3 breaks at its
+        third hit on exactly 2**24.  The block limit bounds a call, and
+        the first-match probe rule sits below it."""
+        assert 0 < csr._PROBE_EDGES < work._BLOCK_EDGES
+        n, top = 6, 2**24
+        indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int64)
+        local = LocalAdjacency(indptr, np.arange(5 * n) % n, None)
+        state = StateStore(n)
+        state.add_array("active", bool, True)
+        state.add_array("base32", np.float32, 0.0)
+        state.base32[-1] = top - 3
+        state.add_scalar("k", top)
+        spec = instrument_signal(count32_signal).kernel
+        vertices = np.arange(n, dtype=np.int64)
+        batch = get_kernel(spec.kind)(
+            spec, state, csr.ScanBlock.of(local, vertices), vertices
+        )
+        assert batch.carried.dtype == np.float32
+        assert batch.carried.tolist() == [5.0] * (n - 1) + [float(top)]
+        assert batch.edges.tolist() == [5] * (n - 1) + [3]
+        assert batch.broke.tolist() == [False] * (n - 1) + [True]
 
     def test_pull_task_is_a_chunk_of_one(self):
         """The pull phase's one task is the walk, and it is its own chunk
@@ -1305,3 +1333,97 @@ class TestBooking:
             assert bool(inserts) == traced
             assert engines[-1].counters.bytes_by_tag["dep"] > 0
         assert summaries[0] == summaries[1]
+
+
+# -- what a break kernel flattens ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def census_bfs_graph():
+    return to_undirected(rmat(scale=10))
+
+
+def first_match_census(monkeypatch, probe):
+    """Every first-match kernel call, as ``(block, batch, flattened)``,
+    under the probe rule ``probe`` (``csr._PROBE_EDGES``): ``flattened``
+    counts the elements its blocks flattened, by wrapping the flatten."""
+    monkeypatch.setattr(csr, "_PROBE_EDGES", probe)
+    calls, inside = [], []
+    flat = csr.ScanBlock.flat
+
+    def counting(block):
+        if inside and block._flat is None:
+            inside[-1] += block.total
+        return flat.fget(block)
+
+    kernel = get_kernel(FIRST_MATCH_BREAK)
+
+    def recording(spec, state, local, vertices, *args, **kwargs):
+        inside.append(0)
+        batch = kernel(spec, state, local, vertices, *args, **kwargs)
+        calls.append((local, batch, inside.pop()))
+        return batch
+
+    monkeypatch.setattr(csr.ScanBlock, "flat", property(counting))
+    monkeypatch.setitem(kernel_registry._REGISTRY, FIRST_MATCH_BREAK,
+                        recording)
+    return calls
+
+
+class TestBreakFlattenCensus:
+    """A first-match call flattens only the rows its head probe leaves
+    open, less their first edge; a call of at most ``_PROBE_EDGES``
+    edges is scanned whole.  What it scans is unchanged: the kernels'
+    edges and the run's ``edges_traversed`` are pinned."""
+
+    @pytest.mark.parametrize("probe", [csr._PROBE_EDGES, 0],
+                             ids=["rule", "always"])
+    @pytest.mark.parametrize("engine, kernel_edges, traversed", [
+        ("gemini", 9440, 3505), ("symple", 4005, 1694),
+    ])
+    def test_first_match_flattens_what_its_probe_left_open(
+        self, monkeypatch, census_bfs_graph, probe, engine, kernel_edges,
+        traversed,
+    ):
+        calls = first_match_census(monkeypatch, probe)
+        config = RunConfig(machines=4, engine=engine, algorithm="bfs")
+        with Session(census_bfs_graph, config) as session:
+            result = session.run()
+        assert calls
+        for block, batch, flattened in calls:
+            if block.total <= probe:
+                assert flattened == block.total
+            else:  # a missed head with more to scan: edges > 1
+                left_open = batch.edges > 1
+                assert flattened <= int((block.lens[left_open] - 1).sum())
+        assert sum(int(batch.edges.sum()) for _, batch, _ in calls) == (
+            kernel_edges
+        )
+        assert result.to_dict()["edges_traversed"] == traversed
+
+    @pytest.mark.parametrize("probe, machines", [
+        (csr._PROBE_EDGES, 1), (0, 4),
+    ], ids=["rule", "always"])
+    def test_a_walk_whose_every_head_hits_flattens_nothing(
+        self, monkeypatch, census_bfs_graph, probe, machines,
+    ):
+        calls = first_match_census(monkeypatch, probe)
+        graph = census_bfs_graph
+        n = graph.num_vertices
+        with Session(graph, RunConfig(machines=machines)) as session:
+            with session.engine_context() as (engine, _, _):
+                state = engine.new_state()
+                state.add_array("frontier", bool, True)
+                state.add_array("visited", bool, False)
+                state.add_array("next_frontier", bool, False)
+                state.add_array("parent", np.int64, -1)
+                state.add_array("depth", np.int64, -1)
+                state.add_scalar("level", 1)
+                engine.pull(bottom_up_signal, _visit_slot, state,
+                            np.ones(n, dtype=bool))
+        assert calls
+        for block, batch, flattened in calls:
+            assert block.total > probe  # probed, not scanned whole
+            assert flattened == 0
+            assert batch.broke.all() and (batch.edges == 1).all()
+        assert state.visited.sum() == (graph.in_degrees() > 0).sum()

@@ -18,10 +18,11 @@ End-to-end engine equivalence (kernels against the interpreter the
 
 import dataclasses
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import SIGNAL_UDFS
@@ -39,6 +40,7 @@ from repro.engine.state import StateStore
 from repro.exec.work import vertex_tables
 from repro.graph import erdos_renyi, to_undirected
 from repro.kernels import available_kernels, get_kernel, register_kernel
+from repro.kernels import csr
 from repro.kernels import registry as kernel_registry
 from repro.kernels.csr import fold_dtype
 from repro.partition import OutgoingEdgeCut
@@ -220,6 +222,115 @@ def toy_adjacency(n, edges):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return LocalAdjacency(indptr, np.array(indices, dtype=np.int64), None)
+
+
+def _head_signal(v, nbrs, s, emit):
+    """A first match on a bare read: its predicate is a table."""
+    for u in nbrs:
+        if s.flag[u]:
+            emit(u)
+            break
+
+
+def _dest_head_signal(v, nbrs, s, emit):
+    """A first match whose predicate reads the destination: per edge."""
+    for u in nbrs:
+        if s.key[u] < s.key[v]:
+            emit(s.key[u] * 2)
+            break
+
+
+def _limit_count_signal(v, nbrs, s, emit):
+    """K-core's count up to a per-vertex threshold, from ``seen``."""
+    cnt = s.seen[v]
+    start = cnt
+    for u in nbrs:
+        if s.flag[u]:
+            cnt += 1
+            if cnt >= s.limit[v]:
+                break
+    if cnt > start:
+        emit(cnt - start)
+
+
+def _dest_count_signal(v, nbrs, s, emit):
+    """The count over a predicate that reads the destination."""
+    cnt = s.seen[v]
+    start = cnt
+    for u in nbrs:
+        if s.key[u] > s.key[v]:
+            cnt += 1
+            if cnt >= s.limit[v]:
+                break
+    if cnt > start:
+        emit(cnt - start)
+
+
+BREAK_SIGNALS = (
+    _head_signal, _dest_head_signal, _limit_count_signal, _dest_count_signal,
+)
+#: thresholds at or below any start, huge, negative, infinite and NaN
+_LIMITS = st.sampled_from(
+    [-np.inf, np.inf, np.nan, -7.0, 0.0, 2.5, 1e300, float(2**40)]
+) | st.integers(-3, 14).map(float)
+
+
+@st.composite
+def break_blocks(draw):
+    """A break kernel's call over a drawn multi-run block.
+
+    1-4 adjacencies over ``n`` vertices with rows of one edge and long
+    ones, a run of rows drawn from each (a vertex may sit in several),
+    a state whose heads all hit, none hit or are drawn, a count init of
+    a drawn dtype with drawn thresholds, restored counts or none, the
+    predicate tables or none, and the head probe on or at its rule.
+    """
+    signal = draw(st.sampled_from(BREAK_SIGNALS))
+    spec = instrument_signal(signal).kernel
+    n = draw(st.integers(1, 8))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        edges = {}
+        for v in range(n):
+            degree = draw(st.sampled_from([0, 1, 1, 2]) | st.integers(3, 12))
+            edges[v] = draw(st.lists(
+                st.integers(0, n - 1), min_size=degree, max_size=degree
+            ))
+        nonzero = [v for v in range(n) if edges[v]]
+        rows = draw(st.lists(st.sampled_from(nonzero), unique=True)
+                    if nonzero else st.just([]))
+        if rows:
+            runs.append((toy_adjacency(n, edges),
+                         np.array(sorted(rows), dtype=np.int64)))
+    assume(runs)
+    state = StateStore(n)
+    state.add_array("flag", bool, False)
+    heads = draw(st.sampled_from(["all", "none", "drawn"]))
+    state.flag[:] = draw(
+        st.lists(st.booleans(), min_size=n, max_size=n)
+    ) if heads == "drawn" else heads == "all"
+    state.add_array("key", np.int64, 0)
+    state.key[:] = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    state.add_array("seen", draw(st.sampled_from(
+        [np.int64, np.float32, np.float64]
+    )), 0)
+    state.seen[:] = draw(st.lists(st.integers(-3, 9), min_size=n, max_size=n))
+    state.add_array("limit", np.float64, 0.0)
+    state.limit[:] = draw(st.lists(_LIMITS, min_size=n, max_size=n))
+    vertices = np.concatenate([rows for _, rows in runs])
+    carried = None
+    if spec.kind == COUNT_TO_K_BREAK and draw(st.booleans()):
+        size = vertices.size
+        carried = (
+            np.array(draw(st.lists(st.booleans(), min_size=size,
+                                   max_size=size))),
+            np.array(draw(st.lists(st.integers(-3, 12), min_size=size,
+                                   max_size=size)),
+                     dtype=fold_dtype(spec, state)),
+        )
+    tables = vertex_tables(spec, state) if draw(st.booleans()) else None
+    probe = draw(st.sampled_from([0, csr._PROBE_EDGES]))
+    return signal, spec, state, runs, vertices, carried, tables, probe
 
 
 class TestKernelsMatchInterpreter:
@@ -437,6 +548,66 @@ class TestKernelsMatchInterpreter:
         )
         assert batch.edges.size == 0
         assert batch.emit_mask.size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=break_blocks())
+    def test_break_kernels_over_multi_run_blocks(self, case):
+        """Both break kernels over a drawn multi-run block, probed at the
+        heads or scanned whole, equal the interpreter array by array,
+        dtype included; a restored count runs the interpreter from the
+        restored value."""
+        signal, spec, state, runs, vertices, carried, tables, probe = case
+        starts, lens, block_runs, at = [], [], [], 0
+        for local, rows in runs:
+            starts.append(local.indptr[rows])
+            lens.append(local.degrees()[rows])
+            block_runs.append((local, at, at + rows.size))
+            at += rows.size
+        block = csr.ScanBlock(
+            np.concatenate(starts), np.concatenate(lens), block_runs
+        )
+        with mock.patch.object(csr, "_PROBE_EDGES", probe):
+            batch = get_kernel(spec.kind)(
+                spec, state, block, vertices, carried_in=carried,
+                tables=tables,
+            )
+        # the interpreter, row by row, from the restored count if any
+        seen = state.seen.copy()
+        want = {"edges": [], "emit": [], "values": [], "broke": [],
+                "start": []}
+        row = 0
+        for local, rows in runs:
+            for v in rows.tolist():
+                if carried is not None and carried[0][row]:
+                    state.seen[v] = carried[1][row]
+                edges, emits, values, broke = self.run_interpreter(
+                    signal, state, local, np.array([v])
+                )
+                want["start"].append(state.seen[v])
+                state.seen[v] = seen[v]
+                for key, got in zip(("edges", "emit", "values", "broke"),
+                                    (edges, emits, values, broke)):
+                    want[key].append(got[0])
+                row += 1
+        emit = np.array(want["emit"])
+        assert batch.edges.dtype == np.int64
+        assert np.array_equal(batch.edges, np.array(want["edges"]))
+        assert batch.emit_mask.dtype == batch.broke.dtype == bool
+        assert np.array_equal(batch.emit_mask, emit)
+        assert np.array_equal(batch.broke, np.array(want["broke"]))
+        emitted = [want["values"][i] for i in np.flatnonzero(emit)]
+        if spec.kind == FIRST_MATCH_BREAK:
+            assert batch.carried is None
+            assert _same(batch.values[emit], np.array(emitted, dtype=np.int64))
+            return
+        fold = fold_dtype(spec, state)
+        assert batch.values.dtype == batch.carried.dtype == fold
+        assert all(np.asarray(value).dtype == fold for value in emitted)
+        assert _same(batch.values[emit], np.array(emitted, dtype=fold))
+        # a count that emitted nothing ends where it started
+        final = np.array(want["start"], dtype=fold)
+        final[emit] += np.array(emitted, dtype=fold)
+        assert _same(batch.carried, final)
 
 
 # -- escape hatch ----------------------------------------------------------
